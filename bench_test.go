@@ -16,7 +16,6 @@ import (
 	"gameofcoins/internal/potential"
 	"gameofcoins/internal/replay"
 	"gameofcoins/internal/rng"
-	"gameofcoins/internal/schedbench"
 )
 
 // BenchmarkE1BtcBchMigration regenerates Figure 1 (rate swing → hashrate
@@ -289,27 +288,6 @@ func benchDesignGame(b *testing.B) *core.Game {
 		b.Fatal(err)
 	}
 	return g
-}
-
-// BenchmarkSchedTailLatency measures the engine scheduler on the skewed-cost
-// sweep (internal/schedbench): FIFO vs size-aware LPT dispatch at 8 workers,
-// with the speedup and both p99 task latencies reported as custom metrics.
-// Task costs are sleeps, so ns/op is dominated by the benchmark's fixed
-// wall-clock shape; the custom metrics are the point. scripts/bench.sh
-// records the same numbers into BENCH_sched.json.
-func BenchmarkSchedTailLatency(b *testing.B) {
-	var last schedbench.Report
-	for i := 0; i < b.N; i++ {
-		rep, err := schedbench.Run(schedbench.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rep
-	}
-	b.ReportMetric(last.Speedup, "fifo/lpt-speedup")
-	b.ReportMetric(last.FIFO.P99TaskMS, "fifo-p99-ms")
-	b.ReportMetric(last.LPT.P99TaskMS, "lpt-p99-ms")
-	b.ReportMetric(float64(last.Steals), "steals")
 }
 
 // BenchmarkE11SecurityTrajectory measures the security-metric sweep along a

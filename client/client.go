@@ -279,13 +279,13 @@ func (c *Client) Spec(ctx context.Context, wire string) (engine.CatalogEntry, er
 	return out, err
 }
 
-// RegisterGame registers a game and returns its content-addressed ID, which
-// LearnSweep specs may reference via GameID.
+// RegisterGame registers a game with POST /v2/games and returns its
+// content-addressed ID, which LearnSweep specs may reference via GameID.
 func (c *Client) RegisterGame(ctx context.Context, g *core.Game) (string, error) {
 	var out struct {
 		ID string `json:"id"`
 	}
-	if err := c.do(ctx, http.MethodPost, "/v1/games", g, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v2/games", g, &out); err != nil {
 		return "", err
 	}
 	return out.ID, nil

@@ -7,38 +7,16 @@
 // byte-identical to a sequential run — every experiment derives its
 // randomness from the seed alone — only wall-clock time changes.
 //
-// With -sched FILE it instead runs the engine scheduler's tail-latency
-// benchmark — a skewed-cost sweep under FIFO vs size-aware (LPT) dispatch,
-// plus a concurrent fair-share phase — and writes the JSON report (makespan,
-// p50/p99 task latency, speedup, steal count) to FILE ("-" for stdout).
-// scripts/bench.sh uses it to emit BENCH_sched.json.
-//
-// With -dist FILE it runs the distributed-execution benchmark instead
-// (internal/distbench): one sweep on a starved local pool alone, the same
-// sweep on that pool plus an in-process remote-worker fleet behind the lease
-// coordinator, reporting both makespans, the speedup, and whether the
-// distributed result stayed byte-identical. scripts/bench.sh uses it to emit
-// BENCH_dist.json.
-//
-// With -traffic FILE it runs the multi-tenant admission-control load harness
-// (internal/trafficbench): four keyed tenants at mixed priorities and job
-// sizes drive an in-process rate-limited server, reporting each tenant's
-// measured capacity share against its priority-weighted fair share, the
-// 401/429 edges (with Retry-After), and whether every tenant's result stayed
-// byte-identical to a single-client rerun. scripts/bench.sh uses it to emit
-// BENCH_traffic.json.
+// Serving performance is measured end to end by the separate bench module
+// (bench/gocperf.sh), not here.
 //
 // Usage:
 //
 //	gocbench [-seed N] [-run E1,E4,...] [-parallel N]
-//	gocbench -sched BENCH_sched.json [-sched-scale F]
-//	gocbench -dist BENCH_dist.json [-dist-scale F]
-//	gocbench -traffic BENCH_traffic.json [-traffic-scale F]
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -46,10 +24,7 @@ import (
 	"runtime"
 	"strings"
 
-	"gameofcoins/internal/distbench"
 	"gameofcoins/internal/experiments"
-	"gameofcoins/internal/schedbench"
-	"gameofcoins/internal/trafficbench"
 )
 
 func main() {
@@ -65,23 +40,8 @@ func run(w io.Writer, args []string) error {
 	only := fs.String("run", "", "comma-separated experiment IDs (default all)")
 	parallel := fs.Int("parallel", 0,
 		fmt.Sprintf("worker count for the experiment engine; 0 runs sequentially, -1 uses all %d cores", runtime.GOMAXPROCS(0)))
-	sched := fs.String("sched", "", "run the scheduler tail-latency benchmark and write its JSON report to this file ('-' = stdout) instead of the experiment suite")
-	schedScale := fs.Float64("sched-scale", 1, "scale factor for the scheduler benchmark's task durations")
-	distOut := fs.String("dist", "", "run the distributed-execution benchmark and write its JSON report to this file ('-' = stdout) instead of the experiment suite")
-	distScale := fs.Float64("dist-scale", 1, "scale factor for the distributed benchmark's task durations")
-	trafficOut := fs.String("traffic", "", "run the multi-tenant admission-control load harness and write its JSON report to this file ('-' = stdout) instead of the experiment suite")
-	trafficScale := fs.Float64("traffic-scale", 1, "scale factor for the traffic harness's task durations")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *sched != "" {
-		return runSched(w, *sched, *schedScale)
-	}
-	if *distOut != "" {
-		return runDist(w, *distOut, *distScale)
-	}
-	if *trafficOut != "" {
-		return runTraffic(w, *trafficOut, *trafficScale)
 	}
 	want := map[string]bool{}
 	if *only != "" {
@@ -110,53 +70,5 @@ func run(w io.Writer, args []string) error {
 	if failures > 0 {
 		return fmt.Errorf("%d experiment(s) did not reproduce the expected shape", failures)
 	}
-	return nil
-}
-
-// runSched runs the scheduler benchmark and writes its JSON report to path.
-// "-" streams the report itself to w — and only the report, so the stdout
-// mode stays machine-readable; writing to a file prints the one-line summary
-// instead.
-func runSched(w io.Writer, path string, scale float64) error {
-	rep, err := schedbench.Run(schedbench.Options{Scale: scale})
-	if err != nil {
-		return fmt.Errorf("sched benchmark: %w", err)
-	}
-	return writeReport(w, path, rep, rep.String())
-}
-
-// runDist runs the distributed-execution benchmark, same output contract.
-func runDist(w io.Writer, path string, scale float64) error {
-	rep, err := distbench.Run(distbench.Options{Scale: scale})
-	if err != nil {
-		return fmt.Errorf("dist benchmark: %w", err)
-	}
-	return writeReport(w, path, rep, rep.String())
-}
-
-// runTraffic runs the multi-tenant admission-control harness, same output
-// contract.
-func runTraffic(w io.Writer, path string, scale float64) error {
-	rep, err := trafficbench.Run(trafficbench.Options{Scale: scale})
-	if err != nil {
-		return fmt.Errorf("traffic harness: %w", err)
-	}
-	return writeReport(w, path, rep, rep.String())
-}
-
-func writeReport(w io.Writer, path string, rep any, summary string) error {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if path == "-" {
-		_, err := w.Write(b)
-		return err
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, summary)
 	return nil
 }

@@ -2,13 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
-
-	"gameofcoins/internal/schedbench"
 )
 
 func TestRunSingleExperiment(t *testing.T) {
@@ -28,30 +23,6 @@ func TestRunUnknownIDIsNoop(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	if err := run(io.Discard, []string{"-definitely-not-a-flag"}); err == nil {
 		t.Fatal("bad flag accepted")
-	}
-}
-
-// TestSchedBenchmarkWritesReport: -sched runs the scheduler benchmark
-// (scaled down for test time) and writes a coherent JSON report.
-func TestSchedBenchmarkWritesReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "sched.json")
-	var buf bytes.Buffer
-	if err := run(&buf, []string{"-sched", out, "-sched-scale", "0.25"}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep schedbench.Report
-	if err := json.Unmarshal(b, &rep); err != nil {
-		t.Fatalf("report not valid JSON: %v", err)
-	}
-	if rep.Speedup <= 1 || rep.FIFO.MakespanMS <= 0 || rep.LPT.P99TaskMS <= 0 {
-		t.Fatalf("incoherent report: %+v", rep)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("no summary printed")
 	}
 }
 

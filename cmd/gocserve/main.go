@@ -8,7 +8,7 @@
 //	         [-keys FILE] [-rate N] [-burst N] [-max-share F]
 //	gocserve -version
 //
-// The preferred API is v2, the self-describing envelope form: POST a
+// The API is the self-describing envelope form: POST a
 // {"kind", "seed", "spec"} document and the server resolves it purely
 // through the engine's versioned spec registry — new spec kinds (and new
 // versions of existing kinds) plug in via engine.RegisterSpec with zero
@@ -18,7 +18,8 @@
 // version, "kind@vN" pins one, and submissions whose spec document doesn't
 // match the resolved version's schema are rejected with 422 and a
 // JSON-pointer path. POST /v2/batch submits up to 256 envelopes in one
-// round-trip with per-item handles/errors. A v2 session:
+// round-trip with per-item handles/errors, and POST /v2/games registers a
+// game that learn_sweep specs can reference by "game_id". A session:
 //
 //	curl -X POST :8372/v2/jobs -d '{"kind":"learn_sweep","seed":11,"spec":{"gen":{"Miners":8,"Coins":3},"runs":50}}'
 //	curl :8372/v2/jobs/h-1                    # poll the handle
@@ -30,11 +31,8 @@
 // Identical submissions deduplicate onto one underlying job, and each
 // handle is one client's reference-counted claim on it: DELETE releases
 // only the caller's interest, and the shared job is canceled only when its
-// last handle is released — one client's cancel can no longer kill another
-// client's computation. (The v1 endpoints remain for compatibility; they
-// address jobs directly, so a v1 DELETE still cancels the shared job
-// outright, and a job any v1 client submitted or attached to is pinned:
-// v1 clients hold no handles, so v2 releases never cancel it.)
+// last handle is released — one client's cancel cannot kill another
+// client's computation.
 //
 // The full endpoint reference is in internal/server. Results are cached by
 // (canonical spec, seed): identical submissions are answered instantly, and
@@ -112,7 +110,7 @@ func run(ctx context.Context, args []string) error {
 		fmt.Fprintf(out, "Usage: gocserve [flags]\n\nFlags:\n")
 		fs.PrintDefaults()
 		fmt.Fprintf(out, `
-v2 API (self-describing, versioned spec envelopes):
+API (self-describing, versioned spec envelopes):
   GET    /v2/specs                full catalog: kinds@versions + JSON schemas
                                   + the catalog fingerprint
   GET    /v2/specs/{kind}         one entry ("kind" = latest, "kind@vN" pins)
@@ -131,12 +129,11 @@ v2 API (self-describing, versioned spec envelopes):
   GET    /v2/jobs/{h}/result      fetch the finished job's result
   DELETE /v2/jobs/{h}             release the handle; the deduplicated job is
                                   canceled only when its last handle is gone
-
-v1 API (legacy flat requests; DELETE cancels the shared job for everyone —
-under -keys only for the submitting client, and only while no other
-client holds a v2 handle on it):
-  POST /v1/games · GET /v1/games/{id} · POST /v1/jobs · GET /v1/jobs[/{id}]
-  GET /v1/jobs/{id}/result · DELETE /v1/jobs/{id} · GET /healthz
+  POST   /v2/games                register a game (core.Game JSON) -> {"id"},
+                                  referenced from learn_sweep as "game_id"
+  GET    /v2/games/{id}           fetch a registered game
+  GET    /healthz                 liveness, version, catalog fingerprint, and
+                                  engine/dist/traffic counters
 
 Example:
   curl -X POST :8372/v2/jobs -d '{"kind":"equilibrium_sweep","seed":7,"spec":{"gen":{"Miners":5,"Coins":2},"games":500}}'

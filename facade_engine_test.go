@@ -58,33 +58,35 @@ func TestFacadeServerRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(api)
 	defer ts.Close()
 
-	body := strings.NewReader(`{"type":"equilibrium_sweep","seed":7,"gen":{"Miners":4,"Coins":2},"games":6}`)
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", body)
+	body := strings.NewReader(`{"kind":"equilibrium_sweep","seed":7,"spec":{"gen":{"Miners":4,"Coins":2},"games":6}}`)
+	resp, err := http.Post(ts.URL+"/v2/jobs", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st gameofcoins.EngineJobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	var jh gameofcoins.JobHandle
+	if err := json.NewDecoder(resp.Body).Decode(&jh); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated || st.ID == "" {
-		t.Fatalf("submit: %d %+v", resp.StatusCode, st)
+	if resp.StatusCode != http.StatusCreated || jh.Handle == "" || jh.ID == "" {
+		t.Fatalf("submit: %d %+v", resp.StatusCode, jh)
 	}
+	var st gameofcoins.EngineJobStatus = jh.Status
 	for !st.State.Terminal() {
-		r2, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
+		r2, err := http.Get(ts.URL + "/v2/jobs/" + jh.Handle)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.NewDecoder(r2.Body).Decode(&st); err != nil {
+		if err := json.NewDecoder(r2.Body).Decode(&jh); err != nil {
 			t.Fatal(err)
 		}
 		r2.Body.Close()
+		st = jh.Status
 	}
 	if st.State != "done" {
 		t.Fatalf("job ended %s: %s", st.State, st.Error)
 	}
-	r3, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
+	r3, err := http.Get(ts.URL + "/v2/jobs/" + jh.Handle + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,8 +143,6 @@ type (
 	// TrafficStats is the controller's per-client admitted/throttled/
 	// unauthorized counters, served from /healthz under "traffic".
 	TrafficStats = traffic.Stats
-	// JobRequest is the legacy (v1) flat wire form of a job submission.
-	JobRequest = server.JobRequest
 
 	// Store is the pluggable persistence backend for the gocserve server:
 	// games, job records, deterministic results, and v2 handles. See

@@ -36,8 +36,10 @@
 // implementing Sizer run longest-tasks-first, and concurrent jobs share the
 // worker pool evenly instead of queueing behind each other.
 // NewServer returns that service — the handler behind cmd/gocserve — with
-// POST /v1/games, POST /v1/jobs, GET /v1/jobs/{id}, GET
-// /v1/jobs/{id}/result, and DELETE /v1/jobs/{id} for cancellation.
+// POST /v2/games for game registration, POST /v2/jobs for versioned job
+// envelopes (each answered with a reference-counted handle), GET
+// /v2/jobs/{handle} and its /result and /events (SSE) views, and DELETE
+// /v2/jobs/{handle} to release the handle; NewClient is its Go SDK.
 // cmd/gocbench's -parallel flag drives the E1–E13 paper reproduction
 // through the same engine.
 //

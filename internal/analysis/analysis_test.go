@@ -62,7 +62,6 @@ func TestAppliesTo(t *testing.T) {
 		{analysis.Nodeterm, "gameofcoins/internal/equilibria", true},
 		{analysis.Nodeterm, "gameofcoins/internal/server", false},
 		{analysis.Nodeterm, "gameofcoins/internal/dist", false},
-		{analysis.Nodeterm, "gameofcoins/internal/schedbench", false},
 		{analysis.Rngfork, "gameofcoins/internal/replay", true},
 		{analysis.Rngfork, "gameofcoins/internal/server", false},
 		{analysis.Errdrop, "gameofcoins/internal/server", true},

@@ -45,8 +45,8 @@ func storeBlank(s store.Store, rec store.JobRecord) {
 	_ = s.PutJob(rec) // want `error from store.PutJob assigned to _`
 }
 
-func storeBare(s store.Store, jobID string) {
-	s.PutPin(jobID) // want `error from store.PutPin discarded by bare call`
+func storeBare(s store.Store, handle string) {
+	s.DeleteHandle(handle) // want `error from store.DeleteHandle discarded by bare call`
 }
 
 func storePropagated(s store.Store, rec store.JobRecord) error {

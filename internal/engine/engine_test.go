@@ -413,7 +413,10 @@ func TestManagerRetention(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
-	if n := len(m.Statuses()); n > m.Retention {
+	m.mu.Lock()
+	n := len(m.jobs)
+	m.mu.Unlock()
+	if n > m.Retention {
 		t.Fatalf("retained %d jobs, cap %d", n, m.Retention)
 	}
 	if _, err := m.Get(jobs[0].ID()); !errors.Is(err, ErrUnknownJob) {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,11 +46,6 @@ type Job struct {
 	id    string
 	kind  string
 	total int
-	// client is the submitting tenant from SubmitOptions (immutable after
-	// submit; "" = anonymous). The serving layer reads it to ownership-gate
-	// v1 cancellation — dedup attaches later clients to a shared job
-	// without reassigning it, so it always names the original submitter.
-	client string
 
 	done atomic.Int64
 	// running and queued mirror the dispatcher's view as of the last
@@ -79,9 +73,6 @@ type Job struct {
 
 // ID returns the job's manager-unique identifier.
 func (j *Job) ID() string { return j.id }
-
-// Client returns the tenant the job was submitted as ("" = anonymous).
-func (j *Job) Client() string { return j.client }
 
 // Status returns a snapshot of the job.
 func (j *Job) Status() Status {
@@ -347,7 +338,6 @@ func (m *Manager) submit(id string, spec Spec, seed uint64, opts SubmitOptions) 
 		cancel()
 		return nil, err
 	}
-	j.client = opts.Client
 	if _, ok := spec.(TaskCoder); ok && n > 0 {
 		j.ledger = newResultLedger(n)
 	}
@@ -531,28 +521,6 @@ func (m *Manager) Watch(ctx context.Context, id string) (<-chan Status, error) {
 		return nil, err
 	}
 	return j.Watch(ctx), nil
-}
-
-// Statuses returns snapshots of every tracked job, ordered by ID.
-func (m *Manager) Statuses() []Status {
-	m.mu.Lock()
-	jobs := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
-	// Sort the jobs themselves (not just the derived statuses) so the status
-	// snapshots are also TAKEN in ID order — map iteration order never
-	// reaches anything observable.
-	sort.Slice(jobs, func(i, k int) bool {
-		a, b := jobs[i].ID(), jobs[k].ID()
-		return len(a) < len(b) || (len(a) == len(b) && a < b)
-	})
-	out := make([]Status, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.Status())
-	}
-	return out
 }
 
 // Close cancels every running job and stops accepting progress.

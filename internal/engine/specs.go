@@ -28,7 +28,7 @@ type LearnSweep struct {
 	// mutated while the job runs (Game is immutable by construction).
 	Game *core.Game `json:"game,omitempty"`
 	// GameID references a game registered with the serving layer (gocserve's
-	// POST /v1/games). It is an unresolved reference: the serving layer must
+	// POST /v2/games). It is an unresolved reference: the serving layer must
 	// call ResolveGames before the spec can run, which replaces GameID with
 	// the resolved Game so cache keys see only the game's canonical form.
 	GameID string `json:"game_id,omitempty"`

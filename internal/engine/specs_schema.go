@@ -88,7 +88,7 @@ func scenarioParamsSchema() *Schema {
 func learnSweepSchema() *Schema {
 	s := SchemaObject(map[string]*Schema{
 		"game":       SchemaRef("game"),
-		"game_id":    SchemaString("reference to a game registered via POST /v1/games"),
+		"game_id":    SchemaString("reference to a game registered via POST /v2/games"),
 		"gen":        SchemaRef("gen"),
 		"schedulers": SchemaArray(SchemaString("scheduler name")),
 		"runs":       SchemaInt("learning runs per scheduler"),

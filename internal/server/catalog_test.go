@@ -309,36 +309,26 @@ func repeatEnvelopes(n int) string {
 	return buf.String()
 }
 
-// TestV1SubmissionsResolveLatest: the legacy flat API rides the same
-// versioned registry — its translated envelopes carry bare kinds, so v1
-// requests always run the latest version and share its cache lines.
-func TestV1SubmissionsResolveLatest(t *testing.T) {
+// TestBareKindSharesLatestPinnedLine: a bare kind resolves to the latest
+// registered version, so while a built-in's latest is v1, a bare submission
+// and an explicitly @v1-pinned one are the same cache line.
+func TestBareKindSharesLatestPinnedLine(t *testing.T) {
 	base := v2Server(t)
 	c := client.New(base)
 	ctx := context.Background()
 
-	gen := core.GenSpec{Miners: 4, Coins: 2}
-	v1req := server.JobRequest{Type: "equilibrium_sweep", Seed: 14, Gen: &gen, Games: 5}
-	body, _ := json.Marshal(v1req)
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	spec := engine.EquilibriumSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Games: 5}
+	bare, err := c.Submit(ctx, "equilibrium_sweep", 14, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st engine.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	waitV1Done(t, base, st.ID)
+	waitHandleDone(t, base, bare.ID())
 
-	// An explicitly @v1-pinned v2 submission of the same job hits the v1
-	// cache entry: bare (what translateV1 produces) and @v1 are one line.
-	h, err := c.Submit(ctx, "equilibrium_sweep", 14,
-		engine.EquilibriumSweep{Gen: gen, Games: 5}, client.AtVersion(1))
+	h, err := c.Submit(ctx, "equilibrium_sweep", 14, spec, client.AtVersion(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.Submitted.Cached || h.Submitted.Status.ID != st.ID {
-		t.Fatalf("@v1 pin missed the v1-submitted cache entry: %+v", h.Submitted)
+	if !h.Submitted.Cached || h.Submitted.Status.ID != bare.Submitted.Status.ID {
+		t.Fatalf("@v1 pin missed the bare-kind cache entry: %+v", h.Submitted)
 	}
 }

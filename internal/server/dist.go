@@ -57,6 +57,9 @@ func pinnedKind(kind string, version int) string {
 	return fmt.Sprintf("%s@v%d", kind, version)
 }
 
+// decodeInto decodes a request body into v, rejecting unknown fields. On
+// failure it writes the 400 and reports false. Every handler that reads a
+// JSON body goes through it, so a body-size bound has one place to live.
 func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()

@@ -1,5 +1,5 @@
 // Persistence tests: restart recovery through a real file-backed store, the
-// v1-cancel/resubmit race regression, and the submit error-mapping surface.
+// release/resubmit race regression, and the submit error-mapping surface.
 // External test package like v2_test.go, so the server is exercised through
 // its public constructors and the client SDK.
 package server_test
@@ -27,7 +27,7 @@ import (
 // stubbornSpec blocks its tasks on a per-Name latch and deliberately
 // ignores ctx — the shape of a task deep in a compute kernel that cannot
 // observe cancellation mid-step. Cancel leaves the job non-terminal until
-// the gate opens, which is exactly the window the v1-cancel race needs.
+// the gate opens, which is exactly the window the release race needs.
 type stubbornSpec struct {
 	Name string `json:"name"`
 	N    int    `json:"n"`
@@ -63,14 +63,14 @@ func init() {
 	}, nil)
 }
 
-// TestV1CancelRetractsCacheEntry is the regression test for the
-// cancel/resubmit race: v1 DELETE must retract the job's cache entries in
-// the same critical section that cancels it. Before the fix, the entry was
-// only retracted by an asynchronous goroutine after the job reached a
-// terminal state, so an identical submission racing the cancel attached to
-// the dying job and received a canceled, resultless job.
-func TestV1CancelRetractsCacheEntry(t *testing.T) {
-	base := v2Server(t)
+// TestReleaseRetractsCacheEntry is the regression test for the
+// cancel/resubmit race: releasing a job's last handle must retract the
+// job's cache entries in the same critical section that cancels it. If the
+// entry were only retracted by the asynchronous goroutine that follows the
+// job to its terminal state, an identical submission racing the cancel
+// would attach to the dying job and receive a canceled, resultless job.
+func TestReleaseRetractsCacheEntry(t *testing.T) {
+	srv, base := v2ServerWith(t)
 	c := client.New(base)
 	ctx := context.Background()
 
@@ -82,16 +82,14 @@ func TestV1CancelRetractsCacheEntry(t *testing.T) {
 	}
 	jobID := h1.Submitted.Status.ID
 
-	// Cancel via v1. The task ignores ctx, so the job is canceled but still
-	// non-terminal — deterministically inside the old race window.
-	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+jobID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
+	// Release the only handle, which cancels the job. The task ignores ctx,
+	// so the job is canceled but still non-terminal — deterministically
+	// inside the race window.
+	if err := h1.Release(ctx); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 DELETE: %d", resp.StatusCode)
+	if st, err := srv.JobStatus(jobID); err != nil || st.State.Terminal() {
+		t.Fatalf("stubborn job after release: %+v, %v (want canceled but still running)", st, err)
 	}
 
 	// An identical submission must NOT attach to the dying job.
@@ -122,7 +120,7 @@ func TestV1CancelRetractsCacheEntry(t *testing.T) {
 }
 
 // TestSubmitErrorMapping: client mistakes stay 400; internal encoding
-// failures are 500 on both API surfaces.
+// failures are 500.
 func TestSubmitErrorMapping(t *testing.T) {
 	base := v2Server(t)
 	cases := []struct {
@@ -133,7 +131,6 @@ func TestSubmitErrorMapping(t *testing.T) {
 		{"v2_invalid_spec", "/v2/jobs", `{"kind":"equilibrium_sweep","seed":1,"spec":{"games":0}}`, http.StatusBadRequest},
 		{"v2_unknown_game", "/v2/jobs", `{"kind":"learn_sweep","seed":1,"spec":{"game_id":"g-nope","runs":3}}`, http.StatusBadRequest},
 		{"v2_marshal_failure", "/v2/jobs", `{"kind":"test_badmarshal","seed":1}`, http.StatusInternalServerError},
-		{"v1_unknown_type", "/v1/jobs", `{"type":"bogus"}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -176,6 +173,12 @@ func openPersistent(t *testing.T, dir string, failInterrupted bool) *persistentS
 	if err != nil {
 		t.Fatal(err)
 	}
+	return servePersistent(t, s, st)
+}
+
+// servePersistent puts s, built on st, behind a test listener.
+func servePersistent(t *testing.T, s *server.Server, st *store.File) *persistentServer {
+	t.Helper()
 	ts := httptest.NewServer(s)
 	p := &persistentServer{s: s, ts: ts, st: st, URL: ts.URL}
 	t.Cleanup(p.shutdown)
@@ -232,22 +235,16 @@ func TestRestartServesCachedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A built-in sweep by game reference over v1…
-	v1req := server.JobRequest{Type: "learn_sweep", Seed: 11, GameID: gameID,
-		Schedulers: []string{"random"}, Runs: 8}
-	body, _ := json.Marshal(v1req)
-	resp, err := http.Post(p1.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	// A built-in sweep by game reference…
+	learn := engine.LearnSweep{GameID: gameID, Schedulers: []string{"random"}, Runs: 8}
+	hl, err := c1.SubmitLearnSweep(ctx, learn, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st1 engine.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st1); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	waitV1Done(t, p1.URL, st1.ID)
+	waitHandleDone(t, p1.URL, hl.ID())
+	learnJobID := hl.Submitted.Status.ID
 
-	// …and a custom kind (no result codec registered) over v2.
+	// …and a custom kind (no result codec registered).
 	h, err := c1.Submit(ctx, "toy_sum", 9, toySpec{N: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -257,10 +254,10 @@ func TestRestartServesCachedResults(t *testing.T) {
 	}
 	toyJobID := h.Submitted.Status.ID
 
-	learnBefore := rawGet(t, p1.URL+"/v1/jobs/"+st1.ID+"/result")
+	learnBefore := rawGet(t, p1.URL+"/v2/jobs/"+hl.ID()+"/result")
 	toyBefore := rawGet(t, p1.URL+"/v2/jobs/"+h.ID()+"/result")
 
-	waitRecordState(t, p1.st, st1.ID, store.JobDone)
+	waitRecordState(t, p1.st, learnJobID, store.JobDone)
 	waitRecordState(t, p1.st, toyJobID, store.JobDone)
 	p1.shutdown()
 
@@ -268,7 +265,7 @@ func TestRestartServesCachedResults(t *testing.T) {
 
 	// The registered game came back.
 	var back core.Game
-	if err := json.Unmarshal(rawGet(t, p2.URL+"/v1/games/"+gameID), &back); err != nil {
+	if err := json.Unmarshal(rawGet(t, p2.URL+"/v2/games/"+gameID), &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.NumMiners() != 3 {
@@ -276,34 +273,30 @@ func TestRestartServesCachedResults(t *testing.T) {
 	}
 
 	// Results are served from the rehydrated cache, byte-identical, under
-	// the original job IDs — including through the pre-restart v2 handle.
-	if got := rawGet(t, p2.URL+"/v1/jobs/"+st1.ID+"/result"); !bytes.Equal(got, learnBefore) {
+	// the original job IDs, through the pre-restart handles.
+	if got := rawGet(t, p2.URL+"/v2/jobs/"+hl.ID()+"/result"); !bytes.Equal(got, learnBefore) {
 		t.Fatalf("learn result differs after restart:\n%s\n%s", got, learnBefore)
 	}
 	if got := rawGet(t, p2.URL+"/v2/jobs/"+h.ID()+"/result"); !bytes.Equal(got, toyBefore) {
 		t.Fatalf("toy result differs after restart:\n%s\n%s", got, toyBefore)
 	}
 
-	// Identical resubmissions hit the rehydrated cache, flagged as such.
-	var st2 engine.Status
-	resp2, err := http.Post(p2.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	// Identical resubmissions hit the rehydrated cache, flagged as such —
+	// the game reference resolves against the rehydrated registry.
+	c2 := client.New(p2.URL)
+	hl2, err := c2.SubmitLearnSweep(ctx, learn, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp2.Body).Decode(&st2); err != nil {
-		t.Fatal(err)
+	if st := hl2.Submitted; !st.Cached || st.Status.ID != learnJobID || st.State != engine.StateDone {
+		t.Fatalf("learn resubmit after restart missed the cache: %+v", st)
 	}
-	resp2.Body.Close()
-	if !st2.Cached || st2.ID != st1.ID || st2.State != engine.StateDone {
-		t.Fatalf("v1 resubmit after restart missed the cache: %+v", st2)
-	}
-	c2 := client.New(p2.URL)
 	h2, err := c2.Submit(ctx, "toy_sum", 9, toySpec{N: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !h2.Submitted.Cached || h2.Submitted.Status.ID != toyJobID {
-		t.Fatalf("v2 resubmit after restart missed the cache: %+v", h2.Submitted)
+		t.Fatalf("toy resubmit after restart missed the cache: %+v", h2.Submitted)
 	}
 }
 
@@ -328,26 +321,23 @@ func TestRestartResubmitsInterruptedJobs(t *testing.T) {
 	p2 := openPersistent(t, dir, false)
 	// The job is back under its original ID, running (blocked on the gate),
 	// and the pre-restart handle still resolves to it.
-	if st := statusV1(t, p2.URL, jobID); st.State.Terminal() {
+	st := handleStatus(t, p2.URL, h.ID())
+	if st.ID != jobID {
+		t.Fatalf("rehydrated handle points at %s, want %s", st.ID, jobID)
+	}
+	if st.State.Terminal() {
 		t.Fatalf("interrupted job not resubmitted: %+v", st)
-	}
-	var jh server.JobHandle
-	if err := json.Unmarshal(rawGet(t, p2.URL+"/v2/jobs/"+h.ID()), &jh); err != nil {
-		t.Fatal(err)
-	}
-	if jh.Status.ID != jobID {
-		t.Fatalf("rehydrated handle points at %s, want %s", jh.Status.ID, jobID)
 	}
 
 	openGate(spec.Name)
-	final := waitV1Terminal(t, p2.URL, jobID)
+	final := waitHandleTerminal(t, p2.URL, h.ID())
 	if final.State != engine.StateDone {
 		t.Fatalf("recomputed job ended %s: %s", final.State, final.Error)
 	}
 	var res struct {
 		Result int `json:"result"`
 	}
-	if err := json.Unmarshal(rawGet(t, p2.URL+"/v1/jobs/"+jobID+"/result"), &res); err != nil {
+	if err := json.Unmarshal(rawGet(t, p2.URL+"/v2/jobs/"+h.ID()+"/result"), &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Result != spec.N {
@@ -380,19 +370,22 @@ func TestRestartRecomputesUnreadableResult(t *testing.T) {
 	if err := st.PutJob(rec); err != nil {
 		t.Fatal(err)
 	}
+	if err := st.PutHandle("h-1", "job-1"); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	p := openPersistent(t, dir, false)
-	final := waitV1Terminal(t, p.URL, "job-1")
-	if final.State != engine.StateDone {
-		t.Fatalf("unreadable-result job ended %s (%s), want recomputed done", final.State, final.Error)
+	final := waitHandleTerminal(t, p.URL, "h-1")
+	if final.ID != "job-1" || final.State != engine.StateDone {
+		t.Fatalf("unreadable-result job ended %+v, want job-1 recomputed done", final)
 	}
 	var res struct {
 		Result engine.EquilibriumSweepResult `json:"result"`
 	}
-	if err := json.Unmarshal(rawGet(t, p.URL+"/v1/jobs/job-1/result"), &res); err != nil {
+	if err := json.Unmarshal(rawGet(t, p.URL+"/v2/jobs/h-1/result"), &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Result.Games != 5 {
@@ -419,11 +412,11 @@ func TestRestartFailInterrupted(t *testing.T) {
 	p1.shutdown()
 
 	p2 := openPersistent(t, dir, true)
-	st := statusV1(t, p2.URL, jobID)
-	if st.State != engine.StateFailed || !strings.Contains(st.Error, "interrupted") {
-		t.Fatalf("status = %+v, want failed/interrupted", st)
+	st := handleStatus(t, p2.URL, h.ID())
+	if st.ID != jobID || st.State != engine.StateFailed || !strings.Contains(st.Error, "interrupted") {
+		t.Fatalf("status = %+v, want %s failed/interrupted", st, jobID)
 	}
-	resp, err := http.Get(p2.URL + "/v1/jobs/" + jobID + "/result")
+	resp, err := http.Get(p2.URL + "/v2/jobs/" + h.ID() + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,23 +4,8 @@
 //
 // Endpoints (all JSON):
 //
-//	POST   /v1/games            register a game (core.Game wire form) → {id}
-//	GET    /v1/games/{id}       fetch a registered game
-//	POST   /v1/jobs             submit a job spec → job status (may be cached)
-//	GET    /v1/jobs             list all job statuses
-//	GET    /v1/jobs/{id}        poll one job's status and progress
-//	GET    /v1/jobs/{id}/result fetch a finished job's result
-//	                            (409 while running, 410 if failed/canceled)
-//	DELETE /v1/jobs/{id}        cancel a running job (the returned snapshot
-//	                            may still read "running"; poll for the
-//	                            terminal state)
-//
-// Deduplication means a job can be shared: identical submissions attach to
-// the same job ID, and DELETE cancels that job for every attached client —
-// the same way invalidating a shared cache entry affects all its readers.
-// Clients that must not share fate should vary the seed (or use /v2, whose
-// handles reference-count shared jobs).
-//
+//	POST   /v2/games            register a game (core.Game wire form) → {id}
+//	GET    /v2/games/{id}       fetch a registered game
 //	GET    /healthz             liveness probe: build info (server version,
 //	                            Go runtime), the catalog fingerprint —
 //	                            replicas serving different spec surfaces are
@@ -28,12 +13,12 @@
 //	                            scheduler snapshot (workers, active jobs,
 //	                            queued/running tasks, steal count)
 //
-// Job statuses (v1 and v2) carry the scheduler's per-job view in "progress":
-// alongside done/total, "running" counts the job's tasks executing on
-// workers and "queued" its tasks still waiting in the run queue, as of the
-// job's last completed task.
+// Job statuses carry the scheduler's per-job view in "progress": alongside
+// done/total, "running" counts the job's tasks executing on workers and
+// "queued" its tasks still waiting in the run queue, as of the job's last
+// completed task.
 //
-// The v2 API is the self-describing envelope form: a job arrives as
+// Jobs use the self-describing envelope form: a job arrives as
 // {"kind": ..., "seed": ..., "spec": {...}} and is resolved purely through
 // the engine's versioned spec registry (engine.RegisterSpec) — the server
 // never switches on job kinds, so new spec types plug in without server
@@ -78,14 +63,8 @@
 //	DELETE /v2/jobs/{handle}          release the handle; cancels the job
 //	                                  only if no other handle remains
 //
-// The v1 endpoints are kept by translation: a v1 JobRequest is rewritten
-// into a v2 envelope and follows the same registry path (v1 DELETE still
-// cancels the job outright — refcounting is a v2 notion). A job a v1
-// client submitted or attached to is *pinned*: v1 clients hold no handles,
-// so releasing the last v2 handle never cancels it — only an explicit v1
-// DELETE (or shutdown) does. The handle table itself is bounded by
-// MaxHandles; past the cap the oldest handles are evicted (they 404
-// afterwards) without canceling their jobs.
+// The handle table itself is bounded by MaxHandles; past the cap the oldest
+// handles are evicted (they 404 afterwards) without canceling their jobs.
 //
 // Results are cached keyed by (canonical job spec, seed): resubmitting an
 // identical spec returns a completed job instantly. The cache is sound
@@ -93,8 +72,8 @@
 // engine's worker pool cannot perturb results.
 //
 // Persistence is pluggable (internal/store): every game registration, job
-// submission, finished result, handle mint/release, and v1 pin is mirrored
-// into a Store, and NewWithOptions rehydrates the whole state on startup —
+// submission, finished result, and handle mint/release is mirrored into a
+// Store, and NewWithOptions rehydrates the whole state on startup —
 // finished jobs reappear as servable cached results under their original
 // IDs, and jobs that were mid-run when the process stopped are resubmitted
 // under their original spec and seed (determinism makes the rerun
@@ -122,36 +101,9 @@ import (
 	"gameofcoins/internal/core"
 	"gameofcoins/internal/dist"
 	"gameofcoins/internal/engine"
-	"gameofcoins/internal/replay"
 	"gameofcoins/internal/store"
 	"gameofcoins/internal/traffic"
 )
-
-// JobRequest is the wire form of a job submission. Type selects the engine
-// spec; the remaining fields parameterize it (unused fields are ignored).
-type JobRequest struct {
-	// Type is one of learn_sweep, design_sweep, replay_sweep,
-	// equilibrium_sweep.
-	Type string `json:"type"`
-	// Seed roots the job's deterministic randomness.
-	Seed uint64 `json:"seed"`
-	// GameID references a game registered via POST /v1/games (learn_sweep
-	// only; empty means random games from Gen).
-	GameID string `json:"game_id,omitempty"`
-	// Gen parameterizes random game generation.
-	Gen *core.GenSpec `json:"gen,omitempty"`
-	// Schedulers, Runs, MaxSteps parameterize learn_sweep.
-	Schedulers []string `json:"schedulers,omitempty"`
-	Runs       int      `json:"runs,omitempty"`
-	MaxSteps   int      `json:"max_steps,omitempty"`
-	// Pairs parameterizes design_sweep.
-	Pairs int `json:"pairs,omitempty"`
-	// Games parameterizes equilibrium_sweep.
-	Games int `json:"games,omitempty"`
-	// Replay parameterizes replay_sweep (Seed inside is ignored; per-run
-	// seeds derive from the job seed).
-	Replay *replay.ScenarioParams `json:"replay,omitempty"`
-}
 
 // JobHandle is the wire form of a per-client job handle (the v2 POST and
 // GET responses). Handle names this client's claim on the job; Clients is
@@ -198,18 +150,14 @@ type Server struct {
 	games   map[string]*core.Game // guarded by mu
 	cache   map[string]string     // guarded by mu; cache key → ID of the job holding the result
 
-	// Per-client handles (v2). A handle is one client's reference to a
+	// Per-client handles. A handle is one client's reference to a
 	// deduplicated job; refs counts live handles per job so releasing a
 	// handle cancels the job only when no other client still wants it.
-	// v1pin marks jobs a v1 client submitted or attached to: v1 clients are
-	// unaccountable (no handles), so a job they touched is never canceled by
-	// v2 refcounting — only an explicit v1 DELETE or shutdown stops it.
-	handles       map[string]string   // guarded by mu; handle id → job id
-	handleOrder   []string            // guarded by mu; handle ids in mint order, for eviction
-	refs          map[string]int      // guarded by mu; job id → live handle count
-	v1pin         map[string]struct{} // guarded by mu; job id → attached via v1
-	nextHandle    uint64              // guarded by mu
-	handleSweepAt int                 // guarded by mu; pruneHandlesLocked's next sweep threshold
+	handles       map[string]string // guarded by mu; handle id → job id
+	handleOrder   []string          // guarded by mu; handle ids in mint order, for eviction
+	refs          map[string]int    // guarded by mu; job id → live handle count
+	nextHandle    uint64            // guarded by mu
+	handleSweepAt int               // guarded by mu; pruneHandlesLocked's next sweep threshold
 
 	// owners records which authenticated client each handle was minted for
 	// (handles minted anonymously — open server, rehydrated handles — are
@@ -275,7 +223,6 @@ func NewWithOptions(workers int, opts Options) (*Server, error) {
 		cache:   map[string]string{},
 		handles: map[string]string{},
 		refs:    map[string]int{},
-		v1pin:   map[string]struct{}{},
 		owners:  map[string]string{},
 	}
 	if s.traffic == nil {
@@ -376,8 +323,8 @@ func (s *Server) drainPersist() {
 
 // rehydrate reloads the store's state into a freshly constructed (not yet
 // shared) server: games, then jobs in creation order so the manager's
-// eviction order matches the original life, then handles and pins against
-// the jobs that actually came back.
+// eviction order matches the original life, then handles against the jobs
+// that actually came back.
 func (s *Server) rehydrate(failInterrupted bool) error {
 	snap, err := s.store.Load()
 	if err != nil {
@@ -416,11 +363,6 @@ func (s *Server) rehydrate(failInterrupted bool) error {
 		s.refs[jobID]++
 	}
 	s.nextHandle = snap.NextHandle
-	for jobID := range snap.Pins {
-		if _, err := s.manager.Get(jobID); err == nil {
-			s.v1pin[jobID] = struct{}{}
-		}
-	}
 	for _, w := range watch {
 		s.watchJob(w.job, w.rec)
 	}
@@ -576,13 +518,8 @@ func idLess(a, b, prefix string) bool {
 // (it is fingerprint-gated separately). Submission endpoints additionally
 // charge the client's rate-limit bucket (the `true` rows).
 func (s *Server) routes() {
-	s.mux.HandleFunc("POST /v1/games", s.protect(s.handleCreateGame, false))
-	s.mux.HandleFunc("GET /v1/games/{id}", s.protect(s.handleGetGame, false))
-	s.mux.HandleFunc("POST /v1/jobs", s.protect(s.handleCreateJob, true))
-	s.mux.HandleFunc("GET /v1/jobs", s.protect(s.handleListJobs, false))
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.protect(s.handleJobStatus, false))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.protect(s.handleJobResult, false))
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.protect(s.handleCancelJob, false))
+	s.mux.HandleFunc("POST /v2/games", s.protect(s.handleCreateGame, false))
+	s.mux.HandleFunc("GET /v2/games/{id}", s.protect(s.handleGetGame, false))
 	s.mux.HandleFunc("GET /v2/specs", s.handleListSpecs)
 	s.mux.HandleFunc("GET /v2/specs/{kind}", s.handleSpecEntry)
 	s.mux.HandleFunc("POST /v2/jobs", s.protect(s.handleCreateJobV2, true))
@@ -632,8 +569,7 @@ func (s *Server) Close() {
 
 func (s *Server) handleCreateGame(w http.ResponseWriter, r *http.Request) {
 	var g core.Game
-	if err := json.NewDecoder(r.Body).Decode(&g); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode game: %w", err))
+	if !decodeInto(w, r, &g) {
 		return
 	}
 	id, err := gameID(&g)
@@ -685,13 +621,13 @@ func (s *Server) resolveGame(id string) (*core.Game, error) {
 	return g, nil
 }
 
-// submitEnvelope is the single path every job submission takes, v1 or v2:
-// decode through the spec registry, resolve game references, dedupe against
-// the result cache, submit. It returns the (possibly shared) job and whether
-// the submission was answered by an existing cache entry. With mint set (v2)
-// it also mints a per-client handle *inside the dedup critical section* —
-// minting later would let a concurrent last-handle DELETE cancel the job
-// between the cache lookup and the refcount increment.
+// submitEnvelope is the single path every job submission takes: decode
+// through the spec registry, resolve game references, dedupe against the
+// result cache, submit. It returns the (possibly shared) job, whether the
+// submission was answered by an existing cache entry, and a per-client
+// handle minted *inside the dedup critical section* — minting later would
+// let a concurrent last-handle DELETE cancel the job between the cache
+// lookup and the refcount increment.
 //
 // client is the authenticated identity the submission runs as ("" when the
 // server is open); it attributes the job in the engine's quota accounting and
@@ -699,7 +635,7 @@ func (s *Server) resolveGame(id string) (*core.Game, error) {
 // fair-share urgency weight. Neither enters the cache key: a cache hit
 // attaches the client to the job as-is, keeping the original submitter's
 // attribution and priority (dedup shares the computation, not the claim).
-func (s *Server) submitEnvelope(env engine.JobEnvelope, mint bool, client string) (*engine.Job, bool, JobHandle, error) {
+func (s *Server) submitEnvelope(env engine.JobEnvelope, client string) (*engine.Job, bool, JobHandle, error) {
 	var jh JobHandle
 	class, err := parsePriority(env.Priority)
 	if err != nil {
@@ -748,11 +684,7 @@ func (s *Server) submitEnvelope(env engine.JobEnvelope, mint bool, client string
 			// between the two calls as failed and recompute it.
 			st := job.Status()
 			if _, hasResult := job.Result(); hasResult || !st.State.Terminal() {
-				if mint {
-					jh = s.mintHandleLocked(job.ID(), client)
-				} else {
-					s.pinV1Locked(job.ID())
-				}
+				jh = s.mintHandleLocked(job.ID(), client)
 				s.mu.Unlock()
 				return job, true, jh, nil
 			}
@@ -789,19 +721,15 @@ func (s *Server) submitEnvelope(env engine.JobEnvelope, mint bool, client string
 	}
 	// Persistence of the job table is best-effort: a store hiccup costs
 	// durability of this record, not the submission (the job still runs).
-	// Enqueued before the mint/pin below so the log always carries a job
-	// record ahead of the handle/pin ops that reference it — what the
-	// store's garbage collection keys on.
+	// Enqueued before the mint below so the log always carries a job record
+	// ahead of the handle op that references it — what the store's garbage
+	// collection keys on.
 	s.enqueuePersist(func() { s.recordPersist(s.store.PutJob(rec)) })
 	// Publish the key before releasing the lock so no identical submission
 	// can slip between submit and publish; retract it if the job fails or
 	// is canceled.
 	s.cache[key] = job.ID()
-	if mint {
-		jh = s.mintHandleLocked(job.ID(), client)
-	} else {
-		s.pinV1Locked(job.ID())
-	}
+	jh = s.mintHandleLocked(job.ID(), client)
 	s.pruneCacheLocked()
 	s.mu.Unlock()
 	s.watchJob(job, rec)
@@ -891,16 +819,6 @@ func (s *Server) watchRanges(job *engine.Job, jobID string, from int, spec engin
 	}()
 }
 
-// pinV1Locked marks a job as v1-attached (see v1pin) and enqueues the pin's
-// persistence. Callers hold s.mu.
-func (s *Server) pinV1Locked(jobID string) {
-	if _, dup := s.v1pin[jobID]; dup {
-		return
-	}
-	s.v1pin[jobID] = struct{}{}
-	s.enqueuePersist(func() { s.recordPersist(s.store.PutPin(jobID)) })
-}
-
 // mintHandleLocked creates a fresh handle claiming jobID and enqueues its
 // persistence — enqueueing under s.mu is what keeps a mint and a later
 // eviction of the same handle in log order. Callers must hold s.mu; the
@@ -928,7 +846,7 @@ type internalError struct{ err error }
 func (e internalError) Error() string { return e.err.Error() }
 func (e internalError) Unwrap() error { return e.err }
 
-// submitErrorCode classifies a submitEnvelope (or translateV1) failure:
+// submitErrorCode classifies a submitEnvelope failure:
 // schema mismatches — the document's shape diverges from the resolved
 // version's published schema — are 422 (the request was well-formed JSON,
 // the entity just doesn't match the catalog contract); other client errors
@@ -971,92 +889,8 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, body)
 }
 
-func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode job request: %w", err))
-		return
-	}
-	env, err := translateV1(req)
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	job, cached, _, err := s.submitEnvelope(env, false, clientFrom(r))
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	st := job.Status()
-	st.Cached = cached
-	writeJSON(w, http.StatusCreated, st)
-}
-
-// translateV1 rewrites the legacy flat JobRequest into a self-describing v2
-// envelope; from there v1 submissions follow the registry path exactly like
-// v2 ones, so the two APIs can never drift (same specs, same cache keys).
-func translateV1(req JobRequest) (engine.JobEnvelope, error) {
-	gen := core.GenSpec{}
-	if req.Gen != nil {
-		gen = *req.Gen
-	}
-	var spec engine.Spec
-	switch req.Type {
-	case "learn_sweep":
-		// A set GameID rides through as a reference; ResolveGames swaps it
-		// for the game and clears Gen (a fixed game overrides the generator).
-		spec = engine.LearnSweep{
-			GameID:     req.GameID,
-			Gen:        gen,
-			Schedulers: req.Schedulers,
-			Runs:       req.Runs,
-			MaxSteps:   req.MaxSteps,
-		}
-	case "design_sweep":
-		spec = engine.DesignSweep{Gen: gen, Pairs: req.Pairs}
-	case "replay_sweep":
-		sw := engine.ReplaySweep{Runs: req.Runs}
-		if req.Replay != nil {
-			sw.Params = *req.Replay
-		}
-		spec = sw
-	case "equilibrium_sweep":
-		spec = engine.EquilibriumSweep{Gen: gen, Games: req.Games}
-	default:
-		return engine.JobEnvelope{}, fmt.Errorf("unknown job type %q", req.Type)
-	}
-	raw, err := engine.CanonicalSpecJSON(spec)
-	if err != nil {
-		// The request decoded fine; failing to re-encode it is on us.
-		return engine.JobEnvelope{}, internalError{err}
-	}
-	return engine.JobEnvelope{Kind: spec.Kind(), Seed: req.Seed, Spec: raw}, nil
-}
-
-func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.manager.Statuses())
-}
-
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	job, err := s.manager.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, job.Status())
-}
-
-func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	job, err := s.manager.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJobResult(w, job)
-}
-
-// writeJobResult serves a job's result with the shared v1/v2 semantics:
-// 409 while running, 410 for terminal-but-resultless (failed/canceled).
+// writeJobResult serves a job's result: 409 while running, 410 for
+// terminal-but-resultless (failed/canceled).
 func writeJobResult(w http.ResponseWriter, job *engine.Job) {
 	st := job.Status()
 	if !st.State.Terminal() {
@@ -1077,55 +911,6 @@ func writeJobResult(w http.ResponseWriter, job *engine.Job) {
 	})
 }
 
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	job, err := s.manager.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	// With auth enforced, v1 cancel is ownership-gated like v2 release: job
-	// IDs are enumerable via GET /v1/jobs, so without this any tenant could
-	// tear down another's running work. The job's engine attribution names
-	// the original submitter (dedup attaches later clients without
-	// reassigning it); unattributed jobs (rehydrated from a previous life)
-	// stay cancelable by any authenticated client, exactly like ownerless
-	// handles.
-	enforced := s.traffic.Enforced()
-	client := clientFrom(r)
-	if enforced {
-		if owner := job.Client(); owner != "" && owner != client {
-			writeError(w, http.StatusForbidden, fmt.Errorf("job %s belongs to another client", job.ID()))
-			return
-		}
-	}
-	// Retract the job's cache entries inside the critical section, exactly
-	// like the v2 last-handle release path — without this a concurrent
-	// identical submission could attach to the dying job between Cancel and
-	// the asynchronous post-Done retraction, and receive a canceled,
-	// resultless job.
-	s.mu.Lock()
-	if enforced {
-		// Even the submitter may not yank a job out from under other tenants
-		// still holding live v2 handles on it — that is what refcounted
-		// release is for. Checked in the same critical section as the cache
-		// retraction so no handle can mint between the check and the cancel.
-		for h, id := range s.handles {
-			if id != job.ID() {
-				continue
-			}
-			if owner, owned := s.owners[h]; owned && owner != client {
-				s.mu.Unlock()
-				writeError(w, http.StatusConflict, fmt.Errorf("job %s is claimed by another client's handle", job.ID()))
-				return
-			}
-		}
-	}
-	s.retractCacheLocked(job)
-	s.mu.Unlock()
-	job.Cancel()
-	writeJSON(w, http.StatusOK, job.Status())
-}
-
 // retractCacheLocked removes every cache entry pointing at a job that is
 // about to be canceled, so no concurrent identical submission can attach to
 // it. A finished job keeps its entries — its cached result stays servable
@@ -1141,7 +926,7 @@ func (s *Server) retractCacheLocked(job *engine.Job) {
 	}
 }
 
-// ---- v2: versioned spec catalog, envelopes, handles, batch, SSE ----
+// ---- versioned spec catalog, envelopes, handles, batch, SSE ----
 
 // handleListSpecs serves the full spec catalog: every registered
 // kind@version with its JSON-Schema and latest/deprecated flags, the
@@ -1207,16 +992,13 @@ func (s *Server) handleCreateJobV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var env engine.JobEnvelope
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&env); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode job envelope: %w", err))
+	if !decodeInto(w, r, &env) {
 		return
 	}
 	// Every POST mints a fresh handle, cache hit or not: the handle is this
 	// client's claim on the (possibly shared) job, and the refcount is what
 	// keeps one client's DELETE from canceling another's work.
-	job, cached, jh, err := s.submitEnvelope(env, true, clientFrom(r))
+	job, cached, jh, err := s.submitEnvelope(env, clientFrom(r))
 	if err != nil {
 		writeSubmitError(w, err)
 		return
@@ -1271,10 +1053,7 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Jobs []json.RawMessage `json:"jobs"`
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode batch request: %w", err))
+	if !decodeInto(w, r, &req) {
 		return
 	}
 	if len(req.Jobs) == 0 {
@@ -1307,7 +1086,7 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
 			if err := idec.Decode(&env); err != nil {
 				return JobHandle{}, fmt.Errorf("decode job envelope: %w", err)
 			}
-			job, cached, jh, err := s.submitEnvelope(env, true, clientFrom(r))
+			job, cached, jh, err := s.submitEnvelope(env, client)
 			if err != nil {
 				return JobHandle{}, err
 			}
@@ -1574,12 +1353,9 @@ func (s *Server) handleReleaseHandle(w http.ResponseWriter, r *http.Request) {
 	if j, err := s.manager.Get(jobID); err == nil {
 		job = j
 	}
-	// Cancel only when no v2 handle remains AND no v1 client ever attached:
-	// v1 clients hold no handles, so a v1-touched job must outlive v2
-	// refcounting (a v1 DELETE can still cancel it explicitly).
-	_, pinned := s.v1pin[jobID]
-	cancel := remaining <= 0 && !pinned
-	if remaining <= 0 {
+	// Cancel only when no other handle still claims the job.
+	cancel := remaining <= 0
+	if cancel {
 		delete(s.refs, jobID)
 	}
 	if cancel && job != nil {
@@ -1682,12 +1458,6 @@ func (s *Server) pruneCacheLocked() {
 	for k, id := range s.cache {
 		if _, err := s.manager.Get(id); err != nil {
 			delete(s.cache, k)
-		}
-	}
-	// v1 pins are per-job like cache entries, so the same sweep bounds them.
-	for id := range s.v1pin {
-		if _, err := s.manager.Get(id); err != nil {
-			delete(s.v1pin, id)
 		}
 	}
 }

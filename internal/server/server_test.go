@@ -57,19 +57,38 @@ func doJSON(t *testing.T, method, url string, body any, wantCode int, out any) {
 	}
 }
 
-func pollUntilTerminal(t *testing.T, base, id string) engine.Status {
+// envelope is the POST /v2/jobs body for spec under kind and seed.
+func envelope(t *testing.T, kind string, seed uint64, spec any) engine.JobEnvelope {
+	t.Helper()
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.JobEnvelope{Kind: kind, Seed: seed, Spec: raw}
+}
+
+// pollUntilTerminal polls a handle until its job reaches a terminal state.
+func pollUntilTerminal(t *testing.T, base, handle string) engine.Status {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		var st engine.Status
-		doJSON(t, http.MethodGet, base+"/v1/jobs/"+id, nil, http.StatusOK, &st)
-		if st.State.Terminal() {
-			return st
+		var jh JobHandle
+		doJSON(t, http.MethodGet, base+"/v2/jobs/"+handle, nil, http.StatusOK, &jh)
+		if jh.State.Terminal() {
+			return jh.Status
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("job never reached a terminal state")
 	return engine.Status{}
+}
+
+func quickstartGame() *core.Game {
+	return core.MustNewGame(
+		[]core.Miner{{Name: "p1", Power: 13}, {Name: "p2", Power: 7}, {Name: "p3", Power: 5}, {Name: "p4", Power: 2}},
+		[]core.Coin{{Name: "btc"}, {Name: "bch"}},
+		[]float64{17, 9},
+	)
 }
 
 // TestFullRoundTrip drives the whole intended flow: register a game, submit
@@ -79,44 +98,37 @@ func TestFullRoundTrip(t *testing.T) {
 	_, ts := testServer(t)
 
 	// Create the quick-start game.
-	game := core.MustNewGame(
-		[]core.Miner{{Name: "p1", Power: 13}, {Name: "p2", Power: 7}, {Name: "p3", Power: 5}, {Name: "p4", Power: 2}},
-		[]core.Coin{{Name: "btc"}, {Name: "bch"}},
-		[]float64{17, 9},
-	)
 	var created struct {
 		ID     string `json:"id"`
 		Miners int    `json:"miners"`
 		Coins  int    `json:"coins"`
 	}
-	doJSON(t, http.MethodPost, ts.URL+"/v1/games", game, http.StatusCreated, &created)
+	doJSON(t, http.MethodPost, ts.URL+"/v2/games", quickstartGame(), http.StatusCreated, &created)
 	if created.ID == "" || created.Miners != 4 || created.Coins != 2 {
 		t.Fatalf("created = %+v", created)
 	}
 
 	// The game round-trips.
 	var back core.Game
-	doJSON(t, http.MethodGet, ts.URL+"/v1/games/"+created.ID, nil, http.StatusOK, &back)
+	doJSON(t, http.MethodGet, ts.URL+"/v2/games/"+created.ID, nil, http.StatusOK, &back)
 	if back.NumMiners() != 4 {
 		t.Fatalf("fetched game has %d miners", back.NumMiners())
 	}
 
 	// Submit a sweep over the registered game.
-	req := JobRequest{
-		Type:       "learn_sweep",
-		Seed:       11,
+	spec := engine.LearnSweep{
 		GameID:     created.ID,
 		Schedulers: []string{"random", "round-robin"},
 		Runs:       20,
 	}
-	var st engine.Status
-	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", req, http.StatusCreated, &st)
-	if st.ID == "" || st.Kind != "learn_sweep" {
-		t.Fatalf("submit status = %+v", st)
+	var jh JobHandle
+	doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", envelope(t, "learn_sweep", 11, spec), http.StatusCreated, &jh)
+	if jh.Handle == "" || jh.ID == "" || jh.Kind != "learn_sweep" {
+		t.Fatalf("submit handle = %+v", jh)
 	}
 
 	// Poll until done.
-	final := pollUntilTerminal(t, ts.URL, st.ID)
+	final := pollUntilTerminal(t, ts.URL, jh.Handle)
 	if final.State != engine.StateDone {
 		t.Fatalf("final state = %+v", final)
 	}
@@ -127,9 +139,8 @@ func TestFullRoundTrip(t *testing.T) {
 	// Fetch the result.
 	var res struct {
 		Result engine.LearnSweepResult `json:"result"`
-		Cached bool                    `json:"cached"`
 	}
-	doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/result", nil, http.StatusOK, &res)
+	doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+jh.Handle+"/result", nil, http.StatusOK, &res)
 	if res.Result.TotalRuns != 40 || len(res.Result.Schedulers) != 2 {
 		t.Fatalf("result = %+v", res.Result)
 	}
@@ -139,20 +150,20 @@ func TestFullRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Resubmit the identical request: the cache points the client back at
-	// the original job — no new job is minted — and flags the hit.
-	var st2 engine.Status
-	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", req, http.StatusCreated, &st2)
-	if st2.State != engine.StateDone || !st2.Cached {
-		t.Fatalf("resubmit status = %+v", st2)
+	// Resubmit the identical envelope: the cache points the new handle back
+	// at the original job — no new job is minted — and flags the hit.
+	var jh2 JobHandle
+	doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", envelope(t, "learn_sweep", 11, spec), http.StatusCreated, &jh2)
+	if jh2.State != engine.StateDone || !jh2.Cached {
+		t.Fatalf("resubmit handle = %+v", jh2)
 	}
-	if st2.ID != st.ID {
-		t.Fatalf("cache hit minted a new job: %s (original %s)", st2.ID, st.ID)
+	if jh2.ID != jh.ID || jh2.Handle == jh.Handle {
+		t.Fatalf("cache hit minted a new job or reused a handle: %+v (original %+v)", jh2, jh)
 	}
 	var res2 struct {
 		Result engine.LearnSweepResult `json:"result"`
 	}
-	doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st2.ID+"/result", nil, http.StatusOK, &res2)
+	doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+jh2.Handle+"/result", nil, http.StatusOK, &res2)
 	a, _ := json.Marshal(res.Result)
 	b, _ := json.Marshal(res2.Result)
 	if !bytes.Equal(a, b) {
@@ -160,31 +171,28 @@ func TestFullRoundTrip(t *testing.T) {
 	}
 
 	// A different seed misses the cache.
-	req.Seed = 12
-	var st3 engine.Status
-	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", req, http.StatusCreated, &st3)
-	if st3.Cached {
+	var jh3 JobHandle
+	doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", envelope(t, "learn_sweep", 12, spec), http.StatusCreated, &jh3)
+	if jh3.Cached {
 		t.Fatal("different seed hit the cache")
 	}
-	pollUntilTerminal(t, ts.URL, st3.ID)
+	pollUntilTerminal(t, ts.URL, jh3.Handle)
 }
 
 // TestCancellationMidJob submits a job far too large to finish and cancels
-// it through the API.
+// it by releasing its only handle.
 func TestCancellationMidJob(t *testing.T) {
-	_, ts := testServer(t)
-	req := JobRequest{
-		Type:       "learn_sweep",
-		Seed:       1,
-		Gen:        &core.GenSpec{Miners: 24, Coins: 4},
+	s, ts := testServer(t)
+	spec := engine.LearnSweep{
+		Gen:        core.GenSpec{Miners: 24, Coins: 4},
 		Schedulers: []string{"random"},
 		Runs:       1000000,
 	}
-	var st engine.Status
-	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", req, http.StatusCreated, &st)
+	var jh JobHandle
+	doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", envelope(t, "learn_sweep", 1, spec), http.StatusCreated, &jh)
 
 	// The result endpoint refuses while the job runs.
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
+	resp, err := http.Get(ts.URL + "/v2/jobs/" + jh.Handle + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +201,12 @@ func TestCancellationMidJob(t *testing.T) {
 		t.Fatalf("result of running job: status %d, want 409", resp.StatusCode)
 	}
 
-	var canceled engine.Status
-	doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil, http.StatusOK, &canceled)
-	final := pollUntilTerminal(t, ts.URL, st.ID)
+	var released JobHandle
+	doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+jh.Handle, nil, http.StatusOK, &released)
+	if released.Clients != 0 {
+		t.Fatalf("release left %d clients", released.Clients)
+	}
+	final := s.WaitJobTerminal(t, jh.ID)
 	if final.State != engine.StateCanceled {
 		t.Fatalf("final state = %s, want canceled", final.State)
 	}
@@ -205,65 +216,63 @@ func TestCancellationMidJob(t *testing.T) {
 
 	// A canceled job has no result: 410 (terminal), distinct from the 409
 	// that means "retry later".
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
+	job, err := s.manager.Get(jh.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("result of canceled job: status %d, want 410", resp.StatusCode)
+	rec := httptest.NewRecorder()
+	writeJobResult(rec, job)
+	if rec.Code != http.StatusGone {
+		t.Fatalf("result of canceled job: status %d, want 410", rec.Code)
 	}
+	// The released handle itself is gone.
+	doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+jh.Handle, nil, http.StatusNotFound, nil)
 }
 
-// TestAllJobTypes submits one small job of each type end to end.
+// TestAllJobTypes submits one small job of each built-in kind end to end.
 func TestAllJobTypes(t *testing.T) {
 	_, ts := testServer(t)
-	reqs := []JobRequest{
-		{Type: "learn_sweep", Seed: 2, Gen: &core.GenSpec{Miners: 5, Coins: 2}, Schedulers: []string{"max-gain"}, Runs: 4},
-		{Type: "design_sweep", Seed: 3, Gen: &core.GenSpec{Miners: 4, Coins: 2}, Pairs: 2},
-		{Type: "equilibrium_sweep", Seed: 4, Gen: &core.GenSpec{Miners: 4, Coins: 2}, Games: 6},
-		{Type: "replay_sweep", Seed: 5, Runs: 1, Replay: &replayParams},
+	cases := []struct {
+		kind string
+		seed uint64
+		spec any
+	}{
+		{"learn_sweep", 2, engine.LearnSweep{Gen: core.GenSpec{Miners: 5, Coins: 2}, Schedulers: []string{"max-gain"}, Runs: 4}},
+		{"design_sweep", 3, engine.DesignSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Pairs: 2}},
+		{"equilibrium_sweep", 4, engine.EquilibriumSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Games: 6}},
+		{"replay_sweep", 5, engine.ReplaySweep{Params: replayParams, Runs: 1}},
 	}
-	for _, req := range reqs {
-		var st engine.Status
-		doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", req, http.StatusCreated, &st)
-		final := pollUntilTerminal(t, ts.URL, st.ID)
+	for _, c := range cases {
+		var jh JobHandle
+		doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", envelope(t, c.kind, c.seed, c.spec), http.StatusCreated, &jh)
+		final := pollUntilTerminal(t, ts.URL, jh.Handle)
 		if final.State != engine.StateDone {
-			t.Fatalf("%s: final = %+v", req.Type, final)
+			t.Fatalf("%s: final = %+v", c.kind, final)
 		}
 		var res map[string]any
-		doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/result", nil, http.StatusOK, &res)
+		doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+jh.Handle+"/result", nil, http.StatusOK, &res)
 		if res["result"] == nil {
-			t.Fatalf("%s: empty result", req.Type)
+			t.Fatalf("%s: empty result", c.kind)
 		}
-	}
-
-	// The job listing shows all four, terminal.
-	var all []engine.Status
-	doJSON(t, http.MethodGet, ts.URL+"/v1/jobs", nil, http.StatusOK, &all)
-	if len(all) != len(reqs) {
-		t.Fatalf("listed %d jobs, want %d", len(all), len(reqs))
 	}
 }
 
-// TestCacheKeyIgnoresIrrelevantFields: two replay_sweep submissions that
-// differ only in wire fields the job type ignores (learn-only fields) build
-// the same job and must share one cache entry.
-func TestCacheKeyIgnoresIrrelevantFields(t *testing.T) {
+// TestCacheKeyIgnoresSpecEncoding: two replay_sweep envelopes whose spec
+// documents differ only in key order and an explicitly spelled default
+// decode to the same spec and must share one cache entry.
+func TestCacheKeyIgnoresSpecEncoding(t *testing.T) {
 	_, ts := testServer(t)
-	p1 := replayParams
-	req1 := JobRequest{Type: "replay_sweep", Seed: 5, Runs: 1, Replay: &p1}
-	var st1 engine.Status
-	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", req1, http.StatusCreated, &st1)
-	if final := pollUntilTerminal(t, ts.URL, st1.ID); final.State != engine.StateDone {
+	doc1 := `{"kind":"replay_sweep","seed":5,"spec":{"runs":1,"params":{"Miners":30,"Epochs":144,"SpikeHour":48}}}`
+	doc2 := `{"seed":5,"spec":{"params":{"SpikeHour":48,"Seed":0,"Epochs":144,"Miners":30},"runs":1},"kind":"replay_sweep"}`
+	var jh1 JobHandle
+	doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", json.RawMessage(doc1), http.StatusCreated, &jh1)
+	if final := pollUntilTerminal(t, ts.URL, jh1.Handle); final.State != engine.StateDone {
 		t.Fatalf("final = %+v", final)
 	}
-	p2 := replayParams
-	req2 := JobRequest{Type: "replay_sweep", Seed: 5, Runs: 1, Replay: &p2, MaxSteps: 7, Schedulers: []string{"random"}}
-	var st2 engine.Status
-	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", req2, http.StatusCreated, &st2)
-	if !st2.Cached || st2.ID != st1.ID {
-		t.Fatalf("normalized resubmit missed the cache: %+v (original %s)", st2, st1.ID)
+	var jh2 JobHandle
+	doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", json.RawMessage(doc2), http.StatusCreated, &jh2)
+	if !jh2.Cached || jh2.ID != jh1.ID {
+		t.Fatalf("re-encoded resubmit missed the cache: %+v (original %s)", jh2, jh1.ID)
 	}
 }
 
@@ -274,11 +283,8 @@ func TestReplayInnerSeedRejected(t *testing.T) {
 	_, ts := testServer(t)
 	p := replayParams
 	p.Seed = 99
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", jsonBody(t, JobRequest{Type: "replay_sweep", Seed: 5, Runs: 1, Replay: &p}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
+	env := envelope(t, "replay_sweep", 5, engine.ReplaySweep{Params: p, Runs: 1})
+	resp, err := http.Post(ts.URL+"/v2/jobs", "application/json", jsonBody(t, env))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,31 +306,31 @@ func TestReplayInnerSeedRejected(t *testing.T) {
 // TestInFlightDedup: an identical submission while the first job is still
 // running attaches to the running job instead of recomputing it.
 func TestInFlightDedup(t *testing.T) {
-	_, ts := testServer(t)
-	req := JobRequest{
-		Type:       "learn_sweep",
-		Seed:       1,
-		Gen:        &core.GenSpec{Miners: 16, Coins: 4},
+	s, ts := testServer(t)
+	env := envelope(t, "learn_sweep", 1, engine.LearnSweep{
+		Gen:        core.GenSpec{Miners: 16, Coins: 4},
 		Schedulers: []string{"random"},
 		Runs:       100000, // far too large to finish before the resubmit
+	})
+	var jh1, jh2 JobHandle
+	doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", env, http.StatusCreated, &jh1)
+	doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", env, http.StatusCreated, &jh2)
+	if jh2.ID != jh1.ID || !jh2.Cached || jh2.Clients != 2 {
+		t.Fatalf("in-flight duplicate not deduped: first %+v, second %+v", jh1, jh2)
 	}
-	var st1, st2 engine.Status
-	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", req, http.StatusCreated, &st1)
-	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", req, http.StatusCreated, &st2)
-	if st2.ID != st1.ID || !st2.Cached {
-		t.Fatalf("in-flight duplicate not deduped: first %+v, second %+v", st1, st2)
-	}
-	// Cancel → the cache entry is retracted, so a resubmit mints a new job.
-	doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+st1.ID, nil, http.StatusOK, nil)
-	if final := pollUntilTerminal(t, ts.URL, st1.ID); final.State != engine.StateCanceled {
+	// Releasing both handles cancels the job and retracts its cache entry,
+	// so a resubmit mints a new job.
+	doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+jh1.Handle, nil, http.StatusOK, nil)
+	doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+jh2.Handle, nil, http.StatusOK, nil)
+	if final := s.WaitJobTerminal(t, jh1.ID); final.State != engine.StateCanceled {
 		t.Fatalf("final = %+v", final)
 	}
-	var st3 engine.Status
-	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", req, http.StatusCreated, &st3)
-	if st3.ID == st1.ID || st3.Cached {
-		t.Fatalf("canceled job still served from cache: %+v", st3)
+	var jh3 JobHandle
+	doJSON(t, http.MethodPost, ts.URL+"/v2/jobs", env, http.StatusCreated, &jh3)
+	if jh3.ID == jh1.ID || jh3.Cached {
+		t.Fatalf("canceled job still served from cache: %+v", jh3)
 	}
-	doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+st3.ID, nil, http.StatusOK, nil)
+	doJSON(t, http.MethodDelete, ts.URL+"/v2/jobs/"+jh3.Handle, nil, http.StatusOK, nil)
 }
 
 // TestPanicSafeJob: a request whose params would panic deep inside the
@@ -334,8 +340,8 @@ func TestPanicSafeJob(t *testing.T) {
 	_, ts := testServer(t)
 	bad := replayParams
 	bad.Miners = -1
-	doJSON(t, http.MethodPost, ts.URL+"/v1/jobs",
-		JobRequest{Type: "replay_sweep", Seed: 1, Runs: 1, Replay: &bad},
+	doJSON(t, http.MethodPost, ts.URL+"/v2/jobs",
+		envelope(t, "replay_sweep", 1, engine.ReplaySweep{Params: bad, Runs: 1}),
 		http.StatusBadRequest, nil)
 	// Server still alive.
 	doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, http.StatusOK, nil)
@@ -349,18 +355,67 @@ func TestBadRequests(t *testing.T) {
 		body         any
 		want         int
 	}{
-		{http.MethodPost, "/v1/games", "not a game", http.StatusBadRequest},
-		{http.MethodGet, "/v1/games/g-nope", nil, http.StatusNotFound},
-		{http.MethodPost, "/v1/jobs", JobRequest{Type: "bogus"}, http.StatusBadRequest},
-		{http.MethodPost, "/v1/jobs", JobRequest{Type: "learn_sweep", GameID: "g-nope", Runs: 1}, http.StatusBadRequest},
-		{http.MethodPost, "/v1/jobs", JobRequest{Type: "learn_sweep", Gen: &core.GenSpec{Miners: 3, Coins: 2}}, http.StatusBadRequest},
-		{http.MethodGet, "/v1/jobs/job-404", nil, http.StatusNotFound},
-		{http.MethodGet, "/v1/jobs/job-404/result", nil, http.StatusNotFound},
-		{http.MethodDelete, "/v1/jobs/job-404", nil, http.StatusNotFound},
+		{http.MethodPost, "/v2/games", "not a game", http.StatusBadRequest},
+		{http.MethodGet, "/v2/games/g-nope", nil, http.StatusNotFound},
+		{http.MethodPost, "/v2/jobs", envelope(t, "bogus", 1, map[string]any{}), http.StatusBadRequest},
+		{http.MethodPost, "/v2/jobs", envelope(t, "learn_sweep", 1, engine.LearnSweep{GameID: "g-nope", Runs: 1}), http.StatusBadRequest},
+		{http.MethodPost, "/v2/jobs", envelope(t, "learn_sweep", 1, engine.LearnSweep{Gen: core.GenSpec{Miners: 3, Coins: 2}}), http.StatusBadRequest},
+		{http.MethodGet, "/v2/jobs/h-404", nil, http.StatusNotFound},
+		{http.MethodGet, "/v2/jobs/h-404/result", nil, http.StatusNotFound},
+		{http.MethodGet, "/v2/jobs/h-404/events", nil, http.StatusNotFound},
+		{http.MethodDelete, "/v2/jobs/h-404", nil, http.StatusNotFound},
 	}
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%s_%s", c.method, c.path), func(t *testing.T) {
 			doJSON(t, c.method, ts.URL+c.path, c.body, c.want, nil)
+		})
+	}
+}
+
+// TestRetiredV1RoutesAre404: the flat job API and its game registry are
+// gone. Every route they served falls through to the mux's plain 404 —
+// even for a game and a job that exist under the current routes.
+func TestRetiredV1RoutesAre404(t *testing.T) {
+	_, ts := testServer(t)
+	var game struct {
+		ID string `json:"id"`
+	}
+	doJSON(t, http.MethodPost, ts.URL+"/v2/games", quickstartGame(), http.StatusCreated, &game)
+	var jh JobHandle
+	doJSON(t, http.MethodPost, ts.URL+"/v2/jobs",
+		envelope(t, "equilibrium_sweep", 7, engine.EquilibriumSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Games: 2}),
+		http.StatusCreated, &jh)
+
+	const v1 = "/v1"
+	for _, c := range []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodPost, v1 + "/games", quickstartGame()},
+		{http.MethodGet, v1 + "/games/" + game.ID, nil},
+		{http.MethodPost, v1 + "/jobs", map[string]any{"type": "equilibrium_sweep", "seed": 7, "games": 2}},
+		{http.MethodGet, v1 + "/jobs", nil},
+		{http.MethodGet, v1 + "/jobs/" + jh.ID, nil},
+		{http.MethodGet, v1 + "/jobs/" + jh.ID + "/result", nil},
+		{http.MethodDelete, v1 + "/jobs/" + jh.ID, nil},
+	} {
+		t.Run(fmt.Sprintf("%s_%s", c.method, c.path), func(t *testing.T) {
+			req, err := http.NewRequest(c.method, ts.URL+c.path, jsonBody(t, c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), "404 page not found") {
+				t.Fatalf("status %d, body %q: want the mux's 404", resp.StatusCode, body)
+			}
 		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -116,18 +115,18 @@ func init() {
 
 func streamDoc(i int) string { return fmt.Sprint(1000 + 3*i) }
 
-// waitWatermark polls the v1 status until the job's ledger watermark covers
-// [0, want).
-func waitWatermark(t *testing.T, base, jobID string, want int) {
+// waitWatermark polls the handle's status until the job's ledger watermark
+// covers [0, want).
+func waitWatermark(t *testing.T, base, handle string, want int) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		if st := statusV1(t, base, jobID); st.Progress.Watermark >= want {
+		if st := handleStatus(t, base, handle); st.Progress.Watermark >= want {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("job %s watermark never reached %d", jobID, want)
+	t.Fatalf("handle %s watermark never reached %d", handle, want)
 }
 
 func getStatusCode(t *testing.T, url string) int {
@@ -173,8 +172,7 @@ func TestResultRangeEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobID := h.Submitted.ID
-	waitWatermark(t, base, jobID, spec.Free)
+	waitWatermark(t, base, h.ID(), spec.Free)
 
 	body := getRange(t, base, h.ID(), 0, 4)
 	if body.Lo != 0 || body.Hi != 4 || body.Total != 8 || len(body.Results) != 4 {
@@ -198,7 +196,7 @@ func TestResultRangeEndpoint(t *testing.T) {
 	}
 
 	openGate(spec.Name)
-	waitV1Done(t, base, jobID)
+	waitHandleDone(t, base, h.ID())
 	body = getRange(t, base, h.ID(), 0, 8)
 	if len(body.Results) != 8 || string(body.Results[7]) != streamDoc(7) {
 		t.Fatalf("finished range body = %+v", body)
@@ -209,7 +207,7 @@ func TestResultRangeEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitV1Done(t, base, gh.Submitted.ID)
+	waitHandleDone(t, base, gh.ID())
 	if code := getStatusCode(t, base+"/v2/jobs/"+gh.ID()+"/result?range=0-1"); code != http.StatusGone {
 		t.Fatalf("no-ledger span status = %d, want 410", code)
 	}
@@ -408,10 +406,7 @@ func openPersistentW(t *testing.T, dir string, workers int) *persistentServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
-	p := &persistentServer{s: s, ts: ts, st: st, URL: ts.URL}
-	t.Cleanup(p.shutdown)
-	return p
+	return servePersistent(t, s, st)
 }
 
 // waitRangeCoverage polls the store until the job's persisted range records
@@ -457,7 +452,7 @@ func TestStreamPropertyRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitV1Done(t, base, h.Submitted.ID)
+		waitHandleDone(t, base, h.ID())
 		baseline[n] = getRange(t, base, h.ID(), 0, n)
 	}
 
@@ -490,7 +485,7 @@ func TestStreamPropertyRestart(t *testing.T) {
 
 			p2 := openPersistentW(t, dir, tr.w2)
 			openGate(name)
-			waitV1Done(t, p2.URL, jobID)
+			waitHandleDone(t, p2.URL, h.ID())
 
 			counts := runCounts(name)
 			for i := 0; i < tr.n; i++ {

@@ -132,60 +132,6 @@ func TestAuthGateAndHandleOwnership(t *testing.T) {
 	}
 }
 
-// TestV1CancelOwnership: with a keyring, DELETE /v1/jobs/{id} — whose job
-// IDs any keyed client can enumerate via GET /v1/jobs — is gated on the
-// job's engine attribution: a foreign tenant's cancel 403s, and even the
-// submitter's cancel 409s while another tenant holds a live v2 handle on
-// the shared job. After that handle is released, the submitter's cancel
-// goes through.
-func TestV1CancelOwnership(t *testing.T) {
-	base := trafficServer(t, traffic.Config{Keyring: testKeyring(t)})
-	ctx := context.Background()
-
-	alpha := client.New(base, client.WithAPIKey("alpha-secret-1"))
-	h, err := alpha.Submit(ctx, "toy_sum", 3, toySpec{N: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobID := h.Submitted.Status.ID
-
-	v1cancel := func(key string) int {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+jobID, nil)
-		req.Header.Set("Authorization", "Bearer "+key)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
-	if code := v1cancel("beta-secret-22"); code != http.StatusForbidden {
-		t.Fatalf("cross-tenant v1 cancel = %d, want 403", code)
-	}
-
-	// beta attaches to the shared job via dedup; now even alpha's v1 cancel
-	// must not tear it down from under beta's handle.
-	beta := client.New(base, client.WithAPIKey("beta-secret-22"))
-	hb, err := beta.Submit(ctx, "toy_sum", 3, toySpec{N: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hb.Submitted.Cached {
-		t.Fatal("identical cross-tenant submission did not dedupe")
-	}
-	if code := v1cancel("alpha-secret-1"); code != http.StatusConflict {
-		t.Fatalf("submitter v1 cancel with a foreign handle live = %d, want 409", code)
-	}
-	if err := hb.Release(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if code := v1cancel("alpha-secret-1"); code != http.StatusOK {
-		t.Fatalf("submitter v1 cancel = %d, want 200", code)
-	}
-}
-
 // TestRateLimit429CarriesRetryAfter: past the burst, submissions 429 with a
 // positive Retry-After, and /healthz reports the throttle counters.
 func TestRateLimit429CarriesRetryAfter(t *testing.T) {

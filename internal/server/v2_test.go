@@ -25,13 +25,21 @@ import (
 
 func v2Server(t *testing.T) string {
 	t.Helper()
+	_, base := v2ServerWith(t)
+	return base
+}
+
+// v2ServerWith is v2Server that also returns the server, for tests that
+// watch a job after its last handle is released (Server.WaitJobTerminal).
+func v2ServerWith(t *testing.T) (*server.Server, string) {
+	t.Helper()
 	s := server.New(4)
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
 	})
-	return ts.URL
+	return s, ts.URL
 }
 
 // ---- test-only spec kinds, registered exactly like third-party ones ----
@@ -156,10 +164,12 @@ func TestToySpecEndToEndOverV2(t *testing.T) {
 	}
 }
 
-// TestV1V2Equivalence: the same logical job submitted over /v1 and /v2 hits
-// one cache entry (same underlying job) and serves byte-identical results —
-// including when the game is passed by registered reference.
-func TestV1V2Equivalence(t *testing.T) {
+// TestGameRefMatchesInlineGame: a learn_sweep naming a game registered via
+// POST /v2/games and the same sweep carrying that game inline are one
+// logical job — the reference resolves before the cache key is taken — so
+// they share one cache entry and serve byte-identical results, in either
+// submission order.
+func TestGameRefMatchesInlineGame(t *testing.T) {
 	base := v2Server(t)
 	c := client.New(base)
 	ctx := context.Background()
@@ -173,64 +183,31 @@ func TestV1V2Equivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	byRef := engine.LearnSweep{GameID: gameID, Schedulers: []string{"random"}, Runs: 8}
+	inline := engine.LearnSweep{Game: game, Schedulers: []string{"random"}, Runs: 8}
 
-	cases := []struct {
-		name string
-		v1   server.JobRequest
-		kind string
-		spec any
-	}{
-		{
-			name: "equilibrium_sweep",
-			v1:   server.JobRequest{Type: "equilibrium_sweep", Seed: 4, Gen: &core.GenSpec{Miners: 4, Coins: 2}, Games: 6},
-			kind: "equilibrium_sweep",
-			spec: engine.EquilibriumSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Games: 6},
-		},
-		{
-			name: "learn_sweep_by_game_ref",
-			v1:   server.JobRequest{Type: "learn_sweep", Seed: 11, GameID: gameID, Schedulers: []string{"random"}, Runs: 8},
-			kind: "learn_sweep",
-			spec: engine.LearnSweep{GameID: gameID, Schedulers: []string{"random"}, Runs: 8},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			// v1 submission, run to completion.
-			body, _ := json.Marshal(tc.v1)
-			resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st1 engine.Status
-			if err := json.NewDecoder(resp.Body).Decode(&st1); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusCreated {
-				t.Fatalf("v1 submit: %d (%+v)", resp.StatusCode, st1)
-			}
-			waitV1Done(t, base, st1.ID)
-
-			// v2 submission of the same logical job: must attach to the very
-			// same job via the shared cache, not recompute.
-			h, err := c.Submit(ctx, tc.kind, tc.v1.Seed, tc.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !h.Submitted.Cached {
-				t.Fatalf("v2 resubmit missed the v1 cache entry: %+v", h.Submitted)
-			}
-			if h.Submitted.Status.ID != st1.ID {
-				t.Fatalf("v2 attached to job %s, v1 ran %s", h.Submitted.Status.ID, st1.ID)
-			}
-
-			// Byte-identical result payloads from both surfaces.
-			b1 := rawGet(t, base+"/v1/jobs/"+st1.ID+"/result")
-			b2 := rawGet(t, base+"/v2/jobs/"+h.ID()+"/result")
-			if !bytes.Equal(b1, b2) {
-				t.Fatalf("result bodies differ:\n%s\n%s", b1, b2)
-			}
-		})
+	for i, order := range [][2]engine.LearnSweep{{byRef, inline}, {inline, byRef}} {
+		seed := uint64(11 + i)
+		first, err := c.SubmitLearnSweep(ctx, order[0], seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := first.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		second, err := c.SubmitLearnSweep(ctx, order[1], seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !second.Submitted.Cached || second.Submitted.Status.ID != first.Submitted.Status.ID {
+			t.Fatalf("order %d: second form missed the first's cache entry: %+v vs %s",
+				i, second.Submitted, first.Submitted.Status.ID)
+		}
+		b1 := rawGet(t, base+"/v2/jobs/"+first.ID()+"/result")
+		b2 := rawGet(t, base+"/v2/jobs/"+second.ID()+"/result")
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("order %d: result bodies differ:\n%s\n%s", i, b1, b2)
+		}
 	}
 }
 
@@ -238,7 +215,7 @@ func TestV1V2Equivalence(t *testing.T) {
 // one handle leaves the other running to completion, and releasing the last
 // handle of a different shared job cancels it.
 func TestHandleRefcountSharedJob(t *testing.T) {
-	base := v2Server(t)
+	srv, base := v2ServerWith(t)
 	c1, c2 := client.New(base), client.New(base)
 	ctx := context.Background()
 
@@ -262,8 +239,8 @@ func TestHandleRefcountSharedJob(t *testing.T) {
 		t.Fatalf("clients = %d, want 2", h2.Submitted.Clients)
 	}
 
-	// Client 1 walks away. The job must keep running for client 2 — this is
-	// the refcount fixing the documented v1 shared-fate footgun.
+	// Client 1 walks away. The job must keep running for client 2: one
+	// client's release never cancels work another client still holds.
 	if err := h1.Release(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -312,59 +289,8 @@ func TestHandleRefcountSharedJob(t *testing.T) {
 	if err := h3.Release(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st := waitV1Terminal(t, base, jobID); st.State != engine.StateCanceled {
+	if st := srv.WaitJobTerminal(t, jobID); st.State != engine.StateCanceled {
 		t.Fatalf("job state after last release = %s, want canceled", st.State)
-	}
-}
-
-// TestV1AttachedJobPinnedAgainstV2Release: a job a v1 client submitted has
-// no handle accounting, so releasing the last v2 handle must NOT cancel it —
-// only an explicit v1 DELETE does.
-func TestV1AttachedJobPinnedAgainstV2Release(t *testing.T) {
-	base := v2Server(t)
-	c := client.New(base)
-	ctx := context.Background()
-
-	// The v1 wire form has no custom kinds, so the slow job here is a large
-	// learn sweep (far too big to finish during the test).
-	v1req := server.JobRequest{Type: "learn_sweep", Seed: 9,
-		Gen: &core.GenSpec{Miners: 20, Coins: 4}, Schedulers: []string{"random"}, Runs: 200000}
-	body, _ := json.Marshal(v1req)
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st1 engine.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st1); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	// A v2 client attaches to the same job and is its only handle holder.
-	h, err := c.SubmitLearnSweep(ctx, engine.LearnSweep{
-		Gen: core.GenSpec{Miners: 20, Coins: 4}, Schedulers: []string{"random"}, Runs: 200000}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Submitted.Cached || h.Submitted.Status.ID != st1.ID {
-		t.Fatalf("v2 did not attach to the v1 job: %+v vs %s", h.Submitted, st1.ID)
-	}
-	// Releasing the only v2 handle must leave the v1 client's job running.
-	if err := h.Release(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if st := statusV1(t, base, st1.ID); st.State.Terminal() {
-		t.Fatalf("v2 release canceled a v1 client's job: %+v", st)
-	}
-	// The v1 client can still cancel explicitly.
-	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+st1.ID, nil)
-	if resp, err := http.DefaultClient.Do(req); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-	}
-	if st := waitV1Terminal(t, base, st1.ID); st.State != engine.StateCanceled {
-		t.Fatalf("v1 DELETE did not cancel: %+v", st)
 	}
 }
 
@@ -470,24 +396,21 @@ func rawGet(t *testing.T, url string) []byte {
 	return b
 }
 
-func statusV1(t *testing.T, base, jobID string) engine.Status {
+// handleStatus reads the status of the job behind a handle.
+func handleStatus(t *testing.T, base, handle string) engine.Status {
 	t.Helper()
-	var st engine.Status
-	if err := json.Unmarshal(rawGet(t, base+"/v1/jobs/"+jobID), &st); err != nil {
+	var jh server.JobHandle
+	if err := json.Unmarshal(rawGet(t, base+"/v2/jobs/"+handle), &jh); err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return jh.Status
 }
 
-func waitV1Terminal(t *testing.T, base, jobID string) engine.Status {
+func waitHandleTerminal(t *testing.T, base, handle string) engine.Status {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		var st engine.Status
-		if err := json.Unmarshal(rawGet(t, base+"/v1/jobs/"+jobID), &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.State.Terminal() {
+		if st := handleStatus(t, base, handle); st.State.Terminal() {
 			return st
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -496,9 +419,9 @@ func waitV1Terminal(t *testing.T, base, jobID string) engine.Status {
 	return engine.Status{}
 }
 
-func waitV1Done(t *testing.T, base, jobID string) {
+func waitHandleDone(t *testing.T, base, handle string) {
 	t.Helper()
-	if st := waitV1Terminal(t, base, jobID); st.State != engine.StateDone {
-		t.Fatalf("job %s ended %s: %s", jobID, st.State, st.Error)
+	if st := waitHandleTerminal(t, base, handle); st.State != engine.StateDone {
+		t.Fatalf("job %s (handle %s) ended %s: %s", st.ID, handle, st.State, st.Error)
 	}
 }

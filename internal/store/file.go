@@ -109,8 +109,10 @@ func (s *File) logPath() string { return filepath.Join(s.dir, logName) }
 // op is one log line. Exactly one payload group is set, selected by Op:
 // "game" (ID+Game), "job" (Job), "range" (JobID+Lo+Results — one span of a
 // running job's per-task results), "handle" (ID+JobID), "release" (ID),
-// "pin" (JobID), "seq" (Seq — preserves the handle mint counter across
-// compactions, which drop the released handle ops it derives from).
+// "seq" (Seq — preserves the handle mint counter across compactions, which
+// drop the released handle ops it derives from). Logs written before the
+// flat job API was retired may also hold "pin" (JobID) lines; replay
+// accepts and ignores them, and the next compaction drops them.
 type op struct {
 	Op      string            `json:"op"`
 	ID      string            `json:"id,omitempty"`
@@ -187,7 +189,7 @@ func (s *File) applyLocked(o op) error {
 	case "release":
 		delete(s.snap.Handles, o.ID)
 	case "pin":
-		s.snap.Pins[o.JobID] = struct{}{}
+		// Retired: nothing reads pins any more (see op).
 	case "seq":
 		if o.Seq > s.snap.NextHandle {
 			s.snap.NextHandle = o.Seq
@@ -245,7 +247,7 @@ func (s *File) maybeCompactLocked() error {
 		limit = DefaultMaxJobRecords
 	}
 	overCap := len(s.snap.Jobs) > limit+limit/4
-	live := len(s.snap.Games) + len(s.snap.Jobs) + len(s.snap.Handles) + len(s.snap.Pins)
+	live := len(s.snap.Games) + len(s.snap.Jobs) + len(s.snap.Handles)
 	for _, recs := range s.snap.Ranges {
 		live += len(recs)
 	}
@@ -311,11 +313,6 @@ func (s *File) compactLocked() error {
 			return fmt.Errorf("store: compact: write failed")
 		}
 	}
-	for _, id := range sortedKeys(s.snap.Pins) {
-		if !w(op{Op: "pin", JobID: id}) {
-			return fmt.Errorf("store: compact: write failed")
-		}
-	}
 	if s.snap.NextHandle > 0 {
 		if !w(op{Op: "seq", Seq: s.snap.NextHandle}) {
 			return fmt.Errorf("store: compact: write failed")
@@ -355,8 +352,8 @@ func (s *File) compactLocked() error {
 	return nil
 }
 
-// dropExcessJobsLocked enforces the job-record cap (and the handle/pin GC
-// that rides along) on the live snapshot before it is written out.
+// dropExcessJobsLocked enforces the job-record cap (and the handle GC that
+// rides along) on the live snapshot before it is written out.
 func (s *File) dropExcessJobsLocked() {
 	limit := s.MaxJobs
 	if limit <= 0 {
@@ -420,11 +417,6 @@ func (s *File) PutHandle(handle, jobID string) error {
 // DeleteHandle implements Store.
 func (s *File) DeleteHandle(handle string) error {
 	return s.append(op{Op: "release", ID: handle})
-}
-
-// PutPin implements Store.
-func (s *File) PutPin(jobID string) error {
-	return s.append(op{Op: "pin", JobID: jobID})
 }
 
 // Close flushes and closes the log and releases the directory lock.

@@ -94,8 +94,6 @@ type Snapshot struct {
 	Ranges map[string][]RangeRecord
 	// Handles maps live v2 handle IDs to job IDs.
 	Handles map[string]string
-	// Pins is the set of job IDs a v1 client submitted or attached to.
-	Pins map[string]struct{}
 	// NextHandle is the highest handle sequence number ever minted — not
 	// just the highest live one, so a restart never re-mints a released
 	// handle ID (a stale client could otherwise control a stranger's job).
@@ -191,8 +189,6 @@ type Store interface {
 	PutHandle(handle, jobID string) error
 	// DeleteHandle removes a released (or evicted) handle.
 	DeleteHandle(handle string) error
-	// PutPin marks a job as v1-attached.
-	PutPin(jobID string) error
 	// Close releases the store. Further mutations fail.
 	Close() error
 }
@@ -206,10 +202,10 @@ func handleSeq(handle string) uint64 {
 
 // dropExcessJobs evicts the oldest terminal job records past limit —
 // mirroring the engine manager's retention policy — and garbage-collects
-// handles and pins whose job record is gone. Submitted records always
-// survive: they are the restart-recovery signal. (The server writes a job
-// record before any handle or pin referencing it, so a missing record means
-// the job itself was evicted, not that the ops raced.)
+// handles whose job record is gone. Submitted records always survive: they
+// are the restart-recovery signal. (The server writes a job record before
+// any handle referencing it, so a missing record means the job itself was
+// evicted, not that the ops raced.)
 func (s *Snapshot) dropExcessJobs(limit int) {
 	if len(s.Jobs) > limit {
 		terminal := make([]string, 0, len(s.Jobs))
@@ -234,11 +230,6 @@ func (s *Snapshot) dropExcessJobs(limit int) {
 	for id := range s.Ranges {
 		if rec, ok := s.Jobs[id]; !ok || (rec.State != JobSubmitted && rec.State != JobDone) {
 			delete(s.Ranges, id)
-		}
-	}
-	for id := range s.Pins {
-		if _, ok := s.Jobs[id]; !ok {
-			delete(s.Pins, id)
 		}
 	}
 }
@@ -278,7 +269,6 @@ func emptySnapshot() Snapshot {
 		Jobs:    map[string]JobRecord{},
 		Ranges:  map[string][]RangeRecord{},
 		Handles: map[string]string{},
-		Pins:    map[string]struct{}{},
 	}
 }
 
@@ -302,9 +292,6 @@ func (s Snapshot) clone() Snapshot {
 	}
 	for h, id := range s.Handles {
 		out.Handles[h] = id
-	}
-	for id := range s.Pins {
-		out.Pins[id] = struct{}{}
 	}
 	out.NextHandle = s.NextHandle
 	return out
@@ -378,14 +365,6 @@ func (m *Mem) DeleteHandle(handle string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.snap.Handles, handle)
-	return nil
-}
-
-// PutPin implements Store.
-func (m *Mem) PutPin(jobID string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap.Pins[jobID] = struct{}{}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -48,9 +49,6 @@ func populate(t *testing.T, s Store) {
 	if err := s.DeleteHandle("h-1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutPin("job-1"); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func checkSnapshot(t *testing.T, snap Snapshot) {
@@ -72,9 +70,6 @@ func checkSnapshot(t *testing.T, snap Snapshot) {
 	}
 	if !reflect.DeepEqual(snap.Handles, map[string]string{"h-2": "job-2"}) {
 		t.Fatalf("handles = %+v", snap.Handles)
-	}
-	if _, ok := snap.Pins["job-1"]; !ok || len(snap.Pins) != 1 {
-		t.Fatalf("pins = %+v", snap.Pins)
 	}
 	// NextHandle remembers h-2 even though h-1 (also ever-minted) is gone.
 	if snap.NextHandle != 2 {
@@ -212,7 +207,7 @@ func TestFileTornTailTolerated(t *testing.T) {
 	// Appending after a torn tail must start a fresh line, not merge into
 	// the garbage: OpenFile truncates the torn bytes, so an op written in
 	// this life survives the next one instead of bricking the log.
-	if err := s2.PutPin("job-2"); err != nil {
+	if err := s2.PutHandle("h-3", "job-2"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Close(); err != nil {
@@ -226,7 +221,7 @@ func TestFileTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := snap3.Pins["job-2"]; !ok {
+	if snap3.Handles["h-3"] != "job-2" {
 		t.Fatal("op appended after a torn tail was lost")
 	}
 	if err := s3.Close(); err != nil {
@@ -262,7 +257,7 @@ func TestFileCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.ops > 4*6+16 {
+	if s.ops > 4*5+16 {
 		t.Fatalf("log never compacted: %d pending ops", s.ops)
 	}
 	info, err := os.Stat(filepath.Join(dir, logName))
@@ -304,7 +299,7 @@ func TestFileNextHandleSurvivesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ { // push past the compaction floor
-		if err := s.PutPin("job-1"); err != nil {
+		if err := s.PutJob(JobRecord{ID: "job-1", State: JobDone}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,8 +365,57 @@ func TestFileClosedRejectsWrites(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutPin("job-1"); err == nil {
+	if err := s.PutHandle("h-1", "job-1"); err == nil {
 		t.Fatal("write on closed store succeeded")
+	}
+}
+
+// TestFileIgnoresRetiredPinOps: data directories written while the flat job
+// API existed carry "pin" lines. They must still open — every other op
+// replays as before — and the next compaction must drop the pins for good.
+func TestFileIgnoresRetiredPinOps(t *testing.T) {
+	dir := t.TempDir()
+	log := `{"op":"job","job":{"id":"job-1","key":"k1","kind":"learn_sweep","seed":7,"tasks":4,"state":"done","result":{"total_runs":4}}}
+{"op":"pin","job_id":"job-1"}
+{"op":"handle","id":"h-2","job_id":"job-1"}
+{"op":"pin","job_id":"job-9"}
+`
+	if err := os.WriteFile(filepath.Join(dir, logName), []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenFile(dir)
+	if err != nil {
+		t.Fatalf("log with pin lines rejected: %v", err)
+	}
+	defer s.Close()
+	check := func(when string) {
+		t.Helper()
+		snap, err := s.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := snap.Jobs["job-1"]; len(snap.Jobs) != 1 || string(rec.Result) != `{"total_runs":4}` {
+			t.Fatalf("%s: jobs = %+v", when, snap.Jobs)
+		}
+		if !reflect.DeepEqual(snap.Handles, map[string]string{"h-2": "job-1"}) || snap.NextHandle != 2 {
+			t.Fatalf("%s: handles = %+v, next = %d", when, snap.Handles, snap.NextHandle)
+		}
+	}
+	check("after replay")
+
+	s.mu.Lock()
+	err = s.compactLocked()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after compaction")
+	data, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"pin"`)) {
+		t.Fatalf("compaction kept pin lines:\n%s", data)
 	}
 }
 

@@ -10,7 +10,7 @@
 // everything here changes only *whether* and *when* a job is admitted and
 // scheduled, never what it computes. A job admitted under any key, quota, or
 // priority produces bytes identical to the same spec and seed run open and
-// alone — the property the traffic smoke test and trafficbench both gate on.
+// alone — the property the traffic smoke test gates on.
 package traffic
 
 import (

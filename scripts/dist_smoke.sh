@@ -37,10 +37,14 @@ wait_healthy() {
 # mid-job kill lands while leases are out.
 job='{"kind":"equilibrium_sweep","seed":7,"spec":{"gen":{"Miners":11,"Coins":3},"games":600}}'
 
-wait_done() { # $1 = job id
+submit() { # prints the handle POST /v2/jobs returns for $job
+  curl -sf -X POST "$base/v2/jobs" -d "$job" | sed -n 's/.*"handle": "\(h-[0-9]*\)".*/\1/p' | head -1
+}
+
+wait_done() { # $1 = handle
   local state=""
   for _ in $(seq 1 1200); do
-    state=$(curl -sf "$base/v1/jobs/$1" | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p')
+    state=$(curl -sf "$base/v2/jobs/$1" | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p')
     [ "$state" = done ] && return 0
     [ "$state" = failed ] && { echo "job failed" >&2; return 1; }
     sleep 0.1
@@ -53,9 +57,10 @@ wait_done() { # $1 = job id
 "$bindir/gocserve" -addr "$addr" &
 pids+=($!)
 wait_healthy
-curl -sf -X POST "$base/v2/jobs" -d "$job" >/dev/null
-wait_done job-1
-curl -sf "$base/v1/jobs/job-1/result" >"$out/reference.json"
+handle=$(submit)
+[ -n "$handle" ] || { echo "submission returned no handle" >&2; exit 1; }
+wait_done "$handle"
+curl -sf "$base/v2/jobs/$handle/result" >"$out/reference.json"
 kill "${pids[0]}" 2>/dev/null || true
 wait "${pids[0]}" 2>/dev/null || true
 pids=()
@@ -70,7 +75,8 @@ pids+=($victim)
 "$bindir/gocworker" -coordinator "$base" -name survivor 2>"$out/survivor.log" &
 pids+=($!)
 
-curl -sf -X POST "$base/v2/jobs" -d "$job" >/dev/null
+handle=$(submit)
+[ -n "$handle" ] || { echo "submission returned no handle" >&2; exit 1; }
 
 # Wait until the fleet holds leases, then SIGKILL one worker mid-sweep: its
 # in-flight range must be requeued after the lease TTL, nothing else lost.
@@ -86,8 +92,8 @@ done
 kill -9 "$victim"
 echo "killed worker 'victim' with leases_granted=$granted"
 
-wait_done job-1
-curl -sf "$base/v1/jobs/job-1/result" >"$out/distributed.json"
+wait_done "$handle"
+curl -sf "$base/v2/jobs/$handle/result" >"$out/distributed.json"
 
 # The acceptance: byte-identical results, single-machine vs distributed
 # fleet with a mid-job SIGKILL.

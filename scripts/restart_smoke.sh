@@ -2,8 +2,9 @@
 # Restart-recovery smoke test for gocserve persistence: start the server
 # with -data, compute a result, kill the process, restart on the same
 # directory, and require the pre-restart result to be served byte-identical
-# (and the resubmission to be answered from cache). CI runs this; it is also
-# handy locally: ./scripts/restart_smoke.sh
+# through the same (persisted) handle, and the resubmission to be answered
+# from cache. CI runs this; it is also handy locally:
+# ./scripts/restart_smoke.sh
 set -euo pipefail
 
 addr=127.0.0.1:8373
@@ -37,17 +38,18 @@ wait_healthy
 
 job='{"kind":"equilibrium_sweep","seed":7,"spec":{"gen":{"Miners":4,"Coins":2},"games":20}}'
 curl -sf -X POST "$base/v2/jobs" -d "$job" >"$out/handle.json"
+handle=$(sed -n 's/.*"handle": "\(h-[0-9]*\)".*/\1/p' "$out/handle.json" | head -1)
 job_id=$(sed -n 's/.*"id": "\(job-[0-9]*\)".*/\1/p' "$out/handle.json" | head -1)
-[ -n "$job_id" ] || { echo "no job id in $(cat "$out/handle.json")" >&2; exit 1; }
+[ -n "$handle" ] && [ -n "$job_id" ] || { echo "no handle/job id in $(cat "$out/handle.json")" >&2; exit 1; }
 
 state=""
 for _ in $(seq 1 200); do
-  state=$(curl -sf "$base/v1/jobs/$job_id" | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p')
+  state=$(curl -sf "$base/v2/jobs/$handle" | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p')
   [ "$state" = done ] && break
   sleep 0.1
 done
 [ "$state" = done ] || { echo "job never finished (state=$state)" >&2; exit 1; }
-curl -sf "$base/v1/jobs/$job_id/result" >"$out/before.json"
+curl -sf "$base/v2/jobs/$handle/result" >"$out/before.json"
 
 kill -TERM "$pid"
 wait "$pid" || true
@@ -57,13 +59,14 @@ pid=""
 pid=$!
 wait_healthy
 
-# The pre-restart result is served byte-identical after the restart. Poll:
-# in the (rare) case the terminal record had not landed before SIGTERM, the
-# job is resubmitted and recomputes — determinism makes the bytes identical
-# either way, the result is just briefly a 409 while it reruns.
+# The pre-restart result is served byte-identical after the restart, through
+# the handle minted before it. Poll: in the (rare) case the terminal record
+# had not landed before SIGTERM, the job is resubmitted and recomputes —
+# determinism makes the bytes identical either way, the result is just
+# briefly a 409 while it reruns.
 ok=""
 for _ in $(seq 1 200); do
-  if curl -sf "$base/v1/jobs/$job_id/result" >"$out/after.json"; then
+  if curl -sf "$base/v2/jobs/$handle/result" >"$out/after.json"; then
     ok=1
     break
   fi
