@@ -17,7 +17,11 @@ import (
 // same store, and the -resume rerun completes the download — with the full
 // span byte-identical to a cold ?range fetch (run verifies that internally).
 func TestResumeAcrossServerRestart(t *testing.T) {
-	st := store.NewMem()
+	st, err := store.OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	ledger := filepath.Join(t.TempDir(), "tasks.jsonl")
 
 	start := func() (*server.Server, *httptest.Server) {
@@ -31,7 +35,7 @@ func TestResumeAcrossServerRestart(t *testing.T) {
 
 	s1, ts1 := start()
 	var out strings.Builder
-	err := run([]string{
+	err = run([]string{
 		"-server", ts1.URL, "-games", "40", "-seed", "3",
 		"-resume", ledger, "-pause-after", "10", "-timeout", "30s",
 	}, &out)

@@ -146,7 +146,7 @@ type (
 
 	// Store is the pluggable persistence backend for the gocserve server:
 	// games, job records, deterministic results, and v2 handles. See
-	// NewMemStore and NewFileStore.
+	// NewFileStore.
 	Store = store.Store
 	// JobRecord is the durable form of one job in a Store.
 	JobRecord = store.JobRecord
@@ -222,12 +222,6 @@ func NewServer(workers int) *Server { return server.New(workers) }
 func NewServerWithOptions(workers int, opts ServerOptions) (*Server, error) {
 	return server.NewWithOptions(workers, opts)
 }
-
-// NewMemStore returns the in-memory Store: the same write-through code path
-// as the file-backed store, but nothing survives the process. Useful for
-// in-process restart scenarios (tests); NewServer itself runs with no store
-// at all.
-func NewMemStore() Store { return store.NewMem() }
 
 // NewFileStore opens (creating if needed) the file-backed Store rooted at
 // dir: an append-only JSONL operation log, replayed on open and compacted

@@ -67,7 +67,11 @@ func (r *restartableServer) stop() {
 // is resubmitted server-side, and the SAME Watch channel delivers the
 // terminal status — no reconnect logic in the caller.
 func TestWatchReconnectsAcrossRestart(t *testing.T) {
-	st := store.NewMem()
+	st, err := store.OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 
 	// Pick a free port, then serve on it so the restart can rebind it.
 	probe, err := net.Listen("tcp", "127.0.0.1:0")

@@ -51,7 +51,8 @@
 //	                                  result ledger — mid-run, as soon as the
 //	                                  span is computed (400 malformed/out of
 //	                                  bounds, 409 not yet complete, 410 no
-//	                                  ledger); oversized spans stream chunked
+//	                                  ledger); the documents go out verbatim,
+//	                                  streamed chunked
 //	GET    /v2/jobs/{handle}/events   stream progress + terminal status (SSE:
 //	                                  "progress" events, "result-range" events
 //	                                  as the result ledger's watermark
@@ -71,15 +72,16 @@
 // because every job is a deterministic function of its spec and seed — the
 // engine's worker pool cannot perturb results.
 //
-// Persistence is pluggable (internal/store): every game registration, job
-// submission, finished result, and handle mint/release is mirrored into a
-// Store, and NewWithOptions rehydrates the whole state on startup —
-// finished jobs reappear as servable cached results under their original
-// IDs, and jobs that were mid-run when the process stopped are resubmitted
-// under their original spec and seed (determinism makes the rerun
-// byte-identical) or, with Options.FailInterrupted, marked failed. Without
-// a store (New, or a nil Options.Store) persistence is disabled entirely —
-// exactly the old behavior, at the old cost.
+// Persistence goes through internal/store: every game registration, job
+// submission, per-task result span, finished result, and handle
+// mint/release is mirrored into a Store (store.File), and NewWithOptions
+// rehydrates the whole state on startup — finished jobs reappear as
+// servable cached results under their original IDs, and jobs that were
+// mid-run when the process stopped are resubmitted under their original
+// spec and seed (determinism makes the rerun byte-identical, and persisted
+// spans mean only the unfinished suffix recomputes) or, with
+// Options.FailInterrupted, marked failed. Without a store (New, or a nil
+// Options.Store) persistence is disabled entirely.
 package server
 
 import (
@@ -133,7 +135,7 @@ type Server struct {
 	// itself (which may compact and fsync the whole log) never runs under
 	// s.mu and can never stall a request.
 	pmu       sync.Mutex
-	pops      []func() // guarded by pmu
+	pops      []func() error // guarded by pmu
 	pkick     chan struct{}
 	pstop     chan struct{}
 	pdone     chan struct{}
@@ -153,19 +155,21 @@ type Server struct {
 	// Per-client handles. A handle is one client's reference to a
 	// deduplicated job; refs counts live handles per job so releasing a
 	// handle cancels the job only when no other client still wants it.
-	handles       map[string]string // guarded by mu; handle id → job id
-	handleOrder   []string          // guarded by mu; handle ids in mint order, for eviction
-	refs          map[string]int    // guarded by mu; job id → live handle count
-	nextHandle    uint64            // guarded by mu
-	handleSweepAt int               // guarded by mu; pruneHandlesLocked's next sweep threshold
+	handles       map[string]handleRec // guarded by mu; handle id → claimed job and owner
+	handleOrder   []string             // guarded by mu; handle ids in mint order, for eviction
+	refs          map[string]int       // guarded by mu; job id → live handle count
+	nextHandle    uint64               // guarded by mu
+	handleSweepAt int                  // guarded by mu; pruneHandlesLocked's next sweep threshold
+}
 
-	// owners records which authenticated client each handle was minted for
-	// (handles minted anonymously — open server, rehydrated handles — are
-	// absent). Ownership gates DELETE when a keyring is enforced: releasing
-	// another client's claim on a shared job would let one tenant cancel
-	// another's work. Deliberately in-memory only: after a restart rehydrated
-	// handles are ownerless, which fails open to the pre-traffic semantics.
-	owners map[string]string // guarded by mu
+// handleRec is one live handle: the job it claims and the authenticated
+// client it was minted for. owner is empty for handles minted anonymously
+// (open server) and for rehydrated ones: ownership is deliberately
+// in-memory only, so after a restart rehydrated handles fail open to the
+// pre-traffic semantics.
+type handleRec struct {
+	job   string
+	owner string
 }
 
 // MaxHandles caps the v2 handle table. Handles are minted per client and
@@ -176,10 +180,9 @@ const MaxHandles = 4 * engine.DefaultRetention
 
 // Options configure a Server beyond the worker count.
 type Options struct {
-	// Store persists games, jobs, results, and handles across restarts.
-	// nil disables persistence entirely — no mirroring, no extra result
-	// copies, which is the historical (and New's) behavior. store.NewMem
-	// gives a process-local store for in-process restart scenarios.
+	// Store persists games, jobs, results, and handles across restarts
+	// (store.OpenFile). nil disables persistence entirely — no mirroring,
+	// no extra result copies, which is New's behavior.
 	Store store.Store
 	// FailInterrupted controls rehydration of jobs that were mid-run when
 	// the previous process stopped: false (default) resubmits them under
@@ -221,9 +224,8 @@ func NewWithOptions(workers int, opts Options) (*Server, error) {
 		traffic: opts.Traffic,
 		games:   map[string]*core.Game{},
 		cache:   map[string]string{},
-		handles: map[string]string{},
+		handles: map[string]handleRec{},
 		refs:    map[string]int{},
-		owners:  map[string]string{},
 	}
 	if s.traffic == nil {
 		s.traffic = traffic.New(traffic.Config{})
@@ -259,26 +261,13 @@ func NewWithOptions(workers int, opts Options) (*Server, error) {
 // the remaining hairline race is only ever a terminal record, and losing
 // one is benign: the record stays "submitted" and the next life recomputes
 // the identical result.
-// recordPersist tallies a store-write failure instead of dropping it: the
-// persist queue has no request to fail, so the error surfaces as a counter
-// and last-error string in /healthz. The in-memory tables stay authoritative
-// for this life; the on-disk log is behind, which the next restart resolves
-// by recomputing — the counter is what makes that drift observable.
-func (s *Server) recordPersist(err error) {
-	if err == nil {
-		return
-	}
-	s.persistFails.Add(1)
-	s.persistLastErr.Store(err.Error())
-}
-
-func (s *Server) enqueuePersist(op func()) {
+func (s *Server) enqueuePersist(op func() error) {
 	if s.store == nil {
 		return
 	}
 	select {
 	case <-s.pstop:
-		op()
+		s.runPersist(op)
 		return
 	default:
 	}
@@ -288,6 +277,24 @@ func (s *Server) enqueuePersist(op func()) {
 	select {
 	case s.pkick <- struct{}{}:
 	default:
+	}
+}
+
+// persistJob enqueues an upsert of one job record.
+func (s *Server) persistJob(rec store.JobRecord) {
+	s.enqueuePersist(func() error { return s.store.PutJob(rec) })
+}
+
+// runPersist performs one store write and tallies a failure instead of
+// dropping it: the persist queue has no request to fail, so the error
+// surfaces as a counter and last-error string in /healthz. The in-memory
+// tables stay authoritative for this life; the on-disk log is behind, which
+// the next restart resolves by recomputing — the counter is what makes that
+// drift observable.
+func (s *Server) runPersist(op func() error) {
+	if err := op(); err != nil {
+		s.persistFails.Add(1)
+		s.persistLastErr.Store(err.Error())
 	}
 }
 
@@ -316,7 +323,7 @@ func (s *Server) drainPersist() {
 			return
 		}
 		for _, op := range ops {
-			op()
+			s.runPersist(op)
 		}
 	}
 }
@@ -340,13 +347,15 @@ func (s *Server) rehydrate(failInterrupted bool) error {
 	}
 	sort.Slice(jobs, func(i, k int) bool { return idLess(jobs[i].ID, jobs[k].ID, "job-") })
 	// Rehydration mutates the server's tables without s.mu (nothing else
-	// can see the server yet) — so the completion watchers of resubmitted
-	// jobs, which DO take s.mu and mutate s.cache the moment their job
-	// ends, must not start until every table below is fully built. Collect
-	// them and attach last.
+	// can see the server yet) — so the followers of resubmitted jobs, which
+	// DO take s.mu and mutate s.cache the moment their job ends, must not
+	// start until every table below is fully built. Collect them and attach
+	// last.
 	var watch []watchStart
 	for _, rec := range jobs {
-		watch = append(watch, s.rehydrateJob(rec, failInterrupted, snap.Ranges[rec.ID])...)
+		if w, ok := s.rehydrateJob(rec, failInterrupted, snap.Ranges[rec.ID]); ok {
+			watch = append(watch, w)
+		}
 	}
 	handles := make([]string, 0, len(snap.Handles))
 	for h := range snap.Handles {
@@ -358,22 +367,27 @@ func (s *Server) rehydrate(failInterrupted bool) error {
 		if _, err := s.manager.Get(jobID); err != nil {
 			continue // the job did not come back; the handle would dangle
 		}
-		s.handles[h] = jobID
+		s.handles[h] = handleRec{job: jobID}
 		s.handleOrder = append(s.handleOrder, h)
 		s.refs[jobID]++
 	}
 	s.nextHandle = snap.NextHandle
 	for _, w := range watch {
-		s.watchJob(w.job, w.rec)
+		s.watchJob(w)
 	}
 	return nil
 }
 
-// watchStart is a deferred watchJob call: rehydration collects these and
-// attaches them only after the server's tables are fully built.
+// watchStart is one watchJob call's arguments. Rehydration collects them
+// and attaches the followers only after the server's tables are fully
+// built.
 type watchStart struct {
-	job *engine.Job
-	rec store.JobRecord
+	job  *engine.Job
+	rec  store.JobRecord
+	spec engine.Spec // only engine.TaskCoder specs have per-task documents to persist
+	// from is the store's contiguous range coverage: the follower resumes
+	// persisting above it instead of rewriting spans the log already holds.
+	from int
 }
 
 // rehydrateJob revives one job record. Terminal jobs are restored as-is
@@ -385,8 +399,9 @@ type watchStart struct {
 // spec and seed deterministically recompute the result, so nothing is
 // destroyed. Nothing here is fatal: a record that cannot be revived at all
 // (kind no longer registered, corrupt spec) becomes a failed job that says
-// why, not a startup abort.
-func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, ranges []store.RangeRecord) []watchStart {
+// why, not a startup abort. ok reports a recomputing job whose follower the
+// caller must start.
+func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, ranges []store.RangeRecord) (w watchStart, ok bool) {
 	switch rec.State {
 	case store.JobDone:
 		res, err := engine.DecodeResult(rec.Kind, rec.Version, rec.Result)
@@ -409,18 +424,9 @@ func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, ranges 
 	case store.JobSubmitted:
 		return s.recomputeJob(rec, failInterrupted, "interrupted by server restart", ranges)
 	}
-	return nil
+	return w, false
 }
 
-// recomputeJob reruns a job record under its original ID, spec, and seed —
-// the recovery path for interrupted jobs and for done records whose stored
-// result can no longer be decoded. Persisted result ranges from the previous
-// life prefill the engine's result ledger, so only the missing suffix of
-// tasks actually recomputes — and determinism makes the reassembled result
-// byte-identical to an uninterrupted run. With failInterrupted set (or when
-// the spec itself cannot be revived) the job is restored as failed instead,
-// with reason explaining why. The returned watchStart (if any) must be
-// attached by the caller once rehydration has finished building the tables.
 // flattenRanges turns persisted range records into a task-indexed document
 // map (entries outside [0, tasks) dropped) plus the store's contiguous
 // coverage from 0 — the point above which nothing is persisted yet.
@@ -443,32 +449,38 @@ func flattenRanges(tasks int, ranges []store.RangeRecord) (map[int]json.RawMessa
 	return prefill, from
 }
 
-func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason string, ranges []store.RangeRecord) []watchStart {
-	restoreFailed := func(msg string) {
+// recomputeJob reruns a job record under its original ID, spec, and seed —
+// the recovery path for interrupted jobs and for done records whose stored
+// result can no longer be decoded. Persisted result ranges from the previous
+// life prefill the engine's result ledger, so only the missing suffix of
+// tasks actually recomputes — and determinism makes the reassembled result
+// byte-identical to an uninterrupted run. With failInterrupted set (or when
+// the spec itself cannot be revived) the job is restored as failed instead,
+// with reason explaining why. A recomputing job's follower (ok) must be
+// started by the caller once rehydration has finished building the tables.
+func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason string, ranges []store.RangeRecord) (w watchStart, ok bool) {
+	restoreFailed := func(msg string) (watchStart, bool) {
 		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, engine.StateFailed, msg); err == nil {
 			rec.State = store.JobFailed
 			rec.Error = msg
 			rec.Result = nil
-			s.recordPersist(s.store.PutJob(rec))
+			s.persistJob(rec)
 		}
+		return w, false
 	}
 	if failInterrupted {
-		restoreFailed(reason)
-		return nil
+		return restoreFailed(reason)
 	}
 	// Records written before the catalog redesign carry no version (0);
 	// DecodeSpecAt maps that to v1, the pre-versioning wire format, so old
 	// data directories recompute under exactly the semantics they ran with.
 	spec, err := engine.DecodeSpecAt(rec.Kind, rec.Version, rec.Spec)
 	if err != nil {
-		restoreFailed(fmt.Sprintf("%s; not recomputable: %v", reason, err))
-		return nil
+		return restoreFailed(fmt.Sprintf("%s; not recomputable: %v", reason, err))
 	}
 	// Persisted ranges become the engine's prefill: the decoded documents
 	// land in the new job's results and ledger before any task runs, so the
-	// scheduler only executes the uncovered suffix. from is the store's
-	// contiguous coverage — the watcher resumes persisting above it instead
-	// of rewriting spans the log already holds.
+	// scheduler only executes the uncovered suffix.
 	prefill, from := flattenRanges(rec.Tasks, ranges)
 	job, err := s.manager.SubmitJobOpts(rec.ID, spec, rec.Seed, engine.SubmitOptions{
 		Remote: &engine.RemoteInfo{
@@ -479,19 +491,17 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 		Prefill: prefill,
 	})
 	if err != nil {
-		restoreFailed(fmt.Sprintf("%s; not recomputable: %v", reason, err))
-		return nil
+		return restoreFailed(fmt.Sprintf("%s; not recomputable: %v", reason, err))
 	}
 	// Back to "submitted" in the store too, so a crash during the recompute
 	// is itself recoverable (and the stale result document is dropped).
 	rec.State = store.JobSubmitted
 	rec.Result = nil
 	rec.Error = ""
-	s.recordPersist(s.store.PutJob(rec))
+	s.persistJob(rec)
 	//goclint:allow lockguard -- pre-publication: recomputeJob runs under rehydrate before the server is shared
 	s.cache[rec.Key] = rec.ID
-	s.watchRanges(job, rec.ID, from, spec)
-	return []watchStart{{job: job, rec: rec}}
+	return watchStart{job: job, rec: rec, spec: spec, from: from}, true
 }
 
 // idLess orders prefixed sequence IDs ("job-2" < "job-10") by mint age
@@ -623,11 +633,11 @@ func (s *Server) resolveGame(id string) (*core.Game, error) {
 
 // submitEnvelope is the single path every job submission takes: decode
 // through the spec registry, resolve game references, dedupe against the
-// result cache, submit. It returns the (possibly shared) job, whether the
-// submission was answered by an existing cache entry, and a per-client
+// result cache, submit. It returns the finished JobHandle: a per-client
 // handle minted *inside the dedup critical section* — minting later would
 // let a concurrent last-handle DELETE cancel the job between the cache
-// lookup and the refcount increment.
+// lookup and the refcount increment — with the (possibly shared) job's
+// status, Cached set when an existing cache entry answered the submission.
 //
 // client is the authenticated identity the submission runs as ("" when the
 // server is open); it attributes the job in the engine's quota accounting and
@@ -635,11 +645,10 @@ func (s *Server) resolveGame(id string) (*core.Game, error) {
 // fair-share urgency weight. Neither enters the cache key: a cache hit
 // attaches the client to the job as-is, keeping the original submitter's
 // attribution and priority (dedup shares the computation, not the claim).
-func (s *Server) submitEnvelope(env engine.JobEnvelope, client string) (*engine.Job, bool, JobHandle, error) {
-	var jh JobHandle
+func (s *Server) submitEnvelope(env engine.JobEnvelope, client string) (JobHandle, error) {
 	class, err := parsePriority(env.Priority)
 	if err != nil {
-		return nil, false, jh, err
+		return JobHandle{}, err
 	}
 	// ResolveEnvelope is the whole registry path: version resolution ("kind"
 	// → latest, "kind@vN" pinned), schema validation (a mismatch surfaces as
@@ -647,18 +656,18 @@ func (s *Server) submitEnvelope(env engine.JobEnvelope, client string) (*engine.
 	// JSON-pointer path), then the version's decoder.
 	rs, err := engine.ResolveEnvelope(env)
 	if err != nil {
-		return nil, false, jh, err
+		return JobHandle{}, err
 	}
 	spec, err := engine.ResolveSpec(rs.Spec, s.resolveGame)
 	if err != nil {
-		return nil, false, jh, err
+		return JobHandle{}, err
 	}
 	canonical, err := engine.CanonicalSpecJSON(spec)
 	if err != nil {
 		// A spec that decoded from the wire but cannot re-encode is the
 		// server's problem (a broken Marshaler, non-finite floats built by a
 		// decoder), not the client's: surface it as a 500, not a 400.
-		return nil, false, jh, internalError{err}
+		return JobHandle{}, internalError{err}
 	}
 	// The key hashes the *versioned* wire kind — bare for v1, so every
 	// pre-versioning cache entry and data directory stays valid, and two
@@ -684,9 +693,11 @@ func (s *Server) submitEnvelope(env engine.JobEnvelope, client string) (*engine.
 			// between the two calls as failed and recompute it.
 			st := job.Status()
 			if _, hasResult := job.Result(); hasResult || !st.State.Terminal() {
-				jh = s.mintHandleLocked(job.ID(), client)
+				jh := s.mintHandleLocked(job.ID(), client)
 				s.mu.Unlock()
-				return job, true, jh, nil
+				jh.Status = job.Status()
+				jh.Cached = true
+				return jh, nil
 			}
 		}
 		delete(s.cache, key)
@@ -707,7 +718,7 @@ func (s *Server) submitEnvelope(env engine.JobEnvelope, client string) (*engine.
 	})
 	if err != nil {
 		s.mu.Unlock()
-		return nil, false, jh, err
+		return JobHandle{}, err
 	}
 	rec := store.JobRecord{
 		ID:      job.ID(),
@@ -724,26 +735,54 @@ func (s *Server) submitEnvelope(env engine.JobEnvelope, client string) (*engine.
 	// Enqueued before the mint below so the log always carries a job record
 	// ahead of the handle op that references it — what the store's garbage
 	// collection keys on.
-	s.enqueuePersist(func() { s.recordPersist(s.store.PutJob(rec)) })
+	s.persistJob(rec)
 	// Publish the key before releasing the lock so no identical submission
 	// can slip between submit and publish; retract it if the job fails or
 	// is canceled.
 	s.cache[key] = job.ID()
-	jh = s.mintHandleLocked(job.ID(), client)
+	jh := s.mintHandleLocked(job.ID(), client)
 	s.pruneCacheLocked()
 	s.mu.Unlock()
-	s.watchJob(job, rec)
-	s.watchRanges(job, job.ID(), 0, spec)
-	return job, false, jh, nil
+	s.watchJob(watchStart{job: job, rec: rec, spec: spec})
+	jh.Status = job.Status()
+	return jh, nil
 }
 
-// watchJob follows job to its terminal state, then persists the terminal
-// record and retracts the cache entry of a resultless end. Shutdown is the
-// exception: jobs the manager canceled because the whole server is closing
-// keep their "submitted" record, which is exactly what makes the next
-// process life resubmit them.
-func (s *Server) watchJob(job *engine.Job, rec store.JobRecord) {
+// watchJob starts the job's one follower goroutine. With a store and a
+// per-task wire codec (engine.TaskCoder) it first persists the result
+// ledger as it grows: each time the contiguous-prefix watermark advances,
+// the new span [last, watermark) is appended as a range record, starting
+// above w.from. When the job ends it persists the terminal record, or
+// retracts the cache entry of a resultless end. Shutdown is the exception:
+// jobs the manager canceled because the whole server is closing keep their
+// "submitted" record — and the spans persisted so far — which is exactly
+// what makes the next process life resubmit them with a prefill. Without a
+// store the follower only waits for the end.
+func (s *Server) watchJob(w watchStart) {
+	job, rec := w.job, w.rec
 	go func() {
+		if _, coder := w.spec.(engine.TaskCoder); coder && s.store != nil {
+			last := w.from
+			persist := func(wm int) {
+				if wm <= last {
+					return
+				}
+				docs, err := job.ResultRange(last, wm)
+				if err != nil {
+					return
+				}
+				lo := last
+				last = wm
+				s.enqueuePersist(func() error { return s.store.PutJobRange(rec.ID, lo, docs) })
+			}
+			for st := range job.Watch(context.Background()) {
+				persist(st.Progress.Watermark)
+			}
+			// The final status snapshot can predate the last few recorded
+			// tasks (Watch coalesces); catch the tail so a shutdown-canceled
+			// job's record covers everything that actually computed.
+			persist(job.Watermark())
+		}
 		<-job.Done()
 		if res, ok := job.Result(); ok {
 			if s.store == nil {
@@ -753,7 +792,7 @@ func (s *Server) watchJob(job *engine.Job, rec store.JobRecord) {
 				rec.State = store.JobDone
 				rec.Result = b
 				rec.Error = ""
-				s.enqueuePersist(func() { s.recordPersist(s.store.PutJob(rec)) })
+				s.persistJob(rec)
 			}
 			// A result that cannot be marshalled also cannot be served; the
 			// record stays "submitted" and a restart recomputes it.
@@ -775,67 +814,41 @@ func (s *Server) watchJob(job *engine.Job, rec store.JobRecord) {
 		}
 		rec.Error = st.Error
 		rec.Result = nil
-		s.enqueuePersist(func() { s.recordPersist(s.store.PutJob(rec)) })
+		s.persistJob(rec)
 	}()
 }
 
-// watchRanges incrementally persists a running job's result ledger: it
-// follows the job's status stream and, each time the contiguous-prefix
-// watermark advances, appends the new span [last, watermark) to the store as
-// a range record. from is where persistence resumes (the store's existing
-// coverage after a restart; 0 for fresh jobs). The goroutine exits with the
-// status stream — the job's terminal record then either subsumes the spans
-// (done: the aggregate persists and clears them) or leaves them as the next
-// life's prefill (shutdown-canceled jobs keep their "submitted" record). A
-// no-op without a store or for specs without per-task wire codecs.
-func (s *Server) watchRanges(job *engine.Job, jobID string, from int, spec engine.Spec) {
-	if s.store == nil {
-		return
-	}
-	if _, ok := spec.(engine.TaskCoder); !ok {
-		return
-	}
-	go func() {
-		last := from
-		persist := func(wm int) {
-			if wm <= last {
-				return
-			}
-			docs, err := job.ResultRange(last, wm)
-			if err != nil {
-				return
-			}
-			lo := last
-			last = wm
-			s.enqueuePersist(func() { s.recordPersist(s.store.PutJobRange(jobID, lo, docs)) })
-		}
-		for st := range job.Watch(context.Background()) {
-			persist(st.Progress.Watermark)
-		}
-		// The final status snapshot can predate the last few recorded tasks
-		// (Watch coalesces); catch the tail so a shutdown-canceled job's
-		// record covers everything that actually computed.
-		persist(job.Watermark())
-	}()
-}
-
-// mintHandleLocked creates a fresh handle claiming jobID and enqueues its
-// persistence — enqueueing under s.mu is what keeps a mint and a later
-// eviction of the same handle in log order. Callers must hold s.mu; the
-// returned JobHandle carries the handle id and refcount (the job status is
-// filled in outside the lock).
+// mintHandleLocked creates a fresh handle claiming jobID for client and
+// enqueues its persistence — enqueueing under s.mu is what keeps a mint and
+// a later removal of the same handle in log order. Callers must hold s.mu;
+// the returned JobHandle carries the handle id and refcount (the job status
+// is filled in outside the lock).
 func (s *Server) mintHandleLocked(jobID, client string) JobHandle {
 	s.nextHandle++
 	handle := fmt.Sprintf("h-%d", s.nextHandle)
-	s.handles[handle] = jobID
+	s.handles[handle] = handleRec{job: jobID, owner: client}
 	s.handleOrder = append(s.handleOrder, handle)
 	s.refs[jobID]++
-	if client != "" {
-		s.owners[handle] = client
-	}
-	s.enqueuePersist(func() { s.recordPersist(s.store.PutHandle(handle, jobID)) })
+	s.enqueuePersist(func() error { return s.store.PutHandle(handle, jobID) })
 	s.pruneHandlesLocked()
 	return JobHandle{Handle: handle, Clients: s.refs[jobID], Client: client}
+}
+
+// dropHandleLocked removes a live handle — on release or eviction — and
+// returns its job's remaining live handle count. The removal's persistence
+// is enqueued under s.mu like the mint, so the log order of a handle's
+// PutHandle and DeleteHandle always matches the in-memory order: a removed
+// handle can never "resurrect" in the store. Callers must hold s.mu.
+func (s *Server) dropHandleLocked(handle string) int {
+	jobID := s.handles[handle].job
+	delete(s.handles, handle)
+	s.enqueuePersist(func() error { return s.store.DeleteHandle(handle) })
+	s.refs[jobID]--
+	remaining := s.refs[jobID]
+	if remaining <= 0 {
+		delete(s.refs, jobID)
+	}
+	return remaining
 }
 
 // internalError marks a submission failure that is the server's fault —
@@ -846,47 +859,27 @@ type internalError struct{ err error }
 func (e internalError) Error() string { return e.err.Error() }
 func (e internalError) Unwrap() error { return e.err }
 
-// submitErrorCode classifies a submitEnvelope failure:
-// schema mismatches — the document's shape diverges from the resolved
-// version's published schema — are 422 (the request was well-formed JSON,
-// the entity just doesn't match the catalog contract); other client errors
-// — unknown kind, malformed or invalid spec, unknown game — are 400;
-// internal encoding failures are 500.
-func submitErrorCode(err error) int {
+// submitFailure classifies a submitEnvelope failure into the status code,
+// message and JSON-pointer path that both a single submission's error
+// response and a batch item carry — one classifier, so the two surfaces can
+// never diverge. Schema mismatches — the document's shape diverges from the
+// resolved version's published schema — are 422 (the request was
+// well-formed JSON, the entity just doesn't match the catalog contract) and
+// carry the path into the spec document; other client errors — unknown
+// kind, malformed or invalid spec, unknown game — are 400; internal
+// encoding failures are 500.
+func submitFailure(err error) BatchResult {
+	f := BatchResult{Error: err.Error(), Code: http.StatusBadRequest}
+	var se *engine.SchemaError
+	if errors.As(err, &se) {
+		f.Code = http.StatusUnprocessableEntity
+		f.Path = se.Path
+	}
 	var ie internalError
 	if errors.As(err, &ie) {
-		return http.StatusInternalServerError
+		f.Code = http.StatusInternalServerError
 	}
-	var se *engine.SchemaError
-	if errors.As(err, &se) {
-		return http.StatusUnprocessableEntity
-	}
-	return http.StatusBadRequest
-}
-
-// submitErrorParts classifies a submission failure into the (code, message,
-// path) triple both the single-submit response and batch items carry — one
-// classifier, so the two surfaces can never diverge.
-func submitErrorParts(err error) (code int, msg, path string) {
-	code = submitErrorCode(err)
-	msg = err.Error()
-	var se *engine.SchemaError
-	if errors.As(err, &se) {
-		path = se.Path
-	}
-	return code, msg, path
-}
-
-// writeSubmitError writes a submission failure with its mapped status code;
-// schema mismatches additionally carry the JSON-pointer "path" into the
-// spec document so clients can point at the offending field.
-func writeSubmitError(w http.ResponseWriter, err error) {
-	code, msg, path := submitErrorParts(err)
-	body := map[string]string{"error": msg}
-	if path != "" {
-		body["path"] = path
-	}
-	writeJSON(w, code, body)
+	return f
 }
 
 // writeJobResult serves a job's result: 409 while running, 410 for
@@ -998,13 +991,15 @@ func (s *Server) handleCreateJobV2(w http.ResponseWriter, r *http.Request) {
 	// Every POST mints a fresh handle, cache hit or not: the handle is this
 	// client's claim on the (possibly shared) job, and the refcount is what
 	// keeps one client's DELETE from canceling another's work.
-	job, cached, jh, err := s.submitEnvelope(env, clientFrom(r))
+	jh, err := s.submitEnvelope(env, clientFrom(r))
 	if err != nil {
-		writeSubmitError(w, err)
+		f := submitFailure(err)
+		writeJSON(w, f.Code, struct {
+			Error string `json:"error"`
+			Path  string `json:"path,omitempty"`
+		}{f.Error, f.Path})
 		return
 	}
-	jh.Status = job.Status()
-	jh.Cached = cached
 	writeJSON(w, http.StatusCreated, jh)
 }
 
@@ -1086,18 +1081,11 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
 			if err := idec.Decode(&env); err != nil {
 				return JobHandle{}, fmt.Errorf("decode job envelope: %w", err)
 			}
-			job, cached, jh, err := s.submitEnvelope(env, client)
-			if err != nil {
-				return JobHandle{}, err
-			}
-			jh.Status = job.Status()
-			jh.Cached = cached
-			return jh, nil
+			return s.submitEnvelope(env, client)
 		}
 		jh, err := submitItem()
 		if err != nil {
-			code, msg, path := submitErrorParts(err)
-			results[i] = BatchResult{Error: msg, Code: code, Path: path}
+			results[i] = submitFailure(err)
 			continue
 		}
 		results[i] = BatchResult{Job: &jh}
@@ -1124,26 +1112,35 @@ func writeHandleError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusNotFound, err)
 }
 
-// jobForHandle resolves a handle to its job and the job's live handle count,
-// enforcing ownership: a handle minted for one client is forbidden to every
-// other, on reads as much as release — handles are sequential ("h-1",
-// "h-2", ...), so without this any authenticated tenant could enumerate
-// them and read other tenants' statuses and results. Ownerless handles
-// (open server, or rehydrated from a previous life) stay readable by any
-// authenticated client, matching the release rule.
+// handleLocked resolves a handle for client, enforcing ownership: a handle
+// minted for one client is forbidden to every other, on reads as much as
+// release — handles are sequential ("h-1", "h-2", ...), so without this any
+// authenticated tenant could enumerate them, read other tenants' statuses
+// and results, and cancel their work by releasing the last claim on a
+// shared job. Ownerless handles (open server, or rehydrated from a previous
+// life) stay usable by any authenticated client. Callers must hold s.mu.
+func (s *Server) handleLocked(handle, client string) (handleRec, error) {
+	h, ok := s.handles[handle]
+	if !ok {
+		return h, fmt.Errorf("unknown handle %q", handle)
+	}
+	if h.owner != "" && h.owner != client {
+		return h, foreignHandleError{handle}
+	}
+	return h, nil
+}
+
+// jobForHandle resolves a handle to its job and the job's live handle
+// count, for client (see handleLocked).
 func (s *Server) jobForHandle(handle, client string) (*engine.Job, int, error) {
 	s.mu.Lock()
-	jobID, ok := s.handles[handle]
-	owner, owned := s.owners[handle]
-	clients := s.refs[jobID]
+	h, err := s.handleLocked(handle, client)
+	clients := s.refs[h.job]
 	s.mu.Unlock()
-	if !ok {
-		return nil, 0, fmt.Errorf("unknown handle %q", handle)
+	if err != nil {
+		return nil, 0, err
 	}
-	if owned && owner != client {
-		return nil, 0, foreignHandleError{handle}
-	}
-	job, err := s.manager.Get(jobID)
+	job, err := s.manager.Get(h.job)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1173,10 +1170,9 @@ func (s *Server) handleHandleResult(w http.ResponseWriter, r *http.Request) {
 	writeJobResult(w, job)
 }
 
-// maxBufferedResultBody is the largest range-GET payload served through the
-// buffering writeJSON path; bigger bodies stream document-by-document over
-// chunked transfer instead of being assembled in one allocation.
-const maxBufferedResultBody = 256 << 10
+// rangeFlushBytes is how much of a ?range body is buffered before it is
+// flushed to the client.
+const rangeFlushBytes = 256 << 10
 
 // writeResultRange serves ?range=lo-hi from the job's result ledger: the
 // TaskCoder documents of tasks [lo, hi), servable mid-run as soon as the
@@ -1185,6 +1181,12 @@ const maxBufferedResultBody = 256 << 10
 // passes hi), and a job without a ledger — non-TaskCoder spec, or restored
 // terminal from a previous life — is 410 (no per-task documents will ever
 // exist for it).
+//
+// The body is assembled by concatenation: the documents go out verbatim —
+// byte-identical to the ledger and the store, never re-marshalled or
+// re-indented — and no Content-Length is set, so net/http switches to
+// chunked transfer and flushing every rangeFlushBytes bounds the
+// server-side buffer however large the span is.
 func writeResultRange(w http.ResponseWriter, job *engine.Job, rng string) {
 	tr, err := engine.ParseTaskRange(rng)
 	if err != nil {
@@ -1206,26 +1208,6 @@ func writeResultRange(w http.ResponseWriter, job *engine.Job, rng string) {
 		return
 	}
 	st := job.Status()
-	size := 0
-	for _, d := range docs {
-		size += len(d) + 1
-	}
-	if size <= maxBufferedResultBody {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"id":      st.ID,
-			"kind":    st.Kind,
-			"lo":      tr.Lo,
-			"hi":      tr.Hi,
-			"total":   st.Progress.Total,
-			"results": docs,
-		})
-		return
-	}
-	// Oversized body: stream it. No Content-Length is set, so net/http
-	// switches to chunked transfer; flushing per batch bounds the server-side
-	// buffer regardless of how large the span is. The documents are
-	// pre-encoded canonical JSON, so the body is assembled by concatenation —
-	// no re-marshalling of a huge intermediate value.
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
@@ -1238,7 +1220,7 @@ func writeResultRange(w http.ResponseWriter, job *engine.Job, rng string) {
 		}
 		//goclint:allow errdrop -- bytes.Buffer writes cannot fail
 		buf.Write(d)
-		if buf.Len() >= maxBufferedResultBody {
+		if buf.Len() >= rangeFlushBytes {
 			if _, err := w.Write(buf.Bytes()); err != nil {
 				return // client hung up; nothing recoverable
 			}
@@ -1327,38 +1309,21 @@ func (s *Server) handleHandleEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReleaseHandle(w http.ResponseWriter, r *http.Request) {
 	handle := r.PathValue("handle")
-	client := clientFrom(r)
 	s.mu.Lock()
-	jobID, ok := s.handles[handle]
-	if !ok {
+	h, err := s.handleLocked(handle, clientFrom(r))
+	if err != nil {
 		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown handle %q", handle))
+		writeHandleError(w, err)
 		return
 	}
-	// With auth enforced, only the handle's owner may release it: a release
-	// can cancel the shared job, and one tenant must not be able to tear
-	// down another's work. Ownerless handles (rehydrated from a previous
-	// life) stay releasable by any authenticated client.
-	if owner, owned := s.owners[handle]; owned && owner != client {
-		s.mu.Unlock()
-		writeError(w, http.StatusForbidden, fmt.Errorf("handle %q belongs to another client", handle))
-		return
-	}
-	delete(s.handles, handle)
-	delete(s.owners, handle)
-	s.persistHandleRemovalLocked(handle)
-	s.refs[jobID]--
-	remaining := s.refs[jobID]
-	var job *engine.Job
-	if j, err := s.manager.Get(jobID); err == nil {
-		job = j
+	remaining := s.dropHandleLocked(handle)
+	job, err := s.manager.Get(h.job)
+	if err != nil {
+		job = nil
 	}
 	// Cancel only when no other handle still claims the job.
-	cancel := remaining <= 0
+	cancel := remaining <= 0 && job != nil
 	if cancel {
-		delete(s.refs, jobID)
-	}
-	if cancel && job != nil {
 		// About to cancel: retract cache entries inside this critical
 		// section so a concurrent identical submission submits fresh
 		// instead of attaching to a job being torn down.
@@ -1375,14 +1340,6 @@ func (s *Server) handleReleaseHandle(w http.ResponseWriter, r *http.Request) {
 		resp.Status = job.Status()
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// persistHandleRemovalLocked enqueues the persistence of a handle's removal
-// (release or eviction). Enqueued under s.mu like the mint, so the log
-// order of a handle's PutHandle and DeleteHandle always matches the
-// in-memory order — a removed handle can never "resurrect" in the store.
-func (s *Server) persistHandleRemovalLocked(handle string) {
-	s.enqueuePersist(func() { s.recordPersist(s.store.DeleteHandle(handle)) })
 }
 
 // pruneHandlesLocked bounds the v2 handle bookkeeping. Handles are minted
@@ -1411,14 +1368,9 @@ func (s *Server) pruneHandlesLocked() {
 	if len(s.handleOrder) <= limit {
 		return
 	}
-	for h, id := range s.handles {
-		if _, err := s.manager.Get(id); err != nil {
-			delete(s.handles, h)
-			delete(s.owners, h)
-			s.persistHandleRemovalLocked(h)
-			if s.refs[id]--; s.refs[id] <= 0 {
-				delete(s.refs, id)
-			}
+	for h, rec := range s.handles {
+		if _, err := s.manager.Get(rec.job); err != nil {
+			s.dropHandleLocked(h)
 		}
 	}
 	target := len(s.handles)
@@ -1427,17 +1379,11 @@ func (s *Server) pruneHandlesLocked() {
 	}
 	kept := s.handleOrder[:0]
 	for _, h := range s.handleOrder {
-		id, ok := s.handles[h]
-		if !ok {
+		if _, ok := s.handles[h]; !ok {
 			continue // released, or dropped by the evicted-job pass
 		}
 		if len(s.handles) > target {
-			delete(s.handles, h)
-			delete(s.owners, h)
-			s.persistHandleRemovalLocked(h)
-			if s.refs[id]--; s.refs[id] <= 0 {
-				delete(s.refs, id)
-			}
+			s.dropHandleLocked(h)
 			continue
 		}
 		kept = append(kept, h)

@@ -432,10 +432,7 @@ func TestHandleOrderBoundedUnderChurn(t *testing.T) {
 	for i := 0; i < 5*engine.DefaultRetention; i++ {
 		jh := s.mintHandleLocked("job-bogus", "")
 		// Immediate release, as a Submit→Release client produces.
-		delete(s.handles, jh.Handle)
-		if s.refs["job-bogus"]--; s.refs["job-bogus"] <= 0 {
-			delete(s.refs, "job-bogus")
-		}
+		s.dropHandleLocked(jh.Handle)
 	}
 	if len(s.handleOrder) > 2*engine.DefaultRetention+1 {
 		t.Fatalf("handleOrder grew to %d entries under churn", len(s.handleOrder))

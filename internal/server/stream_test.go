@@ -6,6 +6,7 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"gameofcoins/client"
+	"gameofcoins/internal/core"
 	"gameofcoins/internal/engine"
 	"gameofcoins/internal/rng"
 	"gameofcoins/internal/server"
@@ -210,6 +212,53 @@ func TestResultRangeEndpoint(t *testing.T) {
 	waitHandleDone(t, base, gh.ID())
 	if code := getStatusCode(t, base+"/v2/jobs/"+gh.ID()+"/result?range=0-1"); code != http.StatusGone {
 		t.Fatalf("no-ledger span status = %d, want 410", code)
+	}
+}
+
+// TestResultRangeServesDocumentsVerbatim: a ?range body carries each
+// per-task document exactly as the spec's TaskCoder encoded it — compact,
+// byte-identical to the ledger and the store — however small the span.
+// Object-valued documents (learn_sweep's {"steps","converged"}) are the
+// ones a re-encoding response writer would re-indent.
+func TestResultRangeServesDocumentsVerbatim(t *testing.T) {
+	base := v2Server(t)
+	c := client.New(base)
+	ctx := context.Background()
+
+	const seed = 5
+	raw, err := engine.CanonicalSpecJSON(engine.LearnSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Schedulers: []string{"random"}, Runs: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := c.Submit(ctx, "learn_sweep", seed, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitHandleDone(t, base, h.ID())
+
+	// The reference encodings: each task run and encoded in-process, exactly
+	// as the engine runs task i of the resolved spec.
+	rs, err := engine.ResolveEnvelope(engine.JobEnvelope{Kind: "learn_sweep", Seed: seed, Spec: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coder := rs.Spec.(engine.TaskCoder)
+	body := getRange(t, base, h.ID(), 0, rs.Spec.Tasks())
+	if len(body.Results) != rs.Spec.Tasks() {
+		t.Fatalf("range carries %d documents, want %d", len(body.Results), rs.Spec.Tasks())
+	}
+	for i, doc := range body.Results {
+		out, err := rs.Spec.RunTask(ctx, i, rng.New(seed).Fork(uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := coder.EncodeTaskResult(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(doc, want) {
+			t.Fatalf("task %d document = %q, want its TaskCoder encoding %q", i, doc, want)
+		}
 	}
 }
 

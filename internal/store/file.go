@@ -26,6 +26,15 @@ const DefaultMaxJobRecords = 4096
 // aggregate result.
 const DefaultMaxRangeDocs = 4096
 
+// maxRangeDocs resolves a MaxRangeDocs field: zero means the default cap,
+// negative means unbounded (trimRanges treats <= 0 as no cap).
+func maxRangeDocs(v int) int {
+	if v == 0 {
+		return DefaultMaxRangeDocs
+	}
+	return v
+}
+
 // compactMinOps is the default floor below which the log is never compacted,
 // so small servers don't churn the file on every write.
 const compactMinOps = 1024

@@ -16,10 +16,21 @@ func docs(vals ...int) []json.RawMessage {
 	return out
 }
 
-// TestMemRangeFold: adjacent spans fold into one record, overlaps resolve
+// openTemp opens a File store on a fresh directory, closed with the test.
+func openTemp(t *testing.T) *File {
+	t.Helper()
+	s, err := OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// TestRangeFold: adjacent spans fold into one record, overlaps resolve
 // first-writer-wins, and only submitted jobs accumulate ranges.
-func TestMemRangeFold(t *testing.T) {
-	s := NewMem()
+func TestRangeFold(t *testing.T) {
+	s := openTemp(t)
 	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 10, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +100,7 @@ func TestMemRangeFold(t *testing.T) {
 // per job, trimming from the highest indices so the resumable low prefix
 // survives; negative disables the cap.
 func TestRangeCompactionCap(t *testing.T) {
-	s := NewMem()
+	s := openTemp(t)
 	s.MaxRangeDocs = 4
 	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 10, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
@@ -114,7 +125,7 @@ func TestRangeCompactionCap(t *testing.T) {
 	}
 	// Monotonic watermark-order growth (what the server's watcher emits)
 	// saturates at the cap: the low prefix survives, later spans trim away.
-	mono := NewMem()
+	mono := openTemp(t)
 	mono.MaxRangeDocs = 4
 	if err := mono.PutJob(JobRecord{ID: "job-1", Tasks: 10, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
@@ -137,7 +148,7 @@ func TestRangeCompactionCap(t *testing.T) {
 		t.Fatalf("capped monotonic growth = %+v, want %+v", snap.Ranges["job-1"], want)
 	}
 
-	unbounded := NewMem()
+	unbounded := openTemp(t)
 	unbounded.MaxRangeDocs = -1
 	if err := unbounded.PutJob(JobRecord{ID: "job-1", Tasks: 10_000, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
@@ -308,7 +319,7 @@ func TestFileRangeTornTail(t *testing.T) {
 }
 
 // TestDropExcessJobsGCsRanges: evicting a job record (or finding its state
-// terminal) garbage-collects its range spans along with handles and pins.
+// terminal) garbage-collects its range spans along with handles.
 func TestDropExcessJobsGCsRanges(t *testing.T) {
 	snap := emptySnapshot()
 	snap.Jobs["job-1"] = JobRecord{ID: "job-1", State: JobSubmitted}

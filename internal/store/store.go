@@ -8,18 +8,15 @@
 //
 // The Store interface is write-through: the server applies every mutation
 // to its in-memory tables first and mirrors it into the store, then reads
-// the whole state back once at startup (Load). Two implementations:
-//
-//   - Mem: process-local maps; nothing survives exit. The default, and
-//     byte-identical to the pre-persistence server.
-//   - File: an append-only JSONL operation log in a directory, replayed on
-//     open and periodically compacted. Stdlib only.
+// the whole state back once at startup (Load). File is the implementation:
+// an append-only JSONL operation log in a directory, replayed on open and
+// periodically compacted. Stdlib only. A server without a store keeps no
+// second copy of its state at all.
 package store
 
 import (
 	"encoding/json"
 	"sort"
-	"sync"
 
 	"gameofcoins/internal/core"
 	"gameofcoins/internal/engine"
@@ -240,29 +237,6 @@ func jobSeq(id string) uint64 {
 	return n
 }
 
-// Mem is the in-memory Store: a mirror of the server's own tables that
-// vanishes with the process. It exists so the server has exactly one code
-// path — persistence is always on, durability is the store's property. Like
-// File it caps retained job records (the engine manager evicts terminal
-// jobs past its retention, and a mirror that never forgot them would leak
-// in the default no-persistence server).
-type Mem struct {
-	// MaxJobs overrides DefaultMaxJobRecords when positive. Set before use.
-	MaxJobs int
-	// MaxRangeDocs caps the per-task result documents retained per job:
-	// positive overrides DefaultMaxRangeDocs, negative disables the cap.
-	// Set before use.
-	MaxRangeDocs int
-
-	mu   sync.Mutex
-	snap Snapshot
-}
-
-// NewMem returns an empty in-memory store.
-func NewMem() *Mem {
-	return &Mem{snap: emptySnapshot()}
-}
-
 func emptySnapshot() Snapshot {
 	return Snapshot{
 		Games:   map[string]*core.Game{},
@@ -296,77 +270,3 @@ func (s Snapshot) clone() Snapshot {
 	out.NextHandle = s.NextHandle
 	return out
 }
-
-// Load implements Store.
-func (m *Mem) Load() (Snapshot, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.snap.clone(), nil
-}
-
-// PutGame implements Store.
-func (m *Mem) PutGame(id string, g *core.Game) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap.Games[id] = g
-	return nil
-}
-
-// PutJob implements Store.
-func (m *Mem) PutJob(rec JobRecord) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap.Jobs[rec.ID] = rec
-	if rec.State == JobFailed || rec.State == JobCanceled {
-		delete(m.snap.Ranges, rec.ID)
-	}
-	limit := m.MaxJobs
-	if limit <= 0 {
-		limit = DefaultMaxJobRecords
-	}
-	// Quarter-cap hysteresis, like File's compaction trigger, so a table
-	// sitting at the cap doesn't rescan on every insert.
-	if len(m.snap.Jobs) > limit+limit/4 {
-		m.snap.dropExcessJobs(limit)
-	}
-	return nil
-}
-
-// PutJobRange implements Store.
-func (m *Mem) PutJobRange(jobID string, lo int, results []json.RawMessage) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap.addRange(jobID, lo, results, maxRangeDocs(m.MaxRangeDocs))
-	return nil
-}
-
-// maxRangeDocs resolves a MaxRangeDocs field: zero means the default cap,
-// negative means unbounded (trimRanges treats <= 0 as no cap).
-func maxRangeDocs(v int) int {
-	if v == 0 {
-		return DefaultMaxRangeDocs
-	}
-	return v
-}
-
-// PutHandle implements Store.
-func (m *Mem) PutHandle(handle, jobID string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap.Handles[handle] = jobID
-	if n := handleSeq(handle); n > m.snap.NextHandle {
-		m.snap.NextHandle = n
-	}
-	return nil
-}
-
-// DeleteHandle implements Store.
-func (m *Mem) DeleteHandle(handle string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.snap.Handles, handle)
-	return nil
-}
-
-// Close implements Store.
-func (m *Mem) Close() error { return nil }

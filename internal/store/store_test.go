@@ -77,54 +77,6 @@ func checkSnapshot(t *testing.T, snap Snapshot) {
 	}
 }
 
-func TestMemRoundTrip(t *testing.T) {
-	s := NewMem()
-	populate(t, s)
-	snap, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSnapshot(t, snap)
-	// Load copies: mutating the returned snapshot must not leak back.
-	delete(snap.Jobs, "job-1")
-	again, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again.Jobs) != 3 {
-		t.Fatal("Load returned aliased maps")
-	}
-}
-
-// TestMemJobRecordCap: the in-memory mirror must not outlive the manager's
-// own retention — a default (no -data) server would otherwise leak one
-// record per distinct job forever.
-func TestMemJobRecordCap(t *testing.T) {
-	s := NewMem()
-	s.MaxJobs = 4
-	if err := s.PutJob(JobRecord{ID: "job-1", State: JobSubmitted}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 2; i <= 10; i++ {
-		if err := s.PutJob(JobRecord{ID: "job-" + itoa(i), State: JobDone}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Jobs) > 4+1 { // quarter-cap hysteresis may hold one extra
-		t.Fatalf("cap not enforced: %d records", len(snap.Jobs))
-	}
-	if _, ok := snap.Jobs["job-1"]; !ok {
-		t.Fatal("submitted record evicted by the cap")
-	}
-	if _, ok := snap.Jobs["job-10"]; !ok {
-		t.Fatal("newest terminal record evicted before older ones")
-	}
-}
-
 // TestFileDirectoryLock: a second concurrent opener of the same data
 // directory must fail fast, not silently compact the first one's appends
 // away; the lock is released on Close.
@@ -170,6 +122,15 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSnapshot(t, snap)
+	// Load copies: mutating the returned snapshot must not leak back.
+	delete(snap.Jobs, "job-1")
+	again, err := s2.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again.Jobs) != 3 {
+		t.Fatal("Load returned aliased maps")
+	}
 }
 
 // TestFileTornTailTolerated: a crash mid-append leaves a partial final line;
