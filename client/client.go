@@ -330,13 +330,12 @@ func WithPriority(priority string) SubmitOption {
 }
 
 // versionedWire renders the wire name for a (kind, pinned version): the
-// bare kind when no pin is requested, "kind@vN" otherwise — the one place
-// the client spells the version-suffix syntax.
+// bare kind when no pin is requested, "kind@vN" otherwise.
 func versionedWire(kind string, version int) string {
 	if version <= 0 {
 		return kind
 	}
-	return fmt.Sprintf("%s@v%d", kind, version)
+	return engine.PinnedKind(kind, version)
 }
 
 // applyOpts folds submit options into their struct form.

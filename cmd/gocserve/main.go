@@ -66,6 +66,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -83,13 +84,15 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gocserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, args []string) error {
+// run parses args and serves until ctx is canceled; -version prints to
+// stdout and returns at once.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gocserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8372", "listen address")
 	workers := fs.Int("workers", 0, "engine worker count (0 = all cores)")
@@ -169,7 +172,7 @@ Distributed execution:
 		// The same identity /healthz serves, for offline use: the catalog
 		// fingerprint hashes the registered kinds@versions, so two binaries
 		// printing the same line accept the same wire surface.
-		fmt.Printf("gocserve %s (%s) catalog %s (%d kinds)\n",
+		fmt.Fprintf(stdout, "gocserve %s (%s) catalog %s (%d kinds)\n",
 			server.Version, runtime.Version(), engine.CatalogFingerprint(), len(engine.SpecKinds()))
 		return nil
 	}

@@ -4,10 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
+
+	"gameofcoins/internal/engine"
 )
 
 // TestServeAndGracefulShutdown boots the real server on an ephemeral port,
@@ -22,7 +26,7 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- run(ctx, []string{"-addr", addr, "-workers", "2"}) }()
+	go func() { done <- run(ctx, []string{"-addr", addr, "-workers", "2"}, io.Discard) }()
 
 	// Wait for the listener.
 	url := fmt.Sprintf("http://%s/healthz", addr)
@@ -56,16 +60,18 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run(context.Background(), []string{"-no-such-flag"}); err == nil {
+	if err := run(context.Background(), []string{"-no-such-flag"}, io.Discard); err == nil {
 		t.Fatal("bad flag accepted")
 	}
 }
 
-// TestVersionFlag: -version prints and exits without serving (run returns
-// immediately, no listener).
+// TestVersionFlag: -version prints the build identity — including the
+// catalog fingerprint /healthz serves — and exits without serving (run
+// returns immediately, no listener).
 func TestVersionFlag(t *testing.T) {
+	var out strings.Builder
 	done := make(chan error, 1)
-	go func() { done <- run(context.Background(), []string{"-version"}) }()
+	go func() { done <- run(context.Background(), []string{"-version"}, &out) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -73,5 +79,8 @@ func TestVersionFlag(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("-version did not exit")
+	}
+	if fp := engine.CatalogFingerprint(); !strings.Contains(out.String(), "catalog "+fp) {
+		t.Fatalf("-version printed %q, want catalog fingerprint %s", out.String(), fp)
 	}
 }

@@ -88,7 +88,7 @@ func submitDistributable(t *testing.T, mgr *engine.Manager, spec sleepSpec, seed
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := mgr.SubmitJob("", spec, seed, &engine.RemoteInfo{WireKind: testKind, Spec: raw, Seed: seed})
+	job, err := mgr.SubmitJobOpts("", spec, seed, engine.SubmitOptions{Remote: &engine.RemoteInfo{WireKind: testKind, Spec: raw, Seed: seed}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -81,7 +80,7 @@ func Catalog() []CatalogEntry {
 func CatalogFingerprint() string {
 	var lines []string
 	for _, e := range Catalog() {
-		line := fmt.Sprintf("%s@v%d", e.Kind, e.Version)
+		line := PinnedKind(e.Kind, e.Version)
 		if e.Deprecated {
 			line += "!"
 		}

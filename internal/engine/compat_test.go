@@ -13,8 +13,8 @@ import (
 // resolve to v1 semantics, canonical encodings and cache keys are unchanged
 // byte for byte, and stored results revive losslessly. This is the
 // regression gate for the acceptance criterion that versioning costs
-// existing payloads nothing; scripts/compat_smoke.sh replays the same corpus
-// against a live gocserve in CI.
+// existing payloads nothing; internal/server's TestWireCorpusServesIdentically
+// replays the same corpus against a fresh server.
 
 type compatEnvelope struct {
 	Envelope  JobEnvelope     `json:"envelope"`

@@ -290,30 +290,14 @@ type SubmitOptions struct {
 	Weight float64
 }
 
-// SubmitJob is the full-control submission with a caller-chosen ID (empty
-// mints one, non-empty reruns under that identity like Resubmit) plus an
-// optional wire identity. The serving layer uses this for every envelope
-// submission.
-func (m *Manager) SubmitJob(id string, spec Spec, seed uint64, remote *RemoteInfo) (*Job, error) {
-	return m.submit(id, spec, seed, SubmitOptions{Remote: remote})
-}
-
-// SubmitJobOpts is SubmitJob plus result prefill (SubmitOptions) — the
-// persistence layer's restart path, which replays the stored completed
-// prefix of an interrupted job so only its missing suffix recomputes.
+// SubmitJobOpts is the full-control submission: a caller-chosen ID plus the
+// optional surface of SubmitOptions. An empty id mints one; a non-empty id
+// reruns under that identity — the persistence layer's restart path, so
+// pre-restart handles and cache entries keep pointing at the right job — and
+// fails if the ID is already tracked. The serving layer uses it for every
+// envelope submission and every rehydration resubmit.
 func (m *Manager) SubmitJobOpts(id string, spec Spec, seed uint64, opts SubmitOptions) (*Job, error) {
 	return m.submit(id, spec, seed, opts)
-}
-
-// Resubmit is Submit with a caller-chosen job ID: the persistence layer uses
-// it to rerun a job that was interrupted mid-run by a restart under its
-// original identity, so pre-restart handles and cache entries keep pointing
-// at the right job. It fails if the ID is already tracked.
-func (m *Manager) Resubmit(id string, spec Spec, seed uint64) (*Job, error) {
-	if id == "" {
-		return nil, errors.New("engine: Resubmit needs a job ID")
-	}
-	return m.submit(id, spec, seed, SubmitOptions{})
 }
 
 func (m *Manager) submit(id string, spec Spec, seed uint64, opts SubmitOptions) (*Job, error) {
@@ -508,19 +492,6 @@ func (m *Manager) Get(id string) (*Job, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
 	return j, nil
-}
-
-// Watch subscribes to the job with the given ID: the returned channel
-// carries status snapshots (coalesced to the latest) and closes after the
-// terminal status is delivered, or when ctx is canceled. A terminal job
-// yields its final status immediately. gocserve's SSE endpoint is a thin
-// adapter over this.
-func (m *Manager) Watch(ctx context.Context, id string) (<-chan Status, error) {
-	j, err := m.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	return j.Watch(ctx), nil
 }
 
 // Close cancels every running job and stops accepting progress.

@@ -24,8 +24,7 @@ import (
 var ErrNoLedger = errors.New("engine: job has no result ledger")
 
 // ErrRangeIncomplete reports a range query for a span not yet fully
-// computed. Callers retry after the watermark passes hi (or use
-// CompletedRanges to see what is available now).
+// computed. Callers retry after the watermark passes hi.
 var ErrRangeIncomplete = errors.New("engine: range not fully computed yet")
 
 // ErrBadRange reports a range query outside the job's task bounds.
@@ -64,24 +63,6 @@ func (l *resultLedger) record(task int, raw json.RawMessage) {
 		l.watermark.Store(int64(wm))
 	}
 	l.mu.Unlock()
-}
-
-// ranges returns the completed spans in normalized (sorted, maximal) form.
-func (l *resultLedger) ranges() []TaskRange {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []TaskRange
-	for i := 0; i < len(l.docs); i++ {
-		if l.docs[i] == nil {
-			continue
-		}
-		lo := i
-		for i < len(l.docs) && l.docs[i] != nil {
-			i++
-		}
-		out = append(out, TaskRange{Lo: lo, Hi: i})
-	}
-	return out
 }
 
 // slice copies out the documents of [lo, hi). The documents themselves are
@@ -136,18 +117,6 @@ func (j *Job) Watermark() int {
 		return 0
 	}
 	return int(j.ledger.watermark.Load())
-}
-
-// CompletedRanges returns the spans of tasks whose encoded results the
-// ledger holds, normalized (sorted by Lo, maximal). Nil for jobs without a
-// ledger. Out-of-order completions make this richer than the watermark: the
-// first range starts at 0 and ends at the watermark, later ranges are
-// islands the prefix has not reached yet.
-func (j *Job) CompletedRanges() []TaskRange {
-	if j.ledger == nil {
-		return nil
-	}
-	return j.ledger.ranges()
 }
 
 // ResultRange returns the encoded task results of [lo, hi). It works

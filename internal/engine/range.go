@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -88,34 +87,6 @@ func ExpandTaskRanges(ranges []TaskRange) []int {
 		for i := r.Lo; i < r.Hi; i++ {
 			out = append(out, i)
 		}
-	}
-	return out
-}
-
-// NormalizeTaskRanges sorts ranges by Lo and merges overlapping or adjacent
-// spans into maximal runs — the canonical form the store's compaction folds
-// per-range records into and the form CompletedRanges reports.
-func NormalizeTaskRanges(ranges []TaskRange) []TaskRange {
-	var live []TaskRange
-	for _, r := range ranges {
-		if r.Len() > 0 {
-			live = append(live, r)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	sort.Slice(live, func(i, k int) bool { return live[i].Lo < live[k].Lo })
-	out := live[:1]
-	for _, r := range live[1:] {
-		last := &out[len(out)-1]
-		if r.Lo <= last.Hi {
-			if r.Hi > last.Hi {
-				last.Hi = r.Hi
-			}
-			continue
-		}
-		out = append(out, r)
 	}
 	return out
 }

@@ -162,7 +162,18 @@ func VersionedKind(kind string, version int) string {
 	if version <= 1 {
 		return kind
 	}
-	return fmt.Sprintf("%s@v%d", kind, version)
+	return PinnedKind(kind, version)
+}
+
+// PinnedKind is the always-pinned wire form "kind@vN" of (kind, version).
+// Unlike VersionedKind, which keeps v1 bare for wire compatibility, it pins
+// v1 too: a bare kind resolves to the *latest* version, so wherever a
+// version is already decided — a job's remote identity on a worker, a
+// stored record's recompute — a bare v1 would silently run under v2
+// semantics the day a v2 registers. Legacy records with version 0 ran v1
+// semantics, so versions below 1 pin v1.
+func PinnedKind(kind string, version int) string {
+	return fmt.Sprintf("%s@v%d", kind, max(version, 1))
 }
 
 // resolvedEntry is a value snapshot of one registry entry, copied out while
@@ -267,9 +278,7 @@ func DecodeSpec(wire string, raw json.RawMessage) (Spec, error) {
 // rather than the wire (records written before versioning carry version 0,
 // which callers map to 1).
 func DecodeSpecAt(kind string, version int, raw json.RawMessage) (Spec, error) {
-	// Pin explicitly — VersionedKind would render v1 as the bare kind, which
-	// the wire resolves to the *latest* version, not to v1.
-	return DecodeSpec(fmt.Sprintf("%s@v%d", kind, max(version, 1)), raw)
+	return DecodeSpec(PinnedKind(kind, version), raw)
 }
 
 // SpecSchema returns the registered schema of a wire kind (nil if the

@@ -40,7 +40,7 @@ import (
 // RemoteInfo is a job's wire identity — what a remote worker needs to
 // recompute any of its tasks. The serving layer (which resolved the envelope
 // and holds the canonical encoding) attaches it at submission via
-// Manager.SubmitJob; jobs without it never leave the local pool.
+// SubmitOptions.Remote; jobs without it never leave the local pool.
 type RemoteInfo struct {
 	// WireKind is the versioned wire name ("learn_sweep", "learn_sweep@v2")
 	// the worker resolves through its own spec registry.

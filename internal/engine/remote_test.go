@@ -53,7 +53,7 @@ func slowSquares(n int) coderFunc {
 // startWireJob submits spec as a distributable job and returns the Job.
 func startWireJob(t *testing.T, mgr *Manager, spec Spec, seed uint64) *Job {
 	t.Helper()
-	job, err := mgr.SubmitJob("", spec, seed, &RemoteInfo{WireKind: spec.Kind(), Spec: json.RawMessage(`{}`), Seed: seed})
+	job, err := mgr.SubmitJobOpts("", spec, seed, SubmitOptions{Remote: &RemoteInfo{WireKind: spec.Kind(), Spec: json.RawMessage(`{}`), Seed: seed}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,8 +75,10 @@ func TestManagerRestore(t *testing.T) {
 	}
 }
 
-// TestManagerResubmit: a resubmitted job runs under its caller-chosen ID
-// and produces the same result a fresh submission would (determinism).
+// TestManagerResubmit: a job resubmitted through SubmitJobOpts runs under
+// its caller-chosen ID and produces the same result a fresh submission
+// would (determinism); a duplicate ID is rejected, and the reused ID
+// advances the mint counter.
 func TestManagerResubmit(t *testing.T) {
 	m := NewManager(New(2))
 	defer m.Close()
@@ -99,7 +101,7 @@ func TestManagerResubmit(t *testing.T) {
 	}
 	want, _ := ref.Result()
 
-	job, err := m.Resubmit("job-33", spec, 11)
+	job, err := m.SubmitJobOpts("job-33", spec, 11, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +115,16 @@ func TestManagerResubmit(t *testing.T) {
 		t.Fatalf("resubmitted result %v != original %v", got, want)
 	}
 
-	if _, err := m.Resubmit("job-33", spec, 11); err == nil {
+	if _, err := m.SubmitJobOpts("job-33", spec, 11, SubmitOptions{}); err == nil {
 		t.Fatal("duplicate resubmit accepted")
 	}
-	if _, err := m.Resubmit("", spec, 11); err == nil {
-		t.Fatal("empty-ID resubmit accepted")
+	// The reused ID advanced the mint counter: fresh jobs never collide.
+	fresh, err := m.Submit(spec, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID() != "job-34" {
+		t.Fatalf("fresh job after a job-33 resubmit minted %s, want job-34", fresh.ID())
 	}
 }
 

@@ -324,10 +324,7 @@ func TestProgressSuppressedAfterFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := m.Watch(context.Background(), job.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := job.Watch(context.Background())
 	var last Status
 	for st := range ch {
 		last = st

@@ -52,10 +52,7 @@ func TestWatchStreamsProgressAndTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := m.Watch(context.Background(), job.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := job.Watch(context.Background())
 
 	var sawRunning, sawProgress bool
 	var last Status
@@ -93,10 +90,7 @@ func TestWatchTerminalJobYieldsFinalStatusImmediately(t *testing.T) {
 	if err := job.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ch, err := m.Watch(context.Background(), job.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := job.Watch(context.Background())
 	st, ok := <-ch
 	if !ok || st.State != StateDone {
 		t.Fatalf("first receive = %+v, %v", st, ok)
@@ -119,10 +113,7 @@ func TestWatchCancelDeliversCanceledStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := m.Watch(context.Background(), job.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := job.Watch(context.Background())
 	job.Cancel()
 	var last Status
 	for st := range ch {
@@ -147,10 +138,7 @@ func TestWatchContextCancelUnsubscribes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	ch, err := m.Watch(ctx, job.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := job.Watch(ctx)
 	cancel()
 	deadline := time.After(5 * time.Second)
 	for {
@@ -166,14 +154,5 @@ func TestWatchContextCancelUnsubscribes(t *testing.T) {
 		case <-deadline:
 			t.Fatal("watch channel never closed after context cancel")
 		}
-	}
-}
-
-// TestWatchUnknownJob mirrors Get's error contract.
-func TestWatchUnknownJob(t *testing.T) {
-	m := NewManager(New(1))
-	defer m.Close()
-	if _, err := m.Watch(context.Background(), "job-404"); err == nil {
-		t.Fatal("watching an unknown job succeeded")
 	}
 }

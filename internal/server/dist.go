@@ -45,26 +45,30 @@ func (s *Server) checkFingerprint(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// pinnedKind is the always-pinned wire form of (kind, version) — unlike
-// engine.VersionedKind, which keeps v1 bare for wire compatibility, a job's
-// remote identity must pin explicitly: a bare kind resolves to *latest* on
-// the worker, which would silently recompute a v1 job under v2 semantics
-// the day a v2 registers. Legacy records with version 0 ran v1 semantics.
-func pinnedKind(kind string, version int) string {
-	if version <= 0 {
-		version = 1
-	}
-	return fmt.Sprintf("%s@v%d", kind, version)
-}
+// MaxRequestBody bounds every JSON request body (/v2/* and /dist/*). The
+// largest bodies the repo's own callers send stay far below it: a full
+// POST /v2/batch is 256 envelopes of a few hundred bytes each unless they
+// inline games, and a gocworker's POST /dist/report carries at most one
+// lease of per-task documents (-lease-tasks, default 256, each under a
+// kilobyte). 8 MiB leaves room for batches of large inline games and for
+// raised lease sizes while keeping a hostile body from being buffered
+// without limit.
+const MaxRequestBody = 8 << 20
 
-// decodeInto decodes a request body into v, rejecting unknown fields. On
-// failure it writes the 400 and reports false. Every handler that reads a
-// JSON body goes through it, so a body-size bound has one place to live.
+// decodeInto decodes a request body into v, rejecting unknown fields and
+// bodies over MaxRequestBody. On failure it writes the 400 (or 413 for an
+// oversized body) and reports false. Every handler that reads a JSON body
+// goes through it.
 func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("decode request: %w", err))
 		return false
 	}
 	return true

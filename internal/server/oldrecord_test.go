@@ -1,10 +1,13 @@
-// Old data-directory tests: a gocserve -data DIR written by a pre-versioning
-// server — job records with no "version" field — must rehydrate through the
-// versioned registry as v1, serve its recorded results byte-identically, and
-// share cache lines with @v1-pinned resubmissions; and a directory holding
-// "pin" lines from the retired flat job API must still boot and shed them.
-// The records come from the golden corpus (internal/engine/testdata), so
-// the on-disk fixture and the unit-level compat gate can never drift apart.
+// Wire-compat tests over the golden corpus (internal/engine/testdata), so
+// the served behavior and the unit-level compat gate can never drift apart.
+// The corpus's PR 2/3-era envelopes must still be served identically by a
+// fresh server: bare kinds and @v1 pins share one cache line and serve
+// byte-identical results, alone or batched. And a gocserve -data DIR written
+// by a pre-versioning server — job records with no "version" field — must
+// rehydrate through the versioned registry as v1, serve its recorded
+// results byte-identically, and share cache lines with @v1-pinned
+// resubmissions; a directory holding "pin" lines from the retired flat job
+// API must still boot and shed them.
 package server_test
 
 import (
@@ -23,6 +26,33 @@ import (
 	"gameofcoins/internal/store"
 )
 
+// wireCorpus is the golden corpus: envelopes as PR 2/3-era clients sent
+// them, and job records as PR 3 wrote them.
+type wireCorpus struct {
+	Envelopes []struct {
+		Envelope engine.JobEnvelope `json:"envelope"`
+	} `json:"envelopes"`
+	// Kept as raw bytes: the records must hit the disk exactly as PR 3
+	// wrote them, not re-marshalled through today's (versioned) types.
+	JobRecords []json.RawMessage `json:"job_records"`
+}
+
+func loadWireCorpus(t *testing.T) wireCorpus {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "engine", "testdata", "wire_corpus.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corp wireCorpus
+	if err := json.Unmarshal(raw, &corp); err != nil {
+		t.Fatal(err)
+	}
+	if len(corp.Envelopes) == 0 || len(corp.JobRecords) == 0 {
+		t.Fatal("corpus is empty")
+	}
+	return corp
+}
+
 // corpusRecord is the part of a golden-corpus job record these tests read
 // back; the raw record itself goes to disk verbatim.
 type corpusRecord struct {
@@ -38,23 +68,8 @@ type corpusRecord struct {
 // corpusRecords loads the golden corpus's pre-versioning job records.
 func corpusRecords(t *testing.T) []corpusRecord {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("..", "engine", "testdata", "wire_corpus.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Keep the records as raw bytes — the fixture must hit the disk exactly
-	// as PR 3 wrote it, not re-marshalled through today's (versioned) types.
-	var corp struct {
-		JobRecords []json.RawMessage `json:"job_records"`
-	}
-	if err := json.Unmarshal(raw, &corp); err != nil {
-		t.Fatal(err)
-	}
-	if len(corp.JobRecords) == 0 {
-		t.Fatal("corpus has no job records")
-	}
-	recs := make([]corpusRecord, 0, len(corp.JobRecords))
-	for _, rec := range corp.JobRecords {
+	var recs []corpusRecord
+	for _, rec := range loadWireCorpus(t).JobRecords {
 		if bytes.Contains(rec, []byte(`"version"`)) {
 			t.Fatalf("corpus record is not pre-versioning: %s", rec)
 		}
@@ -66,6 +81,92 @@ func corpusRecords(t *testing.T) []corpusRecord {
 		recs = append(recs, cr)
 	}
 	return recs
+}
+
+// TestWireCorpusServesIdentically replays the corpus's old-format envelopes
+// against a fresh server with persistence: the catalog still advertises
+// every corpus kind at v1 with a schema, and /healthz agrees with it on the
+// fingerprint; each bare-kind submission (the recorded bytes) runs to done;
+// an @v1 pin of it is a cache hit on the same job serving a byte-identical
+// result body; and the whole corpus sent as one batch is all cache hits
+// with identical bytes.
+func TestWireCorpusServesIdentically(t *testing.T) {
+	corp := loadWireCorpus(t)
+	p := openPersistent(t, t.TempDir(), false)
+	c := client.New(p.URL)
+	ctx := context.Background()
+
+	cat, err := c.Catalog(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1Schema := map[string]bool{}
+	for _, e := range cat.Specs {
+		if e.Version == 1 {
+			v1Schema[e.Kind] = e.Schema != nil
+		}
+	}
+	for _, ce := range corp.Envelopes {
+		if !v1Schema[ce.Envelope.Kind] {
+			t.Fatalf("catalog lost %s@v1 or its schema", ce.Envelope.Kind)
+		}
+	}
+	var hz struct {
+		Fingerprint string `json:"catalog_fingerprint"`
+	}
+	if err := json.Unmarshal(rawGet(t, p.URL+"/healthz"), &hz); err != nil {
+		t.Fatal(err)
+	}
+	if hz.Fingerprint != cat.Fingerprint {
+		t.Fatalf("healthz fingerprint %q != catalog %q", hz.Fingerprint, cat.Fingerprint)
+	}
+
+	results := make([][]byte, len(corp.Envelopes))
+	items := make([]client.BatchItem, len(corp.Envelopes))
+	for i, ce := range corp.Envelopes {
+		env := ce.Envelope
+		h, err := c.Submit(ctx, env.Kind, env.Seed, env.Spec)
+		if err != nil {
+			t.Fatalf("%s: old-format submit rejected: %v", env.Kind, err)
+		}
+		st, err := h.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != engine.StateDone {
+			t.Fatalf("%s: job ended %s: %s", env.Kind, st.State, st.Error)
+		}
+		results[i] = rawGet(t, p.URL+"/v2/jobs/"+h.ID()+"/result")
+
+		pinned, err := c.Submit(ctx, env.Kind, env.Seed, env.Spec, client.AtVersion(1))
+		if err != nil {
+			t.Fatalf("%s: @v1 pin rejected: %v", env.Kind, err)
+		}
+		if !pinned.Submitted.Cached || pinned.Submitted.Status.ID != st.ID {
+			t.Fatalf("%s: @v1 pin missed the bare-kind cache entry (cached=%v job=%s vs %s)",
+				env.Kind, pinned.Submitted.Cached, pinned.Submitted.Status.ID, st.ID)
+		}
+		if got := rawGet(t, p.URL+"/v2/jobs/"+pinned.ID()+"/result"); !bytes.Equal(got, results[i]) {
+			t.Fatalf("%s: result bodies differ between bare and @v1 submissions", env.Kind)
+		}
+		items[i] = client.BatchItem{Kind: env.Kind, Seed: env.Seed, Spec: env.Spec}
+	}
+
+	batch, err := c.SubmitBatch(ctx, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range batch {
+		if r.Err != nil {
+			t.Fatalf("batch item %d (%s): %v", i, items[i].Kind, r.Err)
+		}
+		if !r.Handle.Submitted.Cached {
+			t.Fatalf("batch item %d (%s) recomputed instead of hitting the cache", i, items[i].Kind)
+		}
+		if got := rawGet(t, p.URL+"/v2/jobs/"+r.Handle.ID()+"/result"); !bytes.Equal(got, results[i]) {
+			t.Fatalf("batch item %d (%s): result bytes differ from the single-submit replay", i, items[i].Kind)
+		}
+	}
 }
 
 // forgeDataDir writes a pre-versioning log: per record, its verbatim

@@ -484,7 +484,7 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 	prefill, from := flattenRanges(rec.Tasks, ranges)
 	job, err := s.manager.SubmitJobOpts(rec.ID, spec, rec.Seed, engine.SubmitOptions{
 		Remote: &engine.RemoteInfo{
-			WireKind: pinnedKind(rec.Kind, rec.Version),
+			WireKind: engine.PinnedKind(rec.Kind, rec.Version),
 			Spec:     rec.Spec,
 			Seed:     rec.Seed,
 		},
@@ -709,7 +709,7 @@ func (s *Server) submitEnvelope(env engine.JobEnvelope, client string) (JobHandl
 	// scheduling inputs, invisible to the job's result and cache identity.
 	job, err := s.manager.SubmitJobOpts("", spec, env.Seed, engine.SubmitOptions{
 		Remote: &engine.RemoteInfo{
-			WireKind: pinnedKind(rs.Kind, rs.Version),
+			WireKind: engine.PinnedKind(rs.Kind, rs.Version),
 			Spec:     canonical,
 			Seed:     env.Seed,
 		},

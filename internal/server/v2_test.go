@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -374,6 +375,32 @@ func TestV2BadEnvelopes(t *testing.T) {
 			}
 			if e.Path != c.path {
 				t.Fatalf("path = %q, want %q", e.Path, c.path)
+			}
+		})
+	}
+}
+
+// TestOversizedBodiesAre413: a request body past MaxRequestBody is refused
+// with a JSON 413 on both the client API and the worker protocol, without
+// being buffered whole.
+func TestOversizedBodiesAre413(t *testing.T) {
+	s, _ := v2ServerWith(t)
+	pad := strings.Repeat("a", server.MaxRequestBody)
+	for _, c := range []struct{ name, path, body string }{
+		{"submit", "/v2/jobs", `{"kind":"` + pad + `","seed":1}`},
+		{"dist_report", "/dist/report", `{"worker_id":"` + pad + `"}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413: %.200s", rec.Code, rec.Body.Bytes())
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("413 body is not a JSON error: %v %.200s", err, rec.Body.Bytes())
 			}
 		})
 	}

@@ -5,4 +5,4 @@ package server
 // operator can tell which wire surface a replica serves without submitting
 // anything. Bump it when the HTTP surface changes; the catalog fingerprint
 // tracks spec-registry changes on its own.
-const Version = "0.7.0"
+const Version = "0.7.1"
