@@ -919,8 +919,6 @@ func (s *Server) retractCacheLocked(job *engine.Job) {
 	}
 }
 
-// ---- versioned spec catalog, envelopes, handles, batch, SSE ----
-
 // handleListSpecs serves the full spec catalog: every registered
 // kind@version with its JSON-Schema and latest/deprecated flags, the
 // catalog fingerprint, and — kept for older clients — the flat kind list.
@@ -1242,7 +1240,7 @@ func writeResultRange(w http.ResponseWriter, job *engine.Job, rng string) {
 // contiguous-prefix watermark advances — its data is {"id","lo","hi"}, the
 // newly completed task span, fetchable immediately via ?range=lo-hi — and a
 // final "end" event carrying the terminal status, after which the stream
-// closes. Backed by engine.Manager.Watch.
+// closes. Backed by engine.Job.Watch.
 //
 // Each event carries an "id:" line holding "done.watermark" — the snapshot's
 // progress counter and the ledger watermark it reflects — so a client that
