@@ -1,13 +1,10 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"gameofcoins/internal/dist"
-	"gameofcoins/internal/engine"
 )
 
 // The /dist endpoints are the coordinator's wire surface — gocworker's whole
@@ -23,56 +20,6 @@ import (
 //	                   or expired lease (the worker drops it)
 //
 // The fleet itself is observable in GET /healthz under "dist".
-
-// FingerprintHeader optionally pins a /v2 submission to a catalog
-// fingerprint: a client that captured the catalog once can assert every
-// later submission still targets the same spec surface, and a mismatch
-// (server upgraded, client pointed at a different replica) is refused with
-// 409 instead of silently resolving kinds against a drifted catalog.
-const FingerprintHeader = "X-Catalog-Fingerprint"
-
-// checkFingerprint enforces FingerprintHeader when present; it reports
-// false after writing the 409.
-func (s *Server) checkFingerprint(w http.ResponseWriter, r *http.Request) bool {
-	fp := r.Header.Get(FingerprintHeader)
-	if fp == "" || fp == engine.CatalogFingerprint() {
-		return true
-	}
-	writeJSON(w, http.StatusConflict, map[string]string{
-		"error":       fmt.Sprintf("catalog fingerprint mismatch: client pinned %s, server serves %s", fp, engine.CatalogFingerprint()),
-		"fingerprint": engine.CatalogFingerprint(),
-	})
-	return false
-}
-
-// MaxRequestBody bounds every JSON request body (/v2/* and /dist/*). The
-// largest bodies the repo's own callers send stay far below it: a full
-// POST /v2/batch is 256 envelopes of a few hundred bytes each unless they
-// inline games, and a gocworker's POST /dist/report carries at most one
-// lease of per-task documents (-lease-tasks, default 256, each under a
-// kilobyte). 8 MiB leaves room for batches of large inline games and for
-// raised lease sizes while keeping a hostile body from being buffered
-// without limit.
-const MaxRequestBody = 8 << 20
-
-// decodeInto decodes a request body into v, rejecting unknown fields and
-// bodies over MaxRequestBody. On failure it writes the 400 (or 413 for an
-// oversized body) and reports false. Every handler that reads a JSON body
-// goes through it.
-func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, fmt.Errorf("decode request: %w", err))
-		return false
-	}
-	return true
-}
 
 func (s *Server) handleDistJoin(w http.ResponseWriter, r *http.Request) {
 	var req dist.JoinRequest
