@@ -16,11 +16,11 @@ import (
 // tables, the log sees the same total order. A no-op without a store.
 //
 // After Close has stopped the drain, the op runs inline instead (callers at
-// that point — watchJob goroutines recording a job that finished during
-// shutdown — are already off the request path). A write that slips through
-// the remaining hairline race is only ever a terminal record, and losing
-// one is benign: the record stays "submitted" and the next life recomputes
-// the identical result.
+// that point — watchJob followers of jobs that ended during shutdown — are
+// already off the request path). A write that slips through the remaining
+// hairline race is only ever a follower's range span or terminal record,
+// and losing one is benign: the record stays "submitted" and the next life
+// recomputes the identical result.
 func (s *Server) enqueuePersist(op func() error) {
 	if s.store == nil {
 		return

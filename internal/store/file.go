@@ -251,10 +251,7 @@ func (s *File) maybeCompactLocked() error {
 	// Overshooting the job-record cap also forces a compaction (which is
 	// what evicts records); the quarter-cap hysteresis keeps a store sitting
 	// at the cap from recompacting on every insert.
-	limit := s.MaxJobs
-	if limit <= 0 {
-		limit = DefaultMaxJobRecords
-	}
+	limit := s.maxJobs()
 	overCap := len(s.snap.Jobs) > limit+limit/4
 	live := len(s.snap.Games) + len(s.snap.Jobs) + len(s.snap.Handles)
 	for _, recs := range s.snap.Ranges {
@@ -271,7 +268,7 @@ func (s *File) maybeCompactLocked() error {
 // terminal records past MaxJobs are dropped (submitted records always
 // survive — they are what restart recovery reruns).
 func (s *File) compactLocked() error {
-	s.dropExcessJobsLocked()
+	s.snap.dropExcessJobs(s.maxJobs())
 	tmpPath := s.logPath() + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -361,14 +358,12 @@ func (s *File) compactLocked() error {
 	return nil
 }
 
-// dropExcessJobsLocked enforces the job-record cap (and the handle GC that
-// rides along) on the live snapshot before it is written out.
-func (s *File) dropExcessJobsLocked() {
-	limit := s.MaxJobs
-	if limit <= 0 {
-		limit = DefaultMaxJobRecords
+// maxJobs resolves MaxJobs: positive overrides DefaultMaxJobRecords.
+func (s *File) maxJobs() int {
+	if s.MaxJobs > 0 {
+		return s.MaxJobs
 	}
-	s.snap.dropExcessJobs(limit)
+	return DefaultMaxJobRecords
 }
 
 func sortedKeys[V any](m map[string]V) []string {
