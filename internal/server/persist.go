@@ -113,9 +113,7 @@ func (s *Server) rehydrate(failInterrupted bool) error {
 	// last.
 	var watch []watchStart
 	for _, rec := range jobs {
-		if w, ok := s.rehydrateJob(rec, failInterrupted, snap.Ranges[rec.ID]); ok {
-			watch = append(watch, w)
-		}
+		watch = append(watch, s.rehydrateJob(rec, failInterrupted, snap.Ranges[rec.ID])...)
 	}
 	handles := make([]string, 0, len(snap.Handles))
 	for h := range snap.Handles {
@@ -159,9 +157,8 @@ type watchStart struct {
 // spec and seed deterministically recompute the result, so nothing is
 // destroyed. Nothing here is fatal: a record that cannot be revived at all
 // (kind no longer registered, corrupt spec) becomes a failed job that says
-// why, not a startup abort. ok reports a recomputing job whose follower the
-// caller must start.
-func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, ranges []store.RangeRecord) (w watchStart, ok bool) {
+// why, not a startup abort.
+func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, ranges []store.RangeRecord) []watchStart {
 	switch rec.State {
 	case store.JobDone:
 		res, err := engine.DecodeResult(rec.Kind, rec.Version, rec.Result)
@@ -184,7 +181,7 @@ func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, ranges 
 	case store.JobSubmitted:
 		return s.recomputeJob(rec, failInterrupted, "interrupted by server restart", ranges)
 	}
-	return w, false
+	return nil
 }
 
 // flattenRanges turns persisted range records into a task-indexed document
@@ -216,27 +213,28 @@ func flattenRanges(tasks int, ranges []store.RangeRecord) (map[int]json.RawMessa
 // tasks actually recomputes — and determinism makes the reassembled result
 // byte-identical to an uninterrupted run. With failInterrupted set (or when
 // the spec itself cannot be revived) the job is restored as failed instead,
-// with reason explaining why. A recomputing job's follower (ok) must be
-// started by the caller once rehydration has finished building the tables.
-func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason string, ranges []store.RangeRecord) (w watchStart, ok bool) {
-	restoreFailed := func(msg string) (watchStart, bool) {
+// with reason explaining why. The returned watchStart (if any) must be
+// attached by the caller once rehydration has finished building the tables.
+func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason string, ranges []store.RangeRecord) []watchStart {
+	restoreFailed := func(msg string) {
 		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, engine.StateFailed, msg); err == nil {
 			rec.State = store.JobFailed
 			rec.Error = msg
 			rec.Result = nil
 			s.persistJob(rec)
 		}
-		return w, false
 	}
 	if failInterrupted {
-		return restoreFailed(reason)
+		restoreFailed(reason)
+		return nil
 	}
 	// Records written before the catalog redesign carry no version (0);
 	// DecodeSpecAt maps that to v1, the pre-versioning wire format, so old
 	// data directories recompute under exactly the semantics they ran with.
 	spec, err := engine.DecodeSpecAt(rec.Kind, rec.Version, rec.Spec)
 	if err != nil {
-		return restoreFailed(fmt.Sprintf("%s; not recomputable: %v", reason, err))
+		restoreFailed(fmt.Sprintf("%s; not recomputable: %v", reason, err))
+		return nil
 	}
 	// Persisted ranges become the engine's prefill: the decoded documents
 	// land in the new job's results and ledger before any task runs, so the
@@ -251,7 +249,8 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 		Prefill: prefill,
 	})
 	if err != nil {
-		return restoreFailed(fmt.Sprintf("%s; not recomputable: %v", reason, err))
+		restoreFailed(fmt.Sprintf("%s; not recomputable: %v", reason, err))
+		return nil
 	}
 	// Back to "submitted" in the store too, so a crash during the recompute
 	// is itself recoverable (and the stale result document is dropped).
@@ -261,7 +260,7 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 	s.persistJob(rec)
 	//goclint:allow lockguard -- pre-publication: recomputeJob runs under rehydrate before the server is shared
 	s.cache[rec.Key] = rec.ID
-	return watchStart{job: job, rec: rec, spec: spec, from: from}, true
+	return []watchStart{{job: job, rec: rec, spec: spec, from: from}}
 }
 
 // idLess orders prefixed sequence IDs ("job-2" < "job-10") by mint age
