@@ -161,9 +161,8 @@ type (
 	SpecSchema = engine.Schema
 	// SpecCatalogEntry is one (kind, version) of the spec catalog.
 	SpecCatalogEntry = engine.CatalogEntry
-	// TaskRange is a half-open span [Lo, Hi) of task indices — the one
-	// range representation the result data plane uses end to end: lease
-	// spans, completed-result ranges, ?range=lo-hi queries, store records.
+	// TaskRange is a half-open span [Lo, Hi) of task indices: the
+	// ?range=lo-hi query of a job's result ledger.
 	TaskRange = engine.TaskRange
 	// JobHandle is the v2 wire form of a per-client job handle: one client's
 	// reference-counted claim on a deduplicated server-side job.

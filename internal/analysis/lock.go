@@ -86,7 +86,7 @@ func mutexNode(info *types.Info, expr ast.Expr) string {
 }
 
 // mutexKey identifies a held mutex within one function body: the printed
-// expression ("s.mu", "j.pmu") so distinct receivers stay distinct locally.
+// expression ("s.mu", "j.mu") so distinct receivers stay distinct locally.
 func mutexKey(expr ast.Expr) string { return types.ExprString(expr) }
 
 // namedRecv unwraps a selection receiver type to its named-type name.

@@ -53,22 +53,16 @@ type leaseState struct {
 	id       string
 	workerID string
 	run      uint64
-	// ranges holds the leased spans in lease order — the engine's shared
-	// TaskRange representation; the flat index list the wire carries is
-	// expanded at the protocol boundary.
-	ranges   []engine.TaskRange
+	tasks    []int        // leased indices in lease order, as the wire carries them
 	reported map[int]bool // leased indices → already forwarded to the engine
 	deadline time.Time
 	closed   bool
 }
 
-// taskList expands the lease's ranges into the flat index list, lease order.
-func (l *leaseState) taskList() []int { return engine.ExpandTaskRanges(l.ranges) }
-
 // remaining returns the leased indices not yet reported, in lease order.
 func (l *leaseState) remaining() []int {
 	var out []int
-	for _, t := range l.taskList() {
+	for _, t := range l.tasks {
 		if !l.reported[t] {
 			out = append(out, t)
 		}
@@ -149,15 +143,14 @@ func (c *Coordinator) Lease(req LeaseRequest) (*Lease, error) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	tasks := rl.TaskList()
 	c.nextLease++
 	c.granted++
 	ls := &leaseState{
 		id:       fmt.Sprintf("l-%d", c.nextLease),
 		workerID: req.WorkerID,
 		run:      rl.Run,
-		ranges:   rl.Ranges,
-		reported: make(map[int]bool, len(tasks)),
+		tasks:    rl.Tasks,
+		reported: make(map[int]bool, len(rl.Tasks)),
 		deadline: time.Now().Add(c.cfg.LeaseTTL),
 	}
 	c.leases[ls.id] = ls
@@ -167,7 +160,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (*Lease, error) {
 		Kind:      rl.Wire.WireKind,
 		Spec:      rl.Wire.Spec,
 		Seed:      rl.Wire.Seed,
-		Tasks:     tasks,
+		Tasks:     rl.Tasks,
 		TTLMillis: c.cfg.LeaseTTL.Milliseconds(),
 	}, nil
 }
@@ -190,9 +183,8 @@ func (c *Coordinator) Report(rep ReportRequest) (ReportResponse, error) {
 	// Filter to this lease's not-yet-forwarded indices before touching the
 	// engine, so a duplicated or malformed report cannot double-decrement
 	// the engine's leased accounting.
-	leased := ls.taskList()
-	inLease := make(map[int]bool, len(leased))
-	for _, t := range leased {
+	inLease := make(map[int]bool, len(ls.tasks))
+	for _, t := range ls.tasks {
 		inLease[t] = true
 	}
 	fresh := make(map[int]json.RawMessage, len(rep.Results))

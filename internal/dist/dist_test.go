@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -79,6 +80,29 @@ func init() {
 }
 
 const testKind = "dist_test_sleep@v1"
+
+// badEncodeSpec is sleepSpec whose task 3 result cannot be encoded: a
+// TaskCoder failure, not a task error.
+type badEncodeSpec struct{ sleepSpec }
+
+func (badEncodeSpec) Kind() string { return "dist_test_badenc" }
+
+func (s badEncodeSpec) EncodeTaskResult(res any) (json.RawMessage, error) {
+	if t, ok := res.(sleepTask); ok && t.Index == 3 {
+		return nil, errors.New("unencodable result")
+	}
+	return s.sleepSpec.EncodeTaskResult(res)
+}
+
+func init() {
+	engine.RegisterSpec("dist_test_badenc", 1, func(raw json.RawMessage) (engine.Spec, error) {
+		var s badEncodeSpec
+		if err := json.Unmarshal(raw, &s); err != nil {
+			return nil, err
+		}
+		return s, nil
+	}, nil)
+}
 
 // submitDistributable submits spec as a distributable job, the way the
 // server does: canonical spec document + pinned wire kind + seed.
@@ -412,4 +436,69 @@ func TestDistributedDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEncodeFailureFailsTask: a task whose result fails to encode fails its
+// job the same way wherever the task ran — on the coordinator's own pool or
+// on a dist.Local runner — instead of the job ending done with a hole in
+// its result ledger.
+func TestEncodeFailureFailsTask(t *testing.T) {
+	spec := badEncodeSpec{sleepSpec{NTasks: 8}}
+	// wantEncodeFailure also checks the error names where the task failed.
+	wantEncodeFailure := func(t *testing.T, job *engine.Job, where string) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		err := job.Wait(ctx)
+		if st := job.Status(); st.State != engine.StateFailed || err == nil ||
+			!strings.Contains(err.Error(), "encode") || !strings.Contains(err.Error(), where) {
+			t.Fatalf("job ended %s (err %v), want failed with an encode error from %q", st.State, err, where)
+		}
+	}
+
+	t.Run("local", func(t *testing.T) {
+		mgr := engine.NewManager(engine.New(2))
+		defer mgr.Close()
+		job, err := mgr.Submit(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEncodeFailure(t, job, "dist_test_badenc task 3")
+	})
+
+	t.Run("remote", func(t *testing.T) {
+		eng := engine.New(1)
+		mgr := engine.NewManager(eng)
+		defer mgr.Close()
+		// Hold the only local worker, so every task of the job runs on the
+		// remote runner.
+		started, release := make(chan struct{}), make(chan struct{})
+		defer close(release)
+		if _, err := mgr.Submit(engine.Func{Name: "blocker", N: 1, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
+			close(started)
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return nil, nil
+		}}, 1); err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		coord := New(eng, Config{PollInterval: time.Millisecond})
+		defer coord.Close()
+		rctx, rcancel := context.WithCancel(context.Background())
+		defer rcancel()
+		go (&Runner{Transport: Local(coord), Workers: 1}).Run(rctx)
+
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := mgr.SubmitJobOpts("", spec, 1, engine.SubmitOptions{Remote: &engine.RemoteInfo{WireKind: "dist_test_badenc@v1", Spec: raw, Seed: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEncodeFailure(t, job, "remote task")
+	})
 }

@@ -14,8 +14,10 @@
 // The engine layers:
 //
 //	Spec     — a typed, deterministic job (LearnSweep, DesignSweep, …)
-//	Engine   — runs Specs over a shared size-aware work-stealing dispatcher
-//	Manager  — asynchronous job submission, status, cancellation (gocserve)
+//	Job      — one job's record: state, progress, result ledger, outcome
+//	Engine   — runs each Job over a shared size-aware work-stealing
+//	           dispatcher, publishing every task completion into it
+//	Manager  — tracks Jobs by ID for asynchronous submission (gocserve)
 //
 // Scheduling is size-aware and fair: specs that implement Sizer have their
 // tasks ordered longest-processing-time-first (so a fat straggler starts
@@ -32,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"gameofcoins/internal/rng"
@@ -76,7 +79,8 @@ type Progress struct {
 	Queued  int `json:"queued,omitempty"`
 	// Watermark is the contiguous completed prefix of the job's result
 	// ledger: every task below it has its encoded result recorded. Zero for
-	// jobs without a ledger (specs that are not TaskCoders, restored jobs).
+	// jobs without a ledger: Engine.Run jobs, specs that are not TaskCoders,
+	// and restored jobs with no persisted results.
 	Watermark int `json:"watermark,omitempty"`
 }
 
@@ -107,10 +111,9 @@ type Engine struct {
 	remoteDone     uint64              // guarded by mu
 	remoteRequeued uint64              // guarded by mu
 
-	// Admission-control quota (SetClientShares): the default cap on any one
-	// client's share of total in-flight cost, plus per-client overrides.
-	shareDefault  float64            // guarded by mu
-	shareOverride map[string]float64 // guarded by mu
+	// share is the admission-control quota (SetClientShare): the cap on any
+	// one client's share of total in-flight cost, 0 when uncapped.
+	share float64 // guarded by mu
 }
 
 // New returns an engine with the given worker count; workers <= 0 selects
@@ -136,42 +139,36 @@ func (e *Engine) Workers() int { return e.workers }
 // the failure, otherwise the cancellation wrapped as "engine: <kind>: …"
 // (errors.Is(err, context.Canceled) still holds).
 func (e *Engine) Run(ctx context.Context, spec Spec, seed uint64, onProgress func(Progress)) (any, error) {
-	return e.run(ctx, spec, seed, runOpts{onProgress: onProgress})
+	r, err := e.newRun(ctx, spec, seed, SubmitOptions{}, false)
+	if err != nil {
+		return nil, err
+	}
+	r.onProgress = onProgress
+	j := r.job
+	e.start(r)
+	<-j.finished
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	switch j.state {
+	case StateCanceled:
+		return nil, fmt.Errorf("engine: %s: %w", spec.Kind(), ctx.Err())
+	case StateFailed:
+		return nil, j.err
+	}
+	return j.result, nil
 }
 
-// runOpts carries Run's optional hooks — the full-control surface the
-// Manager wires for serving-layer jobs.
-type runOpts struct {
-	// onProgress is invoked after each completed task (see Run).
-	onProgress func(Progress)
-	// remote, when non-nil and the spec implements TaskCoder, publishes the
-	// job to the remote task source (remote.go) so a coordinator can lease
-	// chunks of it to workers.
-	remote *RemoteInfo
-	// prefill seeds already-computed task results by index (TaskCoder wire
-	// form) — the restart path, where the store replayed the completed
-	// prefix of an interrupted job. Valid entries are published before the
-	// first task runs and their indices never enter the pending deque, so
-	// only the missing suffix recomputes; entries that fail to decode are
-	// recomputed instead. Ignored unless the spec implements TaskCoder.
-	prefill map[int]json.RawMessage
-	// onTask, when non-nil and the spec implements TaskCoder, receives every
-	// published task result in its encoded wire form — the feed the result
-	// ledger is built from. Invocations are serialized (the publication
-	// locks) but arrive in completion order, not index order. A result whose
-	// encoding fails is published to the job but not delivered here.
-	onTask func(task int, raw json.RawMessage)
-	// client names the submitting tenant for per-client quota accounting
-	// ("" = anonymous); weight scales the job's urgency in fair-share
-	// comparisons (<= 0 means the default 1.0). Both bias scheduling order
-	// only and can never reach results.
-	client string
-	weight float64
-}
+// errHalted is the cancellation cause a run gives its own context when a task
+// fails, so retire can tell that from a cancellation that came from outside.
+var errHalted = errors.New("engine: run halted by a task error")
 
-// run is Run plus the optional remote wire identity, result prefill, and
-// per-task ledger hook (see runOpts).
-func (e *Engine) run(ctx context.Context, spec Spec, seed uint64, ro runOpts) (any, error) {
+// newRun is the one constructor behind Engine.Run and Manager submissions.
+// It validates spec and bounds its task count, then builds the Job and the
+// run that computes it; start hands the run to the dispatcher. ledger gives
+// a TaskCoder spec's job a result ledger, which is also what lets the job
+// take a prefill and leave the machine (opts.Prefill, opts.Remote): Manager
+// jobs keep one, Engine.Run jobs do not, so their results are never encoded.
+func (e *Engine) newRun(ctx context.Context, spec Spec, seed uint64, opts SubmitOptions, ledger bool) (*runJob, error) {
 	if v, ok := spec.(Validator); ok {
 		if err := v.Validate(); err != nil {
 			return nil, fmt.Errorf("engine: invalid %s spec: %w", spec.Kind(), err)
@@ -182,138 +179,115 @@ func (e *Engine) run(ctx context.Context, spec Spec, seed uint64, ro runOpts) (a
 		return nil, fmt.Errorf("engine: %s spec reports %d tasks", spec.Kind(), n)
 	}
 	if n > MaxTasksPerJob {
-		// The per-task results slice is allocated up front; an absurd task
+		// The per-task bookkeeping is allocated up front; an absurd task
 		// count (e.g. from an unauthenticated gocserve request) must fail
-		// the job, not OOM the process.
+		// the submission, not OOM the process.
 		return nil, fmt.Errorf("engine: %s spec reports %d tasks, cap is %d", spec.Kind(), n, MaxTasksPerJob)
 	}
-	// The ctx gate must precede the n == 0 early return: a zero-task spec
-	// under an already-canceled context is a canceled job, not a success.
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("engine: %s: %w", spec.Kind(), err)
-	}
-	if n == 0 {
-		return aggregate(spec, nil)
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	j := &runJob{
-		spec:   spec,
-		n:      n,
-		ctx:    cctx,
-		cancel: cancel,
+	// Until the first task completes, the whole job is queue: the scheduler
+	// snapshot starts at (running 0, queued n).
+	j := &Job{kind: spec.Kind(), total: n, state: StateRunning, queued: n, finished: make(chan struct{})}
+	r := &runJob{
+		job:  j,
+		spec: spec,
 		// Fork is a pure function of (parent state, index) and never mutates
 		// the parent, so workers fork lazily from the shared base: concurrent
 		// reads of immutable state, no per-task pre-allocation.
-		base:       rng.New(seed),
-		results:    make([]any, n),
-		onProgress: ro.onProgress,
-		pending:    orderTasks(spec, n),
-		finished:   make(chan struct{}),
+		base:    rng.New(seed),
+		pending: orderTasks(spec, n),
+		costKey: spec.Kind(),
+		client:  opts.Client,
+		weight:  opts.Weight,
 	}
-	j.sizer, _ = spec.(Sizer)
-	j.costKey = spec.Kind()
-	j.client = ro.client
-	j.weight = ro.weight
-	if coder, ok := spec.(TaskCoder); ok {
-		j.coder = coder
-		j.onTask = ro.onTask
+	if n > 0 {
+		r.results = make([]any, n)
 	}
-	if ro.remote != nil {
-		j.costKey = ro.remote.WireKind
-		if j.coder != nil {
-			j.wire = ro.remote
-		}
+	r.ctx, r.cancel = context.WithCancelCause(ctx)
+	r.sizer, _ = spec.(Sizer)
+	j.run = r
+	if opts.Remote != nil {
+		r.costKey = opts.Remote.WireKind
 	}
-	e.prefill(j, ro.prefill)
-	e.enqueue(j)
-	// An entirely prefilled job has an empty deque and nothing in flight:
-	// no worker will ever pull from it, so retire it here. (finishIfIdle
-	// reports true exactly once, so racing a worker that drained a partial
-	// prefill in the meantime is safe.)
-	if len(ro.prefill) > 0 {
-		e.mu.Lock()
-		finished := e.finishIfIdleLocked(j)
-		e.mu.Unlock()
-		if finished {
-			close(j.finished)
-		}
+	coder, ok := spec.(TaskCoder)
+	if !ok || !ledger || n == 0 {
+		return r, nil
 	}
-	go func() {
-		select {
-		case <-cctx.Done():
-			e.haltJob(j)
-		case <-j.finished:
-		}
-	}()
-	<-j.finished
-
-	j.pmu.Lock()
-	firstErr := j.firstErr
-	j.pmu.Unlock()
-	// Prefer the task error that doomed the job over the cancellation it
-	// triggered — unless the "error" is itself the cancellation, in which
-	// case report the canceled ctx with the same engine/kind wrapping.
-	if firstErr != nil && !errors.Is(firstErr, context.Canceled) && !errors.Is(firstErr, context.DeadlineExceeded) {
-		return nil, firstErr
+	r.coder = coder
+	j.docs = make([]json.RawMessage, n)
+	r.wire = opts.Remote
+	if len(opts.Prefill) == 0 {
+		return r, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("engine: %s: %w", spec.Kind(), err)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return aggregate(spec, j.results)
-}
-
-// prefill publishes already-computed task results before the job is
-// enqueued: valid entries land in the results slice and the done bitmap, and
-// their indices are filtered out of the pending deque, so the dispatcher
-// only ever runs the missing tasks. Entries that fail to decode — or any
-// prefill on a spec without a TaskCoder — are dropped and recomputed, which
-// is always correct (determinism makes the recomputed value identical).
-// The job is not yet published, so no locks are needed.
-func (e *Engine) prefill(j *runJob, fill map[int]json.RawMessage) {
-	if len(fill) == 0 || j.coder == nil {
-		return
-	}
-	filled := 0
-	for i := 0; i < j.n; i++ {
-		raw, ok := fill[i]
+	// Restart prefill: already-computed results are published before the
+	// run starts and their indices leave the deque, so only the missing
+	// tasks run. An entry that fails to decode is recomputed instead, which
+	// is always correct (determinism makes the recomputed value identical).
+	// Decoding is the spec's code, so it runs outside the job mutex.
+	for i := range n {
+		raw, ok := opts.Prefill[i]
 		if !ok {
 			continue
 		}
-		out, err := j.coder.DecodeTaskResult(raw)
-		if err != nil {
-			continue
-		}
-		if j.doneTask == nil {
-			j.doneTask = make([]bool, j.n)
-		}
-		j.doneTask[i] = true
-		j.results[i] = out
-		j.done++
-		filled++
-		if j.onTask != nil {
-			j.onTask(i, raw)
+		if out, err := coder.DecodeTaskResult(raw); err == nil {
+			j.mu.Lock()
+			j.publishLocked(e, r, i, out, raw, false)
+			j.mu.Unlock()
 		}
 	}
-	if filled == 0 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	r.pending = slices.DeleteFunc(r.pending, func(i int) bool { return j.docs[i] != nil })
+	j.queued = len(r.pending)
+	return r, nil
+}
+
+// start hands a new run to the dispatcher. A run with nothing to do — zero
+// tasks, every task prefilled, or a context canceled already — retires at
+// once on the caller's goroutine.
+func (e *Engine) start(r *runJob) {
+	if r.ctx.Err() == nil && len(r.pending) > 0 {
+		e.enqueue(r)
 		return
 	}
-	kept := j.pending[:0]
-	for _, i := range j.pending {
-		if !j.doneTask[i] {
-			kept = append(kept, i)
+	r.retire()
+}
+
+// retire finishes the job of a run that has left the dispatcher: its caller
+// got true from finishIfIdleLocked, or start had nothing to enqueue. It runs
+// on whichever goroutine that was — a worker, a remote report, the halt
+// hook, the submitter — and aggregates there, so no goroutine waits on a
+// job. The task error that doomed a job wins over the cancellation it
+// triggered; a cancellation from outside (the caller's context, Job.Cancel,
+// Manager.Close) otherwise ends the job canceled.
+func (r *runJob) retire() {
+	if r.stop != nil {
+		r.stop()
+	}
+	external := r.ctx.Err() != nil && context.Cause(r.ctx) != errHalted
+	r.cancel(errHalted) // release the run's context from its parent
+	j := r.job
+	j.mu.Lock()
+	err := j.err
+	j.mu.Unlock()
+	var res any
+	state := StateFailed
+	switch {
+	case err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
+		// A real task error wins; one that is itself a cancellation fails
+		// the job only if nothing outside canceled it.
+	case external:
+		state, err = StateCanceled, context.Canceled
+	case err == nil:
+		if res, err = aggregate(r.spec, r.results); err == nil {
+			state = StateDone
 		}
 	}
-	j.pending = kept
+	j.finish(state, res, err)
 }
 
 // runTask and aggregate convert spec panics into job errors: a bad spec
 // must fail its own job, never crash the process hosting the engine (a
-// panic in a Manager job goroutine is otherwise unrecoverable).
+// panic on a worker goroutine is otherwise unrecoverable).
 func runTask(ctx context.Context, spec Spec, i int, r *rng.Rand) (out any, err error) {
 	defer func() {
 		if p := recover(); p != nil {

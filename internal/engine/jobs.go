@@ -8,14 +8,14 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // State is a job lifecycle state.
 type State string
 
-// Job lifecycle states. A job moves Pending → Running → one of the terminal
-// states {Done, Failed, Canceled}.
+// Job lifecycle states. An engine job is Running from submission until it
+// reaches one of the terminal states {Done, Failed, Canceled}; the engine
+// never reports Pending.
 const (
 	StatePending  State = "pending"
 	StateRunning  State = "running"
@@ -41,34 +41,42 @@ type Status struct {
 	Cached   bool     `json:"cached,omitempty"`
 }
 
-// Job is an asynchronous engine run managed by a Manager.
+// Job is one engine job's record: identity, progress counters, result
+// ledger, and outcome. While the job runs it also points at its run — the
+// dispatcher state (spec, rng base, per-task results, deque) every task
+// completion is published from — and drops it on finishing, so a terminal
+// Job keeps only the record. A Manager tracks Jobs by ID; Engine.Run builds
+// an untracked one.
 type Job struct {
-	id    string
-	kind  string
-	total int
+	id       string
+	kind     string
+	total    int
+	finished chan struct{}
 
-	done atomic.Int64
-	// running and queued mirror the dispatcher's view as of the last
-	// completed task (see Progress); statusLocked zeroes them once the job
-	// is terminal.
-	running atomic.Int64
-	queued  atomic.Int64
-	cancel  context.CancelFunc
-
-	mu     sync.Mutex
-	state  State // guarded by mu
+	mu    sync.Mutex
+	state State // guarded by mu
+	// result and err are the outcome. While the job runs, err holds the
+	// first task error (publishLocked stops once the run halts); only a
+	// terminal status reports it.
 	result any   // guarded by mu
 	err    error // guarded by mu
-	// watchers holds the live Watch channels; finish delivers the terminal
-	// status to each and closes it, then nils the map.
-	watchers map[chan Status]struct{} // guarded by mu
-
-	// ledger records every published task result in wire form (ledger.go).
-	// Set once at submission for TaskCoder specs, nil otherwise; retained
-	// after completion so range GETs keep working on terminal jobs.
-	ledger *resultLedger
-
-	finished chan struct{}
+	// done counts published tasks; running and queued are the dispatcher's
+	// view as of the last publication (see Progress), and statusLocked
+	// omits them once the job is terminal.
+	done    int // guarded by mu
+	running int // guarded by mu
+	queued  int // guarded by mu
+	// docs is the result ledger (ledger.go): every published task result in
+	// its TaskCoder wire form, by index; nil for jobs without one. watermark
+	// is its contiguous completed prefix.
+	docs      []json.RawMessage // guarded by mu
+	watermark int               // guarded by mu
+	// watchers holds the live Watch channels, each with the stop func of its
+	// context hook (nil for a context that never ends); finish delivers the
+	// terminal status to each and closes it, then nils the map.
+	watchers map[chan Status]func() bool // guarded by mu
+	// run is the job's dispatcher state while it runs; nil once terminal.
+	run *runJob // guarded by mu
 }
 
 // ID returns the job's manager-unique identifier.
@@ -86,16 +94,12 @@ func (j *Job) statusLocked() Status {
 		ID:       j.id,
 		Kind:     j.kind,
 		State:    j.state,
-		Progress: Progress{Done: int(j.done.Load()), Total: j.total},
+		Progress: Progress{Done: j.done, Total: j.total, Watermark: j.watermark},
 	}
 	if !j.state.Terminal() {
-		st.Progress.Running = int(j.running.Load())
-		st.Progress.Queued = int(j.queued.Load())
-	}
-	if j.ledger != nil {
-		st.Progress.Watermark = int(j.ledger.watermark.Load())
-	}
-	if j.err != nil {
+		st.Progress.Running = j.running
+		st.Progress.Queued = j.queued
+	} else if j.err != nil {
 		st.Error = j.err.Error()
 	}
 	return st
@@ -110,28 +114,22 @@ func (j *Job) statusLocked() Status {
 func (j *Job) Watch(ctx context.Context) <-chan Status {
 	ch := make(chan Status, 1)
 	j.mu.Lock()
-	st := j.statusLocked()
-	if st.State.Terminal() {
-		j.mu.Unlock()
-		ch <- st
+	defer j.mu.Unlock()
+	offer(ch, j.statusLocked())
+	if j.state.Terminal() {
 		close(ch)
 		return ch
 	}
-	if j.watchers == nil {
-		j.watchers = map[chan Status]struct{}{}
-	}
-	j.watchers[ch] = struct{}{}
-	offer(ch, st)
-	j.mu.Unlock()
+	// A hook, not a goroutine: context.AfterFunc runs unwatch only if ctx
+	// ends first, and finish unregisters it when the job ends.
+	var stop func() bool
 	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				j.unwatch(ch)
-			case <-j.finished:
-			}
-		}()
+		stop = context.AfterFunc(ctx, func() { j.unwatch(ch) })
 	}
+	if j.watchers == nil {
+		j.watchers = map[chan Status]func() bool{}
+	}
+	j.watchers[ch] = stop
 	return ch
 }
 
@@ -153,16 +151,6 @@ func offer(ch chan Status, st Status) {
 	}
 }
 
-// notifyWatchers publishes the current status to every watcher.
-func (j *Job) notifyWatchers() {
-	j.mu.Lock()
-	st := j.statusLocked()
-	for ch := range j.watchers {
-		offer(ch, st)
-	}
-	j.mu.Unlock()
-}
-
 // unwatch drops one watcher. Whoever removes a channel from the map closes
 // it, so a channel is closed exactly once (finish removes them all).
 func (j *Job) unwatch(ch chan Status) {
@@ -175,7 +163,13 @@ func (j *Job) unwatch(ch chan Status) {
 }
 
 // Cancel requests cancellation. It is a no-op on terminal jobs.
-func (j *Job) Cancel() { j.cancel() }
+func (j *Job) Cancel() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.run != nil {
+		j.run.cancel(nil)
+	}
+}
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.finished }
@@ -201,29 +195,70 @@ func (j *Job) Result() (res any, ok bool) {
 	return j.result, j.state == StateDone
 }
 
-func (j *Job) finish(res any, err error, canceled bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch {
-	case canceled:
-		j.state = StateCanceled
-		j.err = context.Canceled
-	case err != nil:
-		j.state = StateFailed
-		j.err = err
-	default:
-		j.state = StateDone
-		j.result = res
-		// A job finished from a prefilled deque never ran its prefilled
-		// tasks through progress callbacks; pin the terminal count so Done
-		// always reads total for done jobs.
-		j.done.Store(int64(j.total))
+// publishLocked lands one computed task result in its job. It is the one
+// publication path: local execution, remote reports, and restart prefill
+// all call it. Nothing lands once the run has halted (a task failed or the
+// run was canceled), so watchers never see a doomed job advance, and
+// nothing lands for an index the ledger already holds: the ledger is the
+// first-writer-wins index, so a task computed twice (a requeued lease racing
+// its late report) lands once, with the same bytes either way. Otherwise the
+// result, counters, and ledger advance and the new status goes to every
+// watcher and to Engine.Run's onProgress. local marks a publisher still
+// counted in flight (a local worker), whose finished task Running excludes.
+// Callers hold j.mu; the scheduler snapshot takes e.mu under it (job mutex,
+// then engine mutex).
+func (j *Job) publishLocked(e *Engine, r *runJob, task int, out any, raw json.RawMessage, local bool) bool {
+	if r.ctx.Err() != nil || (j.docs != nil && j.docs[task] != nil) {
+		return false
 	}
-	// Deliver the terminal status to every watcher and retire them. The
-	// coalescing offer may displace a pending progress snapshot — terminal
-	// delivery is the guarantee, not completeness of the progress stream.
+	r.results[task] = out
+	j.done++
+	if j.docs != nil {
+		j.recordLocked(task, raw)
+	}
+	e.mu.Lock()
+	j.queued, j.running = len(r.pending), r.inFlight
+	e.mu.Unlock()
+	if local {
+		j.running--
+	}
 	st := j.statusLocked()
 	for ch := range j.watchers {
+		offer(ch, st)
+	}
+	if r.onProgress != nil {
+		// Under j.mu by design: the lock is what serializes Run's callbacks
+		// (see Run), and Run never exposes this Job for a callback to reach.
+		r.onProgress(st.Progress)
+	}
+	return true
+}
+
+// failLocked records a task error — the first one wins — and halts the run:
+// canceling its context stops publication at once and fires the run's halt
+// hook, which drops its queue and leases. Callers hold j.mu.
+func (j *Job) failLocked(r *runJob, err error) {
+	if j.err == nil && !j.state.Terminal() {
+		j.err = err
+	}
+	r.cancel(errHalted)
+}
+
+// finish records the job's outcome, drops its run, and delivers the
+// terminal status to every watcher.
+func (j *Job) finish(state State, res any, err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.state, j.result, j.err = state, res, err
+	j.run = nil
+	// The coalescing offer may displace a pending progress snapshot —
+	// terminal delivery is the guarantee, not completeness of the progress
+	// stream.
+	st := j.statusLocked()
+	for ch, stop := range j.watchers {
+		if stop != nil {
+			stop()
+		}
 		offer(ch, st)
 		close(ch)
 	}
@@ -267,7 +302,7 @@ func NewManager(eng *Engine) *Manager {
 // Submit starts spec asynchronously under the manager's lifetime (not the
 // caller's request context) and returns the tracking job.
 func (m *Manager) Submit(spec Spec, seed uint64) (*Job, error) {
-	return m.submit("", spec, seed, SubmitOptions{})
+	return m.SubmitJobOpts("", spec, seed, SubmitOptions{})
 }
 
 // SubmitOptions is the optional surface of a full-control submission.
@@ -297,101 +332,42 @@ type SubmitOptions struct {
 // fails if the ID is already tracked. The serving layer uses it for every
 // envelope submission and every rehydration resubmit.
 func (m *Manager) SubmitJobOpts(id string, spec Spec, seed uint64, opts SubmitOptions) (*Job, error) {
-	return m.submit(id, spec, seed, opts)
-}
-
-func (m *Manager) submit(id string, spec Spec, seed uint64, opts SubmitOptions) (*Job, error) {
-	if v, ok := spec.(Validator); ok {
-		if err := v.Validate(); err != nil {
-			return nil, fmt.Errorf("engine: invalid %s spec: %w", spec.Kind(), err)
-		}
-	}
-	// Bound the fan-out before publishing the job, exactly like Engine.Run:
-	// without this check a negative or absurd Tasks() would be visible in
-	// job statuses until the run fails.
-	n := spec.Tasks()
-	if n < 0 {
-		return nil, fmt.Errorf("engine: %s spec reports %d tasks", spec.Kind(), n)
-	}
-	if n > MaxTasksPerJob {
-		return nil, fmt.Errorf("engine: %s spec reports %d tasks, cap is %d", spec.Kind(), n, MaxTasksPerJob)
-	}
-	jctx, cancel := context.WithCancel(m.ctx)
-	j, err := m.newJob(id, spec.Kind(), n, cancel)
+	r, err := m.eng.newRun(m.ctx, spec, seed, opts, true)
 	if err != nil {
-		cancel()
 		return nil, err
 	}
-	if _, ok := spec.(TaskCoder); ok && n > 0 {
-		j.ledger = newResultLedger(n)
+	if err := m.track(id, r.job); err != nil {
+		r.cancel(nil) // release the unstarted run's context
+		return nil, err
 	}
-	// Until the first task completes, the whole job is queue: the scheduler
-	// snapshot starts at (running 0, queued n).
-	j.queued.Store(int64(n))
-	j.mu.Lock()
-	j.state = StateRunning
-	j.mu.Unlock()
-	go func() {
-		defer cancel()
-		ro := runOpts{
-			remote:  opts.Remote,
-			prefill: opts.Prefill,
-			client:  opts.Client,
-			weight:  opts.Weight,
-			onProgress: func(p Progress) {
-				// CAS-max: the dispatcher serializes callbacks with strictly
-				// increasing Done, but the guard keeps a hypothetical stale
-				// publisher from making progress go backwards.
-				for {
-					old := j.done.Load()
-					if int64(p.Done) <= old {
-						return // stale update: nothing new to publish
-					}
-					if j.done.CompareAndSwap(old, int64(p.Done)) {
-						break
-					}
-				}
-				j.running.Store(int64(p.Running))
-				j.queued.Store(int64(p.Queued))
-				j.notifyWatchers()
-			},
-		}
-		if j.ledger != nil {
-			ro.onTask = j.recordTask
-		}
-		res, err := m.eng.run(jctx, spec, seed, ro)
-		j.finish(res, err, jctx.Err() != nil && errors.Is(err, context.Canceled))
-	}()
-	return j, nil
+	m.eng.start(r)
+	return r.job, nil
 }
 
 // Engine returns the engine the manager runs jobs on — the serving layer
 // reads its scheduler stats (Engine.Stats) into /healthz.
 func (m *Manager) Engine() *Engine { return m.eng }
 
-func (m *Manager) newJob(id, kind string, total int, cancel context.CancelFunc) (*Job, error) {
+// track registers j under id, minting a "job-N" ID when id is empty. A
+// caller-supplied id must be new; one in the manager's own namespace
+// advances the mint counter. Past the retention cap the oldest terminal
+// jobs are evicted.
+func (m *Manager) track(id string, j *Job) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if id == "" {
 		m.nextID++
 		id = fmt.Sprintf("job-%d", m.nextID)
 	} else if _, dup := m.jobs[id]; dup {
-		return nil, fmt.Errorf("engine: job %s already exists", id)
+		return fmt.Errorf("engine: job %s already exists", id)
 	} else {
 		m.bumpNextIDLocked(id)
 	}
-	j := &Job{
-		id:       id,
-		kind:     kind,
-		total:    total,
-		state:    StatePending,
-		cancel:   cancel,
-		finished: make(chan struct{}),
-	}
-	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
+	j.id = id
+	m.jobs[id] = j
+	m.order = append(m.order, id)
 	m.evictLocked()
-	return j, nil
+	return nil
 }
 
 // ParseSeq parses the numeric sequence out of a prefixed ID — the manager's
@@ -430,31 +406,18 @@ func (m *Manager) Restore(id, kind string, total int, result any, state State, e
 	if !state.Terminal() {
 		return nil, fmt.Errorf("engine: Restore with non-terminal state %q", state)
 	}
-	j := &Job{
-		id:       id,
-		kind:     kind,
-		total:    total,
-		state:    state,
-		cancel:   func() {},
-		finished: make(chan struct{}),
-	}
+	j := &Job{kind: kind, total: total, state: state, finished: make(chan struct{})}
 	close(j.finished)
 	switch {
 	case state == StateDone:
 		j.result = result
-		j.done.Store(int64(total))
+		j.done = total
 	case errMsg != "":
 		j.err = errors.New(errMsg)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, dup := m.jobs[id]; dup {
-		return nil, fmt.Errorf("engine: job %s already exists", id)
+	if err := m.track(id, j); err != nil {
+		return nil, err
 	}
-	m.bumpNextIDLocked(id)
-	m.jobs[id] = j
-	m.order = append(m.order, id)
-	m.evictLocked()
 	return j, nil
 }
 

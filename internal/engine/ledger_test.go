@@ -5,34 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
 	"gameofcoins/internal/rng"
 )
-
-func TestTaskRangeCompressExpandRoundTrip(t *testing.T) {
-	cases := [][]int{
-		nil,
-		{0},
-		{0, 1, 2, 3},
-		{5, 6, 9},
-		{3, 1, 2}, // out of encounter order: compression stays lossless
-		{7, 7},    // duplicates survive the round-trip too
-		{0, 2, 4, 6},
-	}
-	for _, tasks := range cases {
-		ranges := CompressTaskRanges(tasks)
-		back := ExpandTaskRanges(ranges)
-		if len(tasks) == 0 && len(back) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(back, tasks) {
-			t.Fatalf("round-trip %v → %v → %v", tasks, ranges, back)
-		}
-	}
-}
 
 func TestParseTaskRange(t *testing.T) {
 	tr, err := ParseTaskRange("3-17")
@@ -46,42 +23,60 @@ func TestParseTaskRange(t *testing.T) {
 	}
 }
 
-// TestResultLedgerWatermark: out-of-order records advance the watermark only
-// over the contiguous prefix; slices of complete spans are served mid-run
-// and incomplete or out-of-bounds ones report the sentinel errors.
+// TestResultLedgerWatermark: out-of-order publications advance the job's
+// ledger watermark only over the contiguous prefix; ranges of complete spans
+// are served mid-run, incomplete or out-of-bounds ones report the sentinel
+// errors, and a second publication of an index loses to the first.
 func TestResultLedgerWatermark(t *testing.T) {
-	l := newResultLedger(5)
-	l.record(2, json.RawMessage(`2`))
-	l.record(0, json.RawMessage(`0`))
-	if wm := l.watermark.Load(); wm != 1 {
+	e := New(1)
+	r, err := e.newRun(context.Background(), newSumSpec(5), 1, SubmitOptions{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.cancel(nil)
+	j := r.job
+	publish := func(task int, doc string) bool {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.publishLocked(e, r, task, 100+task, json.RawMessage(doc), false)
+	}
+	publish(2, `2`)
+	publish(0, `0`)
+	if wm := j.Watermark(); wm != 1 {
 		t.Fatalf("watermark = %d, want 1", wm)
 	}
 	// The island past the watermark is recorded and servable on its own.
-	if docs, err := l.slice(2, 3); err != nil || string(docs[0]) != "2" {
-		t.Fatalf("island slice = %v, %v", docs, err)
+	if docs, err := j.ResultRange(2, 3); err != nil || string(docs[0]) != "2" {
+		t.Fatalf("island range = %v, %v", docs, err)
 	}
-	if _, err := l.slice(0, 2); !errors.Is(err, ErrRangeIncomplete) {
-		t.Fatalf("incomplete slice err = %v", err)
+	if _, err := j.ResultRange(0, 2); !errors.Is(err, ErrRangeIncomplete) {
+		t.Fatalf("incomplete range err = %v", err)
 	}
-	if _, err := l.slice(0, 9); !errors.Is(err, ErrBadRange) {
-		t.Fatalf("out-of-bounds slice err = %v", err)
+	if _, err := j.ResultRange(0, 9); !errors.Is(err, ErrBadRange) {
+		t.Fatalf("out-of-bounds range err = %v", err)
 	}
-	l.record(1, json.RawMessage(`1`))
-	if wm := l.watermark.Load(); wm != 3 {
+	publish(1, `1`)
+	if wm := j.Watermark(); wm != 3 {
 		t.Fatalf("watermark = %d, want 3", wm)
 	}
-	docs, err := l.slice(0, 3)
+	docs, err := j.ResultRange(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(docs) != 3 || string(docs[1]) != "1" {
-		t.Fatalf("slice = %v", docs)
+		t.Fatalf("range = %v", docs)
 	}
-	// First writer wins: a duplicate record must not replace the bytes.
-	l.record(1, json.RawMessage(`99`))
-	docs, _ = l.slice(1, 2)
+	// First writer wins: a duplicate publication must not replace the bytes
+	// or count the task twice.
+	if publish(1, `99`) {
+		t.Fatal("duplicate publication accepted")
+	}
+	docs, _ = j.ResultRange(1, 2)
 	if string(docs[0]) != "1" {
-		t.Fatalf("duplicate record replaced ledger bytes: %s", docs[0])
+		t.Fatalf("duplicate publication replaced ledger bytes: %s", docs[0])
+	}
+	if st := j.Status(); st.Progress.Done != 3 || st.Progress.Watermark != 3 {
+		t.Fatalf("status progress = %+v, want done 3, watermark 3", st.Progress)
 	}
 }
 
@@ -296,7 +291,7 @@ func TestRemoteReportFeedsLedger(t *testing.T) {
 	defer mgr.Close()
 	job := startWireJob(t, mgr, slowSquares(32), 1)
 	lease := leaseSoon(t, e, 8)
-	tasks := lease.TaskList()
+	tasks := lease.Tasks
 	results := make(map[int]json.RawMessage, len(tasks))
 	for _, task := range tasks {
 		results[task] = json.RawMessage(fmt.Sprint(task * task))

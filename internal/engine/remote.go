@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -20,10 +21,10 @@ import (
 // rng.New(seed).Fork(i) exactly like a local worker does, and per-task
 // results round-trip through the spec's TaskCoder byte-exactly (Go's JSON
 // float encoding is shortest-round-trip). The lease machinery only decides
-// *where* a task runs — publication is first-writer-wins by task index, so
-// even a task computed twice (an expired lease requeued locally racing a
-// late remote report) lands exactly once, with the identical value either
-// way.
+// *where* a task runs — publication is first-writer-wins by task index under
+// the job's result ledger, so even a task computed twice (an expired lease
+// requeued locally racing a late remote report) lands exactly once, with the
+// identical value either way.
 //
 // Failure semantics:
 //
@@ -35,7 +36,7 @@ import (
 //     task error would — task errors are deterministic, so a local retry
 //     would fail identically.
 //   - A canceled or failing job drops its leases: leased counts are zeroed
-//     on halt, late reports find the run gone and are discarded.
+//     on halt, and late reports publish nothing.
 
 // RemoteInfo is a job's wire identity — what a remote worker needs to
 // recompute any of its tasks. The serving layer (which resolved the envelope
@@ -75,18 +76,14 @@ func decodeTaskAs[T any](raw json.RawMessage) (any, error) {
 }
 
 // RemoteLease is a chunk of one job's pending tasks granted to a remote
-// worker: the run token identifying the job inside the engine, the task
-// spans (in lease order — the shared TaskRange representation), and the
-// job's wire identity.
+// worker: the run token identifying the job inside the engine, the leased
+// task indices (in lease order — the flat list the dist wire carries), and
+// the job's wire identity.
 type RemoteLease struct {
-	Run    uint64
-	Ranges []TaskRange
-	Wire   RemoteInfo
+	Run   uint64
+	Tasks []int
+	Wire  RemoteInfo
 }
-
-// TaskList expands the lease's ranges into the flat task-index list —
-// the form the dist wire protocol carries.
-func (l RemoteLease) TaskList() []int { return ExpandTaskRanges(l.Ranges) }
 
 // ErrRunGone reports a lease operation against a run the engine no longer
 // tracks — the job finished, failed, or was canceled while the lease was
@@ -144,11 +141,12 @@ func (e *Engine) LeaseRemote(maxTasks int, targetMs float64) (lease RemoteLease,
 		n = 1
 	}
 	cut := len(best.pending) - n
-	ranges := CompressTaskRanges(best.pending[cut:])
+	// Copy the tail: a requeue appends into the deque's backing array.
+	tasks := slices.Clone(best.pending[cut:])
 	best.pending = best.pending[:cut]
 	best.leased += n
 	e.leasesGranted++
-	return RemoteLease{Run: best.runID, Ranges: ranges, Wire: *best.wire}, true
+	return RemoteLease{Run: best.runID, Tasks: tasks, Wire: *best.wire}, true
 }
 
 // ReportRemote publishes remotely computed results for a leased run. results
@@ -158,93 +156,60 @@ func (e *Engine) LeaseRemote(maxTasks int, targetMs float64) (lease RemoteLease,
 // untouched, and the caller should requeue the lease — a local recompute is
 // always available and always right.
 //
-// Publication is first-writer-wins per task index: results for tasks already
-// published (by a local worker that raced a requeued copy, or by a duplicate
-// report) are skipped. The returned count is the number of results actually
-// published; the difference from len(results) is duplicates, which are
-// harmless by determinism.
+// Publication is first-writer-wins per task index under the job's result
+// ledger: results for tasks already published (by a local worker that raced
+// a requeued copy, or by a duplicate report) are skipped. The returned count
+// is the number of results actually published; the difference from
+// len(results) is duplicates, which are harmless by determinism. The ledger
+// keeps the exact bytes the worker reported, which the TaskCoder round-trip
+// makes identical to a local encode.
 func (e *Engine) ReportRemote(run uint64, results map[int]json.RawMessage) (accepted int, err error) {
 	e.mu.Lock()
-	j := e.runs[run]
+	r := e.runs[run]
 	e.mu.Unlock()
-	if j == nil {
+	if r == nil {
 		return 0, ErrRunGone
 	}
-	// Decode outside the engine lock — decoding is per-result work — and
-	// before publishing anything, so a half-decodable report cannot publish
-	// a partial range and then force the remainder through the requeue path
+	j := r.job
+	// Decode outside the locks — decoding is per-result work — and before
+	// publishing anything, so a half-decodable report cannot publish a
+	// partial range and then force the remainder through the requeue path
 	// twice.
 	idxs := make([]int, 0, len(results))
 	for i := range results {
-		if i < 0 || i >= j.n {
-			return 0, fmt.Errorf("engine: report for task %d of a %d-task job", i, j.n)
+		if i < 0 || i >= j.total {
+			return 0, fmt.Errorf("engine: report for task %d of a %d-task job", i, j.total)
 		}
 		idxs = append(idxs, i)
 	}
 	sort.Ints(idxs)
 	decoded := make([]any, len(idxs))
 	for k, i := range idxs {
-		out, derr := j.coder.DecodeTaskResult(results[i])
+		out, derr := r.coder.DecodeTaskResult(results[i])
 		if derr != nil {
-			return 0, fmt.Errorf("engine: decode remote result for %s task %d: %w", j.spec.Kind(), i, derr)
+			return 0, fmt.Errorf("engine: decode remote result for %s task %d: %w", r.spec.Kind(), i, derr)
 		}
 		decoded[k] = out
 	}
+	j.mu.Lock()
 	for k, i := range idxs {
-		if e.publishRemote(j, i, decoded[k], results[i]) {
+		if j.publishLocked(e, r, i, decoded[k], results[i], false) {
 			accepted++
 		}
 	}
+	j.mu.Unlock()
 	e.mu.Lock()
-	j.leased -= len(idxs)
-	if j.leased < 0 {
-		j.leased = 0 // a halt zeroed it while this report was in flight
+	if r.leased -= len(idxs); r.leased < 0 {
+		r.leased = 0 // a halt zeroed it while this report was in flight
 	}
-	finished := e.finishIfIdleLocked(j)
+	e.completed += uint64(accepted)
+	e.remoteDone += uint64(accepted)
+	finished := e.finishIfIdleLocked(r)
 	e.mu.Unlock()
 	if finished {
-		close(j.finished)
+		r.retire()
 	}
 	return accepted, nil
-}
-
-// publishRemote lands one remotely computed task result, mirroring execute's
-// publication path: under pmu so progress callbacks stay serialized and
-// monotone, guarded by the per-task done bitmap so a duplicate (or a local
-// racer) publishes nothing. raw is the wire form the worker reported — it
-// feeds the ledger directly, so a remotely computed ledger entry is the
-// exact bytes the TaskCoder round-trip already proved byte-identical to a
-// local encode.
-func (e *Engine) publishRemote(j *runJob, task int, out any, raw json.RawMessage) bool {
-	published := false
-	j.pmu.Lock()
-	if !j.halted && !(j.doneTask != nil && j.doneTask[task]) {
-		if j.doneTask == nil {
-			j.doneTask = make([]bool, j.n)
-		}
-		j.doneTask[task] = true
-		j.results[task] = out
-		j.done++
-		published = true
-		if j.onTask != nil && raw != nil {
-			j.onTask(task, raw)
-		}
-		if j.onProgress != nil {
-			e.mu.Lock()
-			queued := len(j.pending)
-			running := j.inFlight
-			e.mu.Unlock()
-			j.onProgress(Progress{Done: j.done, Total: j.n, Queued: queued, Running: running})
-		}
-	}
-	j.pmu.Unlock()
-	if published {
-		e.mu.Lock()
-		e.completed++
-		e.remoteDone++
-		e.mu.Unlock()
-	}
-	return published
 }
 
 // RequeueRemote returns leased tasks to their job's pending deque — the
@@ -252,56 +217,46 @@ func (e *Engine) publishRemote(j *runJob, task int, out any, raw json.RawMessage
 // workers, and undecodable reports. The tasks rejoin the back of the deque
 // (they came from the back: the cheapest remaining work) and the worker pool
 // is topped back up, so a requeue after the local pool drained still
-// finishes the job. Requeueing into a finished or halted run is a no-op.
+// finishes the job. Requeueing into a finished or halted run only fixes its
+// leased count.
 func (e *Engine) RequeueRemote(run uint64, tasks []int) {
 	e.mu.Lock()
-	j := e.runs[run]
-	e.mu.Unlock()
-	if j == nil || len(tasks) == 0 {
+	r := e.runs[run]
+	if r == nil || len(tasks) == 0 {
+		e.mu.Unlock()
 		return
 	}
-	// pmu before e.mu (the execute ordering): the halted flag lives under
-	// pmu, and a halted job must not have its pending deque refilled —
-	// workers would pull doomed tasks while the cancellation propagates.
-	j.pmu.Lock()
-	halted := j.halted
-	j.pmu.Unlock()
-	e.mu.Lock()
-	if j.leased -= len(tasks); j.leased < 0 {
-		j.leased = 0
+	if r.leased -= len(tasks); r.leased < 0 {
+		r.leased = 0
 	}
-	if !halted && !j.removed {
-		j.pending = append(j.pending, tasks...)
+	// A halted run must not have its deque refilled: workers would pull
+	// doomed tasks while the halt hook runs.
+	if r.ctx.Err() == nil {
+		r.pending = append(r.pending, tasks...)
 		e.remoteRequeued += uint64(len(tasks))
-		e.topUpLocked(len(j.pending))
+		e.topUpLocked(len(r.pending))
 	}
-	finished := e.finishIfIdleLocked(j)
+	finished := e.finishIfIdleLocked(r)
 	e.mu.Unlock()
 	if finished {
-		close(j.finished)
+		r.retire()
 	}
 }
 
 // FailRemote fails a leased run with a remote task error, exactly like a
-// local task error would: the job halts, pending work is dropped, and Run
-// returns the error. Task errors are deterministic functions of the same
-// (spec, seed, index) triple the local pool would run, so requeueing instead
-// would only recompute the identical failure.
+// local task error would: the job halts, pending work is dropped, and the
+// job fails with the error. Task errors are deterministic functions of the
+// same (spec, seed, index) triple the local pool would run, so requeueing
+// instead would only recompute the identical failure.
 func (e *Engine) FailRemote(run uint64, msg string) {
 	e.mu.Lock()
-	j := e.runs[run]
+	r := e.runs[run]
 	e.mu.Unlock()
-	if j == nil {
+	if r == nil {
 		return
 	}
-	j.pmu.Lock()
-	j.halted = true
-	if j.firstErr == nil {
-		j.firstErr = fmt.Errorf("engine: %s remote task: %s", j.spec.Kind(), msg)
-	}
-	j.pmu.Unlock()
-	// Cancel the run's context: Run's watcher goroutine drives haltJob,
-	// which drops pending work, zeroes the leased count, and finishes the
-	// job once local in-flight tasks drain.
-	j.cancel()
+	j := r.job
+	j.mu.Lock()
+	j.failLocked(r, fmt.Errorf("engine: %s remote task: %s", r.spec.Kind(), msg))
+	j.mu.Unlock()
 }

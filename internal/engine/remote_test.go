@@ -89,15 +89,15 @@ func TestLeaseRemoteNeverTakesMoreThanHalf(t *testing.T) {
 	lease := leaseSoon(t, e, 1000)
 	// The deque had at most 64 pending when the lease was cut; the grant is
 	// capped at half the remainder (rounded up), so local workers keep feed.
-	if len(lease.TaskList()) > 33 {
-		t.Fatalf("lease took %d of <= 64 pending tasks, want <= half (33)", len(lease.TaskList()))
+	if len(lease.Tasks) > 33 {
+		t.Fatalf("lease took %d of <= 64 pending tasks, want <= half (33)", len(lease.Tasks))
 	}
 	if lease.Wire.WireKind != "squares" {
 		t.Fatalf("lease wire kind = %q, want %q", lease.Wire.WireKind, "squares")
 	}
 
 	// Hand the range back so the job can finish.
-	e.RequeueRemote(lease.Run, lease.TaskList())
+	e.RequeueRemote(lease.Run, lease.Tasks)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := job.Wait(ctx); err != nil {
@@ -107,8 +107,8 @@ func TestLeaseRemoteNeverTakesMoreThanHalf(t *testing.T) {
 	if want := 64 * 63 * 127 / 6; res != want { // sum of squares 0..63
 		t.Fatalf("result = %v, want %d", res, want)
 	}
-	if st := e.Stats(); st.RemoteRequeued < uint64(len(lease.TaskList())) {
-		t.Fatalf("RemoteRequeued = %d, want >= %d", st.RemoteRequeued, len(lease.TaskList()))
+	if st := e.Stats(); st.RemoteRequeued < uint64(len(lease.Tasks)) {
+		t.Fatalf("RemoteRequeued = %d, want >= %d", st.RemoteRequeued, len(lease.Tasks))
 	}
 }
 
@@ -119,19 +119,19 @@ func TestReportRemoteFirstWriterWinsAndValidates(t *testing.T) {
 	job := startWireJob(t, mgr, slowSquares(64), 1)
 
 	lease := leaseSoon(t, e, 8)
-	results := make(map[int]json.RawMessage, len(lease.TaskList()))
-	for _, task := range lease.TaskList() {
+	results := make(map[int]json.RawMessage, len(lease.Tasks))
+	for _, task := range lease.Tasks {
 		results[task] = json.RawMessage(fmt.Sprintf("%d", task*task))
 	}
 
 	// An out-of-range index must reject the whole report before anything
 	// publishes (all-or-nothing).
-	bad := map[int]json.RawMessage{lease.TaskList()[0]: results[lease.TaskList()[0]], 64: json.RawMessage("0")}
+	bad := map[int]json.RawMessage{lease.Tasks[0]: results[lease.Tasks[0]], 64: json.RawMessage("0")}
 	if _, err := e.ReportRemote(lease.Run, bad); err == nil {
 		t.Fatal("out-of-range report accepted")
 	}
 	// So must an undecodable result.
-	garbled := map[int]json.RawMessage{lease.TaskList()[0]: json.RawMessage(`"not an int"`)}
+	garbled := map[int]json.RawMessage{lease.Tasks[0]: json.RawMessage(`"not an int"`)}
 	if _, err := e.ReportRemote(lease.Run, garbled); err == nil {
 		t.Fatal("undecodable report accepted")
 	}

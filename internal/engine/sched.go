@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"gameofcoins/internal/rng"
@@ -25,19 +24,30 @@ type Sizer interface {
 	TaskCost(i int) float64
 }
 
-// runJob is one Run's scheduling state on the engine's shared dispatcher:
-// a deque of LPT-ordered pending task indices workers pull from, plus the
-// completion bookkeeping that decides when the job is finished.
+// runJob is what a job needs only while it runs: the spec and its rng base,
+// the per-task results, and its scheduling state on the engine's shared
+// dispatcher — a deque of LPT-ordered pending task indices workers pull
+// from, plus the counts that decide when the run retires. It points at its
+// Job, and every task completion is published straight into it
+// (Job.publishLocked). The dispatcher drops a runJob when the run retires,
+// so a finished job keeps only its record.
 type runJob struct {
-	spec       Spec
-	n          int
-	ctx        context.Context
-	cancel     context.CancelFunc
-	base       *rng.Rand
+	job  *Job
+	spec Spec
+	// ctx is canceled when the run halts: from outside (the caller's
+	// context, Job.Cancel, Manager.Close) or by its own first task error,
+	// with cause errHalted. stop unregisters the halt hook enqueue attaches
+	// to it.
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	stop   func() bool
+	base   *rng.Rand
+	// results holds each published task's value by index, written under the
+	// job mutex; nil for a zero-task job.
 	results    []any
-	onProgress func(Progress)
-	sizer      Sizer  // spec's Sizer, if any; nil means uniform cost
-	costKey    string // observed-cost bucket: wire kind when known, else Kind()
+	onProgress func(Progress) // Engine.Run's callback, invoked on publication
+	sizer      Sizer          // spec's Sizer, if any; nil means uniform cost
+	costKey    string         // observed-cost bucket: wire kind when known, else Kind()
 
 	// Admission-control attributes, set once at submission and immutable
 	// after: client names the submitting tenant ("" = anonymous) for quota
@@ -48,38 +58,19 @@ type runJob struct {
 	weight float64
 
 	// Wire identity and codec — set once before enqueue, immutable after.
-	// coder is non-nil whenever the spec implements TaskCoder; wire is
-	// additionally non-nil for distributable jobs (RemoteInfo supplied), and
-	// only those are published to the remote task source.
+	// coder is non-nil whenever the job keeps a result ledger (a Manager
+	// job whose spec implements TaskCoder); wire is additionally non-nil for
+	// distributable jobs (RemoteInfo supplied), and only those are published
+	// to the remote task source.
 	wire  *RemoteInfo
 	coder TaskCoder
 	runID uint64 // key into e.runs while the job is live
-	// onTask feeds the result ledger (runOpts.onTask): every published task
-	// result in wire form, invoked under pmu so deliveries are serialized
-	// with progress. nil unless the spec implements TaskCoder.
-	onTask func(task int, raw json.RawMessage)
 
 	// Guarded by the engine mutex.
 	pending  []int // task indices, most expensive first; popped from the front
 	inFlight int   // tasks taken by workers and not yet returned
 	leased   int   // tasks out on remote leases, not yet reported or requeued
-	removed  bool  // off the active list; finished is closed exactly once
-
-	// Guarded by pmu, which serializes completion publication: firstErr is
-	// recorded once, and onProgress is only ever invoked under pmu with
-	// halted false — so the instant a job starts failing (or is canceled),
-	// progress publication stops, and SSE watchers can never observe a
-	// doomed job advancing.
-	pmu      sync.Mutex
-	halted   bool // failing or canceled: suppress results and progress
-	firstErr error
-	done     int
-	// doneTask marks indices already published, allocated lazily on the
-	// first remote publication. Local-only jobs never allocate it: without
-	// leases every index is taken exactly once, so the guard is free.
-	doneTask []bool
-
-	finished chan struct{}
+	removed  bool  // off the active list; retired exactly once
 }
 
 // SchedStats is a point-in-time snapshot of the engine's shared dispatcher,
@@ -238,43 +229,25 @@ func (e *Engine) Stats() SchedStats {
 		cl.Jobs++
 		cl.InFlight += j.inFlight + j.leased
 		cl.InFlightCost += e.inFlightCostLocked(j)
-		cl.ShareCap = e.shareLocked(j.client)
+		cl.ShareCap = e.share
 		st.Clients[j.client] = cl
 	}
 	return st
 }
 
-// SetClientShares configures the per-client in-flight cost quota enforced in
-// take: def caps every client's share of the engine's total in-flight cost,
-// and per overrides the cap for specific clients. Shares are fractions in
-// (0, 1); zero or anything outside that range means uncapped. Enforcement is
-// work-conserving — a client is only passed over while at least one other
-// client has runnable work — so quotas shape contention and can never idle
-// workers or strand a job.
-func (e *Engine) SetClientShares(def float64, per map[string]float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.shareDefault = def
-	e.shareOverride = nil
-	if len(per) > 0 {
-		e.shareOverride = make(map[string]float64, len(per))
-		for client, share := range per {
-			e.shareOverride[client] = share
-		}
-	}
-}
-
-// shareLocked resolves a client's configured in-flight cost share cap
-// (0 = uncapped). Callers must hold e.mu.
-func (e *Engine) shareLocked(client string) float64 {
-	share := e.shareDefault
-	if s, ok := e.shareOverride[client]; ok {
-		share = s
-	}
+// SetClientShare configures the per-client in-flight cost quota enforced in
+// take: share caps every client's share of the engine's total in-flight
+// cost. It is a fraction in (0, 1); zero or anything outside that range
+// means uncapped. Enforcement is work-conserving — a client is only passed
+// over while at least one other client has runnable work — so the quota
+// shapes contention and can never idle workers or strand a job.
+func (e *Engine) SetClientShare(share float64) {
 	if share <= 0 || share >= 1 {
-		return 0
+		share = 0
 	}
-	return share
+	e.mu.Lock()
+	e.share = share
+	e.mu.Unlock()
 }
 
 // inFlightCostLocked estimates the wall-clock cost of a job's running and
@@ -298,7 +271,7 @@ func (e *Engine) inFlightCostLocked(j *runJob) float64 {
 // small shares — the quota is likewise waived, keeping take work-conserving.
 // Callers must hold e.mu.
 func (e *Engine) overQuotaLocked() map[string]bool {
-	if e.shareDefault <= 0 && len(e.shareOverride) == 0 {
+	if e.share == 0 {
 		return nil
 	}
 	cost := make(map[string]float64)
@@ -313,7 +286,7 @@ func (e *Engine) overQuotaLocked() map[string]bool {
 	}
 	var over map[string]bool
 	for client, c := range cost {
-		if share := e.shareLocked(client); share > 0 && c > share*total {
+		if c > e.share*total {
 			if over == nil {
 				over = make(map[string]bool)
 			}
@@ -357,9 +330,11 @@ func orderTasks(spec Spec, n int) []int {
 	return idx
 }
 
-// enqueue publishes a job to the dispatcher and tops up the worker pool.
+// enqueue publishes a run to the dispatcher and tops up the worker pool.
 // Workers are spawned on demand and exit when the engine drains, so an idle
 // Engine holds no goroutines — construction stays free and nothing leaks.
+// The run's cancellation is a context.AfterFunc hook, not a goroutine, so a
+// queued job holds none either.
 func (e *Engine) enqueue(j *runJob) {
 	e.mu.Lock()
 	e.nextRun++
@@ -371,6 +346,10 @@ func (e *Engine) enqueue(j *runJob) {
 		e.runs[j.runID] = j
 	}
 	e.active = append(e.active, j)
+	// Registered under e.mu: a hook fired by a context canceled meanwhile
+	// runs on its own goroutine and waits for this section, so it always
+	// finds the run enqueued.
+	j.stop = context.AfterFunc(j.ctx, func() { e.halt(j) })
 	e.topUpLocked(len(j.pending))
 	e.mu.Unlock()
 }
@@ -494,108 +473,73 @@ func (e *Engine) lessLoadedLocked(a, b *runJob) bool {
 }
 
 // execute runs one task and publishes its completion. Publication order is
-// load-bearing: the progress callback fires before this worker's in-flight
-// decrement, so a job can only be declared finished — and Run return — after
-// every completed task's progress has been delivered.
-func (e *Engine) execute(j *runJob, task int) {
+// load-bearing: the task is published before this worker's in-flight
+// decrement, so a run can only retire — and its job finish — after every
+// completed task has been published.
+func (e *Engine) execute(r *runJob, task int) {
 	//goclint:allow nodeterm -- observed-cost EWMA: timing feeds dispatch, never results
 	start := time.Now()
-	out, err := runTask(j.ctx, j.spec, task, j.base.Fork(uint64(task)))
+	out, err := runTask(r.ctx, r.spec, task, r.base.Fork(uint64(task)))
 	elapsed := time.Since(start) //goclint:allow nodeterm -- same EWMA measurement
 
 	// Encode for the ledger outside the locks — encoding is per-task work.
-	// An encode failure only skips the ledger entry (the watermark stalls
-	// and the range stays unpersisted/unstreamed); the job itself still
-	// publishes and aggregates the in-memory value.
+	// An encode failure fails the task, exactly as it does on a remote
+	// worker, so a job's outcome never depends on where its tasks ran.
 	var raw json.RawMessage
-	if err == nil && j.onTask != nil {
-		if b, encErr := j.coder.EncodeTaskResult(out); encErr == nil {
-			raw = b
+	if err == nil && r.coder != nil {
+		if raw, err = r.coder.EncodeTaskResult(out); err != nil {
+			err = fmt.Errorf("encode: %w", err)
 		}
 	}
 
+	j := r.job
 	published := false
-	j.pmu.Lock()
+	j.mu.Lock()
 	if err != nil {
-		j.halted = true
-		if j.firstErr == nil {
-			j.firstErr = fmt.Errorf("engine: %s task %d: %w", j.spec.Kind(), task, err)
-		}
-	} else if !j.halted && !(j.doneTask != nil && j.doneTask[task]) {
-		// The doneTask guard only bites on distributable jobs: a requeued
-		// copy of a task whose original remote report already landed loses
-		// the race here — first writer wins, and determinism makes both
-		// writers byte-identical anyway.
-		if j.doneTask != nil {
-			j.doneTask[task] = true
-		}
-		published = true
-		j.results[task] = out
-		j.done++
-		if j.onTask != nil && raw != nil {
-			j.onTask(task, raw)
-		}
-		if j.onProgress != nil {
-			// Snapshot queue depth inside the publication critical section,
-			// so serialized callbacks carry consistent triples: Done only
-			// rises and Queued only falls across them (pending never
-			// refills). Acquiring e.mu under pmu is safe — no path locks
-			// pmu while holding e.mu. inFlight still counts this task, so
-			// exclude it: its work is done.
-			e.mu.Lock()
-			queued := len(j.pending)
-			running := j.inFlight - 1
-			e.mu.Unlock()
-			j.onProgress(Progress{Done: j.done, Total: j.n, Queued: queued, Running: running})
-		}
+		j.failLocked(r, fmt.Errorf("engine: %s task %d: %w", r.spec.Kind(), task, err))
+	} else {
+		published = j.publishLocked(e, r, task, out, raw, true)
 	}
-	j.pmu.Unlock()
+	j.mu.Unlock()
 
 	e.mu.Lock()
 	if err != nil {
 		// The job is failing: drop its queue here, synchronously, so no
-		// worker starts another of its doomed tasks while the cancellation
-		// below propagates.
-		j.pending = nil
+		// worker starts another of its doomed tasks before the halt hook runs.
+		r.pending = nil
 	}
-	j.inFlight--
+	r.inFlight--
 	if published {
 		e.completed++
-		e.observeLocked(j, task, elapsed)
+		e.observeLocked(r, task, elapsed)
 	}
-	finished := e.finishIfIdleLocked(j)
+	finished := e.finishIfIdleLocked(r)
 	e.mu.Unlock()
-	if err != nil {
-		j.cancel()
-	}
 	if finished {
-		close(j.finished)
+		r.retire()
 	}
 }
 
-// haltJob is the cancellation path: suppress further publication, drop the
-// pending queue and any outstanding leases, and finish the job if no task is
-// in flight (in-flight tasks observe the canceled ctx and drain through
-// execute as usual). Zeroing the leased count means cancellation never waits
-// on a remote lease's deadline — late reports for a halted run find it gone
-// and are discarded.
-func (e *Engine) haltJob(j *runJob) {
-	j.pmu.Lock()
-	j.halted = true
-	j.pmu.Unlock()
+// halt is the run's cancellation hook (enqueue registers it with
+// context.AfterFunc): whatever canceled the run, it drops the pending queue
+// and any outstanding leases, and retires the run if no task is in flight
+// (in-flight tasks observe the canceled context and drain through execute
+// as usual). Zeroing the leased count means cancellation never waits on a
+// remote lease's deadline — late reports for a halted run publish nothing.
+func (e *Engine) halt(r *runJob) {
 	e.mu.Lock()
-	j.pending = nil
-	j.leased = 0
-	finished := e.finishIfIdleLocked(j)
+	r.pending = nil
+	r.leased = 0
+	finished := e.finishIfIdleLocked(r)
 	e.mu.Unlock()
 	if finished {
-		close(j.finished)
+		r.retire()
 	}
 }
 
-// finishIfIdleLocked retires a drained job from the active list and the run
-// table. It reports true exactly once per job — the caller that got true
-// closes j.finished. Callers must hold e.mu.
+// finishIfIdleLocked takes a drained run off the active list and the run
+// table. It reports true exactly once per run — the caller that got true
+// retires it. Callers must hold e.mu.
 func (e *Engine) finishIfIdleLocked(j *runJob) bool {
 	if j.removed || len(j.pending) > 0 || j.inFlight > 0 || j.leased > 0 {
 		return false

@@ -309,12 +309,17 @@ func TestProgressSuppressedAfterFailure(t *testing.T) {
 	m := NewManager(New(2))
 	defer m.Close()
 	boom := errors.New("boom")
+	inFlight := make(chan struct{})
 	spec := Func{
 		Name: "doomed",
 		N:    4,
 		Task: func(ctx context.Context, i int, _ *rng.Rand) (any, error) {
 			if i == 0 {
+				<-inFlight // fail only once task 1 is running on the other worker
 				return nil, boom
+			}
+			if i == 1 {
+				close(inFlight)
 			}
 			<-ctx.Done()  // wait for the failure's cancellation…
 			return i, nil // …then "complete" anyway

@@ -33,7 +33,7 @@ func TestMultiTenantNoStarvationProperty(t *testing.T) {
 		if r.Intn(2) == 0 {
 			share = 0.2 + 0.6*r.Float64()
 		}
-		eng.SetClientShares(share, nil)
+		eng.SetClientShare(share)
 		weights := []float64{0.5, 1.0, 2.0}
 
 		var jobs []*Job

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -154,5 +155,93 @@ func TestWatchContextCancelUnsubscribes(t *testing.T) {
 		case <-deadline:
 			t.Fatal("watch channel never closed after context cancel")
 		}
+	}
+}
+
+// TestQueuedJobsHoldNoGoroutines: a queued job and a watcher of it under a
+// live cancelable context hold context hooks, not goroutines, so 100 watched
+// jobs queued behind one busy worker grow the goroutine count by a small
+// constant instead of with the job count.
+func TestQueuedJobsHoldNoGoroutines(t *testing.T) {
+	m := NewManager(New(1))
+	defer m.Close()
+	g := newGate()
+	defer g.open()
+	started := make(chan struct{})
+	if _, err := m.Submit(Func{Name: "test_blocker", N: 1, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
+		close(started)
+		return nil, g.wait(ctx)
+	}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	<-started // the only worker is now busy until the gate opens
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before := runtime.NumGoroutine()
+	const n = 100
+	jobs := make([]*Job, 0, n)
+	for k := range n {
+		job, err := m.Submit(Func{Name: "test_queued", N: 2, Task: func(context.Context, int, *rng.Rand) (any, error) {
+			return nil, nil
+		}}, uint64(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.Watch(ctx)
+		jobs = append(jobs, job)
+	}
+	if grown := runtime.NumGoroutine() - before; grown > 10 {
+		t.Fatalf("%d queued, watched jobs added %d goroutines, want a small constant", n, grown)
+	}
+	g.open()
+	for _, job := range jobs {
+		if err := job.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTerminalJobKeepsOnlyRecord: a finished job releases its run's context
+// and drops the run (spec, rng base, results, deque) and its watchers with
+// their context hooks, keeping its record: counters, ledger, and outcome.
+func TestTerminalJobKeepsOnlyRecord(t *testing.T) {
+	m := NewManager(New(2))
+	defer m.Close()
+	// Gate the tasks so the run is still live when the test captures it.
+	g := newGate()
+	defer g.open()
+	spec := newSumSpec(8)
+	task := spec.Task
+	spec.Task = func(ctx context.Context, i int, r *rng.Rand) (any, error) {
+		if err := g.wait(ctx); err != nil {
+			return nil, err
+		}
+		return task(ctx, i, r)
+	}
+	job, err := m.Submit(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	job.mu.Lock()
+	run := job.run
+	job.mu.Unlock()
+	job.Watch(ctx)
+	g.open()
+	if err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if run.ctx.Err() == nil {
+		t.Fatal("finished run never released its context from the manager's")
+	}
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	if job.run != nil || job.watchers != nil {
+		t.Fatalf("terminal job still holds run %p, watchers %v", job.run, job.watchers)
+	}
+	if job.state != StateDone || job.done != 8 || job.watermark != 8 || job.result != wantSum(8) {
+		t.Fatalf("terminal record = %+v, result %v", job.statusLocked(), job.result)
 	}
 }

@@ -198,7 +198,7 @@ func NewWithOptions(workers int, opts Options) (*Server, error) {
 		s.traffic = traffic.New(traffic.Config{})
 	}
 	// The quota policy lives in the engine's take path; push it there once.
-	s.manager.Engine().SetClientShares(s.traffic.MaxShare(), nil)
+	s.manager.Engine().SetClientShare(s.traffic.MaxShare())
 	if s.store != nil {
 		s.pkick = make(chan struct{}, 1)
 		s.pstop = make(chan struct{})

@@ -4,7 +4,7 @@
 // the server authenticates and rate-limits requests through a Controller,
 // and the resolved client identity and priority weight ride into the
 // engine's fair-share dispatcher, which enforces the per-client in-flight
-// cost quota (engine.SetClientShares).
+// cost quota (engine.SetClientShare).
 //
 // Admission control is deliberately outside the determinism boundary:
 // everything here changes only *whether* and *when* a job is admitted and
@@ -294,7 +294,7 @@ type Config struct {
 	// cost, in (0, 1]; 0 disables the quota. The cap is work-conserving:
 	// it binds only while another client has work waiting, so a lone client
 	// still uses the whole pool. Enforced inside the engine's fair-share
-	// take path — push it there with engine.SetClientShares(MaxShare, nil).
+	// take path — push it there with engine.SetClientShare(MaxShare).
 	MaxShare float64
 }
 
@@ -348,7 +348,7 @@ func New(cfg Config) *Controller {
 func (c *Controller) Enforced() bool { return c.cfg.Keyring.Len() > 0 }
 
 // MaxShare returns the configured per-client in-flight cost share cap
-// (0 = unlimited) — the value to push into engine.SetClientShares.
+// (0 = unlimited) — the value to push into engine.SetClientShare.
 func (c *Controller) MaxShare() float64 { return c.cfg.MaxShare }
 
 // Authenticate resolves a presented API key to a client identity. On an
