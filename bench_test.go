@@ -229,6 +229,27 @@ func BenchmarkCoreIsEquilibrium(b *testing.B) {
 	}
 }
 
+// BenchmarkEnumerate measures the equilibrium search on the random-game
+// shapes that load it: eq-cold's 10×3 and 11×3 equilibrium_sweep games and
+// E6's 6×2.
+func BenchmarkEnumerate(b *testing.B) {
+	for _, spec := range []core.GenSpec{{Miners: 10, Coins: 3}, {Miners: 11, Coins: 3}, {Miners: 6, Coins: 2}} {
+		b.Run(itoa(spec.Miners)+"x"+itoa(spec.Coins), func(b *testing.B) {
+			g, err := core.RandomGame(rng.New(23), spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := equilibria.Enumerate(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkPotentialList(b *testing.B) {
 	r := rng.New(22)
 	g, err := core.RandomGame(r, core.GenSpec{Miners: 64, Coins: 8})

@@ -8,7 +8,8 @@ import (
 )
 
 // MaxExhaustiveConfigs bounds the state-space size |C|^|Π| that the
-// exhaustive checkers in this file will enumerate before refusing.
+// exhaustive checkers and searches in this package will take on before
+// refusing.
 const MaxExhaustiveConfigs = 1 << 22
 
 // ErrTooLarge is returned by exhaustive checkers when the game's state space
@@ -20,12 +21,8 @@ var ErrTooLarge = fmt.Errorf("core: state space too large for exhaustive check (
 // false. It returns ErrTooLarge if |C|^|Π| exceeds MaxExhaustiveConfigs.
 // Eligibility-restricted assignments are skipped.
 func (g *Game) EnumerateConfigs(visit func(Config) bool) error {
-	total := 1
-	for range g.miners {
-		total *= len(g.coins)
-		if total > MaxExhaustiveConfigs {
-			return ErrTooLarge
-		}
+	if err := g.checkExhaustive(); err != nil {
+		return err
 	}
 	s := make(Config, len(g.miners))
 	var rec func(p int) bool
@@ -45,6 +42,20 @@ func (g *Game) EnumerateConfigs(visit func(Config) bool) error {
 		return true
 	}
 	rec(0)
+	return nil
+}
+
+// checkExhaustive returns ErrTooLarge if |C|^|Π| exceeds
+// MaxExhaustiveConfigs, the bound every exhaustive search in this package
+// shares.
+func (g *Game) checkExhaustive() error {
+	total := 1
+	for range g.miners {
+		total *= len(g.coins)
+		if total > MaxExhaustiveConfigs {
+			return ErrTooLarge
+		}
+	}
 	return nil
 }
 

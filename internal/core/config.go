@@ -237,16 +237,9 @@ func (g *Game) IsStable(s Config, p MinerID) bool {
 // IsEquilibrium reports whether s is stable: no miner has a better response.
 func (g *Game) IsEquilibrium(s Config) bool {
 	powers := g.CoinPowers(s)
-	for p := range s {
-		mp := g.miners[p].Power
-		cur := mp * g.rewards[s[p]] / powers[s[p]]
-		for c := range g.coins {
-			if c == s[p] || !g.Eligible(p, c) {
-				continue
-			}
-			if numeric.Greater(mp*g.rewards[c]/(powers[c]+mp), cur, g.eps) {
-				return false
-			}
+	for p, a := range s {
+		if g.movable(p, a, powers[a], powers) {
+			return false
 		}
 	}
 	return true

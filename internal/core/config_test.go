@@ -342,6 +342,19 @@ func TestEnumerateConfigsEarlyStop(t *testing.T) {
 	}
 }
 
+func TestVisitEquilibriaEarlyStop(t *testing.T) {
+	count := 0
+	if err := paperGame(t).VisitEquilibria(func(Config) bool {
+		count++
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if count != 1 {
+		t.Fatalf("visited %d equilibria, want 1", count)
+	}
+}
+
 func TestEnumerateConfigsRespectsEligibility(t *testing.T) {
 	g := MustNewGame(
 		[]Miner{{Name: "a", Power: 2}, {Name: "b", Power: 1}},
@@ -371,7 +384,10 @@ func TestEnumerateTooLarge(t *testing.T) {
 	}
 	g := MustNewGame(miners, []Coin{{Name: "a"}, {Name: "b"}, {Name: "c"}}, []float64{1, 2, 3})
 	if err := g.EnumerateConfigs(func(Config) bool { return true }); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("err = %v, want ErrTooLarge", err)
+		t.Fatalf("EnumerateConfigs err = %v, want ErrTooLarge", err)
+	}
+	if err := g.VisitEquilibria(func(Config) bool { return true }); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("VisitEquilibria err = %v, want ErrTooLarge", err)
 	}
 }
 

@@ -5,7 +5,8 @@
 //     the resulting configuration is stable (Proposition 3).
 //   - TwoDistinct: Lemma 2's construction of two different equilibria for
 //     games satisfying Assumptions 1–2.
-//   - Enumerate: exhaustive equilibrium enumeration for small games.
+//   - Enumerate: every equilibrium of a small game, by a pruned search
+//     whose result equals the exhaustive one.
 //   - BetterEquilibriumFor: Proposition 2's guarantee — for every stable s
 //     there is a miner p and a stable s' with u_p(s') > u_p(s).
 package equilibria
@@ -39,10 +40,22 @@ var ErrNoBetter = errors.New("equilibria: no equilibrium improves any miner")
 // miner's eligible coins only; stability of the result is then checked and
 // ErrNotStable returned if the restriction broke the induction.
 func Construct(g *core.Game) (core.Config, error) {
-	n := g.NumMiners()
-	s := make(core.Config, n)
-	powers := make([]float64, g.NumCoins())
-	for p := 0; p < n; p++ {
+	s := make(core.Config, g.NumMiners())
+	if err := extend(g, s, make([]float64, g.NumCoins()), 0); err != nil {
+		return nil, err
+	}
+	if g.Restricted() && !g.IsEquilibrium(s) {
+		return nil, fmt.Errorf("%w: greedy construction under eligibility restrictions", ErrNotStable)
+	}
+	return s, nil
+}
+
+// extend places miners from..n−1 of s in order, each on the eligible coin
+// maximizing its payoff F(c)·m_p/(M_c + m_p) given the miners placed before
+// it (ties to the lowest CoinID); powers holds those miners' coin powers
+// and is updated in place.
+func extend(g *core.Game, s core.Config, powers []float64, from core.MinerID) error {
+	for p := from; p < len(s); p++ {
 		mp := g.Power(p)
 		best := -1
 		bestU := 0.0
@@ -56,23 +69,21 @@ func Construct(g *core.Game) (core.Config, error) {
 			}
 		}
 		if best == -1 {
-			return nil, fmt.Errorf("equilibria: miner %d has no eligible coin", p)
+			return fmt.Errorf("equilibria: miner %d has no eligible coin", p)
 		}
 		s[p] = best
 		powers[best] += mp
 	}
-	if g.Restricted() && !g.IsEquilibrium(s) {
-		return nil, fmt.Errorf("%w: greedy construction under eligibility restrictions", ErrNotStable)
-	}
-	return s, nil
+	return nil
 }
 
 // TwoDistinct builds two different pure equilibria of g following Lemma 2:
 // seed the two largest miners on the two highest-reward coins in opposite
-// orders, then extend greedily as in Construct. It requires at least two
-// miners and two coins, and the stability of both results relies on
-// Assumptions 1–2; if either constructed configuration ends up unstable,
-// ErrNotStable is returned.
+// orders, then extend greedily over eligible coins as in Construct. It
+// requires at least two miners and two coins, and the stability of both
+// results relies on Assumptions 1–2; if a seed coin is ineligible for its
+// miner or either constructed configuration ends up unstable, ErrNotStable
+// is returned.
 func TwoDistinct(g *core.Game) (core.Config, core.Config, error) {
 	if g.NumMiners() < 2 || g.NumCoins() < 2 {
 		return nil, nil, errors.New("equilibria: TwoDistinct needs ≥2 miners and ≥2 coins")
@@ -85,32 +96,26 @@ func TwoDistinct(g *core.Game) (core.Config, core.Config, error) {
 	sort.SliceStable(order, func(i, j int) bool { return g.Reward(order[i]) > g.Reward(order[j]) })
 	c1, c2 := order[0], order[1]
 
-	build := func(first, second core.CoinID) core.Config {
-		n := g.NumMiners()
-		s := make(core.Config, n)
-		powers := make([]float64, g.NumCoins())
-		s[0] = first
-		powers[first] += g.Power(0)
-		s[1] = second
-		powers[second] += g.Power(1)
-		for p := 2; p < n; p++ {
-			mp := g.Power(p)
-			best := 0
-			bestU := 0.0
-			for c := 0; c < g.NumCoins(); c++ {
-				u := g.Reward(c) * mp / (powers[c] + mp)
-				if c == 0 || u > bestU {
-					best, bestU = c, u
-				}
-			}
-			s[p] = best
-			powers[best] += mp
+	build := func(first, second core.CoinID) (core.Config, error) {
+		if !g.Eligible(0, first) || !g.Eligible(1, second) {
+			return nil, fmt.Errorf("%w: miners 0 and 1 cannot be seeded on c%d and c%d", ErrNotStable, first, second)
 		}
-		return s
+		s := make(core.Config, g.NumMiners())
+		powers := make([]float64, g.NumCoins())
+		s[0], s[1] = first, second
+		powers[first] += g.Power(0)
+		powers[second] += g.Power(1)
+		return s, extend(g, s, powers, 2)
 	}
 
-	sA := build(c1, c2)
-	sB := build(c2, c1)
+	sA, err := build(c1, c2)
+	if err != nil {
+		return nil, nil, err
+	}
+	sB, err := build(c2, c1)
+	if err != nil {
+		return nil, nil, err
+	}
 	if sA.Equal(sB) {
 		return nil, nil, fmt.Errorf("%w: constructions coincide", ErrNotStable)
 	}
@@ -123,18 +128,19 @@ func TwoDistinct(g *core.Game) (core.Config, core.Config, error) {
 	return sA, sB, nil
 }
 
-// Enumerate returns every pure equilibrium of g in lexicographic order.
-// It is exhaustive and therefore restricted to small games; it propagates
+// Enumerate returns every pure equilibrium of g in lexicographic order. It
+// is core.Game.VisitEquilibria keeping a copy of each hit: a depth-first
+// search that cuts subtrees in which a placed miner is unstable in every
+// completion. The result is exactly the configurations of EnumerateConfigs
+// on which IsEquilibrium holds, in the same order. The search is still
+// exponential in the worst case and restricted to small games; it returns
 // core.ErrTooLarge beyond the enumeration limit.
 func Enumerate(g *core.Game) ([]core.Config, error) {
 	var out []core.Config
-	err := g.EnumerateConfigs(func(s core.Config) bool {
-		if g.IsEquilibrium(s) {
-			out = append(out, s.Clone())
-		}
+	if err := g.VisitEquilibria(func(s core.Config) bool {
+		out = append(out, s.Clone())
 		return true
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -151,10 +157,14 @@ type Improvement struct {
 // BetterEquilibriumFor finds, for the stable configuration s, a miner and a
 // different stable configuration in which that miner's payoff is strictly
 // higher (Proposition 2). The search enumerates all equilibria, so it is
-// limited to small games. If s is the unique equilibrium or no miner
-// improves anywhere, ErrNoBetter is returned — which, per Proposition 2,
-// certifies that g violates Assumption 1 or 2.
+// limited to small games. A malformed s returns ValidateConfig's error. If
+// s is the unique equilibrium or no miner improves anywhere, ErrNoBetter is
+// returned — which, per Proposition 2, certifies that g violates
+// Assumption 1 or 2.
 func BetterEquilibriumFor(g *core.Game, s core.Config) (Improvement, error) {
+	if err := g.ValidateConfig(s); err != nil {
+		return Improvement{}, err
+	}
 	if !g.IsEquilibrium(s) {
 		return Improvement{}, fmt.Errorf("equilibria: reference %v is not stable", s)
 	}

@@ -105,6 +105,47 @@ func TestTwoDistinctRejectsTinyGames(t *testing.T) {
 	}
 }
 
+// TestTwoDistinctRespectsEligibility: with miner 0 barred from the
+// top-reward coin, the Lemma 2 seeding is impossible, so TwoDistinct must
+// fail with ErrNotStable rather than return a configuration that puts miner
+// 0 on coin 1.
+func TestTwoDistinctRespectsEligibility(t *testing.T) {
+	g := core.MustNewGame(
+		[]core.Miner{{Name: "a", Power: 5}, {Name: "b", Power: 3}, {Name: "c", Power: 2}, {Name: "d", Power: 1}},
+		[]core.Coin{{Name: "c0"}, {Name: "c1"}, {Name: "c2"}},
+		[]float64{4, 9, 1},
+		core.WithEligibility(func(p core.MinerID, c core.CoinID) bool { return p != 0 || c != 1 }),
+	)
+	a, b, err := TwoDistinct(g)
+	if !errors.Is(err, ErrNotStable) {
+		t.Fatalf("TwoDistinct = %v, %v, %v; want ErrNotStable", a, b, err)
+	}
+}
+
+// TestTwoDistinctExtendsOverEligibleCoins: the seeds are legal, but the
+// smallest miner's unrestricted greedy choice is the coin it is barred
+// from, so the extension must pick among its eligible coins.
+func TestTwoDistinctExtendsOverEligibleCoins(t *testing.T) {
+	g := core.MustNewGame(
+		[]core.Miner{{Name: "a", Power: 8}, {Name: "b", Power: 4}, {Name: "c", Power: 1}},
+		[]core.Coin{{Name: "c0"}, {Name: "c1"}, {Name: "c2"}},
+		[]float64{3, 20, 20},
+		core.WithEligibility(func(p core.MinerID, c core.CoinID) bool { return p != 2 || c != 2 }),
+	)
+	a, b, err := TwoDistinct(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []core.Config{a, b} {
+		if err := g.ValidateConfig(s); err != nil {
+			t.Fatalf("TwoDistinct returned %v: %v", s, err)
+		}
+		if !g.IsEquilibrium(s) {
+			t.Fatalf("TwoDistinct returned unstable %v", s)
+		}
+	}
+}
+
 func TestEnumerateFindsAllEquilibria(t *testing.T) {
 	// Proposition 1's game: equilibria are exactly the two split configs.
 	g := core.MustNewGame(
@@ -211,6 +252,21 @@ func TestBetterEquilibriumForRejectsUnstable(t *testing.T) {
 	}
 	if _, err := BetterEquilibriumFor(g, unstable); err == nil {
 		t.Fatal("unstable reference accepted")
+	}
+}
+
+// TestBetterEquilibriumForRejectsMalformed: a reference of the wrong
+// length or with an out-of-range coin is an error, not a panic.
+func TestBetterEquilibriumForRejectsMalformed(t *testing.T) {
+	g := core.MustNewGame(
+		[]core.Miner{{Name: "a", Power: 5}, {Name: "b", Power: 3}, {Name: "c", Power: 2}},
+		[]core.Coin{{Name: "c0"}, {Name: "c1"}},
+		[]float64{4, 3},
+	)
+	for _, s := range []core.Config{{0, 1}, {0, 1, 7}} {
+		if _, err := BetterEquilibriumFor(g, s); !errors.Is(err, core.ErrBadConfig) {
+			t.Errorf("BetterEquilibriumFor(%v) err = %v, want ErrBadConfig", s, err)
+		}
 	}
 }
 

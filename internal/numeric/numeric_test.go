@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"gameofcoins/internal/rng"
 )
 
 func TestFloatComparators(t *testing.T) {
@@ -170,5 +172,52 @@ func TestRatString(t *testing.T) {
 	}
 	if got := RatFromInt(4).String(); got != "4" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// TestGreaterMonotone checks the lemma in Greater's doc comment, which the
+// pruned equilibrium search relies on: for finite 0 ≤ a ≤ a', 0 ≤ b' ≤ b
+// and 0 ≤ eps ≤ 1/4, Greater(a, b, eps) implies Greater(a', b', eps). The
+// pairs sit on the rounding boundary: Greater(a, b, eps) fails one ulp
+// below a, and a', b' are a few ulps away.
+func TestGreaterMonotone(t *testing.T) {
+	r := rng.New(31)
+	for _, eps := range []float64{0, 1e-15, Eps, 1e-3, 0.25} {
+		for trial := 0; trial < 20000; trial++ {
+			b := math.Ldexp(r.Float64(), r.Intn(40)-20)
+			// Bisect the bit patterns of [b, 2b+2] (ordered like the values
+			// for non-negative floats) for a float a at which Greater turns
+			// true: Greater(a, b, eps) holds and fails one ulp below a.
+			lo, hi := math.Float64bits(b), math.Float64bits(2*b+2)
+			for hi-lo > 1 {
+				if mid := lo + (hi-lo)/2; Greater(math.Float64frombits(mid), b, eps) {
+					hi = mid
+				} else {
+					lo = mid
+				}
+			}
+			a := math.Float64frombits(hi)
+			inf := math.Inf(1)
+			up := []float64{a, math.Nextafter(a, inf), math.Nextafter(math.Nextafter(a, inf), inf), a * (1 + 1e-15), 2 * a, math.Nextafter(1, 2)}
+			down := []float64{b, math.Nextafter(b, 0), b * (1 - 1e-15), b / 2, 0}
+			for _, a2 := range up {
+				for _, b2 := range down {
+					if a2 >= a && b2 <= b && !Greater(a2, b2, eps) {
+						t.Fatalf("eps %g: Greater(%v, %v) but not Greater(%v, %v)", eps, a, b, a2, b2)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestComparatorsFalseOnNaN pins that a NaN argument makes every comparison
+// false, whatever scale returns for it.
+func TestComparatorsFalseOnNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, ab := range [][2]float64{{nan, 1}, {1, nan}, {nan, nan}, {nan, math.Inf(1)}} {
+		if Less(ab[0], ab[1], Eps) || Greater(ab[0], ab[1], Eps) || Equal(ab[0], ab[1], Eps) {
+			t.Errorf("a comparator is true for %v", ab)
+		}
 	}
 }
