@@ -6,10 +6,12 @@ package gameofcoins_test
 // fixed-seed workloads the experiment suite validates.
 
 import (
+	"context"
 	"testing"
 
 	"gameofcoins/internal/core"
 	"gameofcoins/internal/design"
+	"gameofcoins/internal/engine"
 	"gameofcoins/internal/equilibria"
 	"gameofcoins/internal/experiments"
 	"gameofcoins/internal/learning"
@@ -250,6 +252,55 @@ func BenchmarkEnumerate(b *testing.B) {
 	}
 }
 
+// BenchmarkLearnSweepTask runs the tasks of one learn_sweep job shaped like
+// persist-stream's (8×2 random games, 200 runs of each scheduler) as the
+// engine does: 1200 × RunTask on the task's forked stream, then
+// EncodeTaskResult. allocs/op is per job.
+func BenchmarkLearnSweepTask(b *testing.B) {
+	spec := engine.LearnSweep{Gen: core.GenSpec{Miners: 8, Coins: 2}, Runs: 200}
+	base := rng.New(7)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for task := range spec.Tasks() {
+			out, err := spec.RunTask(ctx, task, base.Fork(uint64(task)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := spec.EncodeTaskResult(out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkLearningRun measures one better-response run per op under each
+// built-in scheduler, from random starts in an 8×2 game (persist-stream's
+// shape); steps/op turns ns/op into a per-step cost.
+func BenchmarkLearningRun(b *testing.B) {
+	for _, sched := range learning.AllSchedulers() {
+		b.Run(sched.Name(), func(b *testing.B) {
+			r := rng.New(24)
+			g, err := core.RandomGame(r, core.GenSpec{Miners: 8, Coins: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			steps := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := learning.Run(g, core.RandomConfig(r, g), freshScheduler(sched.Name()), r.Split(), learning.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += res.Steps
+			}
+			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+		})
+	}
+}
+
 func BenchmarkPotentialList(b *testing.B) {
 	r := rng.New(22)
 	g, err := core.RandomGame(r, core.GenSpec{Miners: 64, Coins: 8})
@@ -287,12 +338,11 @@ func itoa(n int) string {
 }
 
 func freshScheduler(name string) learning.Scheduler {
-	for _, s := range learning.AllSchedulers() {
-		if s.Name() == name {
-			return s
-		}
+	s, err := learning.SchedulerByName(name)
+	if err != nil {
+		panic(err)
 	}
-	panic("unknown scheduler")
+	return s
 }
 
 func benchDesignGame(b *testing.B) *core.Game {

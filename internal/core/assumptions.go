@@ -12,6 +12,11 @@ import (
 // refusing.
 const MaxExhaustiveConfigs = 1 << 22
 
+// MaxGenCells bounds Miners × Coins of a GenSpec that a sweep job may draw
+// games from. It is far above E4's largest game (128 × 8) and keeps one
+// drawn game's slices to a few tens of megabytes.
+const MaxGenCells = 1 << 20
+
 // ErrTooLarge is returned by exhaustive checkers when the game's state space
 // exceeds MaxExhaustiveConfigs.
 var ErrTooLarge = fmt.Errorf("core: state space too large for exhaustive check (limit %d)", MaxExhaustiveConfigs)

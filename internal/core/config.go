@@ -100,13 +100,27 @@ func (g *Game) CoinPower(s Config, c CoinID) float64 {
 }
 
 // CoinPowers returns M_c(s) for every coin in one pass.
-func (g *Game) CoinPowers(s Config) []float64 {
-	powers := make([]float64, len(g.coins))
-	for p, c := range s {
-		powers[c] += g.miners[p].Power
+func (g *Game) CoinPowers(s Config) []float64 { return g.AppendCoinPowers(nil, s) }
+
+// AppendCoinPowers appends M_c(s) for every coin to dst and returns the
+// extended slice, so a caller can keep the powers in an array of its own
+// (dst = buf[:0]). Each M_c(s) adds the m_p of c's miners in MinerID order,
+// starting from 0, exactly as CoinPower does, so the two agree bit for bit;
+// the …In methods below rely on that.
+func (g *Game) AppendCoinPowers(dst []float64, s Config) []float64 {
+	base := len(dst)
+	for range g.coins {
+		dst = append(dst, 0)
 	}
-	return powers
+	for p, c := range s {
+		dst[base+c] += g.miners[p].Power
+	}
+	return dst
 }
+
+// stackCoins is the number of coins up to which the methods below keep a
+// configuration's coin powers in a stack array; larger games allocate them.
+const stackCoins = 16
 
 // RPU returns the revenue per unit of coin c in s: F(c)/M_c(s).
 // A coin with no miners has RPU +Inf (the limit as power → 0), which is the
@@ -134,17 +148,45 @@ func (g *Game) RPUs(s Config) []float64 {
 	return out
 }
 
+// share is m·F/M: the payoff of power m on a coin with reward F on which
+// the total power, m's included, is M. It is the one payoff expression in
+// the package: u_p(s) is share(m_p, F(s.p), M_{s.p}(s)), and p's payoff
+// after moving to b ≠ s.p is share(m_p, F(b), M_b(s)+m_p).
+func share(m, f, total float64) float64 { return m * f / total }
+
+// nextMove returns the lowest coin b in [from, to) to which miner p, mining
+// coin a on which the total power is held, has a better response step, or
+// to if there is none; others[b] is the power the other miners hold on b.
+// It is the one better-response test in the package: b ≠ a, b is eligible
+// for p, and share(m_p, F(b), others[b]+m_p) beats share(m_p, F(a), held)
+// beyond the game's epsilon.
+func (g *Game) nextMove(p MinerID, a CoinID, held float64, others []float64, from, to CoinID) CoinID {
+	mp := g.miners[p].Power
+	cur := share(mp, g.rewards[a], held)
+	for b := from; b < to; b++ {
+		if b != a && g.Eligible(p, b) && numeric.Greater(share(mp, g.rewards[b], others[b]+mp), cur, g.eps) {
+			return b
+		}
+	}
+	return to
+}
+
 // Payoff returns u_p(s) = m_p · F(s.p) / M_{s.p}(s).
 func (g *Game) Payoff(s Config, p MinerID) float64 {
-	return g.miners[p].Power * g.rewards[s[p]] / g.CoinPower(s, s[p])
+	return share(g.miners[p].Power, g.rewards[s[p]], g.CoinPower(s, s[p]))
+}
+
+// PayoffIn is Payoff(s, p) given powers = CoinPowers(s).
+func (g *Game) PayoffIn(s Config, p MinerID, powers []float64) float64 {
+	return share(g.miners[p].Power, g.rewards[s[p]], powers[s[p]])
 }
 
 // Payoffs returns every miner's payoff in one pass.
 func (g *Game) Payoffs(s Config) []float64 {
 	powers := g.CoinPowers(s)
 	out := make([]float64, len(s))
-	for p, c := range s {
-		out[p] = g.miners[p].Power * g.rewards[c] / powers[c]
+	for p := range s {
+		out[p] = g.PayoffIn(s, p, powers)
 	}
 	return out
 }
@@ -162,11 +204,20 @@ func (g *Game) SumPayoffs(s Config) float64 {
 // PayoffAfterMove returns u_p((s₋p, c)): the payoff p would receive after
 // unilaterally moving to coin c. For c == s[p] it equals Payoff(s, p).
 func (g *Game) PayoffAfterMove(s Config, p MinerID, c CoinID) float64 {
-	mp := g.miners[p].Power
 	if c == s[p] {
-		return mp * g.rewards[c] / g.CoinPower(s, c)
+		return g.Payoff(s, p)
 	}
-	return mp * g.rewards[c] / (g.CoinPower(s, c) + mp)
+	mp := g.miners[p].Power
+	return share(mp, g.rewards[c], g.CoinPower(s, c)+mp)
+}
+
+// PayoffAfterMoveIn is PayoffAfterMove(s, p, c) given powers = CoinPowers(s).
+func (g *Game) PayoffAfterMoveIn(s Config, p MinerID, c CoinID, powers []float64) float64 {
+	if c == s[p] {
+		return g.PayoffIn(s, p, powers)
+	}
+	mp := g.miners[p].Power
+	return share(mp, g.rewards[c], powers[c]+mp)
 }
 
 // Apply returns the configuration (s₋p, c). It does not mutate s.
@@ -180,63 +231,67 @@ func (g *Game) Apply(s Config, p MinerID, c CoinID) Config {
 // response step: u_p(s) < u_p((s₋p, c)) beyond the game's epsilon, and c is
 // eligible for p.
 func (g *Game) IsBetterResponse(s Config, p MinerID, c CoinID) bool {
-	if c == s[p] || !g.Eligible(p, c) {
-		return false
-	}
-	return numeric.Greater(g.PayoffAfterMove(s, p, c), g.Payoff(s, p), g.eps)
+	var buf [stackCoins]float64
+	return g.IsBetterResponseIn(s, p, c, g.AppendCoinPowers(buf[:0], s))
+}
+
+// IsBetterResponseIn is IsBetterResponse(s, p, c) given
+// powers = CoinPowers(s).
+func (g *Game) IsBetterResponseIn(s Config, p MinerID, c CoinID, powers []float64) bool {
+	return g.nextMove(p, s[p], powers[s[p]], powers, c, c+1) == c
 }
 
 // BetterResponses returns every coin to which moving is a better response
 // step for p in s, in CoinID order.
 func (g *Game) BetterResponses(s Config, p MinerID) []CoinID {
-	cur := g.Payoff(s, p)
-	var out []CoinID
-	for c := range g.coins {
-		if c == s[p] || !g.Eligible(p, c) {
-			continue
-		}
-		if numeric.Greater(g.PayoffAfterMove(s, p, c), cur, g.eps) {
-			out = append(out, c)
-		}
+	var buf [stackCoins]float64
+	return g.AppendBetterResponsesIn(nil, s, p, g.AppendCoinPowers(buf[:0], s))
+}
+
+// AppendBetterResponsesIn appends BetterResponses(s, p) to dst, given
+// powers = CoinPowers(s), and returns the extended slice.
+func (g *Game) AppendBetterResponsesIn(dst []CoinID, s Config, p MinerID, powers []float64) []CoinID {
+	a, k := s[p], len(g.coins)
+	for c := g.nextMove(p, a, powers[a], powers, 0, k); c < k; c = g.nextMove(p, a, powers[a], powers, c+1, k) {
+		dst = append(dst, c)
 	}
-	return out
+	return dst
 }
 
 // BestResponse returns the eligible coin maximizing p's post-move payoff and
 // whether that move strictly improves on p's current payoff. Ties are broken
 // toward the lowest CoinID, making the choice deterministic.
 func (g *Game) BestResponse(s Config, p MinerID) (CoinID, bool) {
-	cur := g.Payoff(s, p)
-	best := s[p]
-	bestU := cur
+	var buf [stackCoins]float64
+	return g.BestResponseIn(s, p, g.AppendCoinPowers(buf[:0], s))
+}
+
+// BestResponseIn is BestResponse(s, p) given powers = CoinPowers(s).
+func (g *Game) BestResponseIn(s Config, p MinerID, powers []float64) (CoinID, bool) {
+	a := s[p]
+	best, bestU := a, g.PayoffIn(s, p, powers)
 	for c := range g.coins {
-		if c == s[p] || !g.Eligible(p, c) {
+		if c == a || !g.Eligible(p, c) {
 			continue
 		}
-		if u := g.PayoffAfterMove(s, p, c); numeric.Greater(u, bestU, g.eps) {
+		if u := g.PayoffAfterMoveIn(s, p, c, powers); numeric.Greater(u, bestU, g.eps) {
 			best, bestU = c, u
 		}
 	}
-	return best, best != s[p]
+	return best, best != a
 }
 
 // IsStable reports whether miner p has no better response step in s.
 func (g *Game) IsStable(s Config, p MinerID) bool {
-	cur := g.Payoff(s, p)
-	for c := range g.coins {
-		if c == s[p] || !g.Eligible(p, c) {
-			continue
-		}
-		if numeric.Greater(g.PayoffAfterMove(s, p, c), cur, g.eps) {
-			return false
-		}
-	}
-	return true
+	var buf [stackCoins]float64
+	powers := g.AppendCoinPowers(buf[:0], s)
+	return !g.movable(p, s[p], powers[s[p]], powers)
 }
 
 // IsEquilibrium reports whether s is stable: no miner has a better response.
 func (g *Game) IsEquilibrium(s Config) bool {
-	powers := g.CoinPowers(s)
+	var buf [stackCoins]float64
+	powers := g.AppendCoinPowers(buf[:0], s)
 	for p, a := range s {
 		if g.movable(p, a, powers[a], powers) {
 			return false

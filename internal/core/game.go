@@ -23,7 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"gameofcoins/internal/numeric"
 )
@@ -117,6 +118,12 @@ func WithEligibility(allowed func(p MinerID, c CoinID) bool) Option {
 // m_{p₁} ≥ m_{p₂} ≥ … convention holds for all downstream algorithms.
 // The input slices are copied.
 func NewGame(miners []Miner, coins []Coin, rewards []float64, opts ...Option) (*Game, error) {
+	return newGame(append([]Miner(nil), miners...), append([]Coin(nil), coins...), append([]float64(nil), rewards...), opts...)
+}
+
+// newGame is NewGame on slices the game takes over: it sorts miners in
+// place and keeps all three.
+func newGame(miners []Miner, coins []Coin, rewards []float64, opts ...Option) (*Game, error) {
 	if len(miners) == 0 {
 		return nil, ErrNoMiners
 	}
@@ -126,12 +133,7 @@ func NewGame(miners []Miner, coins []Coin, rewards []float64, opts ...Option) (*
 	if len(rewards) != len(coins) {
 		return nil, fmt.Errorf("%w: got %d rewards for %d coins", ErrRewardArity, len(rewards), len(coins))
 	}
-	g := &Game{
-		miners:  append([]Miner(nil), miners...),
-		coins:   append([]Coin(nil), coins...),
-		rewards: append([]float64(nil), rewards...),
-		eps:     numeric.Eps,
-	}
+	g := &Game{miners: miners, coins: coins, rewards: rewards, eps: numeric.Eps}
 	for i, m := range g.miners {
 		if !(m.Power > 0) || math.IsInf(m.Power, 0) {
 			return nil, fmt.Errorf("%w: miner %d (%s) has power %v", ErrBadPower, i, m.Name, m.Power)
@@ -142,11 +144,16 @@ func NewGame(miners []Miner, coins []Coin, rewards []float64, opts ...Option) (*
 			return nil, fmt.Errorf("%w: coin %d (%s) has reward %v", ErrBadReward, c, g.coins[c].Name, r)
 		}
 	}
-	sort.SliceStable(g.miners, func(i, j int) bool {
-		if g.miners[i].Power != g.miners[j].Power {
-			return g.miners[i].Power > g.miners[j].Power
+	// Stable sorts under one comparator all produce the same order, so
+	// MinerIDs do not depend on the sort algorithm.
+	slices.SortStableFunc(g.miners, func(a, b Miner) int {
+		switch {
+		case a.Power > b.Power:
+			return -1
+		case a.Power < b.Power:
+			return 1
 		}
-		return g.miners[i].Name < g.miners[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	for _, opt := range opts {
 		if err := opt(g); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"gameofcoins/internal/rng"
 )
@@ -43,21 +44,42 @@ func RandomGame(r *rng.Rand, spec GenSpec) (*Game, error) {
 		weights := rng.Zipf(spec.Miners, spec.PowerZipf, spec.PowerHi*float64(spec.Miners)/2)
 		for i := range miners {
 			jitter := 1 + 1e-7*r.Float64()
-			miners[i] = Miner{Name: fmt.Sprintf("p%d", i), Power: weights[i] * jitter}
+			miners[i] = Miner{Name: genName(minerNames, "p", i), Power: weights[i] * jitter}
 		}
 	} else {
 		for i := range miners {
 			power := spec.PowerLo + (spec.PowerHi-spec.PowerLo)*r.Float64()
-			miners[i] = Miner{Name: fmt.Sprintf("p%d", i), Power: power}
+			miners[i] = Miner{Name: genName(minerNames, "p", i), Power: power}
 		}
 	}
 	coins := make([]Coin, spec.Coins)
 	rewards := make([]float64, spec.Coins)
 	for c := range coins {
-		coins[c] = Coin{Name: fmt.Sprintf("c%d", c)}
+		coins[c] = Coin{Name: genName(coinNames, "c", c)}
 		rewards[c] = spec.RewardLo + (spec.RewardHi-spec.RewardLo)*r.Float64()
 	}
-	return NewGame(miners, coins, rewards)
+	return newGame(miners, coins, rewards)
+}
+
+// minerNames and coinNames hold the names RandomGame gives, "p0"… and
+// "c0"…, for games of up to 128 miners (E4's largest) and 16 coins;
+// genName formats the others.
+var minerNames, coinNames = nameTable("p", 128), nameTable("c", 16)
+
+func nameTable(prefix string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = prefix + strconv.Itoa(i)
+	}
+	return names
+}
+
+// genName returns prefix followed by i in decimal.
+func genName(table []string, prefix string, i int) string {
+	if i < len(table) {
+		return table[i]
+	}
+	return prefix + strconv.Itoa(i)
 }
 
 // RandomConfig draws a uniform random valid configuration of g.

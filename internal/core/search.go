@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"gameofcoins/internal/numeric"
-)
+import "math"
 
 // movable reports whether miner p, mining coin a on which the total power is
 // held, has a better response step: an eligible coin b ≠ a with
@@ -13,20 +9,10 @@ import (
 //
 // beyond the game's epsilon, where others[b] is the power on b that p would
 // join. With held = M_a(s) and others = CoinPowers(s) this is exactly "p is
-// unstable in s"; IsEquilibrium and VisitEquilibria's leaf check both call
-// it that way, and VisitEquilibria's prune test calls it with bounds.
+// unstable in s"; IsStable, IsEquilibrium and VisitEquilibria's leaf check
+// call it that way, and VisitEquilibria's prune test calls it with bounds.
 func (g *Game) movable(p MinerID, a CoinID, held float64, others []float64) bool {
-	mp := g.miners[p].Power
-	cur := mp * g.rewards[a] / held
-	for b := range g.coins {
-		if b == a || !g.Eligible(p, b) {
-			continue
-		}
-		if numeric.Greater(mp*g.rewards[b]/(others[b]+mp), cur, g.eps) {
-			return true
-		}
-	}
-	return false
+	return g.nextMove(p, a, held, others, 0, len(g.coins)) < len(g.coins)
 }
 
 // pruneMargin inflates the upper bound on a coin's final power so that it

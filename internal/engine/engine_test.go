@@ -217,6 +217,39 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestGenSizeBound: the three GenSpec sweeps share one bound on the games
+// they draw, core.MaxGenCells miners × coins. A spec past it, or whose
+// product overflows, fails Validate, so no task ever allocates the game;
+// a spec at the bound passes.
+func TestGenSizeBound(t *testing.T) {
+	sweeps := func(gen core.GenSpec) []Validator {
+		return []Validator{
+			LearnSweep{Gen: gen, Runs: 1},
+			DesignSweep{Gen: gen, Pairs: 1},
+			EquilibriumSweep{Gen: gen, Games: 1},
+		}
+	}
+	for _, gen := range []core.GenSpec{
+		{Miners: 1_000_000_000, Coins: 2},
+		{Miners: core.MaxGenCells/4 + 1, Coins: 4},
+		{Miners: 1, Coins: core.MaxGenCells + 1},
+		{Miners: 1 << 40, Coins: 1 << 40},
+	} {
+		for _, v := range sweeps(gen) {
+			if err := v.Validate(); err == nil {
+				t.Errorf("%T with %d × %d passed Validate", v, gen.Miners, gen.Coins)
+			}
+		}
+	}
+	for _, gen := range []core.GenSpec{{Miners: core.MaxGenCells / 4, Coins: 4}, {Miners: 1, Coins: core.MaxGenCells}} {
+		for _, v := range sweeps(gen) {
+			if err := v.Validate(); err != nil {
+				t.Errorf("%T with %d × %d: %v", v, gen.Miners, gen.Coins, err)
+			}
+		}
+	}
+}
+
 // TestManagerLifecycle submits, waits, and reads back a job.
 func TestManagerLifecycle(t *testing.T) {
 	m := NewManager(New(4))

@@ -1,0 +1,79 @@
+package engine
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"os"
+	"testing"
+)
+
+// TestLearnSweepGolden pins learn_sweep's outputs byte for byte: each job
+// in testdata/learn_sweep_golden.json (recorded by gen_learn_golden.go) is
+// rerun from its spec and seed, and the SHA-256 of its per-task ledger
+// documents and its aggregate JSON must match the recording. The jobs cover
+// persist-stream's 8×2 shape, 5×3, 12×4, Zipf powers, 20 coins, a fixed
+// eligibility-restricted game and a named scheduler subset, so a change to
+// the better-response kernel or to game generation that moves any step
+// count fails here.
+func TestLearnSweepGolden(t *testing.T) {
+	b, err := os.ReadFile("testdata/learn_sweep_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []struct {
+		Name      string          `json:"name"`
+		Seed      uint64          `json:"seed"`
+		Spec      json.RawMessage `json:"spec"`
+		Tasks     int             `json:"tasks"`
+		DocsSHA   string          `json:"docs_sha256"`
+		Aggregate string          `json:"aggregate"`
+	}
+	if err := json.Unmarshal(b, &jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) == 0 {
+		t.Fatal("golden file is empty")
+	}
+	m := NewManager(New(2))
+	defer m.Close()
+	for _, g := range jobs {
+		t.Run(g.Name, func(t *testing.T) {
+			var spec LearnSweep
+			if err := json.Unmarshal(g.Spec, &spec); err != nil {
+				t.Fatal(err)
+			}
+			if spec.Tasks() != g.Tasks {
+				t.Fatalf("spec has %d tasks, recorded %d", spec.Tasks(), g.Tasks)
+			}
+			job, err := m.Submit(spec, g.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := job.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			docs, err := job.ResultRange(0, g.Tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, d := range docs {
+				h.Write(d)
+				h.Write([]byte{'\n'})
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != g.DocsSHA {
+				t.Errorf("task documents digest %s, recorded %s", got, g.DocsSHA)
+			}
+			res, _ := job.Result()
+			agg, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(agg) != g.Aggregate {
+				t.Errorf("aggregate\n got %s\nwant %s", agg, g.Aggregate)
+			}
+		})
+	}
+}

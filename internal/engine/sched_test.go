@@ -349,12 +349,11 @@ func TestSweepTaskCosts(t *testing.T) {
 	if rnd, greedy := learn.TaskCost(0), learn.TaskCost(2); rnd <= greedy {
 		t.Fatalf("random-scheduler cost %v not above max-gain cost %v", rnd, greedy)
 	}
-	// The default-list prior indexes AllSchedulers positionally; guard the
-	// assumption that position 1 is "random" so a reorder there cannot
-	// silently misweight sweeps.
+	// The default sweep follows AllSchedulers, whose second scheduler is
+	// "random": its tasks (3..5 here) must carry the random prior.
 	defLearn := LearnSweep{Gen: core.GenSpec{Miners: 6, Coins: 3}, Runs: 3}
 	if names := defLearn.schedulerNames(); names[1] != "random" {
-		t.Fatalf("AllSchedulers()[1] = %q; update LearnSweep.TaskCost's default-list prior", names[1])
+		t.Fatalf("default sweep's second scheduler is %q, want random", names[1])
 	}
 	if rnd, rr := defLearn.TaskCost(3), defLearn.TaskCost(0); rnd <= rr {
 		t.Fatalf("default-list random cost %v not above round-robin cost %v", rnd, rr)

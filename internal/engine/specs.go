@@ -56,15 +56,23 @@ type LearnSweepResult struct {
 	TotalRuns  int                `json:"total_runs"`
 }
 
-func (s LearnSweep) schedulerNames() []string {
-	if len(s.Schedulers) > 0 {
-		return s.Schedulers
-	}
+// defaultSchedulers is the sweep of a LearnSweep that names none: every
+// built-in scheduler, in learning.AllSchedulers order.
+var defaultSchedulers = func() []string {
 	var names []string
 	for _, sched := range learning.AllSchedulers() {
 		names = append(names, sched.Name())
 	}
 	return names
+}()
+
+// schedulerNames returns the swept scheduler names; callers must not
+// modify the slice.
+func (s LearnSweep) schedulerNames() []string {
+	if len(s.Schedulers) > 0 {
+		return s.Schedulers
+	}
+	return defaultSchedulers
 }
 
 // Kind implements Spec.
@@ -116,13 +124,28 @@ func (s LearnSweep) Validate() error {
 	if s.Runs <= 0 {
 		return errors.New("runs must be positive")
 	}
-	if s.Game == nil && (s.Gen.Miners <= 0 || s.Gen.Coins <= 0) {
-		return errors.New("need a game or a generator spec")
+	if s.Game == nil {
+		if s.Gen.Miners <= 0 || s.Gen.Coins <= 0 {
+			return errors.New("need a game or a generator spec")
+		}
+		if err := checkGenSize(s.Gen); err != nil {
+			return err
+		}
 	}
 	for _, name := range s.schedulerNames() {
 		if _, err := learning.SchedulerByName(name); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkGenSize rejects a generator spec, with positive Miners and Coins,
+// whose games would exceed core.MaxGenCells miners × coins: one such game
+// could exhaust the memory of the process running its task.
+func checkGenSize(gen core.GenSpec) error {
+	if gen.Miners > core.MaxGenCells/gen.Coins {
+		return fmt.Errorf("generated games are limited to %d miners × coins, got %d × %d", core.MaxGenCells, gen.Miners, gen.Coins)
 	}
 	return nil
 }
@@ -136,16 +159,10 @@ type learnTaskResult struct {
 	Converged bool `json:"converged"`
 }
 
-// schedulerForTask resolves the (fresh, per-run) scheduler instance for
-// task i with a single AllSchedulers construction; schedulers are stateful,
-// so a new instance per task is required, but rebuilding the full name list
-// twice per task is not.
+// schedulerForTask returns a fresh instance of task i's scheduler:
+// schedulers are stateful, so each run needs its own.
 func (s LearnSweep) schedulerForTask(i int) (learning.Scheduler, error) {
-	idx := i / s.Runs
-	if len(s.Schedulers) > 0 {
-		return learning.SchedulerByName(s.Schedulers[idx])
-	}
-	return learning.AllSchedulers()[idx], nil
+	return learning.SchedulerByName(s.schedulerNames()[i/s.Runs])
 }
 
 // TaskCost implements Sizer: a coarse relative prior — proportional to the
@@ -162,17 +179,8 @@ func (s LearnSweep) TaskCost(i int) float64 {
 	if cost <= 0 {
 		cost = 1
 	}
-	// Resolve task i's scheduler without rebuilding the full default list
-	// per call: TaskCost runs once per task at enqueue, and a sweep can fan
-	// out to a million tasks.
 	if s.Runs > 0 {
-		idx := i / s.Runs
-		switch {
-		case len(s.Schedulers) > 0:
-			if idx < len(s.Schedulers) && s.Schedulers[idx] == "random" {
-				cost *= 2
-			}
-		case idx == 1: // AllSchedulers order: round-robin, random, …
+		if names := s.schedulerNames(); i/s.Runs < len(names) && names[i/s.Runs] == "random" {
 			cost *= 2
 		}
 	}
@@ -287,7 +295,7 @@ func (s DesignSweep) Validate() error {
 	if s.Gen.Miners <= 0 || s.Gen.Coins <= 0 {
 		return errors.New("need a generator spec")
 	}
-	return nil
+	return checkGenSize(s.Gen)
 }
 
 // designTaskResult is DesignSweep's per-task wire value; exported fields for
@@ -526,7 +534,7 @@ func (s EquilibriumSweep) Validate() error {
 	if s.Gen.Miners <= 0 || s.Gen.Coins <= 0 {
 		return errors.New("need a generator spec")
 	}
-	return nil
+	return checkGenSize(s.Gen)
 }
 
 // RunTask implements Spec.

@@ -78,18 +78,23 @@ type Result struct {
 // Run executes better-response learning in g from s0 under the given
 // scheduler until equilibrium. It never mutates s0. By Theorem 1 the
 // dynamics converge for every scheduler that returns genuine better
-// responses; Run verifies each proposed move and returns ErrBadMove
-// otherwise.
+// responses; Run verifies each proposed move, against coin powers it
+// computes itself, and returns ErrBadMove for one that is not a better
+// response or names a miner or coin outside g.
 func Run(g *core.Game, s0 core.Config, sched Scheduler, r *rng.Rand, opts Options) (Result, error) {
 	if err := g.ValidateConfig(s0); err != nil {
 		return Result{}, fmt.Errorf("learning: initial config: %w", err)
 	}
+	n, k := g.NumMiners(), g.NumCoins()
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
-		maxSteps = 1000*g.NumMiners()*g.NumCoins() + 1000
+		maxSteps = 1000*n*k + 1000
 	}
 	s := s0.Clone()
 	res := Result{Scheduler: sched.Name()}
+	record := opts.RecordMoves || opts.Observer != nil
+	var buf [stackCoins]float64
+	powers := buf[:0]
 	for step := 0; step < maxSteps; step++ {
 		p, c, ok := sched.Next(g, s, r)
 		if !ok {
@@ -97,23 +102,24 @@ func Run(g *core.Game, s0 core.Config, sched Scheduler, r *rng.Rand, opts Option
 			res.Converged = true
 			return res, nil
 		}
-		if !g.IsBetterResponse(s, p, c) {
+		powers = g.AppendCoinPowers(powers[:0], s)
+		if p < 0 || p >= n || c < 0 || c >= k || !g.IsBetterResponseIn(s, p, c, powers) {
 			return Result{}, fmt.Errorf("%w: miner %d to coin %d in %v", ErrBadMove, p, c, s)
 		}
-		mv := Move{
-			Miner:        p,
-			From:         s[p],
-			To:           c,
-			PayoffBefore: g.Payoff(s, p),
+		var mv Move
+		if record {
+			mv = Move{Miner: p, From: s[p], To: c, PayoffBefore: g.PayoffIn(s, p, powers)}
 		}
 		s[p] = c
-		mv.PayoffAfter = g.Payoff(s, p)
 		res.Steps++
-		if opts.RecordMoves {
-			res.Moves = append(res.Moves, mv)
-		}
-		if opts.Observer != nil {
-			opts.Observer(mv, s)
+		if record {
+			mv.PayoffAfter = g.Payoff(s, p)
+			if opts.RecordMoves {
+				res.Moves = append(res.Moves, mv)
+			}
+			if opts.Observer != nil {
+				opts.Observer(mv, s)
+			}
 		}
 		if opts.Invariant != nil {
 			if err := opts.Invariant(s); err != nil {

@@ -3,6 +3,7 @@ package learning
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"gameofcoins/internal/core"
@@ -24,6 +25,28 @@ func testGame(t *testing.T) *core.Game {
 		[]core.Coin{{Name: "c0"}, {Name: "c1"}, {Name: "c2"}},
 		[]float64{17, 19, 23},
 	)
+}
+
+// TestSchedulerByName: every built-in is found under its Name, as a fresh
+// instance of its own type, and an unknown name is an error.
+func TestSchedulerByName(t *testing.T) {
+	for _, want := range AllSchedulers() {
+		got, err := SchedulerByName(want.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.TypeOf(got) != reflect.TypeOf(want) || got.Name() != want.Name() {
+			t.Fatalf("SchedulerByName(%q) = %T named %q", want.Name(), got, got.Name())
+		}
+	}
+	a, _ := SchedulerByName("round-robin")
+	b, _ := SchedulerByName("round-robin")
+	if a == b {
+		t.Fatal("round-robin instances are shared")
+	}
+	if _, err := SchedulerByName("nope"); err == nil {
+		t.Fatal("unknown scheduler name accepted")
+	}
 }
 
 func TestRunConvergesAllSchedulers(t *testing.T) {
@@ -155,32 +178,29 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-// badScheduler proposes a non-improving move to exercise ErrBadMove.
-type badScheduler struct{}
+// fixedScheduler proposes the same move at every step.
+type fixedScheduler struct{ p, c int }
 
-func (badScheduler) Name() string { return "bad" }
-func (badScheduler) Next(g *core.Game, s core.Config, _ *rng.Rand) (core.MinerID, core.CoinID, bool) {
-	// Propose miner 0 moving to its own coin's worst alternative
-	// unconditionally; at an equilibrium this is not improving.
-	for c := 0; c < g.NumCoins(); c++ {
-		if c != s[0] {
-			return 0, c, true
-		}
-	}
-	return 0, 0, false
+func (fixedScheduler) Name() string { return "fixed" }
+func (f fixedScheduler) Next(*core.Game, core.Config, *rng.Rand) (core.MinerID, core.CoinID, bool) {
+	return f.p, f.c, true
 }
 
+// TestRunDetectsBadScheduler: a proposal that is not a better response, or
+// that names a miner or coin outside the game, ends the run with
+// ErrBadMove.
 func TestRunDetectsBadScheduler(t *testing.T) {
 	g := core.MustNewGame(
 		[]core.Miner{{Name: "a", Power: 2}, {Name: "b", Power: 1}},
 		[]core.Coin{{Name: "c0"}, {Name: "c1"}},
 		[]float64{100, 1},
 	)
-	// Start at the equilibrium-ish config where a move by miner 0 to coin 1
-	// is strictly worse.
-	_, err := Run(g, core.Config{0, 0}, badScheduler{}, rng.New(1), Options{})
-	if !errors.Is(err, ErrBadMove) {
-		t.Fatalf("err = %v, want ErrBadMove", err)
+	// At ⟨c0 c0⟩ a move by miner 0 to coin 1 is strictly worse.
+	for _, bad := range []fixedScheduler{{0, 1}, {2, 1}, {-1, 1}, {0, 2}, {0, -1}} {
+		_, err := Run(g, core.Config{0, 0}, bad, rng.New(1), Options{})
+		if !errors.Is(err, ErrBadMove) {
+			t.Errorf("miner %d to coin %d: err = %v, want ErrBadMove", bad.p, bad.c, err)
+		}
 	}
 }
 

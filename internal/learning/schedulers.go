@@ -8,6 +8,12 @@ import (
 	"gameofcoins/internal/rng"
 )
 
+// Every built-in scheduler computes the configuration's coin powers once per
+// Next, into a stack array for games of up to stackCoins coins, and scans
+// the (miner, coin) pairs against them with core's …In methods, which
+// agree bit for bit with the methods that recompute the powers.
+const stackCoins = 16
+
 // RoundRobin cycles over miners in MinerID order, and whenever the miner
 // under the cursor has a better response it plays that miner's *best*
 // response. It is the classic fictitious-play-style update order.
@@ -23,10 +29,12 @@ func (rr *RoundRobin) Name() string { return "round-robin" }
 
 // Next implements Scheduler.
 func (rr *RoundRobin) Next(g *core.Game, s core.Config, _ *rng.Rand) (core.MinerID, core.CoinID, bool) {
+	var buf [stackCoins]float64
+	powers := g.AppendCoinPowers(buf[:0], s)
 	n := g.NumMiners()
 	for i := 0; i < n; i++ {
 		p := (rr.cursor + i) % n
-		if c, ok := g.BestResponse(s, p); ok {
+		if c, ok := g.BestResponseIn(s, p, powers); ok {
 			rr.cursor = (p + 1) % n
 			return p, c, true
 		}
@@ -44,23 +52,27 @@ func NewRandom() Random { return Random{} }
 // Name implements Scheduler.
 func (Random) Name() string { return "random" }
 
-// Next implements Scheduler.
+// Next implements Scheduler. It counts the improving moves, draws one index
+// k, and rescans to the k-th move in (MinerID, CoinID) order.
 func (Random) Next(g *core.Game, s core.Config, r *rng.Rand) (core.MinerID, core.CoinID, bool) {
-	type move struct {
-		p core.MinerID
-		c core.CoinID
-	}
-	var moves []move
+	var buf [stackCoins]float64
+	var cbuf [stackCoins]core.CoinID
+	powers := g.AppendCoinPowers(buf[:0], s)
+	count := 0
 	for p := 0; p < g.NumMiners(); p++ {
-		for _, c := range g.BetterResponses(s, p) {
-			moves = append(moves, move{p, c})
-		}
+		count += len(g.AppendBetterResponsesIn(cbuf[:0], s, p, powers))
 	}
-	if len(moves) == 0 {
+	if count == 0 {
 		return 0, 0, false
 	}
-	m := moves[r.Intn(len(moves))]
-	return m.p, m.c, true
+	k := r.Intn(count)
+	for p := 0; ; p++ {
+		cs := g.AppendBetterResponsesIn(cbuf[:0], s, p, powers)
+		if k < len(cs) {
+			return p, cs[k], true
+		}
+		k -= len(cs)
+	}
 }
 
 // MaxGain greedily plays the single improving move with the largest absolute
@@ -75,14 +87,17 @@ func (MaxGain) Name() string { return "max-gain" }
 
 // Next implements Scheduler.
 func (MaxGain) Next(g *core.Game, s core.Config, _ *rng.Rand) (core.MinerID, core.CoinID, bool) {
+	var buf [stackCoins]float64
+	var cbuf [stackCoins]core.CoinID
+	powers := g.AppendCoinPowers(buf[:0], s)
 	bestGain := 0.0
 	var bp core.MinerID
 	var bc core.CoinID
 	found := false
 	for p := 0; p < g.NumMiners(); p++ {
-		cur := g.Payoff(s, p)
-		for _, c := range g.BetterResponses(s, p) {
-			gain := g.PayoffAfterMove(s, p, c) - cur
+		cur := g.PayoffIn(s, p, powers)
+		for _, c := range g.AppendBetterResponsesIn(cbuf[:0], s, p, powers) {
+			gain := g.PayoffAfterMoveIn(s, p, c, powers) - cur
 			if !found || gain > bestGain {
 				found, bestGain, bp, bc = true, gain, p, c
 			}
@@ -104,14 +119,17 @@ func (MinGain) Name() string { return "min-gain" }
 
 // Next implements Scheduler.
 func (MinGain) Next(g *core.Game, s core.Config, _ *rng.Rand) (core.MinerID, core.CoinID, bool) {
+	var buf [stackCoins]float64
+	var cbuf [stackCoins]core.CoinID
+	powers := g.AppendCoinPowers(buf[:0], s)
 	bestGain := math.Inf(1)
 	var bp core.MinerID
 	var bc core.CoinID
 	found := false
 	for p := 0; p < g.NumMiners(); p++ {
-		cur := g.Payoff(s, p)
-		for _, c := range g.BetterResponses(s, p) {
-			gain := g.PayoffAfterMove(s, p, c) - cur
+		cur := g.PayoffIn(s, p, powers)
+		for _, c := range g.AppendBetterResponsesIn(cbuf[:0], s, p, powers) {
+			gain := g.PayoffAfterMoveIn(s, p, c, powers) - cur
 			if gain < bestGain {
 				found, bestGain, bp, bc = true, gain, p, c
 			}
@@ -135,8 +153,10 @@ func (SmallestFirst) Name() string { return "smallest-first" }
 // Next implements Scheduler. Miners are sorted by descending power, so the
 // smallest is the highest MinerID.
 func (SmallestFirst) Next(g *core.Game, s core.Config, _ *rng.Rand) (core.MinerID, core.CoinID, bool) {
+	var buf [stackCoins]float64
+	powers := g.AppendCoinPowers(buf[:0], s)
 	for p := g.NumMiners() - 1; p >= 0; p-- {
-		if c, ok := g.BestResponse(s, p); ok {
+		if c, ok := g.BestResponseIn(s, p, powers); ok {
 			return p, c, true
 		}
 	}
@@ -154,8 +174,10 @@ func (LargestFirst) Name() string { return "largest-first" }
 
 // Next implements Scheduler.
 func (LargestFirst) Next(g *core.Game, s core.Config, _ *rng.Rand) (core.MinerID, core.CoinID, bool) {
+	var buf [stackCoins]float64
+	powers := g.AppendCoinPowers(buf[:0], s)
 	for p := 0; p < g.NumMiners(); p++ {
-		if c, ok := g.BestResponse(s, p); ok {
+		if c, ok := g.BestResponseIn(s, p, powers); ok {
 			return p, c, true
 		}
 	}
@@ -177,13 +199,23 @@ func AllSchedulers() []Scheduler {
 }
 
 // SchedulerByName returns a fresh instance of the built-in scheduler with
-// the given Name. It is the one lookup shared by the experiment suite and
-// the engine, so valid names cannot diverge between them.
+// the given Name, constructing only that one. It is the one lookup shared by
+// the experiment suite and the engine, so valid names cannot diverge
+// between them.
 func SchedulerByName(name string) (Scheduler, error) {
-	for _, s := range AllSchedulers() {
-		if s.Name() == name {
-			return s, nil
-		}
+	switch name {
+	case "round-robin":
+		return NewRoundRobin(), nil
+	case "random":
+		return NewRandom(), nil
+	case "max-gain":
+		return NewMaxGain(), nil
+	case "min-gain":
+		return NewMinGain(), nil
+	case "smallest-first":
+		return NewSmallestFirst(), nil
+	case "largest-first":
+		return NewLargestFirst(), nil
 	}
 	return nil, fmt.Errorf("learning: unknown scheduler %q", name)
 }

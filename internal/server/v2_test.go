@@ -353,6 +353,9 @@ func TestV2BadEnvelopes(t *testing.T) {
 		"unknown_game":      {body: `{"kind":"learn_sweep","seed":1,"spec":{"game_id":"g-nope","runs":3}}`, code: 400},
 		"envelope_typo":     {body: `{"knd":"equilibrium_sweep","seed":1}`, code: 400},
 		"replay_inner_seed": {body: `{"kind":"replay_sweep","seed":1,"spec":{"params":{"Miners":30,"Epochs":48,"SpikeHour":24,"Seed":9},"runs":1}}`, code: 400},
+		"learn_huge_gen":    {body: `{"kind":"learn_sweep","seed":1,"spec":{"gen":{"Miners":1000000000,"Coins":2},"runs":1}}`, code: 400},
+		"eq_huge_gen":       {body: `{"kind":"equilibrium_sweep","seed":1,"spec":{"gen":{"Miners":1000000000,"Coins":2},"games":1}}`, code: 400},
+		"design_huge_gen":   {body: `{"kind":"design_sweep","seed":1,"spec":{"gen":{"Miners":1000000000,"Coins":2},"pairs":1}}`, code: 400},
 		"unknown_field":     {body: `{"kind":"equilibrium_sweep","seed":1,"spec":{"gmaes":5}}`, code: 422, path: "/gmaes"},
 		"mistyped_field":    {body: `{"kind":"equilibrium_sweep","seed":1,"spec":{"games":"many"}}`, code: 422, path: "/games"},
 		"nested_mistype":    {body: `{"kind":"learn_sweep","seed":1,"spec":{"gen":{"Miners":"eight"},"runs":3}}`, code: 422, path: "/gen/Miners"},
