@@ -7,6 +7,7 @@ package gameofcoins_test
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"gameofcoins/internal/core"
@@ -273,6 +274,46 @@ func BenchmarkLearnSweepTask(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkSchemaValidate measures the two schema checks on persist-stream's
+// path: the SDK's ValidateDef("task") on each streamed learn_sweep task
+// document, and the server's Validate on each submitted spec.
+func BenchmarkSchemaValidate(b *testing.B) {
+	spec := engine.LearnSweep{Gen: core.GenSpec{Miners: 8, Coins: 2}, Runs: 200}
+	out, err := spec.RunTask(context.Background(), 0, rng.New(7).Fork(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	task, err := spec.EncodeTaskResult(out)
+	if err != nil {
+		b.Fatal(err)
+	}
+	results, err := engine.ResultSchema(spec.Kind())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("task", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := results.ValidateDef("task", task); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	specs, err := engine.SpecSchema(spec.Kind())
+	if err != nil {
+		b.Fatal(err)
+	}
+	doc := json.RawMessage(`{"gen":{"Miners":8,"Coins":2},"runs":200}`)
+	b.Run("spec", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := specs.Validate(doc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkLearningRun measures one better-response run per op under each

@@ -808,6 +808,9 @@ func (h *Handle) StreamResultFrom(ctx context.Context, from int, fn func(task in
 			}
 			return last, err
 		}
+		if len(docs) != wm-next {
+			return last, fmt.Errorf("client: range [%d,%d) returned %d documents, want %d", next, wm, len(docs), wm-next)
+		}
 		for k, doc := range docs {
 			if err := schema.ValidateDef("task", doc); err != nil {
 				return last, fmt.Errorf("client: task %d result: %w", next+k, err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Schema is a hand-written JSON Schema (a draft 2020-12 subset) describing
@@ -76,13 +77,7 @@ func (s *Schema) Validate(raw json.RawMessage) error {
 	if s == nil || len(raw) == 0 {
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return &SchemaError{Msg: "malformed JSON: " + err.Error()}
-	}
-	return s.validate(s, v, "", 0)
+	return s.check(s, raw)
 }
 
 // ValidateDef checks raw against the named root $def — how the client SDK
@@ -98,128 +93,311 @@ func (s *Schema) ValidateDef(name string, raw json.RawMessage) error {
 	if !ok {
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return &SchemaError{Msg: "malformed JSON: " + err.Error()}
+	return def.check(s, raw)
+}
+
+// check validates the first JSON value in raw against s, resolving $refs
+// through root's Defs. A document that is not one well-formed value goes
+// through a json.Decoder, as every document once did: it either fails with
+// the decoder's error text, or it is a well-formed first value followed by
+// trailing bytes, which are ignored, as DecodeJSON ignores them.
+func (s *Schema) check(root *Schema, raw []byte) error {
+	if !json.Valid(raw) {
+		var first json.RawMessage
+		if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&first); err != nil {
+			return &SchemaError{Msg: "malformed JSON: " + err.Error()}
+		}
+		raw = first
 	}
-	return def.validate(s, v, "", 0)
+	w := walker{root: root, doc: raw}
+	w.skipSpace()
+	if err := w.value(s, 0); err != nil {
+		return err
+	}
+	return nil
 }
 
 // maxRefDepth bounds $ref chains so a cyclic hand-written schema fails a
 // validation loudly instead of hanging it.
 const maxRefDepth = 32
 
-func (s *Schema) validate(root *Schema, v any, path string, depth int) error {
+// walker checks one well-formed JSON value against a schema in a single pass
+// over its bytes, without decoding it. Its input has passed json.Valid (or
+// was delimited by a json.Decoder), so it checks no syntax: it types each
+// value by its first byte and skips what the schema leaves unconstrained.
+type walker struct {
+	root *Schema
+	doc  []byte
+	pos  int
+}
+
+// value checks the value at w.pos against s and moves w.pos past it. A
+// violation's Path is relative to this value: each enclosing object or array
+// prepends its token on the way out, so accepting a document builds no path.
+// Members and elements are checked in document order and the first
+// violation wins, so every replica reports the same one.
+func (w *walker) value(s *Schema, depth int) *SchemaError {
 	if s == nil {
+		w.skipValue()
 		return nil
 	}
 	if s.Ref != "" {
 		if depth >= maxRefDepth {
-			return &SchemaError{Path: path, Msg: fmt.Sprintf("$ref chain deeper than %d (cycle?)", maxRefDepth)}
+			return &SchemaError{Msg: fmt.Sprintf("$ref chain deeper than %d (cycle?)", maxRefDepth)}
 		}
 		name, ok := strings.CutPrefix(s.Ref, "#/$defs/")
 		if !ok {
-			return &SchemaError{Path: path, Msg: fmt.Sprintf("unsupported $ref %q (want \"#/$defs/name\")", s.Ref)}
+			return &SchemaError{Msg: fmt.Sprintf("unsupported $ref %q (want \"#/$defs/name\")", s.Ref)}
 		}
-		def, found := root.Defs[name]
+		def, found := w.root.Defs[name]
 		if !found {
-			return &SchemaError{Path: path, Msg: fmt.Sprintf("$ref to undefined $def %q", name)}
+			return &SchemaError{Msg: fmt.Sprintf("$ref to undefined $def %q", name)}
 		}
-		return def.validate(root, v, path, depth+1)
+		return w.value(def, depth+1)
 	}
+	start := w.pos
+	c := w.doc[start]
 	// JSON null is valid against every schema: encoding/json treats null as
 	// "leave the field at its zero value" for any Go type, and the schema
 	// must not be stricter than the decoder it describes.
-	if v == nil {
+	if c == 'n' {
+		w.pos += len("null")
 		return nil
 	}
-	if err := s.checkType(v, path); err != nil {
+	var lit []byte // a scalar's bytes; containers are walked below instead
+	if c != '{' && c != '[' {
+		w.skipValue()
+		lit = w.doc[start:w.pos]
+	}
+	if err := s.checkType(c, lit); err != nil {
 		return err
 	}
 	if len(s.Enum) > 0 {
-		if err := s.checkEnum(v, path); err != nil {
+		end := walker{doc: w.doc, pos: start}
+		end.skipValue()
+		if err := s.checkEnum(w.doc[start:end.pos]); err != nil {
 			return err
 		}
 	}
-	switch val := v.(type) {
-	case map[string]any:
-		for _, req := range s.Required {
-			if _, ok := val[req]; !ok {
-				return &SchemaError{Path: path, Msg: fmt.Sprintf("missing required field %q", req)}
-			}
-		}
-		for key, elem := range val {
-			sub, known := s.Properties[key]
-			if !known {
-				if s.AdditionalProperties != nil && !*s.AdditionalProperties {
-					return &SchemaError{Path: path + "/" + escapePointer(key), Msg: "unknown field"}
-				}
-				continue
-			}
-			if err := sub.validate(root, elem, path+"/"+escapePointer(key), depth); err != nil {
-				return err
-			}
-		}
-	case []any:
-		for i, elem := range val {
-			if err := s.Items.validate(root, elem, path+"/"+strconv.Itoa(i), depth); err != nil {
-				return err
-			}
-		}
-	case json.Number:
-		if s.Minimum != nil {
-			if f, err := val.Float64(); err == nil && f < *s.Minimum {
-				return &SchemaError{Path: path, Msg: fmt.Sprintf("%v is below minimum %v", val, *s.Minimum)}
-			}
+	switch c {
+	case '{':
+		return w.object(s, depth)
+	case '[':
+		return w.array(s, depth)
+	}
+	if s.Minimum != nil && jsonType(c) == "number" {
+		if f, err := strconv.ParseFloat(string(lit), 64); err == nil && f < *s.Minimum {
+			return &SchemaError{Msg: fmt.Sprintf("%s is below minimum %v", lit, *s.Minimum)}
 		}
 	}
 	return nil
 }
 
-func (s *Schema) checkType(v any, path string) error {
-	if s.Type == "" {
-		return nil
+// object checks the object at w.pos: its required fields first, then every
+// member in document order, each occurrence of a repeated key included —
+// encoding/json decodes each occurrence into the field, so each must fit.
+func (w *walker) object(s *Schema, depth int) *SchemaError {
+	start := w.pos
+	closed := s.AdditionalProperties != nil && !*s.AdditionalProperties
+	w.pos++
+	for w.skipSpace(); w.doc[w.pos] != '}'; w.skipSpace() {
+		key := w.member()
+		sub, known := s.Properties[string(key)]
+		var err *SchemaError
+		switch {
+		case known:
+			err = w.value(sub, depth)
+		case closed:
+			err = &SchemaError{Msg: "unknown field"}
+		default:
+			w.skipValue()
+		}
+		if err != nil {
+			// A missing required field outranks any member's violation.
+			if missing := s.missingRequired(w.doc[start:]); missing != nil {
+				return missing
+			}
+			err.Path = "/" + escapePointer(string(key)) + err.Path
+			return err
+		}
 	}
-	ok := false
+	w.pos++
+	return s.missingRequired(w.doc[start:w.pos])
+}
+
+// array checks the array at w.pos element by element against s.Items.
+func (w *walker) array(s *Schema, depth int) *SchemaError {
+	w.pos++
+	for i := 0; ; i++ {
+		w.skipSpace()
+		switch w.doc[w.pos] {
+		case ']':
+			w.pos++
+			return nil
+		case ',':
+			w.pos++
+			w.skipSpace()
+		}
+		if err := w.value(s.Items, depth); err != nil {
+			err.Path = "/" + strconv.Itoa(i) + err.Path
+			return err
+		}
+	}
+}
+
+// member reads one object member's key past a leading comma, leaves w.pos
+// at its value, and returns the key as encoding/json decodes it. A key of
+// ASCII without escapes is its own decoding and is returned uncopied, so
+// looking it up in Properties allocates nothing.
+func (w *walker) member() []byte {
+	if w.doc[w.pos] == ',' {
+		w.pos++
+		w.skipSpace()
+	}
+	start := w.pos
+	coded := w.skipString()
+	key := w.doc[start+1 : w.pos-1]
+	if coded {
+		var k string
+		_ = json.Unmarshal(w.doc[start:w.pos], &k) // cannot fail: a well-formed JSON string
+		key = []byte(k)
+	}
+	w.skipSpace()
+	w.pos++ // ':'
+	w.skipSpace()
+	return key
+}
+
+// skipValue moves w.pos past the value at w.pos.
+func (w *walker) skipValue() {
+	switch w.doc[w.pos] {
+	case '"':
+		w.skipString()
+	case '{', '[':
+		for nest := 0; ; {
+			switch w.doc[w.pos] {
+			case '"':
+				w.skipString()
+				continue
+			case '{', '[':
+				nest++
+			case '}', ']':
+				nest--
+			}
+			w.pos++
+			if nest == 0 {
+				return
+			}
+		}
+	case 't', 'n':
+		w.pos += len("true")
+	case 'f':
+		w.pos += len("false")
+	default:
+		for w.pos < len(w.doc) && isNumberByte(w.doc[w.pos]) {
+			w.pos++
+		}
+	}
+}
+
+// skipString moves w.pos past the string whose opening quote is at w.pos.
+// It reports whether the string's bytes may differ from its decoding: they
+// hold an escape, or a byte outside ASCII (encoding/json replaces invalid
+// UTF-8).
+func (w *walker) skipString() (coded bool) {
+	for w.pos++; w.doc[w.pos] != '"'; w.pos++ {
+		switch c := w.doc[w.pos]; {
+		case c == '\\':
+			w.pos++
+			coded = true
+		case c >= utf8.RuneSelf:
+			coded = true
+		}
+	}
+	w.pos++
+	return coded
+}
+
+func (w *walker) skipSpace() {
+	for w.pos < len(w.doc) {
+		switch w.doc[w.pos] {
+		case ' ', '\t', '\n', '\r':
+			w.pos++
+		default:
+			return
+		}
+	}
+}
+
+func isNumberByte(c byte) bool {
+	return '0' <= c && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
+}
+
+// jsonType names the type of the JSON value that starts with byte c.
+func jsonType(c byte) string {
+	switch c {
+	case '{':
+		return "object"
+	case '[':
+		return "array"
+	case '"':
+		return "string"
+	case 't', 'f':
+		return "boolean"
+	case 'n':
+		return "null"
+	}
+	return "number"
+}
+
+// checkType checks s.Type against the non-null value that starts with byte
+// c; lit holds a scalar's bytes.
+func (s *Schema) checkType(c byte, lit []byte) *SchemaError {
+	got := jsonType(c)
 	switch s.Type {
-	case "object":
-		_, ok = v.(map[string]any)
-	case "array":
-		_, ok = v.([]any)
-	case "string":
-		_, ok = v.(string)
-	case "boolean":
-		_, ok = v.(bool)
-	case "number":
-		_, ok = v.(json.Number)
+	case "", got:
+		return nil
+	case "object", "array", "string", "boolean", "number", "null":
 	case "integer":
 		// Mirror encoding/json exactly: an int field accepts any literal
 		// strconv can parse as a (signed or unsigned) integer — "100" yes,
 		// "1.5" and "1e2" no.
-		if n, isNum := v.(json.Number); isNum {
-			if _, err := strconv.ParseInt(n.String(), 10, 64); err == nil {
-				ok = true
-			} else if _, err := strconv.ParseUint(n.String(), 10, 64); err == nil {
-				ok = true
-			}
+		if got == "number" && isInteger(lit) {
+			return nil
 		}
-	case "null":
-		ok = v == nil
 	default:
-		return &SchemaError{Path: path, Msg: fmt.Sprintf("schema has unsupported type %q", s.Type)}
+		return &SchemaError{Msg: fmt.Sprintf("schema has unsupported type %q", s.Type)}
 	}
-	if !ok {
-		return &SchemaError{Path: path, Msg: fmt.Sprintf("want %s, got %s", s.Type, jsonTypeName(v))}
-	}
-	return nil
+	return &SchemaError{Msg: fmt.Sprintf("want %s, got %s", s.Type, got)}
 }
 
-func (s *Schema) checkEnum(v any, path string) error {
+// isInteger reports whether strconv.ParseInt or strconv.ParseUint (base 10,
+// 64 bits) accepts the JSON number lit: no fraction or exponent, and a value
+// in [-2⁶³, 2⁶⁴-1]. A JSON number has no leading zeros, so comparing digit
+// counts, then digits, compares magnitudes.
+func isInteger(lit []byte) bool {
+	digits, limit := lit, "18446744073709551615"
+	if lit[0] == '-' {
+		digits, limit = lit[1:], "9223372036854775808"
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return len(digits) < len(limit) || len(digits) == len(limit) && string(digits) <= limit
+}
+
+// checkEnum decodes the one value raw holds and compares its canonical
+// encoding with each allowed value's.
+func (s *Schema) checkEnum(raw []byte) *SchemaError {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	_ = dec.Decode(&v) // cannot fail: raw is one well-formed value
 	want, err := json.Marshal(v)
 	if err != nil {
-		return &SchemaError{Path: path, Msg: "unencodable value"}
+		return &SchemaError{Msg: "unencodable value"}
 	}
 	for _, allowed := range s.Enum {
 		b, err := json.Marshal(allowed)
@@ -227,26 +405,32 @@ func (s *Schema) checkEnum(v any, path string) error {
 			return nil
 		}
 	}
-	return &SchemaError{Path: path, Msg: fmt.Sprintf("%s not in enum", want)}
+	return &SchemaError{Msg: fmt.Sprintf("%s not in enum", want)}
 }
 
-func jsonTypeName(v any) string {
-	switch v.(type) {
-	case map[string]any:
-		return "object"
-	case []any:
-		return "array"
-	case string:
-		return "string"
-	case bool:
-		return "boolean"
-	case json.Number:
-		return "number"
-	case nil:
-		return "null"
-	default:
-		return fmt.Sprintf("%T", v)
+// missingRequired reports the first of s.Required that the object at the
+// start of obj lacks. It rescans the object's keys once per required name,
+// which needs no per-object state however long the list is.
+func (s *Schema) missingRequired(obj []byte) *SchemaError {
+	for _, name := range s.Required {
+		if !hasMember(obj, name) {
+			return &SchemaError{Msg: fmt.Sprintf("missing required field %q", name)}
+		}
 	}
+	return nil
+}
+
+// hasMember reports whether the object at the start of obj has a member
+// whose key decodes to name.
+func hasMember(obj []byte, name string) bool {
+	w := walker{doc: obj, pos: 1}
+	for w.skipSpace(); w.doc[w.pos] != '}'; w.skipSpace() {
+		if string(w.member()) == name {
+			return true
+		}
+		w.skipValue()
+	}
+	return false
 }
 
 // escapePointer escapes one JSON-pointer reference token (RFC 6901: "~"

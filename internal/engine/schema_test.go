@@ -3,6 +3,9 @@ package engine
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -43,6 +46,9 @@ func TestSchemaDecoderAgreement(t *testing.T) {
 		{"replay_sweep", `{"params":{"Epochs":1.5},"runs":1}`},
 		{"replay_sweep", `{"params":[],"runs":1}`},
 		{"equilibrium_sweep", `{"games":true}`},
+		// Repeated keys: the decoder decodes every occurrence.
+		{"learn_sweep", `{"runs":"x","runs":1}`},
+		{"learn_sweep", `{"gen":{"Miners":"a","Miners":8}}`},
 	}
 	for _, c := range cases {
 		t.Run(c.kind+"/"+c.doc, func(t *testing.T) {
@@ -75,7 +81,9 @@ func decodeWithoutSchema(kind string, raw json.RawMessage) (Spec, error) {
 }
 
 // TestSchemaErrorPaths: mismatches report precise JSON-pointer paths, which
-// the server forwards in 422 bodies.
+// the server forwards in 422 bodies. A document with several violations
+// reports the first in document order, the same one on every validation, so
+// every replica sends the same 422 body.
 func TestSchemaErrorPaths(t *testing.T) {
 	cases := []struct {
 		kind, doc, path string
@@ -86,19 +94,31 @@ func TestSchemaErrorPaths(t *testing.T) {
 		{"learn_sweep", `{"bogus":1}`, "/bogus"},
 		{"replay_sweep", `{"params":{"Epochs":1.5}}`, "/params/Epochs"},
 		{"learn_sweep", `[1,2]`, ""},
+		// Several violations each.
+		{"learn_sweep", `{"runs":"x","max_steps":"y","gen":{"Miners":"a","Coins":"b"}}`, "/runs"},
+		{"learn_sweep", `{"gen":{"Coins":"b","Miners":"a"},"runs":"x"}`, "/gen/Coins"},
+		{"learn_sweep", `{"schedulers":["a",1,true],"bogus":2}`, "/schedulers/1"},
+		{"learn_sweep", `{"rnus":1,"runs":"x"}`, "/rnus"},
+		{"learn_sweep", `{"runs":1,"runs":"x","gen":{"Minres":1}}`, "/runs"},
+		{"replay_sweep", `{"params":{"Seed":"s","Epochs":1.5},"runs":"x"}`, "/params/Seed"},
 	}
 	for _, c := range cases {
 		schema, err := SpecSchema(c.kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = schema.Validate(json.RawMessage(c.doc))
+		first := schema.Validate(json.RawMessage(c.doc))
 		var se *SchemaError
-		if !errors.As(err, &se) {
-			t.Fatalf("%s %s: err = %v, want SchemaError", c.kind, c.doc, err)
+		if !errors.As(first, &se) {
+			t.Fatalf("%s %s: err = %v, want SchemaError", c.kind, c.doc, first)
 		}
 		if se.Path != c.path {
 			t.Errorf("%s %s: path = %q, want %q", c.kind, c.doc, se.Path, c.path)
+		}
+		for range 99 {
+			if err := schema.Validate(json.RawMessage(c.doc)); err == nil || err.Error() != first.Error() {
+				t.Fatalf("%s %s: %v, then %v", c.kind, c.doc, first, err)
+			}
 		}
 	}
 }
@@ -139,6 +159,34 @@ func TestSchemaValidateEdges(t *testing.T) {
 	if err := bounded.Validate(json.RawMessage(`2`)); err != nil {
 		t.Fatalf("at-minimum rejected: %v", err)
 	}
+	// Required lists of any length are checked, a repeated key counts as
+	// present, and a missing required field outranks any member's violation.
+	names := make([]string, 70)
+	members := make([]string, 70)
+	for i := range names {
+		names[i] = "f" + strconv.Itoa(i)
+		members[i] = `"` + names[i] + `":1`
+	}
+	req := SchemaOpenObject(map[string]*Schema{"f0": SchemaInt("")}, names...)
+	object := func(members ...string) json.RawMessage {
+		return json.RawMessage("{" + strings.Join(members, ",") + "}")
+	}
+	if err := req.Validate(object(append(members, `"f0":2`)...)); err != nil {
+		t.Fatalf("all required fields present: %v", err)
+	}
+	for _, c := range []struct {
+		doc     json.RawMessage
+		missing string
+	}{
+		{object(members[:69]...), "f69"},
+		{object(append([]string{`"f0":"x"`}, members[1:68]...)...), "f68"},
+	} {
+		err := req.Validate(c.doc)
+		if se, ok := err.(*SchemaError); !ok || se.Path != "" || se.Msg != fmt.Sprintf("missing required field %q", c.missing) {
+			t.Fatalf("want missing %s, got %v", c.missing, err)
+		}
+	}
+
 	enum := &Schema{Type: "string", Enum: []any{"a", "b"}}
 	if err := enum.Validate(json.RawMessage(`"c"`)); err == nil {
 		t.Fatal("non-enum value accepted")

@@ -9,7 +9,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -111,7 +113,18 @@ func init() {
 	rs := engine.SchemaInt("sum of per-task values")
 	rs.Defs = map[string]*engine.Schema{"task": engine.SchemaInt("per-task value, 1000+3*i")}
 	engine.RegisterResultCodec("test_stream", 1, engine.ResultJSON[int](), rs)
+
+	engine.RegisterSpec("test_badtask", 1, engine.DecodeJSON[badTaskSpec](), nil)
+	bad := engine.SchemaInt("sum of per-task values")
+	bad.Defs = map[string]*engine.Schema{"task": engine.SchemaString("a string, which the int documents are not")}
+	engine.RegisterResultCodec("test_badtask", 1, engine.ResultJSON[int](), bad)
 }
+
+// badTaskSpec runs streamSpec's tasks under a kind whose result schema
+// declares string task documents, so every streamed document violates it.
+type badTaskSpec struct{ streamSpec }
+
+func (badTaskSpec) Kind() string { return "test_badtask" }
 
 // ---- helpers ----
 
@@ -439,6 +452,78 @@ func TestStreamResultClient(t *testing.T) {
 		if d != streamDoc(i) {
 			t.Fatalf("task %d doc = %s, want %s", i, d, streamDoc(i))
 		}
+	}
+}
+
+// TestStreamResultRejectsInvalidTask: a document that fails the kind's task
+// $def ends the stream with an error naming the task, before fn sees it.
+func TestStreamResultRejectsInvalidTask(t *testing.T) {
+	c := client.New(v2Server(t))
+	ctx := context.Background()
+	h, err := c.Submit(ctx, "test_badtask", 3, badTaskSpec{streamSpec{Name: uniqueName("badtask"), N: 4, Free: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = h.StreamResult(ctx, func(task int, doc json.RawMessage) error {
+		t.Fatalf("fn saw task %d (%s), which fails the task $def", task, doc)
+		return nil
+	})
+	var se *engine.SchemaError
+	if !errors.As(err, &se) || !strings.HasPrefix(err.Error(), "client: task 0 result: ") || se.Msg != "want string, got number" {
+		t.Fatalf("err = %v, want a SchemaError for task 0", err)
+	}
+}
+
+// dropLastDoc is a RoundTripper that drops the last document of every
+// ?range= body, as a faulty proxy or server might.
+type dropLastDoc struct{}
+
+func (dropLastDoc) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.URL.Query().Get("range") == "" || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	defer resp.Body.Close()
+	var body map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		return nil, err
+	}
+	var docs []json.RawMessage
+	if err := json.Unmarshal(body["results"], &docs); err != nil {
+		return nil, err
+	}
+	if body["results"], err = json.Marshal(docs[:len(docs)-1]); err != nil {
+		return nil, err
+	}
+	b, err := json.Marshal(body)
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(b))
+	resp.ContentLength = int64(len(b))
+	return resp, nil
+}
+
+// TestStreamResultChecksRangeLength: a ?range= answer with fewer documents
+// than the span it was asked for ends the stream with an error naming the
+// span, instead of skipping tasks and reporting success.
+func TestStreamResultChecksRangeLength(t *testing.T) {
+	c := client.New(v2Server(t), client.WithHTTPClient(&http.Client{Transport: dropLastDoc{}}))
+	ctx := context.Background()
+	h, err := c.Submit(ctx, "test_stream", 3, streamSpec{Name: uniqueName("short-range"), N: 6, Free: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	_, err = h.StreamResult(ctx, func(int, json.RawMessage) error {
+		delivered++
+		return nil
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "client: range [0,") || !strings.Contains(err.Error(), "documents, want") {
+		t.Fatalf("err = %v, want a short-range error", err)
+	}
+	if delivered != 0 {
+		t.Fatalf("fn saw %d documents of a short range", delivered)
 	}
 }
 
