@@ -289,10 +289,13 @@ func BenchmarkSchemaValidate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	results, err := engine.ResultSchema(spec.Kind())
-	if err != nil {
-		b.Fatal(err)
+	var entry engine.CatalogEntry
+	for _, e := range engine.Catalog() {
+		if e.Kind == spec.Kind() && e.Latest {
+			entry = e
+		}
 	}
+	results, specs := entry.ResultSchema, entry.Schema
 	b.Run("task", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -301,10 +304,6 @@ func BenchmarkSchemaValidate(b *testing.B) {
 			}
 		}
 	})
-	specs, err := engine.SpecSchema(spec.Kind())
-	if err != nil {
-		b.Fatal(err)
-	}
 	doc := json.RawMessage(`{"gen":{"Miners":8,"Coins":2},"runs":200}`)
 	b.Run("spec", func(b *testing.B) {
 		b.ReportAllocs()

@@ -29,8 +29,8 @@
 // Results are also reachable before the aggregate exists: ResultRange
 // fetches any fully-computed span of per-task result documents mid-run, and
 // StreamResult delivers every per-task document in order as it completes —
-// validated against the "task" $def of the kind's result schema from the
-// catalog — then returns the terminal status:
+// validated against the "task" $def of the submitted version's result
+// schema from the catalog — then returns the terminal status:
 //
 //	st, err := h.StreamResult(ctx, func(task int, doc json.RawMessage) error {
 //		fmt.Printf("task %d: %s\n", task, doc)
@@ -263,8 +263,8 @@ type Catalog struct {
 }
 
 // Catalog fetches the full spec catalog from GET /v2/specs: kinds,
-// versions, latest/deprecated flags, and per-version JSON-Schemas clients
-// can validate against before submitting.
+// versions, latest flags, and per-version JSON-Schemas clients can validate
+// against before submitting.
 func (c *Client) Catalog(ctx context.Context) (Catalog, error) {
 	var out Catalog
 	err := c.do(ctx, http.MethodGet, "/v2/specs", nil, &out)
@@ -296,6 +296,9 @@ func (c *Client) RegisterGame(ctx context.Context, g *core.Game) (string, error)
 type Handle struct {
 	c  *Client
 	id string
+	// wire is the kind the submitted envelope named — bare or "kind@vN" —
+	// so StreamResult checks documents against the version the job runs.
+	wire string
 	// Submitted is the handle's submission-time snapshot: the underlying
 	// job's ID and status, the live-handle count, and whether the submission
 	// was answered from the server's result cache.
@@ -366,7 +369,7 @@ func (c *Client) Submit(ctx context.Context, kind string, seed uint64, spec any,
 	if err := c.do(ctx, http.MethodPost, "/v2/jobs", env, &jh); err != nil {
 		return nil, err
 	}
-	return &Handle{c: c, id: jh.Handle, Submitted: jh}, nil
+	return &Handle{c: c, id: jh.Handle, wire: env.Kind, Submitted: jh}, nil
 }
 
 // SubmitSpec submits a typed engine spec under its own Kind.
@@ -489,7 +492,7 @@ func (c *Client) SubmitBatch(ctx context.Context, items []BatchItem) ([]BatchRes
 		for j, r := range out.Results {
 			i := pending[j]
 			if r.Job != nil {
-				results[i] = BatchResult{Handle: &Handle{c: c, id: r.Job.Handle, Submitted: *r.Job}}
+				results[i] = BatchResult{Handle: &Handle{c: c, id: r.Job.Handle, wire: envs[i].Kind, Submitted: *r.Job}}
 				continue
 			}
 			be := &BatchError{StatusCode: r.Code, Message: r.Error, Path: r.Path,
@@ -760,10 +763,12 @@ func (h *Handle) ResultRange(ctx context.Context, lo, hi int) ([]json.RawMessage
 // aggregate exists, and a stream cut by a server restart resumes where it
 // left off (persisted ranges survive the restart; nothing is re-delivered).
 //
-// Every document is validated against the "task" $def of the kind's result
-// schema from the server's catalog before fn sees it; a kind that publishes
-// no result schema (or no "task" def) streams unvalidated. fn returning an
-// error aborts the stream and returns that error.
+// Every document is validated against the "task" $def of the result schema
+// the server's catalog holds for the version the envelope named (the latest
+// for a bare kind, the pinned one under AtVersion or BatchItem.Version)
+// before fn sees it; a version that publishes no result schema (or no
+// "task" def) streams unvalidated. fn returning an error aborts the stream
+// and returns that error.
 func (h *Handle) StreamResult(ctx context.Context, fn func(task int, doc json.RawMessage) error) (engine.Status, error) {
 	return h.StreamResultFrom(ctx, 0, fn)
 }
@@ -776,7 +781,7 @@ func (h *Handle) StreamResult(ctx context.Context, fn func(task int, doc json.Ra
 // prefills the new job's ledger, so the watermark passes `from` as soon as
 // the uncovered suffix computes.
 func (h *Handle) StreamResultFrom(ctx context.Context, from int, fn func(task int, doc json.RawMessage) error) (engine.Status, error) {
-	entry, err := h.c.Spec(ctx, h.Submitted.Kind)
+	entry, err := h.c.Spec(ctx, h.wire)
 	if err != nil {
 		return engine.Status{}, fmt.Errorf("client: fetch result schema: %w", err)
 	}

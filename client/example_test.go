@@ -43,7 +43,7 @@ func ExampleClient_Catalog() {
 	}
 	fmt.Println("catalog", cat.Fingerprint)
 	for _, e := range cat.Specs {
-		fmt.Printf("%s v%d latest=%v deprecated=%v\n", e.Wire, e.Version, e.Latest, e.Deprecated)
+		fmt.Printf("%s v%d latest=%v\n", e.Wire, e.Version, e.Latest)
 	}
 }
 

@@ -4,8 +4,9 @@
 //
 // Usage:
 //
-//	gocserve [-addr :8372] [-workers N] [-data DIR] [-fail-interrupted]
+//	gocserve [-addr :8372] [-workers N] [-grace D] [-data DIR] [-fail-interrupted]
 //	         [-keys FILE] [-rate N] [-burst N] [-max-share F]
+//	         [-lease-ttl D] [-lease-tasks N]
 //	gocserve -version
 //
 // The API is the self-describing envelope form: POST a
@@ -58,8 +59,15 @@
 // process stopped are resubmitted under their original spec and seed
 // (determinism recomputes the identical result). -fail-interrupted marks
 // them failed instead, for operators who'd rather nothing recomputes
-// without an explicit resubmission. Without -data, everything is in-memory
-// exactly as before.
+// without an explicit resubmission. The log keeps the newest 4,096 job
+// records (and every interrupted one) and, per job, the first 4,096
+// per-task result documents that ?range= fetches and resumed streams
+// serve after a restart. Without -data, everything is in-memory.
+//
+// gocserve is also the lease coordinator for gocworker processes:
+// -lease-ttl is how long a silent worker keeps its leased tasks before they
+// are requeued, -lease-tasks caps the tasks in one lease, and once a kind's
+// task latency has been observed a lease holds about two seconds of work.
 package main
 
 import (
@@ -101,12 +109,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	failInterrupted := fs.Bool("fail-interrupted", false, "on restart, mark jobs that were mid-run as failed instead of resubmitting them")
 	leaseTTL := fs.Duration("lease-ttl", dist.DefaultLeaseTTL, "how long a remote worker may go silent before its leased tasks are requeued")
 	leaseTasks := fs.Int("lease-tasks", dist.DefaultMaxLeaseTasks, "max tasks per remote worker lease")
-	leaseTarget := fs.Float64("lease-target-ms", dist.DefaultTargetLeaseMillis, "target predicted wall-clock per lease once task latency is observed")
 	keysFile := fs.String("keys", "", "API keyring file (\"client:key\" per line); when set, job endpoints require a key and submissions are attributed per client")
 	rate := fs.Float64("rate", 0, "per-client submission rate limit in jobs/sec (0 = unlimited; without -keys every caller shares one anonymous bucket, so one noisy client can exhaust it for all)")
 	burst := fs.Int("burst", 0, "submission burst allowance per client (defaults to max(2*rate, 1))")
 	maxShare := fs.Float64("max-share", 0, "per-client cap on the share of in-flight work cost, in (0,1); enforced only while other clients are waiting (0 = uncapped)")
-	compactRanges := fs.Int("compact-ranges", 0, fmt.Sprintf("per-job cap on persisted streamed-result documents (0 = default %d, negative = unbounded)", store.DefaultMaxRangeDocs))
 	version := fs.Bool("version", false, "print the server version and catalog fingerprint, then exit")
 	fs.Usage = func() {
 		out := fs.Output()
@@ -147,7 +153,9 @@ Persistence:
                                       # logged to DIR and rehydrated on restart;
                                       # interrupted jobs resubmit (deterministic,
                                       # so results are byte-identical) unless
-                                      # -fail-interrupted is set
+                                      # -fail-interrupted is set; the log keeps
+                                      # 4,096 job records and the first 4,096
+                                      # per-task documents of each job
 
 Admission control (multi-tenant):
   gocserve -keys keys.txt -rate 5 -burst 10 -max-share 0.5
@@ -161,7 +169,9 @@ Distributed execution:
   their catalog fingerprint matches), lease task ranges of running jobs, and
   stream results back; a worker that dies mid-lease costs only its in-flight
   range (requeued after -lease-ttl), and results are byte-identical however
-  tasks are distributed. The fleet is visible in /healthz under "dist".
+  tasks are distributed. A lease holds at most -lease-tasks tasks and, once
+  task latency is known, about two seconds of work. The fleet is visible in
+  /healthz under "dist".
   gocworker -coordinator http://host:8372
 `)
 	}
@@ -180,9 +190,8 @@ Distributed execution:
 	opts := server.Options{
 		FailInterrupted: *failInterrupted,
 		Dist: dist.Config{
-			LeaseTTL:          *leaseTTL,
-			MaxLeaseTasks:     *leaseTasks,
-			TargetLeaseMillis: *leaseTarget,
+			LeaseTTL:      *leaseTTL,
+			MaxLeaseTasks: *leaseTasks,
 		},
 	}
 	if *keysFile != "" || *rate > 0 || *maxShare > 0 {
@@ -211,7 +220,6 @@ Distributed execution:
 		if err != nil {
 			return err
 		}
-		st.MaxRangeDocs = *compactRanges
 		// Closed after shutdown below, so terminal records from the last
 		// finishing jobs can still land in the log.
 		defer st.Close()

@@ -1,17 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"gameofcoins/internal/engine"
+	"gameofcoins/internal/server"
 )
 
 // TestServeAndGracefulShutdown boots the real server on an ephemeral port,
@@ -82,5 +87,46 @@ func TestVersionFlag(t *testing.T) {
 	}
 	if fp := engine.CatalogFingerprint(); !strings.Contains(out.String(), "catalog "+fp) {
 		t.Fatalf("-version printed %q, want catalog fingerprint %s", out.String(), fp)
+	}
+}
+
+// catalogFingerprint is the fingerprint of the built-in kinds@versions. It
+// changes only with a deliberate change to the wire surface, together with
+// testdata/specs.golden.json.
+const catalogFingerprint = "6d58065a171b8c72"
+
+// TestCatalogGolden pins the exact GET /v2/specs body this binary serves
+// (it links only the built-in kinds) and the fingerprint -version prints.
+// Regenerate the golden only for a deliberate catalog change:
+//
+//	gocserve -addr 127.0.0.1:8372 & curl -s 127.0.0.1:8372/v2/specs > cmd/gocserve/testdata/specs.golden.json
+func TestCatalogGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "specs.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := server.New(1)
+	defer api.Close()
+	ts := httptest.NewServer(api)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v2/specs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("GET /v2/specs = %d, %d bytes; want 200 and the %d golden bytes\n%s", resp.StatusCode, len(got), len(want), got)
+	}
+
+	var out strings.Builder
+	if err := run(context.Background(), []string{"-version"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), " catalog "+catalogFingerprint+" ") {
+		t.Fatalf("-version printed %q, want catalog %s", out.String(), catalogFingerprint)
 	}
 }

@@ -32,11 +32,12 @@
 // The engine forks one deterministic rng stream per task index
 // (Rand.Fork), so results are bit-identical for any worker count and any
 // scheduling order; the same guarantee makes the in-memory result cache of
-// the HTTP service sound. Scheduling is size-aware and fair: specs
-// implementing Sizer run longest-tasks-first, and concurrent jobs share the
-// worker pool evenly instead of queueing behind each other.
-// NewServer returns that service — the handler behind cmd/gocserve — with
-// POST /v2/games for game registration, POST /v2/jobs for versioned job
+// the HTTP service sound. Scheduling is size-aware and fair: specs that
+// estimate their per-task cost run longest-tasks-first, and concurrent jobs
+// share the worker pool evenly instead of queueing behind each other.
+// NewServer returns that service in memory — the handler cmd/gocserve
+// serves, which adds persistence, admission control and the gocworker
+// fleet on top — with POST /v2/games for game registration, POST /v2/jobs for versioned job
 // envelopes (each answered with a reference-counted handle), GET
 // /v2/jobs/{handle} and its /result and /events (SSE) views, and DELETE
 // /v2/jobs/{handle} to release the handle; NewClient is its Go SDK.

@@ -73,15 +73,10 @@ func (l *leaseState) remaining() []int {
 // New builds a coordinator over eng and starts its expiry sweep. Close it
 // when done; a coordinator left running holds one goroutine.
 func New(eng *engine.Engine, cfg Config) *Coordinator {
-	cfg = cfg.withDefaults()
-	fp := cfg.Fingerprint
-	if fp == "" {
-		fp = engine.CatalogFingerprint()
-	}
 	c := &Coordinator{
 		eng:     eng,
-		cfg:     cfg,
-		fp:      fp,
+		cfg:     cfg.withDefaults(),
+		fp:      engine.CatalogFingerprint(),
 		workers: make(map[string]*workerState),
 		leases:  make(map[string]*leaseState),
 		stop:    make(chan struct{}),
@@ -90,9 +85,6 @@ func New(eng *engine.Engine, cfg Config) *Coordinator {
 	go c.sweep()
 	return c
 }
-
-// Fingerprint returns the catalog fingerprint workers must present.
-func (c *Coordinator) Fingerprint() string { return c.fp }
 
 // Join registers a worker. A fingerprint mismatch is refused with
 // ErrFingerprint: a worker whose registry drifted from the coordinator's
@@ -136,7 +128,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (*Lease, error) {
 
 	// The engine pop happens outside c.mu: LeaseRemote takes the engine
 	// lock, and holding both invites ordering bugs for zero benefit.
-	rl, ok := c.eng.LeaseRemote(c.cfg.MaxLeaseTasks, c.cfg.TargetLeaseMillis)
+	rl, ok := c.eng.LeaseRemote(c.cfg.MaxLeaseTasks, leaseTargetMs)
 	if !ok {
 		return nil, nil
 	}

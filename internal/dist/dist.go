@@ -44,25 +44,22 @@ type Config struct {
 	LeaseTTL time.Duration
 	// MaxLeaseTasks caps the task count of one lease regardless of cost.
 	MaxLeaseTasks int
-	// TargetLeaseMillis sizes leases by predicted wall-clock once the
-	// engine has observed the kind's task latency: a lease aims to hold
-	// about this much work, so a lost worker costs bounded time.
-	TargetLeaseMillis float64
 	// PollInterval is the idle-poll cadence advertised to workers when no
 	// work is available.
 	PollInterval time.Duration
-	// Fingerprint is the catalog fingerprint workers must present at join.
-	// Empty selects engine.CatalogFingerprint() of this process.
-	Fingerprint string
 }
 
 // Defaults for Config's zero fields.
 const (
-	DefaultLeaseTTL          = 10 * time.Second
-	DefaultMaxLeaseTasks     = 256
-	DefaultTargetLeaseMillis = 2000
-	DefaultPollInterval      = 250 * time.Millisecond
+	DefaultLeaseTTL      = 10 * time.Second
+	DefaultMaxLeaseTasks = 256
+	DefaultPollInterval  = 250 * time.Millisecond
 )
+
+// leaseTargetMs sizes leases by predicted wall-clock once the engine has
+// observed the kind's task latency: a lease aims to hold about this much
+// work, so a lost worker costs bounded time.
+const leaseTargetMs = 2000
 
 func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {
@@ -70,9 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxLeaseTasks <= 0 {
 		c.MaxLeaseTasks = DefaultMaxLeaseTasks
-	}
-	if c.TargetLeaseMillis <= 0 {
-		c.TargetLeaseMillis = DefaultTargetLeaseMillis
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = DefaultPollInterval
@@ -170,8 +164,8 @@ type ReportResponse struct {
 	Closed bool `json:"closed,omitempty"`
 }
 
-// Transport is how a worker reaches its coordinator. HTTP in production
-// (NewHTTP); Local for in-process fleets in tests and benchmarks.
+// Transport is how a worker reaches its coordinator: HTTP (NewHTTP), or a
+// Coordinator called in-process in tests.
 type Transport interface {
 	Join(req JoinRequest) (JoinResponse, error)
 	Lease(req LeaseRequest) (*Lease, error)

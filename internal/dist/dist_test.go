@@ -14,6 +14,17 @@ import (
 	"gameofcoins/internal/rng"
 )
 
+// Local adapts an in-process Coordinator to the Transport interface, so a
+// test runs a whole fleet inside one process. The semantics are identical
+// to the HTTP transport minus the network.
+func Local(c *Coordinator) Transport { return localTransport{c} }
+
+type localTransport struct{ c *Coordinator }
+
+func (t localTransport) Join(req JoinRequest) (JoinResponse, error)       { return t.c.Join(req) }
+func (t localTransport) Lease(req LeaseRequest) (*Lease, error)           { return t.c.Lease(req) }
+func (t localTransport) Report(rep ReportRequest) (ReportResponse, error) { return t.c.Report(rep) }
+
 // sleepSpec is the test workload: Tasks deterministic tasks, each drawing
 // from its forked rng stream (so a mis-forked remote would produce different
 // bytes) and optionally sleeping, so leases stay grantable while local
@@ -184,7 +195,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	coord := New(eng, Config{LeaseTTL: 50 * time.Millisecond, MaxLeaseTasks: 8})
 	defer coord.Close()
 
-	join, err := coord.Join(JoinRequest{Name: "doomed", Fingerprint: coord.Fingerprint()})
+	join, err := coord.Join(JoinRequest{Name: "doomed", Fingerprint: engine.CatalogFingerprint()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +247,7 @@ func TestDuplicateReport(t *testing.T) {
 	coord := New(eng, Config{LeaseTTL: 10 * time.Second, MaxLeaseTasks: 6})
 	defer coord.Close()
 
-	join, err := coord.Join(JoinRequest{Fingerprint: coord.Fingerprint()})
+	join, err := coord.Join(JoinRequest{Fingerprint: engine.CatalogFingerprint()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +269,11 @@ func TestDuplicateReport(t *testing.T) {
 
 	// Compute the leased range exactly as a worker would.
 	base := rng.New(lease.Seed)
-	dspec, err := engine.DecodeSpec(lease.Kind, lease.Spec)
+	rs, err := engine.ResolveEnvelope(engine.JobEnvelope{Kind: lease.Kind, Seed: lease.Seed, Spec: lease.Spec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dspec := rs.Spec
 	coder := dspec.(engine.TaskCoder)
 	var results []TaskResult
 	for _, task := range lease.Tasks {

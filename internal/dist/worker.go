@@ -12,20 +12,9 @@ import (
 	"gameofcoins/internal/rng"
 )
 
-// Local adapts an in-process Coordinator to the Transport interface, for
-// tests and benchmarks that run a whole fleet inside one process. The
-// semantics are identical to the HTTP transport minus the network.
-func Local(c *Coordinator) Transport { return localTransport{c} }
-
-type localTransport struct{ c *Coordinator }
-
-func (t localTransport) Join(req JoinRequest) (JoinResponse, error)       { return t.c.Join(req) }
-func (t localTransport) Lease(req LeaseRequest) (*Lease, error)           { return t.c.Lease(req) }
-func (t localTransport) Report(rep ReportRequest) (ReportResponse, error) { return t.c.Report(rep) }
-
 // Runner is the worker-side loop: join the coordinator, then lease → execute
 // → report until the context ends. gocworker wraps one Runner per process;
-// tests and benchmarks run several against a Local transport.
+// tests run several against an in-process transport.
 //
 // Execution reuses the engine: each lease becomes a local engine job whose
 // task i computes leased task Tasks[i] with rng.New(Seed).Fork(Tasks[i]) —
@@ -40,9 +29,6 @@ type Runner struct {
 	Name string
 	// Workers is the local engine parallelism; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Fingerprint overrides the catalog fingerprint presented at join;
-	// empty selects engine.CatalogFingerprint() of this process.
-	Fingerprint string
 	// Logf, when set, receives progress lines (gocworker wires log.Printf).
 	Logf func(format string, args ...any)
 }
@@ -65,10 +51,7 @@ func (r *Runner) Run(ctx context.Context) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	eng := engine.New(workers)
-	fp := r.Fingerprint
-	if fp == "" {
-		fp = engine.CatalogFingerprint()
-	}
+	fp := engine.CatalogFingerprint()
 
 	var (
 		id   string
@@ -167,7 +150,10 @@ func sleep(ctx context.Context, d time.Duration) bool {
 // coordinator requeues; someone else computes the range), Error on a task
 // error (deterministic — the coordinator fails the job).
 func (r *Runner) executeLease(ctx context.Context, eng *engine.Engine, workerID string, ttl time.Duration, lease *Lease) {
-	spec, err := engine.DecodeSpec(lease.Kind, lease.Spec)
+	// lease.Kind is the job's PinnedKind, so the lease decodes under the
+	// version the job resolved to, whatever this registry's latest is.
+	rs, err := engine.ResolveEnvelope(engine.JobEnvelope{Kind: lease.Kind, Seed: lease.Seed, Spec: lease.Spec})
+	spec := rs.Spec
 	coder, _ := spec.(engine.TaskCoder)
 	if err != nil || coder == nil {
 		// The fingerprint handshake makes this unreachable short of a bug;

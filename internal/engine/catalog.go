@@ -21,8 +21,6 @@ type CatalogEntry struct {
 	Wire string `json:"wire"`
 	// Latest marks the version a bare wire kind resolves to.
 	Latest bool `json:"latest"`
-	// Deprecated flags versions clients should migrate off; they still run.
-	Deprecated bool `json:"deprecated,omitempty"`
 	// Schema is the version's wire-document schema (draft 2020-12 subset),
 	// nil when the registration carried none.
 	Schema *Schema `json:"schema,omitempty"`
@@ -48,7 +46,6 @@ func Catalog() []CatalogEntry {
 				Version:      v,
 				Wire:         VersionedKind(kind, v),
 				Latest:       v == registry.latest[kind],
-				Deprecated:   e.deprecated,
 				Schema:       e.schema,
 				ResultSchema: e.resultSchema,
 			})
@@ -63,11 +60,12 @@ func Catalog() []CatalogEntry {
 	return out
 }
 
-// CatalogFingerprint hashes the registered kinds@versions (and their
-// deprecation flags) into a short stable identifier. Two processes with the
-// same fingerprint accept the same wire surface — gocserve reports it from
-// /healthz and -version so operators can tell replica drift (one binary
-// registering a kind the other lacks) apart from transport trouble.
+// CatalogFingerprint hashes the registered kinds@versions into a short
+// stable identifier. Two processes with the same fingerprint accept the
+// same wire surface — gocserve reports it from /healthz and -version so
+// operators can tell replica drift (one binary registering a kind the other
+// lacks) apart from transport trouble, and the lease coordinator refuses a
+// gocworker whose fingerprint differs from its own.
 // Schema *content* is deliberately not hashed: the fingerprint tracks what
 // the registry accepts, and a doc-comment edit should not read as drift.
 // Whether a version serves a result schema IS hashed (the "+r" marker):
@@ -81,9 +79,6 @@ func CatalogFingerprint() string {
 	var lines []string
 	for _, e := range Catalog() {
 		line := PinnedKind(e.Kind, e.Version)
-		if e.Deprecated {
-			line += "!"
-		}
 		if e.ResultSchema != nil {
 			line += "+r"
 		}

@@ -100,15 +100,15 @@ func TestGoldenCorpusEnvelopes(t *testing.T) {
 			}
 			// The same document submitted with an explicit @v1 pin lands on
 			// the same cache line — pinning v1 is a no-op, not a cache split.
-			pinned, err := DecodeSpecAt(rs.Kind, 1, c.Envelope.Spec)
+			pinned, err := ResolveEnvelope(JobEnvelope{Kind: PinnedKind(rs.Kind, 1), Spec: c.Envelope.Spec})
 			if err != nil {
 				t.Fatal(err)
 			}
-			pinnedKey, err := CacheKeyAt(pinned, 1, c.Envelope.Seed)
+			pinnedCanonical, err := CanonicalSpecJSON(pinned.Spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pinnedKey != c.CacheKey {
+			if pinnedKey := CacheKeyJSON(pinned.WireKind(), pinnedCanonical, c.Envelope.Seed); pinnedKey != c.CacheKey {
 				t.Fatalf("@v1-pinned key %s != bare key %s", pinnedKey, c.CacheKey)
 			}
 		})
@@ -119,11 +119,12 @@ func TestGoldenCorpusJobRecords(t *testing.T) {
 	for _, rec := range loadCorpus(t).JobRecords {
 		t.Run(rec.ID+"/"+rec.Kind, func(t *testing.T) {
 			// Pre-versioning records carry no version; the rehydration path
-			// maps that to v1.
-			spec, err := DecodeSpecAt(rec.Kind, 0, rec.Spec)
+			// pins them to v1 (PinnedKind maps version 0 to 1).
+			rs, err := ResolveEnvelope(JobEnvelope{Kind: PinnedKind(rec.Kind, 0), Spec: rec.Spec})
 			if err != nil {
 				t.Fatalf("recorded spec no longer decodes: %v", err)
 			}
+			spec := rs.Spec
 			canonical, err := CanonicalSpecJSON(spec)
 			if err != nil {
 				t.Fatal(err)

@@ -126,9 +126,6 @@ func New(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// Workers returns the configured worker count.
-func (e *Engine) Workers() int { return e.workers }
-
 // Run executes spec synchronously and returns its aggregated result.
 // seed roots the deterministic stream tree: task i draws from
 // rng.New(seed).Fork(i), so the result is independent of worker count and

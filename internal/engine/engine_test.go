@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -429,34 +430,47 @@ func TestAggregatePanicBecomesJobError(t *testing.T) {
 	}
 }
 
-// TestManagerRetention: terminal jobs beyond the cap are evicted oldest
-// first; running jobs survive.
+// TestManagerRetention: past DefaultRetention jobs, terminal jobs are
+// evicted oldest first, and a running job survives however old it is.
 func TestManagerRetention(t *testing.T) {
-	m := NewManager(New(2))
-	m.Retention = 4
+	m := NewManager(New(1))
 	defer m.Close()
-	var jobs []*Job
-	for k := 0; k < 8; k++ {
-		j, err := m.Submit(EquilibriumSweep{Gen: core.GenSpec{Miners: 3, Coins: 2}, Games: 2}, uint64(k))
+	release := make(chan struct{})
+	defer close(release)
+	running, err := m.Submit(Func{Name: "block", N: 1, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil, nil
+	}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored []*Job
+	for k := 0; k < DefaultRetention+4; k++ {
+		j, err := m.Restore(fmt.Sprintf("done-%d", k), "func", 1, k, StateDone, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
+		restored = append(restored, j)
 	}
 	m.mu.Lock()
 	n := len(m.jobs)
 	m.mu.Unlock()
-	if n > m.Retention {
-		t.Fatalf("retained %d jobs, cap %d", n, m.Retention)
+	if n != DefaultRetention {
+		t.Fatalf("retained %d jobs, cap %d", n, DefaultRetention)
 	}
-	if _, err := m.Get(jobs[0].ID()); !errors.Is(err, ErrUnknownJob) {
-		t.Fatalf("oldest job not evicted: %v", err)
+	if _, err := m.Get(running.ID()); err != nil {
+		t.Fatalf("running job evicted: %v", err)
 	}
-	if _, err := m.Get(jobs[len(jobs)-1].ID()); err != nil {
-		t.Fatalf("newest job evicted: %v", err)
+	for _, j := range restored[:5] {
+		if _, err := m.Get(j.ID()); !errors.Is(err, ErrUnknownJob) {
+			t.Fatalf("old terminal job %s not evicted: %v", j.ID(), err)
+		}
+	}
+	if _, err := m.Get(restored[5].ID()); err != nil {
+		t.Fatalf("terminal job within the cap evicted: %v", err)
 	}
 }
 

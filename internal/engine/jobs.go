@@ -14,10 +14,8 @@ import (
 type State string
 
 // Job lifecycle states. An engine job is Running from submission until it
-// reaches one of the terminal states {Done, Failed, Canceled}; the engine
-// never reports Pending.
+// reaches one of the terminal states {Done, Failed, Canceled}.
 const (
-	StatePending  State = "pending"
 	StateRunning  State = "running"
 	StateDone     State = "done"
 	StateFailed   State = "failed"
@@ -269,21 +267,16 @@ func (j *Job) finish(state State, res any, err error) {
 // ErrUnknownJob is returned by Manager.Get for an unknown job ID.
 var ErrUnknownJob = errors.New("engine: unknown job")
 
-// DefaultRetention is the default cap on tracked jobs. When exceeded, the
-// oldest *terminal* jobs (and their retained results) are evicted; running
-// jobs are never evicted.
+// DefaultRetention caps the jobs a Manager tracks, so a long-running server
+// does not retain every result forever. When exceeded, the oldest *terminal*
+// jobs (and their retained results) are evicted; running jobs are never
+// evicted. The file store keeps the same number of job records.
 const DefaultRetention = 4096
 
 // Manager runs jobs asynchronously on a shared Engine and tracks them by ID.
 // It is safe for concurrent use; gocserve keeps one per process.
 type Manager struct {
 	eng *Engine
-
-	// Retention caps how many jobs the manager keeps before evicting the
-	// oldest terminal ones (0 means DefaultRetention). Set it before
-	// submitting jobs; a long-running server would otherwise retain every
-	// result forever.
-	Retention int
 
 	mu     sync.Mutex
 	jobs   map[string]*Job // guarded by mu
@@ -421,14 +414,10 @@ func (m *Manager) Restore(id, kind string, total int, result any, state State, e
 	return j, nil
 }
 
-// evictLocked drops the oldest terminal jobs until the retention cap holds.
-// Callers must hold m.mu.
+// evictLocked drops the oldest terminal jobs until the DefaultRetention cap
+// holds. Callers must hold m.mu.
 func (m *Manager) evictLocked() {
-	limit := m.Retention
-	if limit <= 0 {
-		limit = DefaultRetention
-	}
-	if len(m.jobs) <= limit {
+	if len(m.jobs) <= DefaultRetention {
 		return
 	}
 	kept := m.order[:0]
@@ -437,7 +426,7 @@ func (m *Manager) evictLocked() {
 		if !ok {
 			continue
 		}
-		if len(m.jobs) > limit && j.Status().State.Terminal() {
+		if len(m.jobs) > DefaultRetention && j.Status().State.Terminal() {
 			delete(m.jobs, id)
 			continue
 		}

@@ -18,7 +18,7 @@ import (
 // The spec registry makes the job API self-describing: a job arrives on the
 // wire as a JobEnvelope — a kind, a seed, and an opaque spec document — and
 // the registry alone turns the document into a typed Spec. Serving layers
-// (gocserve's /v2, the v1 translation shim, CLIs) never switch on kinds;
+// (gocserve's /v2, gocworker, the CLIs) never switch on kinds;
 // adding a job type is one RegisterSpec call next to the spec's definition.
 //
 // Since the catalog redesign, kinds are versioned: a registration is a
@@ -47,15 +47,6 @@ type JobEnvelope struct {
 	Priority string `json:"priority,omitempty"`
 }
 
-// Decode resolves the envelope's spec through the registry.
-func (e JobEnvelope) Decode() (Spec, error) {
-	rs, err := ResolveEnvelope(e)
-	if err != nil {
-		return nil, err
-	}
-	return rs.Spec, nil
-}
-
 // DecodeFunc turns a raw spec document into a typed Spec. It should reject
 // malformed documents but leave semantic validation to the spec's Validate.
 type DecodeFunc func(json.RawMessage) (Spec, error)
@@ -71,7 +62,6 @@ type specEntry struct {
 	schema       *Schema
 	result       ResultDecodeFunc
 	resultSchema *Schema
-	deprecated   bool
 }
 
 var registry = struct {
@@ -115,20 +105,6 @@ func RegisterSpec(kind string, version int, decode DecodeFunc, schema *Schema) {
 	if version > registry.latest[kind] {
 		registry.latest[kind] = version
 	}
-}
-
-// DeprecateSpec marks a registered (kind, version) deprecated. Deprecated
-// versions still decode and run — deprecation is a catalog signal to
-// clients, not a removal — but GET /v2/specs flags them and the catalog
-// fingerprint changes. It panics if the (kind, version) is not registered.
-func DeprecateSpec(kind string, version int) {
-	registry.Lock()
-	defer registry.Unlock()
-	e := registry.kinds[kind][version]
-	if e == nil {
-		panic(fmt.Sprintf("engine: DeprecateSpec unknown kind %s version %d", kind, version))
-	}
-	e.deprecated = true
 }
 
 // ParseKindVersion splits a wire kind into its bare kind and pinned version:
@@ -176,16 +152,13 @@ func PinnedKind(kind string, version int) string {
 	return fmt.Sprintf("%s@v%d", kind, max(version, 1))
 }
 
-// resolvedEntry is a value snapshot of one registry entry, copied out while
-// the registry lock is held — callers read its fields lock-free, so handing
-// out the *specEntry itself would race DeprecateSpec's locked write.
+// resolvedEntry is what ResolveEnvelope needs of one registry entry, copied
+// out while the registry lock is held so callers read it lock-free.
 type resolvedEntry struct {
-	kind         string
-	version      int
-	decode       DecodeFunc
-	schema       *Schema
-	resultSchema *Schema
-	deprecated   bool
+	kind    string
+	version int
+	decode  DecodeFunc
+	schema  *Schema
 }
 
 // lookupSpec resolves a wire kind to a snapshot of its registry entry.
@@ -208,17 +181,16 @@ func lookupSpec(wire string) (resolvedEntry, error) {
 	if e == nil {
 		return resolvedEntry{}, fmt.Errorf("engine: unknown version %d of spec kind %q (registered: %v)", version, kind, specVersionsLocked(kind))
 	}
-	return resolvedEntry{kind: kind, version: version, decode: e.decode, schema: e.schema, resultSchema: e.resultSchema, deprecated: e.deprecated}, nil
+	return resolvedEntry{kind: kind, version: version, decode: e.decode, schema: e.schema}, nil
 }
 
 // ResolvedSpec is a decoded spec bound to the registry entry that produced
-// it: the bare kind, the resolved version (a bare wire kind resolves to the
-// latest registered one), and whether that version is deprecated.
+// it: the bare kind and the resolved version (a bare wire kind resolves to
+// the latest registered one).
 type ResolvedSpec struct {
-	Spec       Spec
-	Kind       string
-	Version    int
-	Deprecated bool
+	Spec    Spec
+	Kind    string
+	Version int
 }
 
 // WireKind returns the canonical wire name of the resolved version (the bare
@@ -228,7 +200,11 @@ func (r ResolvedSpec) WireKind() string { return VersionedKind(r.Kind, r.Version
 // ResolveEnvelope resolves env through the registry: the wire kind is parsed
 // and version-resolved, the spec document is validated against the version's
 // schema (a mismatch returns a *SchemaError, which serving layers surface as
-// a 422 with the error's JSON-pointer path), and the document is decoded.
+// a 422 with the error's JSON-pointer path), and the document is decoded. It
+// is the one decode path: where the version is already decided — a stored
+// record's recompute, a worker's lease — the envelope carries
+// PinnedKind(kind, version). An empty document decodes the spec's zero
+// value (validation then rejects it if the kind has required fields).
 func ResolveEnvelope(env JobEnvelope) (ResolvedSpec, error) {
 	e, err := lookupSpec(env.Kind)
 	if err != nil {
@@ -245,7 +221,7 @@ func ResolveEnvelope(env JobEnvelope) (ResolvedSpec, error) {
 	if spec.Kind() != e.kind {
 		return ResolvedSpec{}, fmt.Errorf("engine: registry entry %q decoded a %q spec", e.kind, spec.Kind())
 	}
-	return ResolvedSpec{Spec: spec, Kind: e.kind, Version: e.version, Deprecated: e.deprecated}, nil
+	return ResolvedSpec{Spec: spec, Kind: e.kind, Version: e.version}, nil
 }
 
 // RunWire executes spec on e exactly as a serving layer would run the
@@ -263,32 +239,6 @@ func RunWire(ctx context.Context, e *Engine, spec Spec, seed uint64) (any, error
 		return nil, err
 	}
 	return e.Run(ctx, rs.Spec, seed, nil)
-}
-
-// DecodeSpec decodes a raw spec document of the given wire kind — bare
-// (latest version) or "kind@vN" (pinned). An empty document decodes the
-// spec's zero value (validation then rejects it if the kind has required
-// fields).
-func DecodeSpec(wire string, raw json.RawMessage) (Spec, error) {
-	return JobEnvelope{Kind: wire, Spec: raw}.Decode()
-}
-
-// DecodeSpecAt decodes a raw spec document at an exact registered version —
-// the persistence layer's path, where the version comes from the job record
-// rather than the wire (records written before versioning carry version 0,
-// which callers map to 1).
-func DecodeSpecAt(kind string, version int, raw json.RawMessage) (Spec, error) {
-	return DecodeSpec(PinnedKind(kind, version), raw)
-}
-
-// SpecSchema returns the registered schema of a wire kind (nil if the
-// version has none), resolving a bare kind to its latest version.
-func SpecSchema(wire string) (*Schema, error) {
-	e, err := lookupSpec(wire)
-	if err != nil {
-		return nil, err
-	}
-	return e.schema, nil
 }
 
 // RegisterResultCodec registers a decoder reviving a stored result document
@@ -316,16 +266,6 @@ func RegisterResultCodec(kind string, version int, decode ResultDecodeFunc, sche
 	}
 	e.result = decode
 	e.resultSchema = schema
-}
-
-// ResultSchema returns the registered result schema of a wire kind (nil if
-// the version has none), resolving a bare kind to its latest version.
-func ResultSchema(wire string) (*Schema, error) {
-	e, err := lookupSpec(wire)
-	if err != nil {
-		return nil, err
-	}
-	return e.resultSchema, nil
 }
 
 // DecodeResult revives a stored result document of the given kind and
@@ -457,35 +397,15 @@ func CanonicalSpecJSON(spec Spec) (json.RawMessage, error) {
 	return b, nil
 }
 
-// CacheKey derives the result-cache key for (spec, seed) at spec version 1 —
-// the exact inputs the engine runs on. Every deterministic job is a pure
-// function of the two, so serving layers may answer an identical (spec,
-// seed) pair from cache. The key hashes the canonical spec encoding; wire
-// fields a job type ignores can therefore never split or alias cache
-// entries. For a spec resolved from a versioned envelope, use CacheKeyAt
-// with the resolved version — v1 keys are identical either way.
-func CacheKey(spec Spec, seed uint64) (string, error) {
-	return CacheKeyAt(spec, 1, seed)
-}
-
-// CacheKeyAt derives the result-cache key for (spec, seed) at a specific
-// spec version. The key hashes the versioned wire kind — the bare kind for
-// v1, so every pre-versioning cache key is unchanged — which keeps distinct
-// versions of one kind on distinct cache lines even when a document happens
-// to decode under both.
-func CacheKeyAt(spec Spec, version int, seed uint64) (string, error) {
-	b, err := CanonicalSpecJSON(spec)
-	if err != nil {
-		return "", err
-	}
-	return CacheKeyJSON(VersionedKind(spec.Kind(), version), b, seed), nil
-}
-
-// CacheKeyJSON derives the cache key directly from a spec's canonical JSON
-// encoding and versioned wire kind (VersionedKind — the bare kind for v1).
-// Callers that already hold the canonical document (the server persists it
-// alongside the key) can key without re-marshalling — and without a marshal
-// error path.
+// CacheKeyJSON derives the result-cache key of a job from its versioned
+// wire kind (ResolvedSpec.WireKind), its canonical spec encoding
+// (CanonicalSpecJSON) and its seed — the exact inputs the engine runs on.
+// Every deterministic job is a pure function of the three, so serving layers
+// may answer an identical submission from cache. Hashing the canonical
+// encoding means wire fields a job type ignores can never split or alias
+// cache entries. Hashing the wire kind — the bare kind for v1, so every
+// pre-versioning cache key is unchanged — keeps distinct versions of one
+// kind on distinct cache lines even when a document decodes under both.
 func CacheKeyJSON(wireKind string, canonical json.RawMessage, seed uint64) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|%d|", wireKind, seed)

@@ -52,42 +52,36 @@ func TestWireRoundTripAndCacheKeys(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.kind, func(t *testing.T) {
 			covered[c.kind] = true
-			spec, err := DecodeSpec(c.kind, json.RawMessage(c.spec))
+			rs, err := ResolveEnvelope(JobEnvelope{Kind: c.kind, Seed: c.seed, Spec: json.RawMessage(c.spec)})
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			enc1, err := CanonicalSpecJSON(spec)
+			enc1, err := CanonicalSpecJSON(rs.Spec)
 			if err != nil {
 				t.Fatalf("encode: %v", err)
 			}
 			// decode∘encode must be a fixed point, or cache keys would
 			// depend on how many hops a spec took through the wire.
-			spec2, err := DecodeSpec(c.kind, enc1)
+			rs2, err := ResolveEnvelope(JobEnvelope{Kind: c.kind, Seed: c.seed, Spec: enc1})
 			if err != nil {
 				t.Fatalf("re-decode canonical form: %v", err)
 			}
-			enc2, err := CanonicalSpecJSON(spec2)
+			enc2, err := CanonicalSpecJSON(rs2.Spec)
 			if err != nil {
 				t.Fatalf("re-encode: %v", err)
 			}
 			if !bytes.Equal(enc1, enc2) {
 				t.Fatalf("canonical encoding unstable:\n%s\n%s", enc1, enc2)
 			}
-			key, err := CacheKey(spec, c.seed)
-			if err != nil {
-				t.Fatalf("cache key: %v", err)
-			}
+			// The key is derived exactly as the server derives it.
+			key := CacheKeyJSON(rs.WireKind(), enc1, c.seed)
 			if key != c.wantKey {
 				t.Errorf("cache key drifted: got %s, want %s\n"+
 					"(an intentional wire change must update the golden — and invalidates deployed result caches)", key, c.wantKey)
 			}
 			// The wire form and the canonical form must agree on the key:
 			// a client-marshaled spec and its decoded twin share cache lines.
-			key2, err := CacheKey(spec2, c.seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if key2 != key {
+			if key2 := CacheKeyJSON(rs2.WireKind(), enc2, c.seed); key2 != key {
 				t.Errorf("round-tripped spec changed key: %s vs %s", key2, key)
 			}
 		})
@@ -107,13 +101,13 @@ func TestWireRoundTripAndCacheKeys(t *testing.T) {
 }
 
 func TestDecodeSpecUnknownKind(t *testing.T) {
-	if _, err := DecodeSpec("bogus_sweep", nil); err == nil || !strings.Contains(err.Error(), "unknown spec kind") {
+	if _, err := ResolveEnvelope(JobEnvelope{Kind: "bogus_sweep"}); err == nil || !strings.Contains(err.Error(), "unknown spec kind") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestDecodeSpecRejectsUnknownFields(t *testing.T) {
-	_, err := DecodeSpec("equilibrium_sweep", json.RawMessage(`{"gen":{"Miners":5,"Coins":2},"gmaes":500}`))
+	_, err := ResolveEnvelope(JobEnvelope{Kind: "equilibrium_sweep", Spec: json.RawMessage(`{"gen":{"Miners":5,"Coins":2},"gmaes":500}`)})
 	if err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Fatalf("misspelled field must be rejected, got err = %v", err)
 	}
@@ -133,13 +127,13 @@ func TestJobEnvelopeDecode(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"kind":"equilibrium_sweep","seed":7,"spec":{"gen":{"Miners":5,"Coins":2},"games":9}}`), &env); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := env.Decode()
+	rs, err := ResolveEnvelope(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	es, ok := spec.(EquilibriumSweep)
+	es, ok := rs.Spec.(EquilibriumSweep)
 	if !ok || es.Games != 9 || es.Gen.Miners != 5 {
-		t.Fatalf("decoded %#v", spec)
+		t.Fatalf("decoded %#v", rs.Spec)
 	}
 }
 
@@ -165,15 +159,15 @@ func TestResolveSpecGameRef(t *testing.T) {
 		t.Fatal(err)
 	}
 	byValue := LearnSweep{Game: g, Runs: 4}
-	k1, err := CacheKey(byRef, 2)
-	if err != nil {
-		t.Fatal(err)
+	key := func(spec Spec) string {
+		t.Helper()
+		canonical, err := CanonicalSpecJSON(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return CacheKeyJSON(spec.Kind(), canonical, 2)
 	}
-	k2, err := CacheKey(byValue, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
+	if k1, k2 := key(byRef), key(byValue); k1 != k2 {
 		t.Fatalf("by-reference and by-value cache keys differ: %s vs %s", k1, k2)
 	}
 

@@ -52,10 +52,11 @@ func TestSchemaDecoderAgreement(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.kind+"/"+c.doc, func(t *testing.T) {
-			schema, err := SpecSchema(c.kind)
+			e, err := lookupSpec(c.kind)
 			if err != nil {
 				t.Fatal(err)
 			}
+			schema := e.schema
 			if schema == nil {
 				t.Fatalf("built-in kind %s has no schema", c.kind)
 			}
@@ -103,11 +104,11 @@ func TestSchemaErrorPaths(t *testing.T) {
 		{"replay_sweep", `{"params":{"Seed":"s","Epochs":1.5},"runs":"x"}`, "/params/Seed"},
 	}
 	for _, c := range cases {
-		schema, err := SpecSchema(c.kind)
+		e, err := lookupSpec(c.kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		first := schema.Validate(json.RawMessage(c.doc))
+		first := e.schema.Validate(json.RawMessage(c.doc))
 		var se *SchemaError
 		if !errors.As(first, &se) {
 			t.Fatalf("%s %s: err = %v, want SchemaError", c.kind, c.doc, first)
@@ -116,7 +117,7 @@ func TestSchemaErrorPaths(t *testing.T) {
 			t.Errorf("%s %s: path = %q, want %q", c.kind, c.doc, se.Path, c.path)
 		}
 		for range 99 {
-			if err := schema.Validate(json.RawMessage(c.doc)); err == nil || err.Error() != first.Error() {
+			if err := e.schema.Validate(json.RawMessage(c.doc)); err == nil || err.Error() != first.Error() {
 				t.Fatalf("%s %s: %v, then %v", c.kind, c.doc, first, err)
 			}
 		}

@@ -40,7 +40,6 @@ func init() {
 		SchemaObject(map[string]*Schema{"n": SchemaInt("value")}))
 	RegisterSpec("test_versioned", 2, DecodeJSON[verSpecV2](),
 		SchemaObject(map[string]*Schema{"count": SchemaInt("value")}))
-	DeprecateSpec("test_versioned", 1)
 }
 
 func TestParseKindVersion(t *testing.T) {
@@ -100,16 +99,13 @@ func TestVersionResolution(t *testing.T) {
 	if v2, ok := rs.Spec.(verSpecV2); !ok || v2.Count != 3 {
 		t.Fatalf("decoded %#v", rs.Spec)
 	}
-	if rs.Deprecated {
-		t.Fatal("latest version reported deprecated")
-	}
 
-	// Pinned v1 decodes "n" and reports its deprecation.
+	// Pinned v1 decodes "n".
 	rs1, err := ResolveEnvelope(JobEnvelope{Kind: "test_versioned@v1", Spec: json.RawMessage(`{"n":3}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs1.Version != 1 || !rs1.Deprecated || rs1.WireKind() != "test_versioned" {
+	if rs1.Version != 1 || rs1.WireKind() != "test_versioned" {
 		t.Fatalf("pinned v1 resolved to %+v", rs1)
 	}
 	if v1, ok := rs1.Spec.(verSpecV1); !ok || v1.N != 3 {
@@ -125,7 +121,7 @@ func TestVersionResolution(t *testing.T) {
 	}
 
 	// Unknown version of a known kind names the registered ones.
-	if _, err := DecodeSpec("test_versioned@v9", nil); err == nil || !strings.Contains(err.Error(), "unknown version 9") {
+	if _, err := ResolveEnvelope(JobEnvelope{Kind: "test_versioned@v9"}); err == nil || !strings.Contains(err.Error(), "unknown version 9") {
 		t.Fatalf("unknown version err = %v", err)
 	}
 }
@@ -134,27 +130,23 @@ func TestVersionResolution(t *testing.T) {
 // every pre-versioning key), later versions hash kind@vN — so the two
 // versions of one kind can never share or split a cache line.
 func TestVersionedCacheKeys(t *testing.T) {
-	k1, err := CacheKeyAt(verSpecV1{N: 3}, 1, 7)
-	if err != nil {
-		t.Fatal(err)
+	key := func(wire, doc string) string {
+		t.Helper()
+		rs, err := ResolveEnvelope(JobEnvelope{Kind: wire, Seed: 7, Spec: json.RawMessage(doc)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		canonical, err := CanonicalSpecJSON(rs.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return CacheKeyJSON(rs.WireKind(), canonical, 7)
 	}
-	bare, err := CacheKey(verSpecV1{N: 3}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != bare {
+	k1 := key("test_versioned@v1", `{"n":3}`)
+	if bare := CacheKeyJSON("test_versioned", json.RawMessage(`{"n":3}`), 7); k1 != bare {
 		t.Fatalf("v1 key %s != pre-versioning key %s", k1, bare)
 	}
-	canonical, _ := CanonicalSpecJSON(verSpecV1{N: 3})
-	if got := CacheKeyJSON(VersionedKind("test_versioned", 1), canonical, 7); got != k1 {
-		t.Fatalf("CacheKeyJSON v1 = %s, want %s", got, k1)
-	}
-
-	k2, err := CacheKeyAt(verSpecV2{Count: 3}, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k2 == k1 {
+	if k2 := key("test_versioned", `{"count":3}`); k2 == k1 {
 		t.Fatal("v1 and v2 share a cache key")
 	}
 	// Even a byte-identical document must key differently across versions.
@@ -166,8 +158,8 @@ func TestVersionedCacheKeys(t *testing.T) {
 }
 
 // TestCatalogAndFingerprint: the catalog lists both versions with wire
-// names, latest/deprecated flags, and schemas; the fingerprint covers the
-// registered surface.
+// names, latest flags, and schemas; the fingerprint covers the registered
+// surface.
 func TestCatalogAndFingerprint(t *testing.T) {
 	entries := Catalog()
 	var v1, v2 *CatalogEntry
@@ -184,10 +176,10 @@ func TestCatalogAndFingerprint(t *testing.T) {
 	if v1 == nil || v2 == nil {
 		t.Fatal("test_versioned versions missing from catalog")
 	}
-	if v1.Wire != "test_versioned" || !v1.Deprecated || v1.Latest {
+	if v1.Wire != "test_versioned" || v1.Latest {
 		t.Fatalf("v1 entry = %+v", v1)
 	}
-	if v2.Wire != "test_versioned@v2" || v2.Deprecated || !v2.Latest {
+	if v2.Wire != "test_versioned@v2" || !v2.Latest {
 		t.Fatalf("v2 entry = %+v", v2)
 	}
 	if v2.Schema == nil || v2.Schema.Properties["count"] == nil {
@@ -211,24 +203,25 @@ func TestCatalogAndFingerprint(t *testing.T) {
 	}
 }
 
-// TestDecodeSpecAt: the persistence path decodes exact versions, mapping the
+// TestPinnedKindResolvesExactVersion: the persistence path resolves a
+// record at its exact version through PinnedKind, mapping the
 // pre-versioning record form (version 0) to v1.
-func TestDecodeSpecAt(t *testing.T) {
+func TestPinnedKindResolvesExactVersion(t *testing.T) {
 	for _, version := range []int{0, 1} {
-		spec, err := DecodeSpecAt("test_versioned", version, json.RawMessage(`{"n":5}`))
+		rs, err := ResolveEnvelope(JobEnvelope{Kind: PinnedKind("test_versioned", version), Spec: json.RawMessage(`{"n":5}`)})
 		if err != nil {
 			t.Fatalf("version %d: %v", version, err)
 		}
-		if v1, ok := spec.(verSpecV1); !ok || v1.N != 5 {
-			t.Fatalf("version %d decoded %#v", version, spec)
+		if v1, ok := rs.Spec.(verSpecV1); !ok || v1.N != 5 {
+			t.Fatalf("version %d decoded %#v", version, rs.Spec)
 		}
 	}
-	spec, err := DecodeSpecAt("test_versioned", 2, json.RawMessage(`{"count":5}`))
+	rs, err := ResolveEnvelope(JobEnvelope{Kind: PinnedKind("test_versioned", 2), Spec: json.RawMessage(`{"count":5}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2, ok := spec.(verSpecV2); !ok || v2.Count != 5 {
-		t.Fatalf("decoded %#v", spec)
+	if v2, ok := rs.Spec.(verSpecV2); !ok || v2.Count != 5 {
+		t.Fatalf("decoded %#v", rs.Spec)
 	}
 }
 

@@ -284,13 +284,10 @@ func TestRehydrateIgnoresRetiredPins(t *testing.T) {
 	}
 	dir := forgeDataDir(t, recs, extra...)
 
-	// Compact at the smallest floor, so a few handle mints and releases
-	// rewrite the log within this life.
 	st, err := store.OpenFile(dir)
 	if err != nil {
 		t.Fatalf("data dir with pin lines rejected: %v", err)
 	}
-	st.CompactMinOps = 1
 	s, err := server.NewWithOptions(2, server.Options{Store: st})
 	if err != nil {
 		t.Fatal(err)
@@ -323,9 +320,9 @@ func TestRehydrateIgnoresRetiredPins(t *testing.T) {
 	}
 
 	// Churn handles on a cached job: every mint and release is one logged
-	// op, and the log compacts once the ops reach four times the live
-	// records (fewer than ten here).
-	for i := 0; i < 40; i++ {
+	// op, and the log compacts once the ops reach the store's floor of
+	// 1,024 (and four times the live records, fewer than twenty here).
+	for i := 0; i < 600; i++ {
 		h, err := c.Submit(ctx, recs[0].Kind, recs[0].Seed, recs[0].Spec)
 		if err != nil {
 			t.Fatal(err)

@@ -228,10 +228,12 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 		restoreFailed(reason)
 		return nil
 	}
+	// The record's version is already decided, so the envelope pins it.
 	// Records written before the catalog redesign carry no version (0);
-	// DecodeSpecAt maps that to v1, the pre-versioning wire format, so old
+	// PinnedKind maps that to v1, the pre-versioning wire format, so old
 	// data directories recompute under exactly the semantics they ran with.
-	spec, err := engine.DecodeSpecAt(rec.Kind, rec.Version, rec.Spec)
+	wire := engine.PinnedKind(rec.Kind, rec.Version)
+	rs, err := engine.ResolveEnvelope(engine.JobEnvelope{Kind: wire, Seed: rec.Seed, Spec: rec.Spec})
 	if err != nil {
 		restoreFailed(fmt.Sprintf("%s; not recomputable: %v", reason, err))
 		return nil
@@ -240,9 +242,9 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 	// land in the new job's results and ledger before any task runs, so the
 	// scheduler only executes the uncovered suffix.
 	prefill, from := flattenRanges(rec.Tasks, ranges)
-	job, err := s.manager.SubmitJobOpts(rec.ID, spec, rec.Seed, engine.SubmitOptions{
+	job, err := s.manager.SubmitJobOpts(rec.ID, rs.Spec, rec.Seed, engine.SubmitOptions{
 		Remote: &engine.RemoteInfo{
-			WireKind: engine.PinnedKind(rec.Kind, rec.Version),
+			WireKind: wire,
 			Spec:     rec.Spec,
 			Seed:     rec.Seed,
 		},
@@ -260,7 +262,7 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 	s.persistJob(rec)
 	//goclint:allow lockguard -- pre-publication: recomputeJob runs under rehydrate before the server is shared
 	s.cache[rec.Key] = rec.ID
-	return []watchStart{{job: job, rec: rec, spec: spec, from: from}}
+	return []watchStart{{job: job, rec: rec, spec: rs.Spec, from: from}}
 }
 
 // idLess orders prefixed sequence IDs ("job-2" < "job-10") by mint age

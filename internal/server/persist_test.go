@@ -360,10 +360,7 @@ func TestRestartRecomputesUnreadableResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := engine.CacheKey(spec, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := engine.CacheKeyJSON(spec.Kind(), raw, 3)
 	rec := store.JobRecord{ID: "job-1", Key: key, Kind: spec.Kind(), Seed: 3, Tasks: 5,
 		Spec: raw, State: store.JobDone,
 		Result: json.RawMessage(`{"games":"not-an-int"}`)} // rejected by the codec

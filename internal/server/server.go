@@ -32,9 +32,8 @@
 // cancels the job only when the last handle is released.
 //
 //	GET    /v2/specs                  full spec catalog: every registered
-//	                                  kind@version with its schema, latest/
-//	                                  deprecated flags, and the catalog
-//	                                  fingerprint
+//	                                  kind@version with its schema and latest
+//	                                  flag, and the catalog fingerprint
 //	GET    /v2/specs/{kind}           one catalog entry ("kind" = latest,
 //	                                  "kind@vN" = pinned)
 //	POST   /v2/jobs                   submit a JobEnvelope → JobHandle
@@ -315,8 +314,8 @@ func (s *Server) handleGetGame(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleListSpecs serves the full spec catalog: every registered
-// kind@version with its JSON-Schema and latest/deprecated flags, the
-// catalog fingerprint, and — kept for older clients — the flat kind list.
+// kind@version with its JSON-Schema and latest flag, the catalog
+// fingerprint, and — kept for older clients — the flat kind list.
 func (s *Server) handleListSpecs(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"fingerprint": engine.CatalogFingerprint(),

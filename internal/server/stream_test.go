@@ -115,9 +115,22 @@ func init() {
 	engine.RegisterResultCodec("test_stream", 1, engine.ResultJSON[int](), rs)
 
 	engine.RegisterSpec("test_badtask", 1, engine.DecodeJSON[badTaskSpec](), nil)
-	bad := engine.SchemaInt("sum of per-task values")
-	bad.Defs = map[string]*engine.Schema{"task": engine.SchemaString("a string, which the int documents are not")}
-	engine.RegisterResultCodec("test_badtask", 1, engine.ResultJSON[int](), bad)
+	engine.RegisterResultCodec("test_badtask", 1, engine.ResultJSON[int](), stringTasks())
+
+	// test_pinned@v1 streams the int documents its task $def declares; its
+	// v2 declares string documents, which v1 jobs do not produce.
+	engine.RegisterSpec("test_pinned", 1, engine.DecodeJSON[pinnedSpec](), nil)
+	engine.RegisterResultCodec("test_pinned", 1, engine.ResultJSON[int](), rs)
+	engine.RegisterSpec("test_pinned", 2, engine.DecodeJSON[pinnedSpec](), nil)
+	engine.RegisterResultCodec("test_pinned", 2, engine.ResultJSON[int](), stringTasks())
+}
+
+// stringTasks is a result schema declaring string task documents, which the
+// int documents of streamSpec's tasks are not.
+func stringTasks() *engine.Schema {
+	s := engine.SchemaInt("sum of per-task values")
+	s.Defs = map[string]*engine.Schema{"task": engine.SchemaString("a string, which the int documents are not")}
+	return s
 }
 
 // badTaskSpec runs streamSpec's tasks under a kind whose result schema
@@ -125,6 +138,12 @@ func init() {
 type badTaskSpec struct{ streamSpec }
 
 func (badTaskSpec) Kind() string { return "test_badtask" }
+
+// pinnedSpec runs streamSpec's tasks under test_pinned, a kind with two
+// versions whose task $defs disagree.
+type pinnedSpec struct{ streamSpec }
+
+func (pinnedSpec) Kind() string { return "test_pinned" }
 
 // ---- helpers ----
 
@@ -472,6 +491,47 @@ func TestStreamResultRejectsInvalidTask(t *testing.T) {
 	if !errors.As(err, &se) || !strings.HasPrefix(err.Error(), "client: task 0 result: ") || se.Msg != "want string, got number" {
 		t.Fatalf("err = %v, want a SchemaError for task 0", err)
 	}
+}
+
+// TestStreamResultPinnedVersion: a job pinned to v1 streams against v1's
+// task $def, not the latest version's — whether pinned with AtVersion or
+// with BatchItem.Version.
+func TestStreamResultPinnedVersion(t *testing.T) {
+	c := client.New(v2Server(t))
+	ctx := context.Background()
+	stream := func(h *client.Handle) {
+		t.Helper()
+		n := 0
+		st, err := h.StreamResult(ctx, func(task int, doc json.RawMessage) error {
+			if string(doc) != streamDoc(task) {
+				t.Fatalf("task %d doc = %s, want %s", task, doc, streamDoc(task))
+			}
+			n++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != engine.StateDone || n != 4 {
+			t.Fatalf("stream ended %s after %d documents, want done after 4", st.State, n)
+		}
+	}
+	h, err := c.Submit(ctx, "test_pinned", 3, pinnedSpec{streamSpec{Name: uniqueName("pinned"), N: 4, Free: 4}}, client.AtVersion(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream(h)
+	batch, err := c.SubmitBatch(ctx, []client.BatchItem{{
+		Kind: "test_pinned", Seed: 3, Version: 1,
+		Spec: pinnedSpec{streamSpec{Name: uniqueName("pinned-batch"), N: 4, Free: 4}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch[0].Err != nil {
+		t.Fatal(batch[0].Err)
+	}
+	stream(batch[0].Handle)
 }
 
 // dropLastDoc is a RoundTripper that drops the last document of every

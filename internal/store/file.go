@@ -10,33 +10,17 @@ import (
 	"sync"
 
 	"gameofcoins/internal/core"
+	"gameofcoins/internal/engine"
 )
 
-// DefaultMaxJobRecords caps how many job records a File store keeps across
-// compactions. It matches the engine manager's default job retention: records
-// beyond what the manager would rehydrate are dead weight on disk. Oldest
-// terminal records are dropped first; interrupted ("submitted") records are
-// always kept — they are the restart-recovery signal.
-const DefaultMaxJobRecords = 4096
+// rangeDocCap caps how many per-task result documents a store keeps per
+// job. The retained low-index prefix is what restart prefill and download
+// resume consume; jobs with more tasks than the cap lose per-task
+// servability past it after a restart, but never the aggregate result.
+const rangeDocCap = 4096
 
-// DefaultMaxRangeDocs caps how many per-task result documents a store keeps
-// per job (the -compact-ranges knob). The retained low-index prefix is what
-// restart prefill and download resume consume; jobs with more tasks than
-// the cap lose per-task servability past it after a restart, but never the
-// aggregate result.
-const DefaultMaxRangeDocs = 4096
-
-// maxRangeDocs resolves a MaxRangeDocs field: zero means the default cap,
-// negative means unbounded (trimRanges treats <= 0 as no cap).
-func maxRangeDocs(v int) int {
-	if v == 0 {
-		return DefaultMaxRangeDocs
-	}
-	return v
-}
-
-// compactMinOps is the default floor below which the log is never compacted,
-// so small servers don't churn the file on every write.
+// compactMinOps is the floor below which the log is never compacted, so
+// small servers don't churn the file on every write.
 const compactMinOps = 1024
 
 // logName is the operation log inside the store directory; lockName is the
@@ -51,24 +35,19 @@ const (
 // accumulated several times more operations than live records. Appends are
 // flushed per operation but not fsynced — a power cut may lose the final
 // lines, which rehydration tolerates (a lost terminal record resubmits the
-// job; determinism recomputes the identical result). All methods are safe
-// for concurrent use.
+// job; determinism recomputes the identical result). Compaction keeps at
+// most engine.DefaultRetention job records, the jobs the engine manager
+// would track after a restart: the oldest terminal records go first, and
+// submitted records always stay — they are the restart-recovery signal.
+// All methods are safe for concurrent use.
 type File struct {
-	// MaxJobs overrides DefaultMaxJobRecords when positive. Set before use.
-	MaxJobs int
-	// MaxRangeDocs caps the per-task result documents retained per job:
-	// positive overrides DefaultMaxRangeDocs, negative disables the cap.
-	// Set before use.
-	MaxRangeDocs int
-	// CompactMinOps overrides the compaction floor when positive (tests).
-	CompactMinOps int
-
 	mu     sync.Mutex
 	dir    string
 	f      *os.File // guarded by mu
 	lock   *os.File // guarded by mu
 	snap   Snapshot // guarded by mu
 	ops    int      // guarded by mu; operations appended since open/compaction
+	kept   int      // guarded by mu; job records the last compaction kept
 	closed bool     // guarded by mu
 }
 
@@ -189,7 +168,7 @@ func (s *File) applyLocked(o op) error {
 			delete(s.snap.Ranges, o.Job.ID)
 		}
 	case "range":
-		s.snap.addRange(o.JobID, o.Lo, o.Results, maxRangeDocs(s.MaxRangeDocs))
+		s.snap.addRange(o.JobID, o.Lo, o.Results)
 	case "handle":
 		s.snap.Handles[o.ID] = o.JobID
 		if n := handleSeq(o.ID); n > s.snap.NextHandle {
@@ -244,20 +223,18 @@ func (s *File) append(o op) error {
 // operations outnumber the live records severalfold (with a floor, so small
 // stores never churn). Callers must hold s.mu.
 func (s *File) maybeCompactLocked() error {
-	floor := s.CompactMinOps
-	if floor <= 0 {
-		floor = compactMinOps
-	}
 	// Overshooting the job-record cap also forces a compaction (which is
-	// what evicts records); the quarter-cap hysteresis keeps a store sitting
-	// at the cap from recompacting on every insert.
-	limit := s.maxJobs()
-	overCap := len(s.snap.Jobs) > limit+limit/4
+	// what evicts records). The quarter-cap hysteresis counts from what the
+	// last compaction kept, which exceeds the cap when submitted records
+	// alone do: compaction cannot evict those, so counting from the cap
+	// would rewrite the whole log on every append.
+	const slack = engine.DefaultRetention / 4
+	overCap := len(s.snap.Jobs) > max(engine.DefaultRetention, s.kept)+slack
 	live := len(s.snap.Games) + len(s.snap.Jobs) + len(s.snap.Handles)
 	for _, recs := range s.snap.Ranges {
 		live += len(recs)
 	}
-	if !overCap && (s.ops < floor || s.ops < 4*live) {
+	if !overCap && (s.ops < compactMinOps || s.ops < 4*live) {
 		return nil
 	}
 	return s.compactLocked()
@@ -265,10 +242,10 @@ func (s *File) maybeCompactLocked() error {
 
 // compactLocked writes the live snapshot to a fresh log and atomically
 // renames it over the old one. It also enforces the job-record cap: oldest
-// terminal records past MaxJobs are dropped (submitted records always
-// survive — they are what restart recovery reruns).
+// terminal records past engine.DefaultRetention are dropped (submitted
+// records always survive — they are what restart recovery reruns).
 func (s *File) compactLocked() error {
-	s.snap.dropExcessJobs(s.maxJobs())
+	s.snap.dropExcessJobs()
 	tmpPath := s.logPath() + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -355,15 +332,8 @@ func (s *File) compactLocked() error {
 	old.Close()
 	s.f = f
 	s.ops = 0
+	s.kept = len(s.snap.Jobs)
 	return nil
-}
-
-// maxJobs resolves MaxJobs: positive overrides DefaultMaxJobRecords.
-func (s *File) maxJobs() int {
-	if s.MaxJobs > 0 {
-		return s.MaxJobs
-	}
-	return DefaultMaxJobRecords
 }
 
 func sortedKeys[V any](m map[string]V) []string {

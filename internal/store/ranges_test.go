@@ -2,9 +2,11 @@ package store
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -96,20 +98,20 @@ func TestRangeFold(t *testing.T) {
 	}
 }
 
-// TestRangeCompactionCap: MaxRangeDocs bounds the per-task documents kept
-// per job, trimming from the highest indices so the resumable low prefix
-// survives; negative disables the cap.
+// TestRangeCompactionCap: at most rangeDocCap per-task documents are kept
+// per job, trimmed from the highest indices so the resumable low prefix
+// survives.
 func TestRangeCompactionCap(t *testing.T) {
 	s := openTemp(t)
-	s.MaxRangeDocs = 4
-	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 10, State: JobSubmitted}); err != nil {
+	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 2 * rangeDocCap, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutJobRange("job-1", 0, docs(10, 11, 12)); err != nil {
+	if err := s.PutJobRange("job-1", 0, seqDocs(0, rangeDocCap-1)); err != nil {
 		t.Fatal(err)
 	}
-	// An island entirely above the cap is trimmed away...
-	if err := s.PutJobRange("job-1", 8, docs(18, 19)); err != nil {
+	// An island that takes the job one document past the cap loses its
+	// last document...
+	if err := s.PutJobRange("job-1", rangeDocCap+8, seqDocs(rangeDocCap+8, 2)); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := s.Load()
@@ -117,56 +119,60 @@ func TestRangeCompactionCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []RangeRecord{
-		{Lo: 0, Results: docs(10, 11, 12)},
-		{Lo: 8, Results: docs(18)},
+		{Lo: 0, Results: seqDocs(0, rangeDocCap-1)},
+		{Lo: rangeDocCap + 8, Results: seqDocs(rangeDocCap+8, 1)},
 	}
 	if !reflect.DeepEqual(snap.Ranges["job-1"], want) {
-		t.Fatalf("ranges = %+v, want %+v", snap.Ranges["job-1"], want)
+		t.Fatalf("ranges = %s, want %s", spans(snap.Ranges["job-1"]), spans(want))
 	}
+	// ...and one more island, with the job at the cap, is trimmed away.
+	if err := s.PutJobRange("job-1", rangeDocCap+20, seqDocs(rangeDocCap+20, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap.Ranges["job-1"], want) {
+		t.Fatalf("ranges = %s, want %s", spans(snap.Ranges["job-1"]), spans(want))
+	}
+
 	// Monotonic watermark-order growth (what the server's watcher emits)
 	// saturates at the cap: the low prefix survives, later spans trim away.
 	mono := openTemp(t)
-	mono.MaxRangeDocs = 4
-	if err := mono.PutJob(JobRecord{ID: "job-1", Tasks: 10, State: JobSubmitted}); err != nil {
+	if err := mono.PutJob(JobRecord{ID: "job-1", Tasks: 2 * rangeDocCap, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mono.PutJobRange("job-1", 0, docs(10, 11, 12)); err != nil {
+	for lo := 0; lo < rangeDocCap+512; lo += 512 {
+		if err := mono.PutJobRange("job-1", lo, seqDocs(lo, 512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if snap, err = mono.Load(); err != nil {
 		t.Fatal(err)
 	}
-	if err := mono.PutJobRange("job-1", 3, docs(13, 14, 15)); err != nil {
-		t.Fatal(err)
-	}
-	if err := mono.PutJobRange("job-1", 6, docs(16, 17)); err != nil {
-		t.Fatal(err)
-	}
-	snap, err = mono.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = []RangeRecord{{Lo: 0, Results: docs(10, 11, 12, 13)}}
+	want = []RangeRecord{{Lo: 0, Results: seqDocs(0, rangeDocCap)}}
 	if !reflect.DeepEqual(snap.Ranges["job-1"], want) {
-		t.Fatalf("capped monotonic growth = %+v, want %+v", snap.Ranges["job-1"], want)
+		t.Fatalf("capped monotonic growth = %s, want %s", spans(snap.Ranges["job-1"]), spans(want))
 	}
+}
 
-	unbounded := openTemp(t)
-	unbounded.MaxRangeDocs = -1
-	if err := unbounded.PutJob(JobRecord{ID: "job-1", Tasks: 10_000, State: JobSubmitted}); err != nil {
-		t.Fatal(err)
+// seqDocs returns the documents of n consecutive tasks from lo: task i's
+// document is i.
+func seqDocs(lo, n int) []json.RawMessage {
+	out := make([]json.RawMessage, n)
+	for i := range out {
+		out[i] = json.RawMessage(itoa(lo + i))
 	}
-	big := make([]json.RawMessage, DefaultMaxRangeDocs+8)
-	for i := range big {
-		big[i] = json.RawMessage(`1`)
+	return out
+}
+
+// spans renders range records as [lo,end) spans for failure messages.
+func spans(recs []RangeRecord) string {
+	var b strings.Builder
+	for _, r := range recs {
+		fmt.Fprintf(&b, "[%d,%d)", r.Lo, r.End())
 	}
-	if err := unbounded.PutJobRange("job-1", 0, big); err != nil {
-		t.Fatal(err)
-	}
-	snap, err = unbounded.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(snap.Ranges["job-1"][0].Results); n != len(big) {
-		t.Fatalf("uncapped store trimmed to %d docs", n)
-	}
+	return b.String()
 }
 
 // TestFileRangeRoundTrip: range records survive close/reopen, fold across
@@ -241,16 +247,16 @@ func TestFileRangeCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.CompactMinOps = 8
-	if err := s.PutJob(JobRecord{ID: "job-1", Kind: "toy_sum", Tasks: 64, State: JobSubmitted}); err != nil {
+	const n = compactMinOps + 48
+	if err := s.PutJob(JobRecord{ID: "job-1", Kind: "toy_sum", Tasks: n + 16, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 48; i++ {
+	for i := 0; i < n; i++ {
 		if err := s.PutJobRange("job-1", i, docs(100+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.ops > 48 {
+	if s.ops >= compactMinOps {
 		t.Fatalf("log never compacted: %d pending ops", s.ops)
 	}
 	if err := s.Close(); err != nil {
@@ -266,7 +272,7 @@ func TestFileRangeCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := snap.Ranges["job-1"]
-	if len(recs) != 1 || recs[0].Lo != 0 || len(recs[0].Results) != 48 {
+	if len(recs) != 1 || recs[0].Lo != 0 || len(recs[0].Results) != n {
 		t.Fatalf("ranges after compaction = %+v", recs)
 	}
 	for i, d := range recs[0].Results {
@@ -325,7 +331,7 @@ func TestDropExcessJobsGCsRanges(t *testing.T) {
 	snap.Jobs["job-1"] = JobRecord{ID: "job-1", State: JobSubmitted}
 	snap.Ranges["job-1"] = []RangeRecord{{Lo: 0, Results: docs(1)}}
 	snap.Ranges["job-gone"] = []RangeRecord{{Lo: 0, Results: docs(2)}}
-	snap.dropExcessJobs(10)
+	snap.dropExcessJobs()
 	if _, ok := snap.Ranges["job-1"]; !ok {
 		t.Fatal("live submitted job's ranges dropped")
 	}

@@ -86,8 +86,8 @@ type Snapshot struct {
 	// *submitted* (interrupted) job they are the completed prefix a restart
 	// prefills so only the missing suffix recomputes; for a *done* job they
 	// keep ?range fetches and resumed result streams servable across a
-	// restart (bounded by the MaxRangeDocs compaction cap). Failed and
-	// canceled records clear their ranges — there is no result to serve.
+	// restart (at most 4,096 documents per job). Failed and canceled
+	// records clear their ranges — there is no result to serve.
 	Ranges map[string][]RangeRecord
 	// Handles maps live v2 handle IDs to job IDs.
 	Handles map[string]string
@@ -98,20 +98,20 @@ type Snapshot struct {
 }
 
 // addRange folds one range record into the snapshot, then applies the
-// maxDocs compaction cap (see trimRanges). Spans are appended in watermark
+// per-job rangeDocCap (see trimRanges). Spans are appended in watermark
 // order, so the common case extends the previous record in place; an
 // overlap keeps the bytes already recorded (first-writer-wins) and only
 // the genuinely new suffix lands. Records for jobs that are not live
 // "submitted" or "done" ones are dropped — there is no result the spans
 // could serve (or the job was evicted), so they are dead weight.
-func (s *Snapshot) addRange(jobID string, lo int, results []json.RawMessage, maxDocs int) {
+func (s *Snapshot) addRange(jobID string, lo int, results []json.RawMessage) {
 	if rec, ok := s.Jobs[jobID]; !ok || (rec.State != JobSubmitted && rec.State != JobDone) {
 		return
 	}
 	if lo < 0 || len(results) == 0 {
 		return
 	}
-	defer s.trimRanges(jobID, maxDocs)
+	defer s.trimRanges(jobID)
 	recs := s.Ranges[jobID]
 	if n := len(recs); n > 0 {
 		last := &recs[n-1]
@@ -130,22 +130,19 @@ func (s *Snapshot) addRange(jobID string, lo int, results []json.RawMessage, max
 	s.Ranges[jobID] = append(recs, RangeRecord{Lo: lo, Results: results})
 }
 
-// trimRanges enforces the per-job compaction cap: at most max per-task
+// trimRanges enforces the per-job cap: at most rangeDocCap per-task
 // documents survive, trimmed from the highest task indices — the low
 // contiguous prefix is what restart prefill and download resume consume,
-// so it is the part worth keeping. max <= 0 means unbounded.
-func (s *Snapshot) trimRanges(jobID string, max int) {
-	if max <= 0 {
-		return
-	}
+// so it is the part worth keeping.
+func (s *Snapshot) trimRanges(jobID string) {
 	recs := s.Ranges[jobID]
 	total := 0
 	for _, r := range recs {
 		total += len(r.Results)
 	}
-	for total > max && len(recs) > 0 {
+	for total > rangeDocCap && len(recs) > 0 {
 		last := &recs[len(recs)-1]
-		if drop := total - max; drop >= len(last.Results) {
+		if drop := total - rangeDocCap; drop >= len(last.Results) {
 			total -= len(last.Results)
 			recs = recs[:len(recs)-1]
 		} else {
@@ -172,15 +169,15 @@ type Store interface {
 	PutGame(id string, g *core.Game) error
 	// PutJob upserts a job record keyed by rec.ID. Writing a failed or
 	// canceled state clears the job's persisted ranges — there is no result
-	// they could serve. Done records keep theirs (bounded by the
-	// implementation's MaxRangeDocs compaction cap), so range fetches and
-	// resumed result streams survive a restart.
+	// they could serve. Done records keep theirs (at most 4,096 documents
+	// per job), so range fetches and resumed result streams survive a
+	// restart.
 	PutJob(rec JobRecord) error
 	// PutJobRange appends one span of a job's per-task results: the encoded
 	// documents of tasks [lo, lo+len(results)). Only jobs in the submitted
 	// or done state accumulate ranges; overlapping spans resolve
-	// first-writer-wins, and spans past the compaction cap are trimmed from
-	// the highest indices.
+	// first-writer-wins, and documents past the 4,096th are trimmed from the
+	// highest indices.
 	PutJobRange(jobID string, lo int, results []json.RawMessage) error
 	// PutHandle records a live handle claiming a job.
 	PutHandle(handle, jobID string) error
@@ -197,14 +194,14 @@ func handleSeq(handle string) uint64 {
 	return n
 }
 
-// dropExcessJobs evicts the oldest terminal job records past limit —
-// mirroring the engine manager's retention policy — and garbage-collects
-// handles whose job record is gone. Submitted records always survive: they
-// are the restart-recovery signal. (The server writes a job record before
+// dropExcessJobs evicts the oldest terminal job records past
+// engine.DefaultRetention — the engine manager's retention policy — and
+// garbage-collects handles whose job record is gone. Submitted records
+// always survive: they are the restart-recovery signal. (The server writes a job record before
 // any handle referencing it, so a missing record means the job itself was
 // evicted, not that the ops raced.)
-func (s *Snapshot) dropExcessJobs(limit int) {
-	if len(s.Jobs) > limit {
+func (s *Snapshot) dropExcessJobs() {
+	if len(s.Jobs) > engine.DefaultRetention {
 		terminal := make([]string, 0, len(s.Jobs))
 		for id, rec := range s.Jobs {
 			if rec.State != JobSubmitted {
@@ -213,7 +210,7 @@ func (s *Snapshot) dropExcessJobs(limit int) {
 		}
 		sort.Slice(terminal, func(i, k int) bool { return jobSeq(terminal[i]) < jobSeq(terminal[k]) })
 		for _, id := range terminal {
-			if len(s.Jobs) <= limit {
+			if len(s.Jobs) <= engine.DefaultRetention {
 				break
 			}
 			delete(s.Jobs, id)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gameofcoins/internal/core"
+	"gameofcoins/internal/engine"
 )
 
 func testGame(t *testing.T) *core.Game {
@@ -202,23 +203,23 @@ func TestFileTornTailTolerated(t *testing.T) {
 	}
 }
 
-// TestFileCompaction: overwriting the same records many times triggers
-// compaction — the log shrinks to the live state and replays identically.
+// TestFileCompaction: overwriting the same records compactMinOps times
+// triggers compaction — the log shrinks to the live state and replays
+// identically.
 func TestFileCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.CompactMinOps = 16
 	populate(t, s)
 	rec := JobRecord{ID: "job-2", Key: "k2", Kind: "toy_sum", Version: 2, Seed: 9, Tasks: 3, State: JobSubmitted}
-	for i := 0; i < 200; i++ {
+	for i := 0; i < compactMinOps; i++ {
 		if err := s.PutJob(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.ops > 4*5+16 {
+	if s.ops >= compactMinOps {
 		t.Fatalf("log never compacted: %d pending ops", s.ops)
 	}
 	info, err := os.Stat(filepath.Join(dir, logName))
@@ -252,17 +253,19 @@ func TestFileNextHandleSurvivesCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.CompactMinOps = 4
 	if err := s.PutHandle("h-17", "job-1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DeleteHandle("h-17"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ { // push past the compaction floor
+	for i := 0; i < compactMinOps; i++ { // push past the compaction floor
 		if err := s.PutJob(JobRecord{ID: "job-1", State: JobDone}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if s.ops >= compactMinOps {
+		t.Fatalf("log never compacted: %d pending ops", s.ops)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -281,8 +284,13 @@ func TestFileNextHandleSurvivesCompaction(t *testing.T) {
 	}
 }
 
-// TestFileJobRecordCap: compaction evicts the oldest terminal records past
-// MaxJobs but never the submitted ones (restart recovery needs them).
+// overCap is the smallest job-record count that forces a compaction: a
+// quarter of the cap past it.
+const overCap = engine.DefaultRetention + engine.DefaultRetention/4 + 1
+
+// TestFileJobRecordCap: once the records pass the cap by a quarter,
+// compaction evicts the oldest terminal records past engine.DefaultRetention
+// but never the submitted ones (restart recovery needs them).
 func TestFileJobRecordCap(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenFile(dir)
@@ -290,12 +298,10 @@ func TestFileJobRecordCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.MaxJobs = 4
-	s.CompactMinOps = 1
 	if err := s.PutJob(JobRecord{ID: "job-1", State: JobSubmitted}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 2; i <= 10; i++ {
+	for i := 2; i <= overCap; i++ {
 		rec := JobRecord{ID: "job-" + itoa(i), State: JobDone, Result: json.RawMessage(`1`)}
 		if err := s.PutJob(rec); err != nil {
 			t.Fatal(err)
@@ -305,14 +311,63 @@ func TestFileJobRecordCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Jobs) > 4 {
-		t.Fatalf("cap not enforced: %d records", len(snap.Jobs))
+	if len(snap.Jobs) != engine.DefaultRetention {
+		t.Fatalf("cap not enforced: %d records, want %d", len(snap.Jobs), engine.DefaultRetention)
 	}
 	if _, ok := snap.Jobs["job-1"]; !ok {
 		t.Fatal("submitted record evicted by the cap")
 	}
-	if _, ok := snap.Jobs["job-10"]; !ok {
+	if _, ok := snap.Jobs["job-2"]; ok {
+		t.Fatal("oldest terminal record survived the cap")
+	}
+	if _, ok := snap.Jobs["job-"+itoa(overCap)]; !ok {
 		t.Fatal("newest terminal record evicted before older ones")
+	}
+}
+
+// TestFileCapDoesNotCompactEveryAppend: compaction cannot evict submitted
+// records, so a store holding more of them than the cap must not rewrite
+// its whole log on every later append. A rewrite renames a fresh file over
+// the log, which os.SameFile detects.
+func TestFileCapDoesNotCompactEveryAppend(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 1; i <= overCap; i++ {
+		if err := s.PutJob(JobRecord{ID: "job-" + itoa(i), State: JobSubmitted}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logPath := filepath.Join(dir, logName)
+	rewrites := 0
+	for i := 1; i <= 100; i++ {
+		before, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutHandle("h-"+itoa(i), "job-1"); err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(before, after) {
+			rewrites++
+		}
+	}
+	if rewrites > 1 {
+		t.Fatalf("100 appends rewrote the log %d times", rewrites)
+	}
+	snap, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Jobs) != overCap || len(snap.Handles) != 100 {
+		t.Fatalf("%d job records and %d handles, want %d and 100", len(snap.Jobs), len(snap.Handles), overCap)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -182,19 +181,6 @@ func (k *Keyring) Len() int {
 		return 0
 	}
 	return len(k.entries)
-}
-
-// Clients lists the keyed client identities, sorted.
-func (k *Keyring) Clients() []string {
-	if k == nil {
-		return nil
-	}
-	out := make([]string, 0, len(k.entries))
-	for _, e := range k.entries {
-		out = append(out, e.client)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // maxBuckets bounds the limiter's per-client state. Keyed clients come from
