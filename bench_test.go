@@ -276,9 +276,10 @@ func BenchmarkLearnSweepTask(b *testing.B) {
 	}
 }
 
-// BenchmarkSchemaValidate measures the two schema checks on persist-stream's
-// path: the SDK's ValidateDef("task") on each streamed learn_sweep task
-// document, and the server's Validate on each submitted spec.
+// BenchmarkSchemaValidate measures two schema checks: ValidateDef("task")
+// on one learn_sweep task document (the SDK's per-document check before it
+// walked each range's results array once), and the server's Validate on
+// each submitted spec.
 func BenchmarkSchemaValidate(b *testing.B) {
 	spec := engine.LearnSweep{Gen: core.GenSpec{Miners: 8, Coins: 2}, Runs: 200}
 	out, err := spec.RunTask(context.Background(), 0, rng.New(7).Fork(0))

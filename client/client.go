@@ -71,6 +71,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"gameofcoins/internal/core"
@@ -85,6 +86,16 @@ type Client struct {
 	fp      string
 	key     string
 	retries int
+
+	mu    sync.Mutex
+	specs map[string]specMemo // guarded by mu; by wire kind, see taskSchema
+}
+
+// specMemo is the last catalog entry body StreamResultFrom was served for a
+// wire kind, with the task schema decoded from it.
+type specMemo struct {
+	body  []byte
+	tasks *engine.Schema
 }
 
 // Option configures a Client.
@@ -137,7 +148,7 @@ const (
 // New returns a client for the gocserve instance at baseURL
 // (e.g. "http://localhost:8372").
 func New(baseURL string, opts ...Option) *Client {
-	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: http.DefaultClient, retries: DefaultRetryLimit}
+	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: http.DefaultClient, retries: DefaultRetryLimit, specs: map[string]specMemo{}}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -160,16 +171,48 @@ func (e *APIError) Error() string {
 }
 
 // do runs one JSON request. in (if non-nil) is the request body; out (if
-// non-nil) receives the decoded response. A 429 is retried up to the
-// client's retry limit, waiting out the server's Retry-After (or a capped
-// exponential backoff when the hint is missing) between attempts — a 429
-// means the submission was never admitted, so retrying any method is safe.
+// non-nil) receives the decoded response.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	resp, err := c.send(ctx, method, path, in)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return fmt.Errorf("client: decode response: %w", err)
+		}
+	}
+	return nil
+}
+
+// get runs one GET and returns the whole response body, read into one
+// buffer.
+func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
+	resp, err := c.send(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("client: read response: %w", err)
+	}
+	return body, nil
+}
+
+// send runs one JSON request and returns its 2xx response, whose body the
+// caller closes; a non-2xx status comes back as an *APIError. in (if
+// non-nil) is the request body. A 429 is retried up to the client's retry
+// limit, waiting out the server's Retry-After (or a capped exponential
+// backoff when the hint is missing) between attempts — a 429 means the
+// submission was never admitted, so retrying any method is safe.
+func (c *Client) send(ctx context.Context, method, path string, in any) (*http.Response, error) {
 	var body []byte
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return fmt.Errorf("client: encode request: %w", err)
+			return nil, fmt.Errorf("client: encode request: %w", err)
 		}
 		body = b
 	}
@@ -177,7 +220,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	for attempt := 0; ; attempt++ {
 		req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
 		if c.fp != "" {
@@ -188,7 +231,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if resp.StatusCode == http.StatusTooManyRequests && attempt < c.retries {
 			apiErr := decodeAPIError(resp)
@@ -204,7 +247,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			select {
 			case <-time.After(wait):
 			case <-ctx.Done():
-				return ctx.Err()
+				return nil, ctx.Err()
 			}
 			if backoff *= 2; backoff > retryWaitMax {
 				backoff = retryWaitMax
@@ -214,16 +257,9 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		if resp.StatusCode < 200 || resp.StatusCode > 299 {
 			err := decodeAPIError(resp)
 			resp.Body.Close()
-			return err
+			return nil, err
 		}
-		if out != nil {
-			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-				resp.Body.Close()
-				return fmt.Errorf("client: decode response: %w", err)
-			}
-		}
-		resp.Body.Close()
-		return nil
+		return resp, nil
 	}
 }
 
@@ -277,6 +313,38 @@ func (c *Client) Spec(ctx context.Context, wire string) (engine.CatalogEntry, er
 	var out engine.CatalogEntry
 	err := c.do(ctx, http.MethodGet, "/v2/specs/"+wire, nil, &out)
 	return out, err
+}
+
+// taskSchema returns what StreamResultFrom checks each range body's results
+// array against: an array of the wire kind's "task" result $def, resolved
+// over the result schema's $defs, or nil when the version declares no task
+// def. It GETs the catalog entry on every call, so a changed catalog is seen
+// at once, but decodes the entry again only when the served bytes differ
+// from the last ones served for the kind.
+func (c *Client) taskSchema(ctx context.Context, wire string) (*engine.Schema, error) {
+	body, err := c.get(ctx, "/v2/specs/"+wire)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	memo, ok := c.specs[wire]
+	c.mu.Unlock()
+	if ok && bytes.Equal(memo.body, body) {
+		return memo.tasks, nil
+	}
+	var entry engine.CatalogEntry
+	if err := json.Unmarshal(body, &entry); err != nil {
+		return nil, fmt.Errorf("client: decode response: %w", err)
+	}
+	memo = specMemo{body: body}
+	if rs := entry.ResultSchema; rs != nil && rs.Defs["task"] != nil {
+		memo.tasks = engine.SchemaArray(engine.SchemaRef("task"))
+		memo.tasks.Defs = rs.Defs
+	}
+	c.mu.Lock()
+	c.specs[wire] = memo
+	c.mu.Unlock()
+	return memo.tasks, nil
 }
 
 // RegisterGame registers a game with POST /v2/games and returns its
@@ -742,16 +810,32 @@ func (h *Handle) Result(ctx context.Context, out any) error {
 // *APIError carries 400 for an out-of-bounds span, 409 while some task in
 // the span is still computing (retry once the watermark passes hi), and 410
 // for jobs without per-task documents (non-streamable kinds, or a job
-// restored already-finished from a previous server life).
+// restored already-finished from a previous server life). A body that
+// answers another span than [lo, hi) is an error naming both.
+//
+// The documents are sub-slices of the one buffer the body was read into,
+// each capped at its own end: appending to one copies it rather than
+// overwriting the next.
 func (h *Handle) ResultRange(ctx context.Context, lo, hi int) ([]json.RawMessage, error) {
-	var out struct {
-		Results []json.RawMessage `json:"results"`
+	rb, err := h.resultRange(ctx, lo, hi)
+	return rb.docs, err
+}
+
+// resultRange is ResultRange keeping the decoded body's results array,
+// which StreamResultFrom checks in one schema walk.
+func (h *Handle) resultRange(ctx context.Context, lo, hi int) (rangeBody, error) {
+	body, err := h.c.get(ctx, fmt.Sprintf("/v2/jobs/%s/result?range=%d-%d", h.id, lo, hi))
+	if err != nil {
+		return rangeBody{}, err
 	}
-	path := fmt.Sprintf("/v2/jobs/%s/result?range=%d-%d", h.id, lo, hi)
-	if err := h.c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return nil, err
+	rb, err := decodeRangeBody(body, hi-lo)
+	if err != nil {
+		return rangeBody{}, fmt.Errorf("client: decode response: %w", err)
 	}
-	return out.Results, nil
+	if string(rb.lo) != strconv.Itoa(lo) || string(rb.hi) != strconv.Itoa(hi) {
+		return rangeBody{}, fmt.Errorf("client: asked for range [%d,%d), server answered [%s,%s)", lo, hi, rb.lo, rb.hi)
+	}
+	return rb, nil
 }
 
 // StreamResult streams the job's per-task result documents in task order as
@@ -768,7 +852,8 @@ func (h *Handle) ResultRange(ctx context.Context, lo, hi int) ([]json.RawMessage
 // for a bare kind, the pinned one under AtVersion or BatchItem.Version)
 // before fn sees it; a version that publishes no result schema (or no
 // "task" def) streams unvalidated. fn returning an error aborts the stream
-// and returns that error.
+// and returns that error. fn's documents are ResultRange's: capped
+// sub-slices of a shared buffer.
 func (h *Handle) StreamResult(ctx context.Context, fn func(task int, doc json.RawMessage) error) (engine.Status, error) {
 	return h.StreamResultFrom(ctx, 0, fn)
 }
@@ -781,11 +866,10 @@ func (h *Handle) StreamResult(ctx context.Context, fn func(task int, doc json.Ra
 // prefills the new job's ledger, so the watermark passes `from` as soon as
 // the uncovered suffix computes.
 func (h *Handle) StreamResultFrom(ctx context.Context, from int, fn func(task int, doc json.RawMessage) error) (engine.Status, error) {
-	entry, err := h.c.Spec(ctx, h.wire)
+	tasks, err := h.c.taskSchema(ctx, h.wire)
 	if err != nil {
 		return engine.Status{}, fmt.Errorf("client: fetch result schema: %w", err)
 	}
-	schema := entry.ResultSchema
 	// Watch on a derived context so an early return (fn error, validation
 	// failure) releases the stream goroutine instead of stranding it.
 	wctx, cancel := context.WithCancel(ctx)
@@ -802,7 +886,7 @@ func (h *Handle) StreamResultFrom(ctx context.Context, from int, fn func(task in
 		if wm <= next {
 			continue
 		}
-		docs, err := h.ResultRange(ctx, next, wm)
+		rb, err := h.resultRange(ctx, next, wm)
 		if err != nil {
 			// A restart can briefly rewind the servable prefix below an
 			// already-announced watermark (409); the next snapshots catch it
@@ -813,13 +897,13 @@ func (h *Handle) StreamResultFrom(ctx context.Context, from int, fn func(task in
 			}
 			return last, err
 		}
-		if len(docs) != wm-next {
-			return last, fmt.Errorf("client: range [%d,%d) returned %d documents, want %d", next, wm, len(docs), wm-next)
+		if len(rb.docs) != wm-next {
+			return last, fmt.Errorf("client: range [%d,%d) returned %d documents, want %d", next, wm, len(rb.docs), wm-next)
 		}
-		for k, doc := range docs {
-			if err := schema.ValidateDef("task", doc); err != nil {
-				return last, fmt.Errorf("client: task %d result: %w", next+k, err)
-			}
+		if err := tasks.ValidateWellFormed(rb.arr); err != nil {
+			return last, taskError(next, err)
+		}
+		for k, doc := range rb.docs {
 			if err := fn(next+k, doc); err != nil {
 				return last, err
 			}

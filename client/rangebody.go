@@ -1,0 +1,142 @@
+package client
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf8"
+
+	"gameofcoins/internal/engine"
+	"gameofcoins/internal/jsonscan"
+)
+
+// rangeBody is a decoded ?range= answer. Its documents and results array
+// are sub-slices of the body the SDK read, so decoding copies nothing.
+type rangeBody struct {
+	// lo and hi are the raw JSON values of the span the server says it
+	// served; nil when the body has no such member.
+	lo, hi []byte
+	// docs are the elements of the results array, each capped at its own
+	// end, so an append to one document cannot overwrite the next.
+	docs []json.RawMessage
+	// arr is the results array the documents came from; nil when the body
+	// has none or it is null.
+	arr []byte
+}
+
+// decodeRangeBody decodes a ?range= body in one pass over its bytes, after
+// one json.Valid. It returns exactly the documents that decoding the body
+// with a json.Decoder into struct{Results []json.RawMessage} returns, and
+// fails where that decode fails: a body that is not one well-formed value
+// goes through the decoder, which either fails with its own error text or
+// delimits a well-formed first value, whose trailing bytes it ignores. Keys
+// match the way encoding/json matches struct fields, case-insensitively,
+// and the last occurrence of a key wins. want, the number of documents the
+// caller asked for, sizes the document slice; the body's length bounds it.
+func decodeRangeBody(body []byte, want int) (rangeBody, error) {
+	if !json.Valid(body) {
+		var first json.RawMessage
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&first); err != nil {
+			return rangeBody{}, err
+		}
+		body = first
+	}
+	s := jsonscan.Scanner{Doc: body}
+	s.SkipSpace()
+	switch body[s.Pos] {
+	case 'n':
+		return rangeBody{}, nil
+	case '{':
+	default:
+		return rangeBody{}, errors.New("range body is not an object")
+	}
+	var rb rangeBody
+	var fold [16]byte
+	s.Pos++
+	for s.SkipSpace(); body[s.Pos] != '}'; s.SkipSpace() {
+		key := foldKey(fold[:0], s.Member())
+		start := s.Pos
+		switch string(key) {
+		case "RESULTS":
+			switch body[s.Pos] {
+			case 'n':
+				s.SkipValue()
+				rb.docs, rb.arr = nil, nil
+			case '[':
+				rb.docs = elements(&s, min(want, len(body)/2+1))
+				rb.arr = body[start:s.Pos]
+			default:
+				return rangeBody{}, errors.New("range body's results is not an array")
+			}
+		case "LO":
+			s.SkipValue()
+			rb.lo = body[start:s.Pos]
+		case "HI":
+			s.SkipValue()
+			rb.hi = body[start:s.Pos]
+		default:
+			s.SkipValue()
+		}
+	}
+	return rb, nil
+}
+
+// taskError reports the first document of a range that fails its task
+// schema. The array walk names the element ("/k/…"); the SDK names task
+// lo+k and the path inside that document, as checking each document on its
+// own would.
+func taskError(lo int, err error) error {
+	var se *engine.SchemaError
+	if errors.As(err, &se) {
+		idx, rest, nested := strings.Cut(strings.TrimPrefix(se.Path, "/"), "/")
+		if k, perr := strconv.Atoi(idx); perr == nil {
+			doc := &engine.SchemaError{Msg: se.Msg}
+			if nested {
+				doc.Path = "/" + rest
+			}
+			return fmt.Errorf("client: task %d result: %w", lo+k, doc)
+		}
+	}
+	return fmt.Errorf("client: range from task %d: %w", lo, err)
+}
+
+// elements returns the elements of the array at s.Pos, each capped at its
+// end, and moves s.Pos past it; n sizes the returned slice.
+func elements(s *jsonscan.Scanner, n int) []json.RawMessage {
+	docs := make([]json.RawMessage, 0, max(n, 0))
+	s.Pos++
+	for s.SkipSpace(); s.Doc[s.Pos] != ']'; s.SkipSpace() {
+		if s.Doc[s.Pos] == ',' {
+			s.Pos++
+			s.SkipSpace()
+		}
+		start := s.Pos
+		s.SkipValue()
+		docs = append(docs, s.Doc[start:s.Pos:s.Pos])
+	}
+	s.Pos++
+	return docs
+}
+
+// foldKey appends key folded the way encoding/json folds object keys to
+// match them against struct field names case-insensitively.
+func foldKey(dst, key []byte) []byte {
+	for i := 0; i < len(key); {
+		if c := key[i]; c < utf8.RuneSelf {
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			dst = append(dst, c)
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRune(key[i:])
+		dst = utf8.AppendRune(dst, unicode.ToUpper(unicode.ToLower(r)))
+		i += n
+	}
+	return dst
+}

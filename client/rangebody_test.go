@@ -1,0 +1,204 @@
+package client
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"testing"
+
+	"gameofcoins/internal/core"
+	"gameofcoins/internal/engine"
+	"gameofcoins/internal/rng"
+)
+
+// refDecodeRange is how ResultRange decoded a ?range= body before the
+// one-pass decoder, kept as the reference it must match: a json.Decoder
+// into the results field, copying each document.
+func refDecodeRange(body []byte) ([]json.RawMessage, error) {
+	var out struct {
+		Results []json.RawMessage `json:"results"`
+	}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&out); err != nil {
+		return nil, err
+	}
+	return out.Results, nil
+}
+
+// refCheckTasks is how StreamResultFrom checked a range's documents before
+// the one-walk check: ValidateDef per document, first failure wins.
+func refCheckTasks(results *engine.Schema, lo int, docs []json.RawMessage) error {
+	for k, doc := range docs {
+		if err := results.ValidateDef("task", doc); err != nil {
+			return fmt.Errorf("client: task %d result: %w", lo+k, err)
+		}
+	}
+	return nil
+}
+
+// FuzzRangeBodyMatchesDecoder: for any body, decodeRangeBody returns the
+// documents the pre-change json.Decoder decode returned, each capped, or
+// both fail; and against every built-in kind's task $def, the one-walk
+// check accepts or rejects exactly as ValidateDef per document did, naming
+// the same task, path and message.
+func FuzzRangeBodyMatchesDecoder(f *testing.F) {
+	for _, seed := range []string{
+		`{"id":"job-1","kind":"learn_sweep","lo":5,"hi":7,"total":9,"results":[{"steps":3,"converged":true},{"steps":0,"converged":false}]}`,
+		`{"lo":0,"hi":3,"results":[1,2,3]}`,
+		` { "results" : [ 1 , {"a" : [2, "x]}"]} , "s\"" ] } `,
+		`{"results":[{"steps":1.5}]}`,
+		`{"results":[{"steps":2,"converged":"no"}],"lo":0}`,
+		`{"results":[{"PeakBCHShare":"high"}]}`,
+		`{"results":[1],"results":[{"steps":"x"}]}`,
+		`{"results":[{"steps":"x"}],"results":[1]}`,
+		`{"results":5,"results":[1]}`,
+		`{"RESULTS":[1],"Results":[2]}`,
+		`{"reſults":[3]}`,
+		`{"results":[4],"hi":2}`,
+		`{"results":null}`,
+		`{"results":[null]}`,
+		`null`,
+		`[1]`,
+		`"x"`,
+		`7`,
+		`{"results":{}}`,
+		`{"results":[1]} trailing`,
+		`{"results":[1]}{`,
+		`{"results":[1,]}`,
+		``,
+		`   `,
+		"{\"results\":[\"\xff\"]}",
+	} {
+		f.Add([]byte(seed))
+	}
+	var schemas []*engine.Schema
+	for _, e := range engine.Catalog() {
+		if e.Latest && e.ResultSchema != nil {
+			schemas = append(schemas, e.ResultSchema)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		want, werr := refDecodeRange(body)
+		got, gerr := decodeRangeBody(body, 4)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("decodeRangeBody error %v, json.Decoder error %v", gerr, werr)
+		}
+		if werr != nil {
+			return
+		}
+		if len(got.docs) != len(want) {
+			t.Fatalf("decodeRangeBody returned %d documents, json.Decoder %d", len(got.docs), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got.docs[i], want[i]) || cap(got.docs[i]) != len(got.docs[i]) {
+				t.Fatalf("document %d = %q (cap %d), want %q", i, got.docs[i], cap(got.docs[i]), want[i])
+			}
+		}
+		for _, rs := range schemas {
+			tasks := engine.SchemaArray(engine.SchemaRef("task"))
+			tasks.Defs = rs.Defs
+			var gotErr error
+			if err := tasks.ValidateWellFormed(got.arr); err != nil {
+				gotErr = taskError(3, err)
+			}
+			wantErr := refCheckTasks(rs, 3, want)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: one-walk check %v, ValidateDef per document %v", rs.Title, gotErr, wantErr)
+			}
+		}
+	})
+}
+
+// TestTaskSchemaFollowsServedEntry: the SDK reuses the task schema it
+// decoded while the served catalog entry keeps its bytes, and decodes again
+// as soon as they change.
+func TestTaskSchemaFollowsServedEntry(t *testing.T) {
+	entry := func(taskType string) servedBody {
+		return fmt.Appendf(nil, `{"kind":"k","version":1,"wire":"k","latest":true,"result_schema":{"$defs":{"task":{"type":%q}}}}`, taskType)
+	}
+	c := New("http://gocserve.invalid", WithHTTPClient(&http.Client{Transport: entry("integer")}))
+	ctx := context.Background()
+	first, err := c.taskSchema(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.taskSchema(ctx, "k")
+	if err != nil || again != first {
+		t.Fatalf("unchanged entry decoded again: %p, then %p (%v)", first, again, err)
+	}
+	c.hc = &http.Client{Transport: entry("string")}
+	changed, err := c.taskSchema(ctx, "k")
+	if err != nil || changed.Defs["task"].Type != "string" {
+		t.Fatalf("after the entry changed, task schema = %+v, %v; want a string task def", changed, err)
+	}
+}
+
+// servedBody is a RoundTripper answering every request with one 200 body.
+type servedBody []byte
+
+func (b servedBody) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     http.Header{"Content-Type": {"application/json"}},
+		Body:       io.NopCloser(bytes.NewReader(b)),
+		Request:    req,
+	}, nil
+}
+
+// BenchmarkRangeBody reads persist-stream's range shape — one ?range= body
+// holding the 1,200 task documents of an 8×2 learn_sweep job, as the server
+// writes it — from an in-memory transport. "decode" is ResultRange;
+// "stream" adds the task-schema check StreamResultFrom makes on each range.
+func BenchmarkRangeBody(b *testing.B) {
+	spec := engine.LearnSweep{Gen: core.GenSpec{Miners: 8, Coins: 2}, Runs: 200}
+	base := rng.New(7)
+	n := spec.Tasks()
+	body := fmt.Appendf(nil, `{"id":"job-1","kind":"learn_sweep","lo":0,"hi":%d,"total":%d,"results":[`, n, n)
+	for i := range n {
+		out, err := spec.RunTask(context.Background(), i, base.Fork(uint64(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		doc, err := spec.EncodeTaskResult(out)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, doc...)
+	}
+	body = append(body, "]}"...)
+	c := New("http://gocserve.invalid", WithHTTPClient(&http.Client{Transport: servedBody(body)}))
+	h := &Handle{c: c, id: "h-1"}
+	ctx := context.Background()
+	var tasks *engine.Schema
+	for _, e := range engine.Catalog() {
+		if e.Kind == spec.Kind() && e.Latest {
+			tasks = engine.SchemaArray(engine.SchemaRef("task"))
+			tasks.Defs = e.ResultSchema.Defs
+		}
+	}
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if docs, err := h.ResultRange(ctx, 0, n); err != nil || len(docs) != n {
+				b.Fatal(len(docs), err)
+			}
+		}
+	})
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			rb, err := h.resultRange(ctx, 0, n)
+			if err != nil || len(rb.docs) != n {
+				b.Fatal(len(rb.docs), err)
+			}
+			if err := tasks.ValidateWellFormed(rb.arr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -96,30 +97,55 @@ func TestVersionFlag(t *testing.T) {
 const catalogFingerprint = "6d58065a171b8c72"
 
 // TestCatalogGolden pins the exact GET /v2/specs body this binary serves
-// (it links only the built-in kinds) and the fingerprint -version prints.
-// Regenerate the golden only for a deliberate catalog change:
+// (it links only the built-in kinds), each GET /v2/specs/{wire} body under
+// the entry's wire name and its pinned "kind@vN" form, and the fingerprint
+// -version prints. Every entry is fetched twice, so a memoised body must
+// match the first rendering. Regenerate the goldens only for a deliberate
+// catalog change:
 //
 //	gocserve -addr 127.0.0.1:8372 & curl -s 127.0.0.1:8372/v2/specs > cmd/gocserve/testdata/specs.golden.json
+//	for w in design_sweep design_sweep@v1 …; do printf 'GET /v2/specs/%s\n' $w; curl -s 127.0.0.1:8372/v2/specs/$w; done > cmd/gocserve/testdata/spec_entries.golden
 func TestCatalogGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "specs.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	api := server.New(1)
 	defer api.Close()
 	ts := httptest.NewServer(api)
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v2/specs")
-	if err != nil {
-		t.Fatal(err)
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d\n%s", path, resp.StatusCode, body)
+		}
+		return body
 	}
-	got, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	golden := func(name string, got []byte) {
+		t.Helper()
+		want, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("got %d bytes; want the %d bytes of testdata/%s\n%s", len(got), len(want), name, got)
+		}
 	}
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
-		t.Fatalf("GET /v2/specs = %d, %d bytes; want 200 and the %d golden bytes\n%s", resp.StatusCode, len(got), len(want), got)
+	golden("specs.golden.json", get("/v2/specs"))
+	for range 2 {
+		var entries []byte
+		for _, e := range engine.Catalog() {
+			for _, wire := range slices.Compact([]string{e.Wire, engine.PinnedKind(e.Kind, e.Version)}) {
+				path := "/v2/specs/" + wire
+				entries = append(append(entries, "GET "+path+"\n"...), get(path)...)
+			}
+		}
+		golden("spec_entries.golden", entries)
 	}
 
 	var out strings.Builder

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -202,7 +203,8 @@ func (j *Job) Result() (res any, ok bool) {
 // its late report) lands once, with the same bytes either way. Otherwise the
 // result, counters, and ledger advance and the new status goes to every
 // watcher and to Engine.Run's onProgress. local marks a publisher still
-// counted in flight (a local worker), whose finished task Running excludes.
+// counted in flight (a local worker), whose finished task Running excludes,
+// and whose raw is its own fresh encoding, which the ledger keeps uncopied.
 // Callers hold j.mu; the scheduler snapshot takes e.mu under it (job mutex,
 // then engine mutex).
 func (j *Job) publishLocked(e *Engine, r *runJob, task int, out any, raw json.RawMessage, local bool) bool {
@@ -212,6 +214,11 @@ func (j *Job) publishLocked(e *Engine, r *runJob, task int, out any, raw json.Ra
 	r.results[task] = out
 	j.done++
 	if j.docs != nil {
+		if !local {
+			// A remote report body or the store's prefill owns raw, and the
+			// ledger outlives both.
+			raw = bytes.Clone(raw)
+		}
 		j.recordLocked(task, raw)
 	}
 	e.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"os"
 	"testing"
 )
@@ -75,5 +76,28 @@ func TestLearnSweepGolden(t *testing.T) {
 				t.Errorf("aggregate\n got %s\nwant %s", agg, g.Aggregate)
 			}
 		})
+	}
+}
+
+// TestLearnTaskEncodeMatchesMarshal: LearnSweep's hand-written task encoder
+// writes exactly json.Marshal's bytes, at the integer extremes and for both
+// booleans, and still marshals a value of any other type.
+func TestLearnTaskEncodeMatchesMarshal(t *testing.T) {
+	var s LearnSweep
+	for _, steps := range []int{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 9, 10, math.MaxInt64 - 1, math.MaxInt64} {
+		for _, converged := range []bool{false, true} {
+			tr := learnTaskResult{Steps: steps, Converged: converged}
+			want, err := json.Marshal(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.EncodeTaskResult(tr)
+			if err != nil || string(got) != string(want) {
+				t.Fatalf("EncodeTaskResult(%+v) = %s, %v; want %s", tr, got, err, want)
+			}
+		}
+	}
+	if got, err := s.EncodeTaskResult(42); err != nil || string(got) != "42" {
+		t.Fatalf("EncodeTaskResult(42) = %s, %v; want 42", got, err)
 	}
 }

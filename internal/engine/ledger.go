@@ -31,12 +31,12 @@ var ErrRangeIncomplete = errors.New("engine: range not fully computed yet")
 var ErrBadRange = errors.New("engine: range out of bounds")
 
 // recordLocked lands one encoded task result in the ledger and advances the
-// watermark over the new contiguous prefix. Callers hold j.mu and record
-// each index at most once.
+// watermark over the new contiguous prefix. The ledger keeps raw as it is,
+// so callers hand in bytes that nothing writes again: a local encoding (see
+// TaskCoder.EncodeTaskResult), or a clone of bytes someone else owns.
+// Callers hold j.mu and record each index at most once.
 func (j *Job) recordLocked(task int, raw json.RawMessage) {
-	// Clone: report bodies and store snapshots own the bytes handed in, and
-	// the ledger outlives both.
-	j.docs[task] = bytes.Clone(raw)
+	j.docs[task] = raw
 	for j.watermark < len(j.docs) && j.docs[j.watermark] != nil {
 		j.watermark++
 	}
@@ -55,7 +55,8 @@ func (j *Job) PrefillResults(docs map[int]json.RawMessage) {
 	j.docs = make([]json.RawMessage, j.total)
 	for i := range j.total {
 		if doc, ok := docs[i]; ok && doc != nil {
-			j.recordLocked(i, doc)
+			// The store's snapshot owns doc, and the ledger outlives it.
+			j.recordLocked(i, bytes.Clone(doc))
 		}
 	}
 }

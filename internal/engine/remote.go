@@ -59,6 +59,11 @@ type RemoteInfo struct {
 // indistinguishable from a locally computed one — same types, same bits).
 // Specs without a TaskCoder still run fine; they just never distribute.
 type TaskCoder interface {
+	// EncodeTaskResult returns a fresh slice that the implementation never
+	// keeps or writes again: the job's result ledger keeps a locally encoded
+	// document as it is, without a copy, and shares it read-only with range
+	// readers and the store. The ledger copies only bytes it does not own —
+	// remote report bodies and store prefill.
 	EncodeTaskResult(res any) (json.RawMessage, error)
 	DecodeTaskResult(raw json.RawMessage) (any, error)
 }

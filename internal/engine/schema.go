@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode/utf8"
+
+	"gameofcoins/internal/jsonscan"
 )
 
 // Schema is a hand-written JSON Schema (a draft 2020-12 subset) describing
@@ -80,11 +81,11 @@ func (s *Schema) Validate(raw json.RawMessage) error {
 	return s.check(s, raw)
 }
 
-// ValidateDef checks raw against the named root $def — how the client SDK
-// validates each streamed per-task result document against the result
-// schema's "task" def without re-deriving the aggregate shape. A nil schema
-// or a missing def accepts everything: a registration that carries no
-// per-task shape simply opts out of streaming validation.
+// ValidateDef checks raw against the named root $def — one per-task result
+// document against the result schema's "task" def, say, without
+// re-deriving the aggregate shape. A nil schema or a missing def accepts
+// everything: a registration that carries no per-task shape simply opts out
+// of streaming validation.
 func (s *Schema) ValidateDef(name string, raw json.RawMessage) error {
 	if s == nil || len(raw) == 0 {
 		return nil
@@ -94,6 +95,18 @@ func (s *Schema) ValidateDef(name string, raw json.RawMessage) error {
 		return nil
 	}
 	return def.check(s, raw)
+}
+
+// ValidateWellFormed is Validate for raw already known to be one
+// well-formed JSON value — a value sliced out of a document that passed
+// json.Valid — and skips Validate's own json.Valid scan; how the client SDK
+// checks the results array of a range body it has just scanned. Passing
+// anything else is a bug: the walk checks no syntax.
+func (s *Schema) ValidateWellFormed(raw json.RawMessage) error {
+	if s == nil || len(raw) == 0 {
+		return nil
+	}
+	return s.walk(s, raw)
 }
 
 // check validates the first JSON value in raw against s, resolving $refs
@@ -109,8 +122,14 @@ func (s *Schema) check(root *Schema, raw []byte) error {
 		}
 		raw = first
 	}
-	w := walker{root: root, doc: raw}
-	w.skipSpace()
+	return s.walk(root, raw)
+}
+
+// walk validates the well-formed JSON value raw against s, resolving $refs
+// through root's Defs.
+func (s *Schema) walk(root *Schema, raw []byte) error {
+	w := walker{root: root, Scanner: jsonscan.Scanner{Doc: raw}}
+	w.SkipSpace()
 	if err := w.value(s, 0); err != nil {
 		return err
 	}
@@ -127,18 +146,17 @@ const maxRefDepth = 32
 // value by its first byte and skips what the schema leaves unconstrained.
 type walker struct {
 	root *Schema
-	doc  []byte
-	pos  int
+	jsonscan.Scanner
 }
 
-// value checks the value at w.pos against s and moves w.pos past it. A
+// value checks the value at w.Pos against s and moves w.Pos past it. A
 // violation's Path is relative to this value: each enclosing object or array
 // prepends its token on the way out, so accepting a document builds no path.
 // Members and elements are checked in document order and the first
 // violation wins, so every replica reports the same one.
 func (w *walker) value(s *Schema, depth int) *SchemaError {
 	if s == nil {
-		w.skipValue()
+		w.SkipValue()
 		return nil
 	}
 	if s.Ref != "" {
@@ -155,27 +173,27 @@ func (w *walker) value(s *Schema, depth int) *SchemaError {
 		}
 		return w.value(def, depth+1)
 	}
-	start := w.pos
-	c := w.doc[start]
+	start := w.Pos
+	c := w.Doc[start]
 	// JSON null is valid against every schema: encoding/json treats null as
 	// "leave the field at its zero value" for any Go type, and the schema
 	// must not be stricter than the decoder it describes.
 	if c == 'n' {
-		w.pos += len("null")
+		w.Pos += len("null")
 		return nil
 	}
 	var lit []byte // a scalar's bytes; containers are walked below instead
 	if c != '{' && c != '[' {
-		w.skipValue()
-		lit = w.doc[start:w.pos]
+		w.SkipValue()
+		lit = w.Doc[start:w.Pos]
 	}
 	if err := s.checkType(c, lit); err != nil {
 		return err
 	}
 	if len(s.Enum) > 0 {
-		end := walker{doc: w.doc, pos: start}
-		end.skipValue()
-		if err := s.checkEnum(w.doc[start:end.pos]); err != nil {
+		end := jsonscan.Scanner{Doc: w.Doc, Pos: start}
+		end.SkipValue()
+		if err := s.checkEnum(w.Doc[start:end.Pos]); err != nil {
 			return err
 		}
 	}
@@ -193,15 +211,15 @@ func (w *walker) value(s *Schema, depth int) *SchemaError {
 	return nil
 }
 
-// object checks the object at w.pos: its required fields first, then every
+// object checks the object at w.Pos: its required fields first, then every
 // member in document order, each occurrence of a repeated key included —
 // encoding/json decodes each occurrence into the field, so each must fit.
 func (w *walker) object(s *Schema, depth int) *SchemaError {
-	start := w.pos
+	start := w.Pos
 	closed := s.AdditionalProperties != nil && !*s.AdditionalProperties
-	w.pos++
-	for w.skipSpace(); w.doc[w.pos] != '}'; w.skipSpace() {
-		key := w.member()
+	w.Pos++
+	for w.SkipSpace(); w.Doc[w.Pos] != '}'; w.SkipSpace() {
+		key := w.Member()
 		sub, known := s.Properties[string(key)]
 		var err *SchemaError
 		switch {
@@ -210,127 +228,39 @@ func (w *walker) object(s *Schema, depth int) *SchemaError {
 		case closed:
 			err = &SchemaError{Msg: "unknown field"}
 		default:
-			w.skipValue()
+			w.SkipValue()
 		}
 		if err != nil {
 			// A missing required field outranks any member's violation.
-			if missing := s.missingRequired(w.doc[start:]); missing != nil {
+			if missing := s.missingRequired(w.Doc[start:]); missing != nil {
 				return missing
 			}
 			err.Path = "/" + escapePointer(string(key)) + err.Path
 			return err
 		}
 	}
-	w.pos++
-	return s.missingRequired(w.doc[start:w.pos])
+	w.Pos++
+	return s.missingRequired(w.Doc[start:w.Pos])
 }
 
-// array checks the array at w.pos element by element against s.Items.
+// array checks the array at w.Pos element by element against s.Items.
 func (w *walker) array(s *Schema, depth int) *SchemaError {
-	w.pos++
+	w.Pos++
 	for i := 0; ; i++ {
-		w.skipSpace()
-		switch w.doc[w.pos] {
+		w.SkipSpace()
+		switch w.Doc[w.Pos] {
 		case ']':
-			w.pos++
+			w.Pos++
 			return nil
 		case ',':
-			w.pos++
-			w.skipSpace()
+			w.Pos++
+			w.SkipSpace()
 		}
 		if err := w.value(s.Items, depth); err != nil {
 			err.Path = "/" + strconv.Itoa(i) + err.Path
 			return err
 		}
 	}
-}
-
-// member reads one object member's key past a leading comma, leaves w.pos
-// at its value, and returns the key as encoding/json decodes it. A key of
-// ASCII without escapes is its own decoding and is returned uncopied, so
-// looking it up in Properties allocates nothing.
-func (w *walker) member() []byte {
-	if w.doc[w.pos] == ',' {
-		w.pos++
-		w.skipSpace()
-	}
-	start := w.pos
-	coded := w.skipString()
-	key := w.doc[start+1 : w.pos-1]
-	if coded {
-		var k string
-		_ = json.Unmarshal(w.doc[start:w.pos], &k) // cannot fail: a well-formed JSON string
-		key = []byte(k)
-	}
-	w.skipSpace()
-	w.pos++ // ':'
-	w.skipSpace()
-	return key
-}
-
-// skipValue moves w.pos past the value at w.pos.
-func (w *walker) skipValue() {
-	switch w.doc[w.pos] {
-	case '"':
-		w.skipString()
-	case '{', '[':
-		for nest := 0; ; {
-			switch w.doc[w.pos] {
-			case '"':
-				w.skipString()
-				continue
-			case '{', '[':
-				nest++
-			case '}', ']':
-				nest--
-			}
-			w.pos++
-			if nest == 0 {
-				return
-			}
-		}
-	case 't', 'n':
-		w.pos += len("true")
-	case 'f':
-		w.pos += len("false")
-	default:
-		for w.pos < len(w.doc) && isNumberByte(w.doc[w.pos]) {
-			w.pos++
-		}
-	}
-}
-
-// skipString moves w.pos past the string whose opening quote is at w.pos.
-// It reports whether the string's bytes may differ from its decoding: they
-// hold an escape, or a byte outside ASCII (encoding/json replaces invalid
-// UTF-8).
-func (w *walker) skipString() (coded bool) {
-	for w.pos++; w.doc[w.pos] != '"'; w.pos++ {
-		switch c := w.doc[w.pos]; {
-		case c == '\\':
-			w.pos++
-			coded = true
-		case c >= utf8.RuneSelf:
-			coded = true
-		}
-	}
-	w.pos++
-	return coded
-}
-
-func (w *walker) skipSpace() {
-	for w.pos < len(w.doc) {
-		switch w.doc[w.pos] {
-		case ' ', '\t', '\n', '\r':
-			w.pos++
-		default:
-			return
-		}
-	}
-}
-
-func isNumberByte(c byte) bool {
-	return '0' <= c && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
 }
 
 // jsonType names the type of the JSON value that starts with byte c.
@@ -423,12 +353,12 @@ func (s *Schema) missingRequired(obj []byte) *SchemaError {
 // hasMember reports whether the object at the start of obj has a member
 // whose key decodes to name.
 func hasMember(obj []byte, name string) bool {
-	w := walker{doc: obj, pos: 1}
-	for w.skipSpace(); w.doc[w.pos] != '}'; w.skipSpace() {
-		if string(w.member()) == name {
+	w := jsonscan.Scanner{Doc: obj, Pos: 1}
+	for w.SkipSpace(); w.Doc[w.Pos] != '}'; w.SkipSpace() {
+		if string(w.Member()) == name {
 			return true
 		}
-		w.skipValue()
+		w.SkipValue()
 	}
 	return false
 }

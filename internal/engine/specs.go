@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"gameofcoins/internal/core"
 	"gameofcoins/internal/design"
@@ -573,8 +575,22 @@ func (s EquilibriumSweep) Aggregate(results []any) (any, error) {
 // designTaskResult, replay.Outcome, int — because remotely computed results
 // flow into the same Aggregate call as local ones.
 
-// EncodeTaskResult implements TaskCoder.
-func (s LearnSweep) EncodeTaskResult(res any) (json.RawMessage, error) { return json.Marshal(res) }
+// EncodeTaskResult implements TaskCoder. A learnTaskResult is appended
+// field by field, in the bytes json.Marshal writes for it, without the
+// reflective encoder: learn_sweep jobs stream over a thousand of these tiny
+// documents each, so the encoder's fixed cost is most of the work.
+func (s LearnSweep) EncodeTaskResult(res any) (json.RawMessage, error) {
+	tr, ok := res.(learnTaskResult)
+	if !ok {
+		return json.Marshal(res)
+	}
+	var buf [48]byte // `{"steps":` + 20 digits + `,"converged":false}`
+	b := append(buf[:0], `{"steps":`...)
+	b = strconv.AppendInt(b, int64(tr.Steps), 10)
+	b = append(b, `,"converged":`...)
+	b = strconv.AppendBool(b, tr.Converged)
+	return bytes.Clone(append(b, '}')), nil
+}
 
 // DecodeTaskResult implements TaskCoder.
 func (s LearnSweep) DecodeTaskResult(raw json.RawMessage) (any, error) {

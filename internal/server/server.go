@@ -142,6 +142,9 @@ type Server struct {
 	refs          map[string]int       // guarded by mu; job id → live handle count
 	nextHandle    uint64               // guarded by mu
 	handleSweepAt int                  // guarded by mu; pruneHandlesLocked's next sweep threshold
+
+	entryMu     sync.Mutex
+	entryBodies map[engine.CatalogEntry][]byte // guarded by entryMu; see specEntryBody
 }
 
 // Options configure a Server beyond the worker count.
@@ -192,6 +195,8 @@ func NewWithOptions(workers int, opts Options) (*Server, error) {
 		cache:   map[string]string{},
 		handles: map[string]handleRec{},
 		refs:    map[string]int{},
+
+		entryBodies: map[engine.CatalogEntry][]byte{},
 	}
 	if s.traffic == nil {
 		s.traffic = traffic.New(traffic.Config{})
@@ -338,11 +343,37 @@ func (s *Server) handleSpecEntry(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if version == 0 && e.Latest || version == e.Version {
-			writeJSON(w, http.StatusOK, e)
+			body, err := s.specEntryBody(e)
+			if err != nil {
+				writeError(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+				return
+			}
+			writeBody(w, http.StatusOK, body)
 			return
 		}
 	}
 	writeError(w, http.StatusNotFound, fmt.Errorf("unknown spec %q", wire))
+}
+
+// specEntryBody renders a catalog entry as GET /v2/specs/{kind} serves it,
+// once per entry value. The entry is comparable and its schemas never
+// change after registration, so it keys its own body: a registration that
+// adds a version or moves Latest yields new entries, which render anew.
+func (s *Server) specEntryBody(e engine.CatalogEntry) ([]byte, error) {
+	s.entryMu.Lock()
+	body, ok := s.entryBodies[e]
+	s.entryMu.Unlock()
+	if ok {
+		return body, nil
+	}
+	body, err := renderJSON(e)
+	if err != nil {
+		return nil, err
+	}
+	s.entryMu.Lock()
+	s.entryBodies[e] = body
+	s.entryMu.Unlock()
+	return body, nil
 }
 
 // handleHealthz is the liveness probe, extended with build identity — the
@@ -417,21 +448,32 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	// header can be written only once, so a marshal failure discovered
 	// while streaming would emit a truncated body under the already-sent
 	// success code. Buffering turns that into a clean 500.
+	body, err := renderJSON(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = renderJSON(map[string]string{"error": "encode response: " + err.Error()}) // a flat map[string]string always encodes
+	}
+	writeBody(w, code, body)
+}
+
+// renderJSON encodes v as every JSON response carries it: indented, with a
+// trailing newline.
+func renderJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		buf.Reset()
-		code = http.StatusInternalServerError
-		enc = json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		//goclint:allow errdrop -- encoding a flat map[string]string cannot fail
-		_ = enc.Encode(map[string]string{"error": "encode response: " + err.Error()})
+		return nil, err
 	}
+	return buf.Bytes(), nil
+}
+
+// writeBody sends a rendered JSON body under code.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	//goclint:allow errdrop -- headers are sent; a failed body write is the client hanging up
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

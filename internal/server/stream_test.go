@@ -587,6 +587,43 @@ func TestStreamResultChecksRangeLength(t *testing.T) {
 	}
 }
 
+// shiftRange is a RoundTripper that fetches the span one task below every
+// ?range= the SDK asks for, as a faulty proxy or cache might.
+type shiftRange struct{}
+
+func (shiftRange) RoundTrip(req *http.Request) (*http.Response, error) {
+	if rng := req.URL.Query().Get("range"); rng != "" {
+		tr, err := engine.ParseTaskRange(rng)
+		if err != nil {
+			return nil, err
+		}
+		req = req.Clone(req.Context())
+		q := req.URL.Query()
+		q.Set("range", fmt.Sprintf("%d-%d", tr.Lo-1, tr.Hi-1))
+		req.URL.RawQuery = q.Encode()
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestResultRangeChecksSpan: a ?range= answer for another span of the same
+// length is an error naming both spans, not the other tasks' documents
+// passed off as the ones asked for.
+func TestResultRangeChecksSpan(t *testing.T) {
+	c := client.New(v2Server(t), client.WithHTTPClient(&http.Client{Transport: shiftRange{}}))
+	ctx := context.Background()
+	h, err := c.Submit(ctx, "test_stream", 3, streamSpec{Name: uniqueName("shifted-range"), N: 4, Free: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := h.Wait(ctx); err != nil || st.State != engine.StateDone {
+		t.Fatalf("wait = %v, %v", st.State, err)
+	}
+	docs, err := h.ResultRange(ctx, 1, 3)
+	if err == nil || !strings.Contains(err.Error(), "[1,3)") || !strings.Contains(err.Error(), "[0,2)") {
+		t.Fatalf("ResultRange(1, 3) through a shifting proxy = %s, %v; want an error naming [1,3) and [0,2)", docs, err)
+	}
+}
+
 // openPersistentW is openPersistent with a caller-chosen worker count — the
 // restart property varies workers across lives to show the assembled bytes
 // never depend on parallelism.

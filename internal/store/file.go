@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 
 	"gameofcoins/internal/core"
@@ -48,6 +49,7 @@ type File struct {
 	snap   Snapshot // guarded by mu
 	ops    int      // guarded by mu; operations appended since open/compaction
 	kept   int      // guarded by mu; job records the last compaction kept
+	ranges int      // guarded by mu; RangeRecords in snap.Ranges, all jobs
 	closed bool     // guarded by mu
 }
 
@@ -165,10 +167,13 @@ func (s *File) applyLocked(o op) error {
 		s.snap.Jobs[o.Job.ID] = *o.Job
 		if o.Job.State == JobFailed || o.Job.State == JobCanceled {
 			// No result to serve: the per-task spans are dead weight.
+			s.ranges -= len(s.snap.Ranges[o.Job.ID])
 			delete(s.snap.Ranges, o.Job.ID)
 		}
 	case "range":
+		before := len(s.snap.Ranges[o.JobID])
 		s.snap.addRange(o.JobID, o.Lo, o.Results)
+		s.ranges += len(s.snap.Ranges[o.JobID]) - before
 	case "handle":
 		s.snap.Handles[o.ID] = o.JobID
 		if n := handleSeq(o.ID); n > s.snap.NextHandle {
@@ -199,11 +204,11 @@ func (s *File) append(o op) error {
 	if err := s.applyLocked(o); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	line, err := json.Marshal(o)
+	line, err := encodeOp(o)
 	if err != nil {
 		return fmt.Errorf("store: encode op: %w", err)
 	}
-	if n, err := s.f.Write(append(line, '\n')); err != nil {
+	if n, err := s.f.Write(line); err != nil {
 		// A short write (ENOSPC, I/O error) left partial bytes mid-log; cut
 		// the file back to the last full line so later appends don't merge
 		// into garbage that bricks the next open. The in-memory snapshot is
@@ -230,10 +235,7 @@ func (s *File) maybeCompactLocked() error {
 	// would rewrite the whole log on every append.
 	const slack = engine.DefaultRetention / 4
 	overCap := len(s.snap.Jobs) > max(engine.DefaultRetention, s.kept)+slack
-	live := len(s.snap.Games) + len(s.snap.Jobs) + len(s.snap.Handles)
-	for _, recs := range s.snap.Ranges {
-		live += len(recs)
-	}
+	live := len(s.snap.Games) + len(s.snap.Jobs) + len(s.snap.Handles) + s.ranges
 	if !overCap && (s.ops < compactMinOps || s.ops < 4*live) {
 		return nil
 	}
@@ -245,16 +247,16 @@ func (s *File) maybeCompactLocked() error {
 // terminal records past engine.DefaultRetention are dropped (submitted
 // records always survive — they are what restart recovery reruns).
 func (s *File) compactLocked() error {
-	s.snap.dropExcessJobs()
+	s.ranges -= s.snap.dropExcessJobs()
 	tmpPath := s.logPath() + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	w := func(o op) bool {
-		line, err := json.Marshal(o)
+		line, err := encodeOp(o)
 		if err == nil {
-			_, err = tmp.Write(append(line, '\n'))
+			_, err = tmp.Write(line)
 		}
 		if err != nil {
 			tmp.Close()
@@ -334,6 +336,76 @@ func (s *File) compactLocked() error {
 	s.ops = 0
 	s.kept = len(s.snap.Jobs)
 	return nil
+}
+
+// encodeOp renders o as one log line, its newline included. Range ops go
+// through rangeLine; every other op is json.Marshal's encoding.
+func encodeOp(o op) ([]byte, error) {
+	if o.Op == "range" {
+		line, err := rangeLine(o.JobID, o.Lo, o.Results)
+		return append(line, '\n'), err
+	}
+	line, err := json.Marshal(o)
+	return append(line, '\n'), err
+}
+
+// rangeLine renders the range op (jobID, lo, docs) in exactly the bytes
+// json.Marshal writes for it, by appending each document as it is:
+// json.Marshal rescans, recompacts and HTML-escapes every json.RawMessage,
+// which costs three times a json.Valid over the same bytes. Each document is
+// still checked with json.Valid, so the log never holds a line replay cannot
+// read. A document json.Marshal would rewrite or reject, and an empty list,
+// send the whole op through json.Marshal. A line built by appending has a
+// spare byte of capacity for its newline.
+func rangeLine(jobID string, lo int, docs []json.RawMessage) ([]byte, error) {
+	id, err := json.Marshal(jobID)
+	if err != nil {
+		return nil, err
+	}
+	n := len(`{"op":"range","job_id":,"lo":-9223372036854775808,"results":[]}`+"\n") + len(id)
+	verbatim := len(docs) > 0
+	for _, d := range docs {
+		if verbatim = verbatimDoc(d); !verbatim {
+			break
+		}
+		n += len(d) + 1
+	}
+	if !verbatim {
+		return json.Marshal(op{Op: "range", JobID: jobID, Lo: lo, Results: docs})
+	}
+	line := append(make([]byte, 0, n), `{"op":"range"`...)
+	if jobID != "" {
+		line = append(append(line, `,"job_id":`...), id...)
+	}
+	if lo != 0 {
+		line = strconv.AppendInt(append(line, `,"lo":`...), int64(lo), 10)
+	}
+	line = append(line, `,"results":[`...)
+	for i, d := range docs {
+		if i > 0 {
+			line = append(line, ',')
+		}
+		line = append(line, d...)
+	}
+	return append(line, ']', '}'), nil
+}
+
+// verbatimDoc reports whether json.Marshal writes the document d unchanged:
+// d is one well-formed JSON value holding no whitespace byte (compaction
+// drops those outside strings) and no '<', '>', '&', U+2028 or U+2029 (HTML
+// escaping rewrites those).
+func verbatimDoc(d json.RawMessage) bool {
+	for i, c := range d {
+		switch c {
+		case ' ', '\t', '\n', '\r', '<', '>', '&':
+			return false
+		case 0xE2:
+			if i+2 < len(d) && d[i+1] == 0x80 && d[i+2]&^1 == 0xA8 {
+				return false
+			}
+		}
+	}
+	return json.Valid(d)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

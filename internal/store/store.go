@@ -199,8 +199,9 @@ func handleSeq(handle string) uint64 {
 // garbage-collects handles whose job record is gone. Submitted records
 // always survive: they are the restart-recovery signal. (The server writes a job record before
 // any handle referencing it, so a missing record means the job itself was
-// evicted, not that the ops raced.)
-func (s *Snapshot) dropExcessJobs() {
+// evicted, not that the ops raced.) It returns how many range records it
+// dropped with their jobs.
+func (s *Snapshot) dropExcessJobs() (droppedRanges int) {
 	if len(s.Jobs) > engine.DefaultRetention {
 		terminal := make([]string, 0, len(s.Jobs))
 		for id, rec := range s.Jobs {
@@ -221,11 +222,13 @@ func (s *Snapshot) dropExcessJobs() {
 			delete(s.Handles, h)
 		}
 	}
-	for id := range s.Ranges {
+	for id, recs := range s.Ranges {
 		if rec, ok := s.Jobs[id]; !ok || (rec.State != JobSubmitted && rec.State != JobDone) {
+			droppedRanges += len(recs)
 			delete(s.Ranges, id)
 		}
 	}
+	return droppedRanges
 }
 
 // jobSeq orders "job-N" IDs by age; foreign shapes sort first (oldest).
