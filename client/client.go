@@ -177,13 +177,27 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp.Body)
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return fmt.Errorf("client: decode response: %w", err)
 		}
 	}
 	return nil
+}
+
+// drainLimit bounds how much of a response body closeBody reads past what
+// the client needed.
+const drainLimit = 64 << 10
+
+// closeBody reads what is left of a response body, up to drainLimit bytes,
+// then closes it. The transport reuses a connection only once its response
+// was read to the end; closing a body early costs a new connection, and a
+// new TCP handshake, on the next request. A failed read costs only that
+// reuse, so its error is dropped.
+func closeBody(body io.ReadCloser) {
+	io.CopyN(io.Discard, body, drainLimit)
+	body.Close()
 }
 
 // get runs one GET and returns the whole response body, read into one
@@ -235,7 +249,6 @@ func (c *Client) send(ctx context.Context, method, path string, in any) (*http.R
 		}
 		if resp.StatusCode == http.StatusTooManyRequests && attempt < c.retries {
 			apiErr := decodeAPIError(resp)
-			resp.Body.Close()
 			wait := backoff
 			var ae *APIError
 			if errors.As(apiErr, &ae) && ae.RetryAfter > wait {
@@ -255,15 +268,16 @@ func (c *Client) send(ctx context.Context, method, path string, in any) (*http.R
 			continue
 		}
 		if resp.StatusCode < 200 || resp.StatusCode > 299 {
-			err := decodeAPIError(resp)
-			resp.Body.Close()
-			return nil, err
+			return nil, decodeAPIError(resp)
 		}
 		return resp, nil
 	}
 }
 
+// decodeAPIError reads a non-2xx response into an *APIError and closes its
+// body.
 func decodeAPIError(resp *http.Response) error {
+	defer closeBody(resp.Body)
 	var e struct {
 		Error string `json:"error"`
 	}
@@ -614,10 +628,17 @@ const (
 	watchBackoffMax = 2 * time.Second
 )
 
+// endDrainWait bounds how long Watch, after the terminal status, waits for
+// the event stream to end so its connection can be reused. gocserve ends
+// the stream right after "end"; a server that holds it open is cut off.
+const endDrainWait = time.Second
+
 // Watch subscribes to the job's SSE event stream. The channel carries status
 // snapshots — progress updates coalesced to the latest, then the terminal
 // status — and closes after the terminal status is delivered. Canceling ctx
-// tears the stream down.
+// tears the stream down. Once the channel is closed, Watch reads what is
+// left of the stream, for at most endDrainWait whatever ctx does, so its
+// connection can serve the client's next request.
 //
 // A stream that drops mid-job (server restart, proxy idle timeout) does NOT
 // close the channel: Watch reconnects with exponential backoff, passing the
@@ -629,20 +650,44 @@ const (
 // itself is gone (404/410 — evicted, or a store-less restart forgot it);
 // Wait then reports the stream as cut.
 func (h *Handle) Watch(ctx context.Context) (<-chan engine.Status, error) {
-	resp, err := h.connectEvents(ctx, "")
+	// The stream's connections live on sctx, which canceling ctx cancels
+	// only until the watch is over: a caller that cancels ctx as soon as
+	// Wait returns must not cut short the read of the stream's end that
+	// lets the connection be reused. endDrainWait bounds that read.
+	sctx, stop := context.WithCancel(context.WithoutCancel(ctx))
+	detach := context.AfterFunc(ctx, stop)
+	resp, err := h.connectEvents(sctx, "")
 	if err != nil {
+		detach()
+		stop()
 		return nil, err
 	}
 	ch := make(chan engine.Status)
 	go func() {
-		defer close(ch)
+		var rest io.ReadCloser // the stream that delivered the terminal status
+		defer func() {
+			detach()
+			// Close ch before reading the stream's end, which must not
+			// hold up Wait or StreamResult.
+			close(ch)
+			if rest != nil {
+				cut := time.AfterFunc(endDrainWait, stop)
+				closeBody(rest)
+				cut.Stop()
+			}
+			stop()
+		}()
 		body := resp.Body
 		var lastEventID string
 		backoff := watchBackoffMin
 		for {
 			terminal, delivered := streamEvents(ctx, body, ch, &lastEventID)
+			if terminal {
+				rest = body
+				return
+			}
 			body.Close()
-			if terminal || ctx.Err() != nil {
+			if ctx.Err() != nil {
 				return
 			}
 			if delivered {
@@ -671,7 +716,7 @@ func (h *Handle) Watch(ctx context.Context) (<-chan engine.Status, error) {
 				if backoff *= 2; backoff > watchBackoffMax {
 					backoff = watchBackoffMax
 				}
-				next, err := h.connectEvents(ctx, lastEventID)
+				next, err := h.connectEvents(sctx, lastEventID)
 				if err != nil {
 					var apiErr *APIError
 					if errors.As(err, &apiErr) {
@@ -712,7 +757,6 @@ func (h *Handle) connectEvents(ctx context.Context, lastEventID string) (*http.R
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
 		return nil, decodeAPIError(resp)
 	}
 	return resp, nil

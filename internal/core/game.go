@@ -118,49 +118,106 @@ func WithEligibility(allowed func(p MinerID, c CoinID) bool) Option {
 // m_{p₁} ≥ m_{p₂} ≥ … convention holds for all downstream algorithms.
 // The input slices are copied.
 func NewGame(miners []Miner, coins []Coin, rewards []float64, opts ...Option) (*Game, error) {
-	return newGame(append([]Miner(nil), miners...), append([]Coin(nil), coins...), append([]float64(nil), rewards...), opts...)
-}
-
-// newGame is NewGame on slices the game takes over: it sorts miners in
-// place and keeps all three.
-func newGame(miners []Miner, coins []Coin, rewards []float64, opts ...Option) (*Game, error) {
-	if len(miners) == 0 {
-		return nil, ErrNoMiners
+	var buf [sortBufMiners]minerKey
+	keys := minerKeys(&buf, len(miners))
+	for i, m := range miners {
+		keys[i] = minerKey{power: m.Power, idx: i}
 	}
-	if len(coins) == 0 {
-		return nil, ErrNoCoins
+	g := new(Game)
+	if err := g.set(keys, func(i int) string { return miners[i].Name }, slices.Clone(coins), slices.Clone(rewards)); err != nil {
+		return nil, err
 	}
-	if len(rewards) != len(coins) {
-		return nil, fmt.Errorf("%w: got %d rewards for %d coins", ErrRewardArity, len(rewards), len(coins))
-	}
-	g := &Game{miners: miners, coins: coins, rewards: rewards, eps: numeric.Eps}
-	for i, m := range g.miners {
-		if !(m.Power > 0) || math.IsInf(m.Power, 0) {
-			return nil, fmt.Errorf("%w: miner %d (%s) has power %v", ErrBadPower, i, m.Name, m.Power)
-		}
-	}
-	for c, r := range g.rewards {
-		if !(r > 0) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("%w: coin %d (%s) has reward %v", ErrBadReward, c, g.coins[c].Name, r)
-		}
-	}
-	// Stable sorts under one comparator all produce the same order, so
-	// MinerIDs do not depend on the sort algorithm.
-	slices.SortStableFunc(g.miners, func(a, b Miner) int {
-		switch {
-		case a.Power > b.Power:
-			return -1
-		case a.Power < b.Power:
-			return 1
-		}
-		return strings.Compare(a.Name, b.Name)
-	})
 	for _, opt := range opts {
 		if err := opt(g); err != nil {
 			return nil, err
 		}
 	}
 	return g, nil
+}
+
+// set validates and installs a game's parts, resetting every field of g:
+// the epsilon to its default and eligibility to unrestricted. keys lists
+// the miners in input order (keys[i] holds miner i's power and index i) and
+// name(i) is miner i's name; set sorts keys and writes the sorted miners
+// into g's own miner storage. g keeps coins and rewards.
+func (g *Game) set(keys []minerKey, name func(int) string, coins []Coin, rewards []float64) error {
+	if len(keys) == 0 {
+		return ErrNoMiners
+	}
+	if len(coins) == 0 {
+		return ErrNoCoins
+	}
+	if len(rewards) != len(coins) {
+		return fmt.Errorf("%w: got %d rewards for %d coins", ErrRewardArity, len(rewards), len(coins))
+	}
+	for _, k := range keys {
+		if !(k.power > 0) || math.IsInf(k.power, 0) {
+			return fmt.Errorf("%w: miner %d (%s) has power %v", ErrBadPower, k.idx, name(k.idx), k.power)
+		}
+	}
+	for c, r := range rewards {
+		if !(r > 0) || math.IsInf(r, 0) {
+			return fmt.Errorf("%w: coin %d (%s) has reward %v", ErrBadReward, c, coins[c].Name, r)
+		}
+	}
+	sortMinerKeys(keys, name)
+	miners := slices.Grow(g.miners[:0], len(keys))[:len(keys)]
+	for p, k := range keys {
+		miners[p] = Miner{Name: name(k.idx), Power: k.power}
+	}
+	*g = Game{miners: miners, coins: coins, rewards: rewards, eps: numeric.Eps}
+	return nil
+}
+
+// minerKey is what the miner sort moves: a miner's power and its index in
+// input order, which stands for its name.
+type minerKey struct {
+	power float64
+	idx   int
+}
+
+// sortBufMiners is how many miner keys game construction keeps on the
+// stack, and the largest input sortMinerKeys insertion-sorts.
+const sortBufMiners = 32
+
+// minerKeys returns n keys, in buf when they fit.
+func minerKeys(buf *[sortBufMiners]minerKey, n int) []minerKey {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]minerKey, n)
+}
+
+// sortMinerKeys stable-sorts keys, given in input order, by descending
+// power with ties broken by strings.Compare of the names: the order
+// slices.SortStableFunc gives the miners themselves under that comparator,
+// so MinerIDs do not depend on the sort algorithm. Keys hold no pointers
+// and the power comparison is inline, so only a tie calls name.
+func sortMinerKeys(keys []minerKey, name func(int) string) {
+	if len(keys) > sortBufMiners {
+		slices.SortStableFunc(keys, func(a, b minerKey) int {
+			switch {
+			case a.power > b.power:
+				return -1
+			case a.power < b.power:
+				return 1
+			}
+			return strings.Compare(name(a.idx), name(b.idx))
+		})
+		return
+	}
+	for i := 1; i < len(keys); i++ {
+		k := keys[i]
+		j := i
+		for ; j > 0; j-- {
+			prev := keys[j-1]
+			if k.power < prev.power || k.power == prev.power && strings.Compare(name(k.idx), name(prev.idx)) >= 0 {
+				break
+			}
+			keys[j] = prev
+		}
+		keys[j] = k
+	}
 }
 
 // MustNewGame is NewGame that panics on error; for tests and examples whose

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"gameofcoins/internal/rng"
@@ -24,8 +25,23 @@ type GenSpec struct {
 // tiny random jitter so that Assumption 2 (genericity) holds with
 // overwhelming probability.
 func RandomGame(r *rng.Rand, spec GenSpec) (*Game, error) {
+	g := new(Game)
+	if err := g.Redraw(r, spec); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Redraw makes g the game RandomGame(r, spec) returns, drawn from r in the
+// same order and validated the same way, reusing g's storage: a sweep task
+// draws each of its games into one Game. Every field is reset. A Game is
+// otherwise immutable, so only a caller that owns g outright may redraw
+// it: nothing else may be reading g, nor a game derived from it with
+// WithRewards, which shares its miners. After an error g is unusable until
+// a Redraw succeeds.
+func (g *Game) Redraw(r *rng.Rand, spec GenSpec) error {
 	if spec.Miners <= 0 || spec.Coins <= 0 {
-		return nil, fmt.Errorf("core: invalid spec %+v", spec)
+		return fmt.Errorf("core: invalid spec %+v", spec)
 	}
 	if spec.PowerLo == 0 {
 		spec.PowerLo = 1
@@ -39,32 +55,34 @@ func RandomGame(r *rng.Rand, spec GenSpec) (*Game, error) {
 	if spec.RewardHi == 0 {
 		spec.RewardHi = 100
 	}
-	miners := make([]Miner, spec.Miners)
+	var buf [sortBufMiners]minerKey
+	keys := minerKeys(&buf, spec.Miners)
 	if spec.PowerZipf > 0 {
 		weights := rng.Zipf(spec.Miners, spec.PowerZipf, spec.PowerHi*float64(spec.Miners)/2)
-		for i := range miners {
+		for i := range keys {
 			jitter := 1 + 1e-7*r.Float64()
-			miners[i] = Miner{Name: genName(minerNames, "p", i), Power: weights[i] * jitter}
+			keys[i] = minerKey{power: weights[i] * jitter, idx: i}
 		}
 	} else {
-		for i := range miners {
+		for i := range keys {
 			power := spec.PowerLo + (spec.PowerHi-spec.PowerLo)*r.Float64()
-			miners[i] = Miner{Name: genName(minerNames, "p", i), Power: power}
+			keys[i] = minerKey{power: power, idx: i}
 		}
 	}
-	coins := make([]Coin, spec.Coins)
-	rewards := make([]float64, spec.Coins)
-	for c := range coins {
-		coins[c] = Coin{Name: genName(coinNames, "c", c)}
+	rewards := slices.Grow(g.rewards[:0], spec.Coins)[:spec.Coins]
+	for c := range rewards {
 		rewards[c] = spec.RewardLo + (spec.RewardHi-spec.RewardLo)*r.Float64()
 	}
-	return newGame(miners, coins, rewards)
+	return g.set(keys, minerName, genCoins(spec.Coins), rewards)
 }
 
-// minerNames and coinNames hold the names RandomGame gives, "p0"… and
-// "c0"…, for games of up to 128 miners (E4's largest) and 16 coins;
-// genName formats the others.
-var minerNames, coinNames = nameTable("p", 128), nameTable("c", 16)
+// minerNames holds the names RandomGame gives miners, "p0"…, for games of up
+// to 128 miners (E4's largest); minerName formats the others.
+var minerNames = nameTable("p", 128)
+
+// coinTable holds the coins RandomGame gives games of up to 16 coins, "c0"…:
+// games share it, since nothing writes a game's coins.
+var coinTable = newCoins(16)
 
 func nameTable(prefix string, n int) []string {
 	names := make([]string, n)
@@ -74,25 +92,48 @@ func nameTable(prefix string, n int) []string {
 	return names
 }
 
-// genName returns prefix followed by i in decimal.
-func genName(table []string, prefix string, i int) string {
-	if i < len(table) {
-		return table[i]
+// minerName returns the name of a random game's miner i in draw order.
+func minerName(i int) string {
+	if i < len(minerNames) {
+		return minerNames[i]
 	}
-	return prefix + strconv.Itoa(i)
+	return "p" + strconv.Itoa(i)
+}
+
+// genCoins returns a random game's n coins, "c0"…, from coinTable when it
+// holds them.
+func genCoins(n int) []Coin {
+	if n <= len(coinTable) {
+		return coinTable[:n:n]
+	}
+	return newCoins(n)
+}
+
+func newCoins(n int) []Coin {
+	coins := make([]Coin, n)
+	for c := range coins {
+		coins[c] = Coin{Name: "c" + strconv.Itoa(c)}
+	}
+	return coins
 }
 
 // RandomConfig draws a uniform random valid configuration of g.
 func RandomConfig(r *rng.Rand, g *Game) Config {
-	s := make(Config, g.NumMiners())
-	for p := range s {
+	return AppendRandomConfig(make(Config, 0, g.NumMiners()), r, g)
+}
+
+// AppendRandomConfig is RandomConfig drawing into storage the caller
+// reuses: it appends the configuration's entries, one per miner, to dst and
+// returns the extended slice.
+func AppendRandomConfig(dst Config, r *rng.Rand, g *Game) Config {
+	for p := range g.NumMiners() {
 		for {
 			c := r.Intn(g.NumCoins())
 			if g.Eligible(p, c) {
-				s[p] = c
+				dst = append(dst, c)
 				break
 			}
 		}
 	}
-	return s
+	return dst
 }

@@ -52,6 +52,10 @@ type Spec interface {
 	// RunTask executes task i with its private deterministic generator.
 	// Implementations should poll ctx in long loops so cancellation can
 	// interrupt a job mid-task, not just between tasks.
+	//
+	// The generator belongs to the call: RunTask must not keep r, or
+	// anything that draws from it, once it returns. The engine re-seeds
+	// one generator per worker for each task it runs.
 	RunTask(ctx context.Context, i int, r *rng.Rand) (any, error)
 	// Aggregate combines the per-task results (index order) into the job
 	// result.

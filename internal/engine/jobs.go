@@ -422,24 +422,31 @@ func (m *Manager) Restore(id, kind string, total int, result any, state State, e
 }
 
 // evictLocked drops the oldest terminal jobs until the DefaultRetention cap
-// holds. Callers must hold m.mu.
+// holds, keeping the survivors in creation order. The walk stops as soon
+// as the cap holds, so a submission costs the jobs it evicts plus the
+// running jobs older than them, not a pass over every retained job.
+// Callers must hold m.mu.
 func (m *Manager) evictLocked() {
-	if len(m.jobs) <= DefaultRetention {
-		return
-	}
-	kept := m.order[:0]
-	for _, id := range m.order {
+	excess := len(m.jobs) - DefaultRetention
+	kept, i := 0, 0
+	for ; excess > 0 && i < len(m.order); i++ {
+		id := m.order[i]
 		j, ok := m.jobs[id]
 		if !ok {
 			continue
 		}
-		if len(m.jobs) > DefaultRetention && j.Status().State.Terminal() {
+		if j.Status().State.Terminal() {
 			delete(m.jobs, id)
+			excess--
 			continue
 		}
-		kept = append(kept, id)
+		m.order[kept] = id
+		kept++
 	}
-	m.order = kept
+	// The walked prefix's survivors move up against the unwalked rest.
+	copy(m.order[i-kept:i], m.order[:kept])
+	clear(m.order[:i-kept])
+	m.order = m.order[i-kept:]
 }
 
 // Get returns the job with the given ID.

@@ -367,14 +367,17 @@ func (e *Engine) topUpLocked(pending int) {
 
 // worker is one persistent scheduling loop: take a task under the fair-share
 // policy, execute it, repeat; exit when no job anywhere has pending work.
+// The worker owns one generator and re-seeds it for every task (see
+// Spec.RunTask), so no task allocates its own.
 func (e *Engine) worker() {
 	var last *runJob
+	gen := new(rng.Rand)
 	for {
 		j, task, ok := e.take(&last)
 		if !ok {
 			return
 		}
-		e.execute(j, task)
+		e.execute(j, task, gen)
 	}
 }
 
@@ -472,14 +475,16 @@ func (e *Engine) lessLoadedLocked(a, b *runJob) bool {
 	return float64(a.inFlight)/wa < float64(b.inFlight)/wb
 }
 
-// execute runs one task and publishes its completion. Publication order is
+// execute runs one task on gen, re-seeded to the task's stream
+// r.base.Fork(task), and publishes its completion. Publication order is
 // load-bearing: the task is published before this worker's in-flight
 // decrement, so a run can only retire — and its job finish — after every
 // completed task has been published.
-func (e *Engine) execute(r *runJob, task int) {
+func (e *Engine) execute(r *runJob, task int, gen *rng.Rand) {
+	r.base.ForkInto(gen, uint64(task))
 	//goclint:allow nodeterm -- observed-cost EWMA: timing feeds dispatch, never results
 	start := time.Now()
-	out, err := runTask(r.ctx, r.spec, task, r.base.Fork(uint64(task)))
+	out, err := runTask(r.ctx, r.spec, task, gen)
 	elapsed := time.Since(start) //goclint:allow nodeterm -- same EWMA measurement
 
 	// Encode for the ledger outside the locks — encoding is per-task work.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"gameofcoins/internal/core"
 	"gameofcoins/internal/design"
@@ -189,6 +190,18 @@ func (s LearnSweep) TaskCost(i int) float64 {
 	return cost
 }
 
+// learnScratch is what a LearnSweep task draws into: its random game, its
+// start configuration and its learning generator. Tasks take one from
+// learnScratchPool for the length of the call, so a task allocates only
+// what it returns and learning.Run's working copy.
+type learnScratch struct {
+	game  core.Game
+	start core.Config
+	gen   rng.Rand
+}
+
+var learnScratchPool = sync.Pool{New: func() any { return new(learnScratch) }}
+
 // RunTask implements Spec.
 func (s LearnSweep) RunTask(ctx context.Context, i int, r *rng.Rand) (any, error) {
 	if err := ctx.Err(); err != nil {
@@ -198,13 +211,18 @@ func (s LearnSweep) RunTask(ctx context.Context, i int, r *rng.Rand) (any, error
 	if err != nil {
 		return nil, err
 	}
+	sc := learnScratchPool.Get().(*learnScratch)
+	defer learnScratchPool.Put(sc)
 	g := s.Game
 	if g == nil {
-		if g, err = core.RandomGame(r, s.Gen); err != nil {
+		if err := sc.game.Redraw(r, s.Gen); err != nil {
 			return nil, err
 		}
+		g = &sc.game
 	}
-	res, err := learning.Run(g, core.RandomConfig(r, g), sched, r.Split(), learning.Options{MaxSteps: s.MaxSteps})
+	sc.start = core.AppendRandomConfig(sc.start[:0], r, g)
+	r.SplitInto(&sc.gen)
+	res, err := learning.Run(g, sc.start, sched, &sc.gen, learning.Options{MaxSteps: s.MaxSteps})
 	if err != nil {
 		return nil, err
 	}
@@ -548,11 +566,13 @@ func (s EquilibriumSweep) RunTask(ctx context.Context, _ int, r *rng.Rand) (any,
 	if err != nil {
 		return nil, err
 	}
-	eqs, err := equilibria.Enumerate(g)
-	if err != nil {
+	// Count without materializing: equilibria.Enumerate would clone every
+	// equilibrium only for its length.
+	n := 0
+	if err := g.VisitEquilibria(func(core.Config) bool { n++; return true }); err != nil {
 		return nil, err
 	}
-	return len(eqs), nil
+	return n, nil
 }
 
 // Aggregate implements Spec.

@@ -34,20 +34,34 @@ func New(seed uint64) *Rand {
 // NewStream returns a generator seeded with seed on the given stream.
 // Distinct stream values yield statistically independent sequences.
 func NewStream(seed, stream uint64) *Rand {
-	r := &Rand{inc: (stream << 1) | 1}
+	r := new(Rand)
+	r.reseed(seed, stream)
+	return r
+}
+
+// reseed sets r to the initial state NewStream(seed, stream) returns.
+func (r *Rand) reseed(seed, stream uint64) {
+	r.inc = (stream << 1) | 1
 	r.state = 0
 	r.next32()
 	r.state += seed
 	r.next32()
-	return r
 }
 
 // Split derives a new independent generator from r. The parent advances by
 // two draws, so splitting is itself deterministic.
 func (r *Rand) Split() *Rand {
+	child := new(Rand)
+	r.SplitInto(child)
+	return child
+}
+
+// SplitInto is Split without the allocation: it sets dst to the generator
+// Split would return and advances r exactly as Split does.
+func (r *Rand) SplitInto(dst *Rand) {
 	seed := r.Uint64()
 	stream := r.Uint64() >> 1
-	return NewStream(seed, stream)
+	dst.reseed(seed, stream)
 }
 
 // Fork returns the i-th child generator of r WITHOUT advancing r: it is a
@@ -60,9 +74,18 @@ func (r *Rand) Split() *Rand {
 // scheduled. Split, by contrast, advances the parent and therefore couples a
 // child's stream to how many siblings were split before it.
 func (r *Rand) Fork(i uint64) *Rand {
+	child := new(Rand)
+	r.ForkInto(child, i)
+	return child
+}
+
+// ForkInto is Fork without the allocation: it sets dst to the generator
+// Fork(i) would return and does not advance r. The engine's workers each
+// re-seed one generator this way before every task.
+func (r *Rand) ForkInto(dst *Rand, i uint64) {
 	seed := splitmix64(r.state ^ splitmix64(i+0x632be59bd9b4e019))
 	stream := splitmix64(seed^r.inc) >> 1
-	return NewStream(seed, stream)
+	dst.reseed(seed, stream)
 }
 
 // splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed bijection used

@@ -286,3 +286,37 @@ func TestForkDiffersFromParentStream(t *testing.T) {
 		t.Fatalf("child stream looks degenerate: %d collisions", same)
 	}
 }
+
+// TestIntoFormsMatch: ForkInto and SplitInto, writing into a generator that
+// already holds some other stream, give the streams Fork and Split return
+// and leave the parent exactly as Fork and Split do.
+func TestIntoFormsMatch(t *testing.T) {
+	f := func(seed, stream, i uint64, warm uint8) bool {
+		a, b := NewStream(seed, stream), NewStream(seed, stream)
+		for k := 0; k < int(warm); k++ {
+			a.Uint64()
+			b.Uint64()
+		}
+		dst := New(^seed)
+		dst.Uint64()
+		want := a.Fork(i)
+		b.ForkInto(dst, i)
+		if *dst != *want || *a != *b {
+			return false
+		}
+		want = a.Split()
+		b.SplitInto(dst)
+		if *dst != *want || *a != *b {
+			return false
+		}
+		for k := 0; k < 8; k++ {
+			if dst.Uint64() != want.Uint64() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
