@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -28,7 +30,12 @@ func TestRunBadFlag(t *testing.T) {
 
 // TestParallelOutputByteIdentical is the engine's end-to-end reproducibility
 // guarantee on the paper-reproduction path itself: the full experiment
-// output under -parallel 8 is byte-for-byte the sequential output.
+// output under -parallel 8 is byte-for-byte the sequential output, and the
+// sequential output is byte-for-byte testdata/seed11.golden, so a change
+// that shifts both alike fails too. Regenerate the golden only when E1–E13
+// results change on purpose:
+//
+//	go run ./cmd/gocbench -seed 11 > cmd/gocbench/testdata/seed11.golden
 func TestParallelOutputByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
@@ -43,4 +50,24 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel output differs from sequential (%d vs %d bytes)", seq.Len(), par.Len())
 	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "seed11.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seq.Bytes(), golden) {
+		line := 1 + bytes.Count(golden[:firstDiff(seq.Bytes(), golden)], []byte("\n"))
+		t.Fatalf("output differs from testdata/seed11.golden from line %d (%d vs %d bytes)", line, seq.Len(), len(golden))
+	}
+}
+
+// firstDiff returns the index of the first byte where a and b differ, or the
+// shorter length when one is a prefix of the other.
+func firstDiff(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
 }

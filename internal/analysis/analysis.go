@@ -170,15 +170,9 @@ type allowKey struct {
 // allowSet is the package's parsed //goclint:allow directives.
 type allowSet map[allowKey]bool
 
-// suppresses reports whether a directive covers the diagnostic: the rule must
-// be named on the flagged line itself or the line directly above it.
-func (s allowSet) suppresses(d Diagnostic) bool {
-	_, ok := s.match(d)
-	return ok
-}
-
-// match returns the directive key covering the diagnostic, preferring the
-// same-line directive over the line-above one.
+// match returns the directive key covering the diagnostic: the rule must be
+// named on the flagged line itself or the line directly above it, and the
+// same-line directive wins.
 func (s allowSet) match(d Diagnostic) (allowKey, bool) {
 	if key := (allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}); s[key] {
 		return key, true

@@ -51,6 +51,17 @@ func TestCtxleakGolden(t *testing.T) {
 // TestAppliesTo pins the package scoping: the determinism rules bind the
 // result-producing packages and stay out of the serving/scheduling layers
 // (whose wall-clock use is legitimate), while errdrop does the reverse.
+func TestDiagnosticString(t *testing.T) {
+	d := analysis.Diagnostic{
+		Pos:     token.Position{Filename: "engine/jobs.go", Line: 12, Column: 3},
+		Rule:    "maporder",
+		Message: "ranging over a map",
+	}
+	if got, want := d.String(), "engine/jobs.go:12:3: maporder: ranging over a map"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
 func TestAppliesTo(t *testing.T) {
 	cases := []struct {
 		analyzer *analysis.Analyzer
@@ -136,10 +147,7 @@ func TestSelfClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	pkgs, err := analysis.LoadPackages("../..", "./...")
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
+	pkgs := loadModule(t)
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; loader lost most of the module", len(pkgs))
 	}

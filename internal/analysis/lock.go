@@ -20,10 +20,6 @@ var concurrencyPackages = map[string]bool{
 	ModulePath + "/internal/traffic": true,
 }
 
-// IsConcurrencyPackage reports whether the import path is bound by the lock
-// rules (see concurrencyPackages).
-func IsConcurrencyPackage(path string) bool { return concurrencyPackages[path] }
-
 // isSyncMutex reports whether t is sync.Mutex or sync.RWMutex (possibly
 // behind a pointer).
 func isSyncMutex(t types.Type) bool {

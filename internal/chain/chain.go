@@ -72,8 +72,6 @@ type Chain struct {
 	windowStart float64 // time of the block that opened the retarget window
 	now         float64
 	pendingFees float64 // fees accumulated for the next block (whale txs)
-	totalFees   float64
-	totalBlocks int
 }
 
 // New creates a chain at height 0, time 0.
@@ -87,24 +85,6 @@ func New(p Params) (*Chain, error) {
 // Name returns the chain's name.
 func (c *Chain) Name() string { return c.params.Name }
 
-// Difficulty returns the current difficulty.
-func (c *Chain) Difficulty() float64 { return c.difficulty }
-
-// Height returns the number of blocks mined so far.
-func (c *Chain) Height() int { return c.height }
-
-// Now returns the chain's current simulation time.
-func (c *Chain) Now() float64 { return c.now }
-
-// BlockRate returns the instantaneous expected blocks/second for the given
-// aggregate hashrate.
-func (c *Chain) BlockRate(hashrate float64) float64 {
-	if hashrate <= 0 {
-		return 0
-	}
-	return hashrate / c.difficulty
-}
-
 // Subsidy returns the protocol reward the *next* block will carry, after
 // any halvings that have occurred.
 func (c *Chain) Subsidy() float64 {
@@ -116,14 +96,6 @@ func (c *Chain) Subsidy() float64 {
 		s /= 2
 	}
 	return s
-}
-
-// ExpectedRewardPerSecond is the coin issuance rate (subsidy plus queued
-// fees amortized over the next expected block) seen by the market when the
-// given hashrate mines the chain.
-func (c *Chain) ExpectedRewardPerSecond(hashrate float64) float64 {
-	rate := c.BlockRate(hashrate)
-	return rate*c.Subsidy() + rate*c.pendingFees
 }
 
 // InjectFees queues extra fees (a whale transaction) to be collected by the
@@ -166,10 +138,8 @@ func (c *Chain) Advance(r *rng.Rand, dt, hashrate float64) []Block {
 			Subsidy: c.Subsidy(),
 			Fees:    c.pendingFees,
 		}
-		c.totalFees += c.pendingFees
 		c.pendingFees = 0
 		c.height++
-		c.totalBlocks++
 		blocks = append(blocks, b)
 		if c.height%c.params.RetargetWindow == 0 {
 			c.retarget()
@@ -192,22 +162,4 @@ func (c *Chain) retarget() {
 		factor = 1 / c.params.MaxRetargetFactor
 	}
 	c.difficulty *= factor
-}
-
-// Stats summarizes chain history.
-type Stats struct {
-	Blocks     int
-	Height     int
-	Difficulty float64
-	TotalFees  float64
-}
-
-// Stats returns a snapshot of chain history.
-func (c *Chain) Stats() Stats {
-	return Stats{
-		Blocks:     c.totalBlocks,
-		Height:     c.height,
-		Difficulty: c.difficulty,
-		TotalFees:  c.totalFees,
-	}
 }

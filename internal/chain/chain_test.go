@@ -57,10 +57,10 @@ func TestBlockProductionRate(t *testing.T) {
 func TestAdvanceZeroHashrate(t *testing.T) {
 	c, _ := New(params())
 	blocks := c.Advance(rng.New(1), 1e6, 0)
-	if blocks != nil || c.Height() != 0 {
+	if blocks != nil || c.height != 0 {
 		t.Fatal("blocks mined with zero hashrate")
 	}
-	if c.Now() != 1e6 {
+	if c.now != 1e6 {
 		t.Fatal("time did not advance")
 	}
 }
@@ -78,20 +78,20 @@ func TestAdvanceNegativePanics(t *testing.T) {
 func TestDifficultyRetargetsUpwardUnderHighHashrate(t *testing.T) {
 	c, _ := New(params())
 	r := rng.New(2)
-	d0 := c.Difficulty()
+	d0 := c.difficulty
 	// 10× the calibrated hashrate: blocks come 10× too fast; difficulty must
 	// climb toward 10·d0 so that block time returns to target.
 	for i := 0; i < 200; i++ {
 		c.Advance(r, 24*3600, 10)
 	}
-	if c.Difficulty() < 5*d0 {
-		t.Fatalf("difficulty %v did not rise (start %v)", c.Difficulty(), d0)
+	if c.difficulty < 5*d0 {
+		t.Fatalf("difficulty %v did not rise (start %v)", c.difficulty, d0)
 	}
 	// After convergence the realized block rate should be near target again.
-	h0 := c.Height()
-	t0 := c.Now()
+	h0 := c.height
+	t0 := c.now
 	c.Advance(r, 600*5000, 10)
-	rate := float64(c.Height()-h0) / (c.Now() - t0)
+	rate := float64(c.height-h0) / (c.now - t0)
 	if math.Abs(rate-1.0/600)/(1.0/600) > 0.1 {
 		t.Fatalf("post-retarget block rate %v, want ≈%v", rate, 1.0/600)
 	}
@@ -100,12 +100,12 @@ func TestDifficultyRetargetsUpwardUnderHighHashrate(t *testing.T) {
 func TestDifficultyRetargetsDownward(t *testing.T) {
 	c, _ := New(params())
 	r := rng.New(3)
-	d0 := c.Difficulty()
+	d0 := c.difficulty
 	for i := 0; i < 400; i++ {
 		c.Advance(r, 24*3600, 0.1) // 10× too slow
 	}
-	if c.Difficulty() > d0/5 {
-		t.Fatalf("difficulty %v did not fall (start %v)", c.Difficulty(), d0)
+	if c.difficulty > d0/5 {
+		t.Fatalf("difficulty %v did not fall (start %v)", c.difficulty, d0)
 	}
 }
 
@@ -114,13 +114,13 @@ func TestRetargetClamped(t *testing.T) {
 	p.RetargetWindow = 10
 	c, _ := New(p)
 	r := rng.New(4)
-	d0 := c.Difficulty()
+	d0 := c.difficulty
 	// Mine one full window at 1000× hashrate; the single adjustment must be
 	// clamped at 4×.
-	for c.Height() < p.RetargetWindow {
+	for c.height < p.RetargetWindow {
 		c.Advance(r, 1, 1000)
 	}
-	if got := c.Difficulty() / d0; got > p.MaxRetargetFactor+1e-9 {
+	if got := c.difficulty / d0; got > p.MaxRetargetFactor+1e-9 {
 		t.Fatalf("retarget factor %v exceeds clamp %v", got, p.MaxRetargetFactor)
 	}
 }
@@ -172,40 +172,6 @@ func TestBlockFieldsMonotone(t *testing.T) {
 		if b.Subsidy != 6.25 {
 			t.Fatalf("block subsidy = %v", b.Subsidy)
 		}
-	}
-}
-
-func TestExpectedRewardPerSecond(t *testing.T) {
-	c, _ := New(params())
-	// rate = H/D = 2/600; reward/s = rate · subsidy.
-	want := 2.0 / 600 * 6.25
-	if got := c.ExpectedRewardPerSecond(2); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("reward/s = %v, want %v", got, want)
-	}
-	if got := c.ExpectedRewardPerSecond(0); got != 0 {
-		t.Fatalf("reward/s at zero hashrate = %v", got)
-	}
-	// Pending fees raise the expected reward.
-	_ = c.InjectFees(600)
-	if got := c.ExpectedRewardPerSecond(2); got <= want {
-		t.Fatalf("fees ignored: %v", got)
-	}
-}
-
-func TestStats(t *testing.T) {
-	c, _ := New(params())
-	r := rng.New(7)
-	_ = c.InjectFees(10)
-	c.Advance(r, 600*50, 1)
-	st := c.Stats()
-	if st.Blocks != c.Height() || st.Blocks == 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.TotalFees != 10 {
-		t.Fatalf("total fees = %v", st.TotalFees)
-	}
-	if st.Difficulty <= 0 {
-		t.Fatal("bad difficulty")
 	}
 }
 
@@ -278,16 +244,16 @@ func TestHalvingLowersExpectedReward(t *testing.T) {
 	p.HalvingInterval = 5
 	c, _ := New(p)
 	r := rng.New(11)
-	for c.Height() < 5 {
+	for c.height < 5 {
 		c.Advance(r, 60, 1)
 	}
 	// Whatever height we landed on, the subsidy must match the halving era.
 	want := 6.25
-	for h := c.Height() / 5; h > 0; h-- {
+	for h := c.height / 5; h > 0; h-- {
 		want /= 2
 	}
 	if c.Subsidy() != want {
-		t.Fatalf("subsidy at height %d = %v, want %v", c.Height(), c.Subsidy(), want)
+		t.Fatalf("subsidy at height %d = %v, want %v", c.height, c.Subsidy(), want)
 	}
 	if c.Subsidy() >= 6.25 {
 		t.Fatal("halving did not lower the subsidy")

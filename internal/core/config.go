@@ -77,17 +77,6 @@ func (g *Game) ValidateConfig(s Config) error {
 	return nil
 }
 
-// Miners returns P_c(s): the miners who mine c in s.
-func (g *Game) Miners(s Config, c CoinID) []MinerID {
-	var out []MinerID
-	for p, cp := range s {
-		if cp == c {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // CoinPower returns M_c(s) = Σ_{p ∈ P_c(s)} m_p.
 func (g *Game) CoinPower(s Config, c CoinID) float64 {
 	var t float64
@@ -298,16 +287,4 @@ func (g *Game) IsEquilibrium(s Config) bool {
 		}
 	}
 	return true
-}
-
-// UnstableMiners returns the miners that have at least one better response
-// step in s, in MinerID order.
-func (g *Game) UnstableMiners(s Config) []MinerID {
-	var out []MinerID
-	for p := range s {
-		if !g.IsStable(s, p) {
-			out = append(out, p)
-		}
-	}
-	return out
 }

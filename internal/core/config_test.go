@@ -87,7 +87,7 @@ func TestPaperPayoffs(t *testing.T) {
 	}
 }
 
-func TestCoinPowerAndMiners(t *testing.T) {
+func TestCoinPower(t *testing.T) {
 	g := paperGame(t)
 	s := Config{0, 0}
 	if got := g.CoinPower(s, 0); got != 3 {
@@ -95,13 +95,6 @@ func TestCoinPowerAndMiners(t *testing.T) {
 	}
 	if got := g.CoinPower(s, 1); got != 0 {
 		t.Fatalf("M_c1 = %v", got)
-	}
-	miners := g.Miners(s, 0)
-	if len(miners) != 2 || miners[0] != 0 || miners[1] != 1 {
-		t.Fatalf("Miners = %v", miners)
-	}
-	if g.Miners(s, 1) != nil {
-		t.Fatal("empty coin has miners")
 	}
 	powers := g.CoinPowers(s)
 	if powers[0] != 3 || powers[1] != 0 {
@@ -207,6 +200,18 @@ func TestBestResponse(t *testing.T) {
 	if _, ok := g.BestResponse(Config{1}, 0); ok {
 		t.Fatal("best response from optimum should not exist")
 	}
+}
+
+// UnstableMiners returns the miners that have at least one better response
+// step in s, in MinerID order.
+func (g *Game) UnstableMiners(s Config) []MinerID {
+	var out []MinerID
+	for p := range s {
+		if !g.IsStable(s, p) {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 func TestStabilityAndEquilibrium(t *testing.T) {

@@ -25,6 +25,20 @@ func (t localTransport) Join(req JoinRequest) (JoinResponse, error)       { retu
 func (t localTransport) Lease(req LeaseRequest) (*Lease, error)           { return t.c.Lease(req) }
 func (t localTransport) Report(rep ReportRequest) (ReportResponse, error) { return t.c.Report(rep) }
 
+// waitJob blocks until j is terminal or ctx ends. It returns nil once j is
+// done, and otherwise an error naming the job's state and message.
+func waitJob(ctx context.Context, j *engine.Job) error {
+	select {
+	case <-j.Done():
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	if st := j.Status(); st.State != engine.StateDone {
+		return fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
+	}
+	return nil
+}
+
 // sleepSpec is the test workload: Tasks deterministic tasks, each drawing
 // from its forked rng stream (so a mis-forked remote would produce different
 // bytes) and optionally sleeping, so leases stay grantable while local
@@ -148,7 +162,7 @@ func waitResultJSON(t *testing.T, job *engine.Job) []byte {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := job.Wait(ctx); err != nil {
+	if err := waitJob(ctx, job); err != nil {
 		t.Fatalf("job failed: %v", err)
 	}
 	res, ok := job.Result()
@@ -461,7 +475,7 @@ func TestEncodeFailureFailsTask(t *testing.T) {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		err := job.Wait(ctx)
+		err := waitJob(ctx, job)
 		if st := job.Status(); st.State != engine.StateFailed || err == nil ||
 			!strings.Contains(err.Error(), "encode") || !strings.Contains(err.Error(), where) {
 			t.Fatalf("job ended %s (err %v), want failed with an encode error from %q", st.State, err, where)
@@ -471,7 +485,7 @@ func TestEncodeFailureFailsTask(t *testing.T) {
 	t.Run("local", func(t *testing.T) {
 		mgr := engine.NewManager(engine.New(2))
 		defer mgr.Close()
-		job, err := mgr.Submit(spec, 1)
+		job, err := mgr.SubmitJobOpts("", spec, 1, engine.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -486,14 +500,14 @@ func TestEncodeFailureFailsTask(t *testing.T) {
 		// remote runner.
 		started, release := make(chan struct{}), make(chan struct{})
 		defer close(release)
-		if _, err := mgr.Submit(engine.Func{Name: "blocker", N: 1, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
+		if _, err := mgr.SubmitJobOpts("", engine.Func{Name: "blocker", N: 1, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
 			close(started)
 			select {
 			case <-release:
 			case <-ctx.Done():
 			}
 			return nil, nil
-		}}, 1); err != nil {
+		}}, 1, engine.SubmitOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		<-started

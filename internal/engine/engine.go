@@ -63,7 +63,7 @@ type Spec interface {
 }
 
 // Validator is implemented by specs that can reject bad parameters before
-// any task runs. Engine.Run and Manager.Submit call it when present.
+// any task runs. Engine.Run and Manager.SubmitJobOpts call it when present.
 type Validator interface{ Validate() error }
 
 // MaxTasksPerJob caps the task fan-out of a single job. It bounds the

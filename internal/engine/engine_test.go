@@ -15,6 +15,20 @@ import (
 	"gameofcoins/internal/rng"
 )
 
+// waitJob blocks until j is terminal or ctx ends. It returns nil once j is
+// done, and otherwise an error naming the job's state and message.
+func waitJob(ctx context.Context, j *Job) error {
+	select {
+	case <-j.Done():
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	if st := j.Status(); st.State != StateDone {
+		return fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
+	}
+	return nil
+}
+
 // TestWorkerCountIndependence is the engine's core guarantee: the same spec
 // and seed produce identical aggregated results on 1, 2, and 8 workers.
 func TestWorkerCountIndependence(t *testing.T) {
@@ -255,11 +269,11 @@ func TestGenSizeBound(t *testing.T) {
 func TestManagerLifecycle(t *testing.T) {
 	m := NewManager(New(4))
 	defer m.Close()
-	job, err := m.Submit(EquilibriumSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Games: 10}, 9)
+	job, err := m.SubmitJobOpts("", EquilibriumSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Games: 10}, 9, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := job.Wait(context.Background()); err != nil {
+	if err := waitJob(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	st := job.Status()
@@ -286,16 +300,16 @@ func TestManagerLifecycle(t *testing.T) {
 func TestManagerCancel(t *testing.T) {
 	m := NewManager(New(2))
 	defer m.Close()
-	job, err := m.Submit(LearnSweep{
+	job, err := m.SubmitJobOpts("", LearnSweep{
 		Gen:        core.GenSpec{Miners: 16, Coins: 4},
 		Schedulers: []string{"random"},
 		Runs:       100000,
-	}, 1)
+	}, 1, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	job.Cancel()
-	_ = job.Wait(context.Background())
+	_ = waitJob(context.Background(), job)
 	if st := job.Status(); st.State != StateCanceled {
 		t.Fatalf("state = %s, want canceled", st.State)
 	}
@@ -378,13 +392,13 @@ func TestTaskCountCap(t *testing.T) {
 	// front, so an absurd task total is never published in job statuses.
 	m := NewManager(New(1))
 	defer m.Close()
-	_, err = m.Submit(EquilibriumSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Games: 2000000000}, 1)
+	_, err = m.SubmitJobOpts("", EquilibriumSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Games: 2000000000}, 1, SubmitOptions{})
 	if err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("Submit err = %v, want synchronous task-cap error", err)
 	}
 	// A negative fan-out is rejected the same way.
-	_, err = m.Submit(Func{Name: "neg", N: -1,
-		Task: func(_ context.Context, i int, _ *rng.Rand) (any, error) { return i, nil }}, 1)
+	_, err = m.SubmitJobOpts("", Func{Name: "neg", N: -1,
+		Task: func(_ context.Context, i int, _ *rng.Rand) (any, error) { return i, nil }}, 1, SubmitOptions{})
 	if err == nil || !strings.Contains(err.Error(), "tasks") {
 		t.Fatalf("Submit err = %v, want negative-task error", err)
 	}
@@ -418,11 +432,11 @@ func TestAggregatePanicBecomesJobError(t *testing.T) {
 	}
 	m := NewManager(New(2))
 	defer m.Close()
-	job, err := m.Submit(spec, 1)
+	job, err := m.SubmitJobOpts("", spec, 1, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := job.Wait(context.Background()); err == nil || !strings.Contains(err.Error(), "aggregate panicked") {
+	if err := waitJob(context.Background(), job); err == nil || !strings.Contains(err.Error(), "aggregate panicked") {
 		t.Fatalf("err = %v, want aggregate-panic error", err)
 	}
 	if st := job.Status(); st.State != StateFailed {
@@ -437,13 +451,13 @@ func TestManagerRetention(t *testing.T) {
 	defer m.Close()
 	release := make(chan struct{})
 	defer close(release)
-	running, err := m.Submit(Func{Name: "block", N: 1, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
+	running, err := m.SubmitJobOpts("", Func{Name: "block", N: 1, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
 		return nil, nil
-	}}, 1)
+	}}, 1, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,11 +505,11 @@ func TestManagerDeterminismAcrossWorkerCounts(t *testing.T) {
 	var results []any
 	for _, workers := range []int{1, 8} {
 		m := NewManager(New(workers))
-		job, err := m.Submit(spec, 21)
+		job, err := m.SubmitJobOpts("", spec, 21, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := job.Wait(context.Background()); err != nil {
+		if err := waitJob(context.Background(), job); err != nil {
 			t.Fatal(err)
 		}
 		res, _ := job.Result()

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -60,9 +59,12 @@ func main() {
 	for _, c := range cases {
 		spec, err := json.Marshal(c.spec)
 		check(err)
-		job, err := m.Submit(c.spec, c.seed)
+		job, err := m.SubmitJobOpts("", c.spec, c.seed, engine.SubmitOptions{})
 		check(err)
-		check(job.Wait(context.Background()))
+		<-job.Done()
+		if st := job.Status(); st.State != engine.StateDone {
+			check(fmt.Errorf("%s: job %s: %s", c.name, st.State, st.Error))
+		}
 		docs, err := job.ResultRange(0, c.spec.Tasks())
 		check(err)
 		h := sha256.New()

@@ -173,19 +173,6 @@ func (j *Job) Cancel() {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.finished }
 
-// Wait blocks until the job finishes or ctx is canceled, then returns the
-// job's terminal error (nil for StateDone).
-func (j *Job) Wait(ctx context.Context) error {
-	select {
-	case <-j.finished:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
 // Result returns the aggregated result once the job is done. ok is false
 // while the job is still running or if it failed.
 func (j *Job) Result() (res any, ok bool) {
@@ -297,12 +284,6 @@ type Manager struct {
 func NewManager(eng *Engine) *Manager {
 	ctx, stop := context.WithCancel(context.Background())
 	return &Manager{eng: eng, jobs: map[string]*Job{}, ctx: ctx, stop: stop}
-}
-
-// Submit starts spec asynchronously under the manager's lifetime (not the
-// caller's request context) and returns the tracking job.
-func (m *Manager) Submit(spec Spec, seed uint64) (*Job, error) {
-	return m.SubmitJobOpts("", spec, seed, SubmitOptions{})
 }
 
 // SubmitOptions is the optional surface of a full-control submission.

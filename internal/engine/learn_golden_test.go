@@ -48,11 +48,11 @@ func TestLearnSweepGolden(t *testing.T) {
 			if spec.Tasks() != g.Tasks {
 				t.Fatalf("spec has %d tasks, recorded %d", spec.Tasks(), g.Tasks)
 			}
-			job, err := m.Submit(spec, g.Seed)
+			job, err := m.SubmitJobOpts("", spec, g.Seed, SubmitOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := job.Wait(context.Background()); err != nil {
+			if err := waitJob(context.Background(), job); err != nil {
 				t.Fatal(err)
 			}
 			docs, err := job.ResultRange(0, g.Tasks)

@@ -134,7 +134,7 @@ func wantSum(n int) int {
 func TestJobLedgerLocalRun(t *testing.T) {
 	mgr := NewManager(New(4))
 	defer mgr.Close()
-	job, err := mgr.Submit(newSumSpec(16), 7)
+	job, err := mgr.SubmitJobOpts("", newSumSpec(16), 7, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +165,12 @@ func TestJobLedgerLocalRun(t *testing.T) {
 func TestJobNoLedger(t *testing.T) {
 	mgr := NewManager(New(2))
 	defer mgr.Close()
-	job, err := mgr.Submit(Func{
+	job, err := mgr.SubmitJobOpts("", Func{
 		Name: "plain",
 		N:    4,
 		Task: func(_ context.Context, i int, _ *rng.Rand) (any, error) { return i, nil },
 		Agg:  func(results []any) (any, error) { return len(results), nil },
-	}, 1)
+	}, 1, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestLeaseRemoteNeverTakesMoreThanHalf(t *testing.T) {
 	e.RequeueRemote(lease.Run, lease.Tasks)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := job.Wait(ctx); err != nil {
+	if err := waitJob(ctx, job); err != nil {
 		t.Fatalf("job after requeue: %v", err)
 	}
 	res, _ := job.Result()
@@ -154,7 +154,7 @@ func TestReportRemoteFirstWriterWinsAndValidates(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := job.Wait(ctx); err != nil {
+	if err := waitJob(ctx, job); err != nil {
 		t.Fatalf("job: %v", err)
 	}
 	res, _ := job.Result()
@@ -183,7 +183,7 @@ func TestFailRemoteFailsJob(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	err := job.Wait(ctx)
+	err := waitJob(ctx, job)
 	if err == nil || job.Status().State != StateFailed {
 		t.Fatalf("job after FailRemote: err=%v state=%v, want failed", err, job.Status().State)
 	}

@@ -35,8 +35,8 @@ func TestManagerRestore(t *testing.T) {
 	default:
 		t.Fatal("restored job's Done channel is open")
 	}
-	if err := job.Wait(context.Background()); err != nil {
-		t.Fatalf("Wait on restored done job = %v", err)
+	if err := waitJob(context.Background(), job); err != nil {
+		t.Fatalf("restored done job = %v", err)
 	}
 	got, err := m.Get("job-7")
 	if err != nil || got != job {
@@ -54,8 +54,8 @@ func TestManagerRestore(t *testing.T) {
 	}
 
 	// The counter moved past the highest restored ID.
-	fresh, err := m.Submit(Func{Name: "f", N: 1,
-		Task: func(_ context.Context, i int, _ *rng.Rand) (any, error) { return i, nil }}, 1)
+	fresh, err := m.SubmitJobOpts("", Func{Name: "f", N: 1,
+		Task: func(_ context.Context, i int, _ *rng.Rand) (any, error) { return i, nil }}, 1, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestManagerResubmit(t *testing.T) {
 			return s, nil
 		}}
 
-	ref, err := m.Submit(spec, 11)
+	ref, err := m.SubmitJobOpts("", spec, 11, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Wait(context.Background()); err != nil {
+	if err := waitJob(context.Background(), ref); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := ref.Result()
@@ -108,7 +108,7 @@ func TestManagerResubmit(t *testing.T) {
 	if job.ID() != "job-33" {
 		t.Fatalf("ID = %s", job.ID())
 	}
-	if err := job.Wait(context.Background()); err != nil {
+	if err := waitJob(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := job.Result(); got != want {
@@ -119,7 +119,7 @@ func TestManagerResubmit(t *testing.T) {
 		t.Fatal("duplicate resubmit accepted")
 	}
 	// The reused ID advanced the mint counter: fresh jobs never collide.
-	fresh, err := m.Submit(spec, 11)
+	fresh, err := m.SubmitJobOpts("", spec, 11, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

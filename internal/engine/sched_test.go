@@ -325,7 +325,7 @@ func TestProgressSuppressedAfterFailure(t *testing.T) {
 			return i, nil // …then "complete" anyway
 		},
 	}
-	job, err := m.Submit(spec, 1)
+	job, err := m.SubmitJobOpts("", spec, 1, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,5 +405,63 @@ func TestWorkersRetireWhenIdle(t *testing.T) {
 			t.Fatalf("%d workers still live on a drained engine", live)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStatsReportsClientLoads: the scheduler snapshot counts each named
+// client's active jobs and in-flight tasks under its configured share,
+// leaves anonymous jobs out of the per-client map, and drops a client once
+// its jobs finish.
+func TestStatsReportsClientLoads(t *testing.T) {
+	e := New(2)
+	e.SetClientShare(0.5)
+	m := NewManager(e)
+	defer m.Close()
+	g := newGate()
+	defer g.open()
+	gated := Func{Name: "test_client_load", N: 2, Task: func(ctx context.Context, i int, _ *rng.Rand) (any, error) {
+		return i, g.wait(ctx)
+	}}
+	var jobs []*Job
+	for seed, client := range []string{"a", "b", ""} {
+		j, err := m.SubmitJobOpts("", gated, uint64(seed), SubmitOptions{Client: client})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	st := e.Stats()
+	for st.RunningTasks < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st = e.Stats()
+	}
+	if st.ActiveJobs != 3 || st.RunningTasks != 2 || st.QueuedTasks != 4 {
+		t.Fatalf("stats = %+v, want 3 active jobs, 2 running and 4 queued tasks", st)
+	}
+	if len(st.Clients) != 2 {
+		t.Fatalf("clients = %+v, want a and b only", st.Clients)
+	}
+	inFlight := 0
+	for _, name := range []string{"a", "b"} {
+		cl := st.Clients[name]
+		if cl.Jobs != 1 || cl.ShareCap != 0.5 {
+			t.Errorf("client %s load = %+v, want 1 job under share 0.5", name, cl)
+		}
+		inFlight += cl.InFlight
+	}
+	if inFlight > st.RunningTasks {
+		t.Errorf("clients hold %d tasks in flight, the engine runs %d", inFlight, st.RunningTasks)
+	}
+	g.open()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, j := range jobs {
+		if err := waitJob(ctx, j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.Stats(); st.ActiveJobs != 0 || st.Clients != nil {
+		t.Fatalf("stats after the jobs finished = %+v", st)
 	}
 }

@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"gameofcoins/internal/core"
 	"gameofcoins/internal/equilibria"
+	"gameofcoins/internal/replay"
 	"gameofcoins/internal/rng"
 )
 
@@ -90,13 +94,13 @@ func TestManagerEvictsOneTerminalPerSubmit(t *testing.T) {
 	defer m.Close()
 	release := make(chan struct{})
 	defer close(release)
-	running, err := m.Submit(Func{Name: "block", N: 1, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
+	running, err := m.SubmitJobOpts("", Func{Name: "block", N: 1, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
 		return nil, nil
-	}}, 1)
+	}}, 1, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +114,11 @@ func TestManagerEvictsOneTerminalPerSubmit(t *testing.T) {
 	}
 	quick := Func{Name: "quick", N: 1, Task: func(context.Context, int, *rng.Rand) (any, error) { return 0, nil }}
 	for k := 0; k < 20; k++ {
-		j, err := m.Submit(quick, uint64(k))
+		j, err := m.SubmitJobOpts("", quick, uint64(k), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Wait(context.Background()); err != nil {
+		if err := waitJob(context.Background(), j); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, j.ID())
@@ -136,4 +140,69 @@ func TestManagerEvictsOneTerminalPerSubmit(t *testing.T) {
 			t.Fatalf("submission %d evicted %s, newer than the oldest terminal job: %v", k, ids[k+1], err)
 		}
 	}
+}
+
+// TestBuiltinTaskCodersRoundTrip: each built-in spec decodes its own task
+// documents back into the value, and the concrete type, that RunTask
+// returned, so a job whose results arrive from a remote worker or a
+// restart's prefill aggregates to the bytes of a purely local run. A
+// document that does not parse is an error, which the prefill path answers
+// by running the task again.
+func TestBuiltinTaskCodersRoundTrip(t *testing.T) {
+	specs := map[string]Spec{
+		"learn_sweep":       LearnSweep{Gen: core.GenSpec{Miners: 5, Coins: 2}, Schedulers: []string{"random", "max-gain"}, Runs: 4},
+		"design_sweep":      DesignSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Pairs: 3},
+		"replay_sweep":      ReplaySweep{Params: replay.ScenarioParams{Miners: 30, Epochs: 24 * 6, SpikeHour: 24 * 2}, Runs: 2},
+		"equilibrium_sweep": EquilibriumSweep{Gen: core.GenSpec{Miners: 5, Coins: 2}, Games: 4},
+	}
+	ctx := context.Background()
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			coder, ok := spec.(TaskCoder)
+			if !ok {
+				t.Fatalf("%T is not a TaskCoder", spec)
+			}
+			base := rng.New(11)
+			local := make([]any, spec.Tasks())
+			wire := make([]any, spec.Tasks())
+			for i := range local {
+				out, err := spec.RunTask(ctx, i, base.Fork(uint64(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				doc, err := coder.EncodeTaskResult(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				back, err := coder.DecodeTaskResult(doc)
+				if err != nil {
+					t.Fatalf("task %d: decode %s: %v", i, doc, err)
+				}
+				if reflect.TypeOf(back) != reflect.TypeOf(out) || !reflect.DeepEqual(back, out) {
+					t.Fatalf("task %d: %s decoded to %T %+v, want %T %+v", i, doc, back, back, out, out)
+				}
+				local[i], wire[i] = out, back
+			}
+			want := aggregateJSON(t, spec, local)
+			if got := aggregateJSON(t, spec, wire); !bytes.Equal(got, want) {
+				t.Fatalf("aggregate of decoded results = %s, want %s", got, want)
+			}
+			if _, err := coder.DecodeTaskResult(json.RawMessage(`{"steps":`)); err == nil {
+				t.Fatal("a truncated document decoded")
+			}
+		})
+	}
+}
+
+func aggregateJSON(t *testing.T, spec Spec, results []any) []byte {
+	t.Helper()
+	res, err := spec.Aggregate(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

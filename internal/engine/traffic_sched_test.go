@@ -62,7 +62,7 @@ func TestMultiTenantNoStarvationProperty(t *testing.T) {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		for _, j := range jobs {
-			if err := j.Wait(ctx); err != nil {
+			if err := waitJob(ctx, j); err != nil {
 				t.Fatalf("trial %d (workers=%d tenants=%d share=%.2f): job %s never finished: %v",
 					trial, workers, tenants, share, j.ID(), err)
 			}
@@ -110,7 +110,7 @@ func TestPriorityWeightsTiltThroughput(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := high.Wait(ctx); err != nil {
+	if err := waitJob(ctx, high); err != nil {
 		t.Fatal(err)
 	}
 	lowDone := low.Status().Progress.Done
@@ -126,7 +126,7 @@ func TestPriorityWeightsTiltThroughput(t *testing.T) {
 	if lowDone == 0 {
 		t.Fatal("low-priority job made no progress while high ran — starved outright")
 	}
-	if err := low.Wait(ctx); err != nil {
+	if err := waitJob(ctx, low); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -49,7 +49,7 @@ func TestWatchStreamsProgressAndTerminal(t *testing.T) {
 			return i, nil
 		},
 	}
-	job, err := m.Submit(spec, 1)
+	job, err := m.SubmitJobOpts("", spec, 1, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +82,13 @@ func TestWatchStreamsProgressAndTerminal(t *testing.T) {
 func TestWatchTerminalJobYieldsFinalStatusImmediately(t *testing.T) {
 	m := NewManager(New(2))
 	defer m.Close()
-	job, err := m.Submit(Func{Name: "test_done", N: 2, Task: func(context.Context, int, *rng.Rand) (any, error) {
+	job, err := m.SubmitJobOpts("", Func{Name: "test_done", N: 2, Task: func(context.Context, int, *rng.Rand) (any, error) {
 		return nil, nil
-	}}, 1)
+	}}, 1, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := job.Wait(context.Background()); err != nil {
+	if err := waitJob(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	ch := job.Watch(context.Background())
@@ -108,9 +108,9 @@ func TestWatchCancelDeliversCanceledStatus(t *testing.T) {
 	defer m.Close()
 	g := newGate()
 	defer g.open()
-	job, err := m.Submit(Func{Name: "test_cancel", N: 2, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
+	job, err := m.SubmitJobOpts("", Func{Name: "test_cancel", N: 2, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
 		return nil, g.wait(ctx)
-	}}, 1)
+	}}, 1, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +132,9 @@ func TestWatchContextCancelUnsubscribes(t *testing.T) {
 	m := NewManager(New(2))
 	defer m.Close()
 	g := newGate()
-	job, err := m.Submit(Func{Name: "test_unsub", N: 1, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
+	job, err := m.SubmitJobOpts("", Func{Name: "test_unsub", N: 1, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
 		return nil, g.wait(ctx)
-	}}, 1)
+	}}, 1, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestWatchContextCancelUnsubscribes(t *testing.T) {
 		case _, ok := <-ch:
 			if !ok {
 				g.open()
-				if err := job.Wait(context.Background()); err != nil {
+				if err := waitJob(context.Background(), job); err != nil {
 					t.Fatalf("job broken by watcher unsubscribe: %v", err)
 				}
 				return
@@ -168,10 +168,10 @@ func TestQueuedJobsHoldNoGoroutines(t *testing.T) {
 	g := newGate()
 	defer g.open()
 	started := make(chan struct{})
-	if _, err := m.Submit(Func{Name: "test_blocker", N: 1, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
+	if _, err := m.SubmitJobOpts("", Func{Name: "test_blocker", N: 1, Task: func(ctx context.Context, _ int, _ *rng.Rand) (any, error) {
 		close(started)
 		return nil, g.wait(ctx)
-	}}, 1); err != nil {
+	}}, 1, SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	<-started // the only worker is now busy until the gate opens
@@ -182,9 +182,9 @@ func TestQueuedJobsHoldNoGoroutines(t *testing.T) {
 	const n = 100
 	jobs := make([]*Job, 0, n)
 	for k := range n {
-		job, err := m.Submit(Func{Name: "test_queued", N: 2, Task: func(context.Context, int, *rng.Rand) (any, error) {
+		job, err := m.SubmitJobOpts("", Func{Name: "test_queued", N: 2, Task: func(context.Context, int, *rng.Rand) (any, error) {
 			return nil, nil
-		}}, uint64(k))
+		}}, uint64(k), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestQueuedJobsHoldNoGoroutines(t *testing.T) {
 	}
 	g.open()
 	for _, job := range jobs {
-		if err := job.Wait(context.Background()); err != nil {
+		if err := waitJob(context.Background(), job); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestTerminalJobKeepsOnlyRecord(t *testing.T) {
 		}
 		return task(ctx, i, r)
 	}
-	job, err := m.Submit(spec, 1)
+	job, err := m.SubmitJobOpts("", spec, 1, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestTerminalJobKeepsOnlyRecord(t *testing.T) {
 	job.mu.Unlock()
 	job.Watch(ctx)
 	g.open()
-	if err := job.Wait(context.Background()); err != nil {
+	if err := waitJob(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	if run.ctx.Err() == nil {

@@ -22,7 +22,6 @@ import (
 type Game struct {
 	powers  []numeric.Rat
 	rewards []numeric.Rat
-	numCoin int
 	src     *core.Game
 }
 
@@ -32,7 +31,6 @@ func FromGame(g *core.Game) *Game {
 	eg := &Game{
 		powers:  make([]numeric.Rat, g.NumMiners()),
 		rewards: make([]numeric.Rat, g.NumCoins()),
-		numCoin: g.NumCoins(),
 		src:     g,
 	}
 	for p := range eg.powers {
@@ -75,31 +73,6 @@ func (eg *Game) IsBetterResponse(s core.Config, p core.MinerID, c core.CoinID) b
 		return false
 	}
 	return eg.PayoffAfterMove(s, p, c).Greater(eg.Payoff(s, p))
-}
-
-// BetterResponses returns p's exact better-response coins in CoinID order.
-func (eg *Game) BetterResponses(s core.Config, p core.MinerID) []core.CoinID {
-	var out []core.CoinID
-	cur := eg.Payoff(s, p)
-	for c := 0; c < eg.numCoin; c++ {
-		if c == s[p] || !eg.src.Eligible(p, c) {
-			continue
-		}
-		if eg.PayoffAfterMove(s, p, c).Greater(cur) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// IsEquilibrium reports, exactly, whether s is a pure equilibrium.
-func (eg *Game) IsEquilibrium(s core.Config) bool {
-	for p := range s {
-		if len(eg.BetterResponses(s, p)) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Disagreement describes a decision where the float engine and the exact

@@ -9,6 +9,31 @@ import (
 	"gameofcoins/internal/rng"
 )
 
+// BetterResponses returns p's exact better-response coins in CoinID order.
+func (eg *Game) BetterResponses(s core.Config, p core.MinerID) []core.CoinID {
+	var out []core.CoinID
+	cur := eg.Payoff(s, p)
+	for c := range eg.rewards {
+		if c == s[p] || !eg.src.Eligible(p, c) {
+			continue
+		}
+		if eg.PayoffAfterMove(s, p, c).Greater(cur) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// IsEquilibrium reports, exactly, whether s is a pure equilibrium.
+func (eg *Game) IsEquilibrium(s core.Config) bool {
+	for p := range s {
+		if len(eg.BetterResponses(s, p)) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func intGame(t *testing.T) *core.Game {
 	t.Helper()
 	return core.MustNewGame(
@@ -121,6 +146,13 @@ func TestExactDetectsNearTies(t *testing.T) {
 	}
 	if ds[0].Float || !ds[0].Exact {
 		t.Fatalf("unexpected disagreement direction: %v", ds[0].String())
+	}
+}
+
+func TestDisagreementString(t *testing.T) {
+	d := &Disagreement{Config: core.Config{0, 0}, Miner: 1, Coin: 1, Exact: true}
+	if got, want := d.String(), "at ⟨c0 c0⟩ miner 1 → coin 1: float=false exact=true"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -93,19 +95,6 @@ func TestE10Asymmetric(t *testing.T) {
 	}
 }
 
-func TestWhaleDemoInducesMigration(t *testing.T) {
-	share, spend, err := WhaleDemo(3, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if share <= 0.15 {
-		t.Fatalf("whale subsidy induced share %v, want > pre-existing ~0.1", share)
-	}
-	if spend <= 0 {
-		t.Fatal("no spend recorded")
-	}
-}
-
 func TestReportString(t *testing.T) {
 	rep := E3()
 	out := rep.String()
@@ -120,13 +109,39 @@ func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
-	reports := All(11)
+	reports := Selected(11, nil)
 	if len(reports) != 13 {
-		t.Fatalf("All returned %d reports", len(reports))
+		t.Fatalf("Selected returned %d reports", len(reports))
 	}
-	for _, rep := range reports {
+	for i, rep := range reports {
+		if want := fmt.Sprintf("E%d", i+1); rep.ID != want {
+			t.Errorf("report %d is %s, want %s", i, rep.ID, want)
+		}
 		if !rep.Pass {
 			t.Errorf("%s failed:\n%s", rep.ID, rep)
+		}
+	}
+}
+
+// TestSelectedParallelMatchesSelected: the engine-backed runner returns the
+// reports Selected does, in suite order whatever the filter's order, and an
+// ID outside the suite selects nothing.
+func TestSelectedParallelMatchesSelected(t *testing.T) {
+	only := map[string]bool{"E10": true, "E3": true, "E99": true}
+	seq := Selected(11, only)
+	par, err := SelectedParallel(context.Background(), 11, 3, only)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seq) != 2 || seq[0].ID != "E3" || seq[1].ID != "E10" {
+		t.Fatalf("Selected kept %d reports, want E3 then E10", len(seq))
+	}
+	if len(par) != len(seq) {
+		t.Fatalf("SelectedParallel returned %d reports, Selected %d", len(par), len(seq))
+	}
+	for i := range seq {
+		if got, want := par[i].String(), seq[i].String(); got != want {
+			t.Errorf("report %d differs:\nparallel:\n%s\nsequential:\n%s", i, got, want)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"gameofcoins/internal/core"
 	"gameofcoins/internal/design"
 	"gameofcoins/internal/equilibria"
-	"gameofcoins/internal/manip"
 	"gameofcoins/internal/replay"
 	"gameofcoins/internal/rng"
 	"gameofcoins/internal/stats"
@@ -121,31 +120,4 @@ func E9(seed uint64) *Report {
 		"cost is Σ max(0, H(c)−F(c)) per learning phase; gain is the miner's payoff delta at the bought equilibrium",
 		"breakeven = epochs after which the indefinite gain exceeds the bounded cost")
 	return rep
-}
-
-// WhaleDemo is used by the whale-attack example and its tests: inject a
-// standing whale subsidy into a live market and report the induced
-// migration. It is exported here so example code and tests share it.
-func WhaleDemo(seed uint64, epochs int) (migrated float64, spend float64, err error) {
-	sc, err := replay.New(replay.ScenarioParams{
-		Miners:    100,
-		Epochs:    1,       // built but driven manually below
-		SpikeHour: 1 << 30, // never: the whale, not the market, moves rates
-		Seed:      seed,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	var ledger manip.Ledger
-	s := sc.Sim
-	// Drive manually: subsidize BCH every epoch.
-	for e := 0; e < epochs; e++ {
-		if err := manip.WhaleTx(s, &ledger, sc.BCH, 40); err != nil {
-			return 0, 0, err
-		}
-		s.Run(1)
-	}
-	powers := s.CoinPowers()
-	total := powers[sc.BTC] + powers[sc.BCH]
-	return powers[sc.BCH] / total, ledger.Total(), nil
 }

@@ -89,9 +89,3 @@ func SelectedParallel(ctx context.Context, seed uint64, workers int, only map[st
 	}
 	return reports, nil
 }
-
-// AllParallel runs the full E1–E13 suite across workers; see
-// SelectedParallel.
-func AllParallel(ctx context.Context, seed uint64, workers int) ([]*Report, error) {
-	return SelectedParallel(ctx, seed, workers, nil)
-}

@@ -51,11 +51,3 @@ func (r *Report) String() string {
 	}
 	return b.String()
 }
-
-// All runs every experiment sequentially with the given seed and returns
-// the reports in order. AllParallel (parallel.go) is the same suite fanned
-// across the concurrent experiment engine; Selected/SelectedParallel run
-// ID-filtered subsets.
-func All(seed uint64) []*Report {
-	return Selected(seed, nil)
-}

@@ -1,8 +1,8 @@
-// Package manip implements the manipulation primitives of "Game of Coins":
+// Package manip implements the manipulation primitive of "Game of Coins":
 // whale transactions (fee injection that raises a coin's weight until
-// collected) and exchange-rate pumps, together with a cost ledger so
-// experiments can compare the manipulator's bounded spend against the
-// indefinite payoff gain of the equilibrium it buys (§1, §5).
+// collected), together with a cost ledger so experiments can compare the
+// manipulator's bounded spend against the indefinite payoff gain of the
+// equilibrium it buys (§1, §5).
 package manip
 
 import (
@@ -57,43 +57,6 @@ func WhaleTx(s *sim.Simulator, l *Ledger, coin int, fee float64) error {
 		Kind:  "whale-tx",
 		Coin:  coin,
 		Cost:  fee * coins[coin].Rate.Rate(),
-	})
-	return nil
-}
-
-// ApplyPump multiplies the pending weight of coin c by injecting the
-// equivalent whale fee: a pump by factor f on a coin whose weight is W
-// raises it to f·W for roughly one epoch. The fiat cost charged is
-// (f−1)·W·depth. This models rate manipulation through its effect on the
-// weight — the only channel the game observes — without reaching into the
-// rate process.
-func ApplyPump(s *sim.Simulator, l *Ledger, coin int, factor, depth float64) error {
-	coins := s.Coins()
-	if coin < 0 || coin >= len(coins) {
-		return fmt.Errorf("manip: invalid coin %d", coin)
-	}
-	if factor <= 1 {
-		return errors.New("manip: pump factor must exceed 1")
-	}
-	if depth <= 0 {
-		return errors.New("manip: non-positive depth")
-	}
-	cm := coins[coin]
-	w := cm.Weight()
-	// Extra weight needed: (factor−1)·W fiat/hour; the coin market converts
-	// that into the pending-fee volume that achieves it.
-	extraCoin, err := cm.FeesForExtraWeight((factor - 1) * w)
-	if err != nil {
-		return err
-	}
-	if err := cm.Chain.InjectFees(extraCoin); err != nil {
-		return err
-	}
-	l.record(Event{
-		Epoch: s.Epoch(),
-		Kind:  "pump",
-		Coin:  coin,
-		Cost:  (factor - 1) * w * depth,
 	})
 	return nil
 }

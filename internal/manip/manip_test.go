@@ -23,7 +23,7 @@ func newSim(t *testing.T) *sim.Simulator {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cm, err := market.NewCoinMarket(ch, market.Constant(2), 0.5, 600)
+		cm, err := market.NewCoinMarket(ch, &market.Piecewise{Times: []float64{0}, Rates: []float64{2}}, 0.5, 600)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,47 +78,15 @@ func TestWhaleTxValidation(t *testing.T) {
 	}
 }
 
-func TestApplyPumpRaisesWeightByFactor(t *testing.T) {
-	s := newSim(t)
-	var l Ledger
-	w0 := s.Coins()[0].Weight()
-	if err := ApplyPump(s, &l, 0, 1.5, 1); err != nil {
-		t.Fatal(err)
-	}
-	w1 := s.Coins()[0].Weight()
-	if ratio := w1 / w0; ratio < 1.45 || ratio > 1.55 {
-		t.Fatalf("pump ratio = %v, want ≈1.5", ratio)
-	}
-	// Cost = (factor−1)·W·depth = 0.5·w0·1.
-	if got := l.Total(); got < 0.49*w0 || got > 0.51*w0 {
-		t.Fatalf("cost = %v, want ≈%v", got, 0.5*w0)
-	}
-}
-
-func TestApplyPumpValidation(t *testing.T) {
-	s := newSim(t)
-	var l Ledger
-	if err := ApplyPump(s, &l, 0, 1.0, 1); err == nil {
-		t.Fatal("factor 1 accepted")
-	}
-	if err := ApplyPump(s, &l, 0, 2, 0); err == nil {
-		t.Fatal("zero depth accepted")
-	}
-	if err := ApplyPump(s, &l, 9, 2, 1); err == nil {
-		t.Fatal("invalid coin accepted")
-	}
-}
-
 func TestWhaleAttractsMiners(t *testing.T) {
 	// A large standing whale subsidy on coin b must pull hashrate there.
 	s := newSim(t)
 	var l Ledger
-	s.OnEpoch(func(_ int, sm *sim.Simulator) {
+	for e := 0; e < 30; e++ {
 		// Re-inject every epoch to keep the weight inflated.
-		_ = WhaleTx(sm, &l, 1, 200)
-	})
-	_ = WhaleTx(s, &l, 1, 200)
-	s.Run(30)
+		_ = WhaleTx(s, &l, 1, 200)
+		s.Run(1)
+	}
 	powers := s.CoinPowers()
 	if powers[1] <= powers[0] {
 		t.Fatalf("whale-subsidized coin did not attract the majority: %v", powers)

@@ -15,7 +15,6 @@ package market
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"gameofcoins/internal/chain"
@@ -30,81 +29,6 @@ type RateProcess interface {
 	Rate() float64
 	// Step advances the process by dt seconds.
 	Step(dt float64, r *rng.Rand)
-}
-
-// Constant is a flat exchange rate.
-type Constant float64
-
-// Rate implements RateProcess.
-func (c Constant) Rate() float64 { return float64(c) }
-
-// Step implements RateProcess.
-func (Constant) Step(float64, *rng.Rand) {}
-
-// GBM is geometric Brownian motion: dS = μS dt + σS dW, the standard model
-// for fiat crypto prices over short horizons.
-type GBM struct {
-	S     float64 // current rate
-	Mu    float64 // drift per second
-	Sigma float64 // volatility per √second
-}
-
-// NewGBM returns a GBM starting at s0.
-func NewGBM(s0, muPerSecond, sigmaPerSqrtSecond float64) *GBM {
-	return &GBM{S: s0, Mu: muPerSecond, Sigma: sigmaPerSqrtSecond}
-}
-
-// Rate implements RateProcess.
-func (g *GBM) Rate() float64 { return g.S }
-
-// Step implements RateProcess using the exact log-normal increment.
-func (g *GBM) Step(dt float64, r *rng.Rand) {
-	if dt <= 0 {
-		return
-	}
-	z := r.NormFloat64()
-	g.S *= math.Exp((g.Mu-0.5*g.Sigma*g.Sigma)*dt + g.Sigma*math.Sqrt(dt)*z)
-}
-
-// Jump is a scheduled multiplicative shock: at Time, the rate is multiplied
-// by Factor. This is how replay scenarios encode events like the
-// November 12, 2017 BCH spike.
-type Jump struct {
-	Time   float64
-	Factor float64
-}
-
-// JumpDiffusion is a GBM with scheduled deterministic jumps.
-type JumpDiffusion struct {
-	gbm   GBM
-	jumps []Jump
-	now   float64
-	next  int
-}
-
-// NewJumpDiffusion returns a jump-diffusion starting at s0 with the given
-// scheduled jumps (sorted by time internally).
-func NewJumpDiffusion(s0, mu, sigma float64, jumps []Jump) *JumpDiffusion {
-	js := append([]Jump(nil), jumps...)
-	sort.Slice(js, func(i, j int) bool { return js[i].Time < js[j].Time })
-	return &JumpDiffusion{gbm: GBM{S: s0, Mu: mu, Sigma: sigma}, jumps: js}
-}
-
-// Rate implements RateProcess.
-func (jd *JumpDiffusion) Rate() float64 { return jd.gbm.S }
-
-// Step implements RateProcess.
-func (jd *JumpDiffusion) Step(dt float64, r *rng.Rand) {
-	end := jd.now + dt
-	for jd.next < len(jd.jumps) && jd.jumps[jd.next].Time <= end {
-		j := jd.jumps[jd.next]
-		jd.gbm.Step(j.Time-jd.now, r)
-		jd.gbm.S *= j.Factor
-		jd.now = j.Time
-		jd.next++
-	}
-	jd.gbm.Step(end-jd.now, r)
-	jd.now = end
 }
 
 // Piecewise is a deterministic piecewise-linear rate path given as (time,
@@ -192,19 +116,4 @@ func (cm *CoinMarket) Weight() float64 {
 	blocksPerHour := 3600 / cm.targetBlockSeconds
 	coinPerBlock := cm.Chain.Subsidy() + cm.FeePerBlock + cm.Chain.PendingFees()
 	return coinPerBlock * blocksPerHour * cm.Rate.Rate()
-}
-
-// FeesForExtraWeight returns the pending-fee injection (in coin units) that
-// raises Weight() by deltaW fiat/hour at the current exchange rate. It
-// errors when the rate is non-positive (no fee volume can move the weight).
-func (cm *CoinMarket) FeesForExtraWeight(deltaW float64) (float64, error) {
-	if deltaW < 0 {
-		return 0, errors.New("market: negative weight delta")
-	}
-	rate := cm.Rate.Rate()
-	if rate <= 0 {
-		return 0, errors.New("market: non-positive exchange rate")
-	}
-	blocksPerHour := 3600 / cm.targetBlockSeconds
-	return deltaW / (blocksPerHour * rate), nil
 }

@@ -8,79 +8,8 @@ import (
 	"gameofcoins/internal/rng"
 )
 
-func TestConstantRate(t *testing.T) {
-	c := Constant(42)
-	c.Step(100, rng.New(1))
-	if c.Rate() != 42 {
-		t.Fatal("constant rate changed")
-	}
-}
-
-func TestGBMZeroDrift(t *testing.T) {
-	// With μ=0 the expected rate stays at S0; check over many paths.
-	r := rng.New(2)
-	var sum float64
-	const paths = 5000
-	for i := 0; i < paths; i++ {
-		g := NewGBM(100, 0, 0.01)
-		for step := 0; step < 100; step++ {
-			g.Step(1, r)
-		}
-		sum += g.Rate()
-	}
-	mean := sum / paths
-	if math.Abs(mean-100)/100 > 0.02 {
-		t.Fatalf("GBM mean %v drifted from 100", mean)
-	}
-}
-
-func TestGBMPositiveDrift(t *testing.T) {
-	r := rng.New(3)
-	g := NewGBM(1, 0.001, 0)
-	for i := 0; i < 1000; i++ {
-		g.Step(1, r)
-	}
-	want := math.Exp(0.001 * 1000)
-	if math.Abs(g.Rate()-want)/want > 1e-9 {
-		t.Fatalf("deterministic GBM = %v, want %v", g.Rate(), want)
-	}
-}
-
-func TestGBMIgnoresNonPositiveDt(t *testing.T) {
-	g := NewGBM(5, 1, 1)
-	g.Step(0, rng.New(1))
-	g.Step(-1, rng.New(1))
-	if g.Rate() != 5 {
-		t.Fatal("non-positive dt changed the rate")
-	}
-}
-
-func TestJumpDiffusionAppliesJumps(t *testing.T) {
-	jd := NewJumpDiffusion(10, 0, 0, []Jump{{Time: 50, Factor: 3}, {Time: 10, Factor: 2}})
-	r := rng.New(4)
-	jd.Step(9, r)
-	if jd.Rate() != 10 {
-		t.Fatalf("rate before first jump = %v", jd.Rate())
-	}
-	jd.Step(2, r) // crosses t=10
-	if jd.Rate() != 20 {
-		t.Fatalf("rate after first jump = %v", jd.Rate())
-	}
-	jd.Step(100, r) // crosses t=50
-	if jd.Rate() != 60 {
-		t.Fatalf("rate after second jump = %v", jd.Rate())
-	}
-}
-
-func TestJumpDiffusionJumpsAreSorted(t *testing.T) {
-	// Constructed with unsorted jumps; both must apply in time order (the
-	// previous test crosses them one Step at a time; here both in one Step).
-	jd := NewJumpDiffusion(1, 0, 0, []Jump{{Time: 5, Factor: 3}, {Time: 2, Factor: 2}})
-	jd.Step(10, rng.New(5))
-	if jd.Rate() != 6 {
-		t.Fatalf("rate = %v, want 6", jd.Rate())
-	}
-}
+// flat is a constant exchange rate: a one-knot piecewise path.
+func flat(rate float64) *Piecewise { return &Piecewise{Times: []float64{0}, Rates: []float64{rate}} }
 
 func TestPiecewise(t *testing.T) {
 	pw, err := NewPiecewise([]float64{0, 10, 20}, []float64{1, 3, 2})
@@ -135,7 +64,7 @@ func newTestChain(t *testing.T) *chain.Chain {
 
 func TestCoinMarketWeight(t *testing.T) {
 	ch := newTestChain(t)
-	cm, err := NewCoinMarket(ch, Constant(10000), 0.5, 600)
+	cm, err := NewCoinMarket(ch, flat(10000), 0.5, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,16 +84,16 @@ func TestCoinMarketWeight(t *testing.T) {
 
 func TestNewCoinMarketValidation(t *testing.T) {
 	ch := newTestChain(t)
-	if _, err := NewCoinMarket(nil, Constant(1), 0, 600); err == nil {
+	if _, err := NewCoinMarket(nil, flat(1), 0, 600); err == nil {
 		t.Fatal("nil chain accepted")
 	}
 	if _, err := NewCoinMarket(ch, nil, 0, 600); err == nil {
 		t.Fatal("nil rate accepted")
 	}
-	if _, err := NewCoinMarket(ch, Constant(1), -1, 600); err == nil {
+	if _, err := NewCoinMarket(ch, flat(1), -1, 600); err == nil {
 		t.Fatal("negative fees accepted")
 	}
-	if _, err := NewCoinMarket(ch, Constant(1), 0, 0); err == nil {
+	if _, err := NewCoinMarket(ch, flat(1), 0, 0); err == nil {
 		t.Fatal("zero block time accepted")
 	}
 }
@@ -211,7 +140,7 @@ func TestCoinMarketWeightTracksHalving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := NewCoinMarket(ch, Constant(1), 0, 600)
+	cm, err := NewCoinMarket(ch, flat(1), 0, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +149,8 @@ func TestCoinMarketWeightTracksHalving(t *testing.T) {
 		t.Fatalf("pre-halving weight = %v", w0)
 	}
 	r := rng.New(12)
-	for ch.Height() < 5 {
-		ch.Advance(r, 60, 1)
+	for mined := 0; mined < 5; {
+		mined += len(ch.Advance(r, 60, 1))
 	}
 	if cm.Weight() >= w0 {
 		t.Fatalf("weight %v did not drop after halving (was %v)", cm.Weight(), w0)

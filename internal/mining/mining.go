@@ -102,16 +102,6 @@ func (p Sticky) Decide(d Decision, r *rng.Rand) int {
 	return p.Inner.Decide(d, r)
 }
 
-// Loyal never switches; it models protocol loyalists or contract-bound
-// hashrate and serves as a control group in experiments.
-type Loyal struct{}
-
-// Name implements Policy.
-func (Loyal) Name() string { return "loyal" }
-
-// Decide implements Policy.
-func (Loyal) Decide(d Decision, _ *rng.Rand) int { return d.Current }
-
 // ValidateAgents checks a fleet for use in the simulator.
 func ValidateAgents(agents []Agent) error {
 	if len(agents) == 0 {

@@ -74,16 +74,8 @@ func TestStickyActivityGate(t *testing.T) {
 	}
 }
 
-func TestLoyalNeverMoves(t *testing.T) {
-	d := decision()
-	d.Weights = []float64{1, 1e9}
-	if got := (Loyal{}).Decide(d, rng.New(1)); got != 0 {
-		t.Fatalf("loyal moved: %d", got)
-	}
-}
-
 func TestPolicyNames(t *testing.T) {
-	for _, p := range []Policy{BetterResponse{}, Sticky{Inner: BetterResponse{}, Activity: 0.5}, Loyal{}} {
+	for _, p := range []Policy{BetterResponse{}, Sticky{Inner: BetterResponse{}, Activity: 0.5}} {
 		if p.Name() == "" {
 			t.Fatalf("%T has empty name", p)
 		}
@@ -91,15 +83,15 @@ func TestPolicyNames(t *testing.T) {
 }
 
 func TestValidateAgents(t *testing.T) {
-	good := []Agent{{Name: "a", Power: 1, Policy: Loyal{}}}
+	good := []Agent{{Name: "a", Power: 1, Policy: BetterResponse{}}}
 	if err := ValidateAgents(good); err != nil {
 		t.Fatal(err)
 	}
 	cases := map[string][]Agent{
 		"empty":         {},
-		"zero power":    {{Name: "a", Power: 0, Policy: Loyal{}}},
+		"zero power":    {{Name: "a", Power: 0, Policy: BetterResponse{}}},
 		"nil policy":    {{Name: "a", Power: 1}},
-		"negative cost": {{Name: "a", Power: 1, Policy: Loyal{}, CostPerHour: -1}},
+		"negative cost": {{Name: "a", Power: 1, Policy: BetterResponse{}, CostPerHour: -1}},
 	}
 	for name, agents := range cases {
 		if err := ValidateAgents(agents); err == nil {

@@ -22,11 +22,6 @@ import (
 // accumulated rounding.
 const Eps = 1e-9
 
-// Less reports whether a < b beyond relative tolerance eps.
-func Less(a, b, eps float64) bool {
-	return b-a > eps*scale(a, b)
-}
-
 // Greater reports whether a > b beyond relative tolerance eps.
 //
 // Greater is monotone, and the pruned equilibrium search in internal/core
@@ -127,9 +122,6 @@ func (r Rat) Div(o Rat) Rat {
 // Cmp returns -1, 0, or +1 according to the sign of r - o.
 func (r Rat) Cmp(o Rat) int { return r.rat().Cmp(o.rat()) }
 
-// Less reports r < o.
-func (r Rat) Less(o Rat) bool { return r.Cmp(o) < 0 }
-
 // Greater reports r > o.
 func (r Rat) Greater(o Rat) bool { return r.Cmp(o) > 0 }
 
@@ -147,12 +139,3 @@ func (r Rat) Float64() float64 {
 
 // String renders r as p/q (or an integer when q == 1).
 func (r Rat) String() string { return r.rat().RatString() }
-
-// SumRats returns the exact sum of the given rationals.
-func SumRats(rs []Rat) Rat {
-	acc := new(big.Rat)
-	for _, r := range rs {
-		acc.Add(acc, r.rat())
-	}
-	return Rat{v: acc}
-}

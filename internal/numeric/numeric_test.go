@@ -26,8 +26,8 @@ func TestFloatComparators(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := Less(tt.a, tt.b, tt.eps); got != tt.less {
-				t.Errorf("Less(%v,%v) = %v, want %v", tt.a, tt.b, got, tt.less)
+			if got := Greater(tt.b, tt.a, tt.eps); got != tt.less {
+				t.Errorf("Greater(%v,%v) = %v, want %v", tt.b, tt.a, got, tt.less)
 			}
 			if got := Greater(tt.a, tt.b, tt.eps); got != tt.greater {
 				t.Errorf("Greater(%v,%v) = %v, want %v", tt.a, tt.b, got, tt.greater)
@@ -45,7 +45,7 @@ func TestComparatorTrichotomyProperty(t *testing.T) {
 			return true
 		}
 		n := 0
-		if Less(a, b, Eps) {
+		if Greater(b, a, Eps) {
 			n++
 		}
 		if Greater(a, b, Eps) {
@@ -90,7 +90,7 @@ func TestRatZeroValueIsZero(t *testing.T) {
 
 func TestRatComparisons(t *testing.T) {
 	a, b := NewRat(2, 3), NewRat(3, 4)
-	if !a.Less(b) || a.Greater(b) || a.Equal(b) {
+	if !b.Greater(a) || a.Greater(b) || a.Equal(b) {
 		t.Fatal("2/3 vs 3/4 comparison wrong")
 	}
 	if a.Cmp(b) != -1 || b.Cmp(a) != 1 || a.Cmp(a) != 0 {
@@ -139,16 +139,6 @@ func TestRatImmutability(t *testing.T) {
 	_ = a.Add(NewRat(1, 2))
 	if !a.Equal(NewRat(1, 2)) {
 		t.Fatal("Add mutated its receiver")
-	}
-}
-
-func TestSumRats(t *testing.T) {
-	rs := []Rat{NewRat(1, 2), NewRat(1, 3), NewRat(1, 6)}
-	if got := SumRats(rs); !got.Equal(RatFromInt(1)) {
-		t.Fatalf("sum = %v", got)
-	}
-	if got := SumRats(nil); got.Sign() != 0 {
-		t.Fatalf("empty sum = %v", got)
 	}
 }
 
@@ -216,7 +206,7 @@ func TestGreaterMonotone(t *testing.T) {
 func TestComparatorsFalseOnNaN(t *testing.T) {
 	nan := math.NaN()
 	for _, ab := range [][2]float64{{nan, 1}, {1, nan}, {nan, nan}, {nan, math.Inf(1)}} {
-		if Less(ab[0], ab[1], Eps) || Greater(ab[0], ab[1], Eps) || Equal(ab[0], ab[1], Eps) {
+		if Greater(ab[1], ab[0], Eps) || Greater(ab[0], ab[1], Eps) || Equal(ab[0], ab[1], Eps) {
 			t.Errorf("a comparator is true for %v", ab)
 		}
 	}

@@ -13,9 +13,8 @@
 // The paper defines the ordinal potential H(s) as the *rank* of list(s) in
 // the ordered set L of all lists. Ranks require materializing L (exponential
 // in |Π|), but the ordering they induce is exactly the lexicographic order
-// on lists, so the library exposes the comparator Less and materializes
-// ranks only for small games (tests use Ranks to confirm the two views
-// agree).
+// on lists, so the library exposes the comparator Less; the tests
+// materialize ranks for small games to confirm the two views agree.
 package potential
 
 import (
@@ -75,48 +74,6 @@ func Compare(a, b []ListEntry) int {
 // Theorem 1 states this strictly increases along every better-response step.
 func Less(g *core.Game, s, sp core.Config) bool {
 	return Compare(List(g, s), List(g, sp)) < 0
-}
-
-// Ranks materializes the paper's H(s) = rank(list(s)) for every
-// configuration of a small game: the returned map sends Config.Key() to the
-// rank (1-based) of its list in the ordered set L of all lists. Distinct
-// configurations with identical lists share a rank, exactly as in the paper.
-// It returns core.ErrTooLarge for games whose state space exceeds the
-// enumeration limit.
-func Ranks(g *core.Game) (map[string]int, error) {
-	type item struct {
-		key  string
-		list []ListEntry
-	}
-	var items []item
-	if err := g.EnumerateConfigs(func(s core.Config) bool {
-		items = append(items, item{key: s.Key(), list: List(g, s)})
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	sort.Slice(items, func(i, j int) bool { return Compare(items[i].list, items[j].list) < 0 })
-	ranks := make(map[string]int, len(items))
-	rank := 0
-	for i, it := range items {
-		if i == 0 || Compare(items[i-1].list, it.list) != 0 {
-			rank++
-		}
-		ranks[it.key] = rank
-	}
-	return ranks, nil
-}
-
-// Symmetric reports whether all coin rewards of g are equal, the premise of
-// Appendix B.
-func Symmetric(g *core.Game) bool {
-	r := g.Rewards()
-	for c := 1; c < len(r); c++ {
-		if r[c] != r[0] {
-			return false
-		}
-	}
-	return true
 }
 
 // SymmetricPotential returns Appendix B's potential H(s) = Σ_c 1/M_c(s),

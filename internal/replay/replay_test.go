@@ -1,8 +1,10 @@
 package replay
 
 import (
+	"math"
 	"testing"
 
+	"gameofcoins/internal/rng"
 	"gameofcoins/internal/stats"
 )
 
@@ -23,8 +25,15 @@ func TestScenarioBuilds(t *testing.T) {
 	if sc.BTC == sc.BCH {
 		t.Fatal("coin indices collide")
 	}
-	if got := len(sc.Sim.Agents()); got != 80 {
-		t.Fatalf("agents = %d", got)
+	// The fleet is Miners agents with Zipf powers, and every tenth starts on
+	// BCH.
+	powers := rng.Zipf(80, sc.Params.ZipfExponent, 1)
+	var bch float64
+	for i := 9; i < len(powers); i += 10 {
+		bch += powers[i]
+	}
+	if got := sc.Sim.CoinPowers()[sc.BCH]; math.Abs(got-bch) > 1e-12 {
+		t.Fatalf("BCH power = %v, want %v: the native cohort of an 80-agent fleet", got, bch)
 	}
 }
 

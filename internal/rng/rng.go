@@ -14,10 +14,7 @@ package rng
 
 import "math"
 
-const (
-	pcgMultiplier = 6364136223846793005
-	pcgDefaultInc = 1442695040888963407
-)
+const pcgMultiplier = 6364136223846793005
 
 // Rand is a deterministic pseudo-random number generator. It is NOT safe for
 // concurrent use; split independent streams instead of sharing one.
@@ -154,18 +151,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
-	}
-}
-
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
 	}
 }
 

@@ -136,25 +136,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(8)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean %v too far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance %v too far from 1", variance)
-	}
-}
-
 func TestExpMoments(t *testing.T) {
 	r := New(10)
 	const n = 200000

@@ -152,6 +152,62 @@ func TestSubmitErrorMapping(t *testing.T) {
 	}
 }
 
+// failingJobStore is a file store whose job-record writes fail.
+type failingJobStore struct{ *store.File }
+
+func (failingJobStore) PutJob(store.JobRecord) error { return errors.New("disk full") }
+
+// TestHealthzCountsPersistFailures: a store write that fails does not fail
+// the job, whose result is served from memory, and /healthz counts the
+// failure and shows its error.
+func TestHealthzCountsPersistFailures(t *testing.T) {
+	st, err := store.OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s, err := server.NewWithOptions(2, server.Options{Store: failingJobStore{st}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer s.Close()
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	c := client.New(ts.URL)
+	h, err := c.SubmitEquilibriumSweep(ctx, engine.EquilibriumSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Games: 3}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, err := h.Wait(ctx); err != nil || status.State != engine.StateDone {
+		t.Fatalf("job ended %+v, %v; want done", status, err)
+	}
+	var res engine.EquilibriumSweepResult
+	if err := h.Result(ctx, &res); err != nil || res.Games != 3 {
+		t.Fatalf("result %+v, %v; want 3 games", res, err)
+	}
+	var hz struct {
+		Failures  uint64 `json:"persist_failures"`
+		LastError string `json:"persist_last_error"`
+	}
+	for hz.Failures == 0 && ctx.Err() == nil {
+		time.Sleep(5 * time.Millisecond)
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&hz)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hz.Failures == 0 || hz.LastError != "disk full" {
+		t.Fatalf("healthz persist_failures = %d, persist_last_error = %q; want a count and \"disk full\"", hz.Failures, hz.LastError)
+	}
+}
+
 // ---- restart recovery ----
 
 // persistentServer opens (or reopens) a server on the given data directory.

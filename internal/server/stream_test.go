@@ -770,3 +770,93 @@ func sumStreamDocs(n int) int {
 	}
 	return sum
 }
+
+// TestResumeAcrossServerRestart downloads a real equilibrium_sweep across a
+// server restart through the SDK: the first stream stops after 10 tasks, a
+// new server opens the same store, and a second StreamResultFrom resumes at
+// the cut and finishes. The SDK checks each document against the catalog's
+// task schema; the assembled documents must equal a ?range fetch of the whole
+// span, and the aggregate must validate against the result schema.
+func TestResumeAcrossServerRestart(t *testing.T) {
+	const games = 40
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	dir := t.TempDir()
+	spec := map[string]any{"gen": map[string]any{"Miners": 9, "Coins": 3}, "games": games}
+	var docs []json.RawMessage
+	collect := func(task int, doc json.RawMessage) error {
+		if task != len(docs) {
+			return fmt.Errorf("task %d delivered out of order (have %d)", task, len(docs))
+		}
+		docs = append(docs, doc)
+		return nil
+	}
+
+	p1 := openPersistent(t, dir, false)
+	h1, err := client.New(p1.URL).Submit(ctx, "equilibrium_sweep", 3, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errCut := errors.New("cut")
+	_, err = h1.StreamResultFrom(ctx, 0, func(task int, doc json.RawMessage) error {
+		if err := collect(task, doc); err != nil {
+			return err
+		}
+		if len(docs) == 10 {
+			return errCut
+		}
+		return nil
+	})
+	if !errors.Is(err, errCut) || len(docs) != 10 {
+		t.Fatalf("first stream = %v after %d documents, want the cut after 10", err, len(docs))
+	}
+	p1.shutdown()
+
+	// The resubmission lands on the same cache line, now served from the
+	// store by a new server.
+	p2 := openPersistent(t, dir, false)
+	c := client.New(p2.URL)
+	h, err := c.Submit(ctx, "equilibrium_sweep", 3, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := h.StreamResultFrom(ctx, len(docs), collect)
+	if err != nil || st.State != engine.StateDone {
+		t.Fatalf("resumed stream = %s, %v", st.State, err)
+	}
+	if len(docs) != games {
+		t.Fatalf("streamed %d documents, want %d", len(docs), games)
+	}
+	ranged, err := h.ResultRange(ctx, 0, games)
+	if err != nil || len(ranged) != games {
+		t.Fatalf("?range fetch of [0,%d) = %d documents, %v", games, len(ranged), err)
+	}
+	for i := range ranged {
+		if !bytes.Equal(ranged[i], docs[i]) {
+			t.Fatalf("task %d: streamed %s, ?range %s", i, docs[i], ranged[i])
+		}
+	}
+
+	entry, err := c.Spec(ctx, "equilibrium_sweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entry.ResultSchema == nil || entry.ResultSchema.Defs["task"] == nil {
+		t.Fatal("catalog: equilibrium_sweep has no per-task result schema")
+	}
+	var agg json.RawMessage
+	if err := h.Result(ctx, &agg); err != nil {
+		t.Fatal(err)
+	}
+	if err := entry.ResultSchema.Validate(agg); err != nil {
+		t.Fatalf("aggregate does not match the catalog result schema: %v", err)
+	}
+
+	// Resuming at the end delivers nothing and reports the job done.
+	st, err = h.StreamResultFrom(ctx, games, func(task int, _ json.RawMessage) error {
+		return fmt.Errorf("task %d delivered past the end", task)
+	})
+	if err != nil || st.State != engine.StateDone {
+		t.Fatalf("stream from %d = %s, %v; want done and nothing delivered", games, st.State, err)
+	}
+}

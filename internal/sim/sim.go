@@ -41,9 +41,6 @@ type Config struct {
 	Seed uint64
 }
 
-// Hook observes each completed epoch; see Simulator.OnEpoch.
-type Hook func(epoch int, s *Simulator)
-
 // Simulator holds live simulation state.
 type Simulator struct {
 	coins      []*market.CoinMarket
@@ -52,7 +49,6 @@ type Simulator struct {
 	epochSecs  float64
 	rand       *rng.Rand
 	epoch      int
-	hooks      []Hook
 
 	// Recorded series, one per coin: hashrate share, weight, rate.
 	ShareSeries  []*trace.Series
@@ -106,23 +102,12 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// OnEpoch registers a hook invoked after every completed epoch (after
-// recording). Hooks run in registration order and may inspect state and
-// inject manipulation (fees, etc.) for the next epoch.
-func (s *Simulator) OnEpoch(h Hook) { s.hooks = append(s.hooks, h) }
-
-// Assignment returns a copy of each agent's current coin.
-func (s *Simulator) Assignment() []int { return append([]int(nil), s.assignment...) }
-
 // Epoch returns the number of completed epochs.
 func (s *Simulator) Epoch() int { return s.epoch }
 
 // Coins returns the coin markets (live pointers; manipulation hooks use
 // these to inject fees).
 func (s *Simulator) Coins() []*market.CoinMarket { return s.coins }
-
-// Agents returns the agent fleet (read-only view).
-func (s *Simulator) Agents() []mining.Agent { return s.agents }
 
 // CoinPowers returns the total agent power on each coin.
 func (s *Simulator) CoinPowers() []float64 {
@@ -199,7 +184,4 @@ func (s *Simulator) step() {
 	}
 	s.SwitchSeries.Add(t, float64(switches))
 	s.epoch++
-	for _, h := range s.hooks {
-		h(s.epoch, s)
-	}
 }

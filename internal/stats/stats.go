@@ -1,5 +1,5 @@
 // Package stats provides the small statistics toolkit the experiment harness
-// needs: summary statistics, quantiles, histograms, correlation, and simple
+// needs: summary statistics (quantiles included), correlation, and simple
 // linear regression.
 //
 // Go's ecosystem has no stdlib numerics beyond math, so this package is the
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary holds the usual scalar descriptions of a sample.
@@ -79,18 +78,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Quantile returns the q-quantile of xs using linear interpolation between
-// order statistics. q is clamped to [0, 1]. It returns NaN for an empty
-// sample.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
 func quantileSorted(sorted []float64, q float64) float64 {
 	if q < 0 {
 		q = 0
@@ -147,96 +134,4 @@ func LinearFit(xs, ys []float64) (slope, intercept float64) {
 	}
 	slope = sxy / sxx
 	return slope, my - slope*mx
-}
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int // samples below Lo
-	Over   int // samples at or above Hi
-}
-
-// NewHistogram builds a histogram of xs with the given number of bins over
-// [lo, hi). It panics if bins <= 0 or hi <= lo.
-func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: non-positive bin count")
-	}
-	if hi <= lo {
-		panic("stats: empty histogram range")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		switch {
-		case x < lo:
-			h.Under++
-		case x >= hi:
-			h.Over++
-		default:
-			i := int((x - lo) / width)
-			if i >= bins { // guard against float rounding at the upper edge
-				i = bins - 1
-			}
-			h.Counts[i]++
-		}
-	}
-	return h
-}
-
-// Total returns the number of samples inside the histogram range.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// String renders the histogram as ASCII bars, one bin per line.
-func (h *Histogram) String() string {
-	maxCount := 0
-	for _, c := range h.Counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var b strings.Builder
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		bar := 0
-		if maxCount > 0 {
-			bar = c * 40 / maxCount
-		}
-		fmt.Fprintf(&b, "[%10.4g,%10.4g) %6d %s\n",
-			h.Lo+float64(i)*width, h.Lo+float64(i+1)*width, c, strings.Repeat("#", bar))
-	}
-	return b.String()
-}
-
-// EMA computes an exponential moving average of xs with smoothing alpha in
-// (0, 1]. The result has the same length as xs.
-func EMA(xs []float64, alpha float64) []float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	out := make([]float64, len(xs))
-	out[0] = xs[0]
-	for i := 1; i < len(xs); i++ {
-		out[i] = alpha*xs[i] + (1-alpha)*out[i-1]
-	}
-	return out
-}
-
-// Diff returns the first differences of xs (len(xs)-1 elements).
-func Diff(xs []float64) []float64 {
-	if len(xs) < 2 {
-		return nil
-	}
-	out := make([]float64, len(xs)-1)
-	for i := 1; i < len(xs); i++ {
-		out[i-1] = xs[i] - xs[i-1]
-	}
-	return out
 }

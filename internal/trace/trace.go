@@ -242,16 +242,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// WriteCSV emits the table as CSV.
-func (t *Table) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.header, ",")); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}

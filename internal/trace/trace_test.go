@@ -133,15 +133,3 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("misaligned header/separator:\n%s", out)
 	}
 }
-
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("a", "b")
-	tb.AddRow(1, 2)
-	var sb strings.Builder
-	if err := tb.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if got := sb.String(); got != "a,b\n1,2\n" {
-		t.Fatalf("CSV = %q", got)
-	}
-}

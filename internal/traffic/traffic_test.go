@@ -1,7 +1,11 @@
 package traffic
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +93,34 @@ func TestParseKeyringRejectsBadEntries(t *testing.T) {
 		if _, err := ParseKeyring(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: want error", name)
 		}
+	}
+}
+
+// TestLoadKeyring: the gocserve -keys file loads like ParseKeyring's
+// input, a bad entry's error names the file, and a missing file is an
+// fs.ErrNotExist error.
+func TestLoadKeyring(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "keys")
+	if err := os.WriteFile(good, []byte("# ops\nalpha:alpha-secret-1\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	k, err := LoadKeyring(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if client, ok := k.Lookup("alpha-secret-1"); !ok || client != "alpha" {
+		t.Fatalf("Lookup = %q, %v; want alpha, true", client, ok)
+	}
+	bad := filepath.Join(dir, "bad")
+	if err := os.WriteFile(bad, []byte("alpha:short\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadKeyring(bad); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("bad keyring error = %v, want one naming %s", err, bad)
+	}
+	if _, err := LoadKeyring(filepath.Join(dir, "missing")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing keyring error = %v, want fs.ErrNotExist", err)
 	}
 }
 
