@@ -64,7 +64,8 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	for _, t := range targets {
 		targetSet[t.ImportPath] = true
 	}
-	return typeCheck(graph, targetSet)
+	_, out, err := typeCheck(graph, targetSet, token.NewFileSet())
+	return out, err
 }
 
 // goList runs `go list -json` and decodes the package stream.
@@ -113,15 +114,14 @@ func (g graphImporter) Import(path string) (*types.Package, error) {
 }
 
 // typeCheck type-checks the dependency-ordered graph (go list -deps emits
-// dependencies before dependents) and returns the target packages with full
-// syntax and type info. Dependencies are checked with IgnoreFuncBodies —
-// analyzers only need their exported API — and their type errors are
-// tolerated; a target package failing to type-check is a hard error, because
-// analyzers would silently miss findings on incomplete type info.
-func typeCheck(graph []*listedPackage, targetSet map[string]bool) ([]*Package, error) {
-	fset := token.NewFileSet()
+// dependencies before dependents) into fset. It returns every checked
+// package by import path, and the target packages with full syntax and type
+// info. Dependencies are checked API-only and their parse and type errors
+// are tolerated; a target package failing to parse or type-check is a hard
+// error, because analyzers would silently miss findings on incomplete type
+// info.
+func typeCheck(graph []*listedPackage, targetSet map[string]bool, fset *token.FileSet) (map[string]*types.Package, []*Package, error) {
 	checked := make(map[string]*types.Package, len(graph))
-	sizes := types.SizesFor("gc", runtime.GOARCH)
 	var out []*Package
 	for _, lp := range graph {
 		if lp.ImportPath == "unsafe" {
@@ -137,37 +137,16 @@ func typeCheck(graph []*listedPackage, targetSet map[string]bool) ([]*Package, e
 			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
 				if target {
-					return nil, fmt.Errorf("parse %s: %w", lp.ImportPath, err)
+					return nil, nil, fmt.Errorf("parse %s: %w", lp.ImportPath, err)
 				}
 				continue
 			}
 			files = append(files, f)
 		}
-		var firstErr error
-		cfg := types.Config{
-			Importer:         graphImporter{checked: checked, importMap: lp.ImportMap},
-			Sizes:            sizes,
-			IgnoreFuncBodies: !target,
-			FakeImportC:      true,
-			Error: func(err error) {
-				if firstErr == nil {
-					firstErr = err
-				}
-			},
-		}
-		var info *types.Info
-		if target {
-			info = &types.Info{
-				Types:      map[ast.Expr]types.TypeAndValue{},
-				Uses:       map[*ast.Ident]types.Object{},
-				Defs:       map[*ast.Ident]types.Object{},
-				Selections: map[*ast.SelectorExpr]*types.Selection{},
-				Scopes:     map[ast.Node]*types.Scope{},
-			}
-		}
-		pkg, _ := cfg.Check(lp.ImportPath, fset, files, info)
-		if target && firstErr != nil {
-			return nil, fmt.Errorf("type-check %s: %v", lp.ImportPath, firstErr)
+		imp := graphImporter{checked: checked, importMap: lp.ImportMap}
+		pkg, info, err := checkPackage(lp.ImportPath, fset, files, imp, target)
+		if err != nil {
+			return nil, nil, err
 		}
 		if pkg != nil {
 			checked[lp.ImportPath] = pkg
@@ -184,7 +163,41 @@ func typeCheck(graph []*listedPackage, targetSet map[string]bool) ([]*Package, e
 			})
 		}
 	}
-	return out, nil
+	return checked, out, nil
+}
+
+// checkPackage type-checks one package's parsed files. A target gets full
+// type info and fails on its first type error; a dependency is checked
+// API-only (IgnoreFuncBodies — analyzers only need its exported API), with
+// no info and its type errors ignored.
+func checkPackage(path string, fset *token.FileSet, files []*ast.File, imp types.Importer, target bool) (*types.Package, *types.Info, error) {
+	var firstErr error
+	cfg := types.Config{
+		Importer:         imp,
+		Sizes:            types.SizesFor("gc", runtime.GOARCH),
+		IgnoreFuncBodies: !target,
+		FakeImportC:      true,
+		Error: func(err error) {
+			if firstErr == nil {
+				firstErr = err
+			}
+		},
+	}
+	var info *types.Info
+	if target {
+		info = &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Scopes:     map[ast.Node]*types.Scope{},
+		}
+	}
+	pkg, _ := cfg.Check(path, fset, files, info)
+	if target && firstErr != nil {
+		return nil, nil, fmt.Errorf("type-check %s: %v", path, firstErr)
+	}
+	return pkg, info, nil
 }
 
 // CheckFiles type-checks a single already-parsed package (the analysistest
@@ -211,68 +224,15 @@ func CheckFiles(dir, path string, fset *token.FileSet, files []*ast.File) (*Pack
 		if err != nil {
 			return nil, err
 		}
-		// The graph importer needs packages in the shared FileSet for
-		// positions to stay coherent; re-check deps into fset.
-		deps, err := checkDeps(graph, fset)
-		if err != nil {
+		// The dependencies are checked into fset, so positions in the
+		// target and its imports stay coherent.
+		if checked, _, err = typeCheck(graph, nil, fset); err != nil {
 			return nil, err
 		}
-		checked = deps
 	}
-	var firstErr error
-	cfg := types.Config{
-		Importer: graphImporter{checked: checked},
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
-		Error: func(err error) {
-			if firstErr == nil {
-				firstErr = err
-			}
-		},
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	pkg, _ := cfg.Check(path, fset, files, info)
-	if firstErr != nil {
-		return nil, fmt.Errorf("type-check %s: %v", path, firstErr)
+	pkg, info, err := checkPackage(path, fset, files, graphImporter{checked: checked}, true)
+	if err != nil {
+		return nil, err
 	}
 	return &Package{Path: path, Name: pkg.Name(), Dir: dir, Fset: fset, Files: files, Types: pkg, Info: info}, nil
-}
-
-// checkDeps type-checks a dependency graph API-only (IgnoreFuncBodies) into
-// the given FileSet and returns the package map.
-func checkDeps(graph []*listedPackage, fset *token.FileSet) (map[string]*types.Package, error) {
-	checked := map[string]*types.Package{}
-	for _, lp := range graph {
-		if lp.ImportPath == "unsafe" {
-			checked["unsafe"] = types.Unsafe
-			continue
-		}
-		if lp.Name == "" || len(lp.GoFiles) == 0 {
-			continue
-		}
-		var files []*ast.File
-		for _, name := range lp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				continue
-			}
-			files = append(files, f)
-		}
-		cfg := types.Config{
-			Importer:         graphImporter{checked: checked, importMap: lp.ImportMap},
-			Sizes:            types.SizesFor("gc", runtime.GOARCH),
-			IgnoreFuncBodies: true,
-			FakeImportC:      true,
-			Error:            func(error) {},
-		}
-		if pkg, _ := cfg.Check(lp.ImportPath, fset, files, nil); pkg != nil {
-			checked[lp.ImportPath] = pkg
-		}
-	}
-	return checked, nil
 }

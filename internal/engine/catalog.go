@@ -26,8 +26,8 @@ type CatalogEntry struct {
 	Schema *Schema `json:"schema,omitempty"`
 	// ResultSchema describes the aggregate result document GET /result
 	// serves for this version; its $defs "task" entry is the per-task
-	// document the result data plane streams. nil when the version's
-	// RegisterResultCodec carried none (or there is no codec at all).
+	// document the result data plane streams. nil when no
+	// RegisterResultSchema registered one for the version.
 	ResultSchema *Schema `json:"result_schema,omitempty"`
 }
 

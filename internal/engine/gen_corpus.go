@@ -73,8 +73,8 @@ func main() {
 		})
 	}
 
-	// Two job records with engine-computed results: a kind with a typed
-	// result codec and small enough workloads that regeneration stays quick.
+	// Two job records with engine-computed results: kinds with a result
+	// schema and small enough workloads that regeneration stays quick.
 	records := []engine.JobEnvelope{
 		{Kind: "equilibrium_sweep", Seed: 7, Spec: json.RawMessage(`{"gen":{"Miners":4,"Coins":2},"games":20}`)},
 		{Kind: "learn_sweep", Seed: 11, Spec: json.RawMessage(`{"gen":{"Miners":5,"Coins":2},"schedulers":["random"],"runs":6}`)},

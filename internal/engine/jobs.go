@@ -173,8 +173,9 @@ func (j *Job) Cancel() {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.finished }
 
-// Result returns the aggregated result once the job is done. ok is false
-// while the job is still running or if it failed.
+// Result returns the aggregated result once the job is done (a restored
+// job's stored json.RawMessage). ok is false while the job is still running
+// or if it failed.
 func (j *Job) Result() (res any, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -376,11 +377,13 @@ func (m *Manager) bumpNextIDLocked(id string) {
 
 // Restore inserts a job already in a terminal state — the persistence
 // layer's rehydration path for jobs that finished in a previous process
-// life. A done job carries its decoded result (and full progress); failed
-// and canceled jobs carry only the recorded error. The job ID must be
-// unique; IDs in the manager's own "job-N" form advance the mint counter so
-// later submissions cannot collide.
-func (m *Manager) Restore(id, kind string, total int, result any, state State, errMsg string) (*Job, error) {
+// life. A done job keeps copies of its stored result document (Result
+// returns it as a json.RawMessage) and of its persisted per-task documents
+// by index, which rebuild its result ledger; failed and canceled jobs carry
+// only the recorded error. The job ID must be unique; IDs in the manager's
+// own "job-N" form advance the mint counter so later submissions cannot
+// collide.
+func (m *Manager) Restore(id, kind string, total int, result json.RawMessage, docs map[int]json.RawMessage, state State, errMsg string) (*Job, error) {
 	if id == "" {
 		return nil, errors.New("engine: Restore needs a job ID")
 	}
@@ -391,8 +394,16 @@ func (m *Manager) Restore(id, kind string, total int, result any, state State, e
 	close(j.finished)
 	switch {
 	case state == StateDone:
-		j.result = result
+		j.result = json.RawMessage(bytes.Clone(result))
 		j.done = total
+		if len(docs) > 0 && total > 0 {
+			j.docs = make([]json.RawMessage, total)
+			for i := range total {
+				if doc := docs[i]; doc != nil {
+					j.recordLocked(i, bytes.Clone(doc))
+				}
+			}
+		}
 	case errMsg != "":
 		j.err = errors.New(errMsg)
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,12 +14,13 @@ import (
 // everything downstream of "a task finished": the contiguous-prefix
 // watermark in Progress, partial-result range GETs served mid-run, SSE
 // result-range events, the store's incremental range records, and the
-// client's streaming iterator. Restored (already-terminal) jobs start with
-// no ledger; PrefillResults rebuilds one from the store's persisted range
-// records so range GETs and resumed result streams survive a restart.
+// client's streaming iterator. A job restored already-terminal gets one
+// from the store's persisted range records (Manager.Restore), so range GETs
+// and resumed result streams survive a restart.
 
 // ErrNoLedger reports a range query against a job without a result ledger:
-// the spec is not a TaskCoder, or the job was restored already-terminal.
+// the spec is not a TaskCoder, or the job was restored already-terminal
+// without persisted per-task documents.
 var ErrNoLedger = errors.New("engine: job has no result ledger")
 
 // ErrRangeIncomplete reports a range query for a span not yet fully
@@ -39,25 +39,6 @@ func (j *Job) recordLocked(task int, raw json.RawMessage) {
 	j.docs[task] = raw
 	for j.watermark < len(j.docs) && j.docs[j.watermark] != nil {
 		j.watermark++
-	}
-}
-
-// PrefillResults installs a result ledger over persisted per-task documents
-// for a job restored already-terminal, so ?range fetches and resumed result
-// streams keep working across a restart. No-op when the job already has a
-// ledger or there is nothing to prefill.
-func (j *Job) PrefillResults(docs map[int]json.RawMessage) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.docs != nil || len(docs) == 0 || j.total <= 0 {
-		return
-	}
-	j.docs = make([]json.RawMessage, j.total)
-	for i := range j.total {
-		if doc, ok := docs[i]; ok && doc != nil {
-			// The store's snapshot owns doc, and the ledger outlives it.
-			j.recordLocked(i, bytes.Clone(doc))
-		}
 	}
 }
 

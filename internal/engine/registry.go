@@ -51,16 +51,10 @@ type JobEnvelope struct {
 // malformed documents but leave semantic validation to the spec's Validate.
 type DecodeFunc func(json.RawMessage) (Spec, error)
 
-// ResultDecodeFunc revives a stored result document into the typed value
-// the kind's Aggregate produced. The persistence layer uses it to rehydrate
-// cached results after a restart.
-type ResultDecodeFunc func(json.RawMessage) (any, error)
-
 // specEntry is one registered (kind, version).
 type specEntry struct {
 	decode       DecodeFunc
 	schema       *Schema
-	result       ResultDecodeFunc
 	resultSchema *Schema
 }
 
@@ -241,65 +235,52 @@ func RunWire(ctx context.Context, e *Engine, spec Spec, seed uint64) (any, error
 	return e.Run(ctx, rs.Spec, seed, nil)
 }
 
-// RegisterResultCodec registers a decoder reviving a stored result document
-// of the given kind and version into the typed value its Aggregate produced,
-// and the optional result schema describing the aggregate document GET
-// /result serves. By convention the schema's $defs carry "task" (the
-// per-task document the result data plane streams) and "summary" (the
-// stats block) — the client SDK validates streamed task documents against
-// Defs["task"] when present. The codec is optional: versions without one
-// round-trip results as raw JSON — served byte-identically over HTTP, but
-// typed json.RawMessage in-process. The (kind, version) must already be
-// registered via RegisterSpec; like it, duplicates panic.
-func RegisterResultCodec(kind string, version int, decode ResultDecodeFunc, schema *Schema) {
-	if decode == nil {
-		panic("engine: RegisterResultCodec with nil decoder for " + kind)
+// RegisterResultSchema registers the result schema of the given kind and
+// version: the aggregate document GET /result serves. By convention its
+// $defs carry "task" (the per-task document the result data plane streams)
+// and "summary" (the stats block) — the client SDK validates streamed task
+// documents against Defs["task"] when present, and rehydration checks a
+// stored result against the whole schema (ValidateResult). Registering one
+// is optional: a version without a result schema streams unchecked and
+// restores any stored result. The (kind, version) must already be
+// registered via RegisterSpec; like it, a duplicate or a nil schema panics.
+func RegisterResultSchema(kind string, version int, schema *Schema) {
+	if schema == nil {
+		panic("engine: RegisterResultSchema with nil schema for " + kind)
 	}
 	registry.Lock()
 	defer registry.Unlock()
 	e := registry.kinds[kind][version]
 	if e == nil {
-		panic(fmt.Sprintf("engine: RegisterResultCodec for unregistered kind %s version %d", kind, version))
+		panic(fmt.Sprintf("engine: RegisterResultSchema for unregistered kind %s version %d", kind, version))
 	}
-	if e.result != nil {
-		panic(fmt.Sprintf("engine: RegisterResultCodec duplicate kind %s version %d", kind, version))
+	if e.resultSchema != nil {
+		panic(fmt.Sprintf("engine: RegisterResultSchema duplicate kind %s version %d", kind, version))
 	}
-	e.result = decode
 	e.resultSchema = schema
 }
 
-// DecodeResult revives a stored result document of the given kind and
-// version (0 counts as 1, the pre-versioning format): through the version's
-// registered result codec when there is one, otherwise as a copy of the raw
-// document itself. Raw documents re-encode byte-identically (the original
-// bytes came from marshalling the typed result), so persistence never
-// depends on a codec being registered.
-func DecodeResult(kind string, version int, raw json.RawMessage) (any, error) {
+// ValidateResult checks a stored result document of the given kind and
+// version (0 counts as 1, the pre-versioning format) against the version's
+// result schema: rehydration serves a done record's bytes as they are only
+// once they pass, and recomputes the job otherwise. A version without a
+// result schema (or a kind no longer registered) accepts any document. An
+// empty document fails a schema: it is no result at all.
+func ValidateResult(kind string, version int, raw json.RawMessage) error {
+	version = max(version, 1)
 	registry.RLock()
-	var decode ResultDecodeFunc
-	if e := registry.kinds[kind][max(version, 1)]; e != nil {
-		decode = e.result
+	var schema *Schema
+	if e := registry.kinds[kind][version]; e != nil {
+		schema = e.resultSchema
 	}
 	registry.RUnlock()
-	if decode == nil {
-		return json.RawMessage(bytes.Clone(raw)), nil
+	if schema == nil {
+		return nil
 	}
-	res, err := decode(raw)
-	if err != nil {
-		return nil, fmt.Errorf("engine: decode %s result: %w", VersionedKind(kind, max(version, 1)), err)
+	if err := schema.check(schema, raw); err != nil {
+		return fmt.Errorf("engine: %s result: %w", VersionedKind(kind, version), err)
 	}
-	return res, nil
-}
-
-// ResultJSON adapts a result struct type R to a ResultDecodeFunc.
-func ResultJSON[R any]() ResultDecodeFunc {
-	return func(raw json.RawMessage) (any, error) {
-		var r R
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return nil, err
-		}
-		return r, nil
-	}
+	return nil
 }
 
 // SpecKinds returns the registered bare spec kinds, sorted.
@@ -356,10 +337,10 @@ func init() {
 	RegisterSpec(DesignSweep{}.Kind(), 1, DecodeJSON[DesignSweep](), designSweepSchema())
 	RegisterSpec(ReplaySweep{}.Kind(), 1, DecodeJSON[ReplaySweep](), replaySweepSchema())
 	RegisterSpec(EquilibriumSweep{}.Kind(), 1, DecodeJSON[EquilibriumSweep](), equilibriumSweepSchema())
-	RegisterResultCodec(LearnSweep{}.Kind(), 1, ResultJSON[LearnSweepResult](), learnSweepResultSchema())
-	RegisterResultCodec(DesignSweep{}.Kind(), 1, ResultJSON[DesignSweepResult](), designSweepResultSchema())
-	RegisterResultCodec(ReplaySweep{}.Kind(), 1, ResultJSON[ReplaySweepResult](), replaySweepResultSchema())
-	RegisterResultCodec(EquilibriumSweep{}.Kind(), 1, ResultJSON[EquilibriumSweepResult](), equilibriumSweepResultSchema())
+	RegisterResultSchema(LearnSweep{}.Kind(), 1, learnSweepResultSchema())
+	RegisterResultSchema(DesignSweep{}.Kind(), 1, designSweepResultSchema())
+	RegisterResultSchema(ReplaySweep{}.Kind(), 1, replaySweepResultSchema())
+	RegisterResultSchema(EquilibriumSweep{}.Kind(), 1, equilibriumSweepResultSchema())
 }
 
 // GameResolver resolves a registered-game reference (e.g. gocserve's

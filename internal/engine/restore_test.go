@@ -3,7 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/json"
-	"reflect"
+	"errors"
 	"strings"
 	"testing"
 
@@ -13,22 +13,32 @@ import (
 
 // TestManagerRestore: a terminal job injected by the persistence layer is
 // indistinguishable from one that finished in-process — status, result,
-// Done/Wait — and its ID advances the mint counter so later submissions
-// never collide.
+// Done/Wait — its persisted task documents rebuild its ledger, it keeps
+// copies of the store's bytes, and its ID advances the mint counter so
+// later submissions never collide.
 func TestManagerRestore(t *testing.T) {
 	m := NewManager(New(1))
 	defer m.Close()
 
-	job, err := m.Restore("job-7", "toy", 3, 42, StateDone, "")
+	result := json.RawMessage(`42`)
+	docs := map[int]json.RawMessage{0: json.RawMessage(`7`), 2: json.RawMessage(`9`), 5: json.RawMessage(`1`)}
+	job, err := m.Restore("job-7", "toy", 3, result, docs, StateDone, "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	result[0], docs[0][0] = '5', '8'
 	st := job.Status()
-	if st.State != StateDone || st.Progress.Done != 3 || st.Progress.Total != 3 {
+	if st.State != StateDone || st.Progress.Done != 3 || st.Progress.Total != 3 || st.Progress.Watermark != 1 {
 		t.Fatalf("restored status = %+v", st)
 	}
-	if res, ok := job.Result(); !ok || res != 42 {
-		t.Fatalf("restored result = %v, %v", res, ok)
+	if res, ok := job.Result(); !ok || string(res.(json.RawMessage)) != "42" {
+		t.Fatalf("restored result = %s, %v", res, ok)
+	}
+	if got, err := job.ResultRange(0, 1); err != nil || string(got[0]) != "7" {
+		t.Fatalf("restored range [0,1) = %s, %v", got, err)
+	}
+	if _, err := job.ResultRange(0, 3); !errors.Is(err, ErrRangeIncomplete) {
+		t.Fatalf("range over a missing document: %v", err)
 	}
 	select {
 	case <-job.Done():
@@ -44,13 +54,16 @@ func TestManagerRestore(t *testing.T) {
 	}
 
 	// Failed restores carry their recorded error; Cancel is a no-op.
-	failed, err := m.Restore("job-9", "toy", 2, nil, StateFailed, "stored boom")
+	failed, err := m.Restore("job-9", "toy", 2, nil, nil, StateFailed, "stored boom")
 	if err != nil {
 		t.Fatal(err)
 	}
 	failed.Cancel()
 	if st := failed.Status(); st.State != StateFailed || st.Error != "stored boom" {
 		t.Fatalf("failed status = %+v", st)
+	}
+	if _, err := failed.ResultRange(0, 1); !errors.Is(err, ErrNoLedger) {
+		t.Fatalf("failed restore's range: %v", err)
 	}
 
 	// The counter moved past the highest restored ID.
@@ -64,13 +77,13 @@ func TestManagerRestore(t *testing.T) {
 	}
 
 	// Guard rails: duplicates and non-terminal states are rejected.
-	if _, err := m.Restore("job-7", "toy", 1, nil, StateDone, ""); err == nil {
+	if _, err := m.Restore("job-7", "toy", 1, nil, nil, StateDone, ""); err == nil {
 		t.Fatal("duplicate restore accepted")
 	}
-	if _, err := m.Restore("job-99", "toy", 1, nil, StateRunning, ""); err == nil {
+	if _, err := m.Restore("job-99", "toy", 1, nil, nil, StateRunning, ""); err == nil {
 		t.Fatal("non-terminal restore accepted")
 	}
-	if _, err := m.Restore("", "toy", 1, nil, StateDone, ""); err == nil {
+	if _, err := m.Restore("", "toy", 1, nil, nil, StateDone, ""); err == nil {
 		t.Fatal("empty-ID restore accepted")
 	}
 }
@@ -128,58 +141,37 @@ func TestManagerResubmit(t *testing.T) {
 	}
 }
 
-// TestResultCodecRoundTrip: built-in results revive through the registry
-// into their typed form; unregistered kinds fall back to a raw-JSON copy.
-func TestResultCodecRoundTrip(t *testing.T) {
-	orig := LearnSweepResult{
+// TestResultSchemaCheck: a stored result passes only its version's result
+// schema — a built-in result passes, a kind with no result schema accepts
+// any document, and a corrupt document's error names the kind.
+func TestResultSchemaCheck(t *testing.T) {
+	raw, err := json.Marshal(LearnSweepResult{
 		TotalRuns: 8,
 		Schedulers: []SchedulerSummary{{
 			Scheduler: "random", Runs: 8, Converged: 8,
 			Steps: stats.Summarize([]float64{3, 5, 7, 9}),
 		}},
-	}
-	raw, err := json.Marshal(orig)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	revived, err := DecodeResult("learn_sweep", 1, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	typed, ok := revived.(LearnSweepResult)
-	if !ok {
-		t.Fatalf("revived type = %T", revived)
-	}
-	if !reflect.DeepEqual(typed, orig) {
-		t.Fatalf("round-trip changed the result:\n%+v\n%+v", typed, orig)
-	}
-	// Re-encoding is byte-identical — the property the restart cache needs.
-	again, err := json.Marshal(typed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != string(raw) {
-		t.Fatalf("re-encoded bytes differ:\n%s\n%s", again, raw)
+	// Version 0, the pre-versioning records' version, counts as 1.
+	for _, version := range []int{0, 1} {
+		if err := ValidateResult("learn_sweep", version, raw); err != nil {
+			t.Fatalf("v%d: built-in result rejected: %v", version, err)
+		}
 	}
 
-	// Unregistered kind: the raw document itself comes back (a copy).
-	doc := json.RawMessage(`{"answer":41}`)
-	out, err := DecodeResult("never_registered_kind", 1, doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawOut, ok := out.(json.RawMessage)
-	if !ok || string(rawOut) != string(doc) {
-		t.Fatalf("fallback = %T %s", out, rawOut)
-	}
-	doc[10] = '2'
-	if string(rawOut) != `{"answer":41}` {
-		t.Fatal("fallback aliases the caller's buffer")
+	for _, doc := range []string{`{"answer":41}`, `[1,"x"]`, ``} {
+		if err := ValidateResult("never_registered_kind", 1, json.RawMessage(doc)); err != nil {
+			t.Fatalf("kind without a result schema rejected %q: %v", doc, err)
+		}
 	}
 
-	// A registered codec surfaces corrupt documents as errors.
-	if _, err := DecodeResult("learn_sweep", 1, json.RawMessage(`{"total_runs":"nope"}`)); err == nil ||
-		!strings.Contains(err.Error(), "learn_sweep") {
-		t.Fatalf("corrupt document err = %v", err)
+	for _, doc := range []string{`{"total_runs":"nope"}`, `{"total_runs":8,"bogus":1}`, `[]`, ``, `{"total_runs":`} {
+		if err := ValidateResult("learn_sweep", 1, json.RawMessage(doc)); err == nil ||
+			!strings.Contains(err.Error(), "learn_sweep") {
+			t.Fatalf("corrupt document %q: err = %v", doc, err)
+		}
 	}
 }

@@ -18,9 +18,10 @@ import (
 // JSON-pointer path instead of whatever error text encoding/json produces.
 //
 // The subset is deliberately the shape level only — types, known fields,
-// required fields, array items — because that is exactly what the registered
-// decoder enforces (DecodeJSON + DisallowUnknownFields). Semantic rules
-// ("runs must be positive") stay in the spec's Validate, so a schema accepts
+// array items, $defs references — because that is exactly what the
+// registered decoder enforces (DecodeJSON + DisallowUnknownFields), which
+// has no required fields and no value constraints. Semantic rules ("runs
+// must be positive") stay in the spec's Validate, so a schema accepts
 // precisely the documents its decoder accepts; the agreement is enforced by
 // tests in schema_test.go.
 type Schema struct {
@@ -30,18 +31,10 @@ type Schema struct {
 	// "boolean", "null"; empty accepts any value.
 	Type       string             `json:"type,omitempty"`
 	Properties map[string]*Schema `json:"properties,omitempty"`
-	Required   []string           `json:"required,omitempty"`
 	// AdditionalProperties false rejects unknown object keys — the schema
 	// form of DecodeJSON's DisallowUnknownFields. nil (omitted) allows them.
 	AdditionalProperties *bool   `json:"additionalProperties,omitempty"`
 	Items                *Schema `json:"items,omitempty"`
-	// Enum and Minimum are rendered for clients and enforced by Validate,
-	// but the built-in sweep schemas leave them unset: encoding/json has no
-	// value constraints, and a schema stricter than its decoder would 422
-	// documents the decoder (and the spec's own Validate) are the authority
-	// on.
-	Enum    []any    `json:"enum,omitempty"`
-	Minimum *float64 `json:"minimum,omitempty"`
 	// Defs holds shared sub-schemas referenced by Ref ("#/$defs/name").
 	// Only the root schema's Defs are consulted during validation; nested
 	// Defs render but do not resolve, matching how the built-in result
@@ -190,32 +183,19 @@ func (w *walker) value(s *Schema, depth int) *SchemaError {
 	if err := s.checkType(c, lit); err != nil {
 		return err
 	}
-	if len(s.Enum) > 0 {
-		end := jsonscan.Scanner{Doc: w.Doc, Pos: start}
-		end.SkipValue()
-		if err := s.checkEnum(w.Doc[start:end.Pos]); err != nil {
-			return err
-		}
-	}
 	switch c {
 	case '{':
 		return w.object(s, depth)
 	case '[':
 		return w.array(s, depth)
 	}
-	if s.Minimum != nil && jsonType(c) == "number" {
-		if f, err := strconv.ParseFloat(string(lit), 64); err == nil && f < *s.Minimum {
-			return &SchemaError{Msg: fmt.Sprintf("%s is below minimum %v", lit, *s.Minimum)}
-		}
-	}
 	return nil
 }
 
-// object checks the object at w.Pos: its required fields first, then every
-// member in document order, each occurrence of a repeated key included —
-// encoding/json decodes each occurrence into the field, so each must fit.
+// object checks every member of the object at w.Pos in document order,
+// each occurrence of a repeated key included — encoding/json decodes each
+// occurrence into the field, so each must fit.
 func (w *walker) object(s *Schema, depth int) *SchemaError {
-	start := w.Pos
 	closed := s.AdditionalProperties != nil && !*s.AdditionalProperties
 	w.Pos++
 	for w.SkipSpace(); w.Doc[w.Pos] != '}'; w.SkipSpace() {
@@ -231,16 +211,12 @@ func (w *walker) object(s *Schema, depth int) *SchemaError {
 			w.SkipValue()
 		}
 		if err != nil {
-			// A missing required field outranks any member's violation.
-			if missing := s.missingRequired(w.Doc[start:]); missing != nil {
-				return missing
-			}
 			err.Path = "/" + escapePointer(string(key)) + err.Path
 			return err
 		}
 	}
 	w.Pos++
-	return s.missingRequired(w.Doc[start:w.Pos])
+	return nil
 }
 
 // array checks the array at w.Pos element by element against s.Items.
@@ -318,51 +294,6 @@ func isInteger(lit []byte) bool {
 	return len(digits) < len(limit) || len(digits) == len(limit) && string(digits) <= limit
 }
 
-// checkEnum decodes the one value raw holds and compares its canonical
-// encoding with each allowed value's.
-func (s *Schema) checkEnum(raw []byte) *SchemaError {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var v any
-	_ = dec.Decode(&v) // cannot fail: raw is one well-formed value
-	want, err := json.Marshal(v)
-	if err != nil {
-		return &SchemaError{Msg: "unencodable value"}
-	}
-	for _, allowed := range s.Enum {
-		b, err := json.Marshal(allowed)
-		if err == nil && bytes.Equal(b, want) {
-			return nil
-		}
-	}
-	return &SchemaError{Msg: fmt.Sprintf("%s not in enum", want)}
-}
-
-// missingRequired reports the first of s.Required that the object at the
-// start of obj lacks. It rescans the object's keys once per required name,
-// which needs no per-object state however long the list is.
-func (s *Schema) missingRequired(obj []byte) *SchemaError {
-	for _, name := range s.Required {
-		if !hasMember(obj, name) {
-			return &SchemaError{Msg: fmt.Sprintf("missing required field %q", name)}
-		}
-	}
-	return nil
-}
-
-// hasMember reports whether the object at the start of obj has a member
-// whose key decodes to name.
-func hasMember(obj []byte, name string) bool {
-	w := jsonscan.Scanner{Doc: obj, Pos: 1}
-	for w.SkipSpace(); w.Doc[w.Pos] != '}'; w.SkipSpace() {
-		if string(w.Member()) == name {
-			return true
-		}
-		w.SkipValue()
-	}
-	return false
-}
-
 // escapePointer escapes one JSON-pointer reference token (RFC 6901: "~"
 // becomes "~0", "/" becomes "~1").
 func escapePointer(token string) string {
@@ -374,15 +305,15 @@ func escapePointer(token string) string {
 
 // SchemaObject returns an object schema over the given properties that
 // rejects unknown fields — the shape DecodeJSON enforces.
-func SchemaObject(props map[string]*Schema, required ...string) *Schema {
+func SchemaObject(props map[string]*Schema) *Schema {
 	f := false
-	return &Schema{Type: "object", Properties: props, Required: required, AdditionalProperties: &f}
+	return &Schema{Type: "object", Properties: props, AdditionalProperties: &f}
 }
 
 // SchemaOpenObject is SchemaObject without the unknown-field rejection, for
 // sub-documents decoded by custom unmarshalers that tolerate extra keys.
-func SchemaOpenObject(props map[string]*Schema, required ...string) *Schema {
-	return &Schema{Type: "object", Properties: props, Required: required}
+func SchemaOpenObject(props map[string]*Schema) *Schema {
+	return &Schema{Type: "object", Properties: props}
 }
 
 // SchemaArray returns an array schema with the given item schema.

@@ -3,9 +3,6 @@ package engine
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -125,8 +122,7 @@ func TestSchemaErrorPaths(t *testing.T) {
 }
 
 // TestSchemaValidateEdges: nil schema and empty/null documents are valid;
-// pointer tokens escape RFC-6901 special characters; enum and minimum are
-// enforced when present.
+// pointer tokens escape RFC-6901 special characters.
 func TestSchemaValidateEdges(t *testing.T) {
 	var nilSchema *Schema
 	if err := nilSchema.Validate(json.RawMessage(`{"anything":1}`)); err != nil {
@@ -150,50 +146,6 @@ func TestSchemaValidateEdges(t *testing.T) {
 	}
 	if err := s.Validate(json.RawMessage(`not json`)); err == nil {
 		t.Fatal("malformed JSON accepted")
-	}
-
-	min := 2.0
-	bounded := &Schema{Type: "integer", Minimum: &min}
-	if err := bounded.Validate(json.RawMessage(`1`)); err == nil {
-		t.Fatal("below-minimum accepted")
-	}
-	if err := bounded.Validate(json.RawMessage(`2`)); err != nil {
-		t.Fatalf("at-minimum rejected: %v", err)
-	}
-	// Required lists of any length are checked, a repeated key counts as
-	// present, and a missing required field outranks any member's violation.
-	names := make([]string, 70)
-	members := make([]string, 70)
-	for i := range names {
-		names[i] = "f" + strconv.Itoa(i)
-		members[i] = `"` + names[i] + `":1`
-	}
-	req := SchemaOpenObject(map[string]*Schema{"f0": SchemaInt("")}, names...)
-	object := func(members ...string) json.RawMessage {
-		return json.RawMessage("{" + strings.Join(members, ",") + "}")
-	}
-	if err := req.Validate(object(append(members, `"f0":2`)...)); err != nil {
-		t.Fatalf("all required fields present: %v", err)
-	}
-	for _, c := range []struct {
-		doc     json.RawMessage
-		missing string
-	}{
-		{object(members[:69]...), "f69"},
-		{object(append([]string{`"f0":"x"`}, members[1:68]...)...), "f68"},
-	} {
-		err := req.Validate(c.doc)
-		if se, ok := err.(*SchemaError); !ok || se.Path != "" || se.Msg != fmt.Sprintf("missing required field %q", c.missing) {
-			t.Fatalf("want missing %s, got %v", c.missing, err)
-		}
-	}
-
-	enum := &Schema{Type: "string", Enum: []any{"a", "b"}}
-	if err := enum.Validate(json.RawMessage(`"c"`)); err == nil {
-		t.Fatal("non-enum value accepted")
-	}
-	if err := enum.Validate(json.RawMessage(`"b"`)); err != nil {
-		t.Fatalf("enum value rejected: %v", err)
 	}
 
 	// Large uint64 seeds are integers (ParseInt fails, ParseUint succeeds) —

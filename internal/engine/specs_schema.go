@@ -133,13 +133,14 @@ func equilibriumSweepSchema() *Schema {
 	return s
 }
 
-// Result schemas, carried by RegisterResultCodec and served from the catalog
-// as CatalogEntry.ResultSchema. Each describes the AGGREGATE result document
-// GET /result serves; its $defs carry two shared sub-documents by
-// convention: "task" is the per-task document the result data plane streams
-// (range GET bodies, StreamResult items, store range records), and "summary"
-// is the stats.Summary block the sweeps aggregate into. Aggregate objects
-// are closed — json.Marshal of a known struct emits exactly these fields —
+// Result schemas, registered by RegisterResultSchema and served from the
+// catalog as CatalogEntry.ResultSchema. Each describes the AGGREGATE result
+// document GET /result serves (and a stored result must pass to be served
+// after a restart); its $defs carry two shared sub-documents by convention:
+// "task" is the per-task document the result data plane streams (range GET
+// bodies, StreamResult items, store range records), and "summary" is the
+// stats.Summary block the sweeps aggregate into. Aggregate objects are
+// closed — json.Marshal of a known struct emits exactly these fields —
 // while task documents are open, because decodeTaskAs uses plain Unmarshal
 // (tolerant of unknown keys) and a schema must never be stricter than its
 // decoder.

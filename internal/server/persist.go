@@ -148,36 +148,32 @@ type watchStart struct {
 	from int
 }
 
-// rehydrateJob revives one job record. Terminal jobs are restored as-is
-// (done jobs re-enter the result cache; the record's result document decodes
-// through the registry's result codec, so the served bytes are identical to
-// the pre-restart ones). A record still marked submitted was interrupted
-// mid-run — and a done record whose result document no longer decodes (a
-// codec changed across the upgrade) is treated the same way: the stored
-// spec and seed deterministically recompute the result, so nothing is
-// destroyed. Nothing here is fatal: a record that cannot be revived at all
-// (kind no longer registered, corrupt spec) becomes a failed job that says
-// why, not a startup abort.
+// rehydrateJob revives one job record. Terminal jobs are restored as-is: a
+// done job re-enters the result cache with its stored result document,
+// served as stored (the pre-restart bytes), and its persisted ranges, which
+// rebuild its result ledger. A record still marked submitted was
+// interrupted mid-run — and a done record whose result fails its version's
+// result schema is treated the same way: the stored spec and seed
+// deterministically recompute the result, so nothing is destroyed. Nothing
+// here is fatal: a record that cannot be revived at all (kind no longer
+// registered, corrupt spec) becomes a failed job that says why, not a
+// startup abort.
 func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, ranges []store.RangeRecord) []watchStart {
 	switch rec.State {
 	case store.JobDone:
-		res, err := engine.DecodeResult(rec.Kind, rec.Version, rec.Result)
-		if err != nil {
+		if err := engine.ValidateResult(rec.Kind, rec.Version, rec.Result); err != nil {
 			return s.recomputeJob(rec, failInterrupted,
 				fmt.Sprintf("stored result unreadable after restart: %v", err), ranges)
 		}
-		if j, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, res, engine.StateDone, ""); err == nil {
+		prefill, _ := flattenRanges(rec.Tasks, ranges)
+		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, rec.Result, prefill, engine.StateDone, ""); err == nil {
 			//goclint:allow lockguard -- pre-publication: rehydrateJob runs under rehydrate before the server is shared
 			s.cache[rec.Key] = rec.ID
-			// Persisted per-task ranges rebuild the result ledger, so ?range
-			// fetches and resumed result streams survive the restart.
-			prefill, _ := flattenRanges(rec.Tasks, ranges)
-			j.PrefillResults(prefill)
 		}
 	case store.JobFailed:
-		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, engine.StateFailed, rec.Error)
+		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, nil, engine.StateFailed, rec.Error)
 	case store.JobCanceled:
-		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, engine.StateCanceled, rec.Error)
+		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, nil, engine.StateCanceled, rec.Error)
 	case store.JobSubmitted:
 		return s.recomputeJob(rec, failInterrupted, "interrupted by server restart", ranges)
 	}
@@ -208,7 +204,7 @@ func flattenRanges(tasks int, ranges []store.RangeRecord) (map[int]json.RawMessa
 
 // recomputeJob reruns a job record under its original ID, spec, and seed —
 // the recovery path for interrupted jobs and for done records whose stored
-// result can no longer be decoded. Persisted result ranges from the previous
+// result fails its schema. Persisted result ranges from the previous
 // life prefill the engine's result ledger, so only the missing suffix of
 // tasks actually recomputes — and determinism makes the reassembled result
 // byte-identical to an uninterrupted run. With failInterrupted set (or when
@@ -217,7 +213,7 @@ func flattenRanges(tasks int, ranges []store.RangeRecord) (map[int]json.RawMessa
 // attached by the caller once rehydration has finished building the tables.
 func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason string, ranges []store.RangeRecord) []watchStart {
 	restoreFailed := func(msg string) {
-		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, engine.StateFailed, msg); err == nil {
+		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, nil, engine.StateFailed, msg); err == nil {
 			rec.State = store.JobFailed
 			rec.Error = msg
 			rec.Result = nil

@@ -273,8 +273,8 @@ func waitRecordState(t *testing.T, st *store.File, jobID, state string) {
 // TestRestartServesCachedResults: results computed before a shutdown are
 // served byte-identically — same job IDs, same bytes, cached:true — after a
 // fresh process rehydrates the same data directory, for both a built-in
-// kind (typed result codec) and a custom kind with no codec (raw-JSON
-// round-trip). Games and v2 handles survive too.
+// kind (its stored result checked against the kind's result schema) and a
+// custom kind with no result schema. Games and v2 handles survive too.
 func TestRestartServesCachedResults(t *testing.T) {
 	dir := t.TempDir()
 	p1 := openPersistent(t, dir, false)
@@ -300,7 +300,7 @@ func TestRestartServesCachedResults(t *testing.T) {
 	waitHandleDone(t, p1.URL, hl.ID())
 	learnJobID := hl.Submitted.Status.ID
 
-	// …and a custom kind (no result codec registered).
+	// …and a custom kind (no result schema registered).
 	h, err := c1.Submit(ctx, "toy_sum", 9, toySpec{N: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -402,9 +402,11 @@ func TestRestartResubmitsInterruptedJobs(t *testing.T) {
 }
 
 // TestRestartRecomputesUnreadableResult: a done record whose stored result
-// document no longer decodes (a result codec changed across an upgrade) is
-// recomputed from its spec and seed instead of being destroyed — the same
-// recovery path interrupted jobs take.
+// document fails its kind's result schema — a wrong type, or an unknown
+// field next to a wrong count, as a hand edit or a changed result shape
+// leaves it — is recomputed from its spec and seed instead of being
+// destroyed or served as stored: the same recovery path interrupted jobs
+// take.
 func TestRestartRecomputesUnreadableResult(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.OpenFile(dir)
@@ -416,33 +418,42 @@ func TestRestartRecomputesUnreadableResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := engine.CacheKeyJSON(spec.Kind(), raw, 3)
-	rec := store.JobRecord{ID: "job-1", Key: key, Kind: spec.Kind(), Seed: 3, Tasks: 5,
-		Spec: raw, State: store.JobDone,
-		Result: json.RawMessage(`{"games":"not-an-int"}`)} // rejected by the codec
-	if err := st.PutJob(rec); err != nil {
-		t.Fatal(err)
+	stored := []json.RawMessage{
+		json.RawMessage(`{"games":"not-an-int"}`),
+		json.RawMessage(`{"games":4,"multiple":0,"equilibria_per_game":null,"note":"edited"}`),
 	}
-	if err := st.PutHandle("h-1", "job-1"); err != nil {
-		t.Fatal(err)
+	for i, result := range stored {
+		seed := uint64(3 + i)
+		id := "job-" + strconv.Itoa(i+1)
+		rec := store.JobRecord{ID: id, Key: engine.CacheKeyJSON(spec.Kind(), raw, seed), Kind: spec.Kind(),
+			Seed: seed, Tasks: 5, Spec: raw, State: store.JobDone, Result: result}
+		if err := st.PutJob(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutHandle("h-"+strconv.Itoa(i+1), id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	p := openPersistent(t, dir, false)
-	final := waitHandleTerminal(t, p.URL, "h-1")
-	if final.ID != "job-1" || final.State != engine.StateDone {
-		t.Fatalf("unreadable-result job ended %+v, want job-1 recomputed done", final)
-	}
-	var res struct {
-		Result engine.EquilibriumSweepResult `json:"result"`
-	}
-	if err := json.Unmarshal(rawGet(t, p.URL+"/v2/jobs/h-1/result"), &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Result.Games != 5 {
-		t.Fatalf("recomputed result = %+v", res.Result)
+	for i := range stored {
+		h, id := "h-"+strconv.Itoa(i+1), "job-"+strconv.Itoa(i+1)
+		final := waitHandleTerminal(t, p.URL, h)
+		if final.ID != id || final.State != engine.StateDone {
+			t.Fatalf("unreadable-result job ended %+v, want %s recomputed done", final, id)
+		}
+		var res struct {
+			Result engine.EquilibriumSweepResult `json:"result"`
+		}
+		if err := json.Unmarshal(rawGet(t, p.URL+"/v2/jobs/"+h+"/result"), &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Result.Games != 5 {
+			t.Fatalf("%s: recomputed result = %+v", id, res.Result)
+		}
 	}
 }
 

@@ -112,17 +112,17 @@ func init() {
 		}))
 	rs := engine.SchemaInt("sum of per-task values")
 	rs.Defs = map[string]*engine.Schema{"task": engine.SchemaInt("per-task value, 1000+3*i")}
-	engine.RegisterResultCodec("test_stream", 1, engine.ResultJSON[int](), rs)
+	engine.RegisterResultSchema("test_stream", 1, rs)
 
 	engine.RegisterSpec("test_badtask", 1, engine.DecodeJSON[badTaskSpec](), nil)
-	engine.RegisterResultCodec("test_badtask", 1, engine.ResultJSON[int](), stringTasks())
+	engine.RegisterResultSchema("test_badtask", 1, stringTasks())
 
 	// test_pinned@v1 streams the int documents its task $def declares; its
 	// v2 declares string documents, which v1 jobs do not produce.
 	engine.RegisterSpec("test_pinned", 1, engine.DecodeJSON[pinnedSpec](), nil)
-	engine.RegisterResultCodec("test_pinned", 1, engine.ResultJSON[int](), rs)
+	engine.RegisterResultSchema("test_pinned", 1, rs)
 	engine.RegisterSpec("test_pinned", 2, engine.DecodeJSON[pinnedSpec](), nil)
-	engine.RegisterResultCodec("test_pinned", 2, engine.ResultJSON[int](), stringTasks())
+	engine.RegisterResultSchema("test_pinned", 2, stringTasks())
 }
 
 // stringTasks is a result schema declaring string task documents, which the

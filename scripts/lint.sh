@@ -14,9 +14,13 @@
 #                not gate. See DESIGN.md.
 #   staticcheck / govulncheck — pinned via `go run tool@version` so nothing
 #                is installed into the image. These need module downloads,
-#                which offline environments (including the sealed test
-#                containers) cannot do: a *download* failure skips the check
-#                with a notice, but once the tool runs, its findings gate.
+#                which hosts without network cannot do: a *download* failure
+#                skips the check with a notice, but once the tool runs, its
+#                findings gate.
+#
+# Offline, run `GOPROXY=off ./scripts/lint.sh`: module lookups are then
+# refused locally, so the run never reaches for the network, and both
+# pinned tools skip at once.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,7 +59,7 @@ run_pinned_tool() {
         echo "ok"
         return 0
     fi
-    if echo "$out" | grep -qiE 'dial tcp|no such host|connection refused|i/o timeout|unrecognized import path|proxy.*404|cannot find module|missing go.sum entry|tls handshake'; then
+    if echo "$out" | grep -qiE 'dial tcp|no such host|connection refused|i/o timeout|unrecognized import path|proxy.*404|cannot find module|missing go.sum entry|tls handshake|module lookup disabled by GOPROXY=off'; then
         echo "skip: $name unavailable offline (module download failed)"
         return 0
     fi
