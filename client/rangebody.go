@@ -94,7 +94,7 @@ func taskError(lo int, err error) error {
 	if errors.As(err, &se) {
 		idx, rest, nested := strings.Cut(strings.TrimPrefix(se.Path, "/"), "/")
 		if k, perr := strconv.Atoi(idx); perr == nil {
-			doc := &engine.SchemaError{Msg: se.Msg}
+			doc := &engine.SchemaError{Doc: "task document", Msg: se.Msg}
 			if nested {
 				doc.Path = "/" + rest
 			}

@@ -224,11 +224,7 @@ func (e *Engine) newRun(ctx context.Context, spec Spec, seed uint64, opts Submit
 	// tasks run. An entry that fails to decode is recomputed instead, which
 	// is always correct (determinism makes the recomputed value identical).
 	// Decoding is the spec's code, so it runs outside the job mutex.
-	for i := range n {
-		raw, ok := opts.Prefill[i]
-		if !ok {
-			continue
-		}
+	for i, raw := range opts.Prefill[:min(len(opts.Prefill), n)] {
 		if out, err := coder.DecodeTaskResult(raw); err == nil {
 			j.mu.Lock()
 			j.publishLocked(e, r, i, out, raw, false)

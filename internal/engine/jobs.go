@@ -293,11 +293,14 @@ type SubmitOptions struct {
 	// distributable — the coordinator may lease ranges of its tasks to
 	// remote workers. Distribution changes where tasks run, never results.
 	Remote *RemoteInfo
-	// Prefill seeds already-computed task results by index in TaskCoder
-	// wire form — the restart path. Valid entries are published before any
-	// task runs, so only the missing suffix recomputes; invalid entries are
-	// recomputed. Ignored unless the spec implements TaskCoder.
-	Prefill map[int]json.RawMessage
+	// Prefill seeds already-computed task results in TaskCoder wire form —
+	// the restart path: Prefill[i] is task i's document, for the prefix of
+	// tasks [0, len(Prefill)) the store persisted. Valid documents are
+	// published before any task runs, so only the missing suffix
+	// recomputes; invalid ones are recomputed, and documents past the
+	// spec's task count are ignored. Ignored unless the spec implements
+	// TaskCoder.
+	Prefill []json.RawMessage
 	// Client names the submitting tenant for per-client quota accounting
 	// and scheduler stats; empty means anonymous. Weight scales the job's
 	// urgency in fair-share comparisons — the priority-class weight on
@@ -378,12 +381,12 @@ func (m *Manager) bumpNextIDLocked(id string) {
 // Restore inserts a job already in a terminal state — the persistence
 // layer's rehydration path for jobs that finished in a previous process
 // life. A done job keeps copies of its stored result document (Result
-// returns it as a json.RawMessage) and of its persisted per-task documents
-// by index, which rebuild its result ledger; failed and canceled jobs carry
-// only the recorded error. The job ID must be unique; IDs in the manager's
-// own "job-N" form advance the mint counter so later submissions cannot
-// collide.
-func (m *Manager) Restore(id, kind string, total int, result json.RawMessage, docs map[int]json.RawMessage, state State, errMsg string) (*Job, error) {
+// returns it as a json.RawMessage) and of its persisted per-task documents,
+// docs[i] being task i's, which rebuild its result ledger (documents past
+// total are ignored); failed and canceled jobs carry only the recorded
+// error. The job ID must be unique; IDs in the manager's own "job-N" form
+// advance the mint counter so later submissions cannot collide.
+func (m *Manager) Restore(id, kind string, total int, result json.RawMessage, docs []json.RawMessage, state State, errMsg string) (*Job, error) {
 	if id == "" {
 		return nil, errors.New("engine: Restore needs a job ID")
 	}
@@ -398,10 +401,8 @@ func (m *Manager) Restore(id, kind string, total int, result json.RawMessage, do
 		j.done = total
 		if len(docs) > 0 && total > 0 {
 			j.docs = make([]json.RawMessage, total)
-			for i := range total {
-				if doc := docs[i]; doc != nil {
-					j.recordLocked(i, bytes.Clone(doc))
-				}
+			for i, doc := range docs[:min(len(docs), total)] {
+				j.recordLocked(i, bytes.Clone(doc))
 			}
 		}
 	case errMsg != "":

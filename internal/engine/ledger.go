@@ -15,7 +15,7 @@ import (
 // watermark in Progress, partial-result range GETs served mid-run, SSE
 // result-range events, the store's incremental range records, and the
 // client's streaming iterator. A job restored already-terminal gets one
-// from the store's persisted range records (Manager.Restore), so range GETs
+// from the store's persisted documents (Manager.Restore), so range GETs
 // and resumed result streams survive a restart.
 
 // ErrNoLedger reports a range query against a job without a result ledger:

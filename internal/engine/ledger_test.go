@@ -191,11 +191,10 @@ func TestSubmitJobOptsPrefill(t *testing.T) {
 	mgr := NewManager(New(4))
 	defer mgr.Close()
 	spec := newSumSpec(n)
-	prefill := map[int]json.RawMessage{}
+	var prefill []json.RawMessage
 	for i := 0; i < 5; i++ {
-		prefill[i] = json.RawMessage(fmt.Sprint(100 + i))
+		prefill = append(prefill, json.RawMessage(fmt.Sprint(100+i)))
 	}
-	prefill[8] = json.RawMessage(fmt.Sprint(108)) // island beyond the prefix
 	job, err := mgr.SubmitJobOpts("", spec, 7, SubmitOptions{Prefill: prefill})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +205,7 @@ func TestSubmitJobOptsPrefill(t *testing.T) {
 		t.Fatalf("result = %v (ok=%v), want %d", res, ok, wantSum(n))
 	}
 	for _, i := range spec.executed() {
-		if prefill[i] != nil {
+		if i < len(prefill) {
 			t.Fatalf("prefilled task %d executed anyway", i)
 		}
 	}
@@ -223,15 +222,16 @@ func TestSubmitJobOptsPrefill(t *testing.T) {
 }
 
 // TestSubmitJobOptsPrefillAll: a fully prefilled job never executes a task
-// and still aggregates, finishes, and serves its ledger.
+// and still aggregates, finishes, and serves its ledger; documents past its
+// last task are ignored.
 func TestSubmitJobOptsPrefillAll(t *testing.T) {
 	const n = 6
 	mgr := NewManager(New(2))
 	defer mgr.Close()
 	spec := newSumSpec(n)
-	prefill := map[int]json.RawMessage{}
-	for i := 0; i < n; i++ {
-		prefill[i] = json.RawMessage(fmt.Sprint(100 + i))
+	var prefill []json.RawMessage
+	for i := 0; i < n+2; i++ {
+		prefill = append(prefill, json.RawMessage(fmt.Sprint(100+i)))
 	}
 	job, err := mgr.SubmitJobOpts("", spec, 7, SubmitOptions{Prefill: prefill})
 	if err != nil {
@@ -258,10 +258,7 @@ func TestSubmitJobOptsPrefillInvalid(t *testing.T) {
 	mgr := NewManager(New(2))
 	defer mgr.Close()
 	spec := newSumSpec(n)
-	prefill := map[int]json.RawMessage{
-		0: json.RawMessage(`100`),
-		1: json.RawMessage(`"not an int"`),
-	}
+	prefill := []json.RawMessage{json.RawMessage(`100`), json.RawMessage(`"not an int"`)}
 	job, err := mgr.SubmitJobOpts("", spec, 7, SubmitOptions{Prefill: prefill})
 	if err != nil {
 		t.Fatal(err)

@@ -277,7 +277,7 @@ func ValidateResult(kind string, version int, raw json.RawMessage) error {
 	if schema == nil {
 		return nil
 	}
-	if err := schema.check(schema, raw); err != nil {
+	if err := schema.check(schema, raw, "result document"); err != nil {
 		return fmt.Errorf("engine: %s result: %w", VersionedKind(kind, version), err)
 	}
 	return nil

@@ -21,7 +21,7 @@ func TestManagerRestore(t *testing.T) {
 	defer m.Close()
 
 	result := json.RawMessage(`42`)
-	docs := map[int]json.RawMessage{0: json.RawMessage(`7`), 2: json.RawMessage(`9`), 5: json.RawMessage(`1`)}
+	docs := []json.RawMessage{json.RawMessage(`7`)}
 	job, err := m.Restore("job-7", "toy", 3, result, docs, StateDone, "")
 	if err != nil {
 		t.Fatal(err)
@@ -51,6 +51,14 @@ func TestManagerRestore(t *testing.T) {
 	got, err := m.Get("job-7")
 	if err != nil || got != job {
 		t.Fatalf("Get = %v, %v", got, err)
+	}
+	// Documents past the job's last task are ignored.
+	short, err := m.Restore("job-8", "toy", 1, result, []json.RawMessage{json.RawMessage(`1`), json.RawMessage(`2`)}, StateDone, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wm := short.Watermark(); wm != 1 {
+		t.Fatalf("one-task restore with two documents: watermark %d", wm)
 	}
 
 	// Failed restores carry their recorded error; Cancel is a no-op.

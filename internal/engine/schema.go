@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -46,21 +47,24 @@ type Schema struct {
 	Ref string `json:"$ref,omitempty"`
 }
 
-// SchemaError reports where a document diverges from its schema. Path is a
-// JSON pointer (RFC 6901) into the spec document — "" is the root,
-// "/gen/Miners" a nested field — which the server forwards verbatim in 422
-// responses so clients can point at the offending field.
+// SchemaError reports where a document diverges from its schema. Doc names
+// the document ("" is a spec document). Path is a JSON pointer (RFC 6901)
+// into it — "" is the root, "/gen/Miners" a nested field — which the server
+// forwards verbatim in 422 responses so clients can point at the offending
+// field.
 type SchemaError struct {
+	Doc  string
 	Path string
 	Msg  string
 }
 
 // Error implements error.
 func (e *SchemaError) Error() string {
+	doc := cmp.Or(e.Doc, "spec document")
 	if e.Path == "" {
-		return "spec document: " + e.Msg
+		return doc + ": " + e.Msg
 	}
-	return fmt.Sprintf("spec document at %s: %s", e.Path, e.Msg)
+	return fmt.Sprintf("%s at %s: %s", doc, e.Path, e.Msg)
 }
 
 // Validate checks raw against the schema. An empty document is always valid
@@ -71,14 +75,15 @@ func (s *Schema) Validate(raw json.RawMessage) error {
 	if s == nil || len(raw) == 0 {
 		return nil
 	}
-	return s.check(s, raw)
+	return s.check(s, raw, "")
 }
 
 // ValidateDef checks raw against the named root $def — one per-task result
 // document against the result schema's "task" def, say, without
-// re-deriving the aggregate shape. A nil schema or a missing def accepts
-// everything: a registration that carries no per-task shape simply opts out
-// of streaming validation.
+// re-deriving the aggregate shape; its errors name the document after the
+// def ("task document"). A nil schema or a missing def accepts everything:
+// a registration that carries no per-task shape simply opts out of
+// streaming validation.
 func (s *Schema) ValidateDef(name string, raw json.RawMessage) error {
 	if s == nil || len(raw) == 0 {
 		return nil
@@ -87,7 +92,7 @@ func (s *Schema) ValidateDef(name string, raw json.RawMessage) error {
 	if !ok {
 		return nil
 	}
-	return def.check(s, raw)
+	return def.check(s, raw, name+" document")
 }
 
 // ValidateWellFormed is Validate for raw already known to be one
@@ -99,31 +104,33 @@ func (s *Schema) ValidateWellFormed(raw json.RawMessage) error {
 	if s == nil || len(raw) == 0 {
 		return nil
 	}
-	return s.walk(s, raw)
+	return s.walk(s, raw, "")
 }
 
 // check validates the first JSON value in raw against s, resolving $refs
-// through root's Defs. A document that is not one well-formed value goes
-// through a json.Decoder, as every document once did: it either fails with
-// the decoder's error text, or it is a well-formed first value followed by
-// trailing bytes, which are ignored, as DecodeJSON ignores them.
-func (s *Schema) check(root *Schema, raw []byte) error {
+// through root's Defs; doc names the document in errors (see SchemaError).
+// A document that is not one well-formed value goes through a json.Decoder,
+// as every document once did: it either fails with the decoder's error
+// text, or it is a well-formed first value followed by trailing bytes,
+// which are ignored, as DecodeJSON ignores them.
+func (s *Schema) check(root *Schema, raw []byte, doc string) error {
 	if !json.Valid(raw) {
 		var first json.RawMessage
 		if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&first); err != nil {
-			return &SchemaError{Msg: "malformed JSON: " + err.Error()}
+			return &SchemaError{Doc: doc, Msg: "malformed JSON: " + err.Error()}
 		}
 		raw = first
 	}
-	return s.walk(root, raw)
+	return s.walk(root, raw, doc)
 }
 
 // walk validates the well-formed JSON value raw against s, resolving $refs
-// through root's Defs.
-func (s *Schema) walk(root *Schema, raw []byte) error {
+// through root's Defs; doc names the document in errors.
+func (s *Schema) walk(root *Schema, raw []byte, doc string) error {
 	w := walker{root: root, Scanner: jsonscan.Scanner{Doc: raw}}
 	w.SkipSpace()
 	if err := w.value(s, 0); err != nil {
+		err.Doc = doc
 		return err
 	}
 	return nil

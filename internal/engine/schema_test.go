@@ -121,6 +121,37 @@ func TestSchemaErrorPaths(t *testing.T) {
 	}
 }
 
+// TestSchemaErrorNamesItsDocument: a violation names the document it is
+// in: a spec document (the 422 bodies' wording), a stored result, or one
+// task's document checked against the result schema's task $def.
+func TestSchemaErrorNamesItsDocument(t *testing.T) {
+	e, err := lookupSpec("learn_sweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results *Schema
+	for _, ce := range Catalog() {
+		if ce.Kind == "learn_sweep" && ce.Version == 1 {
+			results = ce.ResultSchema
+		}
+	}
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{e.schema.Validate(json.RawMessage(`{"runs":"fifty"}`)), "spec document at /runs: want integer, got string"},
+		{e.schema.Validate(json.RawMessage(`[1]`)), "spec document: want object, got array"},
+		{ValidateResult("learn_sweep", 1, json.RawMessage(`{"total_runs":"nope"}`)),
+			"engine: learn_sweep result: result document at /total_runs: want integer, got string"},
+		{results.ValidateDef("task", json.RawMessage(`{"steps":"x"}`)), "task document at /steps: want integer, got string"},
+		{results.ValidateDef("task", json.RawMessage(`{"steps":`)), "task document: malformed JSON: unexpected EOF"},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("error %v, want %q", c.err, c.want)
+		}
+	}
+}
+
 // TestSchemaValidateEdges: nil schema and empty/null documents are valid;
 // pointer tokens escape RFC-6901 special characters.
 func TestSchemaValidateEdges(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package market models the economic side of a multi-coin mining market:
-// fiat exchange-rate processes, per-coin weight computation (the reward
+// fiat exchange-rate paths, per-coin weight computation (the reward
 // function F the game consumes), and a whattomine-style profitability index.
 //
 // A coin's weight in the paper is "the reward it divides among its miners",
@@ -18,18 +18,7 @@ import (
 	"sort"
 
 	"gameofcoins/internal/chain"
-	"gameofcoins/internal/rng"
 )
-
-// RateProcess evolves a coin's fiat exchange rate in simulation time.
-// Implementations are stepped by the simulator; Rate returns the current
-// value.
-type RateProcess interface {
-	// Rate returns the current exchange rate (fiat per coin).
-	Rate() float64
-	// Step advances the process by dt seconds.
-	Step(dt float64, r *rng.Rand)
-}
 
 // Piecewise is a deterministic piecewise-linear rate path given as (time,
 // rate) knots; it interpolates linearly and holds the last value. Replay
@@ -54,7 +43,7 @@ func NewPiecewise(times, rates []float64) (*Piecewise, error) {
 	return &Piecewise{Times: append([]float64(nil), times...), Rates: append([]float64(nil), rates...)}, nil
 }
 
-// Rate implements RateProcess.
+// Rate returns the exchange rate (fiat per coin) at the path's current time.
 func (pw *Piecewise) Rate() float64 {
 	t := pw.now
 	if t <= pw.Times[0] {
@@ -73,14 +62,14 @@ func (pw *Piecewise) Rate() float64 {
 	return pw.Rates[lo]*(1-frac) + pw.Rates[hi]*frac
 }
 
-// Step implements RateProcess.
-func (pw *Piecewise) Step(dt float64, _ *rng.Rand) { pw.now += dt }
+// Step advances the path's current time by dt seconds.
+func (pw *Piecewise) Step(dt float64) { pw.now += dt }
 
-// CoinMarket couples one chain with its exchange-rate process, a baseline
-// fee flow, and the protocol constants weight computation needs.
+// CoinMarket couples one chain with its exchange-rate path, a baseline fee
+// flow, and the protocol constants weight computation needs.
 type CoinMarket struct {
 	Chain *chain.Chain
-	Rate  RateProcess
+	Rate  *Piecewise
 	// FeePerBlock is the steady-state fee volume collected by each block,
 	// in the chain's own coin, on top of whale injections.
 	FeePerBlock float64
@@ -92,7 +81,7 @@ type CoinMarket struct {
 // match the chain's Params (the chain package does not expose it); the
 // block subsidy is read live from the chain, so halvings flow into weights
 // automatically.
-func NewCoinMarket(ch *chain.Chain, rate RateProcess, feePerBlock, targetBlockSeconds float64) (*CoinMarket, error) {
+func NewCoinMarket(ch *chain.Chain, rate *Piecewise, feePerBlock, targetBlockSeconds float64) (*CoinMarket, error) {
 	if ch == nil || rate == nil {
 		return nil, errors.New("market: nil chain or rate")
 	}

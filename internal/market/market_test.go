@@ -16,19 +16,18 @@ func TestPiecewise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(6)
 	if pw.Rate() != 1 {
 		t.Fatalf("rate at 0 = %v", pw.Rate())
 	}
-	pw.Step(5, r)
+	pw.Step(5)
 	if got := pw.Rate(); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("rate at 5 = %v, want 2 (midpoint)", got)
 	}
-	pw.Step(5, r)
+	pw.Step(5)
 	if got := pw.Rate(); math.Abs(got-3) > 1e-12 {
 		t.Fatalf("rate at 10 = %v, want 3 (knot)", got)
 	}
-	pw.Step(100, r)
+	pw.Step(100)
 	if got := pw.Rate(); got != 2 {
 		t.Fatalf("rate past end = %v, want 2 (held)", got)
 	}

@@ -113,7 +113,7 @@ func (s *Server) rehydrate(failInterrupted bool) error {
 	// last.
 	var watch []watchStart
 	for _, rec := range jobs {
-		watch = append(watch, s.rehydrateJob(rec, failInterrupted, snap.Ranges[rec.ID])...)
+		watch = append(watch, s.rehydrateJob(rec, failInterrupted, snap.Docs[rec.ID])...)
 	}
 	handles := make([]string, 0, len(snap.Handles))
 	for h := range snap.Handles {
@@ -143,30 +143,30 @@ type watchStart struct {
 	job  *engine.Job
 	rec  store.JobRecord
 	spec engine.Spec // only engine.TaskCoder specs have per-task documents to persist
-	// from is the store's contiguous range coverage: the follower resumes
-	// persisting above it instead of rewriting spans the log already holds.
+	// from is how many documents the store already holds: the follower
+	// resumes persisting above it instead of rewriting spans the log
+	// already holds.
 	from int
 }
 
 // rehydrateJob revives one job record. Terminal jobs are restored as-is: a
 // done job re-enters the result cache with its stored result document,
-// served as stored (the pre-restart bytes), and its persisted ranges, which
-// rebuild its result ledger. A record still marked submitted was
+// served as stored (the pre-restart bytes), and its persisted documents,
+// which rebuild its result ledger. A record still marked submitted was
 // interrupted mid-run — and a done record whose result fails its version's
 // result schema is treated the same way: the stored spec and seed
 // deterministically recompute the result, so nothing is destroyed. Nothing
 // here is fatal: a record that cannot be revived at all (kind no longer
 // registered, corrupt spec) becomes a failed job that says why, not a
 // startup abort.
-func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, ranges []store.RangeRecord) []watchStart {
+func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, docs []json.RawMessage) []watchStart {
 	switch rec.State {
 	case store.JobDone:
 		if err := engine.ValidateResult(rec.Kind, rec.Version, rec.Result); err != nil {
 			return s.recomputeJob(rec, failInterrupted,
-				fmt.Sprintf("stored result unreadable after restart: %v", err), ranges)
+				fmt.Sprintf("stored result unreadable after restart: %v", err), docs)
 		}
-		prefill, _ := flattenRanges(rec.Tasks, ranges)
-		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, rec.Result, prefill, engine.StateDone, ""); err == nil {
+		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, rec.Result, docs, engine.StateDone, ""); err == nil {
 			//goclint:allow lockguard -- pre-publication: rehydrateJob runs under rehydrate before the server is shared
 			s.cache[rec.Key] = rec.ID
 		}
@@ -175,43 +175,21 @@ func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, ranges 
 	case store.JobCanceled:
 		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, nil, engine.StateCanceled, rec.Error)
 	case store.JobSubmitted:
-		return s.recomputeJob(rec, failInterrupted, "interrupted by server restart", ranges)
+		return s.recomputeJob(rec, failInterrupted, "interrupted by server restart", docs)
 	}
 	return nil
 }
 
-// flattenRanges turns persisted range records into a task-indexed document
-// map (entries outside [0, tasks) dropped) plus the store's contiguous
-// coverage from 0 — the point above which nothing is persisted yet.
-func flattenRanges(tasks int, ranges []store.RangeRecord) (map[int]json.RawMessage, int) {
-	var prefill map[int]json.RawMessage
-	from := 0
-	for _, rr := range ranges {
-		for k, doc := range rr.Results {
-			if i := rr.Lo + k; i >= 0 && i < tasks {
-				if prefill == nil {
-					prefill = make(map[int]json.RawMessage, len(rr.Results))
-				}
-				prefill[i] = doc
-			}
-		}
-		if rr.Lo <= from && rr.End() > from {
-			from = rr.End()
-		}
-	}
-	return prefill, from
-}
-
 // recomputeJob reruns a job record under its original ID, spec, and seed —
 // the recovery path for interrupted jobs and for done records whose stored
-// result fails its schema. Persisted result ranges from the previous
-// life prefill the engine's result ledger, so only the missing suffix of
-// tasks actually recomputes — and determinism makes the reassembled result
+// result fails its schema. The documents persisted in the previous life
+// prefill the engine's result ledger, so only the missing suffix of tasks
+// actually recomputes — and determinism makes the reassembled result
 // byte-identical to an uninterrupted run. With failInterrupted set (or when
 // the spec itself cannot be revived) the job is restored as failed instead,
 // with reason explaining why. The returned watchStart (if any) must be
 // attached by the caller once rehydration has finished building the tables.
-func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason string, ranges []store.RangeRecord) []watchStart {
+func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason string, docs []json.RawMessage) []watchStart {
 	restoreFailed := func(msg string) {
 		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, nil, engine.StateFailed, msg); err == nil {
 			rec.State = store.JobFailed
@@ -234,17 +212,16 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 		restoreFailed(fmt.Sprintf("%s; not recomputable: %v", reason, err))
 		return nil
 	}
-	// Persisted ranges become the engine's prefill: the decoded documents
+	// The persisted documents become the engine's prefill: decoded, they
 	// land in the new job's results and ledger before any task runs, so the
 	// scheduler only executes the uncovered suffix.
-	prefill, from := flattenRanges(rec.Tasks, ranges)
 	job, err := s.manager.SubmitJobOpts(rec.ID, rs.Spec, rec.Seed, engine.SubmitOptions{
 		Remote: &engine.RemoteInfo{
 			WireKind: wire,
 			Spec:     rec.Spec,
 			Seed:     rec.Seed,
 		},
-		Prefill: prefill,
+		Prefill: docs,
 	})
 	if err != nil {
 		restoreFailed(fmt.Sprintf("%s; not recomputable: %v", reason, err))
@@ -258,7 +235,7 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 	s.persistJob(rec)
 	//goclint:allow lockguard -- pre-publication: recomputeJob runs under rehydrate before the server is shared
 	s.cache[rec.Key] = rec.ID
-	return []watchStart{{job: job, rec: rec, spec: rs.Spec, from: from}}
+	return []watchStart{{job: job, rec: rec, spec: rs.Spec, from: len(docs)}}
 }
 
 // idLess orders prefixed sequence IDs ("job-2" < "job-10") by mint age

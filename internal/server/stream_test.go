@@ -488,7 +488,7 @@ func TestStreamResultRejectsInvalidTask(t *testing.T) {
 		return nil
 	})
 	var se *engine.SchemaError
-	if !errors.As(err, &se) || !strings.HasPrefix(err.Error(), "client: task 0 result: ") || se.Msg != "want string, got number" {
+	if !errors.As(err, &se) || err.Error() != "client: task 0 result: task document: want string, got number" {
 		t.Fatalf("err = %v, want a SchemaError for task 0", err)
 	}
 }
@@ -640,8 +640,8 @@ func openPersistentW(t *testing.T, dir string, workers int) *persistentServer {
 	return servePersistent(t, s, st)
 }
 
-// waitRangeCoverage polls the store until the job's persisted range records
-// cover [0, want) contiguously.
+// waitRangeCoverage polls the store until it holds the job's documents of
+// tasks [0, want).
 func waitRangeCoverage(t *testing.T, st *store.File, jobID string, want int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -650,13 +650,7 @@ func waitRangeCoverage(t *testing.T, st *store.File, jobID string, want int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cov := 0
-		for _, rr := range snap.Ranges[jobID] {
-			if rr.Lo <= cov && rr.End() > cov {
-				cov = rr.End()
-			}
-		}
-		if cov >= want {
+		if len(snap.Docs[jobID]) >= want {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -747,17 +741,16 @@ func TestStreamPropertyRestart(t *testing.T) {
 				t.Fatalf("aggregate = %s, want %s", agg.Result, aggBase.Result)
 			}
 
-			// The done record keeps the job's spans — a later restart must
-			// still serve ?range from them — and by then they must cover
-			// every task contiguously from 0.
+			// The done record keeps the job's documents — a later restart
+			// must still serve ?range from them — and by then they must
+			// cover every task from 0.
 			waitRecordState(t, p2.st, jobID, store.JobDone)
 			snap, err := p2.st.Load()
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs := snap.Ranges[jobID]
-			if len(recs) != 1 || recs[0].Lo != 0 || len(recs[0].Results) != tr.n {
-				t.Fatalf("done job's persisted ranges = %+v, want one [0,%d) span", recs, tr.n)
+			if docs := snap.Docs[jobID]; len(docs) != tr.n {
+				t.Fatalf("done job's persisted docs = %s, want tasks [0,%d)", docs, tr.n)
 			}
 		})
 	}

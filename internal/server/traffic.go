@@ -86,7 +86,7 @@ func retryAfterSecs(retryAfter time.Duration) int {
 func parsePriority(priority string) (traffic.Class, error) {
 	class, err := traffic.ParseClass(priority)
 	if err != nil {
-		return class, &engine.SchemaError{Path: "/priority", Msg: err.Error()}
+		return class, &engine.SchemaError{Doc: "envelope", Path: "/priority", Msg: err.Error()}
 	}
 	return class, nil
 }

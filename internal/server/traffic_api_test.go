@@ -356,8 +356,8 @@ func TestPriorityClassValidationAndCaching(t *testing.T) {
 	if apiErr.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown priority: %v, want 422", err)
 	}
-	if !strings.Contains(apiErr.Message, "/priority") {
-		t.Fatalf("422 message %q does not point at /priority", apiErr.Message)
+	if !strings.Contains(apiErr.Message, "envelope at /priority: ") {
+		t.Fatalf("422 message %q does not point at the envelope's /priority", apiErr.Message)
 	}
 
 	high, err := c.Submit(ctx, "toy_sum", 9, toySpec{N: 2}, client.WithPriority("high"))

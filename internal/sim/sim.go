@@ -146,7 +146,7 @@ func (s *Simulator) Run(epochs int) {
 func (s *Simulator) step() {
 	// 1. Rates move.
 	for _, cm := range s.coins {
-		cm.Rate.Step(s.epochSecs, s.rand)
+		cm.Rate.Step(s.epochSecs)
 	}
 	// 2. Fresh weights.
 	weights := s.Weights()

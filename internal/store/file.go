@@ -15,9 +15,9 @@ import (
 )
 
 // rangeDocCap caps how many per-task result documents a store keeps per
-// job. The retained low-index prefix is what restart prefill and download
-// resume consume; jobs with more tasks than the cap lose per-task
-// servability past it after a restart, but never the aggregate result.
+// job: the prefix of tasks [0, rangeDocCap), what restart prefill and
+// download resume consume. Jobs with more tasks lose per-task servability
+// past it after a restart, but never the aggregate result.
 const rangeDocCap = 4096
 
 // compactMinOps is the floor below which the log is never compacted, so
@@ -49,7 +49,6 @@ type File struct {
 	snap   Snapshot // guarded by mu
 	ops    int      // guarded by mu; operations appended since open/compaction
 	kept   int      // guarded by mu; job records the last compaction kept
-	ranges int      // guarded by mu; RangeRecords in snap.Ranges, all jobs
 	closed bool     // guarded by mu
 }
 
@@ -141,7 +140,7 @@ func (s *File) replay() (int64, error) {
 		if err := json.Unmarshal(line, &o); err != nil {
 			return 0, fmt.Errorf("store: corrupt log line %d: %w", lineno, err)
 		}
-		if err := s.applyLocked(o); err != nil {
+		if _, err := s.applyLocked(o); err != nil {
 			return 0, fmt.Errorf("store: corrupt log line %d: %w", lineno, err)
 		}
 		start += nl + 1
@@ -150,30 +149,29 @@ func (s *File) replay() (int64, error) {
 	return good, nil
 }
 
-// applyLocked folds one op into the live snapshot. Callers hold s.mu —
-// except replay, which runs inside OpenFile before the store is shared.
-func (s *File) applyLocked(o op) error {
+// applyLocked folds one op into the live snapshot and reports whether it
+// changed anything worth a log line: a range op whose documents all fall
+// away (see Snapshot.addDocs) does not. Callers hold s.mu — except replay,
+// which runs inside OpenFile before the store is shared.
+func (s *File) applyLocked(o op) (bool, error) {
 	switch o.Op {
 	case "game":
 		var g core.Game
 		if err := json.Unmarshal(o.Game, &g); err != nil {
-			return fmt.Errorf("decode game %s: %w", o.ID, err)
+			return false, fmt.Errorf("decode game %s: %w", o.ID, err)
 		}
 		s.snap.Games[o.ID] = &g
 	case "job":
 		if o.Job == nil || o.Job.ID == "" {
-			return fmt.Errorf("job op without a record")
+			return false, fmt.Errorf("job op without a record")
 		}
 		s.snap.Jobs[o.Job.ID] = *o.Job
 		if o.Job.State == JobFailed || o.Job.State == JobCanceled {
-			// No result to serve: the per-task spans are dead weight.
-			s.ranges -= len(s.snap.Ranges[o.Job.ID])
-			delete(s.snap.Ranges, o.Job.ID)
+			// No result to serve: the per-task documents are dead weight.
+			delete(s.snap.Docs, o.Job.ID)
 		}
 	case "range":
-		before := len(s.snap.Ranges[o.JobID])
-		s.snap.addRange(o.JobID, o.Lo, o.Results)
-		s.ranges += len(s.snap.Ranges[o.JobID]) - before
+		return s.snap.addDocs(o.JobID, o.Lo, o.Results), nil
 	case "handle":
 		s.snap.Handles[o.ID] = o.JobID
 		if n := handleSeq(o.ID); n > s.snap.NextHandle {
@@ -188,21 +186,25 @@ func (s *File) applyLocked(o op) error {
 			s.snap.NextHandle = o.Seq
 		}
 	default:
-		return fmt.Errorf("unknown op %q", o.Op)
+		return false, fmt.Errorf("unknown op %q", o.Op)
 	}
-	return nil
+	return true, nil
 }
 
-// append applies o to the live snapshot and writes it to the log, then
-// compacts if the log has outgrown the live state.
+// append applies o to the live snapshot and writes it to the log if that
+// changed anything, then compacts if the log has outgrown the live state.
 func (s *File) append(o op) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return os.ErrClosed
 	}
-	if err := s.applyLocked(o); err != nil {
+	changed, err := s.applyLocked(o)
+	if err != nil {
 		return fmt.Errorf("store: %w", err)
+	}
+	if !changed {
+		return nil
 	}
 	line, err := encodeOp(o)
 	if err != nil {
@@ -235,7 +237,7 @@ func (s *File) maybeCompactLocked() error {
 	// would rewrite the whole log on every append.
 	const slack = engine.DefaultRetention / 4
 	overCap := len(s.snap.Jobs) > max(engine.DefaultRetention, s.kept)+slack
-	live := len(s.snap.Games) + len(s.snap.Jobs) + len(s.snap.Handles) + s.ranges
+	live := len(s.snap.Games) + len(s.snap.Jobs) + len(s.snap.Handles) + len(s.snap.Docs)
 	if !overCap && (s.ops < compactMinOps || s.ops < 4*live) {
 		return nil
 	}
@@ -247,7 +249,7 @@ func (s *File) maybeCompactLocked() error {
 // terminal records past engine.DefaultRetention are dropped (submitted
 // records always survive — they are what restart recovery reruns).
 func (s *File) compactLocked() error {
-	s.ranges -= s.snap.dropExcessJobs()
+	s.snap.dropExcessJobs()
 	tmpPath := s.logPath() + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -283,14 +285,11 @@ func (s *File) compactLocked() error {
 			return fmt.Errorf("store: compact: write failed")
 		}
 	}
-	// Range spans land after the job records so replay's addRange sees the
-	// owning submitted record. The live map is already folded (addRange
-	// merges adjacent spans on apply), so each job emits its spans as-is.
-	for _, id := range sortedKeys(s.snap.Ranges) {
-		for _, rr := range s.snap.Ranges[id] {
-			if !w(op{Op: "range", JobID: id, Lo: rr.Lo, Results: rr.Results}) {
-				return fmt.Errorf("store: compact: write failed")
-			}
+	// Each job's documents land as one range line after the job records,
+	// so replay's addDocs sees the owning record.
+	for _, id := range sortedKeys(s.snap.Docs) {
+		if !w(op{Op: "range", JobID: id, Results: s.snap.Docs[id]}) {
+			return fmt.Errorf("store: compact: write failed")
 		}
 	}
 	for _, h := range sortedKeys(s.snap.Handles) {
@@ -448,9 +447,6 @@ func (s *File) PutJob(rec JobRecord) error {
 func (s *File) PutJobRange(jobID string, lo int, results []json.RawMessage) error {
 	if jobID == "" {
 		return fmt.Errorf("store: range without a job ID")
-	}
-	if len(results) == 0 {
-		return nil // nothing to record; don't burn a log line
 	}
 	return s.append(op{Op: "range", JobID: jobID, Lo: lo, Results: results})
 }

@@ -2,11 +2,9 @@ package store
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -29,8 +27,9 @@ func openTemp(t *testing.T) *File {
 	return s
 }
 
-// TestRangeFold: adjacent spans fold into one record, overlaps resolve
-// first-writer-wins, and only submitted jobs accumulate ranges.
+// TestRangeFold: contiguous spans extend the job's document prefix,
+// overlaps resolve first-writer-wins, covered spans add nothing, and only
+// submitted and done jobs keep documents.
 func TestRangeFold(t *testing.T) {
 	s := openTemp(t)
 	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 10, State: JobSubmitted}); err != nil {
@@ -51,10 +50,6 @@ func TestRangeFold(t *testing.T) {
 	if err := s.PutJobRange("job-1", 1, docs(99, 99)); err != nil {
 		t.Fatal(err)
 	}
-	// An island beyond the contiguous prefix stays its own record.
-	if err := s.PutJobRange("job-1", 8, docs(18)); err != nil {
-		t.Fatal(err)
-	}
 	// Ranges for unknown jobs are dropped, not stored.
 	if err := s.PutJobRange("job-9", 0, docs(1)); err != nil {
 		t.Fatal(err)
@@ -63,18 +58,25 @@ func TestRangeFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []RangeRecord{
-		{Lo: 0, Results: docs(10, 11, 12, 13, 14, 15)},
-		{Lo: 8, Results: docs(18)},
+	want := docs(10, 11, 12, 13, 14, 15)
+	if !reflect.DeepEqual(snap.Docs["job-1"], want) {
+		t.Fatalf("docs = %s, want %s", snap.Docs["job-1"], want)
 	}
-	if !reflect.DeepEqual(snap.Ranges["job-1"], want) {
-		t.Fatalf("ranges = %+v, want %+v", snap.Ranges["job-1"], want)
-	}
-	if _, ok := snap.Ranges["job-9"]; ok {
+	if _, ok := snap.Docs["job-9"]; ok {
 		t.Fatal("range for an unknown job was stored")
 	}
-	// A done record keeps its spans — they are what makes ?range fetches
-	// and resumed downloads work after a restart.
+	// Load's prefix is the caller's to keep: appending to it copies, so the
+	// store's next document does not overwrite the caller's.
+	mine := append(snap.Docs["job-1"], json.RawMessage(`77`))
+	if err := s.PutJobRange("job-1", 6, docs(16)); err != nil {
+		t.Fatal(err)
+	}
+	if string(mine[6]) != "77" {
+		t.Fatalf("the store wrote %s into a loaded prefix's append", mine[6])
+	}
+	want = docs(10, 11, 12, 13, 14, 15, 16)
+	// A done record keeps its documents — they are what makes ?range
+	// fetches and resumed downloads work after a restart.
 	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 10, State: JobDone, Result: json.RawMessage(`1`)}); err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +84,8 @@ func TestRangeFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(snap.Ranges["job-1"], want) {
-		t.Fatalf("done job's ranges = %+v, want %+v", snap.Ranges["job-1"], want)
+	if !reflect.DeepEqual(snap.Docs["job-1"], want) {
+		t.Fatalf("done job's docs = %s, want %s", snap.Docs["job-1"], want)
 	}
 	// A failed record clears them: there is no result they could serve.
 	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 10, State: JobFailed, Error: "boom"}); err != nil {
@@ -93,66 +95,75 @@ func TestRangeFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Ranges) != 0 {
-		t.Fatalf("failed job kept its ranges: %+v", snap.Ranges)
+	if len(snap.Docs) != 0 {
+		t.Fatalf("failed job kept its docs: %s", snap.Docs)
 	}
 }
 
-// TestRangeCompactionCap: at most rangeDocCap per-task documents are kept
-// per job, trimmed from the highest indices so the resumable low prefix
-// survives.
+// TestRangeCompactionCap: monotonic watermark-order growth (what the
+// server's watcher emits) saturates at rangeDocCap documents per job: the
+// low prefix survives, later spans add nothing.
 func TestRangeCompactionCap(t *testing.T) {
 	s := openTemp(t)
 	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 2 * rangeDocCap, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutJobRange("job-1", 0, seqDocs(0, rangeDocCap-1)); err != nil {
-		t.Fatal(err)
-	}
-	// An island that takes the job one document past the cap loses its
-	// last document...
-	if err := s.PutJobRange("job-1", rangeDocCap+8, seqDocs(rangeDocCap+8, 2)); err != nil {
-		t.Fatal(err)
+	for lo := 0; lo < rangeDocCap+512; lo += 512 {
+		if err := s.PutJobRange("job-1", lo, seqDocs(lo, 512)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	snap, err := s.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []RangeRecord{
-		{Lo: 0, Results: seqDocs(0, rangeDocCap-1)},
-		{Lo: rangeDocCap + 8, Results: seqDocs(rangeDocCap+8, 1)},
+	if want := seqDocs(0, rangeDocCap); !reflect.DeepEqual(snap.Docs["job-1"], want) {
+		t.Fatalf("capped monotonic growth kept %d docs, want tasks [0,%d)", len(snap.Docs["job-1"]), rangeDocCap)
 	}
-	if !reflect.DeepEqual(snap.Ranges["job-1"], want) {
-		t.Fatalf("ranges = %s, want %s", spans(snap.Ranges["job-1"]), spans(want))
-	}
-	// ...and one more island, with the job at the cap, is trimmed away.
-	if err := s.PutJobRange("job-1", rangeDocCap+20, seqDocs(rangeDocCap+20, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if snap, err = s.Load(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(snap.Ranges["job-1"], want) {
-		t.Fatalf("ranges = %s, want %s", spans(snap.Ranges["job-1"]), spans(want))
-	}
+}
 
-	// Monotonic watermark-order growth (what the server's watcher emits)
-	// saturates at the cap: the low prefix survives, later spans trim away.
-	mono := openTemp(t)
-	if err := mono.PutJob(JobRecord{ID: "job-1", Tasks: 2 * rangeDocCap, State: JobSubmitted}); err != nil {
+// TestRangeOpsThatLandNothingAreNotLogged: a range op the snapshot keeps
+// none of (past the document cap, for a job with no live record, or
+// starting past the end of the job's documents) writes no log line and
+// does not count toward compaction.
+func TestRangeOpsThatLandNothingAreNotLogged(t *testing.T) {
+	s := openTemp(t)
+	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 2 * rangeDocCap, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
 	}
-	for lo := 0; lo < rangeDocCap+512; lo += 512 {
-		if err := mono.PutJobRange("job-1", lo, seqDocs(lo, 512)); err != nil {
+	if err := s.PutJob(JobRecord{ID: "job-2", Tasks: 10, State: JobSubmitted}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutJobRange("job-1", 0, seqDocs(0, rangeDocCap)); err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		t.Helper()
+		info, err := os.Stat(filepath.Join(s.dir, logName))
+		if err != nil {
 			t.Fatal(err)
 		}
+		return info.Size()
 	}
-	if snap, err = mono.Load(); err != nil {
+	before, ops := size(), s.ops
+	if err := s.PutJobRange("job-1", rangeDocCap, docs(2, 3)); err != nil {
 		t.Fatal(err)
 	}
-	want = []RangeRecord{{Lo: 0, Results: seqDocs(0, rangeDocCap)}}
-	if !reflect.DeepEqual(snap.Ranges["job-1"], want) {
-		t.Fatalf("capped monotonic growth = %s, want %s", spans(snap.Ranges["job-1"]), spans(want))
+	if err := s.PutJobRange("job-9", 0, docs(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutJobRange("job-2", 3, docs(13)); err != nil {
+		t.Fatal(err)
+	}
+	if after := size(); after != before || s.ops != ops {
+		t.Fatalf("log grew from %d to %d bytes, %d to %d ops", before, after, ops, s.ops)
+	}
+	snap, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Docs["job-1"]) != rangeDocCap || len(snap.Docs) != 1 {
+		t.Fatalf("job-1 holds %d docs, %d jobs hold docs", len(snap.Docs["job-1"]), len(snap.Docs))
 	}
 }
 
@@ -166,17 +177,8 @@ func seqDocs(lo, n int) []json.RawMessage {
 	return out
 }
 
-// spans renders range records as [lo,end) spans for failure messages.
-func spans(recs []RangeRecord) string {
-	var b strings.Builder
-	for _, r := range recs {
-		fmt.Fprintf(&b, "[%d,%d)", r.Lo, r.End())
-	}
-	return b.String()
-}
-
-// TestFileRangeRoundTrip: range records survive close/reopen, fold across
-// the replay, and vanish when the job's terminal record lands.
+// TestFileRangeRoundTrip: a job's documents survive close/reopen, fold into
+// one prefix across the replay, and vanish when a failed record lands.
 func TestFileRangeRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenFile(dir)
@@ -198,12 +200,12 @@ func TestFileRangeRoundTrip(t *testing.T) {
 	if err := s.PutJobRange("job-2", 0, docs(20)); err != nil {
 		t.Fatal(err)
 	}
-	// job-2 finishes: its spans ride along with the done record, so range
-	// fetches keep working after the reopen.
+	// job-2 finishes: its documents ride along with the done record, so
+	// range fetches keep working after the reopen.
 	if err := s.PutJob(JobRecord{ID: "job-2", Kind: "toy_sum", Tasks: 4, State: JobDone, Result: json.RawMessage(`41`)}); err != nil {
 		t.Fatal(err)
 	}
-	// job-3 fails: its spans are dead weight and must not survive.
+	// job-3 fails: its documents are dead weight and must not survive.
 	if err := s.PutJob(JobRecord{ID: "job-3", Kind: "toy_sum", Tasks: 4, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
 	}
@@ -226,21 +228,19 @@ func TestFileRangeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []RangeRecord{{Lo: 0, Results: docs(10, 11, 12)}}
-	if !reflect.DeepEqual(snap.Ranges["job-1"], want) {
-		t.Fatalf("job-1 ranges = %+v, want %+v", snap.Ranges["job-1"], want)
+	if want := docs(10, 11, 12); !reflect.DeepEqual(snap.Docs["job-1"], want) {
+		t.Fatalf("job-1 docs = %s, want %s", snap.Docs["job-1"], want)
 	}
-	if !reflect.DeepEqual(snap.Ranges["job-2"], []RangeRecord{{Lo: 0, Results: docs(20)}}) {
-		t.Fatalf("done job's ranges did not survive the restart: %+v", snap.Ranges["job-2"])
+	if !reflect.DeepEqual(snap.Docs["job-2"], docs(20)) {
+		t.Fatalf("done job's docs did not survive the restart: %s", snap.Docs["job-2"])
 	}
-	if _, ok := snap.Ranges["job-3"]; ok {
-		t.Fatal("failed job's ranges survived the restart")
+	if _, ok := snap.Docs["job-3"]; ok {
+		t.Fatal("failed job's docs survived the restart")
 	}
 }
 
-// TestFileRangeCompaction: compaction folds a job's appended spans into its
-// live records and drops spans of terminal jobs; the compacted log replays
-// to the same state.
+// TestFileRangeCompaction: compaction writes a job's appended spans as one
+// range line; the compacted log replays to the same documents.
 func TestFileRangeCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenFile(dir)
@@ -271,20 +271,20 @@ func TestFileRangeCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := snap.Ranges["job-1"]
-	if len(recs) != 1 || recs[0].Lo != 0 || len(recs[0].Results) != n {
-		t.Fatalf("ranges after compaction = %+v", recs)
+	got := snap.Docs["job-1"]
+	if len(got) != n {
+		t.Fatalf("%d docs after compaction, want %d", len(got), n)
 	}
-	for i, d := range recs[0].Results {
+	for i, d := range got {
 		if string(d) != itoa(100+i) {
 			t.Fatalf("task %d doc = %s, want %d", i, d, 100+i)
 		}
 	}
 }
 
-// TestFileRangeTornTail: a crash mid-append of a range record leaves a
-// partial final line; open succeeds, every span before it is intact, and the
-// torn record is simply gone (the next life recomputes those tasks).
+// TestFileRangeTornTail: a crash mid-append of a range op leaves a partial
+// final line; open succeeds, every document before it is intact, and the
+// torn span is simply gone (the next life recomputes those tasks).
 func TestFileRangeTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenFile(dir)
@@ -318,24 +318,23 @@ func TestFileRangeTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []RangeRecord{{Lo: 0, Results: docs(10, 11, 12)}}
-	if !reflect.DeepEqual(snap.Ranges["job-1"], want) {
-		t.Fatalf("ranges = %+v, want %+v", snap.Ranges["job-1"], want)
+	if want := docs(10, 11, 12); !reflect.DeepEqual(snap.Docs["job-1"], want) {
+		t.Fatalf("docs = %s, want %s", snap.Docs["job-1"], want)
 	}
 }
 
-// TestDropExcessJobsGCsRanges: evicting a job record (or finding its state
-// terminal) garbage-collects its range spans along with handles.
+// TestDropExcessJobsGCsRanges: evicting a job record garbage-collects its
+// documents along with handles.
 func TestDropExcessJobsGCsRanges(t *testing.T) {
 	snap := emptySnapshot()
 	snap.Jobs["job-1"] = JobRecord{ID: "job-1", State: JobSubmitted}
-	snap.Ranges["job-1"] = []RangeRecord{{Lo: 0, Results: docs(1)}}
-	snap.Ranges["job-gone"] = []RangeRecord{{Lo: 0, Results: docs(2)}}
+	snap.Docs["job-1"] = docs(1)
+	snap.Docs["job-gone"] = docs(2)
 	snap.dropExcessJobs()
-	if _, ok := snap.Ranges["job-1"]; !ok {
-		t.Fatal("live submitted job's ranges dropped")
+	if _, ok := snap.Docs["job-1"]; !ok {
+		t.Fatal("live submitted job's docs dropped")
 	}
-	if _, ok := snap.Ranges["job-gone"]; ok {
-		t.Fatal("evicted job's ranges survived GC")
+	if _, ok := snap.Docs["job-gone"]; ok {
+		t.Fatal("evicted job's docs survived GC")
 	}
 }

@@ -1,10 +1,12 @@
 // Package store persists gocserve's durable state: the game registry, the
-// job table with its deterministic results, and the v2 handle/refcount
+// job table with its deterministic results, each job's per-task result
+// documents as one prefix (tasks [0, n)), and the v2 handle/refcount
 // bookkeeping. Everything the server keeps is a deterministic function of
 // (canonical spec JSON, seed), so a persisted job record is a reusable
 // artifact — after a restart a finished job serves its cached result
 // byte-identically, and a job interrupted mid-run can simply be resubmitted
-// under its original spec and seed.
+// under its original spec and seed, its persisted documents prefilled so
+// only the tasks past them recompute.
 //
 // The Store interface is write-through: the server applies every mutation
 // to its in-memory tables first and mirrors it into the store, then reads
@@ -63,32 +65,21 @@ type JobRecord struct {
 	Error string `json:"error,omitempty"`
 }
 
-// RangeRecord is one persisted span of a running job's result ledger: the
-// TaskCoder-encoded documents of tasks [Lo, Lo+len(Results)). The server
-// appends one per watermark advance; the store folds adjacent spans on
-// apply (first-writer-wins, exactly like the engine's publication), so a
-// job's folded records always cover the contiguous prefix [0, watermark).
-type RangeRecord struct {
-	Lo      int               `json:"lo"`
-	Results []json.RawMessage `json:"results"`
-}
-
-// End returns the exclusive upper bound of the record's span.
-func (r RangeRecord) End() int { return r.Lo + len(r.Results) }
-
 // Snapshot is the full durable state, as Load returns it.
 type Snapshot struct {
 	// Games maps content-addressed game IDs to registered games.
 	Games map[string]*core.Game
 	// Jobs maps job IDs to their latest records.
 	Jobs map[string]JobRecord
-	// Ranges maps job IDs to their persisted per-task result spans. For a
-	// *submitted* (interrupted) job they are the completed prefix a restart
-	// prefills so only the missing suffix recomputes; for a *done* job they
-	// keep ?range fetches and resumed result streams servable across a
-	// restart (at most 4,096 documents per job). Failed and canceled
-	// records clear their ranges — there is no result to serve.
-	Ranges map[string][]RangeRecord
+	// Docs maps job IDs to their persisted per-task result documents: the
+	// TaskCoder-encoded documents of tasks [0, len(docs)), the prefix of
+	// the job's result ledger below its watermark. For a *submitted*
+	// (interrupted) job they are what a restart prefills so only the
+	// missing suffix recomputes; for a *done* job they keep ?range fetches
+	// and resumed result streams servable across a restart (at most 4,096
+	// documents per job). Failed and canceled records clear their
+	// documents — there is no result to serve.
+	Docs map[string][]json.RawMessage
 	// Handles maps live v2 handle IDs to job IDs.
 	Handles map[string]string
 	// NextHandle is the highest handle sequence number ever minted — not
@@ -97,64 +88,32 @@ type Snapshot struct {
 	NextHandle uint64
 }
 
-// addRange folds one range record into the snapshot, then applies the
-// per-job rangeDocCap (see trimRanges). Spans are appended in watermark
-// order, so the common case extends the previous record in place; an
-// overlap keeps the bytes already recorded (first-writer-wins) and only
-// the genuinely new suffix lands. Records for jobs that are not live
-// "submitted" or "done" ones are dropped — there is no result the spans
-// could serve (or the job was evicted), so they are dead weight.
-func (s *Snapshot) addRange(jobID string, lo int, results []json.RawMessage) {
+// addDocs extends a job's document prefix with the documents of tasks
+// [lo, lo+len(results)) and reports whether any landed. The server appends
+// spans in watermark order, so a span starts at or below the prefix's end;
+// only its part past the end lands (first-writer-wins, exactly like the
+// engine's publication), up to rangeDocCap documents. A span that starts
+// past the end would leave a gap and lands nothing, and neither does a span
+// of a job that is not a live "submitted" or "done" one — there is no
+// result its documents could serve (or the job was evicted).
+func (s *Snapshot) addDocs(jobID string, lo int, results []json.RawMessage) bool {
 	if rec, ok := s.Jobs[jobID]; !ok || (rec.State != JobSubmitted && rec.State != JobDone) {
-		return
+		return false
 	}
-	if lo < 0 || len(results) == 0 {
-		return
+	docs := s.Docs[jobID]
+	end := len(docs)
+	if lo < 0 || lo > end || lo+len(results) <= end || end >= rangeDocCap {
+		return false
 	}
-	defer s.trimRanges(jobID)
-	recs := s.Ranges[jobID]
-	if n := len(recs); n > 0 {
-		last := &recs[n-1]
-		if end := last.End(); lo <= end {
-			if lo+len(results) <= end {
-				return // fully covered: first writer already won
-			}
-			last.Results = append(last.Results, results[end-lo:]...)
-			s.Ranges[jobID] = recs
-			return
-		}
+	add := results[end-lo : min(lo+len(results), rangeDocCap)-lo]
+	if end == 0 {
+		// A first span is kept as given, capped so that a later append
+		// copies it instead of writing into the caller's array.
+		s.Docs[jobID] = add[:len(add):len(add)]
+		return true
 	}
-	if s.Ranges == nil {
-		s.Ranges = map[string][]RangeRecord{}
-	}
-	s.Ranges[jobID] = append(recs, RangeRecord{Lo: lo, Results: results})
-}
-
-// trimRanges enforces the per-job cap: at most rangeDocCap per-task
-// documents survive, trimmed from the highest task indices — the low
-// contiguous prefix is what restart prefill and download resume consume,
-// so it is the part worth keeping.
-func (s *Snapshot) trimRanges(jobID string) {
-	recs := s.Ranges[jobID]
-	total := 0
-	for _, r := range recs {
-		total += len(r.Results)
-	}
-	for total > rangeDocCap && len(recs) > 0 {
-		last := &recs[len(recs)-1]
-		if drop := total - rangeDocCap; drop >= len(last.Results) {
-			total -= len(last.Results)
-			recs = recs[:len(recs)-1]
-		} else {
-			last.Results = last.Results[:len(last.Results)-drop]
-			total -= drop
-		}
-	}
-	if len(recs) == 0 {
-		delete(s.Ranges, jobID)
-	} else {
-		s.Ranges[jobID] = recs
-	}
+	s.Docs[jobID] = append(docs, add...)
+	return true
 }
 
 // Store persists the server's durable state. Implementations must be safe
@@ -168,16 +127,18 @@ type Store interface {
 	// PutGame upserts a registered game.
 	PutGame(id string, g *core.Game) error
 	// PutJob upserts a job record keyed by rec.ID. Writing a failed or
-	// canceled state clears the job's persisted ranges — there is no result
-	// they could serve. Done records keep theirs (at most 4,096 documents
+	// canceled state clears the job's persisted documents — there is no
+	// result they could serve. Done records keep theirs (at most 4,096
 	// per job), so range fetches and resumed result streams survive a
 	// restart.
 	PutJob(rec JobRecord) error
 	// PutJobRange appends one span of a job's per-task results: the encoded
-	// documents of tasks [lo, lo+len(results)). Only jobs in the submitted
-	// or done state accumulate ranges; overlapping spans resolve
-	// first-writer-wins, and documents past the 4,096th are trimmed from the
-	// highest indices.
+	// documents of tasks [lo, lo+len(results)). It extends the job's
+	// document prefix when lo is at or below the prefix's end: only jobs in
+	// the submitted or done state keep documents, overlapping spans resolve
+	// first-writer-wins, and the prefix stops at 4,096 documents. A span
+	// that adds nothing to the prefix is not recorded. The store may keep
+	// results itself: callers must not modify it afterwards.
 	PutJobRange(jobID string, lo int, results []json.RawMessage) error
 	// PutHandle records a live handle claiming a job.
 	PutHandle(handle, jobID string) error
@@ -199,9 +160,9 @@ func handleSeq(handle string) uint64 {
 // garbage-collects handles whose job record is gone. Submitted records
 // always survive: they are the restart-recovery signal. (The server writes a job record before
 // any handle referencing it, so a missing record means the job itself was
-// evicted, not that the ops raced.) It returns how many range records it
-// dropped with their jobs.
-func (s *Snapshot) dropExcessJobs() (droppedRanges int) {
+// evicted, not that the ops raced.) The documents of evicted jobs go with
+// them.
+func (s *Snapshot) dropExcessJobs() {
 	if len(s.Jobs) > engine.DefaultRetention {
 		terminal := make([]string, 0, len(s.Jobs))
 		for id, rec := range s.Jobs {
@@ -222,13 +183,11 @@ func (s *Snapshot) dropExcessJobs() (droppedRanges int) {
 			delete(s.Handles, h)
 		}
 	}
-	for id, recs := range s.Ranges {
-		if rec, ok := s.Jobs[id]; !ok || (rec.State != JobSubmitted && rec.State != JobDone) {
-			droppedRanges += len(recs)
-			delete(s.Ranges, id)
+	for id := range s.Docs {
+		if _, ok := s.Jobs[id]; !ok {
+			delete(s.Docs, id)
 		}
 	}
-	return droppedRanges
 }
 
 // jobSeq orders "job-N" IDs by age; foreign shapes sort first (oldest).
@@ -241,7 +200,7 @@ func emptySnapshot() Snapshot {
 	return Snapshot{
 		Games:   map[string]*core.Game{},
 		Jobs:    map[string]JobRecord{},
-		Ranges:  map[string][]RangeRecord{},
+		Docs:    map[string][]json.RawMessage{},
 		Handles: map[string]string{},
 	}
 }
@@ -257,12 +216,11 @@ func (s Snapshot) clone() Snapshot {
 	for id, rec := range s.Jobs {
 		out.Jobs[id] = rec
 	}
-	for id, recs := range s.Ranges {
-		// Fresh record slice per job; the document bytes are shared
-		// read-only, like Result in the job records.
-		cp := make([]RangeRecord, len(recs))
-		copy(cp, recs)
-		out.Ranges[id] = cp
+	for id, docs := range s.Docs {
+		// Capped, so a caller's append copies instead of writing into the
+		// store's array; the document bytes are shared read-only, like
+		// Result in the job records.
+		out.Docs[id] = docs[:len(docs):len(docs)]
 	}
 	for h, id := range s.Handles {
 		out.Handles[h] = id
