@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
-	"unicode/utf8"
 
 	"gameofcoins/internal/engine"
 	"gameofcoins/internal/jsonscan"
@@ -58,7 +56,7 @@ func decodeRangeBody(body []byte, want int) (rangeBody, error) {
 	var fold [16]byte
 	s.Pos++
 	for s.SkipSpace(); body[s.Pos] != '}'; s.SkipSpace() {
-		key := foldKey(fold[:0], s.Member())
+		key := jsonscan.FoldKey(fold[:0], s.Member())
 		start := s.Pos
 		switch string(key) {
 		case "RESULTS":
@@ -67,7 +65,7 @@ func decodeRangeBody(body []byte, want int) (rangeBody, error) {
 				s.SkipValue()
 				rb.docs, rb.arr = nil, nil
 			case '[':
-				rb.docs = elements(&s, min(want, len(body)/2+1))
+				rb.docs = s.Elements(min(want, len(body)/2+1))
 				rb.arr = body[start:s.Pos]
 			default:
 				return rangeBody{}, errors.New("range body's results is not an array")
@@ -102,41 +100,4 @@ func taskError(lo int, err error) error {
 		}
 	}
 	return fmt.Errorf("client: range from task %d: %w", lo, err)
-}
-
-// elements returns the elements of the array at s.Pos, each capped at its
-// end, and moves s.Pos past it; n sizes the returned slice.
-func elements(s *jsonscan.Scanner, n int) []json.RawMessage {
-	docs := make([]json.RawMessage, 0, max(n, 0))
-	s.Pos++
-	for s.SkipSpace(); s.Doc[s.Pos] != ']'; s.SkipSpace() {
-		if s.Doc[s.Pos] == ',' {
-			s.Pos++
-			s.SkipSpace()
-		}
-		start := s.Pos
-		s.SkipValue()
-		docs = append(docs, s.Doc[start:s.Pos:s.Pos])
-	}
-	s.Pos++
-	return docs
-}
-
-// foldKey appends key folded the way encoding/json folds object keys to
-// match them against struct field names case-insensitively.
-func foldKey(dst, key []byte) []byte {
-	for i := 0; i < len(key); {
-		if c := key[i]; c < utf8.RuneSelf {
-			if 'a' <= c && c <= 'z' {
-				c -= 'a' - 'A'
-			}
-			dst = append(dst, c)
-			i++
-			continue
-		}
-		r, n := utf8.DecodeRune(key[i:])
-		dst = utf8.AppendRune(dst, unicode.ToUpper(unicode.ToLower(r)))
-		i += n
-	}
-	return dst
 }

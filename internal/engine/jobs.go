@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -380,12 +381,14 @@ func (m *Manager) bumpNextIDLocked(id string) {
 
 // Restore inserts a job already in a terminal state — the persistence
 // layer's rehydration path for jobs that finished in a previous process
-// life. A done job keeps copies of its stored result document (Result
-// returns it as a json.RawMessage) and of its persisted per-task documents,
-// docs[i] being task i's, which rebuild its result ledger (documents past
-// total are ignored); failed and canceled jobs carry only the recorded
-// error. The job ID must be unique; IDs in the manager's own "job-N" form
-// advance the mint counter so later submissions cannot collide.
+// life. A done job keeps its stored result document (Result returns it as a
+// json.RawMessage) and its persisted per-task documents, docs[i] being task
+// i's, as its result ledger: docs itself when it covers every task
+// (documents past total are ignored), else a copy of its headers. Callers
+// must not modify result or docs afterwards. Failed and canceled jobs carry
+// only the recorded error. The job ID must be unique; IDs in the manager's
+// own "job-N" form advance the mint counter so later submissions cannot
+// collide.
 func (m *Manager) Restore(id, kind string, total int, result json.RawMessage, docs []json.RawMessage, state State, errMsg string) (*Job, error) {
 	if id == "" {
 		return nil, errors.New("engine: Restore needs a job ID")
@@ -397,13 +400,10 @@ func (m *Manager) Restore(id, kind string, total int, result json.RawMessage, do
 	close(j.finished)
 	switch {
 	case state == StateDone:
-		j.result = json.RawMessage(bytes.Clone(result))
+		j.result = result
 		j.done = total
-		if len(docs) > 0 && total > 0 {
-			j.docs = make([]json.RawMessage, total)
-			for i, doc := range docs[:min(len(docs), total)] {
-				j.recordLocked(i, bytes.Clone(doc))
-			}
+		if n := min(len(docs), total); n > 0 {
+			j.docs, j.watermark = slices.Grow(docs[:n:n], total-n)[:total], n
 		}
 	case errMsg != "":
 		j.err = errors.New(errMsg)

@@ -160,6 +160,37 @@ func TestJobLedgerLocalRun(t *testing.T) {
 	}
 }
 
+// TestResultRangeIsAView: a span below the watermark is a view of the
+// ledger, not a copy: two calls share one backing array, the view is capped
+// at hi so an append copies instead of writing into the ledger, and a call
+// allocates nothing.
+func TestResultRangeIsAView(t *testing.T) {
+	mgr := NewManager(New(2))
+	defer mgr.Close()
+	job, err := mgr.SubmitJobOpts("", newSumSpec(16), 7, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	all, err := job.ResultRange(0, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := job.ResultRange(0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &head[0] != &all[0] || cap(head) != 8 {
+		t.Fatalf("ResultRange(0, 8) is not a capped view of the ledger's array (cap %d)", cap(head))
+	}
+	if grown := append(head, json.RawMessage(`0`)); &grown[0] == &all[0] || string(all[8]) != "108" {
+		t.Fatalf("an append to a view wrote into the ledger: task 8 is %s", all[8])
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = job.ResultRange(0, 16) }); allocs != 0 {
+		t.Fatalf("ResultRange below the watermark allocates %v times, want 0", allocs)
+	}
+}
+
 // TestJobNoLedger: a spec without a TaskCoder has no ledger; range queries
 // report ErrNoLedger and the status watermark stays zero.
 func TestJobNoLedger(t *testing.T) {

@@ -277,7 +277,8 @@ func ValidateResult(kind string, version int, raw json.RawMessage) error {
 	if schema == nil {
 		return nil
 	}
-	if err := schema.check(schema, raw, "result document"); err != nil {
+	if err := schema.check(schema, raw); err != nil {
+		err.Doc = "result document"
 		return fmt.Errorf("engine: %s result: %w", VersionedKind(kind, version), err)
 	}
 	return nil

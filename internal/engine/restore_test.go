@@ -13,8 +13,9 @@ import (
 
 // TestManagerRestore: a terminal job injected by the persistence layer is
 // indistinguishable from one that finished in-process — status, result,
-// Done/Wait — its persisted task documents rebuild its ledger, it keeps
-// copies of the store's bytes, and its ID advances the mint counter so
+// Done/Wait — its persisted task documents rebuild its ledger, pointing at
+// the store's bytes rather than copies, a span it will never complete is
+// gone rather than incomplete, and its ID advances the mint counter so
 // later submissions never collide.
 func TestManagerRestore(t *testing.T) {
 	m := NewManager(New(1))
@@ -26,18 +27,17 @@ func TestManagerRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	result[0], docs[0][0] = '5', '8'
 	st := job.Status()
 	if st.State != StateDone || st.Progress.Done != 3 || st.Progress.Total != 3 || st.Progress.Watermark != 1 {
 		t.Fatalf("restored status = %+v", st)
 	}
-	if res, ok := job.Result(); !ok || string(res.(json.RawMessage)) != "42" {
-		t.Fatalf("restored result = %s, %v", res, ok)
+	if res, ok := job.Result(); !ok || string(res.(json.RawMessage)) != "42" || &res.(json.RawMessage)[0] != &result[0] {
+		t.Fatalf("restored result = %s, %v; want the given document itself", res, ok)
 	}
-	if got, err := job.ResultRange(0, 1); err != nil || string(got[0]) != "7" {
-		t.Fatalf("restored range [0,1) = %s, %v", got, err)
+	if got, err := job.ResultRange(0, 1); err != nil || string(got[0]) != "7" || &got[0][0] != &docs[0][0] {
+		t.Fatalf("restored range [0,1) = %s, %v; want the given document itself", got, err)
 	}
-	if _, err := job.ResultRange(0, 3); !errors.Is(err, ErrRangeIncomplete) {
+	if _, err := job.ResultRange(0, 3); !errors.Is(err, ErrRangeGone) {
 		t.Fatalf("range over a missing document: %v", err)
 	}
 	select {

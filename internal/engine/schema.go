@@ -75,7 +75,10 @@ func (s *Schema) Validate(raw json.RawMessage) error {
 	if s == nil || len(raw) == 0 {
 		return nil
 	}
-	return s.check(s, raw, "")
+	if err := s.check(s, raw); err != nil {
+		return err
+	}
+	return nil
 }
 
 // ValidateDef checks raw against the named root $def — one per-task result
@@ -92,7 +95,11 @@ func (s *Schema) ValidateDef(name string, raw json.RawMessage) error {
 	if !ok {
 		return nil
 	}
-	return def.check(s, raw, name+" document")
+	if err := def.check(s, raw); err != nil {
+		err.Doc = name + " document"
+		return err
+	}
+	return nil
 }
 
 // ValidateWellFormed is Validate for raw already known to be one
@@ -104,36 +111,36 @@ func (s *Schema) ValidateWellFormed(raw json.RawMessage) error {
 	if s == nil || len(raw) == 0 {
 		return nil
 	}
-	return s.walk(s, raw, "")
-}
-
-// check validates the first JSON value in raw against s, resolving $refs
-// through root's Defs; doc names the document in errors (see SchemaError).
-// A document that is not one well-formed value goes through a json.Decoder,
-// as every document once did: it either fails with the decoder's error
-// text, or it is a well-formed first value followed by trailing bytes,
-// which are ignored, as DecodeJSON ignores them.
-func (s *Schema) check(root *Schema, raw []byte, doc string) error {
-	if !json.Valid(raw) {
-		var first json.RawMessage
-		if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&first); err != nil {
-			return &SchemaError{Doc: doc, Msg: "malformed JSON: " + err.Error()}
-		}
-		raw = first
-	}
-	return s.walk(root, raw, doc)
-}
-
-// walk validates the well-formed JSON value raw against s, resolving $refs
-// through root's Defs; doc names the document in errors.
-func (s *Schema) walk(root *Schema, raw []byte, doc string) error {
-	w := walker{root: root, Scanner: jsonscan.Scanner{Doc: raw}}
-	w.SkipSpace()
-	if err := w.value(s, 0); err != nil {
-		err.Doc = doc
+	if err := s.walk(s, raw); err != nil {
 		return err
 	}
 	return nil
+}
+
+// check validates the first JSON value in raw against s, resolving $refs
+// through root's Defs. A document that is not one well-formed value goes
+// through a json.Decoder, as every document once did: it either fails with
+// the decoder's error text, or it is a well-formed first value followed by
+// trailing bytes, which are ignored, as DecodeJSON ignores them. A
+// violation leaves Doc empty for the caller to name the document, so a
+// document that passes builds no name.
+func (s *Schema) check(root *Schema, raw []byte) *SchemaError {
+	if !json.Valid(raw) {
+		var first json.RawMessage
+		if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&first); err != nil {
+			return &SchemaError{Msg: "malformed JSON: " + err.Error()}
+		}
+		raw = first
+	}
+	return s.walk(root, raw)
+}
+
+// walk validates the well-formed JSON value raw against s, resolving $refs
+// through root's Defs.
+func (s *Schema) walk(root *Schema, raw []byte) *SchemaError {
+	w := walker{root: root, Scanner: jsonscan.Scanner{Doc: raw}}
+	w.SkipSpace()
+	return w.value(s, 0)
 }
 
 // maxRefDepth bounds $ref chains so a cyclic hand-written schema fails a
@@ -228,22 +235,13 @@ func (w *walker) object(s *Schema, depth int) *SchemaError {
 
 // array checks the array at w.Pos element by element against s.Items.
 func (w *walker) array(s *Schema, depth int) *SchemaError {
-	w.Pos++
-	for i := 0; ; i++ {
-		w.SkipSpace()
-		switch w.Doc[w.Pos] {
-		case ']':
-			w.Pos++
-			return nil
-		case ',':
-			w.Pos++
-			w.SkipSpace()
-		}
+	for i := 0; w.Next(); i++ {
 		if err := w.value(s.Items, depth); err != nil {
 			err.Path = "/" + strconv.Itoa(i) + err.Path
 			return err
 		}
 	}
+	return nil
 }
 
 // jsonType names the type of the JSON value that starts with byte c.

@@ -152,6 +152,38 @@ func TestSchemaErrorNamesItsDocument(t *testing.T) {
 	}
 }
 
+// TestSchemaValidateAllocs is the allocation gate of the two checks on the
+// serving path: the server's Validate of an accepted learn_sweep spec, and
+// ValidateDef of one task document, which names its document only when it
+// returns a violation.
+func TestSchemaValidateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("json.Valid's scanner comes from a sync.Pool, which drops items at random under the race detector")
+	}
+	var entry CatalogEntry
+	for _, ce := range Catalog() {
+		if ce.Kind == "learn_sweep" && ce.Latest {
+			entry = ce
+		}
+	}
+	spec := json.RawMessage(`{"gen":{"Miners":8,"Coins":2},"runs":200}`)
+	task := json.RawMessage(`{"steps":3,"converged":true}`)
+	for _, c := range []struct {
+		name  string
+		check func() error
+	}{
+		{"Validate(spec)", func() error { return entry.Schema.Validate(spec) }},
+		{"ValidateDef(task)", func() error { return entry.ResultSchema.ValidateDef("task", task) }},
+	} {
+		if err := c.check(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = c.check() }); allocs != 0 {
+			t.Errorf("%s allocates %v times, want 0", c.name, allocs)
+		}
+	}
+}
+
 // TestSchemaValidateEdges: nil schema and empty/null documents are valid;
 // pointer tokens escape RFC-6901 special characters.
 func TestSchemaValidateEdges(t *testing.T) {

@@ -1,11 +1,12 @@
 // Package jsonscan walks one well-formed JSON value by its bytes, without
-// decoding it: the engine's schema walker and the client SDK's range-body
-// decoder share it. Its input has passed json.Valid, or is a value a
-// json.Decoder delimited, so it checks no syntax.
+// decoding it, for the engine's schema walker, the client SDK's range-body
+// decoder and the store's log replay. Its input has passed json.Valid, or
+// is a value a json.Decoder delimited, so it checks no syntax.
 package jsonscan
 
 import (
 	"encoding/json"
+	"unicode"
 	"unicode/utf8"
 )
 
@@ -36,6 +37,59 @@ func (s *Scanner) Member() []byte {
 	s.Pos++ // ':'
 	s.SkipSpace()
 	return key
+}
+
+// Next steps into the array at Pos, or past the ',' after one of its
+// elements, and reports whether an element follows; Pos is then at it. At
+// the array's closing bracket it moves Pos past it and reports false.
+func (s *Scanner) Next() bool {
+	s.SkipSpace()
+	if s.Doc[s.Pos] != ']' {
+		s.Pos++ // '[' or ','
+		s.SkipSpace()
+		if s.Doc[s.Pos] != ']' {
+			return true
+		}
+	}
+	s.Pos++
+	return false
+}
+
+// Elements returns the elements of the array at Pos, each a sub-slice of
+// Doc capped at its end, and moves Pos past the array; n sizes the slice.
+func (s *Scanner) Elements(n int) []json.RawMessage {
+	docs := make([]json.RawMessage, 0, max(n, 0))
+	for s.Next() {
+		start := s.Pos
+		s.SkipValue()
+		docs = append(docs, s.Doc[start:s.Pos:s.Pos])
+	}
+	return docs
+}
+
+// FoldKey appends key folded the way encoding/json folds object keys to
+// match them against struct field names case-insensitively: "ſ" folds to
+// "S", but the Turkish "ı" stays itself.
+func FoldKey(dst, key []byte) []byte {
+	for i := 0; i < len(key); {
+		if c := key[i]; c < utf8.RuneSelf {
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			dst = append(dst, c)
+			i++
+			continue
+		}
+		// SimpleFold walks r's orbit upward and wraps to its smallest rune.
+		r, n := utf8.DecodeRune(key[i:])
+		f := unicode.SimpleFold(r)
+		for f > r {
+			r, f = f, unicode.SimpleFold(f)
+		}
+		dst = utf8.AppendRune(dst, f)
+		i += n
+	}
+	return dst
 }
 
 // SkipValue moves Pos past the value at Pos.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -16,6 +17,15 @@ func (s *Server) JobStatus(id string) (engine.Status, error) {
 		return engine.Status{}, err
 	}
 	return job.Status(), nil
+}
+
+// JobRange reads a job's result ledger by ID, like JobStatus.
+func (s *Server) JobRange(id string, lo, hi int) ([]json.RawMessage, error) {
+	job, err := s.manager.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	return job.ResultRange(lo, hi)
 }
 
 // WaitJobTerminal polls JobStatus until the job reaches a terminal state.

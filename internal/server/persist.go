@@ -143,10 +143,6 @@ type watchStart struct {
 	job  *engine.Job
 	rec  store.JobRecord
 	spec engine.Spec // only engine.TaskCoder specs have per-task documents to persist
-	// from is how many documents the store already holds: the follower
-	// resumes persisting above it instead of rewriting spans the log
-	// already holds.
-	from int
 }
 
 // rehydrateJob revives one job record. Terminal jobs are restored as-is: a
@@ -235,7 +231,7 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 	s.persistJob(rec)
 	//goclint:allow lockguard -- pre-publication: recomputeJob runs under rehydrate before the server is shared
 	s.cache[rec.Key] = rec.ID
-	return []watchStart{{job: job, rec: rec, spec: rs.Spec, from: len(docs)}}
+	return []watchStart{{job: job, rec: rec, spec: rs.Spec}}
 }
 
 // idLess orders prefixed sequence IDs ("job-2" < "job-10") by mint age
@@ -258,29 +254,31 @@ func idLess(a, b, prefix string) bool {
 // watchJob starts the job's one follower goroutine. With a store and a
 // per-task wire codec (engine.TaskCoder) it first persists the result
 // ledger as it grows: each time the contiguous-prefix watermark advances,
-// the new span [last, watermark) is appended as a range record, starting
-// above w.from. When the job ends it persists the terminal record, or
-// retracts the cache entry of a resultless end. Shutdown is the exception:
-// jobs the manager canceled because the whole server is closing keep their
-// "submitted" record — and the spans persisted so far — which is exactly
-// what makes the next process life resubmit them with a prefill. Without a
-// store the follower only waits for the end.
+// it hands the store a view of the ledger's prefix [0, watermark), which
+// the store keeps, logging only the documents past what it held; it stops
+// once the prefix reaches store.RangeDocCap. When the job ends it persists
+// the terminal record, or retracts the cache entry of a resultless end.
+// Shutdown is the exception: jobs the manager canceled because the whole
+// server is closing keep their "submitted" record — and the documents
+// persisted so far — which is exactly what makes the next process life
+// resubmit them with a prefill. Without a store the follower only waits for
+// the end.
 func (s *Server) watchJob(w watchStart) {
 	job, rec := w.job, w.rec
 	go func() {
 		if _, coder := w.spec.(engine.TaskCoder); coder && s.store != nil {
-			last := w.from
+			last := 0
 			persist := func(wm int) {
+				wm = min(wm, store.RangeDocCap)
 				if wm <= last {
 					return
 				}
-				docs, err := job.ResultRange(last, wm)
+				docs, err := job.ResultRange(0, wm)
 				if err != nil {
 					return
 				}
-				lo := last
 				last = wm
-				s.enqueuePersist(func() error { return s.store.PutJobRange(rec.ID, lo, docs) })
+				s.enqueuePersist(func() error { return s.store.PutJobRange(rec.ID, 0, docs) })
 			}
 			for st := range job.Watch(context.Background()) {
 				persist(st.Progress.Watermark)

@@ -356,6 +356,44 @@ func TestRestartServesCachedResults(t *testing.T) {
 	}
 }
 
+// TestStoreSharesTheLedger: a done learn_sweep job's persisted documents
+// are its result ledger's own array, not a copy of it, and after a restart
+// the restored job's ledger is the array the store loaded.
+func TestStoreSharesTheLedger(t *testing.T) {
+	dir := t.TempDir()
+	p1 := openPersistent(t, dir, false)
+	ctx := context.Background()
+	learn := engine.LearnSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Schedulers: []string{"random"}, Runs: 40}
+	h, err := client.New(p1.URL).SubmitLearnSweep(ctx, learn, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitHandleDone(t, p1.URL, h.ID())
+	id, n := h.Submitted.Status.ID, learn.Tasks()
+	// The watcher persists the documents before the done record.
+	waitRecordState(t, p1.st, id, store.JobDone)
+	shared := func(p *persistentServer) bool {
+		t.Helper()
+		snap, err := p.st.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger, err := p.s.JobRange(id, 0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs := snap.Docs[id]
+		return len(docs) == n && &docs[0] == &ledger[0]
+	}
+	if !shared(p1) {
+		t.Fatal("the store keeps a copy of the done job's ledger")
+	}
+	p1.shutdown()
+	if p2 := openPersistent(t, dir, false); !shared(p2) {
+		t.Fatal("the restored job's ledger is a copy of the loaded documents")
+	}
+}
+
 // TestRestartResubmitsInterruptedJobs: a job mid-run at shutdown keeps its
 // "submitted" record, and the next process life resubmits it under its
 // original ID, spec, and seed; pre-restart handles watch it to completion.

@@ -54,10 +54,12 @@ const rangeFlushBytes = 256 << 10
 // writeResultRange serves ?range=lo-hi from the job's result ledger: the
 // TaskCoder documents of tasks [lo, hi), servable mid-run as soon as the
 // span is fully computed. Error mapping: a malformed or out-of-bounds range
-// is 400, a span not yet fully computed is 409 (retry after the watermark
-// passes hi), and a job without a ledger — non-TaskCoder spec, or restored
-// terminal from a previous life — is 410 (no per-task documents will ever
-// exist for it).
+// is 400, a span a running job has not yet fully computed is 409 (retry
+// after the watermark passes hi), and 410 means no retry can help: the job
+// is terminal and never completed the span (it failed or was canceled, or
+// was restored with fewer persisted documents), or it has no ledger — a
+// non-TaskCoder spec, or a failed or canceled job restored from a previous
+// life.
 //
 // The body is assembled by concatenation: the documents go out verbatim —
 // byte-identical to the ledger and the store, never re-marshalled or
@@ -77,7 +79,7 @@ func writeResultRange(w http.ResponseWriter, job *engine.Job, rng string) {
 			writeError(w, http.StatusBadRequest, err)
 		case errors.Is(err, engine.ErrRangeIncomplete):
 			writeError(w, http.StatusConflict, err)
-		case errors.Is(err, engine.ErrNoLedger):
+		case errors.Is(err, engine.ErrNoLedger), errors.Is(err, engine.ErrRangeGone):
 			writeError(w, http.StatusGone, err)
 		default:
 			writeError(w, http.StatusInternalServerError, err)

@@ -225,6 +225,12 @@ func TestCancellationMidJob(t *testing.T) {
 	if rec.Code != http.StatusGone {
 		t.Fatalf("result of canceled job: status %d, want 410", rec.Code)
 	}
+	// So is a span it never completed.
+	rec = httptest.NewRecorder()
+	writeResultRange(rec, job, fmt.Sprintf("0-%d", final.Progress.Total))
+	if rec.Code != http.StatusGone {
+		t.Fatalf("range a canceled job never completed: status %d, want 410", rec.Code)
+	}
 	// The released handle itself is gone.
 	doJSON(t, http.MethodGet, ts.URL+"/v2/jobs/"+jh.Handle, nil, http.StatusNotFound, nil)
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -244,6 +245,100 @@ func TestResultRangeEndpoint(t *testing.T) {
 	waitHandleDone(t, base, gh.ID())
 	if code := getStatusCode(t, base+"/v2/jobs/"+gh.ID()+"/result?range=0-1"); code != http.StatusGone {
 		t.Fatalf("no-ledger span status = %d, want 410", code)
+	}
+}
+
+// TestRestoredShortPrefixIsGone: a done job restored with fewer persisted
+// documents than tasks serves the documents it has, and answers a span
+// past them with 410: its watermark will never move again, so the 409 that
+// means "retry later" would have clients poll forever.
+func TestRestoredShortPrefixIsGone(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := store.JobRecord{ID: "job-1", Key: "short-prefix", Kind: "test_stream", Version: 1, Seed: 7, Tasks: 3,
+		Spec: json.RawMessage(`{"name":"short-prefix","n":3,"free":3}`), State: store.JobDone, Result: json.RawMessage(`3009`)}
+	for _, put := range []func() error{
+		func() error { return st.PutJob(rec) },
+		func() error {
+			return st.PutJobRange("job-1", 0, []json.RawMessage{json.RawMessage(streamDoc(0)), json.RawMessage(streamDoc(1))})
+		},
+		func() error { return st.PutHandle("h-1", "job-1") },
+		st.Close,
+	} {
+		if err := put(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := openPersistent(t, dir, false)
+	if body := getRange(t, p.URL, "h-1", 0, 2); len(body.Results) != 2 || string(body.Results[1]) != streamDoc(1) {
+		t.Fatalf("persisted span body = %+v", body)
+	}
+	if code := getStatusCode(t, p.URL+"/v2/jobs/h-1/result?range=0-3"); code != http.StatusGone {
+		t.Fatalf("span past the persisted documents: status %d, want 410", code)
+	}
+}
+
+// rangeSpy is a file store that records the span of every PutJobRange.
+type rangeSpy struct {
+	*store.File
+	mu    sync.Mutex
+	spans []engine.TaskRange
+}
+
+func (s *rangeSpy) PutJobRange(jobID string, lo int, results []json.RawMessage) error {
+	s.mu.Lock()
+	s.spans = append(s.spans, engine.TaskRange{Lo: lo, Hi: lo + len(results)})
+	s.mu.Unlock()
+	return s.File.PutJobRange(jobID, lo, results)
+}
+
+func (s *rangeSpy) recorded() []engine.TaskRange {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.spans)
+}
+
+// TestWatcherStopsAtTheCap: the watcher persists a job's documents up to
+// store.RangeDocCap and no further, though its watermark goes on past it;
+// the store still holds exactly the capped prefix, and the done record
+// lands.
+func TestWatcherStopsAtTheCap(t *testing.T) {
+	st, err := store.OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy := &rangeSpy{File: st}
+	s, err := server.NewWithOptions(2, server.Options{Store: spy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := servePersistent(t, s, st)
+	spec := streamSpec{Name: uniqueName("range-cap"), N: store.RangeDocCap + 200, Free: store.RangeDocCap + 100}
+	defer openGate(spec.Name)
+	h, err := client.New(p.URL).Submit(context.Background(), "test_stream", 7, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The free prefix runs past the cap; the gated tasks wait until the
+	// watcher has persisted up to it.
+	id := h.Submitted.Status.ID
+	waitRangeCoverage(t, st, id, store.RangeDocCap)
+	openGate(spec.Name)
+	waitHandleDone(t, p.URL, h.ID())
+	waitRecordState(t, st, id, store.JobDone)
+	spans := spy.recorded()
+	if i := slices.IndexFunc(spans, func(sp engine.TaskRange) bool { return sp.Hi >= store.RangeDocCap }); i != len(spans)-1 {
+		t.Fatalf("the watcher persisted %v after the span that reached the cap", spans[i+1:])
+	}
+	snap, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if docs := snap.Docs[id]; len(docs) != store.RangeDocCap || string(docs[store.RangeDocCap-1]) != streamDoc(store.RangeDocCap-1) {
+		t.Fatalf("the store holds %d documents, want tasks [0,%d)", len(docs), store.RangeDocCap)
 	}
 }
 

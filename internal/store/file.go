@@ -12,13 +12,15 @@ import (
 
 	"gameofcoins/internal/core"
 	"gameofcoins/internal/engine"
+	"gameofcoins/internal/jsonscan"
 )
 
-// rangeDocCap caps how many per-task result documents a store keeps per
-// job: the prefix of tasks [0, rangeDocCap), what restart prefill and
+// RangeDocCap caps how many per-task result documents a store keeps per
+// job: the prefix of tasks [0, RangeDocCap), what restart prefill and
 // download resume consume. Jobs with more tasks lose per-task servability
-// past it after a restart, but never the aggregate result.
-const rangeDocCap = 4096
+// past it after a restart, but never the aggregate result. The server stops
+// persisting a job's documents once its prefix reaches the cap.
+const RangeDocCap = 4096
 
 // compactMinOps is the floor below which the log is never compacted, so
 // small servers don't churn the file on every write.
@@ -118,7 +120,8 @@ type op struct {
 // shape a crash mid-append can leave, since the newline is each op's last
 // byte — is tolerated (OpenFile truncates it away); corruption in any
 // *terminated* line is an error, because silently skipping interior history
-// could resurrect released handles or lose results.
+// could resurrect released handles or lose results. Lines scanRange does
+// not take go through json.Unmarshal.
 func (s *File) replay() (int64, error) {
 	data, err := os.ReadFile(s.logPath())
 	if os.IsNotExist(err) {
@@ -136,11 +139,13 @@ func (s *File) replay() (int64, error) {
 		}
 		line := data[start : start+nl]
 		lineno++
-		var o op
-		if err := json.Unmarshal(line, &o); err != nil {
-			return 0, fmt.Errorf("store: corrupt log line %d: %w", lineno, err)
+		o, ok := scanRange(line)
+		if !ok {
+			if err := json.Unmarshal(line, &o); err != nil {
+				return 0, fmt.Errorf("store: corrupt log line %d: %w", lineno, err)
+			}
 		}
-		if _, err := s.applyLocked(o); err != nil {
+		if _, err := s.applyLocked(&o); err != nil {
 			return 0, fmt.Errorf("store: corrupt log line %d: %w", lineno, err)
 		}
 		start += nl + 1
@@ -149,11 +154,68 @@ func (s *File) replay() (int64, error) {
 	return good, nil
 }
 
+// scanRange decodes a range line as json.Unmarshal would, but slices its
+// documents out of one copy of the line, each capped at its end: one
+// allocation however many documents it holds, and no other line kept
+// alive. It reports false unless json.Valid accepts line, every key matches
+// "op", "job_id", "lo" or "results" as encoding/json matches them, and
+// their values are "range", an unescaped string, an int and an array.
+func scanRange(line []byte) (op, bool) {
+	s := jsonscan.Scanner{Doc: line}
+	s.SkipSpace()
+	if !json.Valid(line) || line[s.Pos] != '{' {
+		return op{}, false
+	}
+	var o op
+	var fold [16]byte
+	at, n := -1, 0 // the last results array's offset and length
+	s.Pos++
+	for s.SkipSpace(); line[s.Pos] != '}'; s.SkipSpace() {
+		key := jsonscan.FoldKey(fold[:0], s.Member())
+		start := s.Pos
+		switch string(key) {
+		case "OP":
+			if line[start] != '"' || s.SkipString() || string(line[start+1:s.Pos-1]) != "range" {
+				return op{}, false
+			}
+			o.Op = "range"
+		case "JOB_ID":
+			if line[start] != '"' || s.SkipString() {
+				return op{}, false
+			}
+			o.JobID = string(line[start+1 : s.Pos-1])
+		case "LO":
+			s.SkipValue()
+			lo, err := strconv.Atoi(string(line[start:s.Pos]))
+			if err != nil {
+				return op{}, false
+			}
+			o.Lo = lo
+		case "RESULTS":
+			if line[start] != '[' {
+				return op{}, false
+			}
+			for at, n = start, 0; s.Next(); n++ {
+				s.SkipValue()
+			}
+		default:
+			return op{}, false
+		}
+	}
+	if o.Op == "" || at < 0 {
+		return op{}, false
+	}
+	s = jsonscan.Scanner{Doc: bytes.Clone(line), Pos: at}
+	o.Results = s.Elements(n)
+	return o, true
+}
+
 // applyLocked folds one op into the live snapshot and reports whether it
-// changed anything worth a log line: a range op whose documents all fall
-// away (see Snapshot.addDocs) does not. Callers hold s.mu — except replay,
-// which runs inside OpenFile before the store is shared.
-func (s *File) applyLocked(o op) (bool, error) {
+// changed anything worth a log line. A range op is cut down to what landed
+// (see Snapshot.addDocs), which is what its line records; one whose
+// documents all fall away changes nothing. Callers hold s.mu — except
+// replay, which runs inside OpenFile before the store is shared.
+func (s *File) applyLocked(o *op) (bool, error) {
 	switch o.Op {
 	case "game":
 		var g core.Game
@@ -171,7 +233,8 @@ func (s *File) applyLocked(o op) (bool, error) {
 			delete(s.snap.Docs, o.Job.ID)
 		}
 	case "range":
-		return s.snap.addDocs(o.JobID, o.Lo, o.Results), nil
+		o.Lo, o.Results = s.snap.addDocs(o.JobID, o.Lo, o.Results)
+		return len(o.Results) > 0, nil
 	case "handle":
 		s.snap.Handles[o.ID] = o.JobID
 		if n := handleSeq(o.ID); n > s.snap.NextHandle {
@@ -199,7 +262,7 @@ func (s *File) append(o op) error {
 	if s.closed {
 		return os.ErrClosed
 	}
-	changed, err := s.applyLocked(o)
+	changed, err := s.applyLocked(&o)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -101,14 +103,14 @@ func TestRangeFold(t *testing.T) {
 }
 
 // TestRangeCompactionCap: monotonic watermark-order growth (what the
-// server's watcher emits) saturates at rangeDocCap documents per job: the
+// server's watcher emits) saturates at RangeDocCap documents per job: the
 // low prefix survives, later spans add nothing.
 func TestRangeCompactionCap(t *testing.T) {
 	s := openTemp(t)
-	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 2 * rangeDocCap, State: JobSubmitted}); err != nil {
+	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 2 * RangeDocCap, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
 	}
-	for lo := 0; lo < rangeDocCap+512; lo += 512 {
+	for lo := 0; lo < RangeDocCap+512; lo += 512 {
 		if err := s.PutJobRange("job-1", lo, seqDocs(lo, 512)); err != nil {
 			t.Fatal(err)
 		}
@@ -117,8 +119,8 @@ func TestRangeCompactionCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := seqDocs(0, rangeDocCap); !reflect.DeepEqual(snap.Docs["job-1"], want) {
-		t.Fatalf("capped monotonic growth kept %d docs, want tasks [0,%d)", len(snap.Docs["job-1"]), rangeDocCap)
+	if want := seqDocs(0, RangeDocCap); !reflect.DeepEqual(snap.Docs["job-1"], want) {
+		t.Fatalf("capped monotonic growth kept %d docs, want tasks [0,%d)", len(snap.Docs["job-1"]), RangeDocCap)
 	}
 }
 
@@ -128,13 +130,13 @@ func TestRangeCompactionCap(t *testing.T) {
 // does not count toward compaction.
 func TestRangeOpsThatLandNothingAreNotLogged(t *testing.T) {
 	s := openTemp(t)
-	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 2 * rangeDocCap, State: JobSubmitted}); err != nil {
+	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 2 * RangeDocCap, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutJob(JobRecord{ID: "job-2", Tasks: 10, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutJobRange("job-1", 0, seqDocs(0, rangeDocCap)); err != nil {
+	if err := s.PutJobRange("job-1", 0, seqDocs(0, RangeDocCap)); err != nil {
 		t.Fatal(err)
 	}
 	size := func() int64 {
@@ -146,7 +148,7 @@ func TestRangeOpsThatLandNothingAreNotLogged(t *testing.T) {
 		return info.Size()
 	}
 	before, ops := size(), s.ops
-	if err := s.PutJobRange("job-1", rangeDocCap, docs(2, 3)); err != nil {
+	if err := s.PutJobRange("job-1", RangeDocCap, docs(2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutJobRange("job-9", 0, docs(1)); err != nil {
@@ -162,8 +164,107 @@ func TestRangeOpsThatLandNothingAreNotLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Docs["job-1"]) != rangeDocCap || len(snap.Docs) != 1 {
+	if len(snap.Docs["job-1"]) != RangeDocCap || len(snap.Docs) != 1 {
 		t.Fatalf("job-1 holds %d docs, %d jobs hold docs", len(snap.Docs["job-1"]), len(snap.Docs))
+	}
+}
+
+// TestRangeViewsShareTheArray: the server's watcher sends views of a job's
+// result ledger from lo 0. The store keeps a longer view of its prefix's
+// array as the prefix, copying no header, and logs one line from the old
+// end holding only the documents past it: the line a span from there writes.
+// An overlapping span of another array lands and logs the same way.
+func TestRangeViewsShareTheArray(t *testing.T) {
+	s := openTemp(t)
+	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 6, State: JobSubmitted}); err != nil {
+		t.Fatal(err)
+	}
+	ledger := docs(10, 11, 12, 13, 14, 15)
+	for _, wm := range []int{2, 5, 4} {
+		if err := s.PutJobRange("job-1", 0, ledger[:wm:wm]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Docs["job-1"]; len(got) != 5 || &got[0] != &ledger[0] {
+		t.Fatalf("the store holds %d documents in its own array, want the ledger's first 5", len(got))
+	}
+	if err := s.PutJobRange("job-1", 0, docs(10, 11, 12, 13, 14, 15)); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(s.dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"op":"range","job_id":"job-1","results":[10,11]}
+{"op":"range","job_id":"job-1","lo":2,"results":[12,13,14]}
+{"op":"range","job_id":"job-1","lo":5,"results":[15]}
+`
+	if _, ranges, _ := bytes.Cut(log, []byte("\n")); string(ranges) != want {
+		t.Fatalf("range lines:\n%s\nwant:\n%s", ranges, want)
+	}
+}
+
+// TestRangeViewsRace shares one header array between a writer that records
+// entries above a moving watermark under its own mutex, as the engine's
+// ledger does, and the store, which keeps lo-0 views of it while the writer
+// goes on, serves Load, and compacts. Run under -race.
+func TestRangeViewsRace(t *testing.T) {
+	s := openTemp(t)
+	const n, batch = 600, 20
+	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: n, State: JobSubmitted}); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	ledger := make([]json.RawMessage, n)
+	published := make(chan int)
+	go func() {
+		defer close(published)
+		for wm := 0; wm < n; {
+			mu.Lock()
+			for end := wm + batch; wm < end; wm++ {
+				ledger[wm] = json.RawMessage(itoa(wm))
+			}
+			mu.Unlock()
+			published <- wm // the next batch is written while the store works
+		}
+	}()
+	defer func() {
+		for range published { // let the writer finish if the test fails
+		}
+	}()
+	for wm := range published {
+		mu.Lock()
+		view := ledger[:wm:wm]
+		mu.Unlock()
+		if err := s.PutJobRange("job-1", 0, view); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := s.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := snap.Docs["job-1"]; !reflect.DeepEqual(got, seqDocs(0, wm)) {
+			t.Fatalf("at watermark %d the store holds %s", wm, got)
+		}
+		if wm%(4*batch) == 0 {
+			s.mu.Lock()
+			err := s.compactLocked()
+			s.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Docs["job-1"]; len(got) != n || &got[0] != &ledger[0] {
+		t.Fatalf("the store holds %d documents in its own array, want the ledger's %d", len(got), n)
 	}
 }
 

@@ -52,13 +52,13 @@ func TestRecordedLog(t *testing.T) {
 			lines[o.JobID]++
 		}
 	}
-	if len(want["job-4"]) <= rangeDocCap || lines["job-1"] < 2 || len(states) != 10 {
+	if len(want["job-4"]) <= RangeDocCap || lines["job-1"] < 2 || len(states) != 10 {
 		t.Fatalf("fixture lost its shape: job-4 has %d documents, job-1 %d range lines, %d jobs",
 			len(want["job-4"]), lines["job-1"], len(states))
 	}
 	for id, docs := range want {
-		if len(docs) > rangeDocCap {
-			want[id] = docs[:rangeDocCap]
+		if len(docs) > RangeDocCap {
+			want[id] = docs[:RangeDocCap]
 		}
 	}
 

@@ -1,0 +1,156 @@
+package store
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// TestReplaySlicesRangeLines: replay keeps each range line's documents as
+// sub-slices of one copy of the line, each capped at its end: decoding a
+// range line costs the same few allocations however many documents it
+// holds.
+func TestReplaySlicesRangeLines(t *testing.T) {
+	dir := t.TempDir()
+	log := `{"op":"job","job":{"id":"job-1","kind":"toy","seed":1,"tasks":4,"state":"submitted"}}
+{"op":"range","job_id":"job-1","results":[10,{"a":[1,2]}]}
+{"op":"range","job_id":"job-1","lo":2,"results":[12,"x"]}
+`
+	if err := os.WriteFile(filepath.Join(dir, logName), []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	snap, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := snap.Docs["job-1"]
+	if want := []json.RawMessage{json.RawMessage(`10`), json.RawMessage(`{"a":[1,2]}`), json.RawMessage(`12`), json.RawMessage(`"x"`)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("docs = %s, want %s", got, want)
+	}
+	for i, d := range got {
+		if cap(d) != len(d) {
+			t.Fatalf("document %d has spare capacity %d", i, cap(d)-len(d))
+		}
+	}
+	// The line's copy, its document slice and the job ID.
+	line, err := rangeLine("job-1", 0, seqDocs(0, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = scanRange(line) }); allocs > 4 {
+		t.Fatalf("decoding a range line of 200 documents allocates %v times, want at most 4", allocs)
+	}
+}
+
+// TestReplayCorruptLines: a corrupt terminated line fails OpenFile with
+// json.Unmarshal's error text, whether it is a range line (malformed, or
+// well-formed with a lo or results encoding/json refuses) or a job line.
+func TestReplayCorruptLines(t *testing.T) {
+	job := `{"op":"job","job":{"id":"job-1","kind":"toy","seed":1,"tasks":3,"state":"submitted"}}` + "\n"
+	for _, c := range []struct{ line, err string }{
+		{`{"op":"range","job_id":"job-1","lo":1,"results":[1,2}`,
+			"store: corrupt log line 2: invalid character '}' after array element"},
+		{`{"op":"range","job_id":"job-1","lo":1.5,"results":[1]}`,
+			"store: corrupt log line 2: json: cannot unmarshal number 1.5 into Go struct field op.lo of type int"},
+		{`{"op":"range","job_id":"job-1","results":{"a":1}}`,
+			"store: corrupt log line 2: json: cannot unmarshal object into Go struct field op.results of type []json.RawMessage"},
+		{`{"op":"job","job":{"id":"job-2",}}`,
+			"store: corrupt log line 2: invalid character '}' looking for beginning of object key string"},
+		{`{"op":"job","job":{"id":7}}`,
+			"store: corrupt log line 2: json: cannot unmarshal number into Go struct field JobRecord.job.id of type string"},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logName), []byte(job+c.line+"\n"+job), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenFile(dir)
+		if err == nil {
+			s.Close()
+			t.Fatalf("log with %s opened", c.line)
+		}
+		if err.Error() != c.err {
+			t.Errorf("log with %s: error %q, want %q", c.line, err, c.err)
+		}
+	}
+}
+
+// FuzzScanRangeMatchesUnmarshal: every line scanRange accepts decodes to
+// exactly the op json.Unmarshal gives it, document for document, each
+// document capped at its end and none of them sharing the line's bytes.
+func FuzzScanRangeMatchesUnmarshal(f *testing.F) {
+	line, err := rangeLine("job-1", 3, []json.RawMessage{json.RawMessage(`{"steps":3,"converged":true}`), json.RawMessage(`7`)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(line)
+	recorded, err := os.ReadFile(filepath.Join("testdata", "recorded.log.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, l := range bytes.Split(recorded, []byte("\n")) {
+		f.Add(l)
+	}
+	for _, seed := range []string{
+		`{"OP":"range","Job_ID":"job-2","LO":4,"Results":[1,2]}`,
+		`{"op":"range","reſults":[3],"job_id":"job-3"}`,
+		`{"op":"range","job_ıd":"job-3","results":[3]}`,
+		`{"op":"job","op":"range","job_id":"a","job_id":"b","lo":1,"lo":2,"results":[1],"results":[2,3]}`,
+		`{"op":"range","op":"job","results":[1]}`,
+		`{"op":"range","job_id":"job-4","results":null}`,
+		`{"op":"range","job_id":"job-4","results":[1],"results":null}`,
+		`{"op":"range","job_id":"job-4","results":[]}`,
+		`{"op":"range","job_id":"job-4","results":[ ]}`,
+		`{"op":"range","job_id":"job-5","results":[1]}`,
+		`{"op":"range","job_id":"job-5","results":[1]}`,
+		`{"op":"range","job_id":"jöb","results":[1]}`,
+		`{"op":"range","job_id":null,"results":[1]}`,
+		`{"op":"range","lo":-0,"results":[1]}`,
+		`{"op":"range","lo":1e2,"results":[1]}`,
+		`{"op":"range","lo":99999999999999999999,"results":[1]}`,
+		`{"op":"range","lo":null,"results":[1]}`,
+		`{"op":"range","id":"x","results":[1]}`,
+		` { "op" : "range" , "results" : [ 1 , {"a" : [2, "x]}"]} , "s\"" , null ] } `,
+		`{"op":"range","results":[1,]}`,
+		`{"op":"range","results":[1]`,
+		`[{"op":"range"}]`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var want op
+		werr := json.Unmarshal(line, &want)
+		in := bytes.Clone(line)
+		got, ok := scanRange(in)
+		if !ok {
+			return
+		}
+		if werr != nil {
+			t.Fatalf("scanRange accepted a line json.Unmarshal rejects: %v", werr)
+		}
+		clear(in) // no document may share the scanned bytes
+		gotDocs, wantDocs := got.Results, want.Results
+		got.Results, want.Results = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scanRange = %+v, json.Unmarshal %+v", got, want)
+		}
+		if len(gotDocs) != len(wantDocs) || (gotDocs == nil) != (wantDocs == nil) {
+			t.Fatalf("scanRange returned %d documents (nil %v), json.Unmarshal %d (nil %v)",
+				len(gotDocs), gotDocs == nil, len(wantDocs), wantDocs == nil)
+		}
+		for i := range wantDocs {
+			if !bytes.Equal(gotDocs[i], wantDocs[i]) || cap(gotDocs[i]) != len(gotDocs[i]) {
+				t.Fatalf("document %d = %q (cap %d), want %q", i, gotDocs[i], cap(gotDocs[i]), wantDocs[i])
+			}
+		}
+	})
+}

@@ -76,9 +76,11 @@ type Snapshot struct {
 	// the job's result ledger below its watermark. For a *submitted*
 	// (interrupted) job they are what a restart prefills so only the
 	// missing suffix recomputes; for a *done* job they keep ?range fetches
-	// and resumed result streams servable across a restart (at most 4,096
-	// documents per job). Failed and canceled records clear their
-	// documents — there is no result to serve.
+	// and resumed result streams servable across a restart (at most
+	// RangeDocCap documents per job). Failed and canceled records clear
+	// their documents — there is no result to serve. Nobody writes these
+	// slices: they are views of the engine's result ledgers, or sub-slices
+	// of one copy of each replayed range line.
 	Docs map[string][]json.RawMessage
 	// Handles maps live v2 handle IDs to job IDs.
 	Handles map[string]string
@@ -89,31 +91,34 @@ type Snapshot struct {
 }
 
 // addDocs extends a job's document prefix with the documents of tasks
-// [lo, lo+len(results)) and reports whether any landed. The server appends
-// spans in watermark order, so a span starts at or below the prefix's end;
-// only its part past the end lands (first-writer-wins, exactly like the
-// engine's publication), up to rangeDocCap documents. A span that starts
-// past the end would leave a gap and lands nothing, and neither does a span
-// of a job that is not a live "submitted" or "done" one — there is no
-// result its documents could serve (or the job was evicted).
-func (s *Snapshot) addDocs(jobID string, lo int, results []json.RawMessage) bool {
+// [lo, lo+len(results)) and returns what landed: tasks [end, end+len(added)),
+// end being the prefix's old length. Only a span's part past the end lands
+// (first-writer-wins, exactly like the engine's publication), up to
+// RangeDocCap documents. A first span, or one whose first element is the
+// prefix's own (the same element, not equal bytes: the server's watcher
+// sends longer views of one ledger), becomes the prefix without a header
+// copied; any other is appended. A span that starts past the end would
+// leave a gap and lands nothing, and neither does a span of a job that is
+// not a live "submitted" or "done" one — there is no result its documents
+// could serve (or the job was evicted).
+func (s *Snapshot) addDocs(jobID string, lo int, results []json.RawMessage) (end int, added []json.RawMessage) {
 	if rec, ok := s.Jobs[jobID]; !ok || (rec.State != JobSubmitted && rec.State != JobDone) {
-		return false
+		return 0, nil
 	}
 	docs := s.Docs[jobID]
-	end := len(docs)
-	if lo < 0 || lo > end || lo+len(results) <= end || end >= rangeDocCap {
-		return false
+	end = len(docs)
+	if lo < 0 || lo > end || lo+len(results) <= end || end >= RangeDocCap {
+		return end, nil
 	}
-	add := results[end-lo : min(lo+len(results), rangeDocCap)-lo]
-	if end == 0 {
-		// A first span is kept as given, capped so that a later append
-		// copies it instead of writing into the caller's array.
-		s.Docs[jobID] = add[:len(add):len(add)]
-		return true
+	n := min(lo+len(results), RangeDocCap) - lo
+	if lo == 0 && (end == 0 || &results[0] == &docs[0]) {
+		// Capped, so that a later append copies the view instead of
+		// writing into the caller's array.
+		s.Docs[jobID] = results[:n:n]
+	} else {
+		s.Docs[jobID] = append(docs, results[end-lo:n]...)
 	}
-	s.Docs[jobID] = append(docs, add...)
-	return true
+	return end, results[end-lo : n]
 }
 
 // Store persists the server's durable state. Implementations must be safe
@@ -136,9 +141,10 @@ type Store interface {
 	// documents of tasks [lo, lo+len(results)). It extends the job's
 	// document prefix when lo is at or below the prefix's end: only jobs in
 	// the submitted or done state keep documents, overlapping spans resolve
-	// first-writer-wins, and the prefix stops at 4,096 documents. A span
-	// that adds nothing to the prefix is not recorded. The store may keep
-	// results itself: callers must not modify it afterwards.
+	// first-writer-wins, and the prefix stops at RangeDocCap documents.
+	// Only the documents past the prefix's old end are recorded. The store
+	// may keep results itself, or a view of the array it holds: callers
+	// must not modify results or its documents afterwards.
 	PutJobRange(jobID string, lo int, results []json.RawMessage) error
 	// PutHandle records a live handle claiming a job.
 	PutHandle(handle, jobID string) error
