@@ -147,30 +147,54 @@ func (b servedBody) RoundTrip(req *http.Request) (*http.Response, error) {
 	}, nil
 }
 
-// BenchmarkRangeBody reads persist-stream's range shape — one ?range= body
+// learnRangeBody returns persist-stream's range shape: one ?range= body
 // holding the 1,200 task documents of an 8×2 learn_sweep job, as the server
-// writes it — from an in-memory transport. "decode" is ResultRange;
-// "stream" adds the task-schema check StreamResultFrom makes on each range.
-func BenchmarkRangeBody(b *testing.B) {
-	spec := engine.LearnSweep{Gen: core.GenSpec{Miners: 8, Coins: 2}, Runs: 200}
+// writes it.
+func learnRangeBody(tb testing.TB) (spec engine.LearnSweep, body []byte) {
+	spec = engine.LearnSweep{Gen: core.GenSpec{Miners: 8, Coins: 2}, Runs: 200}
 	base := rng.New(7)
 	n := spec.Tasks()
-	body := fmt.Appendf(nil, `{"id":"job-1","kind":"learn_sweep","lo":0,"hi":%d,"total":%d,"results":[`, n, n)
+	body = fmt.Appendf(nil, `{"id":"job-1","kind":"learn_sweep","lo":0,"hi":%d,"total":%d,"results":[`, n, n)
 	for i := range n {
 		out, err := spec.RunTask(context.Background(), i, base.Fork(uint64(i)))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		doc, err := spec.EncodeTaskResult(out)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if i > 0 {
 			body = append(body, ',')
 		}
 		body = append(body, doc...)
 	}
-	body = append(body, "]}"...)
+	return spec, append(body, "]}"...)
+}
+
+// raceEnabled reports a -race build (race_test.go), whose sync.Pool drops
+// items at random: json.Valid's scanner then costs an allocation.
+var raceEnabled bool
+
+// TestDecodeRangeBodyAllocs: decoding a range body costs one allocation,
+// its document slice, however many documents it holds.
+func TestDecodeRangeBodyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	spec, body := learnRangeBody(t)
+	n := spec.Tasks()
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = decodeRangeBody(body, n) }); allocs > 1 {
+		t.Fatalf("decoding a range body of %d documents allocates %v times, want at most 1", n, allocs)
+	}
+}
+
+// BenchmarkRangeBody reads persist-stream's range shape (learnRangeBody)
+// from an in-memory transport. "decode" is ResultRange; "stream" adds the
+// task-schema check StreamResultFrom makes on each range.
+func BenchmarkRangeBody(b *testing.B) {
+	spec, body := learnRangeBody(b)
+	n := spec.Tasks()
 	c := New("http://gocserve.invalid", WithHTTPClient(&http.Client{Transport: servedBody(body)}))
 	h := &Handle{c: c, id: "h-1"}
 	ctx := context.Background()

@@ -4,7 +4,25 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"gameofcoins/internal/rng"
 )
+
+// TestVisitEquilibriaAllocs: counting a game's equilibria costs four
+// allocations, the search's working arrays, whatever the game's size.
+func TestVisitEquilibriaAllocs(t *testing.T) {
+	for _, spec := range []GenSpec{{Miners: 6, Coins: 2}, {Miners: 10, Coins: 3}, {Miners: 11, Coins: 3}} {
+		g, err := RandomGame(rng.New(23), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		count := func(Config) bool { n++; return true }
+		if allocs := testing.AllocsPerRun(5, func() { _ = g.VisitEquilibria(count) }); allocs > 4 {
+			t.Errorf("counting the equilibria of a %dx%d game allocates %v times, want at most 4", spec.Miners, spec.Coins, allocs)
+		}
+	}
+}
 
 // paperGame builds the Proposition 1 example: two miners with powers 2 and 1,
 // two coins with reward 1 each.

@@ -30,7 +30,6 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -165,11 +164,12 @@ var errHalted = errors.New("engine: run halted by a task error")
 
 // newRun is the one constructor behind Engine.Run and Manager submissions.
 // It validates spec and bounds its task count, then builds the Job and the
-// run that computes it; start hands the run to the dispatcher. ledger gives
-// a TaskCoder spec's job a result ledger, which is also what lets the job
-// take a prefill and leave the machine (opts.Prefill, opts.Remote): Manager
-// jobs keep one, Engine.Run jobs do not, so their results are never encoded.
-func (e *Engine) newRun(ctx context.Context, spec Spec, seed uint64, opts SubmitOptions, ledger bool) (*runJob, error) {
+// run that computes it; start hands the run to the dispatcher. withLedger
+// gives a TaskCoder spec's job a result ledger, which is also what lets the
+// job take a prefill and leave the machine (opts.Prefill, opts.Remote):
+// Manager jobs keep one, Engine.Run jobs do not, so their results are never
+// encoded.
+func (e *Engine) newRun(ctx context.Context, spec Spec, seed uint64, opts SubmitOptions, withLedger bool) (*runJob, error) {
 	if v, ok := spec.(Validator); ok {
 		if err := v.Validate(); err != nil {
 			return nil, fmt.Errorf("engine: invalid %s spec: %w", spec.Kind(), err)
@@ -210,30 +210,41 @@ func (e *Engine) newRun(ctx context.Context, spec Spec, seed uint64, opts Submit
 		r.costKey = opts.Remote.WireKind
 	}
 	coder, ok := spec.(TaskCoder)
-	if !ok || !ledger || n == 0 {
+	if !ok || !withLedger || n == 0 {
 		return r, nil
 	}
 	r.coder = coder
-	j.docs = make([]json.RawMessage, n)
 	r.wire = opts.Remote
-	if len(opts.Prefill) == 0 {
-		return r, nil
-	}
+	pre := opts.Prefill.Slice(0, min(opts.Prefill.Len(), n))
 	// Restart prefill: already-computed results are published before the
 	// run starts and their indices leave the deque, so only the missing
-	// tasks run. An entry that fails to decode is recomputed instead, which
-	// is always correct (determinism makes the recomputed value identical).
-	// Decoding is the spec's code, so it runs outside the job mutex.
-	for i, raw := range opts.Prefill[:min(len(opts.Prefill), n)] {
-		if out, err := coder.DecodeTaskResult(raw); err == nil {
+	// tasks run. The leading documents that decode become the ledger's run
+	// as they are, without a copy; a document that fails to decode is
+	// recomputed instead, which is always correct (determinism makes the
+	// recomputed value identical), and the ones after it are published like
+	// any result. Decoding is the spec's code, so it runs outside the job
+	// mutex; nothing else sees the run yet.
+	k := 0
+	for ; k < pre.Len(); k++ {
+		out, err := coder.DecodeTaskResult(pre.Doc(k))
+		if err != nil {
+			break
+		}
+		r.results[k] = out
+	}
+	j.mu.Lock()
+	j.ledger, j.done = &ledger{docs: pre.Slice(0, k)}, k
+	j.mu.Unlock()
+	for i := k + 1; i < pre.Len(); i++ {
+		if out, err := coder.DecodeTaskResult(pre.Doc(i)); err == nil {
 			j.mu.Lock()
-			j.publishLocked(e, r, i, out, raw, false)
+			j.publishLocked(e, r, i, out, pre.Doc(i), false)
 			j.mu.Unlock()
 		}
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	r.pending = slices.DeleteFunc(r.pending, func(i int) bool { return j.docs[i] != nil })
+	r.pending = slices.DeleteFunc(r.pending, j.ledger.has)
 	j.queued = len(r.pending)
 	return r, nil
 }

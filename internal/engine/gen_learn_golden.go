@@ -68,8 +68,8 @@ func main() {
 		docs, err := job.ResultRange(0, c.spec.Tasks())
 		check(err)
 		h := sha256.New()
-		for _, d := range docs {
-			h.Write(d)
+		for i := range docs.Len() {
+			h.Write(docs.Doc(i))
 			h.Write([]byte{'\n'})
 		}
 		res, _ := job.Result()

@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -66,11 +64,9 @@ type Job struct {
 	done    int // guarded by mu
 	running int // guarded by mu
 	queued  int // guarded by mu
-	// docs is the result ledger (ledger.go): every published task result in
-	// its TaskCoder wire form, by index; nil for jobs without one. watermark
-	// is its contiguous completed prefix.
-	docs      []json.RawMessage // guarded by mu
-	watermark int               // guarded by mu
+	// ledger is the result ledger (ledger.go): every published task result
+	// in its TaskCoder wire form; nil for jobs without one.
+	ledger *ledger // guarded by mu
 	// watchers holds the live Watch channels, each with the stop func of its
 	// context hook (nil for a context that never ends); finish delivers the
 	// terminal status to each and closes it, then nils the map.
@@ -94,7 +90,7 @@ func (j *Job) statusLocked() Status {
 		ID:       j.id,
 		Kind:     j.kind,
 		State:    j.state,
-		Progress: Progress{Done: j.done, Total: j.total, Watermark: j.watermark},
+		Progress: Progress{Done: j.done, Total: j.total, Watermark: j.watermarkLocked()},
 	}
 	if !j.state.Terminal() {
 		st.Progress.Running = j.running
@@ -191,25 +187,23 @@ func (j *Job) Result() (res any, ok bool) {
 // first-writer-wins index, so a task computed twice (a requeued lease racing
 // its late report) lands once, with the same bytes either way. Otherwise the
 // result, counters, and ledger advance and the new status goes to every
-// watcher and to Engine.Run's onProgress. local marks a publisher still
-// counted in flight (a local worker), whose finished task Running excludes,
-// and whose raw is its own fresh encoding, which the ledger keeps uncopied.
+// watcher and to Engine.Run's onProgress. raw is out's encoding, in bytes
+// nothing writes again (see ledger.record). local marks a publisher still
+// counted in flight (a local worker), whose finished task Running excludes.
 // Callers hold j.mu; the scheduler snapshot takes e.mu under it (job mutex,
 // then engine mutex).
 func (j *Job) publishLocked(e *Engine, r *runJob, task int, out any, raw json.RawMessage, local bool) bool {
-	if r.ctx.Err() != nil || (j.docs != nil && j.docs[task] != nil) {
+	if r.ctx.Err() != nil || (j.ledger != nil && j.ledger.has(task)) {
 		return false
+	}
+	if j.ledger != nil {
+		if err := j.ledger.record(task, j.total, raw); err != nil {
+			j.failLocked(r, err)
+			return false
+		}
 	}
 	r.results[task] = out
 	j.done++
-	if j.docs != nil {
-		if !local {
-			// A remote report body or the store's prefill owns raw, and the
-			// ledger outlives both.
-			raw = bytes.Clone(raw)
-		}
-		j.recordLocked(task, raw)
-	}
 	e.mu.Lock()
 	j.queued, j.running = len(r.pending), r.inFlight
 	e.mu.Unlock()
@@ -245,6 +239,13 @@ func (j *Job) finish(state State, res any, err error) {
 	defer j.mu.Unlock()
 	j.state, j.result, j.err = state, res, err
 	j.run = nil
+	if l := j.ledger; l != nil {
+		l.park = nil // nothing lands any more
+		if state != StateDone {
+			// Its run was sized for every task; keep what it holds.
+			l.docs = Docs{}.Append(l.docs)
+		}
+	}
 	// The coalescing offer may displace a pending progress snapshot —
 	// terminal delivery is the guarantee, not completeness of the progress
 	// stream.
@@ -295,13 +296,14 @@ type SubmitOptions struct {
 	// remote workers. Distribution changes where tasks run, never results.
 	Remote *RemoteInfo
 	// Prefill seeds already-computed task results in TaskCoder wire form —
-	// the restart path: Prefill[i] is task i's document, for the prefix of
-	// tasks [0, len(Prefill)) the store persisted. Valid documents are
-	// published before any task runs, so only the missing suffix
-	// recomputes; invalid ones are recomputed, and documents past the
-	// spec's task count are ignored. Ignored unless the spec implements
+	// the restart path: the documents of tasks [0, Prefill.Len()) the store
+	// persisted. Valid documents are published before any task runs, so only
+	// the missing suffix recomputes; invalid ones are recomputed, and
+	// documents past the spec's task count are ignored. The leading valid
+	// documents become the ledger's run as they are, so callers must not
+	// modify Prefill's bytes afterwards. Ignored unless the spec implements
 	// TaskCoder.
-	Prefill []json.RawMessage
+	Prefill Docs
 	// Client names the submitting tenant for per-client quota accounting
 	// and scheduler stats; empty means anonymous. Weight scales the job's
 	// urgency in fair-share comparisons — the priority-class weight on
@@ -382,14 +384,13 @@ func (m *Manager) bumpNextIDLocked(id string) {
 // Restore inserts a job already in a terminal state — the persistence
 // layer's rehydration path for jobs that finished in a previous process
 // life. A done job keeps its stored result document (Result returns it as a
-// json.RawMessage) and its persisted per-task documents, docs[i] being task
-// i's, as its result ledger: docs itself when it covers every task
-// (documents past total are ignored), else a copy of its headers. Callers
-// must not modify result or docs afterwards. Failed and canceled jobs carry
-// only the recorded error. The job ID must be unique; IDs in the manager's
-// own "job-N" form advance the mint counter so later submissions cannot
-// collide.
-func (m *Manager) Restore(id, kind string, total int, result json.RawMessage, docs []json.RawMessage, state State, errMsg string) (*Job, error) {
+// json.RawMessage) and its persisted per-task documents, those of tasks
+// [0, docs.Len()), as its result ledger: a view of docs itself (documents
+// past total are ignored). Callers must not modify result or docs
+// afterwards. Failed and canceled jobs carry only the recorded error. The
+// job ID must be unique; IDs in the manager's own "job-N" form advance the
+// mint counter so later submissions cannot collide.
+func (m *Manager) Restore(id, kind string, total int, result json.RawMessage, docs Docs, state State, errMsg string) (*Job, error) {
 	if id == "" {
 		return nil, errors.New("engine: Restore needs a job ID")
 	}
@@ -402,8 +403,8 @@ func (m *Manager) Restore(id, kind string, total int, result json.RawMessage, do
 	case state == StateDone:
 		j.result = result
 		j.done = total
-		if n := min(len(docs), total); n > 0 {
-			j.docs, j.watermark = slices.Grow(docs[:n:n], total-n)[:total], n
+		if n := min(docs.Len(), total); n > 0 {
+			j.ledger = &ledger{docs: docs.Slice(0, n)}
 		}
 	case errMsg != "":
 		j.err = errors.New(errMsg)

@@ -60,8 +60,8 @@ func TestLearnSweepGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := sha256.New()
-			for _, d := range docs {
-				h.Write(d)
+			for i := range docs.Len() {
+				h.Write(docs.Doc(i))
 				h.Write([]byte{'\n'})
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != g.DocsSHA {

@@ -7,16 +7,16 @@ import (
 )
 
 // The result ledger is the Job's ordered record of every published task
-// result in its TaskCoder wire form (Job.docs, under Job.mu). A Manager job
+// result in its TaskCoder wire form (Job.ledger, under Job.mu). A Manager job
 // whose spec implements TaskCoder gets one at submission, and publishLocked
 // fills it: it is the job's first-writer-wins index, and the source for
 // everything downstream of "a task finished": the contiguous-prefix
 // watermark in Progress, partial-result range GETs served mid-run, SSE
 // result-range events, the store's persisted prefix (a view of the
-// ledger: a recorded entry is never rewritten), and the client's streaming
-// iterator. A job restored already-terminal keeps the store's persisted
-// documents as its ledger (Manager.Restore), so range GETs and resumed
-// result streams survive a restart.
+// ledger's run: a recorded document is never rewritten), and the client's
+// streaming iterator. A job restored already-terminal keeps the store's
+// persisted documents as its ledger (Manager.Restore), so range GETs and
+// resumed result streams survive a restart.
 
 // ErrNoLedger reports a range query against a job without a result ledger:
 // the spec is not a TaskCoder, or the job was restored already-terminal
@@ -34,16 +34,69 @@ var ErrRangeGone = errors.New("engine: range will never be computed")
 // ErrBadRange reports a range query outside the job's task bounds.
 var ErrBadRange = errors.New("engine: range out of bounds")
 
-// recordLocked lands one encoded task result in the ledger and advances the
-// watermark over the new contiguous prefix. The ledger keeps raw as it is,
-// so callers hand in bytes that nothing writes again: a local encoding (see
-// TaskCoder.EncodeTaskResult), or a clone of bytes someone else owns.
-// Callers hold j.mu and record each index at most once.
-func (j *Job) recordLocked(task int, raw json.RawMessage) {
-	j.docs[task] = raw
-	for j.watermark < len(j.docs) && j.docs[j.watermark] != nil {
-		j.watermark++
+// ledger is a job's result ledger. A document recorded at the watermark
+// joins docs, the packed run of tasks [0, watermark); one recorded above it
+// is parked until the watermark reaches it, and then joins the run.
+type ledger struct {
+	docs Docs
+	// park holds the documents recorded above the watermark, by task
+	// index: nil until one is, and again once the job finishes.
+	park []json.RawMessage
+}
+
+// has reports whether task's document is recorded.
+func (l *ledger) has(task int) bool {
+	return task < l.docs.Len() || (l.park != nil && l.park[task] != nil)
+}
+
+// record lands one encoded task result of a total-task job, advancing the
+// watermark over the new contiguous prefix. It keeps raw until the run
+// takes a copy, so callers hand in bytes that nothing writes again. It fails
+// only when the run would outgrow MaxDocsBytes. Callers record each index
+// at most once.
+func (l *ledger) record(task, total int, raw json.RawMessage) error {
+	if task > l.docs.Len() {
+		if l.park == nil {
+			l.park = make([]json.RawMessage, total)
+		}
+		l.park[task] = raw
+		return nil
 	}
+	for {
+		if l.docs.Size()+1+len(raw) > MaxDocsBytes {
+			return fmt.Errorf("engine: task %d's document would grow the result ledger past %d bytes", l.docs.Len(), MaxDocsBytes)
+		}
+		if cap(l.docs.body)-len(l.docs.body) < 1+len(raw) {
+			// Room for the tasks left at the run's average document size
+			// so far, plus a byte each: documents of one spec are alike in
+			// size, so a run is usually one allocation, sized at its first
+			// document, and a finished one carries little slack.
+			n, left := l.docs.Len()+1, total-l.docs.Len()
+			per := (l.docs.Size()+1+len(raw)+n-1)/n + 1
+			l.docs = l.docs.Grow(left, 1+len(raw)+per*(left-1))
+		}
+		l.docs = l.docs.AppendDoc(raw)
+		w := l.docs.Len()
+		if w == total || l.park == nil || l.park[w] == nil {
+			return nil
+		}
+		raw, l.park[w] = l.park[w], nil
+	}
+}
+
+// span returns the documents of [lo, hi), every one of them recorded: a
+// view of the run below the watermark, else a copy, as parked documents
+// are not packed yet.
+func (l *ledger) span(lo, hi int) Docs {
+	wm := l.docs.Len()
+	if hi <= wm {
+		return l.docs.Slice(lo, hi)
+	}
+	out := Docs{}.Append(l.docs.Slice(min(lo, wm), wm))
+	for i := max(lo, wm); i < hi; i++ {
+		out = out.AppendDoc(l.park[i])
+	}
+	return out.Slice(0, out.Len())
 }
 
 // Watermark returns the job's contiguous completed prefix: every task below
@@ -51,33 +104,42 @@ func (j *Job) recordLocked(task int, raw json.RawMessage) {
 func (j *Job) Watermark() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.watermark
+	return j.watermarkLocked()
+}
+
+func (j *Job) watermarkLocked() int {
+	if j.ledger == nil {
+		return 0
+	}
+	return j.ledger.docs.Len()
 }
 
 // ResultRange returns the encoded task results of [lo, hi). It works
 // mid-run — any fully-computed span is servable before the job finishes.
-// The result is a view of the ledger, capped at hi so an append copies;
-// callers must not modify it or its documents. Errors are sentinel-wrapped:
+// Below the watermark the result is a view of the ledger's run, taken
+// without an allocation; a span that reaches past the watermark is a copy.
+// Callers must not modify its bytes. Errors are sentinel-wrapped:
 // ErrNoLedger when the job has no ledger, ErrBadRange for out-of-bounds
 // spans, ErrRangeIncomplete when some task in the span has no result yet,
 // and ErrRangeGone when it never will because the job is terminal.
-func (j *Job) ResultRange(lo, hi int) ([]json.RawMessage, error) {
+func (j *Job) ResultRange(lo, hi int) (Docs, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.docs == nil {
-		return nil, ErrNoLedger
+	l := j.ledger
+	if l == nil {
+		return Docs{}, ErrNoLedger
 	}
-	if lo < 0 || hi > len(j.docs) || hi <= lo {
-		return nil, fmt.Errorf("%w: [%d,%d) of %d tasks", ErrBadRange, lo, hi, len(j.docs))
+	if lo < 0 || hi > j.total || hi <= lo {
+		return Docs{}, fmt.Errorf("%w: [%d,%d) of %d tasks", ErrBadRange, lo, hi, j.total)
 	}
-	for i := max(lo, j.watermark); i < hi; i++ {
-		if j.docs[i] == nil {
+	for i := max(lo, l.docs.Len()); i < hi; i++ {
+		if !l.has(i) {
 			missing := ErrRangeIncomplete
 			if j.state.Terminal() {
 				missing = ErrRangeGone
 			}
-			return nil, fmt.Errorf("%w: task %d of [%d,%d)", missing, i, lo, hi)
+			return Docs{}, fmt.Errorf("%w: task %d of [%d,%d)", missing, i, lo, hi)
 		}
 	}
-	return j.docs[lo:hi:hi], nil
+	return l.span(lo, hi), nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -46,8 +47,8 @@ func TestResultLedgerWatermark(t *testing.T) {
 		t.Fatalf("watermark = %d, want 1", wm)
 	}
 	// The island past the watermark is recorded and servable on its own.
-	if docs, err := j.ResultRange(2, 3); err != nil || string(docs[0]) != "2" {
-		t.Fatalf("island range = %v, %v", docs, err)
+	if docs, err := j.ResultRange(2, 3); err != nil || string(docs.Bytes()) != "2" {
+		t.Fatalf("island range = %s, %v", docs.Bytes(), err)
 	}
 	if _, err := j.ResultRange(0, 2); !errors.Is(err, ErrRangeIncomplete) {
 		t.Fatalf("incomplete range err = %v", err)
@@ -63,8 +64,8 @@ func TestResultLedgerWatermark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(docs) != 3 || string(docs[1]) != "1" {
-		t.Fatalf("range = %v", docs)
+	if docs.Len() != 3 || string(docs.Doc(1)) != "1" {
+		t.Fatalf("range = %s", docs.Bytes())
 	}
 	// First writer wins: a duplicate publication must not replace the bytes
 	// or count the task twice.
@@ -72,8 +73,8 @@ func TestResultLedgerWatermark(t *testing.T) {
 		t.Fatal("duplicate publication accepted")
 	}
 	docs, _ = j.ResultRange(1, 2)
-	if string(docs[0]) != "1" {
-		t.Fatalf("duplicate publication replaced ledger bytes: %s", docs[0])
+	if string(docs.Doc(0)) != "1" {
+		t.Fatalf("duplicate publication replaced ledger bytes: %s", docs.Doc(0))
 	}
 	if st := j.Status(); st.Progress.Done != 3 || st.Progress.Watermark != 3 {
 		t.Fatalf("status progress = %+v, want done 3, watermark 3", st.Progress)
@@ -149,9 +150,9 @@ func TestJobLedgerLocalRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, d := range docs {
-		if want := fmt.Sprint(103 + k); string(d) != want {
-			t.Fatalf("task %d doc = %s, want %s", 3+k, d, want)
+	for k := range docs.Len() {
+		if want := fmt.Sprint(103 + k); string(docs.Doc(k)) != want {
+			t.Fatalf("task %d doc = %s, want %s", 3+k, docs.Doc(k), want)
 		}
 	}
 	st := job.Status()
@@ -161,9 +162,9 @@ func TestJobLedgerLocalRun(t *testing.T) {
 }
 
 // TestResultRangeIsAView: a span below the watermark is a view of the
-// ledger, not a copy: two calls share one backing array, the view is capped
-// at hi so an append copies instead of writing into the ledger, and a call
-// allocates nothing.
+// ledger, not a copy: two calls share one body, the view is capped at hi so
+// an append copies instead of writing into the ledger, and a call allocates
+// nothing.
 func TestResultRangeIsAView(t *testing.T) {
 	mgr := NewManager(New(2))
 	defer mgr.Close()
@@ -180,14 +181,55 @@ func TestResultRangeIsAView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &head[0] != &all[0] || cap(head) != 8 {
-		t.Fatalf("ResultRange(0, 8) is not a capped view of the ledger's array (cap %d)", cap(head))
+	if b := head.Bytes(); &b[0] != &all.Bytes()[0] || cap(b) != len(b) {
+		t.Fatalf("ResultRange(0, 8) is not a capped view of the ledger's run (spare capacity %d)", cap(b)-len(b))
 	}
-	if grown := append(head, json.RawMessage(`0`)); &grown[0] == &all[0] || string(all[8]) != "108" {
-		t.Fatalf("an append to a view wrote into the ledger: task 8 is %s", all[8])
+	if grown := head.AppendDoc([]byte(`0`)); &grown.Bytes()[0] == &all.Bytes()[0] || string(all.Doc(8)) != "108" {
+		t.Fatalf("an append to a view wrote into the ledger: task 8 is %s", all.Doc(8))
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _, _ = job.ResultRange(0, 16) }); allocs != 0 {
 		t.Fatalf("ResultRange below the watermark allocates %v times, want 0", allocs)
+	}
+}
+
+// TestCanceledLedgerIsTrimmed: a job that ends short of its tasks keeps
+// its ledger's run in a body just big enough for the documents it holds,
+// not the one sized for every task, and still serves them.
+func TestCanceledLedgerIsTrimmed(t *testing.T) {
+	mgr := NewManager(New(2))
+	defer mgr.Close()
+	g := newGate()
+	defer g.open()
+	spec := newSumSpec(64)
+	task := spec.Task
+	spec.Task = func(ctx context.Context, i int, r *rng.Rand) (any, error) {
+		if i >= 8 {
+			if err := g.wait(ctx); err != nil {
+				return nil, err
+			}
+		}
+		return task(ctx, i, r)
+	}
+	job, err := mgr.SubmitJobOpts("", spec, 1, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st := range job.Watch(context.Background()) {
+		if st.Progress.Watermark >= 8 {
+			job.Cancel()
+		}
+	}
+	if st := job.Status(); st.State != StateCanceled {
+		t.Fatalf("job ended %s", st.State)
+	}
+	if docs, err := job.ResultRange(0, 8); err != nil || string(docs.Bytes()) != "100,101,102,103,104,105,106,107" {
+		t.Fatalf("canceled job's range [0,8) = %s, %v", docs.Bytes(), err)
+	}
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	if run := job.ledger.docs; cap(run.body) != len(run.body) || cap(run.ends) != len(run.ends) {
+		t.Fatalf("a canceled ledger of %d documents keeps room for %d bytes and %d documents more",
+			run.Len(), cap(run.body)-len(run.body), cap(run.ends)-len(run.ends))
 	}
 }
 
@@ -222,9 +264,9 @@ func TestSubmitJobOptsPrefill(t *testing.T) {
 	mgr := NewManager(New(4))
 	defer mgr.Close()
 	spec := newSumSpec(n)
-	var prefill []json.RawMessage
+	var prefill Docs
 	for i := 0; i < 5; i++ {
-		prefill = append(prefill, json.RawMessage(fmt.Sprint(100+i)))
+		prefill = prefill.AppendDoc(fmt.Append(nil, 100+i))
 	}
 	job, err := mgr.SubmitJobOpts("", spec, 7, SubmitOptions{Prefill: prefill})
 	if err != nil {
@@ -236,12 +278,12 @@ func TestSubmitJobOptsPrefill(t *testing.T) {
 		t.Fatalf("result = %v (ok=%v), want %d", res, ok, wantSum(n))
 	}
 	for _, i := range spec.executed() {
-		if i < len(prefill) {
+		if i < prefill.Len() {
 			t.Fatalf("prefilled task %d executed anyway", i)
 		}
 	}
-	if len(spec.executed()) != n-len(prefill) {
-		t.Fatalf("executed %d tasks, want %d", len(spec.executed()), n-len(prefill))
+	if len(spec.executed()) != n-prefill.Len() {
+		t.Fatalf("executed %d tasks, want %d", len(spec.executed()), n-prefill.Len())
 	}
 	if wm := job.Watermark(); wm != n {
 		t.Fatalf("final watermark = %d, want %d", wm, n)
@@ -260,9 +302,9 @@ func TestSubmitJobOptsPrefillAll(t *testing.T) {
 	mgr := NewManager(New(2))
 	defer mgr.Close()
 	spec := newSumSpec(n)
-	var prefill []json.RawMessage
+	var prefill Docs
 	for i := 0; i < n+2; i++ {
-		prefill = append(prefill, json.RawMessage(fmt.Sprint(100+i)))
+		prefill = prefill.AppendDoc(fmt.Append(nil, 100+i))
 	}
 	job, err := mgr.SubmitJobOpts("", spec, 7, SubmitOptions{Prefill: prefill})
 	if err != nil {
@@ -289,7 +331,7 @@ func TestSubmitJobOptsPrefillInvalid(t *testing.T) {
 	mgr := NewManager(New(2))
 	defer mgr.Close()
 	spec := newSumSpec(n)
-	prefill := []json.RawMessage{json.RawMessage(`100`), json.RawMessage(`"not an int"`)}
+	prefill := Docs{}.AppendDoc([]byte(`100`)).AppendDoc([]byte(`"not an int"`))
 	job, err := mgr.SubmitJobOpts("", spec, 7, SubmitOptions{Prefill: prefill})
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +354,9 @@ func TestSubmitJobOptsPrefillInvalid(t *testing.T) {
 }
 
 // TestRemoteReportFeedsLedger: results arriving through ReportRemote land in
-// the ledger with the worker's reported bytes.
+// the ledger as the coder encodes them, however the worker spelled them: a
+// report of " 1296 " or "1296\n" is served as 1296, the bytes a local run
+// records.
 func TestRemoteReportFeedsLedger(t *testing.T) {
 	e := New(1)
 	mgr := NewManager(e)
@@ -321,8 +365,8 @@ func TestRemoteReportFeedsLedger(t *testing.T) {
 	lease := leaseSoon(t, e, 8)
 	tasks := lease.Tasks
 	results := make(map[int]json.RawMessage, len(tasks))
-	for _, task := range tasks {
-		results[task] = json.RawMessage(fmt.Sprint(task * task))
+	for k, task := range tasks {
+		results[task] = json.RawMessage(fmt.Sprintf([]string{" %d ", "%d\n", "%d"}[k%3], task*task))
 	}
 	if _, err := e.ReportRemote(lease.Run, results); err != nil {
 		t.Fatal(err)
@@ -331,11 +375,74 @@ func TestRemoteReportFeedsLedger(t *testing.T) {
 	if wm := job.Watermark(); wm != 32 {
 		t.Fatalf("watermark = %d, want 32", wm)
 	}
-	docs, err := job.ResultRange(tasks[0], tasks[0]+1)
-	if err != nil {
-		t.Fatal(err)
+	for _, task := range tasks {
+		docs, err := job.ResultRange(task, task+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprint(task * task); string(docs.Bytes()) != want {
+			t.Fatalf("remote report %q served as %q, want %q", results[task], docs.Bytes(), want)
+		}
 	}
-	if want := fmt.Sprint(tasks[0] * tasks[0]); string(docs[0]) != want {
-		t.Fatalf("remote-reported doc = %s, want %s", docs[0], want)
-	}
+}
+
+// FuzzLedgerDocs records documents (raw split at NUL bytes, at most 32 of
+// them) in the order order shuffles them to, each one parked above the
+// watermark until the watermark reaches it. After every record, each span
+// of recorded documents reads as those documents joined by commas, through
+// span, its copy past the watermark included; once all are recorded,
+// every Slice(lo, hi) of the run holds documents lo..hi-1 joined by commas,
+// every Doc(i) is document i, and nothing is left parked.
+func FuzzLedgerDocs(f *testing.F) {
+	f.Add([]byte("1\x00[2,3]\x00\"x\""), []byte{2, 0, 1})
+	f.Add([]byte(`{"steps":3,"converged":true}`+"\x00"+`{"steps":12,"converged":false}`+"\x007\x008\x009"), []byte{4, 4, 4, 0})
+	f.Add([]byte("a\x00\x00bb\x00ccc"), []byte{})
+	f.Fuzz(func(t *testing.T, raw, order []byte) {
+		docs := bytes.Split(raw, []byte{0})
+		if len(docs) > 32 {
+			docs = docs[:32]
+		}
+		n := len(docs)
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		for i := n - 1; i > 0 && len(order) > 0; i-- {
+			k := int(order[i%len(order)]) % (i + 1)
+			perm[i], perm[k] = perm[k], perm[i]
+		}
+		joined := func(lo, hi int) []byte { return bytes.Join(docs[lo:hi], []byte{','}) }
+		var l ledger
+		for _, task := range perm {
+			if err := l.record(task, n, bytes.Clone(docs[task])); err != nil {
+				t.Fatal(err)
+			}
+			for lo := 0; lo < n; lo++ {
+				for hi := lo + 1; hi <= n && l.has(hi-1); hi++ {
+					if got := l.span(lo, hi); got.Len() != hi-lo || !bytes.Equal(got.Bytes(), joined(lo, hi)) {
+						t.Fatalf("span [%d,%d) = %q (%d documents), want %q", lo, hi, got.Bytes(), got.Len(), joined(lo, hi))
+					}
+				}
+			}
+		}
+		for i, d := range l.park {
+			if d != nil {
+				t.Fatalf("document %d still parked after the watermark passed it", i)
+			}
+		}
+		run := l.docs
+		if run.Len() != n {
+			t.Fatalf("the run holds %d documents, want %d", run.Len(), n)
+		}
+		for i := range n {
+			if got := run.Doc(i); !bytes.Equal(got, docs[i]) || cap(got) != len(got) {
+				t.Fatalf("Doc(%d) = %q (spare capacity %d), want %q", i, got, cap(got)-len(got), docs[i])
+			}
+			for hi := i; hi <= n; hi++ {
+				if got := run.Slice(i, hi); got.Len() != hi-i || !bytes.Equal(got.Bytes(), joined(i, hi)) {
+					t.Fatalf("Slice(%d, %d) = %q (%d documents), want %q", i, hi, got.Bytes(), got.Len(), joined(i, hi))
+				}
+			}
+		}
+	})
 }

@@ -60,10 +60,12 @@ type RemoteInfo struct {
 // Specs without a TaskCoder still run fine; they just never distribute.
 type TaskCoder interface {
 	// EncodeTaskResult returns a fresh slice that the implementation never
-	// keeps or writes again: the job's result ledger keeps a locally encoded
-	// document as it is, without a copy, and shares it read-only with range
-	// readers and the store. The ledger copies only bytes it does not own —
-	// remote report bodies and store prefill.
+	// keeps or writes again: the job's result ledger may hold it until the
+	// task's document joins the ledger's packed run. Every document the
+	// ledger records is this encoding — of a local result, or of a remote
+	// report decoded — or one persisted from it; it must be one JSON value
+	// with no raw newline, the form json.Marshal writes, as store range
+	// lines carry it as it is.
 	EncodeTaskResult(res any) (json.RawMessage, error)
 	DecodeTaskResult(raw json.RawMessage) (any, error)
 }
@@ -166,8 +168,9 @@ func (e *Engine) LeaseRemote(maxTasks int, targetMs float64) (lease RemoteLease,
 // a requeued copy, or by a duplicate report) are skipped. The returned count
 // is the number of results actually published; the difference from
 // len(results) is duplicates, which are harmless by determinism. The ledger
-// keeps the exact bytes the worker reported, which the TaskCoder round-trip
-// makes identical to a local encode.
+// records the coder's own encoding of each decoded result, not the bytes
+// the worker sent: the same value may arrive spelled differently (spaces,
+// a trailing newline), and a task's bytes must not depend on where it ran.
 func (e *Engine) ReportRemote(run uint64, results map[int]json.RawMessage) (accepted int, err error) {
 	e.mu.Lock()
 	r := e.runs[run]
@@ -189,8 +192,12 @@ func (e *Engine) ReportRemote(run uint64, results map[int]json.RawMessage) (acce
 	}
 	sort.Ints(idxs)
 	decoded := make([]any, len(idxs))
+	docs := make([]json.RawMessage, len(idxs))
 	for k, i := range idxs {
 		out, derr := r.coder.DecodeTaskResult(results[i])
+		if derr == nil {
+			docs[k], derr = r.coder.EncodeTaskResult(out)
+		}
 		if derr != nil {
 			return 0, fmt.Errorf("engine: decode remote result for %s task %d: %w", r.spec.Kind(), i, derr)
 		}
@@ -198,7 +205,7 @@ func (e *Engine) ReportRemote(run uint64, results map[int]json.RawMessage) (acce
 	}
 	j.mu.Lock()
 	for k, i := range idxs {
-		if j.publishLocked(e, r, i, decoded[k], results[i], false) {
+		if j.publishLocked(e, r, i, decoded[k], docs[k], false) {
 			accepted++
 		}
 	}

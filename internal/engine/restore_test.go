@@ -22,7 +22,7 @@ func TestManagerRestore(t *testing.T) {
 	defer m.Close()
 
 	result := json.RawMessage(`42`)
-	docs := []json.RawMessage{json.RawMessage(`7`)}
+	docs := Docs{}.AppendDoc([]byte(`7`))
 	job, err := m.Restore("job-7", "toy", 3, result, docs, StateDone, "")
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +34,8 @@ func TestManagerRestore(t *testing.T) {
 	if res, ok := job.Result(); !ok || string(res.(json.RawMessage)) != "42" || &res.(json.RawMessage)[0] != &result[0] {
 		t.Fatalf("restored result = %s, %v; want the given document itself", res, ok)
 	}
-	if got, err := job.ResultRange(0, 1); err != nil || string(got[0]) != "7" || &got[0][0] != &docs[0][0] {
-		t.Fatalf("restored range [0,1) = %s, %v; want the given document itself", got, err)
+	if got, err := job.ResultRange(0, 1); err != nil || string(got.Bytes()) != "7" || &got.Bytes()[0] != &docs.Bytes()[0] {
+		t.Fatalf("restored range [0,1) = %s, %v; want the given document itself", got.Bytes(), err)
 	}
 	if _, err := job.ResultRange(0, 3); !errors.Is(err, ErrRangeGone) {
 		t.Fatalf("range over a missing document: %v", err)
@@ -53,7 +53,7 @@ func TestManagerRestore(t *testing.T) {
 		t.Fatalf("Get = %v, %v", got, err)
 	}
 	// Documents past the job's last task are ignored.
-	short, err := m.Restore("job-8", "toy", 1, result, []json.RawMessage{json.RawMessage(`1`), json.RawMessage(`2`)}, StateDone, "")
+	short, err := m.Restore("job-8", "toy", 1, result, Docs{}.AppendDoc([]byte(`1`)).AppendDoc([]byte(`2`)), StateDone, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestManagerRestore(t *testing.T) {
 	}
 
 	// Failed restores carry their recorded error; Cancel is a no-op.
-	failed, err := m.Restore("job-9", "toy", 2, nil, nil, StateFailed, "stored boom")
+	failed, err := m.Restore("job-9", "toy", 2, nil, Docs{}, StateFailed, "stored boom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +85,13 @@ func TestManagerRestore(t *testing.T) {
 	}
 
 	// Guard rails: duplicates and non-terminal states are rejected.
-	if _, err := m.Restore("job-7", "toy", 1, nil, nil, StateDone, ""); err == nil {
+	if _, err := m.Restore("job-7", "toy", 1, nil, Docs{}, StateDone, ""); err == nil {
 		t.Fatal("duplicate restore accepted")
 	}
-	if _, err := m.Restore("job-99", "toy", 1, nil, nil, StateRunning, ""); err == nil {
+	if _, err := m.Restore("job-99", "toy", 1, nil, Docs{}, StateRunning, ""); err == nil {
 		t.Fatal("non-terminal restore accepted")
 	}
-	if _, err := m.Restore("", "toy", 1, nil, nil, StateDone, ""); err == nil {
+	if _, err := m.Restore("", "toy", 1, nil, Docs{}, StateDone, ""); err == nil {
 		t.Fatal("empty-ID restore accepted")
 	}
 }

@@ -203,8 +203,9 @@ func TestQueuedJobsHoldNoGoroutines(t *testing.T) {
 }
 
 // TestTerminalJobKeepsOnlyRecord: a finished job releases its run's context
-// and drops the run (spec, rng base, results, deque) and its watchers with
-// their context hooks, keeping its record: counters, ledger, and outcome.
+// and drops the run (spec, rng base, results, deque), its watchers with
+// their context hooks and its ledger's parking, keeping its record:
+// counters, the ledger's run, and outcome.
 func TestTerminalJobKeepsOnlyRecord(t *testing.T) {
 	m := NewManager(New(2))
 	defer m.Close()
@@ -238,10 +239,10 @@ func TestTerminalJobKeepsOnlyRecord(t *testing.T) {
 	}
 	job.mu.Lock()
 	defer job.mu.Unlock()
-	if job.run != nil || job.watchers != nil {
-		t.Fatalf("terminal job still holds run %p, watchers %v", job.run, job.watchers)
+	if job.run != nil || job.watchers != nil || job.ledger.park != nil {
+		t.Fatalf("terminal job still holds run %p, watchers %v, parked documents %q", job.run, job.watchers, job.ledger.park)
 	}
-	if job.state != StateDone || job.done != 8 || job.watermark != 8 || job.result != wantSum(8) {
+	if job.state != StateDone || job.done != 8 || job.watermarkLocked() != 8 || job.result != wantSum(8) {
 		t.Fatalf("terminal record = %+v, result %v", job.statusLocked(), job.result)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -20,10 +19,10 @@ func (s *Server) JobStatus(id string) (engine.Status, error) {
 }
 
 // JobRange reads a job's result ledger by ID, like JobStatus.
-func (s *Server) JobRange(id string, lo, hi int) ([]json.RawMessage, error) {
+func (s *Server) JobRange(id string, lo, hi int) (engine.Docs, error) {
 	job, err := s.manager.Get(id)
 	if err != nil {
-		return nil, err
+		return engine.Docs{}, err
 	}
 	return job.ResultRange(lo, hi)
 }

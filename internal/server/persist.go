@@ -155,7 +155,7 @@ type watchStart struct {
 // here is fatal: a record that cannot be revived at all (kind no longer
 // registered, corrupt spec) becomes a failed job that says why, not a
 // startup abort.
-func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, docs []json.RawMessage) []watchStart {
+func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, docs engine.Docs) []watchStart {
 	switch rec.State {
 	case store.JobDone:
 		if err := engine.ValidateResult(rec.Kind, rec.Version, rec.Result); err != nil {
@@ -167,9 +167,9 @@ func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, docs []
 			s.cache[rec.Key] = rec.ID
 		}
 	case store.JobFailed:
-		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, nil, engine.StateFailed, rec.Error)
+		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, engine.Docs{}, engine.StateFailed, rec.Error)
 	case store.JobCanceled:
-		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, nil, engine.StateCanceled, rec.Error)
+		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, engine.Docs{}, engine.StateCanceled, rec.Error)
 	case store.JobSubmitted:
 		return s.recomputeJob(rec, failInterrupted, "interrupted by server restart", docs)
 	}
@@ -185,9 +185,9 @@ func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, docs []
 // the spec itself cannot be revived) the job is restored as failed instead,
 // with reason explaining why. The returned watchStart (if any) must be
 // attached by the caller once rehydration has finished building the tables.
-func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason string, docs []json.RawMessage) []watchStart {
+func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason string, docs engine.Docs) []watchStart {
 	restoreFailed := func(msg string) {
-		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, nil, engine.StateFailed, msg); err == nil {
+		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, engine.Docs{}, engine.StateFailed, msg); err == nil {
 			rec.State = store.JobFailed
 			rec.Error = msg
 			rec.Result = nil
@@ -209,8 +209,9 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 		return nil
 	}
 	// The persisted documents become the engine's prefill: decoded, they
-	// land in the new job's results and ledger before any task runs, so the
-	// scheduler only executes the uncovered suffix.
+	// land in the new job's results before any task runs, and their run
+	// becomes its ledger's, so the scheduler only executes the uncovered
+	// suffix and the store and the ledger go on sharing one body.
 	job, err := s.manager.SubmitJobOpts(rec.ID, rs.Spec, rec.Seed, engine.SubmitOptions{
 		Remote: &engine.RemoteInfo{
 			WireKind: wire,
@@ -254,9 +255,9 @@ func idLess(a, b, prefix string) bool {
 // watchJob starts the job's one follower goroutine. With a store and a
 // per-task wire codec (engine.TaskCoder) it first persists the result
 // ledger as it grows: each time the contiguous-prefix watermark advances,
-// it hands the store a view of the ledger's prefix [0, watermark), which
-// the store keeps, logging only the documents past what it held; it stops
-// once the prefix reaches store.RangeDocCap. When the job ends it persists
+// it hands the store a view of the ledger's run [0, watermark), which the
+// store keeps, logging only the documents past what it held; it stops once
+// the prefix reaches store.RangeDocCap. When the job ends it persists
 // the terminal record, or retracts the cache entry of a resultless end.
 // Shutdown is the exception: jobs the manager canceled because the whole
 // server is closing keep their "submitted" record — and the documents
@@ -278,7 +279,7 @@ func (s *Server) watchJob(w watchStart) {
 					return
 				}
 				last = wm
-				s.enqueuePersist(func() error { return s.store.PutJobRange(rec.ID, 0, docs) })
+				s.enqueuePersist(func() error { return s.store.PutJobDocs(rec.ID, docs) })
 			}
 			for st := range job.Watch(context.Background()) {
 				persist(st.Progress.Watermark)

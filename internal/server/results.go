@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -61,11 +60,11 @@ const rangeFlushBytes = 256 << 10
 // non-TaskCoder spec, or a failed or canceled job restored from a previous
 // life.
 //
-// The body is assembled by concatenation: the documents go out verbatim —
-// byte-identical to the ledger and the store, never re-marshalled or
-// re-indented — and no Content-Length is set, so net/http switches to
-// chunked transfer and flushing every rangeFlushBytes bounds the
-// server-side buffer however large the span is.
+// The documents go out verbatim — the ledger's packed run is the results
+// array's inner bytes, byte-identical to the store's, never re-marshalled
+// or re-indented — in pieces of at most rangeFlushBytes, each flushed, and
+// no Content-Length is set, so net/http switches to chunked transfer and
+// its buffer stays bounded however large the span is.
 func writeResultRange(w http.ResponseWriter, job *engine.Job, rng string) {
 	tr, err := engine.ParseTaskRange(rng)
 	if err != nil {
@@ -90,29 +89,22 @@ func writeResultRange(w http.ResponseWriter, job *engine.Job, rng string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, `{"id":%q,"kind":%q,"lo":%d,"hi":%d,"total":%d,"results":[`,
+	head := fmt.Appendf(nil, `{"id":%q,"kind":%q,"lo":%d,"hi":%d,"total":%d,"results":[`,
 		st.ID, st.Kind, tr.Lo, tr.Hi, st.Progress.Total)
-	for i, d := range docs {
-		if i > 0 {
-			buf.WriteByte(',')
+	if _, err := w.Write(head); err != nil {
+		return // client hung up; nothing recoverable
+	}
+	for body := docs.Bytes(); len(body) > 0; {
+		n := min(len(body), rangeFlushBytes)
+		if _, err := w.Write(body[:n]); err != nil {
+			return
 		}
-		//goclint:allow errdrop -- bytes.Buffer writes cannot fail
-		buf.Write(d)
-		if buf.Len() >= rangeFlushBytes {
-			if _, err := w.Write(buf.Bytes()); err != nil {
-				return // client hung up; nothing recoverable
-			}
-			buf.Reset()
-			if fl != nil {
-				fl.Flush()
-			}
+		if body = body[n:]; len(body) > 0 && fl != nil {
+			fl.Flush()
 		}
 	}
-	//goclint:allow errdrop -- bytes.Buffer writes cannot fail
-	buf.WriteString("]}")
 	//goclint:allow errdrop -- headers are sent; a failed body write is the client hanging up
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write([]byte("]}"))
 }
 
 // handleHandleEvents streams the job's status as server-sent events: a

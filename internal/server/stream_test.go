@@ -281,18 +281,18 @@ func TestRestoredShortPrefixIsGone(t *testing.T) {
 	}
 }
 
-// rangeSpy is a file store that records the span of every PutJobRange.
+// rangeSpy is a file store that records the span of every PutJobDocs.
 type rangeSpy struct {
 	*store.File
 	mu    sync.Mutex
 	spans []engine.TaskRange
 }
 
-func (s *rangeSpy) PutJobRange(jobID string, lo int, results []json.RawMessage) error {
+func (s *rangeSpy) PutJobDocs(jobID string, docs engine.Docs) error {
 	s.mu.Lock()
-	s.spans = append(s.spans, engine.TaskRange{Lo: lo, Hi: lo + len(results)})
+	s.spans = append(s.spans, engine.TaskRange{Lo: 0, Hi: docs.Len()})
 	s.mu.Unlock()
-	return s.File.PutJobRange(jobID, lo, results)
+	return s.File.PutJobDocs(jobID, docs)
 }
 
 func (s *rangeSpy) recorded() []engine.TaskRange {
@@ -337,8 +337,8 @@ func TestWatcherStopsAtTheCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if docs := snap.Docs[id]; len(docs) != store.RangeDocCap || string(docs[store.RangeDocCap-1]) != streamDoc(store.RangeDocCap-1) {
-		t.Fatalf("the store holds %d documents, want tasks [0,%d)", len(docs), store.RangeDocCap)
+	if docs := snap.Docs[id]; docs.Len() != store.RangeDocCap || string(docs.Doc(store.RangeDocCap-1)) != streamDoc(store.RangeDocCap-1) {
+		t.Fatalf("the store holds %d documents, want tasks [0,%d)", docs.Len(), store.RangeDocCap)
 	}
 }
 
@@ -745,7 +745,7 @@ func waitRangeCoverage(t *testing.T, st *store.File, jobID string, want int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(snap.Docs[jobID]) >= want {
+		if snap.Docs[jobID].Len() >= want {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -838,14 +838,19 @@ func TestStreamPropertyRestart(t *testing.T) {
 
 			// The done record keeps the job's documents — a later restart
 			// must still serve ?range from them — and by then they must
-			// cover every task from 0.
+			// cover every task from 0, in the resumed ledger's own body:
+			// the loaded prefix it adopted is not held twice.
 			waitRecordState(t, p2.st, jobID, store.JobDone)
 			snap, err := p2.st.Load()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if docs := snap.Docs[jobID]; len(docs) != tr.n {
-				t.Fatalf("done job's persisted docs = %s, want tasks [0,%d)", docs, tr.n)
+			ledger, err := p2.s.JobRange(jobID, 0, tr.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if docs := snap.Docs[jobID]; !sameBody(docs, ledger, tr.n) {
+				t.Fatalf("done job's persisted docs = %s (%d), want the ledger's body of tasks [0,%d)", docs.Bytes(), docs.Len(), tr.n)
 			}
 		})
 	}

@@ -104,6 +104,10 @@ func (s *File) logPath() string { return filepath.Join(s.dir, logName) }
 // drop the released handle ops it derives from). Logs written before the
 // flat job API was retired may also hold "pin" (JobID) lines; replay
 // accepts and ignores them, and the next compaction drops them.
+//
+// A range op holds its documents packed in docs; Results only carries them
+// out of json.Unmarshal (see decodeOp), and range lines are written by
+// rangeLine.
 type op struct {
 	Op      string            `json:"op"`
 	ID      string            `json:"id,omitempty"`
@@ -113,6 +117,7 @@ type op struct {
 	Lo      int               `json:"lo,omitempty"`
 	Results []json.RawMessage `json:"results,omitempty"`
 	Seq     uint64            `json:"seq,omitempty"`
+	docs    engine.Docs
 }
 
 // replay rebuilds the snapshot from the log and returns the byte offset of
@@ -120,8 +125,7 @@ type op struct {
 // shape a crash mid-append can leave, since the newline is each op's last
 // byte — is tolerated (OpenFile truncates it away); corruption in any
 // *terminated* line is an error, because silently skipping interior history
-// could resurrect released handles or lose results. Lines scanRange does
-// not take go through json.Unmarshal.
+// could resurrect released handles or lose results.
 func (s *File) replay() (int64, error) {
 	data, err := os.ReadFile(s.logPath())
 	if os.IsNotExist(err) {
@@ -139,13 +143,11 @@ func (s *File) replay() (int64, error) {
 		}
 		line := data[start : start+nl]
 		lineno++
-		o, ok := scanRange(line)
-		if !ok {
-			if err := json.Unmarshal(line, &o); err != nil {
-				return 0, fmt.Errorf("store: corrupt log line %d: %w", lineno, err)
-			}
+		o, err := decodeOp(line)
+		if err == nil {
+			_, err = s.applyLocked(&o)
 		}
-		if _, err := s.applyLocked(&o); err != nil {
+		if err != nil {
 			return 0, fmt.Errorf("store: corrupt log line %d: %w", lineno, err)
 		}
 		start += nl + 1
@@ -154,12 +156,32 @@ func (s *File) replay() (int64, error) {
 	return good, nil
 }
 
-// scanRange decodes a range line as json.Unmarshal would, but slices its
-// documents out of one copy of the line, each capped at its end: one
-// allocation however many documents it holds, and no other line kept
-// alive. It reports false unless json.Valid accepts line, every key matches
-// "op", "job_id", "lo" or "results" as encoding/json matches them, and
-// their values are "range", an unescaped string, an int and an array.
+// decodeOp decodes one log line: a range line through scanRange, any other
+// through json.Unmarshal. Either way a range op's documents are the ones
+// json.Unmarshal finds, packed as they are.
+func decodeOp(line []byte) (op, error) {
+	if len(line) > engine.MaxDocsBytes {
+		return op{}, fmt.Errorf("line of %d bytes, past %d", len(line), engine.MaxDocsBytes)
+	}
+	if o, ok := scanRange(line); ok {
+		return o, nil
+	}
+	var o op
+	if err := json.Unmarshal(line, &o); err != nil {
+		return op{}, err
+	}
+	for _, d := range o.Results {
+		o.docs = o.docs.AppendDoc(d)
+	}
+	return o, nil
+}
+
+// scanRange decodes a range line as json.Unmarshal would, and packs the
+// documents of its results array into one copy of their bytes: two
+// allocations however many documents it holds, and nothing of the line
+// kept alive. It reports false unless json.Valid accepts line, every key
+// matches "op", "job_id", "lo" or "results" as encoding/json matches them,
+// and their values are "range", an unescaped string, an int and an array.
 func scanRange(line []byte) (op, bool) {
 	s := jsonscan.Scanner{Doc: line}
 	s.SkipSpace()
@@ -168,7 +190,7 @@ func scanRange(line []byte) (op, bool) {
 	}
 	var o op
 	var fold [16]byte
-	at, n := -1, 0 // the last results array's offset and length
+	at, n, size := -1, 0, 0 // the last results array's offset, length and inner size
 	s.Pos++
 	for s.SkipSpace(); line[s.Pos] != '}'; s.SkipSpace() {
 		key := jsonscan.FoldKey(fold[:0], s.Member())
@@ -198,6 +220,7 @@ func scanRange(line []byte) (op, bool) {
 			for at, n = start, 0; s.Next(); n++ {
 				s.SkipValue()
 			}
+			size = s.Pos - start - 2
 		default:
 			return op{}, false
 		}
@@ -205,8 +228,13 @@ func scanRange(line []byte) (op, bool) {
 	if o.Op == "" || at < 0 {
 		return op{}, false
 	}
-	s = jsonscan.Scanner{Doc: bytes.Clone(line), Pos: at}
-	o.Results = s.Elements(n)
+	o.docs = engine.Docs{}.Grow(n, size)
+	s = jsonscan.Scanner{Doc: line, Pos: at}
+	for s.Next() {
+		start := s.Pos
+		s.SkipValue()
+		o.docs = o.docs.AppendDoc(line[start:s.Pos])
+	}
 	return o, true
 }
 
@@ -233,8 +261,8 @@ func (s *File) applyLocked(o *op) (bool, error) {
 			delete(s.snap.Docs, o.Job.ID)
 		}
 	case "range":
-		o.Lo, o.Results = s.snap.addDocs(o.JobID, o.Lo, o.Results)
-		return len(o.Results) > 0, nil
+		o.Lo, o.docs = s.snap.addDocs(o.JobID, o.Lo, o.docs)
+		return o.docs.Len() > 0, nil
 	case "handle":
 		s.snap.Handles[o.ID] = o.JobID
 		if n := handleSeq(o.ID); n > s.snap.NextHandle {
@@ -310,9 +338,12 @@ func (s *File) maybeCompactLocked() error {
 // compactLocked writes the live snapshot to a fresh log and atomically
 // renames it over the old one. It also enforces the job-record cap: oldest
 // terminal records past engine.DefaultRetention are dropped (submitted
-// records always survive — they are what restart recovery reruns).
+// records always survive — they are what restart recovery reruns). The
+// eviction reaches memory only with the rename, so a compaction that fails
+// leaves memory holding what the log still does.
 func (s *File) compactLocked() error {
-	s.snap.dropExcessJobs()
+	live := s.snap.clone()
+	live.dropExcessJobs()
 	tmpPath := s.logPath() + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -330,8 +361,8 @@ func (s *File) compactLocked() error {
 		}
 		return err == nil
 	}
-	for _, id := range sortedKeys(s.snap.Games) {
-		raw, err := json.Marshal(s.snap.Games[id])
+	for _, id := range sortedKeys(live.Games) {
+		raw, err := json.Marshal(live.Games[id])
 		if err != nil {
 			tmp.Close()
 			//goclint:allow errdrop -- best-effort tmp cleanup; the marshal error below is the failure
@@ -342,26 +373,26 @@ func (s *File) compactLocked() error {
 			return fmt.Errorf("store: compact: write failed")
 		}
 	}
-	for _, id := range sortedKeys(s.snap.Jobs) {
-		rec := s.snap.Jobs[id]
+	for _, id := range sortedKeys(live.Jobs) {
+		rec := live.Jobs[id]
 		if !w(op{Op: "job", Job: &rec}) {
 			return fmt.Errorf("store: compact: write failed")
 		}
 	}
 	// Each job's documents land as one range line after the job records,
 	// so replay's addDocs sees the owning record.
-	for _, id := range sortedKeys(s.snap.Docs) {
-		if !w(op{Op: "range", JobID: id, Results: s.snap.Docs[id]}) {
+	for _, id := range sortedKeys(live.Docs) {
+		if !w(op{Op: "range", JobID: id, docs: live.Docs[id]}) {
 			return fmt.Errorf("store: compact: write failed")
 		}
 	}
-	for _, h := range sortedKeys(s.snap.Handles) {
-		if !w(op{Op: "handle", ID: h, JobID: s.snap.Handles[h]}) {
+	for _, h := range sortedKeys(live.Handles) {
+		if !w(op{Op: "handle", ID: h, JobID: live.Handles[h]}) {
 			return fmt.Errorf("store: compact: write failed")
 		}
 	}
-	if s.snap.NextHandle > 0 {
-		if !w(op{Op: "seq", Seq: s.snap.NextHandle}) {
+	if live.NextHandle > 0 {
+		if !w(op{Op: "seq", Seq: live.NextHandle}) {
 			return fmt.Errorf("store: compact: write failed")
 		}
 	}
@@ -395,6 +426,7 @@ func (s *File) compactLocked() error {
 	}
 	old.Close()
 	s.f = f
+	s.snap = live
 	s.ops = 0
 	s.kept = len(s.snap.Jobs)
 	return nil
@@ -404,52 +436,64 @@ func (s *File) compactLocked() error {
 // through rangeLine; every other op is json.Marshal's encoding.
 func encodeOp(o op) ([]byte, error) {
 	if o.Op == "range" {
-		line, err := rangeLine(o.JobID, o.Lo, o.Results)
+		line, err := rangeLine(o.JobID, o.Lo, o.docs)
 		return append(line, '\n'), err
 	}
 	line, err := json.Marshal(o)
 	return append(line, '\n'), err
 }
 
-// rangeLine renders the range op (jobID, lo, docs) in exactly the bytes
-// json.Marshal writes for it, by appending each document as it is:
-// json.Marshal rescans, recompacts and HTML-escapes every json.RawMessage,
-// which costs three times a json.Valid over the same bytes. Each document is
-// still checked with json.Valid, so the log never holds a line replay cannot
-// read. A document json.Marshal would rewrite or reject, and an empty list,
-// send the whole op through json.Marshal. A line built by appending has a
-// spare byte of capacity for its newline.
-func rangeLine(jobID string, lo int, docs []json.RawMessage) ([]byte, error) {
+// rangeLine renders the range op (jobID, lo, docs) with the run's body as
+// it is, one copy, without the rescan, recompaction and HTML escaping
+// json.Marshal spends on every json.RawMessage, and without checking a
+// document: the store holds documents the engine encoded, documents a
+// range line held, or documents PutJobRange checked, each one JSON value
+// without a raw newline. For documents in json.Marshal's form — all but
+// hand-written log lines' — the line is exactly the bytes json.Marshal
+// writes for the op. The line has a spare byte of capacity for its newline.
+func rangeLine(jobID string, lo int, docs engine.Docs) ([]byte, error) {
 	id, err := json.Marshal(jobID)
 	if err != nil {
 		return nil, err
 	}
-	n := len(`{"op":"range","job_id":,"lo":-9223372036854775808,"results":[]}`+"\n") + len(id)
-	verbatim := len(docs) > 0
-	for _, d := range docs {
-		if verbatim = verbatimDoc(d); !verbatim {
-			break
-		}
-		n += len(d) + 1
-	}
-	if !verbatim {
-		return json.Marshal(op{Op: "range", JobID: jobID, Lo: lo, Results: docs})
-	}
-	line := append(make([]byte, 0, n), `{"op":"range"`...)
+	body := docs.Bytes()
+	line := make([]byte, 0, len(`{"op":"range","job_id":,"lo":-9223372036854775808,"results":[]}`+"\n")+len(id)+len(body))
+	line = append(line, `{"op":"range"`...)
 	if jobID != "" {
 		line = append(append(line, `,"job_id":`...), id...)
 	}
 	if lo != 0 {
 		line = strconv.AppendInt(append(line, `,"lo":`...), int64(lo), 10)
 	}
-	line = append(line, `,"results":[`...)
-	for i, d := range docs {
-		if i > 0 {
-			line = append(line, ',')
-		}
-		line = append(line, d...)
+	if docs.Len() > 0 {
+		line = append(append(append(line, `,"results":[`...), body...), ']')
 	}
-	return append(line, ']', '}'), nil
+	return append(line, '}'), nil
+}
+
+// packDocs packs a span's documents in the bytes json.Marshal writes for
+// them, the form a range line carries (see rangeLine): a document
+// json.Marshal would rewrite goes in as its encoding, and one it rejects
+// fails the span.
+func packDocs(results []json.RawMessage) (engine.Docs, error) {
+	size := 0
+	for _, d := range results {
+		size += len(d) + 1
+	}
+	docs := engine.Docs{}.Grow(len(results), size)
+	for i, d := range results {
+		if !verbatimDoc(d) {
+			var err error
+			if d, err = json.Marshal(d); err != nil {
+				return engine.Docs{}, fmt.Errorf("document %d: %w", i, err)
+			}
+		}
+		if docs.Size()+1+len(d) > engine.MaxDocsBytes {
+			return engine.Docs{}, fmt.Errorf("documents past %d bytes", engine.MaxDocsBytes)
+		}
+		docs = docs.AppendDoc(d)
+	}
+	return docs, nil
 }
 
 // verbatimDoc reports whether json.Marshal writes the document d unchanged:
@@ -506,12 +550,24 @@ func (s *File) PutJob(rec JobRecord) error {
 	return s.append(op{Op: "job", Job: &rec})
 }
 
+// PutJobDocs implements Store.
+func (s *File) PutJobDocs(jobID string, docs engine.Docs) error {
+	if jobID == "" {
+		return fmt.Errorf("store: range without a job ID")
+	}
+	return s.append(op{Op: "range", JobID: jobID, docs: docs})
+}
+
 // PutJobRange implements Store.
 func (s *File) PutJobRange(jobID string, lo int, results []json.RawMessage) error {
 	if jobID == "" {
 		return fmt.Errorf("store: range without a job ID")
 	}
-	return s.append(op{Op: "range", JobID: jobID, Lo: lo, Results: results})
+	docs, err := packDocs(results)
+	if err != nil {
+		return fmt.Errorf("store: range of %s: %w", jobID, err)
+	}
+	return s.append(op{Op: "range", JobID: jobID, Lo: lo, docs: docs})
 }
 
 // PutHandle implements Store.

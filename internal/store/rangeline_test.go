@@ -13,7 +13,8 @@ import (
 )
 
 // FuzzRangeLineMatchesMarshal: for any job ID, lo and document list (docs
-// split at NUL bytes, which no JSON document holds), the store's range line
+// split at NUL bytes, which no JSON document holds), the range line
+// PutJobRange writes — its documents packed by packDocs, then rangeLine —
 // equals json.Marshal's encoding of the op byte for byte, or both fail.
 func FuzzRangeLineMatchesMarshal(f *testing.F) {
 	for _, seed := range []struct {
@@ -44,7 +45,11 @@ func FuzzRangeLineMatchesMarshal(f *testing.F) {
 			}
 		}
 		want, werr := json.Marshal(op{Op: "range", JobID: id, Lo: lo, Results: docs})
-		got, gerr := rangeLine(id, lo, docs)
+		var got []byte
+		run, gerr := packDocs(docs)
+		if gerr == nil {
+			got, gerr = rangeLine(id, lo, run)
+		}
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("rangeLine error %v, json.Marshal error %v", gerr, werr)
 		}
@@ -54,23 +59,47 @@ func FuzzRangeLineMatchesMarshal(f *testing.F) {
 	})
 }
 
-// BenchmarkPutJobRange appends persist-stream's range shape — the 1,200
-// task documents of one 8×2 learn_sweep job, as the engine encodes them —
-// to a File store, one log line per op. Each iteration first forgets the
-// job's documents, or the span would land nothing and write no line.
-func BenchmarkPutJobRange(b *testing.B) {
+// learnDocs returns persist-stream's range shape: the 1,200 task documents
+// of one 8×2 learn_sweep job, as the engine encodes them.
+func learnDocs(tb testing.TB) []json.RawMessage {
 	spec := engine.LearnSweep{Gen: core.GenSpec{Miners: 8, Coins: 2}, Runs: 200}
 	base := rng.New(7)
 	docs := make([]json.RawMessage, spec.Tasks())
 	for i := range docs {
 		out, err := spec.RunTask(context.Background(), i, base.Fork(uint64(i)))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if docs[i], err = spec.EncodeTaskResult(out); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+	return docs
+}
+
+// raceEnabled reports a -race build (race_test.go), whose sync.Pool drops
+// items at random: json.Marshal's encoder state then costs an allocation.
+var raceEnabled bool
+
+// TestRangeLineAllocs: a range line costs three allocations however many
+// documents its packed run holds: json.Marshal's boxed job ID and its
+// encoding, and the line.
+func TestRangeLineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	run := packed(learnDocs(t))
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = rangeLine("job-1", 0, run) }); allocs > 3 {
+		t.Fatalf("the range line of %d documents allocates %v times, want at most 3", run.Len(), allocs)
+	}
+}
+
+// BenchmarkPutJobRange appends persist-stream's range shape (learnDocs) to
+// a File store, one log line per op, through PutJobRange, which checks and
+// packs the documents. Each iteration first forgets the job's documents, or
+// the span would land nothing and write no line.
+func BenchmarkPutJobRange(b *testing.B) {
+	docs := learnDocs(b)
 	s, err := OpenFile(b.TempDir())
 	if err != nil {
 		b.Fatal(err)

@@ -8,12 +8,32 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"gameofcoins/internal/engine"
 )
 
 func docs(vals ...int) []json.RawMessage {
 	out := make([]json.RawMessage, len(vals))
 	for i, v := range vals {
 		out[i] = json.RawMessage(itoa(v))
+	}
+	return out
+}
+
+// packed packs documents into one run.
+func packed(docs []json.RawMessage) engine.Docs {
+	var run engine.Docs
+	for _, d := range docs {
+		run = run.AppendDoc(d)
+	}
+	return run
+}
+
+// docList lists a run's documents.
+func docList(run engine.Docs) []json.RawMessage {
+	out := make([]json.RawMessage, run.Len())
+	for i := range out {
+		out[i] = run.Doc(i)
 	}
 	return out
 }
@@ -61,20 +81,20 @@ func TestRangeFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := docs(10, 11, 12, 13, 14, 15)
-	if !reflect.DeepEqual(snap.Docs["job-1"], want) {
-		t.Fatalf("docs = %s, want %s", snap.Docs["job-1"], want)
+	if got := docList(snap.Docs["job-1"]); !reflect.DeepEqual(got, want) {
+		t.Fatalf("docs = %s, want %s", got, want)
 	}
 	if _, ok := snap.Docs["job-9"]; ok {
 		t.Fatal("range for an unknown job was stored")
 	}
 	// Load's prefix is the caller's to keep: appending to it copies, so the
 	// store's next document does not overwrite the caller's.
-	mine := append(snap.Docs["job-1"], json.RawMessage(`77`))
+	mine := snap.Docs["job-1"].AppendDoc([]byte(`77`))
 	if err := s.PutJobRange("job-1", 6, docs(16)); err != nil {
 		t.Fatal(err)
 	}
-	if string(mine[6]) != "77" {
-		t.Fatalf("the store wrote %s into a loaded prefix's append", mine[6])
+	if string(mine.Doc(6)) != "77" {
+		t.Fatalf("the store wrote %s into a loaded prefix's append", mine.Doc(6))
 	}
 	want = docs(10, 11, 12, 13, 14, 15, 16)
 	// A done record keeps its documents — they are what makes ?range
@@ -86,8 +106,8 @@ func TestRangeFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(snap.Docs["job-1"], want) {
-		t.Fatalf("done job's docs = %s, want %s", snap.Docs["job-1"], want)
+	if got := docList(snap.Docs["job-1"]); !reflect.DeepEqual(got, want) {
+		t.Fatalf("done job's docs = %s, want %s", got, want)
 	}
 	// A failed record clears them: there is no result they could serve.
 	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 10, State: JobFailed, Error: "boom"}); err != nil {
@@ -98,7 +118,7 @@ func TestRangeFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(snap.Docs) != 0 {
-		t.Fatalf("failed job kept its docs: %s", snap.Docs)
+		t.Fatalf("failed job kept its docs: %s", snap.Docs["job-1"].Bytes())
 	}
 }
 
@@ -119,8 +139,8 @@ func TestRangeCompactionCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := seqDocs(0, RangeDocCap); !reflect.DeepEqual(snap.Docs["job-1"], want) {
-		t.Fatalf("capped monotonic growth kept %d docs, want tasks [0,%d)", len(snap.Docs["job-1"]), RangeDocCap)
+	if want := seqDocs(0, RangeDocCap); !reflect.DeepEqual(docList(snap.Docs["job-1"]), want) {
+		t.Fatalf("capped monotonic growth kept %d docs, want tasks [0,%d)", snap.Docs["job-1"].Len(), RangeDocCap)
 	}
 }
 
@@ -164,24 +184,26 @@ func TestRangeOpsThatLandNothingAreNotLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Docs["job-1"]) != RangeDocCap || len(snap.Docs) != 1 {
-		t.Fatalf("job-1 holds %d docs, %d jobs hold docs", len(snap.Docs["job-1"]), len(snap.Docs))
+	if snap.Docs["job-1"].Len() != RangeDocCap || len(snap.Docs) != 1 {
+		t.Fatalf("job-1 holds %d docs, %d jobs hold docs", snap.Docs["job-1"].Len(), len(snap.Docs))
 	}
 }
 
 // TestRangeViewsShareTheArray: the server's watcher sends views of a job's
-// result ledger from lo 0. The store keeps a longer view of its prefix's
-// array as the prefix, copying no header, and logs one line from the old
-// end holding only the documents past it: the line a span from there writes.
-// An overlapping span of another array lands and logs the same way.
+// result ledger from task 0. The store keeps a longer view of its prefix's
+// body as the prefix, copying nothing, and logs one line from the old end
+// holding only the documents past it: the line a span from there writes. A
+// run from task 0 in another body that begins with the prefix's documents,
+// as the ledger's run is once it has moved to a bigger body, replaces the
+// prefix and logs the same way.
 func TestRangeViewsShareTheArray(t *testing.T) {
 	s := openTemp(t)
 	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 6, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
 	}
-	ledger := docs(10, 11, 12, 13, 14, 15)
+	ledger := packed(docs(10, 11, 12, 13, 14, 15))
 	for _, wm := range []int{2, 5, 4} {
-		if err := s.PutJobRange("job-1", 0, ledger[:wm:wm]); err != nil {
+		if err := s.PutJobDocs("job-1", ledger.Slice(0, wm)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,11 +211,18 @@ func TestRangeViewsShareTheArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.Docs["job-1"]; len(got) != 5 || &got[0] != &ledger[0] {
-		t.Fatalf("the store holds %d documents in its own array, want the ledger's first 5", len(got))
+	if got := snap.Docs["job-1"]; got.Len() != 5 || &got.Bytes()[0] != &ledger.Bytes()[0] {
+		t.Fatalf("the store holds %d documents in a body of its own, want the ledger's first 5", got.Len())
 	}
-	if err := s.PutJobRange("job-1", 0, docs(10, 11, 12, 13, 14, 15)); err != nil {
+	moved := packed(docs(10, 11, 12, 13, 14, 15))
+	if err := s.PutJobDocs("job-1", moved); err != nil {
 		t.Fatal(err)
+	}
+	if snap, err = s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Docs["job-1"]; got.Len() != 6 || &got.Bytes()[0] != &moved.Bytes()[0] {
+		t.Fatalf("the store holds %d documents, not a view of the moved run", got.Len())
 	}
 	log, err := os.ReadFile(filepath.Join(s.dir, logName))
 	if err != nil {
@@ -208,10 +237,10 @@ func TestRangeViewsShareTheArray(t *testing.T) {
 	}
 }
 
-// TestRangeViewsRace shares one header array between a writer that records
-// entries above a moving watermark under its own mutex, as the engine's
-// ledger does, and the store, which keeps lo-0 views of it while the writer
-// goes on, serves Load, and compacts. Run under -race.
+// TestRangeViewsRace shares one run between a writer that appends
+// documents under its own mutex, as the engine's ledger does, moving to a
+// bigger body as it grows, and the store, which keeps lo-0 views of it
+// while the writer goes on, serves Load, and compacts. Run under -race.
 func TestRangeViewsRace(t *testing.T) {
 	s := openTemp(t)
 	const n, batch = 600, 20
@@ -219,35 +248,39 @@ func TestRangeViewsRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	ledger := make([]json.RawMessage, n)
-	published := make(chan int)
+	var ledger engine.Docs
+	moves := 0 // how often the writer's body moved
+	published := make(chan engine.Docs)
 	go func() {
 		defer close(published)
 		for wm := 0; wm < n; {
 			mu.Lock()
 			for end := wm + batch; wm < end; wm++ {
-				ledger[wm] = json.RawMessage(itoa(wm))
+				before := ledger.Bytes()
+				ledger = ledger.AppendDoc([]byte(itoa(wm)))
+				if len(before) > 0 && &before[0] != &ledger.Bytes()[0] {
+					moves++
+				}
 			}
+			view := ledger.Slice(0, wm)
 			mu.Unlock()
-			published <- wm // the next batch is written while the store works
+			published <- view // the next batch is written while the store works
 		}
 	}()
 	defer func() {
 		for range published { // let the writer finish if the test fails
 		}
 	}()
-	for wm := range published {
-		mu.Lock()
-		view := ledger[:wm:wm]
-		mu.Unlock()
-		if err := s.PutJobRange("job-1", 0, view); err != nil {
+	for view := range published {
+		wm := view.Len()
+		if err := s.PutJobDocs("job-1", view); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := s.Load()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := snap.Docs["job-1"]; !reflect.DeepEqual(got, seqDocs(0, wm)) {
+		if got := docList(snap.Docs["job-1"]); !reflect.DeepEqual(got, seqDocs(0, wm)) {
 			t.Fatalf("at watermark %d the store holds %s", wm, got)
 		}
 		if wm%(4*batch) == 0 {
@@ -263,8 +296,10 @@ func TestRangeViewsRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.Docs["job-1"]; len(got) != n || &got[0] != &ledger[0] {
-		t.Fatalf("the store holds %d documents in its own array, want the ledger's %d", len(got), n)
+	mu.Lock()
+	defer mu.Unlock()
+	if got := snap.Docs["job-1"]; got.Len() != n || &got.Bytes()[0] != &ledger.Bytes()[0] || moves == 0 {
+		t.Fatalf("the store holds %d documents in a body of its own, want the writer's %d (its body moved %d times)", got.Len(), n, moves)
 	}
 }
 
@@ -329,11 +364,11 @@ func TestFileRangeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := docs(10, 11, 12); !reflect.DeepEqual(snap.Docs["job-1"], want) {
-		t.Fatalf("job-1 docs = %s, want %s", snap.Docs["job-1"], want)
+	if got, want := docList(snap.Docs["job-1"]), docs(10, 11, 12); !reflect.DeepEqual(got, want) {
+		t.Fatalf("job-1 docs = %s, want %s", got, want)
 	}
-	if !reflect.DeepEqual(snap.Docs["job-2"], docs(20)) {
-		t.Fatalf("done job's docs did not survive the restart: %s", snap.Docs["job-2"])
+	if got := docList(snap.Docs["job-2"]); !reflect.DeepEqual(got, docs(20)) {
+		t.Fatalf("done job's docs did not survive the restart: %s", got)
 	}
 	if _, ok := snap.Docs["job-3"]; ok {
 		t.Fatal("failed job's docs survived the restart")
@@ -372,7 +407,7 @@ func TestFileRangeCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := snap.Docs["job-1"]
+	got := docList(snap.Docs["job-1"])
 	if len(got) != n {
 		t.Fatalf("%d docs after compaction, want %d", len(got), n)
 	}
@@ -419,8 +454,8 @@ func TestFileRangeTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := docs(10, 11, 12); !reflect.DeepEqual(snap.Docs["job-1"], want) {
-		t.Fatalf("docs = %s, want %s", snap.Docs["job-1"], want)
+	if got, want := docList(snap.Docs["job-1"]), docs(10, 11, 12); !reflect.DeepEqual(got, want) {
+		t.Fatalf("docs = %s, want %s", got, want)
 	}
 }
 
@@ -429,8 +464,8 @@ func TestFileRangeTornTail(t *testing.T) {
 func TestDropExcessJobsGCsRanges(t *testing.T) {
 	snap := emptySnapshot()
 	snap.Jobs["job-1"] = JobRecord{ID: "job-1", State: JobSubmitted}
-	snap.Docs["job-1"] = docs(1)
-	snap.Docs["job-gone"] = docs(2)
+	snap.Docs["job-1"] = packed(docs(1))
+	snap.Docs["job-gone"] = packed(docs(2))
 	snap.dropExcessJobs()
 	if _, ok := snap.Docs["job-1"]; !ok {
 		t.Fatal("live submitted job's docs dropped")

@@ -7,10 +7,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"gameofcoins/internal/engine"
 )
 
-// TestReplaySlicesRangeLines: replay keeps each range line's documents as
-// sub-slices of one copy of the line, each capped at its end: decoding a
+// TestReplaySlicesRangeLines: replay packs each range line's documents
+// into one copy of their bytes, each document capped at its end: decoding a
 // range line costs the same few allocations however many documents it
 // holds.
 func TestReplaySlicesRangeLines(t *testing.T) {
@@ -31,7 +33,7 @@ func TestReplaySlicesRangeLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := snap.Docs["job-1"]
+	got := docList(snap.Docs["job-1"])
 	if want := []json.RawMessage{json.RawMessage(`10`), json.RawMessage(`{"a":[1,2]}`), json.RawMessage(`12`), json.RawMessage(`"x"`)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("docs = %s, want %s", got, want)
 	}
@@ -40,8 +42,8 @@ func TestReplaySlicesRangeLines(t *testing.T) {
 			t.Fatalf("document %d has spare capacity %d", i, cap(d)-len(d))
 		}
 	}
-	// The line's copy, its document slice and the job ID.
-	line, err := rangeLine("job-1", 0, seqDocs(0, 200))
+	// The run's body and offsets, and the job ID.
+	line, err := rangeLine("job-1", 0, packed(seqDocs(0, 200)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +84,13 @@ func TestReplayCorruptLines(t *testing.T) {
 	}
 }
 
-// FuzzScanRangeMatchesUnmarshal: every line scanRange accepts decodes to
-// exactly the op json.Unmarshal gives it, document for document, each
-// document capped at its end and none of them sharing the line's bytes.
+// FuzzScanRangeMatchesUnmarshal: replay decodes every line json.Unmarshal
+// accepts to the op json.Unmarshal gives it, through scanRange or not; its
+// packed run holds json.Unmarshal's documents, document for document,
+// joined by commas, each capped at its end and none of them sharing the
+// line's bytes. A line json.Unmarshal rejects fails.
 func FuzzScanRangeMatchesUnmarshal(f *testing.F) {
-	line, err := rangeLine("job-1", 3, []json.RawMessage{json.RawMessage(`{"steps":3,"converged":true}`), json.RawMessage(`7`)})
+	line, err := rangeLine("job-1", 3, packed([]json.RawMessage{json.RawMessage(`{"steps":3,"converged":true}`), json.RawMessage(`7`)}))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -118,6 +122,7 @@ func FuzzScanRangeMatchesUnmarshal(f *testing.F) {
 		`{"op":"range","lo":null,"results":[1]}`,
 		`{"op":"range","id":"x","results":[1]}`,
 		` { "op" : "range" , "results" : [ 1 , {"a" : [2, "x]}"]} , "s\"" , null ] } `,
+		`{"op":"range","results":[1,{"a":"<b>"}]}`,
 		`{"op":"range","results":[1,]}`,
 		`{"op":"range","results":[1]`,
 		`[{"op":"range"}]`,
@@ -130,27 +135,30 @@ func FuzzScanRangeMatchesUnmarshal(f *testing.F) {
 		var want op
 		werr := json.Unmarshal(line, &want)
 		in := bytes.Clone(line)
-		got, ok := scanRange(in)
-		if !ok {
-			return
+		got, gerr := decodeOp(in)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("replay's decode error %v, json.Unmarshal's %v", gerr, werr)
 		}
 		if werr != nil {
-			t.Fatalf("scanRange accepted a line json.Unmarshal rejects: %v", werr)
+			return
 		}
-		clear(in) // no document may share the scanned bytes
-		gotDocs, wantDocs := got.Results, want.Results
-		got.Results, want.Results = nil, nil
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("scanRange = %+v, json.Unmarshal %+v", got, want)
-		}
-		if len(gotDocs) != len(wantDocs) || (gotDocs == nil) != (wantDocs == nil) {
-			t.Fatalf("scanRange returned %d documents (nil %v), json.Unmarshal %d (nil %v)",
-				len(gotDocs), gotDocs == nil, len(wantDocs), wantDocs == nil)
-		}
-		for i := range wantDocs {
-			if !bytes.Equal(gotDocs[i], wantDocs[i]) || cap(gotDocs[i]) != len(gotDocs[i]) {
-				t.Fatalf("document %d = %q (cap %d), want %q", i, gotDocs[i], cap(gotDocs[i]), wantDocs[i])
+		clear(in) // no document may share the decoded bytes
+		var joined []byte
+		for i, d := range want.Results {
+			if i >= got.docs.Len() || !bytes.Equal(got.docs.Doc(i), d) || cap(got.docs.Doc(i)) != len(d) {
+				t.Fatalf("document %d of %d, want %q", i, got.docs.Len(), d)
 			}
+			if i > 0 {
+				joined = append(joined, ',')
+			}
+			joined = append(joined, d...)
+		}
+		if got.docs.Len() != len(want.Results) || !bytes.Equal(got.docs.Bytes(), joined) {
+			t.Fatalf("packed run %q of %d documents, want %q of %d", got.docs.Bytes(), got.docs.Len(), joined, len(want.Results))
+		}
+		got.docs, got.Results, want.Results = engine.Docs{}, nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded %+v, json.Unmarshal %+v", got, want)
 		}
 	})
 }

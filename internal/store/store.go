@@ -17,6 +17,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"sort"
 
@@ -78,10 +79,11 @@ type Snapshot struct {
 	// missing suffix recomputes; for a *done* job they keep ?range fetches
 	// and resumed result streams servable across a restart (at most
 	// RangeDocCap documents per job). Failed and canceled records clear
-	// their documents — there is no result to serve. Nobody writes these
-	// slices: they are views of the engine's result ledgers, or sub-slices
-	// of one copy of each replayed range line.
-	Docs map[string][]json.RawMessage
+	// their documents — there is no result to serve. Each is one packed run:
+	// a view of the engine's result ledger, a copy of a replayed range
+	// line's results, or a body of the store's own when spans from
+	// different runs were joined.
+	Docs map[string]engine.Docs
 	// Handles maps live v2 handle IDs to job IDs.
 	Handles map[string]string
 	// NextHandle is the highest handle sequence number ever minted — not
@@ -91,34 +93,42 @@ type Snapshot struct {
 }
 
 // addDocs extends a job's document prefix with the documents of tasks
-// [lo, lo+len(results)) and returns what landed: tasks [end, end+len(added)),
-// end being the prefix's old length. Only a span's part past the end lands
-// (first-writer-wins, exactly like the engine's publication), up to
-// RangeDocCap documents. A first span, or one whose first element is the
-// prefix's own (the same element, not equal bytes: the server's watcher
-// sends longer views of one ledger), becomes the prefix without a header
-// copied; any other is appended. A span that starts past the end would
-// leave a gap and lands nothing, and neither does a span of a job that is
-// not a live "submitted" or "done" one — there is no result its documents
-// could serve (or the job was evicted).
-func (s *Snapshot) addDocs(jobID string, lo int, results []json.RawMessage) (end int, added []json.RawMessage) {
+// [lo, lo+results.Len()) and returns what landed: tasks
+// [end, end+added.Len()), end being the prefix's old length. Only a span's
+// part past the end lands (first-writer-wins, exactly like the engine's
+// publication), up to RangeDocCap documents. A span from task 0 that begins
+// with the prefix's documents becomes the prefix, a view of the caller's
+// run: the server's watcher sends longer views of one ledger, whose run may
+// have moved to a bigger body since, and the store then holds only the
+// newer one. Any other span's part past the end is appended to a body of
+// the store's own. A span that starts past the end would leave a gap and
+// lands nothing, and neither does a span of a job that is not a live
+// "submitted" or "done" one — there is no result its documents could serve
+// (or the job was evicted).
+func (s *Snapshot) addDocs(jobID string, lo int, results engine.Docs) (end int, added engine.Docs) {
 	if rec, ok := s.Jobs[jobID]; !ok || (rec.State != JobSubmitted && rec.State != JobDone) {
-		return 0, nil
+		return 0, engine.Docs{}
 	}
 	docs := s.Docs[jobID]
-	end = len(docs)
-	if lo < 0 || lo > end || lo+len(results) <= end || end >= RangeDocCap {
-		return end, nil
+	end = docs.Len()
+	if lo < 0 || lo > end || lo+results.Len() <= end || end >= RangeDocCap {
+		return end, engine.Docs{}
 	}
-	n := min(lo+len(results), RangeDocCap) - lo
-	if lo == 0 && (end == 0 || &results[0] == &docs[0]) {
-		// Capped, so that a later append copies the view instead of
-		// writing into the caller's array.
-		s.Docs[jobID] = results[:n:n]
-	} else {
-		s.Docs[jobID] = append(docs, results[end-lo:n]...)
+	n := min(lo+results.Len(), RangeDocCap) - lo
+	added = results.Slice(end-lo, n)
+	switch {
+	case lo == 0 && bytes.Equal(results.Slice(0, end).Bytes(), docs.Bytes()):
+		// The span begins with the prefix's documents: equal bytes of
+		// single JSON values are equal documents. For a longer view of the
+		// prefix's own body that is an address comparison, which
+		// runtime.memequal makes first.
+		s.Docs[jobID] = results.Slice(0, n)
+	case docs.Size()+1+added.Size() > engine.MaxDocsBytes:
+		return end, engine.Docs{}
+	default:
+		s.Docs[jobID] = docs.Append(added)
 	}
-	return end, results[end-lo : n]
+	return end, added
 }
 
 // Store persists the server's durable state. Implementations must be safe
@@ -137,14 +147,19 @@ type Store interface {
 	// per job), so range fetches and resumed result streams survive a
 	// restart.
 	PutJob(rec JobRecord) error
-	// PutJobRange appends one span of a job's per-task results: the encoded
-	// documents of tasks [lo, lo+len(results)). It extends the job's
-	// document prefix when lo is at or below the prefix's end: only jobs in
-	// the submitted or done state keep documents, overlapping spans resolve
-	// first-writer-wins, and the prefix stops at RangeDocCap documents.
-	// Only the documents past the prefix's old end are recorded. The store
-	// may keep results itself, or a view of the array it holds: callers
-	// must not modify results or its documents afterwards.
+	// PutJobDocs records a job's per-task results: the encoded documents of
+	// tasks [0, docs.Len()), each one JSON value in the bytes json.Marshal
+	// writes for it (the engine's encodings are). They extend the job's
+	// document prefix: only jobs in the submitted or done state keep
+	// documents, documents the prefix already holds keep their first bytes,
+	// and the prefix stops at RangeDocCap documents. Only the documents past
+	// the prefix's old end are logged. The store keeps a view of docs:
+	// callers must not modify its bytes afterwards.
+	PutJobDocs(jobID string, docs engine.Docs) error
+	// PutJobRange is PutJobDocs for the documents of tasks
+	// [lo, lo+len(results)), given one by one. It checks each document: one
+	// json.Marshal would rewrite is kept as json.Marshal's encoding, and one
+	// it rejects fails the call, which then records nothing.
 	PutJobRange(jobID string, lo int, results []json.RawMessage) error
 	// PutHandle records a live handle claiming a job.
 	PutHandle(handle, jobID string) error
@@ -206,7 +221,7 @@ func emptySnapshot() Snapshot {
 	return Snapshot{
 		Games:   map[string]*core.Game{},
 		Jobs:    map[string]JobRecord{},
-		Docs:    map[string][]json.RawMessage{},
+		Docs:    map[string]engine.Docs{},
 		Handles: map[string]string{},
 	}
 }
@@ -223,10 +238,10 @@ func (s Snapshot) clone() Snapshot {
 		out.Jobs[id] = rec
 	}
 	for id, docs := range s.Docs {
-		// Capped, so a caller's append copies instead of writing into the
-		// store's array; the document bytes are shared read-only, like
+		// A capped view, so a caller's append copies instead of writing
+		// into the store's body; the bytes are shared read-only, like
 		// Result in the job records.
-		out.Docs[id] = docs[:len(docs):len(docs)]
+		out.Docs[id] = docs.Slice(0, docs.Len())
 	}
 	for h, id := range s.Handles {
 		out.Handles[h] = id

@@ -325,6 +325,67 @@ func TestFileJobRecordCap(t *testing.T) {
 	}
 }
 
+// TestFailedCompactionEvictsNothing: the record cap evicts from memory only
+// with the compaction that drops the records from the log. While a
+// directory in the way of the compacted file fails every compaction, memory
+// and a reopen hold every record; once it is gone, the next append
+// compacts, and both hold the cap.
+func TestFailedCompactionEvictsNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	blocker := filepath.Join(dir, logName+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= overCap; i++ {
+		err := s.PutJob(JobRecord{ID: "job-" + itoa(i), State: JobDone, Result: json.RawMessage(`1`)})
+		if (err != nil) != (i == overCap) {
+			t.Fatalf("record %d of %d: %v", i, overCap, err)
+		}
+	}
+	held := func() (memory, reopened int) {
+		t.Helper()
+		snap, err := s.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := os.ReadFile(filepath.Join(dir, logName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		copyDir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(copyDir, logName), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenFile(copyDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		again, err := c.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(snap.Jobs), len(again.Jobs)
+	}
+	if memory, reopened := held(); memory != overCap || reopened != overCap {
+		t.Fatalf("after a failed compaction memory holds %d records and a reopen %d, want %d each", memory, reopened, overCap)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutHandle("h-1", "job-"+itoa(overCap)); err != nil {
+		t.Fatal(err)
+	}
+	if memory, reopened := held(); memory != engine.DefaultRetention || reopened != engine.DefaultRetention {
+		t.Fatalf("after the compaction memory holds %d records and a reopen %d, want %d each", memory, reopened, engine.DefaultRetention)
+	}
+}
+
 // TestFileCapDoesNotCompactEveryAppend: compaction cannot evict submitted
 // records, so a store holding more of them than the cap must not rewrite
 // its whole log on every later append. A rewrite renames a fresh file over
