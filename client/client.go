@@ -944,7 +944,7 @@ func (h *Handle) StreamResultFrom(ctx context.Context, from int, fn func(task in
 		if len(rb.docs) != wm-next {
 			return last, fmt.Errorf("client: range [%d,%d) returned %d documents, want %d", next, wm, len(rb.docs), wm-next)
 		}
-		if err := tasks.ValidateWellFormed(rb.arr); err != nil {
+		if err := tasks.Validate(rb.arr); err != nil {
 			return last, taskError(next, err)
 		}
 		for k, doc := range rb.docs {

@@ -26,59 +26,75 @@ type rangeBody struct {
 	arr []byte
 }
 
-// decodeRangeBody decodes a ?range= body in one pass over its bytes, after
-// one json.Valid. It returns exactly the documents that decoding the body
-// with a json.Decoder into struct{Results []json.RawMessage} returns, and
-// fails where that decode fails: a body that is not one well-formed value
-// goes through the decoder, which either fails with its own error text or
-// delimits a well-formed first value, whose trailing bytes it ignores. Keys
-// match the way encoding/json matches struct fields, case-insensitively,
-// and the last occurrence of a key wins. want, the number of documents the
-// caller asked for, sizes the document slice; the body's length bounds it.
+// decodeRangeBody decodes a ?range= body in one pass over its bytes that
+// also checks their syntax. It returns exactly the documents that decoding
+// the body with a json.Decoder into struct{Results []json.RawMessage}
+// returns, and fails where that decode fails: a body the pass does not
+// take — one with a syntax error, bytes after its value, or the wrong shape
+// — goes through the decoder, which either fails with its own error text or
+// delimits a well-formed first value, whose trailing bytes it ignores, and
+// the pass runs on that value. Keys match the way encoding/json matches
+// struct fields, case-insensitively, and the last occurrence of a key wins.
+// want, the number of documents the caller asked for, sizes the document
+// slice; the body's length bounds it.
 func decodeRangeBody(body []byte, want int) (rangeBody, error) {
-	if !json.Valid(body) {
-		var first json.RawMessage
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&first); err != nil {
-			return rangeBody{}, err
-		}
-		body = first
+	if rb, err := scanRangeBody(body, want); err == nil {
+		return rb, nil
 	}
+	var first json.RawMessage
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&first); err != nil {
+		return rangeBody{}, err
+	}
+	return scanRangeBody(first, want)
+}
+
+// errMalformed is scanRangeBody's answer to a body that is not one
+// well-formed JSON value; decodeRangeBody never returns it.
+var errMalformed = errors.New("range body is not one JSON value")
+
+// scanRangeBody is decodeRangeBody's pass over body.
+func scanRangeBody(body []byte, want int) (rangeBody, error) {
 	s := jsonscan.Scanner{Doc: body}
 	s.SkipSpace()
-	switch body[s.Pos] {
+	var rb rangeBody
+	switch s.Peek() {
 	case 'n':
-		return rangeBody{}, nil
+		s.SkipValue()
 	case '{':
+		var fold [16]byte
+		for i := 0; ; i++ {
+			key, ok := s.Member(i)
+			if !ok {
+				break
+			}
+			start := s.Pos
+			switch string(jsonscan.FoldKey(fold[:0], key)) {
+			case "RESULTS":
+				switch s.Peek() {
+				case 'n':
+					s.SkipValue()
+					rb.docs, rb.arr = nil, nil
+				case '[':
+					rb.docs = s.Elements(min(want, len(body)/2+1))
+					rb.arr = body[start:s.Pos]
+				default:
+					return rangeBody{}, errors.New("range body's results is not an array")
+				}
+			case "LO":
+				s.SkipValue()
+				rb.lo = body[start:s.Pos]
+			case "HI":
+				s.SkipValue()
+				rb.hi = body[start:s.Pos]
+			default:
+				s.SkipValue()
+			}
+		}
 	default:
 		return rangeBody{}, errors.New("range body is not an object")
 	}
-	var rb rangeBody
-	var fold [16]byte
-	s.Pos++
-	for s.SkipSpace(); body[s.Pos] != '}'; s.SkipSpace() {
-		key := jsonscan.FoldKey(fold[:0], s.Member())
-		start := s.Pos
-		switch string(key) {
-		case "RESULTS":
-			switch body[s.Pos] {
-			case 'n':
-				s.SkipValue()
-				rb.docs, rb.arr = nil, nil
-			case '[':
-				rb.docs = s.Elements(min(want, len(body)/2+1))
-				rb.arr = body[start:s.Pos]
-			default:
-				return rangeBody{}, errors.New("range body's results is not an array")
-			}
-		case "LO":
-			s.SkipValue()
-			rb.lo = body[start:s.Pos]
-		case "HI":
-			s.SkipValue()
-			rb.hi = body[start:s.Pos]
-		default:
-			s.SkipValue()
-		}
+	if !s.Done() {
+		return rangeBody{}, errMalformed
 	}
 	return rb, nil
 }

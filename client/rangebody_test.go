@@ -100,7 +100,7 @@ func FuzzRangeBodyMatchesDecoder(f *testing.F) {
 			tasks := engine.SchemaArray(engine.SchemaRef("task"))
 			tasks.Defs = rs.Defs
 			var gotErr error
-			if err := tasks.ValidateWellFormed(got.arr); err != nil {
+			if err := tasks.Validate(got.arr); err != nil {
 				gotErr = taskError(3, err)
 			}
 			wantErr := refCheckTasks(rs, 3, want)
@@ -172,16 +172,9 @@ func learnRangeBody(tb testing.TB) (spec engine.LearnSweep, body []byte) {
 	return spec, append(body, "]}"...)
 }
 
-// raceEnabled reports a -race build (race_test.go), whose sync.Pool drops
-// items at random: json.Valid's scanner then costs an allocation.
-var raceEnabled bool
-
 // TestDecodeRangeBodyAllocs: decoding a range body costs one allocation,
 // its document slice, however many documents it holds.
 func TestDecodeRangeBodyAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race")
-	}
 	spec, body := learnRangeBody(t)
 	n := spec.Tasks()
 	if allocs := testing.AllocsPerRun(20, func() { _, _ = decodeRangeBody(body, n) }); allocs > 1 {
@@ -220,7 +213,7 @@ func BenchmarkRangeBody(b *testing.B) {
 			if err != nil || len(rb.docs) != n {
 				b.Fatal(len(rb.docs), err)
 			}
-			if err := tasks.ValidateWellFormed(rb.arr); err != nil {
+			if err := tasks.Validate(rb.arr); err != nil {
 				b.Fatal(err)
 			}
 		}

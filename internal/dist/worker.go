@@ -225,12 +225,14 @@ func (r *Runner) executeLease(ctx context.Context, eng *engine.Engine, workerID 
 	job := engine.Func{
 		Name: lease.Kind,
 		N:    len(lease.Tasks),
-		Task: func(tctx context.Context, i int, _ *rng.Rand) (any, error) {
+		Task: func(tctx context.Context, i int, r *rng.Rand) (any, error) {
 			task := lease.Tasks[i]
-			// Fork the job-global stream for the *leased* index — identical
-			// to what a coordinator-local worker would fork — not the
-			// lease-local index the wrapping Func would hand us.
-			out, err := spec.RunTask(tctx, task, base.Fork(uint64(task)))
+			// Re-seed the engine worker's generator, which this call owns
+			// until it returns, to the job-global stream of the *leased*
+			// index — identical to what a coordinator-local worker forks —
+			// not the lease-local index the wrapping Func handed it.
+			base.ForkInto(r, uint64(task))
+			out, err := spec.RunTask(tctx, task, r)
 			if err != nil {
 				return nil, fmt.Errorf("task %d: %w", task, err)
 			}

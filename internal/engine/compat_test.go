@@ -2,10 +2,23 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"testing"
 )
+
+// update rewrites the package's goldens — testdata/wire_corpus.json and
+// testdata/learn_sweep_golden.json — from the current code before their
+// tests check them:
+//
+//	go test ./internal/engine -run 'TestGoldenCorpus|TestLearnSweepGolden' -update
+//
+// Use it only for a deliberate wire break or result change: the goldens
+// exist to catch accidental ones.
+var update = flag.Bool("update", false, "rewrite the goldens in testdata from the current code")
 
 // The golden wire-compat corpus: envelopes and job records written by the
 // PR 2/3-era (pre-versioning) code, recorded under testdata/. Every entry
@@ -46,6 +59,9 @@ type compatCorpus struct {
 
 func loadCorpus(t *testing.T) compatCorpus {
 	t.Helper()
+	if *update {
+		writeCorpus(t)
+	}
 	b, err := os.ReadFile("testdata/wire_corpus.json")
 	if err != nil {
 		t.Fatal(err)
@@ -149,5 +165,84 @@ func TestGoldenCorpusJobRecords(t *testing.T) {
 				t.Fatalf("recorded result fails its schema: %v", err)
 			}
 		})
+	}
+}
+
+// writeCorpus records testdata/wire_corpus.json (-update). Its envelopes
+// mirror the golden cases of registry_test.go (same documents, same cache
+// keys); its job records are in the pre-versioning store shape, with no
+// "version" field, and hold results the engine computes, so the corpus is
+// what a data directory of that era holds.
+func writeCorpus(t *testing.T) {
+	t.Helper()
+	out := compatCorpus{
+		Comment: "Golden wire-compat corpus: envelopes and job records in the pre-versioning wire format. " +
+			"Regenerate with `go test ./internal/engine -run TestGoldenCorpus -update` ONLY for deliberate wire breaks.",
+	}
+	for _, env := range []JobEnvelope{
+		{Kind: "learn_sweep", Seed: 11, Spec: json.RawMessage(`{"gen":{"Miners":8,"Coins":3},"schedulers":["random","round-robin"],"runs":50,"max_steps":200}`)},
+		{Kind: "design_sweep", Seed: 3, Spec: json.RawMessage(`{"gen":{"Miners":4,"Coins":2},"pairs":25,"max_tries":100}`)},
+		{Kind: "replay_sweep", Seed: 5, Spec: json.RawMessage(`{"params":{"Miners":30,"Epochs":144,"SpikeHour":48},"runs":10}`)},
+		{Kind: "equilibrium_sweep", Seed: 7, Spec: json.RawMessage(`{"gen":{"Miners":5,"Coins":2},"games":500}`)},
+	} {
+		rs, canonical := resolveCanonical(t, env)
+		out.Envelopes = append(out.Envelopes, compatEnvelope{
+			Envelope:  env,
+			Canonical: canonical,
+			CacheKey:  CacheKeyJSON(rs.WireKind(), canonical, env.Seed),
+		})
+	}
+	// Two job records with engine-computed results: kinds with a result
+	// schema and small enough workloads that regeneration stays quick.
+	eng := New(1)
+	for i, env := range []JobEnvelope{
+		{Kind: "equilibrium_sweep", Seed: 7, Spec: json.RawMessage(`{"gen":{"Miners":4,"Coins":2},"games":20}`)},
+		{Kind: "learn_sweep", Seed: 11, Spec: json.RawMessage(`{"gen":{"Miners":5,"Coins":2},"schedulers":["random"],"runs":6}`)},
+	} {
+		rs, canonical := resolveCanonical(t, env)
+		res, err := eng.Run(context.Background(), rs.Spec, env.Seed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resJSON, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.JobRecords = append(out.JobRecords, compatRecord{
+			ID:     fmt.Sprintf("job-%d", i+1),
+			Key:    CacheKeyJSON(rs.WireKind(), canonical, env.Seed),
+			Kind:   rs.Kind,
+			Seed:   env.Seed,
+			Tasks:  rs.Spec.Tasks(),
+			Spec:   canonical,
+			State:  "done",
+			Result: resJSON,
+		})
+	}
+	writeGolden(t, "testdata/wire_corpus.json", out)
+}
+
+func resolveCanonical(t *testing.T, env JobEnvelope) (ResolvedSpec, json.RawMessage) {
+	t.Helper()
+	rs, err := ResolveEnvelope(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := CanonicalSpecJSON(rs.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs, canonical
+}
+
+// writeGolden writes v to path as indented JSON with a final newline.
+func writeGolden(t *testing.T, path string, v any) {
+	t.Helper()
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -34,6 +34,17 @@ type Docs struct {
 // first.
 const MaxDocsBytes = math.MaxInt32
 
+// JoinedDocs returns the run whose body is body, documents joined by
+// commas, and whose document i ends at offset ends[i] of it; the last ends
+// the body. The run takes both slices over: the caller writes to neither
+// again.
+func JoinedDocs(body []byte, ends []uint32) Docs {
+	if len(ends) == 0 || int(ends[len(ends)-1]) != len(body) {
+		panic(fmt.Sprintf("engine: %d document ends for a body of %d bytes", len(ends), len(body)))
+	}
+	return Docs{body: body, ends: ends}
+}
+
 // Len returns the number of documents in the run.
 func (d Docs) Len() int { return len(d.ends) }
 

@@ -102,29 +102,21 @@ func (s *Schema) ValidateDef(name string, raw json.RawMessage) error {
 	return nil
 }
 
-// ValidateWellFormed is Validate for raw already known to be one
-// well-formed JSON value — a value sliced out of a document that passed
-// json.Valid — and skips Validate's own json.Valid scan; how the client SDK
-// checks the results array of a range body it has just scanned. Passing
-// anything else is a bug: the walk checks no syntax.
-func (s *Schema) ValidateWellFormed(raw json.RawMessage) error {
-	if s == nil || len(raw) == 0 {
-		return nil
-	}
-	if err := s.walk(s, raw); err != nil {
-		return err
-	}
-	return nil
-}
-
 // check validates the first JSON value in raw against s, resolving $refs
-// through root's Defs. A document that is not one well-formed value goes
-// through a json.Decoder, as every document once did: it either fails with
-// the decoder's error text, or it is a well-formed first value followed by
-// trailing bytes, which are ignored, as DecodeJSON ignores them. A
-// violation leaves Doc empty for the caller to name the document, so a
+// through root's Defs, in one walk that also checks raw's syntax. A
+// document the walk does not pass cleanly — one with a syntax error, a
+// violation, or bytes after its value — is checked again from the start, so
+// its verdict does not depend on where the walk stopped: a document that is
+// not one well-formed value goes through a json.Decoder, and either fails
+// with the decoder's error text or is a well-formed first value followed by
+// trailing bytes, which are ignored, as DecodeJSON ignores them; then the
+// first violation in document order wins.
+// A violation leaves Doc empty for the caller to name the document, so a
 // document that passes builds no name.
 func (s *Schema) check(root *Schema, raw []byte) *SchemaError {
+	if err, ok := s.walk(root, raw); err == nil && ok {
+		return nil
+	}
 	if !json.Valid(raw) {
 		var first json.RawMessage
 		if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&first); err != nil {
@@ -132,25 +124,29 @@ func (s *Schema) check(root *Schema, raw []byte) *SchemaError {
 		}
 		raw = first
 	}
-	return s.walk(root, raw)
+	err, _ := s.walk(root, raw)
+	return err
 }
 
-// walk validates the well-formed JSON value raw against s, resolving $refs
-// through root's Defs.
-func (s *Schema) walk(root *Schema, raw []byte) *SchemaError {
+// walk validates the JSON value raw starts with against s, resolving $refs
+// through root's Defs, and reports whether raw is that one well-formed
+// value and nothing more; only then does err describe raw.
+func (s *Schema) walk(root *Schema, raw []byte) (err *SchemaError, clean bool) {
 	w := walker{root: root, Scanner: jsonscan.Scanner{Doc: raw}}
 	w.SkipSpace()
-	return w.value(s, 0)
+	err = w.value(s, 0)
+	return err, w.Done()
 }
 
 // maxRefDepth bounds $ref chains so a cyclic hand-written schema fails a
 // validation loudly instead of hanging it.
 const maxRefDepth = 32
 
-// walker checks one well-formed JSON value against a schema in a single pass
-// over its bytes, without decoding it. Its input has passed json.Valid (or
-// was delimited by a json.Decoder), so it checks no syntax: it types each
-// value by its first byte and skips what the schema leaves unconstrained.
+// walker checks one JSON value against a schema in a single pass over its
+// bytes, without decoding it, as its scanner checks the value's syntax: it
+// types each value by its first byte and skips what the schema leaves
+// unconstrained. A syntax error stops it with the scanner failed, and
+// what it returns then says nothing about the document.
 type walker struct {
 	root *Schema
 	jsonscan.Scanner
@@ -181,17 +177,19 @@ func (w *walker) value(s *Schema, depth int) *SchemaError {
 		return w.value(def, depth+1)
 	}
 	start := w.Pos
-	c := w.Doc[start]
+	c := w.Peek()
 	// JSON null is valid against every schema: encoding/json treats null as
 	// "leave the field at its zero value" for any Go type, and the schema
 	// must not be stricter than the decoder it describes.
 	if c == 'n' {
-		w.Pos += len("null")
+		w.SkipValue()
 		return nil
 	}
 	var lit []byte // a scalar's bytes; containers are walked below instead
 	if c != '{' && c != '[' {
-		w.SkipValue()
+		if w.SkipValue(); w.Failed() {
+			return nil
+		}
 		lit = w.Doc[start:w.Pos]
 	}
 	if err := s.checkType(c, lit); err != nil {
@@ -211,9 +209,11 @@ func (w *walker) value(s *Schema, depth int) *SchemaError {
 // occurrence into the field, so each must fit.
 func (w *walker) object(s *Schema, depth int) *SchemaError {
 	closed := s.AdditionalProperties != nil && !*s.AdditionalProperties
-	w.Pos++
-	for w.SkipSpace(); w.Doc[w.Pos] != '}'; w.SkipSpace() {
-		key := w.Member()
+	for i := 0; ; i++ {
+		key, ok := w.Member(i)
+		if !ok {
+			return nil
+		}
 		sub, known := s.Properties[string(key)]
 		var err *SchemaError
 		switch {
@@ -229,13 +229,11 @@ func (w *walker) object(s *Schema, depth int) *SchemaError {
 			return err
 		}
 	}
-	w.Pos++
-	return nil
 }
 
 // array checks the array at w.Pos element by element against s.Items.
 func (w *walker) array(s *Schema, depth int) *SchemaError {
-	for i := 0; w.Next(); i++ {
+	for i := 0; w.Next(i); i++ {
 		if err := w.value(s.Items, depth); err != nil {
 			err.Path = "/" + strconv.Itoa(i) + err.Path
 			return err

@@ -338,7 +338,9 @@ func TestSSEProgressStream(t *testing.T) {
 // TestV2BadEnvelopes covers the v2 error surface: unknown kind and version,
 // malformed envelope, failed validation, unknown game ref (400); schema
 // mismatches — misspelled or mistyped spec fields — are 422 with a
-// JSON-pointer "path" into the spec document.
+// JSON-pointer "path" into the spec document. That includes a key that
+// differs from a field's name only in case: encoding/json would decode it,
+// but the schema runs first and its property names are exact.
 func TestV2BadEnvelopes(t *testing.T) {
 	base := v2Server(t)
 	for name, c := range map[string]struct {
@@ -359,6 +361,7 @@ func TestV2BadEnvelopes(t *testing.T) {
 		"unknown_field":     {body: `{"kind":"equilibrium_sweep","seed":1,"spec":{"gmaes":5}}`, code: 422, path: "/gmaes"},
 		"mistyped_field":    {body: `{"kind":"equilibrium_sweep","seed":1,"spec":{"games":"many"}}`, code: 422, path: "/games"},
 		"nested_mistype":    {body: `{"kind":"learn_sweep","seed":1,"spec":{"gen":{"Miners":"eight"},"runs":3}}`, code: 422, path: "/gen/Miners"},
+		"case_folded_key":   {body: `{"kind":"learn_sweep","seed":1,"spec":{"RUNS":5}}`, code: 422, path: "/RUNS"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp, err := http.Post(base+"/v2/jobs", "application/json", bytes.NewReader([]byte(c.body)))

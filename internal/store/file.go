@@ -38,7 +38,9 @@ const (
 // accumulated several times more operations than live records. Appends are
 // flushed per operation but not fsynced — a power cut may lose the final
 // lines, which rehydration tolerates (a lost terminal record resubmits the
-// job; determinism recomputes the identical result). Compaction keeps at
+// job; determinism recomputes the identical result). The directory is
+// fsynced whenever the log's entry in it changes, so a power cut never
+// brings back a log that a compaction replaced. Compaction keeps at
 // most engine.DefaultRetention job records, the jobs the engine manager
 // would track after a restart: the oldest terminal records go first, and
 // submitted records always stay — they are the restart-recovery signal.
@@ -80,7 +82,8 @@ func OpenFile(dir string) (*File, error) {
 	// Cut a torn tail off before appending: writing onto a partial line
 	// would merge the next op into it — silently losing that op and turning
 	// the garbage into fatal interior corruption at the next open.
-	if info, err := os.Stat(s.logPath()); err == nil && info.Size() > good {
+	info, statErr := os.Stat(s.logPath())
+	if statErr == nil && info.Size() > good {
 		if err := os.Truncate(s.logPath(), good); err != nil {
 			lock.Close()
 			return nil, fmt.Errorf("store: truncate torn tail: %w", err)
@@ -91,9 +94,24 @@ func OpenFile(dir string) (*File, error) {
 		lock.Close()
 		return nil, fmt.Errorf("store: open log: %w", err)
 	}
+	if os.IsNotExist(statErr) {
+		// A new log: its directory entry must outlive a power cut, or the
+		// appends that Close syncs into it could vanish with it.
+		if err := syncDir(dir); err != nil {
+			f.Close()
+			lock.Close()
+			return nil, fmt.Errorf("store: sync %s: %w", dir, err)
+		}
+	}
 	s.f = f
 	return s, nil
 }
+
+// syncDir fsyncs a store directory (fsyncDir; a variable so tests can watch
+// it). The store calls it when its log's directory entry changes: after
+// OpenFile creates the log, and after a compaction renames the new log over
+// the old one.
+var syncDir = fsyncDir
 
 func (s *File) logPath() string { return filepath.Join(s.dir, logName) }
 
@@ -176,33 +194,38 @@ func decodeOp(line []byte) (op, error) {
 	return o, nil
 }
 
-// scanRange decodes a range line as json.Unmarshal would, and packs the
-// documents of its results array into one copy of their bytes: two
-// allocations however many documents it holds, and nothing of the line
-// kept alive. It reports false unless json.Valid accepts line, every key
-// matches "op", "job_id", "lo" or "results" as encoding/json matches them,
-// and their values are "range", an unescaped string, an int and an array.
+// scanRange decodes a range line as json.Unmarshal would, in one pass over
+// its bytes that also checks their syntax, and packs the documents of its
+// results array as one copy of the bytes between its brackets and one of
+// their end offsets, nothing of the line kept alive: two allocations
+// besides the job ID for up to 256 documents, and one more per doubling of
+// the offsets past that. It reports false unless line is one JSON value
+// whose keys all match "op", "job_id", "lo" or "results" as encoding/json
+// matches them, whose values are "range", an unescaped string, an int and
+// an array, and whose last results array joins its documents by single
+// commas, as rangeLine writes them; decodeOp hands any other line to
+// json.Unmarshal.
 func scanRange(line []byte) (op, bool) {
 	s := jsonscan.Scanner{Doc: line}
 	s.SkipSpace()
-	if !json.Valid(line) || line[s.Pos] != '{' {
-		return op{}, false
-	}
 	var o op
 	var fold [16]byte
-	at, n, size := -1, 0, 0 // the last results array's offset, length and inner size
-	s.Pos++
-	for s.SkipSpace(); line[s.Pos] != '}'; s.SkipSpace() {
-		key := jsonscan.FoldKey(fold[:0], s.Member())
+	ends := make([]uint32, 0, 256) // the last results array's document ends; on the stack up to 256
+	var body []byte                // the last results array's documents, joined
+	for i := 0; ; i++ {
+		key, ok := s.Member(i)
+		if !ok {
+			break
+		}
 		start := s.Pos
-		switch string(key) {
+		switch string(jsonscan.FoldKey(fold[:0], key)) {
 		case "OP":
-			if line[start] != '"' || s.SkipString() || string(line[start+1:s.Pos-1]) != "range" {
+			if !plainString(&s) || string(line[start+1:s.Pos-1]) != "range" {
 				return op{}, false
 			}
 			o.Op = "range"
 		case "JOB_ID":
-			if line[start] != '"' || s.SkipString() {
+			if !plainString(&s) {
 				return op{}, false
 			}
 			o.JobID = string(line[start+1 : s.Pos-1])
@@ -214,28 +237,46 @@ func scanRange(line []byte) (op, bool) {
 			}
 			o.Lo = lo
 		case "RESULTS":
-			if line[start] != '[' {
+			if s.Peek() != '[' {
 				return op{}, false
 			}
-			for at, n = start, 0; s.Next(); n++ {
+			ends, body = ends[:0], nil
+			next := start + 1 // where the next document starts if single commas join them
+			for n := 0; s.Next(n); n++ {
+				if s.Pos != next {
+					return op{}, false
+				}
 				s.SkipValue()
+				ends = append(ends, uint32(s.Pos-start-1))
+				next = s.Pos + 1
 			}
-			size = s.Pos - start - 2
+			if len(ends) > 0 {
+				if s.Pos != next {
+					return op{}, false
+				}
+				body = line[start+1 : s.Pos-1]
+			}
 		default:
 			return op{}, false
 		}
 	}
-	if o.Op == "" || at < 0 {
+	if !s.Done() || o.Op == "" {
 		return op{}, false
 	}
-	o.docs = engine.Docs{}.Grow(n, size)
-	s = jsonscan.Scanner{Doc: line, Pos: at}
-	for s.Next() {
-		start := s.Pos
-		s.SkipValue()
-		o.docs = o.docs.AppendDoc(line[start:s.Pos])
+	if len(ends) > 0 {
+		packed := make([]byte, len(body))
+		copy(packed, body)
+		offsets := make([]uint32, len(ends))
+		copy(offsets, ends)
+		o.docs = engine.JoinedDocs(packed, offsets)
 	}
 	return o, true
+}
+
+// plainString moves s past the string at its position and reports whether
+// there was one, well-formed, whose bytes are its own decoding.
+func plainString(s *jsonscan.Scanner) bool {
+	return !s.SkipString() && !s.Failed()
 }
 
 // applyLocked folds one op into the live snapshot and reports whether it
@@ -412,6 +453,11 @@ func (s *File) compactLocked() error {
 		os.Remove(tmpPath)
 		return fmt.Errorf("store: compact rename: %w", err)
 	}
+	// Until the directory is synced, a power cut can undo the rename and
+	// bring the old log back, losing every op appended after it. A failed
+	// sync is this compaction's error, but the rename stands, so the store
+	// moves to the new log all the same.
+	synced := syncDir(s.dir)
 	old := s.f
 	f, err := os.OpenFile(s.logPath(), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -429,6 +475,9 @@ func (s *File) compactLocked() error {
 	s.snap = live
 	s.ops = 0
 	s.kept = len(s.snap.Jobs)
+	if synced != nil {
+		return fmt.Errorf("store: compact: sync %s: %w", s.dir, synced)
+	}
 	return nil
 }
 
@@ -511,7 +560,7 @@ func verbatimDoc(d json.RawMessage) bool {
 			}
 		}
 	}
-	return json.Valid(d)
+	return jsonscan.Valid(d)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -2,19 +2,22 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"gameofcoins/internal/core"
 	"gameofcoins/internal/engine"
 )
 
 // TestReplaySlicesRangeLines: replay packs each range line's documents
 // into one copy of their bytes, each document capped at its end: decoding a
-// range line costs the same few allocations however many documents it
-// holds.
+// range line of up to 256 documents costs the same few allocations however
+// many it holds.
 func TestReplaySlicesRangeLines(t *testing.T) {
 	dir := t.TempDir()
 	log := `{"op":"job","job":{"id":"job-1","kind":"toy","seed":1,"tasks":4,"state":"submitted"}}
@@ -161,4 +164,62 @@ func FuzzScanRangeMatchesUnmarshal(f *testing.F) {
 			t.Fatalf("decoded %+v, json.Unmarshal %+v", got, want)
 		}
 	})
+}
+
+// BenchmarkOpenFile reopens a log shaped like persist-stream's fixture
+// store: 300 learn_sweep jobs of 1,200 task documents (learnDocs), each
+// logged as its submitted record, 12 range lines of 100 documents — the
+// spans the server's watcher persists while the job runs — and its done
+// record with the job's aggregate result; about 11 MB.
+func BenchmarkOpenFile(b *testing.B) {
+	run := packed(learnDocs(b))
+	spec := engine.LearnSweep{Gen: core.GenSpec{Miners: 8, Coins: 2}, Runs: 200}
+	canonical, err := engine.CanonicalSpecJSON(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := engine.New(1).Run(context.Background(), spec, 7, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	result, err := json.Marshal(res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var log []byte
+	write := func(o op) {
+		line, err := encodeOp(o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		log = append(log, line...)
+	}
+	for j := range 300 {
+		seed := uint64(j + 1)
+		rec := JobRecord{
+			ID: fmt.Sprintf("job-%d", j+1), Key: engine.CacheKeyJSON("learn_sweep", canonical, seed),
+			Kind: "learn_sweep", Version: 1, Seed: seed, Tasks: run.Len(), Spec: canonical, State: JobSubmitted,
+		}
+		write(op{Op: "job", Job: &rec})
+		for lo := 0; lo < run.Len(); lo += 100 {
+			write(op{Op: "range", JobID: rec.ID, Lo: lo, docs: run.Slice(lo, lo+100)})
+		}
+		rec.State, rec.Result = JobDone, result
+		write(op{Op: "job", Job: &rec})
+	}
+	dir := b.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, logName), log, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(log)))
+	b.ReportAllocs()
+	for b.Loop() {
+		s, err := OpenFile(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

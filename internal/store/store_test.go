@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -383,6 +384,83 @@ func TestFailedCompactionEvictsNothing(t *testing.T) {
 	}
 	if memory, reopened := held(); memory != engine.DefaultRetention || reopened != engine.DefaultRetention {
 		t.Fatalf("after the compaction memory holds %d records and a reopen %d, want %d each", memory, reopened, engine.DefaultRetention)
+	}
+}
+
+// TestDirectorySync: the store fsyncs its directory whenever its log's
+// directory entry changes, so a power cut cannot undo that: once when
+// OpenFile creates the log, never when it opens an existing one, and once
+// per compaction, after the new log is renamed into place. A failed sync is
+// the compaction's error, and the store goes on appending to the new log.
+func TestDirectorySync(t *testing.T) {
+	dir := t.TempDir()
+	calls := 0
+	var fail error
+	syncDir = func(d string) error {
+		calls++
+		if d != dir {
+			t.Errorf("synced %s, want %s", d, dir)
+		}
+		if _, err := os.Stat(filepath.Join(dir, logName)); err != nil {
+			t.Errorf("directory synced without a log: %v", err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, logName+".tmp")); !os.IsNotExist(err) {
+			t.Errorf("directory synced before the rename: %v", err)
+		}
+		return fail
+	}
+	t.Cleanup(func() { syncDir = fsyncDir })
+	s, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("creating the log synced the directory %d times, want 1", calls)
+	}
+	if err := s.PutJob(JobRecord{ID: "job-1", State: JobSubmitted}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	calls = 0
+	if s, err = OpenFile(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if calls != 0 {
+		t.Fatalf("opening an existing log synced the directory %d times, want 0", calls)
+	}
+	compact := func() error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.compactLocked()
+	}
+	if err := compact(); err != nil || calls != 1 {
+		t.Fatalf("compaction: %v, %d directory syncs; want nil, 1", err, calls)
+	}
+	fail = errors.New("injected sync failure")
+	if err := compact(); !errors.Is(err, fail) || calls != 2 {
+		t.Fatalf("compaction with a failing directory sync: %v, %d syncs; want the sync's error, 2", err, calls)
+	}
+	if err := s.PutJob(JobRecord{ID: "job-2", State: JobSubmitted}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fail = nil
+	r, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	snap, err := r.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := snap.Jobs["job-2"]; !ok || len(snap.Jobs) != 2 {
+		t.Fatalf("after the failed sync, a reopen holds %d records (job-2: %v), want job-1 and job-2", len(snap.Jobs), ok)
 	}
 }
 
