@@ -329,10 +329,9 @@ func (c *Client) Spec(ctx context.Context, wire string) (engine.CatalogEntry, er
 	return out, err
 }
 
-// taskSchema returns what StreamResultFrom checks each range body's results
-// array against: an array of the wire kind's "task" result $def, resolved
-// over the result schema's $defs, or nil when the version declares no task
-// def. It GETs the catalog entry on every call, so a changed catalog is seen
+// taskSchema returns the result schema of the wire kind, whose "task" $def
+// StreamResultFrom checks each range's documents against, or nil when the
+// version declares no task def. It GETs the catalog entry on every call, so a changed catalog is seen
 // at once, but decodes the entry again only when the served bytes differ
 // from the last ones served for the kind.
 func (c *Client) taskSchema(ctx context.Context, wire string) (*engine.Schema, error) {
@@ -352,8 +351,7 @@ func (c *Client) taskSchema(ctx context.Context, wire string) (*engine.Schema, e
 	}
 	memo = specMemo{body: body}
 	if rs := entry.ResultSchema; rs != nil && rs.Defs["task"] != nil {
-		memo.tasks = engine.SchemaArray(engine.SchemaRef("task"))
-		memo.tasks.Defs = rs.Defs
+		memo.tasks = rs
 	}
 	c.mu.Lock()
 	c.specs[wire] = memo
@@ -772,7 +770,7 @@ func (h *Handle) connectEvents(ctx context.Context, lastEventID string) (*http.R
 // healthy).
 func streamEvents(ctx context.Context, body io.Reader, ch chan<- engine.Status, lastEventID *string) (terminal, delivered bool) {
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 4<<10), 1<<20)
 	var data, event string
 	for sc.Scan() {
 		line := sc.Text()
@@ -861,18 +859,18 @@ func (h *Handle) Result(ctx context.Context, out any) error {
 // each capped at its own end: appending to one copies it rather than
 // overwriting the next.
 func (h *Handle) ResultRange(ctx context.Context, lo, hi int) ([]json.RawMessage, error) {
-	rb, err := h.resultRange(ctx, lo, hi)
+	rb, err := h.resultRange(ctx, lo, hi, nil)
 	return rb.docs, err
 }
 
-// resultRange is ResultRange keeping the decoded body's results array,
-// which StreamResultFrom checks in one schema walk.
-func (h *Handle) resultRange(ctx context.Context, lo, hi int) (rangeBody, error) {
+// resultRange is ResultRange checking each document against the "task"
+// $def of tasks as it decodes the body (see checkRangeBody).
+func (h *Handle) resultRange(ctx context.Context, lo, hi int, tasks *engine.Schema) (rangeBody, error) {
 	body, err := h.c.get(ctx, fmt.Sprintf("/v2/jobs/%s/result?range=%d-%d", h.id, lo, hi))
 	if err != nil {
 		return rangeBody{}, err
 	}
-	rb, err := decodeRangeBody(body, hi-lo)
+	rb, err := checkRangeBody(body, hi-lo, tasks)
 	if err != nil {
 		return rangeBody{}, fmt.Errorf("client: decode response: %w", err)
 	}
@@ -930,7 +928,7 @@ func (h *Handle) StreamResultFrom(ctx context.Context, from int, fn func(task in
 		if wm <= next {
 			continue
 		}
-		rb, err := h.resultRange(ctx, next, wm)
+		rb, err := h.resultRange(ctx, next, wm, tasks)
 		if err != nil {
 			// A restart can briefly rewind the servable prefix below an
 			// already-announced watermark (409); the next snapshots catch it
@@ -944,8 +942,8 @@ func (h *Handle) StreamResultFrom(ctx context.Context, from int, fn func(task in
 		if len(rb.docs) != wm-next {
 			return last, fmt.Errorf("client: range [%d,%d) returned %d documents, want %d", next, wm, len(rb.docs), wm-next)
 		}
-		if err := tasks.Validate(rb.arr); err != nil {
-			return last, taskError(next, err)
+		if rb.taskErr != nil {
+			return last, fmt.Errorf("client: task %d result: %w", next+rb.taskAt, rb.taskErr)
 		}
 		for k, doc := range rb.docs {
 			if err := fn(next+k, doc); err != nil {

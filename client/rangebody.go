@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"strconv"
-	"strings"
+	"hash/maphash"
 
 	"gameofcoins/internal/engine"
 	"gameofcoins/internal/jsonscan"
@@ -24,9 +22,13 @@ type rangeBody struct {
 	// arr is the results array the documents came from; nil when the body
 	// has none or it is null.
 	arr []byte
+	// taskErr is why docs[taskAt], the first document that fails the task
+	// schema the body was checked against (checkRangeBody), fails it.
+	taskErr error
+	taskAt  int
 }
 
-// decodeRangeBody decodes a ?range= body in one pass over its bytes that
+// checkRangeBody decodes a ?range= body in one pass over its bytes that
 // also checks their syntax. It returns exactly the documents that decoding
 // the body with a json.Decoder into struct{Results []json.RawMessage}
 // returns, and fails where that decode fails: a body the pass does not
@@ -36,24 +38,28 @@ type rangeBody struct {
 // the pass runs on that value. Keys match the way encoding/json matches
 // struct fields, case-insensitively, and the last occurrence of a key wins.
 // want, the number of documents the caller asked for, sizes the document
-// slice; the body's length bounds it.
-func decodeRangeBody(body []byte, want int) (rangeBody, error) {
-	if rb, err := scanRangeBody(body, want); err == nil {
+// slice; the body's length bounds it. With tasks, a schema whose $defs hold
+// the task schema, the pass also checks each document as it delimits it,
+// as tasks.ValidateDef("task", doc) does. A check depends on nothing but a
+// document's bytes, so one byte-identical to a document that passed is not
+// walked again: a range's task documents repeat a few shapes.
+func checkRangeBody(body []byte, want int, tasks *engine.Schema) (rangeBody, error) {
+	if rb, err := scanRangeBody(body, want, tasks); err == nil {
 		return rb, nil
 	}
 	var first json.RawMessage
 	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&first); err != nil {
 		return rangeBody{}, err
 	}
-	return scanRangeBody(first, want)
+	return scanRangeBody(first, want, tasks)
 }
 
 // errMalformed is scanRangeBody's answer to a body that is not one
-// well-formed JSON value; decodeRangeBody never returns it.
+// well-formed JSON value; checkRangeBody never returns it.
 var errMalformed = errors.New("range body is not one JSON value")
 
-// scanRangeBody is decodeRangeBody's pass over body.
-func scanRangeBody(body []byte, want int) (rangeBody, error) {
+// scanRangeBody is checkRangeBody's pass over body.
+func scanRangeBody(body []byte, want int, tasks *engine.Schema) (rangeBody, error) {
 	s := jsonscan.Scanner{Doc: body}
 	s.SkipSpace()
 	var rb rangeBody
@@ -73,9 +79,29 @@ func scanRangeBody(body []byte, want int) (rangeBody, error) {
 				switch s.Peek() {
 				case 'n':
 					s.SkipValue()
-					rb.docs, rb.arr = nil, nil
+					rb.docs, rb.arr, rb.taskErr = nil, nil, nil
 				case '[':
-					rb.docs = s.Elements(min(want, len(body)/2+1))
+					rb.docs, rb.taskErr = make([]json.RawMessage, 0, max(min(want, len(body)/2+1), 0)), nil
+					var passed [128][]byte // documents that passed, by hash
+					seed := maphash.MakeSeed()
+					for k := 0; s.Next(k); k++ {
+						at := s.Pos
+						s.SkipValue()
+						doc := body[at:s.Pos:s.Pos]
+						rb.docs = append(rb.docs, doc)
+						if tasks == nil || rb.taskErr != nil || s.Failed() {
+							continue
+						}
+						slot := &passed[maphash.Bytes(seed, doc)%uint64(len(passed))]
+						if bytes.Equal(*slot, doc) {
+							continue
+						}
+						if err := tasks.ValidateDef("task", doc); err != nil {
+							rb.taskErr, rb.taskAt = err, k
+						} else {
+							*slot = doc
+						}
+					}
 					rb.arr = body[start:s.Pos]
 				default:
 					return rangeBody{}, errors.New("range body's results is not an array")
@@ -97,23 +123,4 @@ func scanRangeBody(body []byte, want int) (rangeBody, error) {
 		return rangeBody{}, errMalformed
 	}
 	return rb, nil
-}
-
-// taskError reports the first document of a range that fails its task
-// schema. The array walk names the element ("/k/…"); the SDK names task
-// lo+k and the path inside that document, as checking each document on its
-// own would.
-func taskError(lo int, err error) error {
-	var se *engine.SchemaError
-	if errors.As(err, &se) {
-		idx, rest, nested := strings.Cut(strings.TrimPrefix(se.Path, "/"), "/")
-		if k, perr := strconv.Atoi(idx); perr == nil {
-			doc := &engine.SchemaError{Doc: "task document", Msg: se.Msg}
-			if nested {
-				doc.Path = "/" + rest
-			}
-			return fmt.Errorf("client: task %d result: %w", lo+k, doc)
-		}
-	}
-	return fmt.Errorf("client: range from task %d: %w", lo, err)
 }

@@ -4,15 +4,43 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 
 	"gameofcoins/internal/core"
 	"gameofcoins/internal/engine"
 	"gameofcoins/internal/rng"
 )
+
+// decodeRangeBody is what ResultRange decodes a body with: checkRangeBody
+// checking no document.
+func decodeRangeBody(body []byte, want int) (rangeBody, error) {
+	return checkRangeBody(body, want, nil)
+}
+
+// taskError is how StreamResultFrom reported the first document of a range
+// that failed a walk of the whole results array (Validate), the reference
+// the one-pass check must match: the walk names the element ("/k/…"); the
+// SDK names task lo+k and the path inside that document.
+func taskError(lo int, err error) error {
+	var se *engine.SchemaError
+	if errors.As(err, &se) {
+		idx, rest, nested := strings.Cut(strings.TrimPrefix(se.Path, "/"), "/")
+		if k, perr := strconv.Atoi(idx); perr == nil {
+			doc := &engine.SchemaError{Doc: "task document", Msg: se.Msg}
+			if nested {
+				doc.Path = "/" + rest
+			}
+			return fmt.Errorf("client: task %d result: %w", lo+k, doc)
+		}
+	}
+	return fmt.Errorf("client: range from task %d: %w", lo, err)
+}
 
 // refDecodeRange is how ResultRange decoded a ?range= body before the
 // one-pass decoder, kept as the reference it must match: a json.Decoder
@@ -111,6 +139,64 @@ func FuzzRangeBodyMatchesDecoder(f *testing.F) {
 	})
 }
 
+// FuzzRangeBodyCheckMatchesWalk: for any body, checkRangeBody decodes what
+// decodeRangeBody does, and against every built-in kind's task $def the
+// check it makes in the same pass, as StreamResultFrom reports it, is what
+// a second walk of the results array, Validate, reported: the same task,
+// path and message.
+func FuzzRangeBodyCheckMatchesWalk(f *testing.F) {
+	for _, seed := range []string{
+		`{"lo":5,"hi":7,"results":[{"steps":3,"converged":true},{"steps":0,"converged":false}]}`,
+		`{"results":[{"steps":1.5}]}`,
+		`{"results":[{"steps":2,"converged":"no"},{"steps":"x"}],"lo":0}`,
+		`{"results":[1,{"steps":{"a":[1,{"b":2}]}},3]}`,
+		`{"results":[{"steps":"x"}],"results":[1]}`,
+		`{"results":[{"steps":"x"}],"results":null}`,
+		`{"results":[{"PeakBCHShare":"high"}]}`,
+		`{"results":[{"steps":[1,2,3],"converged":true}]} trailing`,
+		`{"results":[{"steps":"x"},]}`,
+		`{"results":[null,{"bogus":1}]}`,
+		`{"results":[{"steps":1},{"steps":1},{"steps":"x"},{"steps":"x"},{"steps":1}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	var schemas []*engine.Schema
+	for _, e := range engine.Catalog() {
+		if e.Latest && e.ResultSchema != nil {
+			tasks := engine.SchemaArray(engine.SchemaRef("task"))
+			tasks.Defs = e.ResultSchema.Defs
+			schemas = append(schemas, tasks)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		want, werr := decodeRangeBody(body, 4)
+		for _, tasks := range schemas {
+			got, gerr := checkRangeBody(body, 4, tasks)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) || len(got.docs) != len(want.docs) || !bytes.Equal(got.arr, want.arr) {
+				t.Fatalf("checkRangeBody: %d documents, %v; decodeRangeBody: %d, %v", len(got.docs), gerr, len(want.docs), werr)
+			}
+			if werr != nil {
+				continue
+			}
+			for i := range want.docs {
+				if !bytes.Equal(got.docs[i], want.docs[i]) || cap(got.docs[i]) != len(got.docs[i]) {
+					t.Fatalf("document %d = %q (cap %d), want %q", i, got.docs[i], cap(got.docs[i]), want.docs[i])
+				}
+			}
+			var gotErr, wantErr error
+			if got.taskErr != nil {
+				gotErr = fmt.Errorf("client: task %d result: %w", 3+got.taskAt, got.taskErr)
+			}
+			if err := tasks.Validate(want.arr); err != nil {
+				wantErr = taskError(3, err)
+			}
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("one-pass check %v, a second walk %v", gotErr, wantErr)
+			}
+		}
+	})
+}
+
 // TestTaskSchemaFollowsServedEntry: the SDK reuses the task schema it
 // decoded while the served catalog entry keeps its bytes, and decodes again
 // as soon as they change.
@@ -184,7 +270,7 @@ func TestDecodeRangeBodyAllocs(t *testing.T) {
 
 // BenchmarkRangeBody reads persist-stream's range shape (learnRangeBody)
 // from an in-memory transport. "decode" is ResultRange; "stream" adds the
-// task-schema check StreamResultFrom makes on each range.
+// task-schema check StreamResultFrom makes on each range, in the same pass.
 func BenchmarkRangeBody(b *testing.B) {
 	spec, body := learnRangeBody(b)
 	n := spec.Tasks()
@@ -209,12 +295,9 @@ func BenchmarkRangeBody(b *testing.B) {
 	b.Run("stream", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			rb, err := h.resultRange(ctx, 0, n)
-			if err != nil || len(rb.docs) != n {
-				b.Fatal(len(rb.docs), err)
-			}
-			if err := tasks.Validate(rb.arr); err != nil {
-				b.Fatal(err)
+			rb, err := h.resultRange(ctx, 0, n, tasks)
+			if err != nil || len(rb.docs) != n || rb.taskErr != nil {
+				b.Fatal(len(rb.docs), err, rb.taskErr)
 			}
 		}
 	})

@@ -31,7 +31,6 @@ var reachAllow = map[string]string{
 	"internal/core.Game.RPU":             "the design tests check designed rewards against the paper's RPU",
 	"internal/core.Game.SumPayoffs":      "the equilibria tests check that an equilibrium pays out the total reward",
 	"internal/core.Game.TotalReward":     "the equilibria tests check that an equilibrium pays out the total reward",
-	"internal/engine.Schema.ValidateDef": "reference for client's range-body fuzz target, and the root BenchmarkSchemaValidate times it",
 	"internal/numeric.Rat.Float64":       "internal/exact's tests compare and print exact values as float64 through it",
 }
 

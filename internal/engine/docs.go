@@ -9,10 +9,10 @@ import (
 // Docs is a run of the task documents of consecutive tasks, packed: the
 // documents joined by commas as one byte body — exactly the bytes between
 // the brackets of a ?range= body's or a store range line's results array —
-// plus the offset at which each document ends. The result ledger, the store
-// and range reads hold documents in this form, as views of one another's
-// bodies, so a job's documents are one allocation rather than one per task,
-// and none of them holds a pointer for the garbage collector to mark.
+// plus the offset at which each document ends. The result ledger and range
+// reads hold documents in this form, as views of one another's bodies, so a
+// job's documents are one allocation rather than one per task, and none of
+// them holds a pointer for the garbage collector to mark.
 //
 // A Docs is a value like a slice. Slice and Bytes return views that share
 // its body; Grow, AppendDoc and Append, like append, write into spare

@@ -465,7 +465,7 @@ func TestManagerRetention(t *testing.T) {
 	}
 	var restored []*Job
 	for k := 0; k < DefaultRetention+4; k++ {
-		j, err := m.Restore(fmt.Sprintf("done-%d", k), "func", 1, json.RawMessage(strconv.Itoa(k)), Docs{}, StateDone, "")
+		j, err := m.Restore(fmt.Sprintf("done-%d", k), "func", 1, json.RawMessage(strconv.Itoa(k)), 0, StateDone, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -384,13 +384,13 @@ func (m *Manager) bumpNextIDLocked(id string) {
 // Restore inserts a job already in a terminal state — the persistence
 // layer's rehydration path for jobs that finished in a previous process
 // life. A done job keeps its stored result document (Result returns it as a
-// json.RawMessage) and its persisted per-task documents, those of tasks
-// [0, docs.Len()), as its result ledger: a view of docs itself (documents
-// past total are ignored). Callers must not modify result or docs
-// afterwards. Failed and canceled jobs carry only the recorded error. The
-// job ID must be unique; IDs in the manager's own "job-N" form advance the
-// mint counter so later submissions cannot collide.
-func (m *Manager) Restore(id, kind string, total int, result json.RawMessage, docs Docs, state State, errMsg string) (*Job, error) {
+// json.RawMessage) and a ledger of the count of its persisted per-task
+// documents, those of tasks [0, docs) (cut at total), which the store
+// serves (ErrRangeStored). Callers must not modify result afterwards.
+// Failed and canceled jobs carry only the recorded error. The job ID must
+// be unique; IDs in the manager's own "job-N" form advance the mint counter
+// so later submissions cannot collide.
+func (m *Manager) Restore(id, kind string, total int, result json.RawMessage, docs int, state State, errMsg string) (*Job, error) {
 	if id == "" {
 		return nil, errors.New("engine: Restore needs a job ID")
 	}
@@ -403,8 +403,8 @@ func (m *Manager) Restore(id, kind string, total int, result json.RawMessage, do
 	case state == StateDone:
 		j.result = result
 		j.done = total
-		if n := min(docs.Len(), total); n > 0 {
-			j.ledger = &ledger{docs: docs.Slice(0, n)}
+		if n := min(docs, total); n > 0 {
+			j.ledger = &ledger{stored: n}
 		}
 	case errMsg != "":
 		j.err = errors.New(errMsg)

@@ -12,11 +12,12 @@ import (
 // fills it: it is the job's first-writer-wins index, and the source for
 // everything downstream of "a task finished": the contiguous-prefix
 // watermark in Progress, partial-result range GETs served mid-run, SSE
-// result-range events, the store's persisted prefix (a view of the
-// ledger's run: a recorded document is never rewritten), and the client's
-// streaming iterator. A job restored already-terminal keeps the store's
-// persisted documents as its ledger (Manager.Restore), so range GETs and
-// resumed result streams survive a restart.
+// result-range events, the store's persisted prefix (copied from views of
+// the ledger's run: a recorded document is never rewritten), and the
+// client's streaming iterator. A done job's ledger keeps only the count of
+// the documents the serving layer's store holds once it holds them all
+// (Job.DropDocs), and so does a job restored done (Manager.Restore): their
+// range GETs report ErrRangeStored and are served from the store.
 
 // ErrNoLedger reports a range query against a job without a result ledger:
 // the spec is not a TaskCoder, or the job was restored already-terminal
@@ -34,19 +35,28 @@ var ErrRangeGone = errors.New("engine: range will never be computed")
 // ErrBadRange reports a range query outside the job's task bounds.
 var ErrBadRange = errors.New("engine: range out of bounds")
 
+// ErrRangeStored reports a range query for a span whose documents live in
+// the serving layer's store, not in memory (Job.DropDocs, Manager.Restore).
+var ErrRangeStored = errors.New("engine: range lies in the store")
+
 // ledger is a job's result ledger. A document recorded at the watermark
 // joins docs, the packed run of tasks [0, watermark); one recorded above it
-// is parked until the watermark reaches it, and then joins the run.
+// is parked until the watermark reaches it, and then joins the run. A done
+// job's ledger may hold stored, documents [0, stored) in the store, instead.
 type ledger struct {
 	docs Docs
 	// park holds the documents recorded above the watermark, by task
 	// index: nil until one is, and again once the job finishes.
-	park []json.RawMessage
+	park   []json.RawMessage
+	stored int
 }
+
+// len returns the watermark: every task below it has its document recorded.
+func (l *ledger) len() int { return l.docs.Len() + l.stored }
 
 // has reports whether task's document is recorded.
 func (l *ledger) has(task int) bool {
-	return task < l.docs.Len() || (l.park != nil && l.park[task] != nil)
+	return task < l.len() || (l.park != nil && l.park[task] != nil)
 }
 
 // record lands one encoded task result of a total-task job, advancing the
@@ -111,7 +121,7 @@ func (j *Job) watermarkLocked() int {
 	if j.ledger == nil {
 		return 0
 	}
-	return j.ledger.docs.Len()
+	return j.ledger.len()
 }
 
 // ResultRange returns the encoded task results of [lo, hi). It works
@@ -121,7 +131,8 @@ func (j *Job) watermarkLocked() int {
 // Callers must not modify its bytes. Errors are sentinel-wrapped:
 // ErrNoLedger when the job has no ledger, ErrBadRange for out-of-bounds
 // spans, ErrRangeIncomplete when some task in the span has no result yet,
-// and ErrRangeGone when it never will because the job is terminal.
+// ErrRangeGone when it never will because the job is terminal, and
+// ErrRangeStored when the span's documents are in the store.
 func (j *Job) ResultRange(lo, hi int) (Docs, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -132,7 +143,7 @@ func (j *Job) ResultRange(lo, hi int) (Docs, error) {
 	if lo < 0 || hi > j.total || hi <= lo {
 		return Docs{}, fmt.Errorf("%w: [%d,%d) of %d tasks", ErrBadRange, lo, hi, j.total)
 	}
-	for i := max(lo, l.docs.Len()); i < hi; i++ {
+	for i := max(lo, l.len()); i < hi; i++ {
 		if !l.has(i) {
 			missing := ErrRangeIncomplete
 			if j.state.Terminal() {
@@ -141,5 +152,21 @@ func (j *Job) ResultRange(lo, hi int) (Docs, error) {
 			return Docs{}, fmt.Errorf("%w: task %d of [%d,%d)", missing, i, lo, hi)
 		}
 	}
+	if l.stored > 0 {
+		return Docs{}, fmt.Errorf("%w: [%d,%d) of %s", ErrRangeStored, lo, hi, j.id)
+	}
 	return l.span(lo, hi), nil
+}
+
+// DropDocs drops the run of a done job whose ledger holds every document,
+// keeping their count, once the serving layer's store holds them all; it
+// reports whether it did.
+func (j *Job) DropDocs() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if l := j.ledger; j.state == StateDone && l != nil && l.docs.Len() == j.total {
+		l.docs, l.stored = Docs{}, j.total
+		return true
+	}
+	return false
 }

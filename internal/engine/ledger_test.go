@@ -233,6 +233,78 @@ func TestCanceledLedgerIsTrimmed(t *testing.T) {
 	}
 }
 
+// TestDropDocs: a done job whose ledger holds every document drops its run
+// and keeps the count, so its status reads as before while every span
+// reports ErrRangeStored; a running job and a canceled one keep their runs.
+func TestDropDocs(t *testing.T) {
+	mgr := NewManager(New(2))
+	defer mgr.Close()
+	g := newGate()
+	defer g.open()
+	spec := newSumSpec(8)
+	task := spec.Task
+	spec.Task = func(ctx context.Context, i int, r *rng.Rand) (any, error) {
+		if i >= 4 {
+			if err := g.wait(ctx); err != nil {
+				return nil, err
+			}
+		}
+		return task(ctx, i, r)
+	}
+	job, err := mgr.SubmitJobOpts("", spec, 1, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.DropDocs() {
+		t.Fatal("a running job dropped its run")
+	}
+	g.open()
+	if err := waitJob(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	before := job.Status()
+	if !job.DropDocs() || job.DropDocs() {
+		t.Fatal("a done job's run was not dropped exactly once")
+	}
+	if st := job.Status(); st != before || st.Progress.Watermark != 8 {
+		t.Fatalf("status after the drop = %+v, before %+v", st, before)
+	}
+	for lo := 0; lo < 8; lo++ {
+		if _, err := job.ResultRange(lo, 8); !errors.Is(err, ErrRangeStored) {
+			t.Fatalf("range [%d,8) after the drop: %v", lo, err)
+		}
+	}
+	if _, err := job.ResultRange(0, 9); !errors.Is(err, ErrBadRange) {
+		t.Fatalf("range past the tasks after the drop: %v", err)
+	}
+	job.mu.Lock()
+	held := job.ledger.docs.Len()
+	job.mu.Unlock()
+	if held != 0 {
+		t.Fatalf("the dropped ledger holds %d documents", held)
+	}
+
+	stuck := newSumSpec(8)
+	closed := newGate() // never opened: tasks past 3 wait until the job is canceled
+	stuck.Task = func(ctx context.Context, i int, r *rng.Rand) (any, error) {
+		if i >= 4 {
+			if err := closed.wait(ctx); err != nil {
+				return nil, err
+			}
+		}
+		return task(ctx, i, r)
+	}
+	canceled, err := mgr.SubmitJobOpts("", stuck, 2, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled.Cancel()
+	<-canceled.Done()
+	if canceled.DropDocs() {
+		t.Fatal("a canceled job dropped its run")
+	}
+}
+
 // TestJobNoLedger: a spec without a TaskCoder has no ledger; range queries
 // report ErrNoLedger and the status watermark stays zero.
 func TestJobNoLedger(t *testing.T) {

@@ -107,7 +107,7 @@ func TestManagerEvictsOneTerminalPerSubmit(t *testing.T) {
 	}
 	var ids []string
 	for k := 0; k < DefaultRetention-1; k++ {
-		j, err := m.Restore(fmt.Sprintf("done-%d", k), "func", 1, json.RawMessage(strconv.Itoa(k)), Docs{}, StateDone, "")
+		j, err := m.Restore(fmt.Sprintf("done-%d", k), "func", 1, json.RawMessage(strconv.Itoa(k)), 0, StateDone, "")
 		if err != nil {
 			t.Fatal(err)
 		}

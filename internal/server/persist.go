@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"gameofcoins/internal/engine"
+	"gameofcoins/internal/jsonscan"
 	"gameofcoins/internal/store"
 )
 
@@ -147,15 +148,15 @@ type watchStart struct {
 
 // rehydrateJob revives one job record. Terminal jobs are restored as-is: a
 // done job re-enters the result cache with its stored result document,
-// served as stored (the pre-restart bytes), and its persisted documents,
-// which rebuild its result ledger. A record still marked submitted was
-// interrupted mid-run — and a done record whose result fails its version's
-// result schema is treated the same way: the stored spec and seed
-// deterministically recompute the result, so nothing is destroyed. Nothing
-// here is fatal: a record that cannot be revived at all (kind no longer
-// registered, corrupt spec) becomes a failed job that says why, not a
-// startup abort.
-func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, docs engine.Docs) []watchStart {
+// served as stored (the pre-restart bytes), and the count of its persisted
+// documents, which ?range= reads from the store. A record still marked
+// submitted was interrupted mid-run — and a done record whose result fails
+// its version's result schema is treated the same way: the stored spec and
+// seed deterministically recompute the result, so nothing is destroyed.
+// Nothing here is fatal: a record that cannot be revived at all (kind no
+// longer registered, corrupt spec) becomes a failed job that says why, not
+// a startup abort.
+func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, docs int) []watchStart {
 	switch rec.State {
 	case store.JobDone:
 		if err := engine.ValidateResult(rec.Kind, rec.Version, rec.Result); err != nil {
@@ -167,9 +168,9 @@ func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, docs en
 			s.cache[rec.Key] = rec.ID
 		}
 	case store.JobFailed:
-		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, engine.Docs{}, engine.StateFailed, rec.Error)
+		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, 0, engine.StateFailed, rec.Error)
 	case store.JobCanceled:
-		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, engine.Docs{}, engine.StateCanceled, rec.Error)
+		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, 0, engine.StateCanceled, rec.Error)
 	case store.JobSubmitted:
 		return s.recomputeJob(rec, failInterrupted, "interrupted by server restart", docs)
 	}
@@ -185,9 +186,9 @@ func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, docs en
 // the spec itself cannot be revived) the job is restored as failed instead,
 // with reason explaining why. The returned watchStart (if any) must be
 // attached by the caller once rehydration has finished building the tables.
-func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason string, docs engine.Docs) []watchStart {
+func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason string, docs int) []watchStart {
 	restoreFailed := func(msg string) {
-		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, engine.Docs{}, engine.StateFailed, msg); err == nil {
+		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, 0, engine.StateFailed, msg); err == nil {
 			rec.State = store.JobFailed
 			rec.Error = msg
 			rec.Result = nil
@@ -211,14 +212,21 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 	// The persisted documents become the engine's prefill: decoded, they
 	// land in the new job's results before any task runs, and their run
 	// becomes its ledger's, so the scheduler only executes the uncovered
-	// suffix and the store and the ledger go on sharing one body.
+	// suffix. Documents the store cannot read back recompute.
+	var prefill engine.Docs
+	if body, err := s.store.ReadDocs([]byte{'['}, rec.ID, 0, docs); err == nil {
+		arr := jsonscan.Scanner{Doc: append(body, ']')}
+		for _, doc := range arr.Elements(docs) {
+			prefill = prefill.AppendDoc(doc)
+		}
+	}
 	job, err := s.manager.SubmitJobOpts(rec.ID, rs.Spec, rec.Seed, engine.SubmitOptions{
 		Remote: &engine.RemoteInfo{
 			WireKind: wire,
 			Spec:     rec.Spec,
 			Seed:     rec.Seed,
 		},
-		Prefill: docs,
+		Prefill: prefill,
 	})
 	if err != nil {
 		restoreFailed(fmt.Sprintf("%s; not recomputable: %v", reason, err))
@@ -255,19 +263,21 @@ func idLess(a, b, prefix string) bool {
 // watchJob starts the job's one follower goroutine. With a store and a
 // per-task wire codec (engine.TaskCoder) it first persists the result
 // ledger as it grows: each time the contiguous-prefix watermark advances,
-// it hands the store a view of the ledger's run [0, watermark), which the
-// store keeps, logging only the documents past what it held; it stops once
-// the prefix reaches store.RangeDocCap. When the job ends it persists
-// the terminal record, or retracts the cache entry of a resultless end.
-// Shutdown is the exception: jobs the manager canceled because the whole
-// server is closing keep their "submitted" record — and the documents
-// persisted so far — which is exactly what makes the next process life
-// resubmit them with a prefill. Without a store the follower only waits for
-// the end.
+// it hands the store a view of the ledger's run [0, watermark), of which
+// the store logs only the documents past what it held; it stops once the
+// prefix reaches store.RangeDocCap. When the job ends it persists the
+// terminal record, or retracts the cache entry of a resultless end, and
+// after a done record drops the job's run if the store then holds every
+// document (engine.Job.DropDocs). Shutdown is the exception: jobs the
+// manager canceled because the whole server is closing keep their
+// "submitted" record — and the documents persisted so far — which is
+// exactly what makes the next process life resubmit them with a prefill.
+// Without a store the follower only waits for the end.
 func (s *Server) watchJob(w watchStart) {
 	job, rec := w.job, w.rec
 	go func() {
-		if _, coder := w.spec.(engine.TaskCoder); coder && s.store != nil {
+		_, coder := w.spec.(engine.TaskCoder)
+		if coder && s.store != nil {
 			last := 0
 			persist := func(wm int) {
 				wm = min(wm, store.RangeDocCap)
@@ -302,6 +312,14 @@ func (s *Server) watchJob(w watchStart) {
 			}
 			// A result that cannot be marshalled also cannot be served; the
 			// record stays "submitted" and a restart recomputes it.
+			if coder {
+				s.enqueuePersist(func() error {
+					if s.store.HeldDocs(rec.ID) >= rec.Tasks {
+						job.DropDocs()
+					}
+					return nil
+				})
+			}
 			return
 		}
 		s.mu.Lock()

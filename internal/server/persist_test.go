@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -356,46 +357,139 @@ func TestRestartServesCachedResults(t *testing.T) {
 	}
 }
 
-// TestStoreSharesTheLedger: a done learn_sweep job's persisted documents
-// are its result ledger's own body, not a copy of it, and after a restart
-// the restored job's ledger is the body the store loaded.
-func TestStoreSharesTheLedger(t *testing.T) {
+// TestDoneJobDropsItsRun: once a done learn_sweep job's record lands, the
+// store's log is the only copy of its documents — its ledger holds no run,
+// only their count, so ResultRange reports engine.ErrRangeStored — and
+// ?range= serves every span with the bytes that a server without a store,
+// which keeps the run, serves, before and after a restart. Once the store
+// has evicted the job's documents, its spans answer 410.
+func TestDoneJobDropsItsRun(t *testing.T) {
+	ctx := context.Background()
+	learn := engine.LearnSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Schedulers: []string{"random"}, Runs: 12}
+	n := learn.Tasks()
+	plain, plainURL := v2ServerWith(t)
+	ref, err := client.New(plainURL).SubmitLearnSweep(ctx, learn, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitHandleDone(t, plainURL, ref.ID())
+	if _, err := plain.JobRange(ref.Submitted.Status.ID, 0, n); err != nil {
+		t.Fatalf("without a store the done job's ledger lost its run: %v", err)
+	}
+	spanURL := func(base, handle string, lo, hi int) string {
+		return fmt.Sprintf("%s/v2/jobs/%s/result?range=%d-%d", base, handle, lo, hi)
+	}
+	want := map[[2]int]string{}
+	for lo := 0; lo < n; lo++ {
+		for hi := lo + 1; hi <= n; hi++ {
+			want[[2]int{lo, hi}] = string(rawGet(t, spanURL(plainURL, ref.ID(), lo, hi)))
+		}
+	}
+	spans := func(base, handle string) {
+		t.Helper()
+		for span, body := range want {
+			if got := string(rawGet(t, spanURL(base, handle, span[0], span[1]))); got != body {
+				t.Fatalf("range %v = %s, without a store %s", span, got, body)
+			}
+		}
+	}
+
 	dir := t.TempDir()
 	p1 := openPersistent(t, dir, false)
-	ctx := context.Background()
-	learn := engine.LearnSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Schedulers: []string{"random"}, Runs: 40}
 	h, err := client.New(p1.URL).SubmitLearnSweep(ctx, learn, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if id := h.Submitted.Status.ID; id != ref.Submitted.Status.ID {
+		t.Fatalf("the job is %s here and %s without a store", id, ref.Submitted.Status.ID)
+	}
+	id := h.Submitted.Status.ID
 	waitHandleDone(t, p1.URL, h.ID())
-	id, n := h.Submitted.Status.ID, learn.Tasks()
-	// The watcher persists the documents before the done record.
 	waitRecordState(t, p1.st, id, store.JobDone)
-	shared := func(p *persistentServer) bool {
-		t.Helper()
-		snap, err := p.st.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ledger, err := p.s.JobRange(id, 0, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sameBody(snap.Docs[id], ledger, n)
-	}
-	if !shared(p1) {
-		t.Fatal("the store keeps a copy of the done job's ledger")
-	}
+	waitDropped(t, p1.s, id, n)
+	spans(p1.URL, h.ID())
 	p1.shutdown()
-	if p2 := openPersistent(t, dir, false); !shared(p2) {
-		t.Fatal("the restored job's ledger is a copy of the loaded documents")
+
+	p2 := openPersistent(t, dir, false)
+	if _, err := p2.s.JobRange(id, 0, n); !errors.Is(err, engine.ErrRangeStored) {
+		t.Fatalf("the restored job's ledger: %v, want its documents in the store", err)
+	}
+	spans(p2.URL, h.ID())
+	// Records of newer finished jobs push the job's record, and its
+	// documents, out of the store; the engine still holds the job.
+	for i := range engine.DefaultRetention + engine.DefaultRetention/4 + 1 {
+		if err := p2.st.PutJob(store.JobRecord{ID: fmt.Sprintf("job-%d", 1000+i), State: store.JobFailed, Error: "filler"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if held := p2.st.HeldDocs(id); held != 0 {
+		t.Fatalf("the store still holds %d of the evicted job's documents", held)
+	}
+	if code := getStatusCode(t, spanURL(p2.URL, h.ID(), 0, n)); code != http.StatusGone {
+		t.Fatalf("range of a job whose documents the store evicted: status %d, want 410", code)
 	}
 }
 
-// sameBody reports whether a and b are views of n documents in one body.
-func sameBody(a, b engine.Docs, n int) bool {
-	return a.Len() == n && b.Len() == n && &a.Bytes()[0] == &b.Bytes()[0]
+// waitDropped polls until the job's ledger has dropped its run: the drop
+// runs on the persist queue after the done record.
+func waitDropped(t *testing.T, s *server.Server, jobID string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		_, err := s.JobRange(jobID, 0, n)
+		if errors.Is(err, engine.ErrRangeStored) {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("job %s never dropped its run", jobID)
+}
+
+// docsFail is a file store whose PutJobDocs always fails.
+type docsFail struct{ *store.File }
+
+func (docsFail) PutJobDocs(string, engine.Docs) error {
+	return errors.New("injected range write failure")
+}
+
+// TestFailedDocsWriteKeepsTheRun: a done job whose documents the store
+// does not hold keeps its run, and ?range= serves it from memory.
+func TestFailedDocsWriteKeepsTheRun(t *testing.T) {
+	st, err := store.OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := server.NewWithOptions(2, server.Options{Store: docsFail{st}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := servePersistent(t, s, st)
+	ctx := context.Background()
+	learn := engine.LearnSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Schedulers: []string{"random"}, Runs: 6}
+	h, err := client.New(p.URL).SubmitLearnSweep(ctx, learn, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := h.Submitted.Status.ID
+	waitHandleDone(t, p.URL, h.ID())
+	// The release is queued after the drop's check, so once it lands the
+	// check has run.
+	if err := h.Release(ctx); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for snap, err := st.Load(); len(snap.Handles) > 0; snap, err = st.Load() {
+		if err != nil || time.Now().After(deadline) {
+			t.Fatalf("the release never landed: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if docs, err := s.JobRange(id, 0, learn.Tasks()); err != nil || docs.Len() != learn.Tasks() {
+		t.Fatalf("a job whose documents the store lacks: ledger %d documents, %v; want its run", docs.Len(), err)
+	}
 }
 
 // TestRestartResubmitsInterruptedJobs: a job mid-run at shutdown keeps its

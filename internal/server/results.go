@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"gameofcoins/internal/engine"
+	"gameofcoins/internal/store"
 )
 
 // writeJobResult serves a job's result: 409 while running, 410 for
@@ -40,7 +41,7 @@ func (s *Server) handleHandleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rng := r.URL.Query().Get("range"); rng != "" {
-		writeResultRange(w, job, rng)
+		s.writeResultRange(w, job, rng)
 		return
 	}
 	writeJobResult(w, job)
@@ -58,20 +59,28 @@ const rangeFlushBytes = 256 << 10
 // is terminal and never completed the span (it failed or was canceled, or
 // was restored with fewer persisted documents), or it has no ledger — a
 // non-TaskCoder spec, or a failed or canceled job restored from a previous
-// life.
+// life. A done job whose run lives only in the store (see watchJob) is
+// served from the store's log; one whose documents the store has evicted
+// since is 410 too.
 //
 // The documents go out verbatim — the ledger's packed run is the results
 // array's inner bytes, byte-identical to the store's, never re-marshalled
 // or re-indented — in pieces of at most rangeFlushBytes, each flushed, and
 // no Content-Length is set, so net/http switches to chunked transfer and
 // its buffer stays bounded however large the span is.
-func writeResultRange(w http.ResponseWriter, job *engine.Job, rng string) {
+func (s *Server) writeResultRange(w http.ResponseWriter, job *engine.Job, rng string) {
 	tr, err := engine.ParseTaskRange(rng)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	docs, err := job.ResultRange(tr.Lo, tr.Hi)
+	body := docs.Bytes()
+	if errors.Is(err, engine.ErrRangeStored) {
+		if body, err = s.store.ReadDocs(nil, job.ID(), tr.Lo, tr.Hi); errors.Is(err, store.ErrNoDocs) {
+			err = fmt.Errorf("%w: %v", engine.ErrRangeGone, err)
+		}
+	}
 	if err != nil {
 		switch {
 		case errors.Is(err, engine.ErrBadRange):
@@ -94,7 +103,7 @@ func writeResultRange(w http.ResponseWriter, job *engine.Job, rng string) {
 	if _, err := w.Write(head); err != nil {
 		return // client hung up; nothing recoverable
 	}
-	for body := docs.Bytes(); len(body) > 0; {
+	for len(body) > 0 {
 		n := min(len(body), rangeFlushBytes)
 		if _, err := w.Write(body[:n]); err != nil {
 			return

@@ -227,7 +227,7 @@ func TestCancellationMidJob(t *testing.T) {
 	}
 	// So is a span it never completed.
 	rec = httptest.NewRecorder()
-	writeResultRange(rec, job, fmt.Sprintf("0-%d", final.Progress.Total))
+	s.writeResultRange(rec, job, fmt.Sprintf("0-%d", final.Progress.Total))
 	if rec.Code != http.StatusGone {
 		t.Fatalf("range a canceled job never completed: status %d, want 410", rec.Code)
 	}

@@ -303,8 +303,8 @@ func (s *rangeSpy) recorded() []engine.TaskRange {
 
 // TestWatcherStopsAtTheCap: the watcher persists a job's documents up to
 // store.RangeDocCap and no further, though its watermark goes on past it;
-// the store still holds exactly the capped prefix, and the done record
-// lands.
+// the store still holds exactly the capped prefix, the done record lands,
+// and the job keeps its run.
 func TestWatcherStopsAtTheCap(t *testing.T) {
 	st, err := store.OpenFile(t.TempDir())
 	if err != nil {
@@ -333,12 +333,14 @@ func TestWatcherStopsAtTheCap(t *testing.T) {
 	if i := slices.IndexFunc(spans, func(sp engine.TaskRange) bool { return sp.Hi >= store.RangeDocCap }); i != len(spans)-1 {
 		t.Fatalf("the watcher persisted %v after the span that reached the cap", spans[i+1:])
 	}
-	snap, err := st.Load()
-	if err != nil {
-		t.Fatal(err)
+	last, err := st.ReadDocs(nil, id, store.RangeDocCap-1, store.RangeDocCap)
+	if held := st.HeldDocs(id); held != store.RangeDocCap || err != nil || string(last) != streamDoc(store.RangeDocCap-1) {
+		t.Fatalf("the store holds %d documents, the last %s (%v); want tasks [0,%d)", held, last, err, store.RangeDocCap)
 	}
-	if docs := snap.Docs[id]; docs.Len() != store.RangeDocCap || string(docs.Doc(store.RangeDocCap-1)) != streamDoc(store.RangeDocCap-1) {
-		t.Fatalf("the store holds %d documents, want tasks [0,%d)", docs.Len(), store.RangeDocCap)
+	// Past the cap the store cannot serve every span, so the job keeps its
+	// run.
+	if docs, err := p.s.JobRange(id, 0, spec.N); err != nil || docs.Len() != spec.N {
+		t.Fatalf("a job past the cap: ledger %d documents, %v; want its run", docs.Len(), err)
 	}
 }
 
@@ -741,11 +743,7 @@ func waitRangeCoverage(t *testing.T, st *store.File, jobID string, want int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		snap, err := st.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap.Docs[jobID].Len() >= want {
+		if st.HeldDocs(jobID) >= want {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -837,23 +835,26 @@ func TestStreamPropertyRestart(t *testing.T) {
 			}
 
 			// The done record keeps the job's documents — a later restart
-			// must still serve ?range from them — and by then they must
-			// cover every task from 0, in the resumed ledger's own body:
-			// the loaded prefix it adopted is not held twice.
+			// must still serve ?range from them — and by then they cover
+			// every task from 0 and are their only copy: the ledger drops
+			// its run once the store holds them all.
 			waitRecordState(t, p2.st, jobID, store.JobDone)
-			snap, err := p2.st.Load()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ledger, err := p2.s.JobRange(jobID, 0, tr.n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if docs := snap.Docs[jobID]; !sameBody(docs, ledger, tr.n) {
-				t.Fatalf("done job's persisted docs = %s (%d), want the ledger's body of tasks [0,%d)", docs.Bytes(), docs.Len(), tr.n)
+			waitDropped(t, p2.s, jobID, tr.n)
+			docs, err := p2.st.ReadDocs(nil, jobID, 0, tr.n)
+			if joined := bytes.Join(toBytes(want.Results), []byte(",")); err != nil || !bytes.Equal(docs, joined) {
+				t.Fatalf("done job's persisted docs = %s, %v; want the baseline's tasks [0,%d): %s", docs, err, tr.n, joined)
 			}
 		})
 	}
+}
+
+// toBytes converts documents to byte slices.
+func toBytes(docs []json.RawMessage) [][]byte {
+	out := make([][]byte, len(docs))
+	for i, d := range docs {
+		out[i] = d
+	}
+	return out
 }
 
 func sumStreamDocs(n int) int {

@@ -1,11 +1,15 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -38,19 +42,22 @@ const (
 // accumulated several times more operations than live records. Appends are
 // flushed per operation but not fsynced — a power cut may lose the final
 // lines, which rehydration tolerates (a lost terminal record resubmits the
-// job; determinism recomputes the identical result). The directory is
+// job; determinism recomputes the identical result). An op reaches the
+// snapshot only once its line is written in full. The directory is
 // fsynced whenever the log's entry in it changes, so a power cut never
 // brings back a log that a compaction replaced. Compaction keeps at
 // most engine.DefaultRetention job records, the jobs the engine manager
 // would track after a restart: the oldest terminal records go first, and
 // submitted records always stay — they are the restart-recovery signal.
-// All methods are safe for concurrent use.
+// Task documents live only in the log, read under the read lock, which
+// appends and compactions exclude. All methods are safe for concurrent use.
 type File struct {
-	mu     sync.Mutex
+	mu     sync.RWMutex
 	dir    string
-	f      *os.File // guarded by mu
+	f      *os.File // guarded by mu; opened for appends and reads
 	lock   *os.File // guarded by mu
 	snap   Snapshot // guarded by mu
+	size   int64    // guarded by mu; the log's length
 	ops    int      // guarded by mu; operations appended since open/compaction
 	kept   int      // guarded by mu; job records the last compaction kept
 	closed bool     // guarded by mu
@@ -89,7 +96,7 @@ func OpenFile(dir string) (*File, error) {
 			return nil, fmt.Errorf("store: truncate torn tail: %w", err)
 		}
 	}
-	f, err := os.OpenFile(s.logPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(s.logPath(), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		lock.Close()
 		return nil, fmt.Errorf("store: open log: %w", err)
@@ -103,7 +110,7 @@ func OpenFile(dir string) (*File, error) {
 			return nil, fmt.Errorf("store: sync %s: %w", dir, err)
 		}
 	}
-	s.f = f
+	s.f, s.size = f, good
 	return s, nil
 }
 
@@ -125,7 +132,8 @@ func (s *File) logPath() string { return filepath.Join(s.dir, logName) }
 //
 // A range op holds its documents packed in docs; Results only carries them
 // out of json.Unmarshal (see decodeOp), and range lines are written by
-// rangeLine.
+// rangeLine. at is where docs' body starts in the line, or -1 when the line
+// does not hold it as it is; game is Game decoded, if it is.
 type op struct {
 	Op      string            `json:"op"`
 	ID      string            `json:"id,omitempty"`
@@ -136,6 +144,8 @@ type op struct {
 	Results []json.RawMessage `json:"results,omitempty"`
 	Seq     uint64            `json:"seq,omitempty"`
 	docs    engine.Docs
+	at      int
+	game    *core.Game
 }
 
 // replay rebuilds the snapshot from the log and returns the byte offset of
@@ -143,48 +153,54 @@ type op struct {
 // shape a crash mid-append can leave, since the newline is each op's last
 // byte — is tolerated (OpenFile truncates it away); corruption in any
 // *terminated* line is an error, because silently skipping interior history
-// could resurrect released handles or lose results.
+// could resurrect released handles or lose results. Lines are read into one
+// buffer, which grows only to the longest line.
 func (s *File) replay() (int64, error) {
-	data, err := os.ReadFile(s.logPath())
+	f, err := os.Open(s.logPath())
 	if os.IsNotExist(err) {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, fmt.Errorf("store: read log: %w", err)
 	}
+	defer f.Close()
+	lines := bufio.NewScanner(f)
+	lines.Buffer(make([]byte, 64<<10), engine.MaxDocsBytes)
+	lines.Split(fullLines)
 	var good int64
-	lineno := 0
-	for start := 0; start < len(data); {
-		nl := bytes.IndexByte(data[start:], '\n')
-		if nl < 0 {
-			break // torn tail from a crash mid-append
-		}
-		line := data[start : start+nl]
-		lineno++
-		o, err := decodeOp(line)
-		if err == nil {
-			_, err = s.applyLocked(&o)
+	for lineno := 1; lines.Scan(); lineno++ {
+		o, err := decodeOp(lines.Bytes())
+		if err == nil && (o.Op != "range" || s.landLocked(&o)) {
+			err = s.applyLocked(&o, good)
 		}
 		if err != nil {
 			return 0, fmt.Errorf("store: corrupt log line %d: %w", lineno, err)
 		}
-		start += nl + 1
-		good = int64(start)
+		good += int64(len(lines.Bytes())) + 1
+	}
+	if err := lines.Err(); err != nil {
+		return 0, fmt.Errorf("store: read log: %w", err)
 	}
 	return good, nil
 }
 
+// fullLines splits a log into its newline-terminated lines, newline
+// dropped; an unterminated last line is not one.
+func fullLines(data []byte, _ bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	return 0, nil, nil
+}
+
 // decodeOp decodes one log line: a range line through scanRange, any other
 // through json.Unmarshal. Either way a range op's documents are the ones
-// json.Unmarshal finds, packed as they are.
+// json.Unmarshal finds, packed: scanRange's are views of line.
 func decodeOp(line []byte) (op, error) {
-	if len(line) > engine.MaxDocsBytes {
-		return op{}, fmt.Errorf("line of %d bytes, past %d", len(line), engine.MaxDocsBytes)
-	}
 	if o, ok := scanRange(line); ok {
 		return o, nil
 	}
-	var o op
+	o := op{at: -1}
 	if err := json.Unmarshal(line, &o); err != nil {
 		return op{}, err
 	}
@@ -196,15 +212,14 @@ func decodeOp(line []byte) (op, error) {
 
 // scanRange decodes a range line as json.Unmarshal would, in one pass over
 // its bytes that also checks their syntax, and packs the documents of its
-// results array as one copy of the bytes between its brackets and one of
-// their end offsets, nothing of the line kept alive: two allocations
-// besides the job ID for up to 256 documents, and one more per doubling of
-// the offsets past that. It reports false unless line is one JSON value
-// whose keys all match "op", "job_id", "lo" or "results" as encoding/json
-// matches them, whose values are "range", an unescaped string, an int and
-// an array, and whose last results array joins its documents by single
-// commas, as rangeLine writes them; decodeOp hands any other line to
-// json.Unmarshal.
+// results array as a view of the bytes between its brackets and a copy of
+// their end offsets: two allocations with the job ID for up to 256
+// documents, and one more per doubling of the offsets past that. It
+// reports false unless line is one JSON value whose keys all match "op",
+// "job_id", "lo" or "results" as encoding/json matches them, whose values
+// are "range", an unescaped string, an int and an array, and whose last
+// results array joins its documents by single commas, as rangeLine writes
+// them; decodeOp hands any other line to json.Unmarshal.
 func scanRange(line []byte) (op, bool) {
 	s := jsonscan.Scanner{Doc: line}
 	s.SkipSpace()
@@ -240,7 +255,7 @@ func scanRange(line []byte) (op, bool) {
 			if s.Peek() != '[' {
 				return op{}, false
 			}
-			ends, body = ends[:0], nil
+			ends, body, o.at = ends[:0], nil, start+1
 			next := start + 1 // where the next document starts if single commas join them
 			for n := 0; s.Next(n); n++ {
 				if s.Pos != next {
@@ -264,11 +279,7 @@ func scanRange(line []byte) (op, bool) {
 		return op{}, false
 	}
 	if len(ends) > 0 {
-		packed := make([]byte, len(body))
-		copy(packed, body)
-		offsets := make([]uint32, len(ends))
-		copy(offsets, ends)
-		o.docs = engine.JoinedDocs(packed, offsets)
+		o.docs = engine.JoinedDocs(body, slices.Clone(ends))
 	}
 	return o, true
 }
@@ -279,31 +290,65 @@ func plainString(s *jsonscan.Scanner) bool {
 	return !s.SkipString() && !s.Failed()
 }
 
-// applyLocked folds one op into the live snapshot and reports whether it
-// changed anything worth a log line. A range op is cut down to what landed
-// (see Snapshot.addDocs), which is what its line records; one whose
-// documents all fall away changes nothing. Callers hold s.mu — except
-// replay, which runs inside OpenFile before the store is shared.
-func (s *File) applyLocked(o *op) (bool, error) {
+// landLocked cuts a range op down to the documents that land, which is
+// what its line records, keeping o.at on the first of them, and reports
+// whether any do. Only a span's part past the job's prefix lands
+// (first-writer-wins, as the engine publishes), up to RangeDocCap documents
+// and a body of engine.MaxDocsBytes; a span that starts past the prefix
+// would leave a gap, and only a live "submitted" or "done" job keeps
+// documents. Callers hold s.mu — except replay, which runs inside OpenFile
+// before the store is shared.
+func (s *File) landLocked(o *op) bool {
+	rec, live := s.snap.Jobs[o.JobID]
+	r, n := s.snap.runs[o.JobID], o.docs.Len()
+	if !live || rec.State != JobSubmitted && rec.State != JobDone || o.Lo < 0 || o.Lo > r.n || o.Lo+n <= r.n || r.n >= RangeDocCap {
+		return false
+	}
+	added := o.docs.Slice(r.n-o.Lo, min(o.Lo+n, RangeDocCap)-o.Lo)
+	if r.size+1+added.Size() > engine.MaxDocsBytes {
+		return false
+	}
+	if k := r.n - o.Lo; k > 0 && o.at >= 0 {
+		o.at += o.docs.Slice(0, k).Size() + 1
+	}
+	o.Lo, o.docs = r.n, added
+	return true
+}
+
+// applyLocked folds one op, whose line lies in the log from offset lineAt,
+// into the live snapshot; a range op is one landLocked has cut. Only a
+// replayed op can fail: the Put methods build none that do. Callers hold
+// s.mu — except replay.
+func (s *File) applyLocked(o *op, lineAt int64) error {
 	switch o.Op {
 	case "game":
-		var g core.Game
-		if err := json.Unmarshal(o.Game, &g); err != nil {
-			return false, fmt.Errorf("decode game %s: %w", o.ID, err)
+		if o.game == nil {
+			o.game = new(core.Game)
+			if err := json.Unmarshal(o.Game, o.game); err != nil {
+				return fmt.Errorf("decode game %s: %w", o.ID, err)
+			}
 		}
-		s.snap.Games[o.ID] = &g
+		s.snap.Games[o.ID] = o.game
 	case "job":
 		if o.Job == nil || o.Job.ID == "" {
-			return false, fmt.Errorf("job op without a record")
+			return fmt.Errorf("job op without a record")
 		}
 		s.snap.Jobs[o.Job.ID] = *o.Job
 		if o.Job.State == JobFailed || o.Job.State == JobCanceled {
 			// No result to serve: the per-task documents are dead weight.
-			delete(s.snap.Docs, o.Job.ID)
+			delete(s.snap.runs, o.Job.ID)
 		}
 	case "range":
-		o.Lo, o.docs = s.snap.addDocs(o.JobID, o.Lo, o.docs)
-		return o.docs.Len() > 0, nil
+		e := extent{off: lineAt + int64(o.at), n: o.docs.Len(), size: o.docs.Size()}
+		if o.at < 0 {
+			e.off, e.mem = 0, bytes.Clone(o.docs.Bytes())
+		}
+		r := s.snap.runs[o.JobID]
+		if r.n > 0 {
+			r.size++ // the comma between extents
+		}
+		r.ext, r.n, r.size = append(r.ext, e), r.n+e.n, r.size+e.size
+		s.snap.runs[o.JobID] = r
 	case "handle":
 		s.snap.Handles[o.ID] = o.JobID
 		if n := handleSeq(o.ID); n > s.snap.NextHandle {
@@ -318,42 +363,41 @@ func (s *File) applyLocked(o *op) (bool, error) {
 			s.snap.NextHandle = o.Seq
 		}
 	default:
-		return false, fmt.Errorf("unknown op %q", o.Op)
+		return fmt.Errorf("unknown op %q", o.Op)
 	}
-	return true, nil
+	return nil
 }
 
-// append applies o to the live snapshot and writes it to the log if that
-// changed anything, then compacts if the log has outgrown the live state.
+// append writes o to the log if it changes anything, folds it into the
+// live snapshot once its line is written in full, then compacts if the log
+// has outgrown the live state.
 func (s *File) append(o op) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return os.ErrClosed
 	}
-	changed, err := s.applyLocked(&o)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if !changed {
+	if o.Op == "range" && !s.landLocked(&o) {
 		return nil
 	}
-	line, err := encodeOp(o)
+	line, err := encodeOp(nil, o)
 	if err != nil {
 		return fmt.Errorf("store: encode op: %w", err)
 	}
 	if n, err := s.f.Write(line); err != nil {
 		// A short write (ENOSPC, I/O error) left partial bytes mid-log; cut
 		// the file back to the last full line so later appends don't merge
-		// into garbage that bricks the next open. The in-memory snapshot is
-		// ahead of the log until the next successful compaction rewrites it.
-		if n > 0 {
-			if info, serr := s.f.Stat(); serr == nil {
-				_ = os.Truncate(s.logPath(), info.Size()-int64(n))
-			}
+		// into garbage that bricks the next open.
+		if n > 0 && os.Truncate(s.logPath(), s.size) != nil {
+			s.size += int64(n)
 		}
 		return fmt.Errorf("store: append: %w", err)
 	}
+	o.at = len(line) - len("]}\n") - o.docs.Size() // where a range line's body starts
+	if err := s.applyLocked(&o, s.size); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	s.size += int64(len(line))
 	s.ops++
 	return s.maybeCompactLocked()
 }
@@ -369,7 +413,7 @@ func (s *File) maybeCompactLocked() error {
 	// would rewrite the whole log on every append.
 	const slack = engine.DefaultRetention / 4
 	overCap := len(s.snap.Jobs) > max(engine.DefaultRetention, s.kept)+slack
-	live := len(s.snap.Games) + len(s.snap.Jobs) + len(s.snap.Handles) + len(s.snap.Docs)
+	live := len(s.snap.Games) + len(s.snap.Jobs) + len(s.snap.Handles) + len(s.snap.runs)
 	if !overCap && (s.ops < compactMinOps || s.ops < 4*live) {
 		return nil
 	}
@@ -379,9 +423,11 @@ func (s *File) maybeCompactLocked() error {
 // compactLocked writes the live snapshot to a fresh log and atomically
 // renames it over the old one. It also enforces the job-record cap: oldest
 // terminal records past engine.DefaultRetention are dropped (submitted
-// records always survive — they are what restart recovery reruns). The
-// eviction reaches memory only with the rename, so a compaction that fails
-// leaves memory holding what the log still does.
+// records always survive — they are what restart recovery reruns). Each
+// job's documents are copied from the old log into one range line of the
+// new one as they lie, unparsed. The eviction and the documents' new places
+// reach memory only with the rename, so a compaction that fails leaves
+// memory holding what the old log still does.
 func (s *File) compactLocked() error {
 	live := s.snap.clone()
 	live.dropExcessJobs()
@@ -390,58 +436,46 @@ func (s *File) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	w := func(o op) bool {
-		line, err := encodeOp(o)
-		if err == nil {
-			_, err = tmp.Write(line)
+	bw := bufio.NewWriterSize(tmp, 64<<10)
+	var size int64 // the new log's length
+	var werr error // the first failure: the writes after it are skipped
+	w := func(line []byte, err error) {
+		if werr = cmp.Or(werr, err); werr == nil {
+			_, werr = bw.Write(line)
 		}
-		if err != nil {
-			tmp.Close()
-			//goclint:allow errdrop -- best-effort tmp cleanup; the write error is what callers see
-			os.Remove(tmpPath)
-		}
-		return err == nil
+		size += int64(len(line))
 	}
 	for _, id := range sortedKeys(live.Games) {
 		raw, err := json.Marshal(live.Games[id])
-		if err != nil {
-			tmp.Close()
-			//goclint:allow errdrop -- best-effort tmp cleanup; the marshal error below is the failure
-			os.Remove(tmpPath)
-			return fmt.Errorf("store: compact game %s: %w", id, err)
-		}
-		if !w(op{Op: "game", ID: id, Game: raw}) {
-			return fmt.Errorf("store: compact: write failed")
-		}
+		w(nil, err)
+		w(encodeOp(nil, op{Op: "game", ID: id, Game: raw}))
 	}
 	for _, id := range sortedKeys(live.Jobs) {
 		rec := live.Jobs[id]
-		if !w(op{Op: "job", Job: &rec}) {
-			return fmt.Errorf("store: compact: write failed")
-		}
+		w(encodeOp(nil, op{Op: "job", Job: &rec}))
 	}
 	// Each job's documents land as one range line after the job records,
-	// so replay's addDocs sees the owning record.
-	for _, id := range sortedKeys(live.Docs) {
-		if !w(op{Op: "range", JobID: id, docs: live.Docs[id]}) {
-			return fmt.Errorf("store: compact: write failed")
-		}
+	// so replay's landing sees the owning record.
+	var body, line []byte
+	for _, id := range sortedKeys(live.runs) {
+		r := live.runs[id]
+		body, err = r.appendDocs(body[:0], s.f, 0, r.n)
+		w(nil, err)
+		line, err = rangeLine(line[:0], id, 0, body)
+		live.runs[id] = run{ext: []extent{{off: size + int64(len(line)-len("]}")-len(body)), n: r.n, size: r.size}}, n: r.n, size: r.size}
+		w(append(line, '\n'), err)
 	}
 	for _, h := range sortedKeys(live.Handles) {
-		if !w(op{Op: "handle", ID: h, JobID: live.Handles[h]}) {
-			return fmt.Errorf("store: compact: write failed")
-		}
+		w(encodeOp(nil, op{Op: "handle", ID: h, JobID: live.Handles[h]}))
 	}
 	if live.NextHandle > 0 {
-		if !w(op{Op: "seq", Seq: live.NextHandle}) {
-			return fmt.Errorf("store: compact: write failed")
-		}
+		w(encodeOp(nil, op{Op: "seq", Seq: live.NextHandle}))
 	}
-	if err := tmp.Sync(); err != nil {
+	if werr = cmp.Or(werr, bw.Flush(), tmp.Sync()); werr != nil {
 		tmp.Close()
-		//goclint:allow errdrop -- best-effort tmp cleanup; the sync error below is the failure
+		//goclint:allow errdrop -- best-effort tmp cleanup; werr is what callers see
 		os.Remove(tmpPath)
-		return fmt.Errorf("store: compact sync: %w", err)
+		return fmt.Errorf("store: compact: %w", werr)
 	}
 	if err := tmp.Close(); err != nil {
 		//goclint:allow errdrop -- best-effort tmp cleanup; the close error below is the failure
@@ -459,7 +493,7 @@ func (s *File) compactLocked() error {
 	// moves to the new log all the same.
 	synced := syncDir(s.dir)
 	old := s.f
-	f, err := os.OpenFile(s.logPath(), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(s.logPath(), os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		// The rename just unlinked the inode old points at: appending there
 		// would "succeed" into an orphan file and vanish on exit. Fail the
@@ -471,7 +505,7 @@ func (s *File) compactLocked() error {
 		return fmt.Errorf("store: reopen log after compaction: %w", err)
 	}
 	old.Close()
-	s.f = f
+	s.f, s.size = f, size
 	s.snap = live
 	s.ops = 0
 	s.kept = len(s.snap.Jobs)
@@ -481,32 +515,74 @@ func (s *File) compactLocked() error {
 	return nil
 }
 
+// appendDocs appends the documents of tasks [lo, hi) of the run to dst,
+// joined by commas, reading them from the log f. An extent the span covers
+// is copied as it lies; one it cuts is walked up to the cut, its bytes
+// having been checked when they were written or replayed.
+func (r run) appendDocs(dst []byte, f io.ReaderAt, lo, hi int) ([]byte, error) {
+	i, a := 0, 0 // the extent at hand and its first task
+	for ; a+r.ext[i].n <= lo; i++ {
+		a += r.ext[i].n
+	}
+	for first := true; a < hi; i, first = i+1, false {
+		e := r.ext[i]
+		if !first {
+			dst = append(dst, ',')
+		}
+		at := len(dst)
+		dst = slices.Grow(dst, e.size)[:at+e.size]
+		if e.mem != nil {
+			copy(dst[at:], e.mem)
+		} else if _, err := f.ReadAt(dst[at:], e.off); err != nil {
+			return nil, fmt.Errorf("store: read documents: %w", err)
+		}
+		if from, to := max(lo-a, 0), min(hi-a, e.n); from > 0 || to < e.n {
+			sc, start := jsonscan.Scanner{Doc: dst[at:]}, 0
+			for k := 0; k < to; k++ {
+				if k == from {
+					start = sc.Pos
+				}
+				sc.SkipValue()
+				sc.Pos++ // the comma
+			}
+			if sc.Failed() {
+				return nil, fmt.Errorf("store: documents at offset %d are not the %d the log recorded", e.off, e.n)
+			}
+			dst = append(dst[:at], dst[at+start:at+sc.Pos-1]...)
+		}
+		a += e.n
+	}
+	return dst, nil
+}
+
 // encodeOp renders o as one log line, its newline included. Range ops go
-// through rangeLine; every other op is json.Marshal's encoding.
-func encodeOp(o op) ([]byte, error) {
+// through rangeLine, appended to dst; every other op is json.Marshal's
+// encoding.
+func encodeOp(dst []byte, o op) ([]byte, error) {
 	if o.Op == "range" {
-		line, err := rangeLine(o.JobID, o.Lo, o.docs)
+		line, err := rangeLine(dst, o.JobID, o.Lo, o.docs.Bytes())
 		return append(line, '\n'), err
 	}
 	line, err := json.Marshal(o)
 	return append(line, '\n'), err
 }
 
-// rangeLine renders the range op (jobID, lo, docs) with the run's body as
-// it is, one copy, without the rescan, recompaction and HTML escaping
-// json.Marshal spends on every json.RawMessage, and without checking a
-// document: the store holds documents the engine encoded, documents a
-// range line held, or documents PutJobRange checked, each one JSON value
-// without a raw newline. For documents in json.Marshal's form — all but
-// hand-written log lines' — the line is exactly the bytes json.Marshal
-// writes for the op. The line has a spare byte of capacity for its newline.
-func rangeLine(jobID string, lo int, docs engine.Docs) ([]byte, error) {
+// rangeLine renders the range op (jobID, lo) whose documents, joined by
+// commas, are body, as it is, one copy, without the rescan, recompaction
+// and HTML escaping json.Marshal spends on every json.RawMessage, and
+// without checking a document: the store holds documents the engine
+// encoded, documents a range line held, or documents PutJobRange checked,
+// each one JSON value without a raw newline. For documents in json.Marshal's
+// form — all but hand-written log lines' — the line is exactly the bytes
+// json.Marshal writes for the op. The line is appended to dst, ends with
+// the body and "]}" (an empty body writes no results), and has a spare
+// byte of capacity for its newline.
+func rangeLine(dst []byte, jobID string, lo int, body []byte) ([]byte, error) {
 	id, err := json.Marshal(jobID)
 	if err != nil {
 		return nil, err
 	}
-	body := docs.Bytes()
-	line := make([]byte, 0, len(`{"op":"range","job_id":,"lo":-9223372036854775808,"results":[]}`+"\n")+len(id)+len(body))
+	line := slices.Grow(dst, len(`{"op":"range","job_id":,"lo":-9223372036854775808,"results":[]}`+"\n")+len(id)+len(body))
 	line = append(line, `{"op":"range"`...)
 	if jobID != "" {
 		line = append(append(line, `,"job_id":`...), id...)
@@ -514,7 +590,7 @@ func rangeLine(jobID string, lo int, docs engine.Docs) ([]byte, error) {
 	if lo != 0 {
 		line = strconv.AppendInt(append(line, `,"lo":`...), int64(lo), 10)
 	}
-	if docs.Len() > 0 {
+	if len(body) > 0 {
 		line = append(append(append(line, `,"results":[`...), body...), ']')
 	}
 	return append(line, '}'), nil
@@ -574,12 +650,39 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // Load implements Store.
 func (s *File) Load() (Snapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
 		return Snapshot{}, os.ErrClosed
 	}
-	return s.snap.clone(), nil
+	out := s.snap.clone()
+	out.Docs = make(map[string]int, len(out.runs))
+	for id, r := range out.runs {
+		out.Docs[id] = r.n
+	}
+	out.runs = nil
+	return out, nil
+}
+
+// ReadDocs implements Store.
+func (s *File) ReadDocs(dst []byte, jobID string, lo, hi int) ([]byte, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return nil, os.ErrClosed
+	}
+	r := s.snap.runs[jobID]
+	if lo < 0 || hi > r.n || hi <= lo {
+		return nil, fmt.Errorf("%w: %s holds tasks [0,%d), not [%d,%d)", ErrNoDocs, jobID, r.n, lo, hi)
+	}
+	return r.appendDocs(dst, s.f, lo, hi)
+}
+
+// HeldDocs implements Store.
+func (s *File) HeldDocs(jobID string) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.snap.runs[jobID].n
 }
 
 // PutGame implements Store.
@@ -588,7 +691,7 @@ func (s *File) PutGame(id string, g *core.Game) error {
 	if err != nil {
 		return fmt.Errorf("store: encode game %s: %w", id, err)
 	}
-	return s.append(op{Op: "game", ID: id, Game: raw})
+	return s.append(op{Op: "game", ID: id, Game: raw, game: g})
 }
 
 // PutJob implements Store.

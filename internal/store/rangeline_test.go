@@ -48,7 +48,7 @@ func FuzzRangeLineMatchesMarshal(f *testing.F) {
 		var got []byte
 		run, gerr := packDocs(docs)
 		if gerr == nil {
-			got, gerr = rangeLine(id, lo, run)
+			got, gerr = rangeLine(nil, id, lo, run.Bytes())
 		}
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("rangeLine error %v, json.Marshal error %v", gerr, werr)
@@ -89,7 +89,7 @@ func TestRangeLineAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items under -race")
 	}
 	run := packed(learnDocs(t))
-	if allocs := testing.AllocsPerRun(20, func() { _, _ = rangeLine("job-1", 0, run) }); allocs > 3 {
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = rangeLine(nil, "job-1", 0, run.Bytes()) }); allocs > 3 {
 		t.Fatalf("the range line of %d documents allocates %v times, want at most 3", run.Len(), allocs)
 	}
 }
@@ -111,7 +111,7 @@ func BenchmarkPutJobRange(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		s.mu.Lock()
-		delete(s.snap.Docs, "job-1")
+		delete(s.snap.runs, "job-1")
 		s.mu.Unlock()
 		if err := s.PutJobRange("job-1", 0, docs); err != nil {
 			b.Fatal(err)

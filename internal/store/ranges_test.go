@@ -3,13 +3,14 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
 	"gameofcoins/internal/engine"
+	"gameofcoins/internal/jsonscan"
 )
 
 func docs(vals ...int) []json.RawMessage {
@@ -36,6 +37,26 @@ func docList(run engine.Docs) []json.RawMessage {
 		out[i] = run.Doc(i)
 	}
 	return out
+}
+
+// held returns the documents the store holds for a job, read through
+// ReadDocs.
+func held(t testing.TB, s Store, jobID string) []json.RawMessage {
+	t.Helper()
+	n := s.HeldDocs(jobID)
+	if n == 0 {
+		return nil
+	}
+	body, err := s.ReadDocs([]byte{'['}, jobID, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr := jsonscan.Scanner{Doc: append(body, ']')}
+	if docs := arr.Elements(n); arr.Done() && len(docs) == n {
+		return docs
+	}
+	t.Fatalf("%s's documents %q are not %d joined by commas", jobID, body, n)
+	return nil
 }
 
 // openTemp opens a File store on a fresh directory, closed with the test.
@@ -81,32 +102,32 @@ func TestRangeFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := docs(10, 11, 12, 13, 14, 15)
-	if got := docList(snap.Docs["job-1"]); !reflect.DeepEqual(got, want) {
-		t.Fatalf("docs = %s, want %s", got, want)
+	if got := held(t, s, "job-1"); !reflect.DeepEqual(got, want) || snap.Docs["job-1"] != len(want) {
+		t.Fatalf("docs = %s (Load counts %d), want %s", got, snap.Docs["job-1"], want)
 	}
 	if _, ok := snap.Docs["job-9"]; ok {
 		t.Fatal("range for an unknown job was stored")
 	}
-	// Load's prefix is the caller's to keep: appending to it copies, so the
-	// store's next document does not overwrite the caller's.
-	mine := snap.Docs["job-1"].AppendDoc([]byte(`77`))
+	// ReadDocs's bytes are the caller's to keep: writing to them changes
+	// nothing the store holds.
+	mine, err := s.ReadDocs(nil, "job-1", 0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(mine)
 	if err := s.PutJobRange("job-1", 6, docs(16)); err != nil {
 		t.Fatal(err)
 	}
-	if string(mine.Doc(6)) != "77" {
-		t.Fatalf("the store wrote %s into a loaded prefix's append", mine.Doc(6))
-	}
 	want = docs(10, 11, 12, 13, 14, 15, 16)
+	if got := held(t, s, "job-1"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a caller wrote over its read, docs = %s, want %s", got, want)
+	}
 	// A done record keeps its documents — they are what makes ?range
 	// fetches and resumed downloads work after a restart.
 	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 10, State: JobDone, Result: json.RawMessage(`1`)}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err = s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := docList(snap.Docs["job-1"]); !reflect.DeepEqual(got, want) {
+	if got := held(t, s, "job-1"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("done job's docs = %s, want %s", got, want)
 	}
 	// A failed record clears them: there is no result they could serve.
@@ -118,7 +139,10 @@ func TestRangeFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(snap.Docs) != 0 {
-		t.Fatalf("failed job kept its docs: %s", snap.Docs["job-1"].Bytes())
+		t.Fatalf("failed job kept %d docs", snap.Docs["job-1"])
+	}
+	if _, err := s.ReadDocs(nil, "job-1", 0, 1); !errors.Is(err, ErrNoDocs) {
+		t.Fatalf("reading a failed job's documents: %v, want ErrNoDocs", err)
 	}
 }
 
@@ -135,12 +159,8 @@ func TestRangeCompactionCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := seqDocs(0, RangeDocCap); !reflect.DeepEqual(docList(snap.Docs["job-1"]), want) {
-		t.Fatalf("capped monotonic growth kept %d docs, want tasks [0,%d)", snap.Docs["job-1"].Len(), RangeDocCap)
+	if want := seqDocs(0, RangeDocCap); !reflect.DeepEqual(held(t, s, "job-1"), want) {
+		t.Fatalf("capped monotonic growth kept %d docs, want tasks [0,%d)", s.HeldDocs("job-1"), RangeDocCap)
 	}
 }
 
@@ -184,45 +204,30 @@ func TestRangeOpsThatLandNothingAreNotLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Docs["job-1"].Len() != RangeDocCap || len(snap.Docs) != 1 {
-		t.Fatalf("job-1 holds %d docs, %d jobs hold docs", snap.Docs["job-1"].Len(), len(snap.Docs))
+	if snap.Docs["job-1"] != RangeDocCap || len(snap.Docs) != 1 {
+		t.Fatalf("job-1 holds %d docs, %d jobs hold docs", snap.Docs["job-1"], len(snap.Docs))
 	}
 }
 
-// TestRangeViewsShareTheArray: the server's watcher sends views of a job's
-// result ledger from task 0. The store keeps a longer view of its prefix's
-// body as the prefix, copying nothing, and logs one line from the old end
-// holding only the documents past it: the line a span from there writes. A
-// run from task 0 in another body that begins with the prefix's documents,
-// as the ledger's run is once it has moved to a bigger body, replaces the
-// prefix and logs the same way.
-func TestRangeViewsShareTheArray(t *testing.T) {
+// TestPutJobDocsLogsTheDelta: the server's watcher sends views of a job's
+// result ledger from task 0. The store logs one line from the old end
+// holding only the documents past it — the line a span from there writes —
+// and keeps nothing of the caller's run: what it serves afterwards is what
+// its log holds, whatever the caller's body holds later.
+func TestPutJobDocsLogsTheDelta(t *testing.T) {
 	s := openTemp(t)
 	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 6, State: JobSubmitted}); err != nil {
 		t.Fatal(err)
 	}
 	ledger := packed(docs(10, 11, 12, 13, 14, 15))
-	for _, wm := range []int{2, 5, 4} {
+	for _, wm := range []int{2, 5, 4, 6} {
 		if err := s.PutJobDocs("job-1", ledger.Slice(0, wm)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := snap.Docs["job-1"]; got.Len() != 5 || &got.Bytes()[0] != &ledger.Bytes()[0] {
-		t.Fatalf("the store holds %d documents in a body of its own, want the ledger's first 5", got.Len())
-	}
-	moved := packed(docs(10, 11, 12, 13, 14, 15))
-	if err := s.PutJobDocs("job-1", moved); err != nil {
-		t.Fatal(err)
-	}
-	if snap, err = s.Load(); err != nil {
-		t.Fatal(err)
-	}
-	if got := snap.Docs["job-1"]; got.Len() != 6 || &got.Bytes()[0] != &moved.Bytes()[0] {
-		t.Fatalf("the store holds %d documents, not a view of the moved run", got.Len())
+	copy(ledger.Bytes(), "99,99,99,99,99,99")
+	if got, want := held(t, s, "job-1"), docs(10, 11, 12, 13, 14, 15); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the store serves %s after its caller wrote over its run, want %s", got, want)
 	}
 	log, err := os.ReadFile(filepath.Join(s.dir, logName))
 	if err != nil {
@@ -234,72 +239,6 @@ func TestRangeViewsShareTheArray(t *testing.T) {
 `
 	if _, ranges, _ := bytes.Cut(log, []byte("\n")); string(ranges) != want {
 		t.Fatalf("range lines:\n%s\nwant:\n%s", ranges, want)
-	}
-}
-
-// TestRangeViewsRace shares one run between a writer that appends
-// documents under its own mutex, as the engine's ledger does, moving to a
-// bigger body as it grows, and the store, which keeps lo-0 views of it
-// while the writer goes on, serves Load, and compacts. Run under -race.
-func TestRangeViewsRace(t *testing.T) {
-	s := openTemp(t)
-	const n, batch = 600, 20
-	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: n, State: JobSubmitted}); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var ledger engine.Docs
-	moves := 0 // how often the writer's body moved
-	published := make(chan engine.Docs)
-	go func() {
-		defer close(published)
-		for wm := 0; wm < n; {
-			mu.Lock()
-			for end := wm + batch; wm < end; wm++ {
-				before := ledger.Bytes()
-				ledger = ledger.AppendDoc([]byte(itoa(wm)))
-				if len(before) > 0 && &before[0] != &ledger.Bytes()[0] {
-					moves++
-				}
-			}
-			view := ledger.Slice(0, wm)
-			mu.Unlock()
-			published <- view // the next batch is written while the store works
-		}
-	}()
-	defer func() {
-		for range published { // let the writer finish if the test fails
-		}
-	}()
-	for view := range published {
-		wm := view.Len()
-		if err := s.PutJobDocs("job-1", view); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := s.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := docList(snap.Docs["job-1"]); !reflect.DeepEqual(got, seqDocs(0, wm)) {
-			t.Fatalf("at watermark %d the store holds %s", wm, got)
-		}
-		if wm%(4*batch) == 0 {
-			s.mu.Lock()
-			err := s.compactLocked()
-			s.mu.Unlock()
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	snap, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if got := snap.Docs["job-1"]; got.Len() != n || &got.Bytes()[0] != &ledger.Bytes()[0] || moves == 0 {
-		t.Fatalf("the store holds %d documents in a body of its own, want the writer's %d (its body moved %d times)", got.Len(), n, moves)
 	}
 }
 
@@ -364,10 +303,10 @@ func TestFileRangeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := docList(snap.Docs["job-1"]), docs(10, 11, 12); !reflect.DeepEqual(got, want) {
+	if got, want := held(t, s2, "job-1"), docs(10, 11, 12); !reflect.DeepEqual(got, want) {
 		t.Fatalf("job-1 docs = %s, want %s", got, want)
 	}
-	if got := docList(snap.Docs["job-2"]); !reflect.DeepEqual(got, docs(20)) {
+	if got := held(t, s2, "job-2"); !reflect.DeepEqual(got, docs(20)) {
 		t.Fatalf("done job's docs did not survive the restart: %s", got)
 	}
 	if _, ok := snap.Docs["job-3"]; ok {
@@ -403,11 +342,7 @@ func TestFileRangeCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	snap, err := s2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := docList(snap.Docs["job-1"])
+	got := held(t, s2, "job-1")
 	if len(got) != n {
 		t.Fatalf("%d docs after compaction, want %d", len(got), n)
 	}
@@ -450,11 +385,7 @@ func TestFileRangeTornTail(t *testing.T) {
 		t.Fatalf("torn range tail rejected: %v", err)
 	}
 	defer s2.Close()
-	snap, err := s2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := docList(snap.Docs["job-1"]), docs(10, 11, 12); !reflect.DeepEqual(got, want) {
+	if got, want := held(t, s2, "job-1"), docs(10, 11, 12); !reflect.DeepEqual(got, want) {
 		t.Fatalf("docs = %s, want %s", got, want)
 	}
 }
@@ -464,13 +395,13 @@ func TestFileRangeTornTail(t *testing.T) {
 func TestDropExcessJobsGCsRanges(t *testing.T) {
 	snap := emptySnapshot()
 	snap.Jobs["job-1"] = JobRecord{ID: "job-1", State: JobSubmitted}
-	snap.Docs["job-1"] = packed(docs(1))
-	snap.Docs["job-gone"] = packed(docs(2))
+	snap.runs["job-1"] = run{n: 1, size: 1, ext: []extent{{n: 1, size: 1, mem: []byte("1")}}}
+	snap.runs["job-gone"] = run{n: 1, size: 1, ext: []extent{{n: 1, size: 1, mem: []byte("2")}}}
 	snap.dropExcessJobs()
-	if _, ok := snap.Docs["job-1"]; !ok {
+	if _, ok := snap.runs["job-1"]; !ok {
 		t.Fatal("live submitted job's docs dropped")
 	}
-	if _, ok := snap.Docs["job-gone"]; ok {
+	if _, ok := snap.runs["job-gone"]; ok {
 		t.Fatal("evicted job's docs survived GC")
 	}
 }

@@ -14,10 +14,10 @@ import (
 	"gameofcoins/internal/engine"
 )
 
-// TestReplaySlicesRangeLines: replay packs each range line's documents
-// into one copy of their bytes, each document capped at its end: decoding a
-// range line of up to 256 documents costs the same few allocations however
-// many it holds.
+// TestReplaySlicesRangeLines: replay records where each range line's
+// documents lie in the log and copies none of them: decoding a range line
+// of up to 256 documents costs the job ID and one copy of its document
+// ends, however many it holds, and the documents read back are the lines'.
 func TestReplaySlicesRangeLines(t *testing.T) {
 	dir := t.TempDir()
 	log := `{"op":"job","job":{"id":"job-1","kind":"toy","seed":1,"tasks":4,"state":"submitted"}}
@@ -32,26 +32,80 @@ func TestReplaySlicesRangeLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	snap, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := docList(snap.Docs["job-1"])
+	got := held(t, s, "job-1")
 	if want := []json.RawMessage{json.RawMessage(`10`), json.RawMessage(`{"a":[1,2]}`), json.RawMessage(`12`), json.RawMessage(`"x"`)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("docs = %s, want %s", got, want)
 	}
-	for i, d := range got {
-		if cap(d) != len(d) {
-			t.Fatalf("document %d has spare capacity %d", i, cap(d)-len(d))
-		}
+	s.mu.RLock()
+	r := s.snap.runs["job-1"]
+	s.mu.RUnlock()
+	if len(r.ext) != 2 || r.ext[0].mem != nil || r.ext[1].mem != nil {
+		t.Fatalf("replay kept %+v, want two extents in the log", r.ext)
 	}
-	// The run's body and offsets, and the job ID.
-	line, err := rangeLine("job-1", 0, packed(seqDocs(0, 200)))
+	line, err := rangeLine(nil, "job-1", 0, packed(seqDocs(0, 200)).Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { _, _ = scanRange(line) }); allocs > 4 {
-		t.Fatalf("decoding a range line of 200 documents allocates %v times, want at most 4", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = scanRange(line) }); allocs > 2 {
+		t.Fatalf("decoding a range line of 200 documents allocates %v times, want at most 2", allocs)
+	}
+}
+
+// TestHandWrittenLineStaysInMemoryUntilCompaction: a range line scanRange
+// does not take — one with whitespace between its documents, as a person
+// might write it — is decoded by json.Unmarshal, and its documents, packed,
+// stay in memory until the next compaction writes them to the log as one
+// range line from which they are read like any other.
+func TestHandWrittenLineStaysInMemoryUntilCompaction(t *testing.T) {
+	dir := t.TempDir()
+	log := `{"op":"job","job":{"id":"job-1","kind":"toy","seed":1,"tasks":5,"state":"done","result":1}}
+{"op":"range","job_id":"job-1","results":[10,11]}
+{"op":"range","job_id":"job-1","lo":2, "results":[ 12 , {"a" : [1, "x,y"]} ]}
+{"op":"range","job_id":"job-1","lo":4,"results":[14]}
+`
+	if err := os.WriteFile(filepath.Join(dir, logName), []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := `10,11,12,{"a" : [1, "x,y"]},14`
+	inMemory := func() int {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		n := 0
+		for _, e := range s.snap.runs["job-1"].ext {
+			if e.mem != nil {
+				n++
+			}
+		}
+		return n
+	}
+	check := func(when string) {
+		t.Helper()
+		body, err := s.ReadDocs(nil, "job-1", 0, 5)
+		if err != nil || string(body) != want {
+			t.Fatalf("%s: documents %s, %v; want %s", when, body, err, want)
+		}
+		if body, err := s.ReadDocs(nil, "job-1", 3, 4); err != nil || string(body) != `{"a" : [1, "x,y"]}` {
+			t.Fatalf("%s: document 3 = %s, %v", when, body, err)
+		}
+	}
+	check("after replay")
+	if n := inMemory(); n != 1 {
+		t.Fatalf("after replay %d extents are in memory, want the hand-written line's", n)
+	}
+	s.mu.Lock()
+	err = s.compactLocked()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after compaction")
+	if n := inMemory(); n != 0 {
+		t.Fatalf("after compaction %d extents are in memory", n)
 	}
 }
 
@@ -90,10 +144,11 @@ func TestReplayCorruptLines(t *testing.T) {
 // FuzzScanRangeMatchesUnmarshal: replay decodes every line json.Unmarshal
 // accepts to the op json.Unmarshal gives it, through scanRange or not; its
 // packed run holds json.Unmarshal's documents, document for document,
-// joined by commas, each capped at its end and none of them sharing the
-// line's bytes. A line json.Unmarshal rejects fails.
+// joined by commas, each capped at its end, and when scanRange took the
+// line they lie in it where the op says. A line json.Unmarshal rejects
+// fails.
 func FuzzScanRangeMatchesUnmarshal(f *testing.F) {
-	line, err := rangeLine("job-1", 3, packed([]json.RawMessage{json.RawMessage(`{"steps":3,"converged":true}`), json.RawMessage(`7`)}))
+	line, err := rangeLine(nil, "job-1", 3, packed([]json.RawMessage{json.RawMessage(`{"steps":3,"converged":true}`), json.RawMessage(`7`)}).Bytes())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -137,15 +192,13 @@ func FuzzScanRangeMatchesUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var want op
 		werr := json.Unmarshal(line, &want)
-		in := bytes.Clone(line)
-		got, gerr := decodeOp(in)
+		got, gerr := decodeOp(line)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("replay's decode error %v, json.Unmarshal's %v", gerr, werr)
 		}
 		if werr != nil {
 			return
 		}
-		clear(in) // no document may share the decoded bytes
 		var joined []byte
 		for i, d := range want.Results {
 			if i >= got.docs.Len() || !bytes.Equal(got.docs.Doc(i), d) || cap(got.docs.Doc(i)) != len(d) {
@@ -159,7 +212,12 @@ func FuzzScanRangeMatchesUnmarshal(f *testing.F) {
 		if got.docs.Len() != len(want.Results) || !bytes.Equal(got.docs.Bytes(), joined) {
 			t.Fatalf("packed run %q of %d documents, want %q of %d", got.docs.Bytes(), got.docs.Len(), joined, len(want.Results))
 		}
-		got.docs, got.Results, want.Results = engine.Docs{}, nil, nil
+		// A line scanRange took holds its documents where replay records
+		// them.
+		if got.at >= 0 && !bytes.Equal(line[got.at:got.at+got.docs.Size()], joined) {
+			t.Fatalf("documents recorded at %d of the line: %q, want %q", got.at, line[got.at:got.at+got.docs.Size()], joined)
+		}
+		got.docs, got.Results, got.at, want.Results = engine.Docs{}, nil, 0, nil
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("decoded %+v, json.Unmarshal %+v", got, want)
 		}
@@ -188,7 +246,7 @@ func BenchmarkOpenFile(b *testing.B) {
 	}
 	var log []byte
 	write := func(o op) {
-		line, err := encodeOp(o)
+		line, err := encodeOp(nil, o)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,13 +12,15 @@
 // to its in-memory tables first and mirrors it into the store, then reads
 // the whole state back once at startup (Load). File is the implementation:
 // an append-only JSONL operation log in a directory, replayed on open and
-// periodically compacted. Stdlib only. A server without a store keeps no
-// second copy of its state at all.
+// periodically compacted. The log is the only copy of the task documents:
+// memory keeps where each job's documents lie in it, and ReadDocs reads
+// them by offset. Stdlib only. A server without a store keeps no second
+// copy of its state at all.
 package store
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"sort"
 
 	"gameofcoins/internal/core"
@@ -72,64 +74,47 @@ type Snapshot struct {
 	Games map[string]*core.Game
 	// Jobs maps job IDs to their latest records.
 	Jobs map[string]JobRecord
-	// Docs maps job IDs to their persisted per-task result documents: the
-	// TaskCoder-encoded documents of tasks [0, len(docs)), the prefix of
-	// the job's result ledger below its watermark. For a *submitted*
-	// (interrupted) job they are what a restart prefills so only the
-	// missing suffix recomputes; for a *done* job they keep ?range fetches
-	// and resumed result streams servable across a restart (at most
-	// RangeDocCap documents per job). Failed and canceled records clear
-	// their documents — there is no result to serve. Each is one packed run:
-	// a view of the engine's result ledger, a copy of a replayed range
-	// line's results, or a body of the store's own when spans from
-	// different runs were joined.
-	Docs map[string]engine.Docs
+	// Docs maps job IDs to how many per-task result documents the store
+	// holds for them: the TaskCoder-encoded documents of tasks [0, n), the
+	// prefix of the job's result ledger below its watermark, which
+	// Store.ReadDocs reads. For a *submitted* (interrupted) job they are what
+	// a restart prefills so only the missing suffix recomputes; for a *done*
+	// job they keep ?range fetches and resumed result streams servable across
+	// a restart (at most RangeDocCap documents per job). Failed and canceled
+	// records clear their documents — there is no result to serve.
+	Docs map[string]int
 	// Handles maps live v2 handle IDs to job IDs.
 	Handles map[string]string
 	// NextHandle is the highest handle sequence number ever minted — not
 	// just the highest live one, so a restart never re-mints a released
 	// handle ID (a stale client could otherwise control a stranger's job).
 	NextHandle uint64
+
+	// runs is where each job's documents lie, kept by the store's own
+	// snapshot in place of Docs, which only Load's copy fills.
+	runs map[string]run
 }
 
-// addDocs extends a job's document prefix with the documents of tasks
-// [lo, lo+results.Len()) and returns what landed: tasks
-// [end, end+added.Len()), end being the prefix's old length. Only a span's
-// part past the end lands (first-writer-wins, exactly like the engine's
-// publication), up to RangeDocCap documents. A span from task 0 that begins
-// with the prefix's documents becomes the prefix, a view of the caller's
-// run: the server's watcher sends longer views of one ledger, whose run may
-// have moved to a bigger body since, and the store then holds only the
-// newer one. Any other span's part past the end is appended to a body of
-// the store's own. A span that starts past the end would leave a gap and
-// lands nothing, and neither does a span of a job that is not a live
-// "submitted" or "done" one — there is no result its documents could serve
-// (or the job was evicted).
-func (s *Snapshot) addDocs(jobID string, lo int, results engine.Docs) (end int, added engine.Docs) {
-	if rec, ok := s.Jobs[jobID]; !ok || (rec.State != JobSubmitted && rec.State != JobDone) {
-		return 0, engine.Docs{}
-	}
-	docs := s.Docs[jobID]
-	end = docs.Len()
-	if lo < 0 || lo > end || lo+results.Len() <= end || end >= RangeDocCap {
-		return end, engine.Docs{}
-	}
-	n := min(lo+results.Len(), RangeDocCap) - lo
-	added = results.Slice(end-lo, n)
-	switch {
-	case lo == 0 && bytes.Equal(results.Slice(0, end).Bytes(), docs.Bytes()):
-		// The span begins with the prefix's documents: equal bytes of
-		// single JSON values are equal documents. For a longer view of the
-		// prefix's own body that is an address comparison, which
-		// runtime.memequal makes first.
-		s.Docs[jobID] = results.Slice(0, n)
-	case docs.Size()+1+added.Size() > engine.MaxDocsBytes:
-		return end, engine.Docs{}
-	default:
-		s.Docs[jobID] = docs.Append(added)
-	}
-	return end, added
+// run is where a job's documents, tasks [0, n), lie: its extents, in task
+// order. size is their length joined by commas.
+type run struct {
+	ext     []extent
+	n, size int
 }
+
+// extent is n consecutive documents joined by commas, size bytes, from
+// offset off of the log; or, for documents replay read from a line it did
+// not scan (through json.Unmarshal, as a hand-written line's), in mem until
+// the next compaction writes them to the log.
+type extent struct {
+	off     int64
+	n, size int
+	mem     []byte
+}
+
+// ErrNoDocs reports a ReadDocs span the store does not hold (the job has
+// fewer documents, or none: failed, canceled or evicted).
+var ErrNoDocs = errors.New("store: documents not held")
 
 // Store persists the server's durable state. Implementations must be safe
 // for concurrent use; the server calls the Put/Delete methods while holding
@@ -153,14 +138,22 @@ type Store interface {
 	// document prefix: only jobs in the submitted or done state keep
 	// documents, documents the prefix already holds keep their first bytes,
 	// and the prefix stops at RangeDocCap documents. Only the documents past
-	// the prefix's old end are logged. The store keeps a view of docs:
-	// callers must not modify its bytes afterwards.
+	// the prefix's old end are logged, and the store keeps nothing of docs
+	// once the call returns.
 	PutJobDocs(jobID string, docs engine.Docs) error
 	// PutJobRange is PutJobDocs for the documents of tasks
 	// [lo, lo+len(results)), given one by one. It checks each document: one
 	// json.Marshal would rewrite is kept as json.Marshal's encoding, and one
 	// it rejects fails the call, which then records nothing.
 	PutJobRange(jobID string, lo int, results []json.RawMessage) error
+	// ReadDocs appends the documents of tasks [lo, hi) of the job's prefix
+	// to dst, joined by commas — the bytes between the brackets of a ?range=
+	// body's results array — and returns the extended slice, the caller's
+	// own. It fails with ErrNoDocs unless 0 <= lo < hi <= HeldDocs(jobID).
+	ReadDocs(dst []byte, jobID string, lo, hi int) ([]byte, error)
+	// HeldDocs returns the length of the job's document prefix: ReadDocs
+	// serves the documents of tasks [0, HeldDocs(jobID)).
+	HeldDocs(jobID string) int
 	// PutHandle records a live handle claiming a job.
 	PutHandle(handle, jobID string) error
 	// DeleteHandle removes a released (or evicted) handle.
@@ -204,9 +197,9 @@ func (s *Snapshot) dropExcessJobs() {
 			delete(s.Handles, h)
 		}
 	}
-	for id := range s.Docs {
+	for id := range s.runs {
 		if _, ok := s.Jobs[id]; !ok {
-			delete(s.Docs, id)
+			delete(s.runs, id)
 		}
 	}
 }
@@ -221,14 +214,15 @@ func emptySnapshot() Snapshot {
 	return Snapshot{
 		Games:   map[string]*core.Game{},
 		Jobs:    map[string]JobRecord{},
-		Docs:    map[string]engine.Docs{},
 		Handles: map[string]string{},
+		runs:    map[string]run{},
 	}
 }
 
-// clone copies the snapshot so Load callers can keep (and mutate) the maps
-// without aliasing the store's live state. Games are shared pointers —
-// immutable by construction.
+// clone copies the snapshot so compaction can trim the copy, and Load
+// callers keep (and mutate) the maps, without aliasing the store's live
+// state. Games are shared pointers — immutable by construction — and runs
+// share their extents, which nothing rewrites.
 func (s Snapshot) clone() Snapshot {
 	out := emptySnapshot()
 	for id, g := range s.Games {
@@ -237,11 +231,8 @@ func (s Snapshot) clone() Snapshot {
 	for id, rec := range s.Jobs {
 		out.Jobs[id] = rec
 	}
-	for id, docs := range s.Docs {
-		// A capped view, so a caller's append copies instead of writing
-		// into the store's body; the bytes are shared read-only, like
-		// Result in the job records.
-		out.Docs[id] = docs.Slice(0, docs.Len())
+	for id, r := range s.runs {
+		out.runs[id] = r
 	}
 	for h, id := range s.Handles {
 		out.Handles[h] = id
