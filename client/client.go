@@ -208,9 +208,29 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp)
 	if err != nil {
 		return nil, fmt.Errorf("client: read response: %w", err)
+	}
+	return body, nil
+}
+
+// maxSizedBody is the longest Content-Length readBody sizes its buffer by,
+// so that a server cannot make the client allocate more than this ahead
+// of the bytes it sends.
+const maxSizedBody = 1 << 20
+
+// readBody reads resp's body: into one buffer of the stated length when
+// the server sends one of at most maxSizedBody bytes, else with io.ReadAll,
+// which grows its buffer as the bytes arrive.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n <= 0 || n > maxSizedBody {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil, err
 	}
 	return body, nil
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"gameofcoins/internal/core"
 	"gameofcoins/internal/engine"
 	"gameofcoins/internal/rng"
+	"gameofcoins/internal/server"
 )
 
 // decodeRangeBody is what ResultRange decodes a body with: checkRangeBody
@@ -301,4 +303,70 @@ func BenchmarkRangeBody(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRangeFetch fetches one ?range= body of persist-stream's shape,
+// the 1,200 task documents of an 8×2 learn_sweep job, from an in-process
+// server over HTTP. The server states the body's length, so the read
+// allocates about one body: B/op stays within 1.5 times body-B.
+func BenchmarkRangeFetch(b *testing.B) {
+	s := server.New(2)
+	ts := httptest.NewServer(s)
+	defer s.Close()
+	defer ts.Close()
+	ctx := context.Background()
+	c := New(ts.URL)
+	spec := engine.LearnSweep{Gen: core.GenSpec{Miners: 8, Coins: 2}, Runs: 200}
+	h, err := c.SubmitLearnSweep(ctx, spec, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := h.Wait(ctx); err != nil {
+		b.Fatal(err)
+	}
+	path := fmt.Sprintf("/v2/jobs/%s/result?range=0-%d", h.ID(), spec.Tasks())
+	var n int
+	b.ReportAllocs()
+	for b.Loop() {
+		body, err := c.get(ctx, path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n = len(body)
+	}
+	b.ReportMetric(float64(n), "body-B")
+}
+
+// TestReadBodySizesByContentLength: readBody reads a body of stated length
+// into one buffer of that length, trusts no stated length past
+// maxSizedBody, reads an unstated one to EOF, and reports a body shorter
+// than stated.
+func TestReadBodySizesByContentLength(t *testing.T) {
+	body := []byte(`{"results":[1,2,3]}`)
+	respond := func(length int64, b []byte) *http.Response {
+		return &http.Response{ContentLength: length, Body: io.NopCloser(bytes.NewReader(b))}
+	}
+	for _, tc := range []struct {
+		name     string
+		length   int64
+		wantCapN bool // the buffer is exactly the stated length
+	}{
+		{"stated", int64(len(body)), true},
+		{"unstated", -1, false},
+		{"past the bound", 1 << 40, false},
+	} {
+		got, err := readBody(respond(tc.length, body))
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("%s: read %q, %v; want %q", tc.name, got, err, body)
+		}
+		if tc.wantCapN && cap(got) != len(body) {
+			t.Errorf("%s: buffer capacity %d for a %d-byte body", tc.name, cap(got), len(body))
+		}
+		if cap(got) > maxSizedBody {
+			t.Errorf("%s: buffer capacity %d past maxSizedBody", tc.name, cap(got))
+		}
+	}
+	if _, err := readBody(respond(int64(len(body))+1, body)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a body shorter than stated: err %v, want io.ErrUnexpectedEOF", err)
+	}
 }

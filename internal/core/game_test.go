@@ -2,25 +2,59 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"gameofcoins/internal/rng"
 )
 
-// TestVisitEquilibriaAllocs: counting a game's equilibria costs four
-// allocations, the search's working arrays, whatever the game's size.
+// searchShapes are the random-game shapes the equilibrium search serves:
+// eq-cold's 10×3 and 11×3 equilibrium_sweep games and E6's 6×2.
+var searchShapes = []GenSpec{{Miners: 10, Coins: 3}, {Miners: 11, Coins: 3}, {Miners: 6, Coins: 2}}
+
+// TestVisitEquilibriaAllocs: counting a game's equilibria costs two
+// allocations, the profile and one scratch array, whatever the game's size.
 func TestVisitEquilibriaAllocs(t *testing.T) {
-	for _, spec := range []GenSpec{{Miners: 6, Coins: 2}, {Miners: 10, Coins: 3}, {Miners: 11, Coins: 3}} {
+	for _, spec := range searchShapes {
 		g, err := RandomGame(rng.New(23), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := 0
 		count := func(Config) bool { n++; return true }
-		if allocs := testing.AllocsPerRun(5, func() { _ = g.VisitEquilibria(count) }); allocs > 4 {
-			t.Errorf("counting the equilibria of a %dx%d game allocates %v times, want at most 4", spec.Miners, spec.Coins, allocs)
+		if allocs := testing.AllocsPerRun(5, func() { _ = g.VisitEquilibria(count) }); allocs > 2 {
+			t.Errorf("counting the equilibria of a %dx%d game allocates %v times, want at most 2", spec.Miners, spec.Coins, allocs)
 		}
+	}
+}
+
+// BenchmarkVisitEquilibria counts the equilibria of 64 fixed random games
+// of each shape without keeping them, as an equilibrium_sweep task does;
+// one op is all 64 games.
+func BenchmarkVisitEquilibria(b *testing.B) {
+	for _, spec := range searchShapes {
+		b.Run(fmt.Sprintf("%dx%d", spec.Miners, spec.Coins), func(b *testing.B) {
+			games := make([]*Game, 64)
+			for i := range games {
+				g, err := RandomGame(rng.New(uint64(1000+i)), spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				games[i] = g
+			}
+			n := 0
+			count := func(Config) bool { n++; return true }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, g := range games {
+					if err := g.VisitEquilibria(count); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -191,9 +191,9 @@ func (s LearnSweep) TaskCost(i int) float64 {
 }
 
 // learnScratch is what a LearnSweep task draws into: its random game, its
-// start configuration and its learning generator. Tasks take one from
-// learnScratchPool for the length of the call, so a task allocates only
-// what it returns and learning.Run's working copy.
+// start configuration, which learning.RunInPlace then moves, and its
+// learning generator. Tasks take one from learnScratchPool for the length
+// of the call, so a task allocates only what it returns.
 type learnScratch struct {
 	game  core.Game
 	start core.Config
@@ -222,7 +222,7 @@ func (s LearnSweep) RunTask(ctx context.Context, i int, r *rng.Rand) (any, error
 	}
 	sc.start = core.AppendRandomConfig(sc.start[:0], r, g)
 	r.SplitInto(&sc.gen)
-	res, err := learning.Run(g, sc.start, sched, &sc.gen, learning.Options{MaxSteps: s.MaxSteps})
+	res, err := learning.RunInPlace(g, sc.start, sched, &sc.gen, learning.Options{MaxSteps: s.MaxSteps})
 	if err != nil {
 		return nil, err
 	}
@@ -232,10 +232,11 @@ func (s LearnSweep) RunTask(ctx context.Context, i int, r *rng.Rand) (any, error
 // Aggregate implements Spec.
 func (s LearnSweep) Aggregate(results []any) (any, error) {
 	names := s.schedulerNames()
-	out := LearnSweepResult{TotalRuns: len(results)}
+	out := LearnSweepResult{TotalRuns: len(results), Schedulers: make([]SchedulerSummary, 0, len(names))}
+	steps := make([]float64, 0, s.Runs)
 	for si, name := range names {
 		sum := SchedulerSummary{Scheduler: name, Runs: s.Runs}
-		var steps []float64
+		steps = steps[:0]
 		for run := 0; run < s.Runs; run++ {
 			tr := results[si*s.Runs+run].(learnTaskResult)
 			steps = append(steps, float64(tr.Steps))

@@ -21,9 +21,8 @@ var raceEnabled bool
 
 // TestLearnSweepTaskAllocs is the allocation gate of a learn_sweep task in
 // persist-stream's 8×2 shape: RunTask on a reused generator, then
-// EncodeTaskResult, allocates the boxed result, its encoding and
-// learning.Run's working copy, nothing else. Round-robin tasks also
-// allocate their scheduler and are left out.
+// EncodeTaskResult, allocates the boxed result and its encoding, nothing
+// else. Round-robin tasks also allocate their scheduler and are left out.
 func TestLearnSweepTaskAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops scratch at random under the race detector")
@@ -48,8 +47,8 @@ func TestLearnSweepTaskAllocs(t *testing.T) {
 		}
 	})
 	perTask := allocs / float64(spec.Tasks())
-	if perTask > 3 {
-		t.Fatalf("%.2f allocations per learn_sweep task, want at most 3", perTask)
+	if perTask > 2 {
+		t.Fatalf("%.2f allocations per learn_sweep task, want at most 2", perTask)
 	}
 	t.Logf("%.2f allocations per learn_sweep task", perTask)
 }

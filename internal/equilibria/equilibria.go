@@ -135,13 +135,24 @@ func TwoDistinct(g *core.Game) (core.Config, core.Config, error) {
 // on which IsEquilibrium holds, in the same order. The search is still
 // exponential in the worst case and restricted to small games; it returns
 // core.ErrTooLarge beyond the enumeration limit.
+//
+// The configurations share one backing array. Each is capped at its own
+// length, so appending to one copies it, as it would a clone.
 func Enumerate(g *core.Game) ([]core.Config, error) {
-	var out []core.Config
+	var flat []core.CoinID
 	if err := g.VisitEquilibria(func(s core.Config) bool {
-		out = append(out, s.Clone())
+		flat = append(flat, s...)
 		return true
 	}); err != nil {
 		return nil, err
+	}
+	if len(flat) == 0 {
+		return nil, nil
+	}
+	n := g.NumMiners()
+	out := make([]core.Config, len(flat)/n)
+	for i := range out {
+		out[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
 	return out, nil
 }
@@ -192,5 +203,8 @@ func BetterEquilibriumFor(g *core.Game, s core.Config) (Improvement, error) {
 	if !found {
 		return Improvement{}, ErrNoBetter
 	}
+	// A copy of its own, so that Better does not hold every equilibrium's
+	// backing array alive.
+	best.Better = best.Better.Clone()
 	return best, nil
 }

@@ -166,6 +166,29 @@ func TestEnumerateFindsAllEquilibria(t *testing.T) {
 	}
 }
 
+// TestEnumerateAppendCopies: the equilibria share one backing array, but
+// appending to one must copy it, as appending to a clone does, and leave
+// the next equilibrium alone.
+func TestEnumerateAppendCopies(t *testing.T) {
+	g := core.MustNewGame(
+		[]core.Miner{{Name: "p1", Power: 2}, {Name: "p2", Power: 1}},
+		[]core.Coin{{Name: "c0"}, {Name: "c1"}},
+		[]float64{1, 1},
+	)
+	eqs, err := Enumerate(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(eqs) != 2 {
+		t.Fatalf("found %d equilibria: %v", len(eqs), eqs)
+	}
+	second := eqs[1].Clone()
+	_ = append(eqs[0], 1, 1)
+	if !eqs[1].Equal(second) {
+		t.Fatalf("appending to the first equilibrium changed the second: %v, was %v", eqs[1], second)
+	}
+}
+
 func TestEnumerateContainsConstruct(t *testing.T) {
 	g := crowded(t)
 	s, err := Construct(g)

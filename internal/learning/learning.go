@@ -82,7 +82,14 @@ type Result struct {
 // computes itself, and returns ErrBadMove for one that is not a better
 // response or names a miner or coin outside g.
 func Run(g *core.Game, s0 core.Config, sched Scheduler, r *rng.Rand, opts Options) (Result, error) {
-	if err := g.ValidateConfig(s0); err != nil {
+	return RunInPlace(g, s0.Clone(), sched, r, opts)
+}
+
+// RunInPlace is Run working in s itself: every move is applied to s, and
+// the Result's Final is s. A caller that owns s and redraws it for the
+// next run saves Run's copy.
+func RunInPlace(g *core.Game, s core.Config, sched Scheduler, r *rng.Rand, opts Options) (Result, error) {
+	if err := g.ValidateConfig(s); err != nil {
 		return Result{}, fmt.Errorf("learning: initial config: %w", err)
 	}
 	n, k := g.NumMiners(), g.NumCoins()
@@ -90,7 +97,6 @@ func Run(g *core.Game, s0 core.Config, sched Scheduler, r *rng.Rand, opts Option
 	if maxSteps <= 0 {
 		maxSteps = 1000*n*k + 1000
 	}
-	s := s0.Clone()
 	res := Result{Scheduler: sched.Name()}
 	record := opts.RecordMoves || opts.Observer != nil
 	var buf [stackCoins]float64

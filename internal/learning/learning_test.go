@@ -129,6 +129,25 @@ func TestRunDoesNotMutateInitialConfig(t *testing.T) {
 	}
 }
 
+// TestRunInPlaceMatchesRun: RunInPlace takes the same steps as Run and
+// ends in its start, which becomes the Result's Final.
+func TestRunInPlaceMatchesRun(t *testing.T) {
+	g := testGame(t)
+	s0 := core.UniformConfig(g.NumMiners(), 0)
+	want, err := Run(g, s0, NewRandom(), rng.New(3), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := s0.Clone()
+	got, err := RunInPlace(g, s, NewRandom(), rng.New(3), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Steps != want.Steps || !got.Final.Equal(want.Final) || !s.Equal(want.Final) || &got.Final[0] != &s[0] {
+		t.Fatalf("RunInPlace: %d steps to %v in %v, Run: %d steps to %v", got.Steps, got.Final, s, want.Steps, want.Final)
+	}
+}
+
 func TestRunFromEquilibriumIsNoop(t *testing.T) {
 	g := testGame(t)
 	res, err := Run(g, core.UniformConfig(g.NumMiners(), 0), NewRoundRobin(), rng.New(1), Options{})

@@ -22,16 +22,19 @@ import (
 // accumulated rounding.
 const Eps = 1e-9
 
-// Greater reports whether a > b beyond relative tolerance eps.
+// Greater reports whether a > b beyond relative tolerance eps ≥ 0: whether
+// fl(a−b) > fl(eps·s) with s = max(|a|, |b|, 1). It returns false at once
+// unless fl(a−b) > 0, as fl(eps·s) is never negative; past that point
+// a > b, so s = max(a, −b, 1).
 //
 // Greater is monotone, and the pruned equilibrium search in internal/core
 // relies on it: for finite floats 0 ≤ a ≤ a', 0 ≤ b' ≤ b and a float
 // 0 ≤ eps ≤ 1/4, Greater(a, b, eps) implies Greater(a', b', eps).
-// Greater(a, b, eps) is fl(a−b) > fl(eps·s) with s = max(a, b, 1). If it
-// holds, fl(a−b) > 0, so a > b and s = max(a, 1). Lowering b to b' raises
-// fl(a'−b) to fl(a'−b') and leaves the scale max(a', 1) alone, so take
-// b' = b. If a' ≤ 1 both scales are 1 and fl(a'−b) ≥ fl(a−b). Otherwise
-// a' > 1 and the right side is fl(eps·a') ≤ a'/4:
+// If Greater(a, b, eps) holds, fl(a−b) > 0, so a > b and s = max(a, 1).
+// Lowering b to b' raises fl(a'−b) to fl(a'−b') and leaves the scale
+// max(a', 1) alone, so take b' = b. If a' ≤ 1 both scales are 1 and
+// fl(a'−b) ≥ fl(a−b). Otherwise a' > 1 and the right side is
+// fl(eps·a') ≤ a'/4:
 //
 //   - If a' ≥ 2b, then fl(a'−b) ≥ a'/2.
 //   - If a' < 2b, then b < a ≤ a' < 2b, so by Sterbenz's lemma D = a−b and
@@ -41,7 +44,8 @@ const Eps = 1e-9
 //     D' < a'/2 < a, so eps·a' lies more than half an ulp below D' and
 //     rounds below it.
 func Greater(a, b, eps float64) bool {
-	return a-b > eps*scale(a, b)
+	d := a - b
+	return d > 0 && d > eps*max(a, -b, 1)
 }
 
 // Equal reports whether a and b are within relative tolerance eps.
@@ -49,10 +53,9 @@ func Equal(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps*scale(a, b)
 }
 
-// scale returns max(|a|, |b|, 1). It avoids math.Max, which is not inlined
-// and costs the equilibrium search a third of its time; the two differ only
-// when an argument is NaN, and then a−b is NaN and every caller's comparison
-// is false whatever the scale.
+// scale returns max(|a|, |b|, 1). It avoids math.Max, which is not inlined;
+// the two differ only when an argument is NaN, and then a−b is NaN and
+// Equal is false whatever the scale.
 func scale(a, b float64) float64 {
 	s := math.Abs(a)
 	if t := math.Abs(b); t > s {

@@ -211,3 +211,35 @@ func TestComparatorsFalseOnNaN(t *testing.T) {
 		}
 	}
 }
+
+// greaterFormula is the definition Greater computes:
+// a−b > eps·max(|a|, |b|, 1).
+func greaterFormula(a, b, eps float64) bool {
+	return a-b > eps*math.Max(math.Max(math.Abs(a), math.Abs(b)), 1)
+}
+
+// fuzzEpsilons are the tolerances FuzzGreaterMatchesFormula tries: the
+// game's defaults, the monotonicity bound 1/4, values past it, and +Inf.
+var fuzzEpsilons = []float64{0, 1e-15, Eps, 1e-3, 0.25, 0.5, 1, math.Inf(1)}
+
+// FuzzGreaterMatchesFormula checks Greater, which returns early when
+// a−b ≤ 0 and then scales by max(a, −b, 1), against greaterFormula on any
+// two float64 bit patterns and every eps in fuzzEpsilons.
+func FuzzGreaterMatchesFormula(f *testing.F) {
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1022, math.Nextafter(0x1p-1022, 0),
+		1, -1, 0.5, 2, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, a := range specials {
+		for _, b := range specials {
+			for e := range fuzzEpsilons {
+				f.Add(math.Float64bits(a), math.Float64bits(b), uint8(e))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, abits, bbits uint64, e uint8) {
+		a, b := math.Float64frombits(abits), math.Float64frombits(bbits)
+		eps := fuzzEpsilons[int(e)%len(fuzzEpsilons)]
+		if got, want := Greater(a, b, eps), greaterFormula(a, b, eps); got != want {
+			t.Fatalf("Greater(%v, %v, %v) = %v, formula says %v", a, b, eps, got, want)
+		}
+	})
+}

@@ -180,19 +180,12 @@ func (s *Server) handleReleaseHandle(w http.ResponseWriter, r *http.Request) {
 // The sweep triggers on handleOrder's length, not the handle table's:
 // released and evicted handle ids linger in handleOrder until compaction,
 // so keying the trigger on it bounds handleOrder's own growth under
-// submit→release churn (where the table itself stays small). Triggering on
-// doubling since the last sweep — and evicting down to half the cap rather
-// than to the cap, so a full table cannot re-trigger on every mint — keeps
-// the amortized cost per mint O(1). Callers must hold s.mu.
+// submit→release churn (where the table itself stays small). The trigger
+// is sweepAt of the ids kept by the last sweep, and a table past the cap is
+// evicted down to half of it, so a full table cannot re-trigger on every
+// mint. Callers must hold s.mu.
 func (s *Server) pruneHandlesLocked() {
-	limit := s.handleSweepAt
-	if limit < 2*engine.DefaultRetention {
-		limit = 2 * engine.DefaultRetention
-	}
-	if limit > MaxHandles {
-		limit = MaxHandles
-	}
-	if len(s.handleOrder) <= limit {
+	if len(s.handleOrder) <= min(sweepAt(s.handlesKept), MaxHandles) {
 		return
 	}
 	for h, rec := range s.handles {
@@ -216,5 +209,14 @@ func (s *Server) pruneHandlesLocked() {
 		kept = append(kept, h)
 	}
 	s.handleOrder = kept
-	s.handleSweepAt = 2 * len(s.handleOrder)
+	s.handlesKept = len(kept)
+}
+
+// sweepAt is the size at which a table that kept live entries in its last
+// sweep is swept again: an eighth more, and at least DefaultRetention/8
+// more. Dead entries stay a small slack over the live ones, and each sweep,
+// which costs the table's size, follows at least a ninth as many
+// insertions, so the cost per insertion is O(1) however many entries live.
+func sweepAt(live int) int {
+	return live + max(live, engine.DefaultRetention)/8
 }

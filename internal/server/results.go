@@ -65,9 +65,10 @@ const rangeFlushBytes = 256 << 10
 //
 // The documents go out verbatim — the ledger's packed run is the results
 // array's inner bytes, byte-identical to the store's, never re-marshalled
-// or re-indented — in pieces of at most rangeFlushBytes, each flushed, and
-// no Content-Length is set, so net/http switches to chunked transfer and
-// its buffer stays bounded however large the span is.
+// or re-indented — in pieces of at most rangeFlushBytes, each flushed, so
+// net/http's buffer stays bounded however large the span is. The body's
+// length is known before its first byte and is sent as Content-Length,
+// which lets a client read it into one buffer of that size.
 func (s *Server) writeResultRange(w http.ResponseWriter, job *engine.Job, rng string) {
 	tr, err := engine.ParseTaskRange(rng)
 	if err != nil {
@@ -95,11 +96,12 @@ func (s *Server) writeResultRange(w http.ResponseWriter, job *engine.Job, rng st
 		return
 	}
 	st := job.Status()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
 	head := fmt.Appendf(nil, `{"id":%q,"kind":%q,"lo":%d,"hi":%d,"total":%d,"results":[`,
 		st.ID, st.Kind, tr.Lo, tr.Hi, st.Progress.Total)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(body)+len("]}")))
+	w.WriteHeader(http.StatusOK)
+	fl, _ := w.(http.Flusher)
 	if _, err := w.Write(head); err != nil {
 		return // client hung up; nothing recoverable
 	}

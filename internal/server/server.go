@@ -129,19 +129,20 @@ type Server struct {
 	persistFails   atomic.Uint64
 	persistLastErr atomic.Value // string: most recent store-write error
 
-	mu      sync.Mutex
-	closing bool                  // guarded by mu; set by Close: suppress terminal records for shutdown-canceled jobs
-	games   map[string]*core.Game // guarded by mu
-	cache   map[string]string     // guarded by mu; cache key → ID of the job holding the result
+	mu        sync.Mutex
+	closing   bool                  // guarded by mu; set by Close: suppress terminal records for shutdown-canceled jobs
+	games     map[string]*core.Game // guarded by mu
+	cache     map[string]string     // guarded by mu; cache key → ID of the job holding the result
+	cacheKept int                   // guarded by mu; len(cache) after pruneCacheLocked's last sweep
 
 	// Per-client handles. A handle is one client's reference to a
 	// deduplicated job; refs counts live handles per job so releasing a
 	// handle cancels the job only when no other client still wants it.
-	handles       map[string]handleRec // guarded by mu; handle id → claimed job and owner
-	handleOrder   []string             // guarded by mu; handle ids in mint order, for eviction
-	refs          map[string]int       // guarded by mu; job id → live handle count
-	nextHandle    uint64               // guarded by mu
-	handleSweepAt int                  // guarded by mu; pruneHandlesLocked's next sweep threshold
+	handles     map[string]handleRec // guarded by mu; handle id → claimed job and owner
+	handleOrder []string             // guarded by mu; handle ids in mint order, for eviction
+	refs        map[string]int       // guarded by mu; job id → live handle count
+	nextHandle  uint64               // guarded by mu
+	handlesKept int                  // guarded by mu; len(handleOrder) after pruneHandlesLocked's last sweep
 
 	entryMu     sync.Mutex
 	entryBodies map[engine.CatalogEntry][]byte // guarded by entryMu; see specEntryBody

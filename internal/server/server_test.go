@@ -429,7 +429,8 @@ func TestRetiredV1RoutesAre404(t *testing.T) {
 // TestHandleOrderBoundedUnderChurn: the documented SDK flow (Submit → Wait
 // → Result → Release) keeps the handle table near-empty, but every mint
 // appends to handleOrder — the sweep must bound that slice too, or a
-// long-lived server leaks one entry per request.
+// long-lived server leaks one entry per request. Released ids may linger
+// only up to the sweep's slack, DefaultRetention/8.
 func TestHandleOrderBoundedUnderChurn(t *testing.T) {
 	s := New(1)
 	defer s.Close()
@@ -439,9 +440,37 @@ func TestHandleOrderBoundedUnderChurn(t *testing.T) {
 		jh := s.mintHandleLocked("job-bogus", "")
 		// Immediate release, as a Submit→Release client produces.
 		s.dropHandleLocked(jh.Handle)
+		if len(s.handleOrder) > engine.DefaultRetention/8 {
+			t.Fatalf("handleOrder grew to %d entries under churn", len(s.handleOrder))
+		}
 	}
-	if len(s.handleOrder) > 2*engine.DefaultRetention+1 {
-		t.Fatalf("handleOrder grew to %d entries under churn", len(s.handleOrder))
+}
+
+// TestCacheBoundedUnderChurn: through more than twice the Manager's
+// retention of distinct submissions, each waited for, the result cache
+// holds the DefaultRetention jobs the Manager keeps and at most
+// DefaultRetention/8 entries whose job it has evicted.
+func TestCacheBoundedUnderChurn(t *testing.T) {
+	s := New(1)
+	defer s.Close()
+	spec := json.RawMessage(`{"gen":{"Miners":2,"Coins":2},"games":1}`)
+	for i := range 2*engine.DefaultRetention + engine.DefaultRetention/2 {
+		jh, err := s.submitEnvelope(engine.JobEnvelope{Kind: "equilibrium_sweep", Seed: uint64(i), Spec: spec}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := s.manager.Get(jh.Status.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.Done()
+		s.mu.Lock()
+		n := len(s.cache)
+		s.dropHandleLocked(jh.Handle)
+		s.mu.Unlock()
+		if n > engine.DefaultRetention+engine.DefaultRetention/8 {
+			t.Fatalf("after %d submissions the cache holds %d entries", i+1, n)
+		}
 	}
 }
 

@@ -325,10 +325,11 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
 // pruneCacheLocked drops cache entries whose job the Manager has evicted.
 // The Manager caps tracked jobs (engine.DefaultRetention), so without this
 // sweep a steady stream of distinct specs would grow the cache forever
-// while its entries dangle. Sweeping only past double the job cap keeps the
+// while its entries dangle. Sweeping at sweepAt of the entries the last
+// sweep kept bounds the dangling entries to a small slack and keeps the
 // amortized cost per submission O(1). Callers must hold s.mu.
 func (s *Server) pruneCacheLocked() {
-	if len(s.cache) <= 2*engine.DefaultRetention {
+	if len(s.cache) <= sweepAt(s.cacheKept) {
 		return
 	}
 	for k, id := range s.cache {
@@ -336,4 +337,5 @@ func (s *Server) pruneCacheLocked() {
 			delete(s.cache, k)
 		}
 	}
+	s.cacheKept = len(s.cache)
 }
