@@ -177,7 +177,7 @@ type minerKey struct {
 }
 
 // sortBufMiners is how many miner keys game construction keeps on the
-// stack, and the largest input sortMinerKeys insertion-sorts.
+// stack, and the largest input sortMinerKeys ranks.
 const sortBufMiners = 32
 
 // minerKeys returns n keys, in buf when they fit.
@@ -192,32 +192,53 @@ func minerKeys(buf *[sortBufMiners]minerKey, n int) []minerKey {
 // power with ties broken by strings.Compare of the names: the order
 // slices.SortStableFunc gives the miners themselves under that comparator,
 // so MinerIDs do not depend on the sort algorithm. Keys hold no pointers
-// and the power comparison is inline, so only a tie calls name.
+// and the power comparison is inline, so only a tie calls name; up to
+// sortBufMiners keys of distinct powers are ranked instead.
 func sortMinerKeys(keys []minerKey, name func(int) string) {
-	if len(keys) > sortBufMiners {
-		slices.SortStableFunc(keys, func(a, b minerKey) int {
-			switch {
-			case a.power > b.power:
-				return -1
-			case a.power < b.power:
-				return 1
-			}
-			return strings.Compare(name(a.idx), name(b.idx))
-		})
+	if len(keys) <= sortBufMiners && rankMinerKeys(keys) {
 		return
 	}
-	for i := 1; i < len(keys); i++ {
-		k := keys[i]
-		j := i
-		for ; j > 0; j-- {
-			prev := keys[j-1]
-			if k.power < prev.power || k.power == prev.power && strings.Compare(name(k.idx), name(prev.idx)) >= 0 {
-				break
-			}
-			keys[j] = prev
+	slices.SortStableFunc(keys, func(a, b minerKey) int {
+		switch {
+		case a.power > b.power:
+			return -1
+		case a.power < b.power:
+			return 1
 		}
-		keys[j] = k
+		return strings.Compare(name(a.idx), name(b.idx))
+	})
+}
+
+// rankMinerKeys sorts up to sortBufMiners keys by descending power, each to
+// the place that the count of greater powers gives it, and reports whether
+// it did: keys two of which share a power, and so a place, are left as they
+// are. The counts take no branch on the data, where a comparison sort's
+// every comparison is a coin flip on random powers.
+func rankMinerKeys(keys []minerKey) bool {
+	var sorted [sortBufMiners]minerKey
+	var taken uint64 // the places given
+	for _, k := range keys {
+		greater := 0
+		for _, o := range keys {
+			greater += b2i(o.power > k.power)
+		}
+		sorted[greater] = k
+		taken |= 1 << greater
 	}
+	if taken != 1<<len(keys)-1 {
+		return false
+	}
+	copy(keys, sorted[:len(keys)])
+	return true
+}
+
+// b2i is 1 for true and 0 for false, which the compiler computes without a
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // MustNewGame is NewGame that panics on error; for tests and examples whose

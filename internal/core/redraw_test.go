@@ -163,7 +163,7 @@ func FuzzRedrawMatchesRandomGame(f *testing.F) {
 // TestSortMinerKeysMatchesSortStable: on arbitrary miners with tied powers
 // and repeated names, sorting keys puts the input indices in the order
 // slices.SortStableFunc puts the miners under the old comparator, on both
-// the insertion-sort and the large-input path.
+// the ranking and the stable sort.
 func TestSortMinerKeysMatchesSortStable(t *testing.T) {
 	names := []string{"a", "b", "p10", "p2", "p1"}
 	type indexed struct {
@@ -193,5 +193,62 @@ func TestSortMinerKeysMatchesSortStable(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refInsertMinerKeys is how sortMinerKeys sorted up to sortBufMiners keys
+// before it ranked them: an insertion sort under the same comparator.
+func refInsertMinerKeys(keys []minerKey, name func(int) string) {
+	for i := 1; i < len(keys); i++ {
+		k := keys[i]
+		j := i
+		for ; j > 0; j-- {
+			prev := keys[j-1]
+			if k.power < prev.power || k.power == prev.power && strings.Compare(name(k.idx), name(prev.idx)) >= 0 {
+				break
+			}
+			keys[j] = prev
+		}
+		keys[j] = k
+	}
+}
+
+// FuzzSortMinerKeysMatchesInsertionSort: sortMinerKeys puts up to
+// sortBufMiners keys in the order the insertion sort it replaced does. Each
+// input byte is one miner: its low five bits pick one of 32 powers, which
+// the fuzzer repeats to make ties, and its top three bits one of 8 names,
+// repeated too.
+func FuzzSortMinerKeysMatchesInsertionSort(f *testing.F) {
+	for _, seed := range []string{"\x07\x03\x1f\x00\x11", "\x05\x25\x45\x05", "\x01\x02\x03\x04\x05\x06\x07\x08", "\x09"} {
+		f.Add([]byte(seed))
+	}
+	names := []string{"p0", "p1", "p10", "p2", "a", "b", "", "p0"}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		in = in[:min(len(in), sortBufMiners)]
+		name := func(i int) string { return names[in[i]>>5] }
+		got, want := make([]minerKey, len(in)), make([]minerKey, len(in))
+		for i, b := range in {
+			got[i] = minerKey{power: 1 + float64(b&31)/3, idx: i}
+		}
+		copy(want, got)
+		sortMinerKeys(got, name)
+		refInsertMinerKeys(want, name)
+		if !slices.Equal(got, want) {
+			t.Fatalf("sorted %v, the insertion sort %v", got, want)
+		}
+	})
+}
+
+// BenchmarkRedraw redraws one 8×2 game, persist-stream's learn_sweep
+// shape, per op from the same generator.
+func BenchmarkRedraw(b *testing.B) {
+	r := rng.New(7)
+	var g Game
+	spec := GenSpec{Miners: 8, Coins: 2}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := g.Redraw(r, spec); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -165,9 +165,9 @@ func waitResultJSON(t *testing.T, job *engine.Job) []byte {
 	if err := waitJob(ctx, job); err != nil {
 		t.Fatalf("job failed: %v", err)
 	}
-	res, ok := job.Result()
-	if !ok {
-		t.Fatalf("job finished without a result: %+v", job.Status())
+	res, err := job.Result()
+	if err != nil {
+		t.Fatalf("job finished without a result: %v", err)
 	}
 	raw, err := json.Marshal(res)
 	if err != nil {

@@ -2,11 +2,9 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -282,9 +280,9 @@ func TestManagerLifecycle(t *testing.T) {
 	if st.State != StateDone || st.Progress.Done != 10 {
 		t.Fatalf("status = %+v", st)
 	}
-	res, ok := job.Result()
-	if !ok {
-		t.Fatal("no result")
+	res, err := job.Result()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if res.(EquilibriumSweepResult).Games != 10 {
 		t.Fatalf("result = %+v", res)
@@ -315,7 +313,7 @@ func TestManagerCancel(t *testing.T) {
 	if st := job.Status(); st.State != StateCanceled {
 		t.Fatalf("state = %s, want canceled", st.State)
 	}
-	if _, ok := job.Result(); ok {
+	if _, err := job.Result(); err == nil {
 		t.Fatal("canceled job has a result")
 	}
 }
@@ -465,7 +463,7 @@ func TestManagerRetention(t *testing.T) {
 	}
 	var restored []*Job
 	for k := 0; k < DefaultRetention+4; k++ {
-		j, err := m.Restore(fmt.Sprintf("done-%d", k), "func", 1, json.RawMessage(strconv.Itoa(k)), 0, StateDone, "")
+		j, err := m.Restore(fmt.Sprintf("done-%d", k), "func", 1, 0, StateDone, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,9 +55,11 @@ type Job struct {
 	state State // guarded by mu
 	// result and err are the outcome. While the job runs, err holds the
 	// first task error (publishLocked stops once the run halts); only a
-	// terminal status reports it.
+	// terminal status reports it. stored marks a done job whose result
+	// lives in the serving layer's store instead (DropResult, Restore).
 	result any   // guarded by mu
 	err    error // guarded by mu
+	stored bool  // guarded by mu
 	// done counts published tasks; running and queued are the dispatcher's
 	// view as of the last publication (see Progress), and statusLocked
 	// omits them once the job is terminal.
@@ -170,13 +172,19 @@ func (j *Job) Cancel() {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.finished }
 
-// Result returns the aggregated result once the job is done (a restored
-// job's stored json.RawMessage). ok is false while the job is still running
-// or if it failed.
-func (j *Job) Result() (res any, ok bool) {
+// Result returns the aggregated result once the job is done. It fails
+// while the job runs or if it failed or was canceled, and with
+// ErrResultStored once the result lives in the serving layer's store.
+func (j *Job) Result() (any, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.result, j.state == StateDone
+	switch {
+	case j.state != StateDone:
+		return nil, fmt.Errorf("engine: job %s is %s", j.id, j.state)
+	case j.stored:
+		return nil, fmt.Errorf("%w: %s", ErrResultStored, j.id)
+	}
+	return j.result, nil
 }
 
 // publishLocked lands one computed task result in its job. It is the one
@@ -240,7 +248,7 @@ func (j *Job) finish(state State, res any, err error) {
 	j.state, j.result, j.err = state, res, err
 	j.run = nil
 	if l := j.ledger; l != nil {
-		l.park = nil // nothing lands any more
+		l.park, l.head = nil, 0 // nothing lands any more
 		if state != StateDone {
 			// Its run was sized for every task; keep what it holds.
 			l.docs = Docs{}.Append(l.docs)
@@ -383,14 +391,14 @@ func (m *Manager) bumpNextIDLocked(id string) {
 
 // Restore inserts a job already in a terminal state — the persistence
 // layer's rehydration path for jobs that finished in a previous process
-// life. A done job keeps its stored result document (Result returns it as a
-// json.RawMessage) and a ledger of the count of its persisted per-task
-// documents, those of tasks [0, docs) (cut at total), which the store
-// serves (ErrRangeStored). Callers must not modify result afterwards.
-// Failed and canceled jobs carry only the recorded error. The job ID must
-// be unique; IDs in the manager's own "job-N" form advance the mint counter
-// so later submissions cannot collide.
-func (m *Manager) Restore(id, kind string, total int, result json.RawMessage, docs int, state State, errMsg string) (*Job, error) {
+// life. A done job's result stays in the serving layer's store (Result
+// reports ErrResultStored), and its ledger keeps the count of its persisted
+// per-task documents, those of tasks [0, docs) (cut at total), which the
+// store serves (ErrRangeStored). Failed and canceled jobs carry only the
+// recorded error. The job ID must be unique; IDs in the manager's own
+// "job-N" form advance the mint counter so later submissions cannot
+// collide.
+func (m *Manager) Restore(id, kind string, total, docs int, state State, errMsg string) (*Job, error) {
 	if id == "" {
 		return nil, errors.New("engine: Restore needs a job ID")
 	}
@@ -401,7 +409,7 @@ func (m *Manager) Restore(id, kind string, total int, result json.RawMessage, do
 	close(j.finished)
 	switch {
 	case state == StateDone:
-		j.result = result
+		j.stored = true
 		j.done = total
 		if n := min(docs, total); n > 0 {
 			j.ledger = &ledger{stored: n}

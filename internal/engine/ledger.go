@@ -39,15 +39,22 @@ var ErrBadRange = errors.New("engine: range out of bounds")
 // the serving layer's store, not in memory (Job.DropDocs, Manager.Restore).
 var ErrRangeStored = errors.New("engine: range lies in the store")
 
+// ErrResultStored reports the result of a done job that lives in the
+// serving layer's store, not in memory (Job.DropResult, Manager.Restore).
+var ErrResultStored = errors.New("engine: result lies in the store")
+
 // ledger is a job's result ledger. A document recorded at the watermark
 // joins docs, the packed run of tasks [0, watermark); one recorded above it
 // is parked until the watermark reaches it, and then joins the run. A done
 // job's ledger may hold stored, documents [0, stored) in the store, instead.
 type ledger struct {
 	docs Docs
-	// park holds the documents recorded above the watermark, by task
-	// index: nil until one is, and again once the job finishes.
+	// park holds the documents recorded above the watermark w:
+	// park[head+i] is task w+1+i's, or nil. It reaches only to the highest
+	// parked task and rewinds whenever it empties: nil until a document
+	// parks, and again once the job finishes.
 	park   []json.RawMessage
+	head   int
 	stored int
 }
 
@@ -56,7 +63,8 @@ func (l *ledger) len() int { return l.docs.Len() + l.stored }
 
 // has reports whether task's document is recorded.
 func (l *ledger) has(task int) bool {
-	return task < l.len() || (l.park != nil && l.park[task] != nil)
+	i := l.head + task - l.len() - 1
+	return task < l.len() || task > l.len() && i < len(l.park) && l.park[i] != nil
 }
 
 // record lands one encoded task result of a total-task job, advancing the
@@ -66,10 +74,11 @@ func (l *ledger) has(task int) bool {
 // at most once.
 func (l *ledger) record(task, total int, raw json.RawMessage) error {
 	if task > l.docs.Len() {
-		if l.park == nil {
-			l.park = make([]json.RawMessage, total)
+		i := l.head + task - l.docs.Len() - 1
+		if i >= len(l.park) {
+			l.park = append(l.park, make([]json.RawMessage, i+1-len(l.park))...)
 		}
-		l.park[task] = raw
+		l.park[i] = raw
 		return nil
 	}
 	for {
@@ -86,11 +95,17 @@ func (l *ledger) record(task, total int, raw json.RawMessage) error {
 			l.docs = l.docs.Grow(left, 1+len(raw)+per*(left-1))
 		}
 		l.docs = l.docs.AppendDoc(raw)
-		w := l.docs.Len()
-		if w == total || l.park == nil || l.park[w] == nil {
+		raw = nil
+		if l.head < len(l.park) {
+			raw, l.park[l.head] = l.park[l.head], nil
+			l.head++
+		}
+		if l.head == len(l.park) {
+			l.park, l.head = l.park[:0], 0
+		}
+		if raw == nil {
 			return nil
 		}
-		raw, l.park[w] = l.park[w], nil
 	}
 }
 
@@ -104,7 +119,7 @@ func (l *ledger) span(lo, hi int) Docs {
 	}
 	out := Docs{}.Append(l.docs.Slice(min(lo, wm), wm))
 	for i := max(lo, wm); i < hi; i++ {
-		out = out.AppendDoc(l.park[i])
+		out = out.AppendDoc(l.park[l.head+i-wm-1])
 	}
 	return out.Slice(0, out.Len())
 }
@@ -169,4 +184,16 @@ func (j *Job) DropDocs() bool {
 		return true
 	}
 	return false
+}
+
+// DropResult drops a done job's result once the serving layer's store holds
+// it: Result then reports ErrResultStored. It reports whether it did.
+func (j *Job) DropResult() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != StateDone {
+		return false
+	}
+	j.result, j.stored = nil, true
+	return true
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -305,6 +306,97 @@ func TestDropDocs(t *testing.T) {
 	}
 }
 
+// TestDropResult: only a done job drops its result, after which Result
+// reports ErrResultStored and never a nil result; its status is unchanged.
+func TestDropResult(t *testing.T) {
+	mgr := NewManager(New(2))
+	defer mgr.Close()
+	g := newGate()
+	defer g.open()
+	spec := newSumSpec(8)
+	task := spec.Task
+	spec.Task = func(ctx context.Context, i int, r *rng.Rand) (any, error) {
+		if err := g.wait(ctx); err != nil {
+			return nil, err
+		}
+		return task(ctx, i, r)
+	}
+	job, err := mgr.SubmitJobOpts("", spec, 1, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.DropResult() {
+		t.Fatal("a running job dropped its result")
+	}
+	if res, err := job.Result(); err == nil || errors.Is(err, ErrResultStored) {
+		t.Fatalf("a running job's result: %v, %v", res, err)
+	}
+	g.open()
+	if err := waitJob(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := job.Result(); err != nil || res.(int) != wantSum(8) {
+		t.Fatalf("result before the drop: %v, %v", res, err)
+	}
+	before := job.Status()
+	if !job.DropResult() {
+		t.Fatal("a done job kept its result")
+	}
+	if res, err := job.Result(); !errors.Is(err, ErrResultStored) || res != nil {
+		t.Fatalf("result after the drop: %v, %v; want it in the store", res, err)
+	}
+	if st := job.Status(); st != before {
+		t.Fatalf("status after the drop = %+v, before %+v", st, before)
+	}
+
+	stuck := newSumSpec(8)
+	stuck.Task = func(ctx context.Context, i int, r *rng.Rand) (any, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	canceled, err := mgr.SubmitJobOpts("", stuck, 2, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled.Cancel()
+	<-canceled.Done()
+	if canceled.DropResult() {
+		t.Fatal("a canceled job dropped a result")
+	}
+	if _, err := canceled.Result(); err == nil || errors.Is(err, ErrResultStored) {
+		t.Fatalf("a canceled job's result: %v", err)
+	}
+}
+
+// TestLedgerParkSizedToWhatItHolds: a document recorded above the watermark
+// is parked in storage sized to the parked documents, not to the job:
+// parking task 1 of a 1,048,576-task job allocates under 4 KiB. Recording
+// task 0 then carries the watermark past both.
+func TestLedgerParkSizedToWhatItHolds(t *testing.T) {
+	const total = 1 << 20
+	least := ^uint64(0) // the fewest bytes of five parkings: other goroutines may allocate meanwhile
+	var l ledger
+	for range 5 {
+		l = ledger{}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := l.record(1, total, json.RawMessage(`1`)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 4<<10 {
+		t.Fatalf("parking one document of a %d-task job allocates %d bytes", total, least)
+	}
+	if err := l.record(0, total, json.RawMessage(`0`)); err != nil {
+		t.Fatal(err)
+	}
+	if l.len() != 2 || len(l.park) != 0 || string(l.span(0, 2).Bytes()) != "0,1" {
+		t.Fatalf("after task 0 the watermark is %d, %d parked, run %q", l.len(), len(l.park), l.span(0, 2).Bytes())
+	}
+}
+
 // TestJobNoLedger: a spec without a TaskCoder has no ledger; range queries
 // report ErrNoLedger and the status watermark stays zero.
 func TestJobNoLedger(t *testing.T) {
@@ -345,9 +437,9 @@ func TestSubmitJobOptsPrefill(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-job.Done()
-	res, ok := job.Result()
-	if !ok || res.(int) != wantSum(n) {
-		t.Fatalf("result = %v (ok=%v), want %d", res, ok, wantSum(n))
+	res, err := job.Result()
+	if err != nil || res.(int) != wantSum(n) {
+		t.Fatalf("result = %v (%v), want %d", res, err, wantSum(n))
 	}
 	for _, i := range spec.executed() {
 		if i < prefill.Len() {
@@ -383,9 +475,9 @@ func TestSubmitJobOptsPrefillAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-job.Done()
-	res, ok := job.Result()
-	if !ok || res.(int) != wantSum(n) {
-		t.Fatalf("result = %v (ok=%v)", res, ok)
+	res, err := job.Result()
+	if err != nil || res.(int) != wantSum(n) {
+		t.Fatalf("result = %v (%v)", res, err)
 	}
 	if got := spec.executed(); len(got) != 0 {
 		t.Fatalf("fully prefilled job executed tasks %v", got)
@@ -409,9 +501,9 @@ func TestSubmitJobOptsPrefillInvalid(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-job.Done()
-	res, ok := job.Result()
-	if !ok || res.(int) != wantSum(n) {
-		t.Fatalf("result = %v (ok=%v), want %d", res, ok, wantSum(n))
+	res, err := job.Result()
+	if err != nil || res.(int) != wantSum(n) {
+		t.Fatalf("result = %v (%v), want %d", res, err, wantSum(n))
 	}
 	ran := map[int]bool{}
 	for _, i := range spec.executed() {

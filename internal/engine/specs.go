@@ -162,10 +162,14 @@ type learnTaskResult struct {
 	Converged bool `json:"converged"`
 }
 
-// schedulerForTask returns a fresh instance of task i's scheduler:
-// schedulers are stateful, so each run needs its own.
-func (s LearnSweep) schedulerForTask(i int) (learning.Scheduler, error) {
-	return learning.SchedulerByName(s.schedulerNames()[i/s.Runs])
+// schedulerForTask returns task i's scheduler, fresh: schedulers are
+// stateful, so each run needs its own. A round-robin one is sc's, reset.
+func (s LearnSweep) schedulerForTask(i int, sc *learnScratch) (learning.Scheduler, error) {
+	if name := s.schedulerNames()[i/s.Runs]; name != sc.rr.Name() {
+		return learning.SchedulerByName(name)
+	}
+	sc.rr = learning.RoundRobin{}
+	return &sc.rr, nil
 }
 
 // TaskCost implements Sizer: a coarse relative prior — proportional to the
@@ -191,13 +195,15 @@ func (s LearnSweep) TaskCost(i int) float64 {
 }
 
 // learnScratch is what a LearnSweep task draws into: its random game, its
-// start configuration, which learning.RunInPlace then moves, and its
-// learning generator. Tasks take one from learnScratchPool for the length
-// of the call, so a task allocates only what it returns.
+// start configuration, which learning.RunInPlace then moves, its learning
+// generator, and its scheduler when that is round-robin. Tasks take one
+// from learnScratchPool for the length of the call, so a task allocates
+// only what it returns.
 type learnScratch struct {
 	game  core.Game
 	start core.Config
 	gen   rng.Rand
+	rr    learning.RoundRobin
 }
 
 var learnScratchPool = sync.Pool{New: func() any { return new(learnScratch) }}
@@ -207,12 +213,12 @@ func (s LearnSweep) RunTask(ctx context.Context, i int, r *rng.Rand) (any, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sched, err := s.schedulerForTask(i)
+	sc := learnScratchPool.Get().(*learnScratch)
+	defer learnScratchPool.Put(sc)
+	sched, err := s.schedulerForTask(i, sc)
 	if err != nil {
 		return nil, err
 	}
-	sc := learnScratchPool.Get().(*learnScratch)
-	defer learnScratchPool.Put(sc)
 	g := s.Game
 	if g == nil {
 		if err := sc.game.Redraw(r, s.Gen); err != nil {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"gameofcoins/internal/core"
@@ -20,16 +19,16 @@ import (
 var raceEnabled bool
 
 // TestLearnSweepTaskAllocs is the allocation gate of a learn_sweep task in
-// persist-stream's 8×2 shape: RunTask on a reused generator, then
-// EncodeTaskResult, allocates the boxed result and its encoding, nothing
-// else. Round-robin tasks also allocate their scheduler and are left out.
+// persist-stream's 8×2 shape, every scheduler swept: RunTask on a reused
+// generator, then EncodeTaskResult, allocates the boxed result and its
+// encoding, nothing else.
 func TestLearnSweepTaskAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops scratch at random under the race detector")
 	}
 	spec := LearnSweep{
 		Gen:        core.GenSpec{Miners: 8, Coins: 2},
-		Schedulers: []string{"random", "max-gain", "min-gain", "smallest-first", "largest-first"},
+		Schedulers: []string{"round-robin", "random", "max-gain", "min-gain", "smallest-first", "largest-first"},
 		Runs:       40,
 	}
 	base, gen := rng.New(7), new(rng.Rand)
@@ -106,7 +105,7 @@ func TestManagerEvictsOneTerminalPerSubmit(t *testing.T) {
 	}
 	var ids []string
 	for k := 0; k < DefaultRetention-1; k++ {
-		j, err := m.Restore(fmt.Sprintf("done-%d", k), "func", 1, json.RawMessage(strconv.Itoa(k)), 0, StateDone, "")
+		j, err := m.Restore(fmt.Sprintf("done-%d", k), "func", 1, 0, StateDone, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,23 +136,33 @@ func TwoDistinct(g *core.Game) (core.Config, core.Config, error) {
 // exponential in the worst case and restricted to small games; it returns
 // core.ErrTooLarge beyond the enumeration limit.
 //
-// The configurations share one backing array. Each is capped at its own
-// length, so appending to one copies it, as it would a clone.
+// The configurations share a few backing arrays, blocks that each hold a
+// third as many as the blocks before them (8 at least), so the hits are
+// copied once and take at most 4/3 of their size beyond the first block.
+// Each configuration is capped at its own length, so appending to one
+// copies it, as it would a clone.
 func Enumerate(g *core.Game) ([]core.Config, error) {
-	var flat []core.CoinID
+	n := g.NumMiners()
+	var list [16][]core.CoinID // the blocks, on the stack while they fit
+	blocks, hits := list[:0], 0
 	if err := g.VisitEquilibria(func(s core.Config) bool {
-		flat = append(flat, s...)
+		if len(blocks) == 0 || cap(blocks[len(blocks)-1])-len(blocks[len(blocks)-1]) < n {
+			blocks = append(blocks, make([]core.CoinID, 0, n*max(8, hits/3)))
+		}
+		blocks[len(blocks)-1] = append(blocks[len(blocks)-1], s...)
+		hits++
 		return true
 	}); err != nil {
 		return nil, err
 	}
-	if len(flat) == 0 {
+	if hits == 0 {
 		return nil, nil
 	}
-	n := g.NumMiners()
-	out := make([]core.Config, len(flat)/n)
-	for i := range out {
-		out[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	out := make([]core.Config, 0, hits)
+	for _, b := range blocks {
+		for i := 0; i < len(b); i += n {
+			out = append(out, b[i:i+n:i+n])
+		}
 	}
 	return out, nil
 }

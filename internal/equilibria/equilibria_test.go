@@ -2,7 +2,9 @@ package equilibria
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"gameofcoins/internal/core"
 	"gameofcoins/internal/rng"
@@ -186,6 +188,34 @@ func TestEnumerateAppendCopies(t *testing.T) {
 	_ = append(eqs[0], 1, 1)
 	if !eqs[1].Equal(second) {
 		t.Fatalf("appending to the first equilibrium changed the second: %v, was %v", eqs[1], second)
+	}
+}
+
+// TestEnumerateAllocatesAboutItsHits: enumerating a 10×3 game's hundreds
+// of equilibria allocates at most 1.6 times the bytes of the hits
+// themselves, the search's own storage and the result's headers included.
+func TestEnumerateAllocatesAboutItsHits(t *testing.T) {
+	g, err := core.RandomGame(rng.New(23), core.GenSpec{Miners: 10, Coins: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eqs, err := Enumerate(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := uint64(len(eqs) * g.NumMiners() * int(unsafe.Sizeof(core.CoinID(0))))
+	least := ^uint64(0) // the fewest bytes of three calls: other goroutines may allocate meanwhile
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Enumerate(g); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if len(eqs) < 100 || least > hits*8/5 {
+		t.Fatalf("%d equilibria, %d bytes: Enumerate allocated %d bytes", len(eqs), hits, least)
 	}
 }
 

@@ -27,6 +27,15 @@ func (s *Server) JobRange(id string, lo, hi int) (engine.Docs, error) {
 	return job.ResultRange(lo, hi)
 }
 
+// JobResult reads a job's in-memory result by ID, like JobStatus.
+func (s *Server) JobResult(id string) (any, error) {
+	job, err := s.manager.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	return job.Result()
+}
+
 // WaitJobTerminal polls JobStatus until the job reaches a terminal state.
 func (s *Server) WaitJobTerminal(t testing.TB, id string) engine.Status {
 	t.Helper()

@@ -114,7 +114,7 @@ func (s *Server) rehydrate(failInterrupted bool) error {
 	// last.
 	var watch []watchStart
 	for _, rec := range jobs {
-		watch = append(watch, s.rehydrateJob(rec, failInterrupted, snap.Docs[rec.ID])...)
+		watch = append(watch, s.rehydrateJob(rec, failInterrupted, s.store.HeldDocs(rec.ID))...)
 	}
 	handles := make([]string, 0, len(snap.Handles))
 	for h := range snap.Handles {
@@ -147,30 +147,35 @@ type watchStart struct {
 }
 
 // rehydrateJob revives one job record. Terminal jobs are restored as-is: a
-// done job re-enters the result cache with its stored result document,
-// served as stored (the pre-restart bytes), and the count of its persisted
-// documents, which ?range= reads from the store. A record still marked
-// submitted was interrupted mid-run — and a done record whose result fails
-// its version's result schema is treated the same way: the stored spec and
-// seed deterministically recompute the result, so nothing is destroyed.
+// done job re-enters the result cache with its result and the count of its
+// persisted documents left in the store, which serves the result as stored
+// (the pre-restart bytes) and ?range= from its log. A record still marked
+// submitted was interrupted mid-run — and a done record whose result the
+// store cannot read, or which fails its version's result schema, is treated
+// the same way: the stored spec and seed deterministically recompute the
+// result, so nothing is destroyed.
 // Nothing here is fatal: a record that cannot be revived at all (kind no
 // longer registered, corrupt spec) becomes a failed job that says why, not
 // a startup abort.
 func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, docs int) []watchStart {
 	switch rec.State {
 	case store.JobDone:
-		if err := engine.ValidateResult(rec.Kind, rec.Version, rec.Result); err != nil {
+		res, err := s.store.ReadResult(nil, rec.ID)
+		if err == nil {
+			err = engine.ValidateResult(rec.Kind, rec.Version, res)
+		}
+		if err != nil {
 			return s.recomputeJob(rec, failInterrupted,
 				fmt.Sprintf("stored result unreadable after restart: %v", err), docs)
 		}
-		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, rec.Result, docs, engine.StateDone, ""); err == nil {
+		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, docs, engine.StateDone, ""); err == nil {
 			//goclint:allow lockguard -- pre-publication: rehydrateJob runs under rehydrate before the server is shared
 			s.cache[rec.Key] = rec.ID
 		}
 	case store.JobFailed:
-		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, 0, engine.StateFailed, rec.Error)
+		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, 0, engine.StateFailed, rec.Error)
 	case store.JobCanceled:
-		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, 0, engine.StateCanceled, rec.Error)
+		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, 0, engine.StateCanceled, rec.Error)
 	case store.JobSubmitted:
 		return s.recomputeJob(rec, failInterrupted, "interrupted by server restart", docs)
 	}
@@ -188,7 +193,7 @@ func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, docs in
 // attached by the caller once rehydration has finished building the tables.
 func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason string, docs int) []watchStart {
 	restoreFailed := func(msg string) {
-		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, 0, engine.StateFailed, msg); err == nil {
+		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, 0, engine.StateFailed, msg); err == nil {
 			rec.State = store.JobFailed
 			rec.Error = msg
 			rec.Result = nil
@@ -266,9 +271,10 @@ func idLess(a, b, prefix string) bool {
 // it hands the store a view of the ledger's run [0, watermark), of which
 // the store logs only the documents past what it held; it stops once the
 // prefix reaches store.RangeDocCap. When the job ends it persists the
-// terminal record, or retracts the cache entry of a resultless end, and
-// after a done record drops the job's run if the store then holds every
-// document (engine.Job.DropDocs). Shutdown is the exception: jobs the
+// terminal record, or retracts the cache entry of a resultless end. Once a
+// done record is written, the job drops its result (engine.Job.DropResult)
+// and, if the store holds every document, its run (engine.Job.DropDocs);
+// a failed write drops neither. Shutdown is the exception: jobs the
 // manager canceled because the whole server is closing keep their
 // "submitted" record — and the documents persisted so far — which is
 // exactly what makes the next process life resubmit them with a prefill.
@@ -300,26 +306,27 @@ func (s *Server) watchJob(w watchStart) {
 			persist(job.Watermark())
 		}
 		<-job.Done()
-		if res, ok := job.Result(); ok {
+		if res, err := job.Result(); err == nil {
 			if s.store == nil {
 				return
 			}
-			if b, err := json.Marshal(res); err == nil {
-				rec.State = store.JobDone
-				rec.Result = b
-				rec.Error = ""
-				s.persistJob(rec)
-			}
 			// A result that cannot be marshalled also cannot be served; the
 			// record stays "submitted" and a restart recomputes it.
-			if coder {
-				s.enqueuePersist(func() error {
-					if s.store.HeldDocs(rec.ID) >= rec.Tasks {
-						job.DropDocs()
-					}
-					return nil
-				})
+			b, err := json.Marshal(res)
+			if err != nil {
+				return
 			}
+			rec.State, rec.Result, rec.Error = store.JobDone, b, ""
+			s.enqueuePersist(func() error {
+				if err := s.store.PutJob(rec); err != nil {
+					return err
+				}
+				job.DropResult()
+				if coder && s.store.HeldDocs(rec.ID) >= rec.Tasks {
+					job.DropDocs()
+				}
+				return nil
+			})
 			return
 		}
 		s.mu.Lock()

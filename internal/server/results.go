@@ -7,24 +7,39 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"gameofcoins/internal/engine"
 	"gameofcoins/internal/store"
 )
 
 // writeJobResult serves a job's result: 409 while running, 410 for
-// terminal-but-resultless (failed/canceled).
-func writeJobResult(w http.ResponseWriter, job *engine.Job) {
+// terminal-but-resultless (failed/canceled). A done job whose result lives
+// in the store is served its stored bytes, or 410 once the store evicted it.
+func (s *Server) writeJobResult(w http.ResponseWriter, job *engine.Job) {
 	st := job.Status()
 	if !st.State.Terminal() {
 		writeError(w, http.StatusConflict, fmt.Errorf("job %s is %s", st.ID, st.State))
 		return
 	}
-	res, ok := job.Result()
-	if !ok {
+	if st.State != engine.StateDone {
 		// Terminal but resultless (failed or canceled): 410, not 409, so
 		// clients that retry on "still running" don't poll forever.
 		writeError(w, http.StatusGone, fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error))
+		return
+	}
+	res, err := job.Result()
+	if errors.Is(err, engine.ErrResultStored) {
+		var stored []byte
+		stored, err = s.store.ReadResult(nil, st.ID)
+		res = json.RawMessage(stored)
+	}
+	if err != nil {
+		code := http.StatusInternalServerError
+		if errors.Is(err, store.ErrNoDocs) {
+			code = http.StatusGone
+		}
+		writeError(w, code, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -44,12 +59,15 @@ func (s *Server) handleHandleResult(w http.ResponseWriter, r *http.Request) {
 		s.writeResultRange(w, job, rng)
 		return
 	}
-	writeJobResult(w, job)
+	s.writeJobResult(w, job)
 }
 
 // rangeFlushBytes is how much of a ?range body is buffered before it is
 // flushed to the client.
 const rangeFlushBytes = 256 << 10
+
+// storedDocs holds the buffers ?range= reads spans from the store into.
+var storedDocs = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeResultRange serves ?range=lo-hi from the job's result ledger: the
 // TaskCoder documents of tasks [lo, hi), servable mid-run as soon as the
@@ -78,9 +96,12 @@ func (s *Server) writeResultRange(w http.ResponseWriter, job *engine.Job, rng st
 	docs, err := job.ResultRange(tr.Lo, tr.Hi)
 	body := docs.Bytes()
 	if errors.Is(err, engine.ErrRangeStored) {
-		if body, err = s.store.ReadDocs(nil, job.ID(), tr.Lo, tr.Hi); errors.Is(err, store.ErrNoDocs) {
+		buf := storedDocs.Get().(*[]byte)
+		defer storedDocs.Put(buf)
+		if *buf, err = s.store.ReadDocs((*buf)[:0], job.ID(), tr.Lo, tr.Hi); errors.Is(err, store.ErrNoDocs) {
 			err = fmt.Errorf("%w: %v", engine.ErrRangeGone, err)
 		}
+		body = *buf
 	}
 	if err != nil {
 		switch {

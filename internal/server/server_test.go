@@ -221,7 +221,7 @@ func TestCancellationMidJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	writeJobResult(rec, job)
+	s.writeJobResult(rec, job)
 	if rec.Code != http.StatusGone {
 		t.Fatalf("result of canceled job: status %d, want 410", rec.Code)
 	}

@@ -80,13 +80,9 @@ func (s *Server) submitEnvelope(env engine.JobEnvelope, client string) (JobHandl
 		// and the job table doesn't grow. A dangling entry (job evicted,
 		// failed, or canceled) falls through to a fresh submission.
 		if job, err := s.manager.Get(cachedID); err == nil {
-			// Read Status before Result: if the snapshot is non-terminal the
-			// job is servable regardless of what happens next, and if it is
-			// terminal the result is already set (finish() stores both under
-			// one lock) — the reverse order could misread a job finishing
-			// between the two calls as failed and recompute it.
-			st := job.Status()
-			if _, hasResult := job.Result(); hasResult || !st.State.Terminal() {
+			// A running job is servable whatever happens next, and a done
+			// one has its result, in memory or in the store.
+			if st := job.Status(); st.State == engine.StateDone || !st.State.Terminal() {
 				jh := s.mintHandleLocked(job.ID(), client)
 				s.mu.Unlock()
 				jh.Status = job.Status()
@@ -178,7 +174,7 @@ func submitFailure(err error) BatchResult {
 // it. A finished job keeps its entries — its cached result stays servable
 // and Cancel is a no-op on it. Callers hold s.mu.
 func (s *Server) retractCacheLocked(job *engine.Job) {
-	if _, done := job.Result(); done {
+	if job.Status().State == engine.StateDone {
 		return
 	}
 	for k, id := range s.cache {

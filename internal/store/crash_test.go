@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -80,13 +81,15 @@ func TestFailedWriteLeavesNoGap(t *testing.T) {
 	}
 }
 
-// storeView is what a store serves: its job records, handles, mint counter
-// and each job's documents as ReadDocs reads them.
+// storeView is what a store serves: its job records, handles, mint counter,
+// each job's documents as ReadDocs reads them and each done record's result
+// as ReadResult reads it.
 type storeView struct {
 	jobs    map[string]JobRecord
 	handles map[string]string
 	next    uint64
 	docs    map[string]string
+	results map[string]string
 }
 
 func viewOf(t *testing.T, s *File) storeView {
@@ -95,16 +98,21 @@ func viewOf(t *testing.T, s *File) storeView {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := storeView{jobs: snap.Jobs, handles: snap.Handles, next: snap.NextHandle, docs: map[string]string{}}
-	for id, n := range snap.Docs {
-		if s.HeldDocs(id) != n {
-			t.Fatalf("%s: Load counts %d documents, HeldDocs %d", id, n, s.HeldDocs(id))
+	v := storeView{jobs: snap.Jobs, handles: snap.Handles, next: snap.NextHandle, docs: map[string]string{}, results: map[string]string{}}
+	for id, rec := range snap.Jobs {
+		if n := s.HeldDocs(id); n > 0 {
+			body, err := s.ReadDocs(nil, id, 0, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.docs[id] = string(body)
 		}
-		body, err := s.ReadDocs(nil, id, 0, n)
-		if err != nil {
-			t.Fatal(err)
+		res, err := s.ReadResult(nil, id)
+		if rec.State == JobDone && err == nil {
+			v.results[id] = string(res)
+		} else if !errors.Is(err, ErrNoDocs) {
+			t.Fatalf("%s, %s: ReadResult = %s, %v", id, rec.State, res, err)
 		}
-		v.docs[id] = string(body)
 	}
 	return v
 }
@@ -301,8 +309,8 @@ func checkCrash(t *testing.T, l *crashLog, cut int64, full map[string][]byte, re
 		}
 	}
 	for id, rec := range got.jobs {
-		if rec.State == JobDone && string(rec.Result) != results[id] {
-			t.Fatalf("%s log cut at %d: %s's result %s, written %s", l.name, cut, id, rec.Result, results[id])
+		if rec.State == JobDone && got.results[id] != results[id] {
+			t.Fatalf("%s log cut at %d: %s's result %s, written %s", l.name, cut, id, got.results[id], results[id])
 		}
 	}
 	before := l.calls

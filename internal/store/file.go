@@ -7,10 +7,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -29,6 +29,10 @@ const RangeDocCap = 4096
 // compactMinOps is the floor below which the log is never compacted, so
 // small servers don't churn the file on every write.
 const compactMinOps = 1024
+
+// lineKeep is the largest line storage appends keep for the next: a
+// learn_sweep job's range line, about 36 KB, is rewritten for every job.
+const lineKeep = 256 << 10
 
 // logName is the operation log inside the store directory; lockName is the
 // advisory lock guarding the directory against a second process.
@@ -49,8 +53,9 @@ const (
 // most engine.DefaultRetention job records, the jobs the engine manager
 // would track after a restart: the oldest terminal records go first, and
 // submitted records always stay — they are the restart-recovery signal.
-// Task documents live only in the log, read under the read lock, which
-// appends and compactions exclude. All methods are safe for concurrent use.
+// Task documents and done results live only in the log, read under the
+// read lock, which appends and compactions exclude. All methods are safe
+// for concurrent use.
 type File struct {
 	mu     sync.RWMutex
 	dir    string
@@ -60,6 +65,7 @@ type File struct {
 	size   int64    // guarded by mu; the log's length
 	ops    int      // guarded by mu; operations appended since open/compaction
 	kept   int      // guarded by mu; job records the last compaction kept
+	line   []byte   // guarded by mu; a line's storage, which appends reuse
 	closed bool     // guarded by mu
 }
 
@@ -132,8 +138,9 @@ func (s *File) logPath() string { return filepath.Join(s.dir, logName) }
 //
 // A range op holds its documents packed in docs; Results only carries them
 // out of json.Unmarshal (see decodeOp), and range lines are written by
-// rangeLine. at is where docs' body starts in the line, or -1 when the line
-// does not hold it as it is; game is Game decoded, if it is.
+// rangeLine. at is where the op's payload starts in its line — a range op's
+// body, a job record's result — or -1 when json.Unmarshal decoded it; game
+// is Game decoded, if it is.
 type op struct {
 	Op      string            `json:"op"`
 	ID      string            `json:"id,omitempty"`
@@ -193,11 +200,11 @@ func fullLines(data []byte, _ bool) (int, []byte, error) {
 	return 0, nil, nil
 }
 
-// decodeOp decodes one log line: a range line through scanRange, any other
-// through json.Unmarshal. Either way a range op's documents are the ones
-// json.Unmarshal finds, packed: scanRange's are views of line.
+// decodeOp decodes one log line through scanOp, or json.Unmarshal where
+// scanOp does not take it: either way the op json.Unmarshal finds, a range
+// op's documents packed. scanOp's documents and result are views of line.
 func decodeOp(line []byte) (op, error) {
-	if o, ok := scanRange(line); ok {
+	if o, ok := scanOp(line); ok {
 		return o, nil
 	}
 	o := op{at: -1}
@@ -210,23 +217,24 @@ func decodeOp(line []byte) (op, error) {
 	return o, nil
 }
 
-// scanRange decodes a range line as json.Unmarshal would, in one pass over
-// its bytes that also checks their syntax, and packs the documents of its
+// scanOp decodes a range or job line as json.Unmarshal would, in one pass
+// over its bytes that also checks their syntax. It packs the documents of a
 // results array as a view of the bytes between its brackets and a copy of
 // their end offsets: two allocations with the job ID for up to 256
-// documents, and one more per doubling of the offsets past that. It
-// reports false unless line is one JSON value whose keys all match "op",
-// "job_id", "lo" or "results" as encoding/json matches them, whose values
-// are "range", an unescaped string, an int and an array, and whose last
-// results array joins its documents by single commas, as rangeLine writes
-// them; decodeOp hands any other line to json.Unmarshal.
-func scanRange(line []byte) (op, bool) {
+// documents, one more per doubling of the offsets past that. It reports
+// false unless line is one JSON value whose keys all match "op", "job_id",
+// "lo", "results" or "job" as encoding/json matches them, whose op is
+// "range" or "job", whose job_id is plain, whose lo is an integer, whose
+// last results array joins its documents by single commas, as rangeLine
+// writes them, and whose job record scanJob takes.
+func scanOp(line []byte) (op, bool) {
 	s := jsonscan.Scanner{Doc: line}
 	s.SkipSpace()
 	var o op
 	var fold [16]byte
 	ends := make([]uint32, 0, 256) // the last results array's document ends; on the stack up to 256
 	var body []byte                // the last results array's documents, joined
+	resAt := -1                    // where the job record's result starts
 	for i := 0; ; i++ {
 		key, ok := s.Member(i)
 		if !ok {
@@ -235,22 +243,24 @@ func scanRange(line []byte) (op, bool) {
 		start := s.Pos
 		switch string(jsonscan.FoldKey(fold[:0], key)) {
 		case "OP":
-			if !plainString(&s) || string(line[start+1:s.Pos-1]) != "range" {
-				return op{}, false
-			}
-			o.Op = "range"
-		case "JOB_ID":
-			if !plainString(&s) {
-				return op{}, false
-			}
-			o.JobID = string(line[start+1 : s.Pos-1])
-		case "LO":
 			s.SkipValue()
-			lo, err := strconv.Atoi(string(line[start:s.Pos]))
-			if err != nil {
+			switch string(line[start:s.Pos]) {
+			case `"range"`:
+				o.Op = "range"
+			case `"job"`:
+				o.Op = "job"
+			default:
 				return op{}, false
 			}
-			o.Lo = lo
+		case "JOB_ID":
+			o.JobID, ok = plain(&s)
+		case "LO":
+			o.Lo, ok = integer(&s)
+		case "JOB":
+			if o.Job == nil {
+				o.Job = new(JobRecord) // a repeated key decodes into the same record, as json.Unmarshal's does
+			}
+			ok = scanJob(&s, o.Job, &resAt)
 		case "RESULTS":
 			if s.Peek() != '[' {
 				return op{}, false
@@ -274,6 +284,9 @@ func scanRange(line []byte) (op, bool) {
 		default:
 			return op{}, false
 		}
+		if !ok {
+			return op{}, false
+		}
 	}
 	if !s.Done() || o.Op == "" {
 		return op{}, false
@@ -281,13 +294,75 @@ func scanRange(line []byte) (op, bool) {
 	if len(ends) > 0 {
 		o.docs = engine.JoinedDocs(body, slices.Clone(ends))
 	}
+	if o.Op == "job" {
+		o.at = resAt
+	}
 	return o, true
 }
 
-// plainString moves s past the string at its position and reports whether
-// there was one, well-formed, whose bytes are its own decoding.
-func plainString(s *jsonscan.Scanner) bool {
-	return !s.SkipString() && !s.Failed()
+// scanJob walks the job record at s.Pos into rec as json.Unmarshal would,
+// if its strings are plain and its numbers integers, and reports whether it
+// could. The result is left a view of s.Doc, and *resAt set to its start.
+func scanJob(s *jsonscan.Scanner, rec *JobRecord, resAt *int) bool {
+	var fold [16]byte
+	for i := 0; ; i++ {
+		key, ok := s.Member(i)
+		if !ok {
+			return !s.Failed()
+		}
+		start := s.Pos
+		switch string(jsonscan.FoldKey(fold[:0], key)) {
+		case "ID":
+			rec.ID, ok = plain(s)
+		case "KEY":
+			rec.Key, ok = plain(s)
+		case "KIND":
+			rec.Kind, ok = plain(s)
+		case "STATE":
+			rec.State, ok = plain(s)
+		case "ERROR":
+			rec.Error, ok = plain(s)
+		case "VERSION":
+			rec.Version, ok = integer(s)
+		case "TASKS":
+			rec.Tasks, ok = integer(s)
+		case "SEED":
+			s.SkipValue()
+			var err error
+			rec.Seed, err = strconv.ParseUint(string(s.Doc[start:s.Pos]), 10, 64)
+			ok = err == nil
+		case "SPEC":
+			s.SkipValue()
+			rec.Spec = bytes.Clone(s.Doc[start:s.Pos])
+		case "RESULT":
+			s.SkipValue()
+			rec.Result, *resAt = s.Doc[start:s.Pos:s.Pos], start
+		default:
+			return false
+		}
+		if !ok {
+			return false
+		}
+	}
+}
+
+// plain moves s past the value at its position and returns it if it is a
+// well-formed string whose bytes are its own decoding.
+func plain(s *jsonscan.Scanner) (string, bool) {
+	start := s.Pos
+	if s.SkipString() || s.Failed() {
+		return "", false
+	}
+	return string(s.Doc[start+1 : s.Pos-1]), true
+}
+
+// integer moves s past the value at its position and returns it if it is
+// an integer that fits an int.
+func integer(s *jsonscan.Scanner) (int, bool) {
+	start := s.Pos
+	s.SkipValue()
+	n, err := strconv.Atoi(string(s.Doc[start:s.Pos]))
+	return n, err == nil
 }
 
 // landLocked cuts a range op down to the documents that land, which is
@@ -333,10 +408,20 @@ func (s *File) applyLocked(o *op, lineAt int64) error {
 		if o.Job == nil || o.Job.ID == "" {
 			return fmt.Errorf("job op without a record")
 		}
-		s.snap.Jobs[o.Job.ID] = *o.Job
-		if o.Job.State == JobFailed || o.Job.State == JobCanceled {
+		rec := *o.Job
+		rec.Result = nil
+		s.snap.Jobs[rec.ID] = rec
+		delete(s.snap.results, rec.ID)
+		switch {
+		case rec.State == JobDone && len(o.Job.Result) > 0:
+			e := extent{off: lineAt + int64(o.at), n: 1, size: len(o.Job.Result)}
+			if o.at < 0 {
+				e.off, e.mem = 0, o.Job.Result // json.Unmarshal's copy
+			}
+			s.snap.results[rec.ID] = e
+		case rec.State == JobFailed || rec.State == JobCanceled:
 			// No result to serve: the per-task documents are dead weight.
-			delete(s.snap.runs, o.Job.ID)
+			delete(s.snap.runs, rec.ID)
 		}
 	case "range":
 		e := extent{off: lineAt + int64(o.at), n: o.docs.Len(), size: o.docs.Size()}
@@ -380,9 +465,12 @@ func (s *File) append(o op) error {
 	if o.Op == "range" && !s.landLocked(&o) {
 		return nil
 	}
-	line, err := encodeOp(nil, o)
+	line, at, err := encodeOp(s.line[:0], o)
 	if err != nil {
 		return fmt.Errorf("store: encode op: %w", err)
+	}
+	if cap(line) <= lineKeep {
+		s.line = line
 	}
 	if n, err := s.f.Write(line); err != nil {
 		// A short write (ENOSPC, I/O error) left partial bytes mid-log; cut
@@ -393,7 +481,7 @@ func (s *File) append(o op) error {
 		}
 		return fmt.Errorf("store: append: %w", err)
 	}
-	o.at = len(line) - len("]}\n") - o.docs.Size() // where a range line's body starts
+	o.at = at
 	if err := s.applyLocked(&o, s.size); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -424,10 +512,11 @@ func (s *File) maybeCompactLocked() error {
 // renames it over the old one. It also enforces the job-record cap: oldest
 // terminal records past engine.DefaultRetention are dropped (submitted
 // records always survive — they are what restart recovery reruns). Each
-// job's documents are copied from the old log into one range line of the
-// new one as they lie, unparsed. The eviction and the documents' new places
-// reach memory only with the rename, so a compaction that fails leaves
-// memory holding what the old log still does.
+// done record's result, and each job's documents as one range line, are
+// copied from the old log into the new one as they lie, unparsed. The
+// eviction and the bytes' new places reach memory only with the rename, so
+// a compaction that fails leaves memory holding what the old log still
+// does.
 func (s *File) compactLocked() error {
 	live := s.snap.clone()
 	live.dropExcessJobs()
@@ -439,33 +528,42 @@ func (s *File) compactLocked() error {
 	bw := bufio.NewWriterSize(tmp, 64<<10)
 	var size int64 // the new log's length
 	var werr error // the first failure: the writes after it are skipped
-	w := func(line []byte, err error) {
+	// w writes one line; it takes encodeOp's results whole.
+	w := func(line []byte, _ int, err error) {
 		if werr = cmp.Or(werr, err); werr == nil {
 			_, werr = bw.Write(line)
 		}
 		size += int64(len(line))
 	}
-	for _, id := range sortedKeys(live.Games) {
+	for _, id := range slices.Sorted(maps.Keys(live.Games)) {
 		raw, err := json.Marshal(live.Games[id])
-		w(nil, err)
+		w(nil, 0, err)
 		w(encodeOp(nil, op{Op: "game", ID: id, Game: raw}))
 	}
-	for _, id := range sortedKeys(live.Jobs) {
-		rec := live.Jobs[id]
-		w(encodeOp(nil, op{Op: "job", Job: &rec}))
+	var body, line []byte
+	for _, id := range slices.Sorted(maps.Keys(live.Jobs)) {
+		rec, e := live.Jobs[id], live.results[id]
+		body, err = e.read(body[:0], s.f) // no bytes without a result
+		w(nil, 0, err)
+		rec.Result = body
+		var at int
+		line, at, err = jobLine(line[:0], rec)
+		if e.size > 0 {
+			live.results[id] = extent{off: size + int64(at), n: 1, size: e.size}
+		}
+		w(line, at, err)
 	}
 	// Each job's documents land as one range line after the job records,
 	// so replay's landing sees the owning record.
-	var body, line []byte
-	for _, id := range sortedKeys(live.runs) {
+	for _, id := range slices.Sorted(maps.Keys(live.runs)) {
 		r := live.runs[id]
 		body, err = r.appendDocs(body[:0], s.f, 0, r.n)
-		w(nil, err)
+		w(nil, 0, err)
 		line, err = rangeLine(line[:0], id, 0, body)
 		live.runs[id] = run{ext: []extent{{off: size + int64(len(line)-len("]}")-len(body)), n: r.n, size: r.size}}, n: r.n, size: r.size}
-		w(append(line, '\n'), err)
+		w(append(line, '\n'), 0, err)
 	}
-	for _, h := range sortedKeys(live.Handles) {
+	for _, h := range slices.Sorted(maps.Keys(live.Handles)) {
 		w(encodeOp(nil, op{Op: "handle", ID: h, JobID: live.Handles[h]}))
 	}
 	if live.NextHandle > 0 {
@@ -530,11 +628,9 @@ func (r run) appendDocs(dst []byte, f io.ReaderAt, lo, hi int) ([]byte, error) {
 			dst = append(dst, ',')
 		}
 		at := len(dst)
-		dst = slices.Grow(dst, e.size)[:at+e.size]
-		if e.mem != nil {
-			copy(dst[at:], e.mem)
-		} else if _, err := f.ReadAt(dst[at:], e.off); err != nil {
-			return nil, fmt.Errorf("store: read documents: %w", err)
+		var err error
+		if dst, err = e.read(dst, f); err != nil {
+			return nil, err
 		}
 		if from, to := max(lo-a, 0), min(hi-a, e.n); from > 0 || to < e.n {
 			sc, start := jsonscan.Scanner{Doc: dst[at:]}, 0
@@ -555,16 +651,49 @@ func (r run) appendDocs(dst []byte, f io.ReaderAt, lo, hi int) ([]byte, error) {
 	return dst, nil
 }
 
-// encodeOp renders o as one log line, its newline included. Range ops go
-// through rangeLine, appended to dst; every other op is json.Marshal's
-// encoding.
-func encodeOp(dst []byte, o op) ([]byte, error) {
-	if o.Op == "range" {
+// read appends the extent's bytes to dst, reading them from the log f
+// unless they are in memory.
+func (e extent) read(dst []byte, f io.ReaderAt) ([]byte, error) {
+	at := len(dst)
+	dst = slices.Grow(dst, e.size)[:at+e.size]
+	if e.mem != nil {
+		copy(dst[at:], e.mem)
+	} else if _, err := f.ReadAt(dst[at:], e.off); err != nil {
+		return nil, fmt.Errorf("store: read log at %d: %w", e.off, err)
+	}
+	return dst, nil
+}
+
+// encodeOp appends o to dst as one log line, its newline included, and
+// returns where its payload starts (op.at). Range ops go through rangeLine
+// and job ops through jobLine; any other is json.Marshal's encoding.
+func encodeOp(dst []byte, o op) ([]byte, int, error) {
+	switch o.Op {
+	case "range":
 		line, err := rangeLine(dst, o.JobID, o.Lo, o.docs.Bytes())
-		return append(line, '\n'), err
+		return append(line, '\n'), len(line) - len("]}") - o.docs.Size(), err
+	case "job":
+		return jobLine(dst, *o.Job)
 	}
 	line, err := json.Marshal(o)
-	return append(line, '\n'), err
+	return append(append(dst, line...), '\n'), -1, err
+}
+
+// jobLine appends the job op of rec to dst as one log line and returns
+// where its result starts (-1 without one). The result is copied unparsed,
+// so the line is json.Marshal's when rec.Result is in json.Marshal's bytes.
+func jobLine(dst []byte, rec JobRecord) ([]byte, int, error) {
+	res := rec.Result
+	if len(res) > 0 {
+		rec.Result = json.RawMessage("0") // a stand-in for res
+	}
+	line, err := json.Marshal(op{Op: "job", Job: &rec})
+	if err != nil || len(res) == 0 {
+		return append(append(dst, line...), '\n'), -1, err
+	}
+	// Only the error, a string whose quotes are escaped, follows the result.
+	at := bytes.LastIndex(line, []byte(`,"result":0`)) + len(`,"result":`)
+	return append(append(append(append(dst, line[:at]...), res...), line[at+1:]...), '\n'), len(dst) + at, nil
 }
 
 // rangeLine renders the range op (jobID, lo) whose documents, joined by
@@ -639,15 +768,6 @@ func verbatimDoc(d json.RawMessage) bool {
 	return jsonscan.Valid(d)
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Load implements Store.
 func (s *File) Load() (Snapshot, error) {
 	s.mu.RLock()
@@ -656,11 +776,7 @@ func (s *File) Load() (Snapshot, error) {
 		return Snapshot{}, os.ErrClosed
 	}
 	out := s.snap.clone()
-	out.Docs = make(map[string]int, len(out.runs))
-	for id, r := range out.runs {
-		out.Docs[id] = r.n
-	}
-	out.runs = nil
+	out.runs, out.results = nil, nil
 	return out, nil
 }
 
@@ -685,6 +801,20 @@ func (s *File) HeldDocs(jobID string) int {
 	return s.snap.runs[jobID].n
 }
 
+// ReadResult implements Store.
+func (s *File) ReadResult(dst []byte, jobID string) ([]byte, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return nil, os.ErrClosed
+	}
+	e, ok := s.snap.results[jobID]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s has no done record with a result", ErrNoDocs, jobID)
+	}
+	return e.read(dst, s.f)
+}
+
 // PutGame implements Store.
 func (s *File) PutGame(id string, g *core.Game) error {
 	raw, err := json.Marshal(g)
@@ -698,6 +828,13 @@ func (s *File) PutGame(id string, g *core.Game) error {
 func (s *File) PutJob(rec JobRecord) error {
 	if rec.ID == "" {
 		return fmt.Errorf("store: job record without an ID")
+	}
+	if len(rec.Result) > 0 && !verbatimDoc(rec.Result) {
+		res, err := json.Marshal(rec.Result)
+		if err != nil {
+			return fmt.Errorf("store: encode op: %w", err)
+		}
+		rec.Result = res
 	}
 	return s.append(op{Op: "job", Job: &rec})
 }

@@ -97,15 +97,11 @@ func TestRangeFold(t *testing.T) {
 	if err := s.PutJobRange("job-9", 0, docs(1)); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := docs(10, 11, 12, 13, 14, 15)
-	if got := held(t, s, "job-1"); !reflect.DeepEqual(got, want) || snap.Docs["job-1"] != len(want) {
-		t.Fatalf("docs = %s (Load counts %d), want %s", got, snap.Docs["job-1"], want)
+	if got := held(t, s, "job-1"); !reflect.DeepEqual(got, want) || s.HeldDocs("job-1") != len(want) {
+		t.Fatalf("docs = %s (HeldDocs counts %d), want %s", got, s.HeldDocs("job-1"), want)
 	}
-	if _, ok := snap.Docs["job-9"]; ok {
+	if n := s.HeldDocs("job-9"); n != 0 {
 		t.Fatal("range for an unknown job was stored")
 	}
 	// ReadDocs's bytes are the caller's to keep: writing to them changes
@@ -134,12 +130,8 @@ func TestRangeFold(t *testing.T) {
 	if err := s.PutJob(JobRecord{ID: "job-1", Tasks: 10, State: JobFailed, Error: "boom"}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err = s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Docs) != 0 {
-		t.Fatalf("failed job kept %d docs", snap.Docs["job-1"])
+	if n := s.HeldDocs("job-1"); n != 0 {
+		t.Fatalf("failed job kept %d docs", n)
 	}
 	if _, err := s.ReadDocs(nil, "job-1", 0, 1); !errors.Is(err, ErrNoDocs) {
 		t.Fatalf("reading a failed job's documents: %v, want ErrNoDocs", err)
@@ -200,12 +192,8 @@ func TestRangeOpsThatLandNothingAreNotLogged(t *testing.T) {
 	if after := size(); after != before || s.ops != ops {
 		t.Fatalf("log grew from %d to %d bytes, %d to %d ops", before, after, ops, s.ops)
 	}
-	snap, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Docs["job-1"] != RangeDocCap || len(snap.Docs) != 1 {
-		t.Fatalf("job-1 holds %d docs, %d jobs hold docs", snap.Docs["job-1"], len(snap.Docs))
+	if n := s.HeldDocs("job-1"); n != RangeDocCap {
+		t.Fatalf("job-1 holds %d docs", n)
 	}
 }
 
@@ -299,17 +287,13 @@ func TestFileRangeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	snap, err := s2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got, want := held(t, s2, "job-1"), docs(10, 11, 12); !reflect.DeepEqual(got, want) {
 		t.Fatalf("job-1 docs = %s, want %s", got, want)
 	}
 	if got := held(t, s2, "job-2"); !reflect.DeepEqual(got, docs(20)) {
 		t.Fatalf("done job's docs did not survive the restart: %s", got)
 	}
-	if _, ok := snap.Docs["job-3"]; ok {
+	if n := s2.HeldDocs("job-3"); n != 0 {
 		t.Fatal("failed job's docs survived the restart")
 	}
 }

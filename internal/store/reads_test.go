@@ -12,19 +12,21 @@ import (
 	"gameofcoins/internal/engine"
 )
 
-// TestReadDocsRace runs ReadDocs, HeldDocs and Load against appends and
-// compactions of the same jobs: every read returns the documents the writer
+// TestReadDocsRace runs ReadDocs, HeldDocs, ReadResult and Load against
+// appends and compactions of the same jobs, done records whose documents
+// arrive later: every read returns the documents and the result the writer
 // sent, whichever log they lie in by then. Run under -race (CI's
 // race-stress step).
 func TestReadDocsRace(t *testing.T) {
 	s := openTemp(t)
 	const jobs, n, batch = 6, 120, 10
+	result := func(j int) []byte { return fmt.Appendf(nil, `{"job":%d,"runs":[%d,%d]}`, j, j*n, n) }
 	runs := make([]engine.Docs, jobs)
 	for j := range runs {
 		for i := range n {
 			runs[j] = runs[j].AppendDoc(fmt.Appendf(nil, `{"steps":%d,"converged":%t}`, j*1000+i, i%2 == 0))
 		}
-		if err := s.PutJob(JobRecord{ID: "job-" + itoa(j), Tasks: n, State: JobSubmitted}); err != nil {
+		if err := s.PutJob(JobRecord{ID: "job-" + itoa(j), Tasks: n, State: JobDone, Result: result(j)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,6 +44,10 @@ func TestReadDocsRace(t *testing.T) {
 				default:
 				}
 				j := k % jobs
+				if res, err := s.ReadResult(nil, "job-"+itoa(j)); err != nil || !bytes.Equal(res, result(j)) {
+					errs <- fmt.Errorf("job-%d's result %s, %v", j, res, err)
+					return
+				}
 				m := s.HeldDocs("job-" + itoa(j))
 				if k%50 == 0 {
 					if _, err := s.Load(); err != nil {

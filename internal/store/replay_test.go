@@ -46,12 +46,12 @@ func TestReplaySlicesRangeLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { _, _ = scanRange(line) }); allocs > 2 {
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = scanOp(line) }); allocs > 2 {
 		t.Fatalf("decoding a range line of 200 documents allocates %v times, want at most 2", allocs)
 	}
 }
 
-// TestHandWrittenLineStaysInMemoryUntilCompaction: a range line scanRange
+// TestHandWrittenLineStaysInMemoryUntilCompaction: a range line scanOp
 // does not take — one with whitespace between its documents, as a person
 // might write it — is decoded by json.Unmarshal, and its documents, packed,
 // stay in memory until the next compaction writes them to the log as one
@@ -142,11 +142,11 @@ func TestReplayCorruptLines(t *testing.T) {
 }
 
 // FuzzScanRangeMatchesUnmarshal: replay decodes every line json.Unmarshal
-// accepts to the op json.Unmarshal gives it, through scanRange or not; its
+// accepts to the op json.Unmarshal gives it, through scanOp or not; its
 // packed run holds json.Unmarshal's documents, document for document,
-// joined by commas, each capped at its end, and when scanRange took the
-// line they lie in it where the op says. A line json.Unmarshal rejects
-// fails.
+// joined by commas, each capped at its end, and when scanOp took the line
+// they lie in it where the op says, as does a job record's result. A line
+// json.Unmarshal rejects fails.
 func FuzzScanRangeMatchesUnmarshal(f *testing.F) {
 	line, err := rangeLine(nil, "job-1", 3, packed([]json.RawMessage{json.RawMessage(`{"steps":3,"converged":true}`), json.RawMessage(`7`)}).Bytes())
 	if err != nil {
@@ -186,6 +186,27 @@ func FuzzScanRangeMatchesUnmarshal(f *testing.F) {
 		`[{"op":"range"}]`,
 		`null`,
 		``,
+		`{"op":"job","job":{"id":"job-1","key":"k","kind":"toy","version":2,"seed":18446744073709551615,"tasks":3,"spec":{"n":3},"state":"done","result":{"a":[1,"x y"]},"error":"e"}}`,
+		`{"OP":"Job","JOB":{"ID":"job-1","ſeed":7,"Result":[1]},"job":{"state":"done"}}`,
+		`{"op":"job","job":{"id":"job-1","result":{"a" : 1}}}`,
+		`{"op":"job","job":{"id":"job-1","result":"<b>"}}`,
+		`{"op":"job","job":{"id":"job-1","result":"\u2028"}}`,
+		`{"op":"job","job":{"id":"job-1","result":"` + "\u2028" + `"}}`,
+		`{"op":"job","job":{"id":"job-1","result":null,"spec":null}}`,
+		`{"op":"job","job":{"id":"job-1","seed":-1}}`,
+		`{"op":"job","job":{"id":"job-1","tasks":1.0}}`,
+		`{"op":"job","job":{"id":"job-1","tasks":-0,"version":9223372036854775808}}`,
+		`{"op":"job","job":{"id":"j\u00f6b"}}`,
+		`{"op":"job","job":{"id":null}}`,
+		`{"op":"job","job":null}`,
+		`{"op":"job","job":{}}`,
+		`{"op":"job","job":{"id":"job-1","game":1}}`,
+		`{"op":"job","results":[1],"job":{"id":"job-1","result":2}}`,
+		`{"op":"handle","id":"h-3","job_id":"job-1"}`,
+		`{"op":"release","id":"h-3"}`,
+		`{"op":"seq","seq":12}`,
+		`{"op":"seq","seq":-12}`,
+		`{"op":"game","id":"g-1","game":{}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -212,9 +233,13 @@ func FuzzScanRangeMatchesUnmarshal(f *testing.F) {
 		if got.docs.Len() != len(want.Results) || !bytes.Equal(got.docs.Bytes(), joined) {
 			t.Fatalf("packed run %q of %d documents, want %q of %d", got.docs.Bytes(), got.docs.Len(), joined, len(want.Results))
 		}
-		// A line scanRange took holds its documents where replay records
-		// them.
-		if got.at >= 0 && !bytes.Equal(line[got.at:got.at+got.docs.Size()], joined) {
+		// A line scanOp took holds its documents, or its record's result,
+		// where replay records them.
+		if got.Op == "job" && got.Job != nil {
+			if res := got.Job.Result; got.at >= 0 && !bytes.Equal(line[got.at:got.at+len(res)], res) {
+				t.Fatalf("result recorded at %d of the line: %q, json.Unmarshal's %q", got.at, line[got.at:got.at+len(res)], res)
+			}
+		} else if got.at >= 0 && !bytes.Equal(line[got.at:got.at+got.docs.Size()], joined) {
 			t.Fatalf("documents recorded at %d of the line: %q, want %q", got.at, line[got.at:got.at+got.docs.Size()], joined)
 		}
 		got.docs, got.Results, got.at, want.Results = engine.Docs{}, nil, 0, nil
@@ -246,7 +271,7 @@ func BenchmarkOpenFile(b *testing.B) {
 	}
 	var log []byte
 	write := func(o op) {
-		line, err := encodeOp(nil, o)
+		line, _, err := encodeOp(nil, o)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,15 +12,16 @@
 // to its in-memory tables first and mirrors it into the store, then reads
 // the whole state back once at startup (Load). File is the implementation:
 // an append-only JSONL operation log in a directory, replayed on open and
-// periodically compacted. The log is the only copy of the task documents:
-// memory keeps where each job's documents lie in it, and ReadDocs reads
-// them by offset. Stdlib only. A server without a store keeps no second
-// copy of its state at all.
+// periodically compacted. The log is the only copy of the task documents
+// and of each done job's result: memory keeps where they lie in it, and
+// ReadDocs and ReadResult read them by offset. Stdlib only. A server
+// without a store keeps no second copy of its state at all.
 package store
 
 import (
 	"encoding/json"
 	"errors"
+	"maps"
 	"sort"
 
 	"gameofcoins/internal/core"
@@ -62,7 +63,8 @@ type JobRecord struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// State is one of the Job* constants above.
 	State string `json:"state"`
-	// Result is the marshalled result (State == JobDone only).
+	// Result is the marshalled result (State == JobDone only). PutJob logs
+	// it; Load leaves it out, and ReadResult reads it from the log.
 	Result json.RawMessage `json:"result,omitempty"`
 	// Error is the terminal error (failed/canceled).
 	Error string `json:"error,omitempty"`
@@ -72,17 +74,8 @@ type JobRecord struct {
 type Snapshot struct {
 	// Games maps content-addressed game IDs to registered games.
 	Games map[string]*core.Game
-	// Jobs maps job IDs to their latest records.
+	// Jobs maps job IDs to their latest records, without their results.
 	Jobs map[string]JobRecord
-	// Docs maps job IDs to how many per-task result documents the store
-	// holds for them: the TaskCoder-encoded documents of tasks [0, n), the
-	// prefix of the job's result ledger below its watermark, which
-	// Store.ReadDocs reads. For a *submitted* (interrupted) job they are what
-	// a restart prefills so only the missing suffix recomputes; for a *done*
-	// job they keep ?range fetches and resumed result streams servable across
-	// a restart (at most RangeDocCap documents per job). Failed and canceled
-	// records clear their documents — there is no result to serve.
-	Docs map[string]int
 	// Handles maps live v2 handle IDs to job IDs.
 	Handles map[string]string
 	// NextHandle is the highest handle sequence number ever minted — not
@@ -90,9 +83,10 @@ type Snapshot struct {
 	// handle ID (a stale client could otherwise control a stranger's job).
 	NextHandle uint64
 
-	// runs is where each job's documents lie, kept by the store's own
-	// snapshot in place of Docs, which only Load's copy fills.
-	runs map[string]run
+	// runs is where each job's documents lie, and results where each done
+	// record's result lies; only the store's own snapshot keeps them.
+	runs    map[string]run
+	results map[string]extent
 }
 
 // run is where a job's documents, tasks [0, n), lie: its extents, in task
@@ -105,15 +99,17 @@ type run struct {
 // extent is n consecutive documents joined by commas, size bytes, from
 // offset off of the log; or, for documents replay read from a line it did
 // not scan (through json.Unmarshal, as a hand-written line's), in mem until
-// the next compaction writes them to the log.
+// the next compaction writes them to the log. A done record's result is an
+// extent of one document.
 type extent struct {
 	off     int64
 	n, size int
 	mem     []byte
 }
 
-// ErrNoDocs reports a ReadDocs span the store does not hold (the job has
-// fewer documents, or none: failed, canceled or evicted).
+// ErrNoDocs reports documents the store does not hold: a ReadDocs span past
+// the job's prefix (the job has fewer documents, or none: failed, canceled
+// or evicted), or the result of a job without a done record.
 var ErrNoDocs = errors.New("store: documents not held")
 
 // Store persists the server's durable state. Implementations must be safe
@@ -121,16 +117,18 @@ var ErrNoDocs = errors.New("store: documents not held")
 // its own mutex and never reacquires it from store callbacks, so a store
 // may lock freely but must not call back into the server.
 type Store interface {
-	// Load returns the current state. The server calls it once at startup;
-	// the returned maps are the caller's to keep.
+	// Load returns the current state, its job records without their result
+	// bytes. The server calls it once at startup; the returned maps are the
+	// caller's to keep.
 	Load() (Snapshot, error)
 	// PutGame upserts a registered game.
 	PutGame(id string, g *core.Game) error
-	// PutJob upserts a job record keyed by rec.ID. Writing a failed or
-	// canceled state clears the job's persisted documents — there is no
-	// result they could serve. Done records keep theirs (at most 4,096
-	// per job), so range fetches and resumed result streams survive a
-	// restart.
+	// PutJob upserts a job record keyed by rec.ID, logging rec.Result in the
+	// bytes json.Marshal writes for it, which ReadResult returns for a done
+	// record. Writing a failed or canceled state clears the job's persisted
+	// documents — there is no result they could serve. Done records keep
+	// theirs (at most 4,096 per job), so range fetches and resumed result
+	// streams survive a restart.
 	PutJob(rec JobRecord) error
 	// PutJobDocs records a job's per-task results: the encoded documents of
 	// tasks [0, docs.Len()), each one JSON value in the bytes json.Marshal
@@ -152,8 +150,14 @@ type Store interface {
 	// own. It fails with ErrNoDocs unless 0 <= lo < hi <= HeldDocs(jobID).
 	ReadDocs(dst []byte, jobID string, lo, hi int) ([]byte, error)
 	// HeldDocs returns the length of the job's document prefix: ReadDocs
-	// serves the documents of tasks [0, HeldDocs(jobID)).
+	// serves the documents of tasks [0, HeldDocs(jobID)), which a restart
+	// prefills into a submitted (interrupted) job, so only the missing
+	// suffix recomputes, and serves to ?range fetches of a done one.
 	HeldDocs(jobID string) int
+	// ReadResult appends the result of the job's record to dst as the log
+	// holds it and returns the extended slice, the caller's own. It fails
+	// with ErrNoDocs unless that record is done and has a result.
+	ReadResult(dst []byte, jobID string) ([]byte, error)
 	// PutHandle records a live handle claiming a job.
 	PutHandle(handle, jobID string) error
 	// DeleteHandle removes a released (or evicted) handle.
@@ -174,8 +178,8 @@ func handleSeq(handle string) uint64 {
 // garbage-collects handles whose job record is gone. Submitted records
 // always survive: they are the restart-recovery signal. (The server writes a job record before
 // any handle referencing it, so a missing record means the job itself was
-// evicted, not that the ops raced.) The documents of evicted jobs go with
-// them.
+// evicted, not that the ops raced.) The documents and results of evicted
+// jobs go with them.
 func (s *Snapshot) dropExcessJobs() {
 	if len(s.Jobs) > engine.DefaultRetention {
 		terminal := make([]string, 0, len(s.Jobs))
@@ -192,16 +196,10 @@ func (s *Snapshot) dropExcessJobs() {
 			delete(s.Jobs, id)
 		}
 	}
-	for h, id := range s.Handles {
-		if _, ok := s.Jobs[id]; !ok {
-			delete(s.Handles, h)
-		}
-	}
-	for id := range s.runs {
-		if _, ok := s.Jobs[id]; !ok {
-			delete(s.runs, id)
-		}
-	}
+	gone := func(id string) bool { _, ok := s.Jobs[id]; return !ok }
+	maps.DeleteFunc(s.Handles, func(_, id string) bool { return gone(id) })
+	maps.DeleteFunc(s.runs, func(id string, _ run) bool { return gone(id) })
+	maps.DeleteFunc(s.results, func(id string, _ extent) bool { return gone(id) })
 }
 
 // jobSeq orders "job-N" IDs by age; foreign shapes sort first (oldest).
@@ -216,6 +214,7 @@ func emptySnapshot() Snapshot {
 		Jobs:    map[string]JobRecord{},
 		Handles: map[string]string{},
 		runs:    map[string]run{},
+		results: map[string]extent{},
 	}
 }
 
@@ -225,18 +224,11 @@ func emptySnapshot() Snapshot {
 // share their extents, which nothing rewrites.
 func (s Snapshot) clone() Snapshot {
 	out := emptySnapshot()
-	for id, g := range s.Games {
-		out.Games[id] = g
-	}
-	for id, rec := range s.Jobs {
-		out.Jobs[id] = rec
-	}
-	for id, r := range s.runs {
-		out.runs[id] = r
-	}
-	for h, id := range s.Handles {
-		out.Handles[h] = id
-	}
+	maps.Copy(out.Games, s.Games)
+	maps.Copy(out.Jobs, s.Jobs)
+	maps.Copy(out.runs, s.runs)
+	maps.Copy(out.results, s.results)
+	maps.Copy(out.Handles, s.Handles)
 	out.NextHandle = s.NextHandle
 	return out
 }

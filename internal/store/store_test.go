@@ -53,16 +53,30 @@ func populate(t *testing.T, s Store) {
 	}
 }
 
-func checkSnapshot(t *testing.T, snap Snapshot) {
+// checkSnapshot checks what populate wrote, as s serves it: Load's
+// records carry no result, which ReadResult reads.
+func checkSnapshot(t *testing.T, s *File) {
 	t.Helper()
+	snap, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(snap.Games) != 1 || snap.Games["g-1"].NumMiners() != 2 {
 		t.Fatalf("games = %+v", snap.Games)
 	}
 	if len(snap.Jobs) != 3 {
 		t.Fatalf("jobs = %+v", snap.Jobs)
 	}
-	if rec := snap.Jobs["job-1"]; rec.State != JobDone || string(rec.Result) != `{"total_runs":4}` {
+	if rec := snap.Jobs["job-1"]; rec.State != JobDone || rec.Result != nil {
 		t.Fatalf("job-1 = %+v", rec)
+	}
+	if res, err := s.ReadResult([]byte("x"), "job-1"); err != nil || string(res) != `x{"total_runs":4}` {
+		t.Fatalf("job-1's result = %s, %v", res, err)
+	}
+	for _, id := range []string{"job-2", "job-3", "job-4"} {
+		if res, err := s.ReadResult(nil, id); !errors.Is(err, ErrNoDocs) {
+			t.Fatalf("%s's result = %s, %v; want ErrNoDocs", id, res, err)
+		}
 	}
 	if rec := snap.Jobs["job-2"]; rec.State != JobSubmitted || rec.Seed != 9 || rec.Version != 2 {
 		t.Fatalf("job-2 = %+v", rec)
@@ -119,11 +133,11 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	checkSnapshot(t, s2)
 	snap, err := s2.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSnapshot(t, snap)
 	// Load copies: mutating the returned snapshot must not leak back.
 	delete(snap.Jobs, "job-1")
 	again, err := s2.Load()
@@ -161,11 +175,7 @@ func TestFileTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn tail rejected: %v", err)
 	}
-	snap, err := s2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSnapshot(t, snap)
+	checkSnapshot(t, s2)
 
 	// Appending after a torn tail must start a fresh line, not merge into
 	// the garbage: OpenFile truncates the torn bytes, so an op written in
@@ -238,11 +248,7 @@ func TestFileCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	snap, err := s2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSnapshot(t, snap)
+	checkSnapshot(t, s2)
 }
 
 // TestFileNextHandleSurvivesCompaction: compaction drops the released-handle
@@ -290,8 +296,9 @@ func TestFileNextHandleSurvivesCompaction(t *testing.T) {
 const overCap = engine.DefaultRetention + engine.DefaultRetention/4 + 1
 
 // TestFileJobRecordCap: once the records pass the cap by a quarter,
-// compaction evicts the oldest terminal records past engine.DefaultRetention
-// but never the submitted ones (restart recovery needs them).
+// compaction evicts the oldest terminal records past engine.DefaultRetention,
+// and their results, but never the submitted ones (restart recovery needs
+// them).
 func TestFileJobRecordCap(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenFile(dir)
@@ -323,6 +330,13 @@ func TestFileJobRecordCap(t *testing.T) {
 	}
 	if _, ok := snap.Jobs["job-"+itoa(overCap)]; !ok {
 		t.Fatal("newest terminal record evicted before older ones")
+	}
+	// An evicted record's result goes with it.
+	if res, err := s.ReadResult(nil, "job-2"); !errors.Is(err, ErrNoDocs) {
+		t.Fatalf("evicted job-2's result = %s, %v; want ErrNoDocs", res, err)
+	}
+	if res, err := s.ReadResult(nil, "job-"+itoa(overCap)); err != nil || string(res) != "1" {
+		t.Fatalf("newest record's result = %s, %v", res, err)
 	}
 }
 
@@ -549,8 +563,8 @@ func TestFileIgnoresRetiredPinOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec := snap.Jobs["job-1"]; len(snap.Jobs) != 1 || string(rec.Result) != `{"total_runs":4}` {
-			t.Fatalf("%s: jobs = %+v", when, snap.Jobs)
+		if res, err := s.ReadResult(nil, "job-1"); len(snap.Jobs) != 1 || string(res) != `{"total_runs":4}` {
+			t.Fatalf("%s: jobs = %+v, job-1's result %s, %v", when, snap.Jobs, res, err)
 		}
 		if !reflect.DeepEqual(snap.Handles, map[string]string{"h-2": "job-1"}) || snap.NextHandle != 2 {
 			t.Fatalf("%s: handles = %+v, next = %d", when, snap.Handles, snap.NextHandle)
