@@ -45,7 +45,7 @@
 // an API key ("Authorization: Bearer" or "X-API-Key") resolving to a client
 // identity from the keyring file, submissions are attributed and rate
 // limited per client (-rate/-burst, over-rate answered 429 + Retry-After),
-// -max-share caps any one client's slice of in-flight work cost while
+// -max-share caps any one client's slice of the in-flight tasks while
 // others wait, and an envelope's optional "priority" ("low"/"normal"/
 // "high") weights the fair-share scheduler without preemption. Admission
 // control changes WHO runs WHEN, never results: results stay a pure
@@ -66,8 +66,8 @@
 //
 // gocserve is also the lease coordinator for gocworker processes:
 // -lease-ttl is how long a silent worker keeps its leased tasks before they
-// are requeued, -lease-tasks caps the tasks in one lease, and once a kind's
-// task latency has been observed a lease holds about two seconds of work.
+// are requeued, and a lease holds half a job's remaining tasks, at most
+// -lease-tasks, taken from the end of its task list.
 package main
 
 import (
@@ -112,7 +112,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	keysFile := fs.String("keys", "", "API keyring file (\"client:key\" per line); when set, job endpoints require a key and submissions are attributed per client")
 	rate := fs.Float64("rate", 0, "per-client submission rate limit in jobs/sec (0 = unlimited; without -keys every caller shares one anonymous bucket, so one noisy client can exhaust it for all)")
 	burst := fs.Int("burst", 0, "submission burst allowance per client (defaults to max(2*rate, 1))")
-	maxShare := fs.Float64("max-share", 0, "per-client cap on the share of in-flight work cost, in (0,1); enforced only while other clients are waiting (0 = uncapped)")
+	maxShare := fs.Float64("max-share", 0, "per-client cap on the share of in-flight tasks, in (0,1); enforced only while other clients are waiting (0 = uncapped)")
 	version := fs.Bool("version", false, "print the server version and catalog fingerprint, then exit")
 	fs.Usage = func() {
 		out := fs.Output()
@@ -169,9 +169,8 @@ Distributed execution:
   their catalog fingerprint matches), lease task ranges of running jobs, and
   stream results back; a worker that dies mid-lease costs only its in-flight
   range (requeued after -lease-ttl), and results are byte-identical however
-  tasks are distributed. A lease holds at most -lease-tasks tasks and, once
-  task latency is known, about two seconds of work. The fleet is visible in
-  /healthz under "dist".
+  tasks are distributed. A lease holds half a job's remaining tasks, at
+  most -lease-tasks. The fleet is visible in /healthz under "dist".
   gocworker -coordinator http://host:8372
 `)
 	}

@@ -32,9 +32,9 @@
 // The engine forks one deterministic rng stream per task index
 // (Rand.Fork), so results are bit-identical for any worker count and any
 // scheduling order; the same guarantee makes the in-memory result cache of
-// the HTTP service sound. Scheduling is size-aware and fair: specs that
-// estimate their per-task cost run longest-tasks-first, and concurrent jobs
-// share the worker pool evenly instead of queueing behind each other.
+// the HTTP service sound. Scheduling is fair: concurrent jobs share the
+// worker pool evenly, each take going to the job with the fewest tasks in
+// flight, instead of queueing behind each other.
 // NewServer returns that service in memory — the handler cmd/gocserve
 // serves, which adds persistence, admission control and the gocworker
 // fleet on top — with POST /v2/games for game registration, POST /v2/jobs for versioned job

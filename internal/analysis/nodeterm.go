@@ -37,11 +37,10 @@ var bannedFuncs = map[string]string{
 // Nodeterm forbids ambient nondeterminism — wall clock, global/OS randomness,
 // process environment — inside the result-producing packages. Results must be
 // a pure function of (canonical spec JSON, seed, version): that is what makes
-// the result cache, restart recomputation (PR 3), and distributed
-// first-writer-wins publication (PR 6) sound. Scheduler and coordinator code
-// where wall-clock is legitimate (EWMA cost models, lease deadlines) either
-// lives outside these packages or carries //goclint:allow nodeterm with a
-// rationale.
+// the result cache, restart recomputation, and distributed first-writer-wins
+// publication sound. Code where wall-clock is legitimate (lease deadlines,
+// heartbeats) either lives outside these packages or carries
+// //goclint:allow nodeterm with a rationale.
 var Nodeterm = &Analyzer{
 	Name:      "nodeterm",
 	Doc:       "forbid wall-clock, ambient randomness, and environment reads in result-producing packages",

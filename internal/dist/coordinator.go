@@ -128,7 +128,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (*Lease, error) {
 
 	// The engine pop happens outside c.mu: LeaseRemote takes the engine
 	// lock, and holding both invites ordering bugs for zero benefit.
-	rl, ok := c.eng.LeaseRemote(c.cfg.MaxLeaseTasks, leaseTargetMs)
+	rl, ok := c.eng.LeaseRemote(c.cfg.MaxLeaseTasks)
 	if !ok {
 		return nil, nil
 	}

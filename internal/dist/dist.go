@@ -9,8 +9,9 @@
 //	         (different kinds or versions registered) is refused with 409
 //	         instead of silently computing wrong-version tasks.
 //	lease  — worker asks for work; the coordinator pops a range off the
-//	         cheap end of the most-backlogged distributable job's deque
-//	         (engine.LeaseRemote) and stamps it with a deadline.
+//	         back (the highest pending indices) of the most-backlogged
+//	         distributable job's deque (engine.LeaseRemote) and stamps it
+//	         with a deadline.
 //	report — worker streams completed results back. Partial reports double
 //	         as heartbeats (each one extends the lease deadline); the final
 //	         report closes the lease. A worker shutting down gracefully
@@ -42,7 +43,7 @@ type Config struct {
 	// LeaseTTL is how long a worker may go without reporting (results or an
 	// empty heartbeat) before its lease expires and is requeued.
 	LeaseTTL time.Duration
-	// MaxLeaseTasks caps the task count of one lease regardless of cost.
+	// MaxLeaseTasks caps the task count of one lease.
 	MaxLeaseTasks int
 	// PollInterval is the idle-poll cadence advertised to workers when no
 	// work is available.
@@ -55,11 +56,6 @@ const (
 	DefaultMaxLeaseTasks = 256
 	DefaultPollInterval  = 250 * time.Millisecond
 )
-
-// leaseTargetMs sizes leases by predicted wall-clock once the engine has
-// observed the kind's task latency: a lease aims to hold about this much
-// work, so a lost worker costs bounded time.
-const leaseTargetMs = 2000
 
 func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {

@@ -221,7 +221,6 @@ func (r *Runner) executeLease(ctx context.Context, eng *engine.Engine, workerID 
 	}()
 
 	base := rng.New(lease.Seed)
-	sizer, _ := spec.(engine.Sizer)
 	job := engine.Func{
 		Name: lease.Kind,
 		N:    len(lease.Tasks),
@@ -245,9 +244,6 @@ func (r *Runner) executeLease(ctx context.Context, eng *engine.Engine, workerID 
 			mu.Unlock()
 			return nil, nil
 		},
-	}
-	if sizer != nil {
-		job.Cost = func(i int) float64 { return sizer.TaskCost(lease.Tasks[i]) }
 	}
 	_, runErr := eng.Run(lctx, job, 0, nil)
 

@@ -15,17 +15,16 @@
 //
 //	Spec     — a typed, deterministic job (LearnSweep, DesignSweep, …)
 //	Job      — one job's record: state, progress, result ledger, outcome
-//	Engine   — runs each Job over a shared size-aware work-stealing
-//	           dispatcher, publishing every task completion into it
+//	Engine   — runs each Job over a shared work-stealing dispatcher,
+//	           publishing every task completion into it
 //	Manager  — tracks Jobs by ID for asynchronous submission (gocserve)
 //
-// Scheduling is size-aware and fair: specs that implement Sizer have their
-// tasks ordered longest-processing-time-first (so a fat straggler starts
-// early instead of last), and concurrent Runs share the worker pool evenly —
-// each take goes to the active job with the fewest tasks in flight, so a
-// huge job submitted first cannot starve a small one submitted later. None
-// of this can perturb results: scheduling chooses *when* a task runs, never
-// what it computes.
+// Scheduling is fair: each take goes to the active job with the fewest tasks
+// in flight, divided by its priority weight, ties going round-robin, and a
+// job's tasks are taken in index order. Concurrent Runs thus share the
+// worker pool evenly, so a huge job submitted first cannot starve a small
+// one submitted later, even on one worker. None of this can perturb
+// results: scheduling chooses *when* a task runs, never what it computes.
 package engine
 
 import (
@@ -104,18 +103,12 @@ type Engine struct {
 	steals    uint64    // guarded by mu; cumulative cross-job takes
 	completed uint64    // guarded by mu; cumulative finished tasks
 
-	// Remote task source (remote.go): distributable jobs keyed by run token,
-	// plus lifetime lease counters. The observed-cost model (sched.go) feeds
-	// both weighted fair share and lease sizing.
-	runs           map[uint64]*runJob  // guarded by mu
-	nextRun        uint64              // guarded by mu
-	obs            map[string]*obsCost // guarded by mu
-	leasesGranted  uint64              // guarded by mu
-	remoteDone     uint64              // guarded by mu
-	remoteRequeued uint64              // guarded by mu
+	// Remote task source (remote.go): distributable jobs keyed by run token.
+	runs    map[uint64]*runJob // guarded by mu
+	nextRun uint64             // guarded by mu
 
 	// share is the admission-control quota (SetClientShare): the cap on any
-	// one client's share of total in-flight cost, 0 when uncapped.
+	// one client's share of all in-flight tasks, 0 when uncapped.
 	share float64 // guarded by mu
 }
 
@@ -195,20 +188,18 @@ func (e *Engine) newRun(ctx context.Context, spec Spec, seed uint64, opts Submit
 		// the parent, so workers fork lazily from the shared base: concurrent
 		// reads of immutable state, no per-task pre-allocation.
 		base:    rng.New(seed),
-		pending: orderTasks(spec, n),
-		costKey: spec.Kind(),
+		pending: make([]int, n),
 		client:  opts.Client,
 		weight:  opts.Weight,
+	}
+	for i := range r.pending {
+		r.pending[i] = i
 	}
 	if n > 0 {
 		r.results = make([]any, n)
 	}
 	r.ctx, r.cancel = context.WithCancelCause(ctx)
-	r.sizer, _ = spec.(Sizer)
 	j.run = r
-	if opts.Remote != nil {
-		r.costKey = opts.Remote.WireKind
-	}
 	coder, ok := spec.(TaskCoder)
 	if !ok || !withLedger || n == 0 {
 		return r, nil
@@ -316,15 +307,12 @@ func aggregate(spec Spec, results []any) (out any, err error) {
 
 // Func adapts closures to Spec, for one-off jobs (the experiment suite uses
 // it to fan E1–E13 across workers). If Agg is nil the per-task results are
-// returned as a []any in task order. If Cost is nil every task costs the
-// same, which keeps submission order (FIFO); set it to let the scheduler
-// order tasks longest-first.
+// returned as a []any in task order.
 type Func struct {
 	Name string
 	N    int
 	Task func(ctx context.Context, i int, r *rng.Rand) (any, error)
 	Agg  func(results []any) (any, error)
-	Cost func(i int) float64
 }
 
 // Kind implements Spec.
@@ -349,13 +337,4 @@ func (f Func) Aggregate(results []any) (any, error) {
 		return results, nil
 	}
 	return f.Agg(results)
-}
-
-// TaskCost implements Sizer. With no Cost hook every task weighs the same
-// and the stable LPT sort degrades to index order.
-func (f Func) TaskCost(i int) float64 {
-	if f.Cost == nil {
-		return 1
-	}
-	return f.Cost(i)
 }

@@ -11,7 +11,7 @@ import (
 // Remote execution: the engine-side half of the distributed worker fleet
 // (internal/dist). A job submitted with a RemoteInfo — its versioned wire
 // kind, canonical spec document, and seed — is *distributable*: besides the
-// local worker pool, a coordinator may lease contiguous chunks of its
+// local worker pool, a coordinator may lease chunks off the back of its
 // pending deque to remote gocworker processes, which decode the same spec
 // through the same registry, fork the same per-task rng streams, and report
 // per-task results back over the wire.
@@ -97,18 +97,16 @@ type RemoteLease struct {
 // out. Callers drop the lease; there is nothing left to requeue into.
 var ErrRunGone = errors.New("engine: run is gone")
 
-// LeaseRemote pops a contiguous chunk off the back of the most-backlogged
-// distributable job's deque and marks it leased. The back of the deque holds
-// the cheapest remaining tasks under LPT ordering — classic work-stealing
-// steals from the opposite end of the victim — so an expired lease requeues
-// the least costly work. Chunks shrink as jobs drain (never more than half
-// the remaining deque, so local workers always keep feed), are capped at
-// maxTasks, and — once the kind's cost is observed (see SchedStats.Observed)
-// — are additionally sized to about targetMs of predicted work, so a slow
-// worker's loss is bounded in wall-clock, not just task count.
+// LeaseRemote pops a chunk off the back of the most-backlogged
+// distributable job's deque and marks it leased: half the remaining deque
+// (rounded up, so local workers always keep feed), capped at maxTasks when
+// it is positive. Local workers take from the front, so the chunk is the
+// job's highest pending indices, the tasks a streamed prefix needs last:
+// a slow or lost lease delays what a client streams least. Chunks shrink
+// as jobs drain.
 //
 // ok is false when no distributable job has pending work.
-func (e *Engine) LeaseRemote(maxTasks int, targetMs float64) (lease RemoteLease, ok bool) {
+func (e *Engine) LeaseRemote(maxTasks int) (lease RemoteLease, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var best *runJob
@@ -127,32 +125,11 @@ func (e *Engine) LeaseRemote(maxTasks int, targetMs float64) (lease RemoteLease,
 	if maxTasks > 0 && n > maxTasks {
 		n = maxTasks
 	}
-	if o := e.obs[best.costKey]; o != nil && o.n > 0 && targetMs > 0 {
-		if best.sizer != nil && o.msPerCost > 0 {
-			// Walk the chunk back-to-front accumulating predicted wall-clock
-			// until the target is met; always grant at least one task.
-			total, k := 0.0, 0
-			for k < n && total < targetMs {
-				idx := best.pending[len(best.pending)-1-k]
-				total += o.msPerCost * best.sizer.TaskCost(idx)
-				k++
-			}
-			n = k
-		} else if o.msPerTask > 0 {
-			if cap := int(targetMs/o.msPerTask) + 1; n > cap {
-				n = cap
-			}
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
 	cut := len(best.pending) - n
 	// Copy the tail: a requeue appends into the deque's backing array.
 	tasks := slices.Clone(best.pending[cut:])
 	best.pending = best.pending[:cut]
 	best.leased += n
-	e.leasesGranted++
 	return RemoteLease{Run: best.runID, Tasks: tasks, Wire: *best.wire}, true
 }
 
@@ -215,7 +192,6 @@ func (e *Engine) ReportRemote(run uint64, results map[int]json.RawMessage) (acce
 		r.leased = 0 // a halt zeroed it while this report was in flight
 	}
 	e.completed += uint64(accepted)
-	e.remoteDone += uint64(accepted)
 	finished := e.finishIfIdleLocked(r)
 	e.mu.Unlock()
 	if finished {
@@ -226,11 +202,10 @@ func (e *Engine) ReportRemote(run uint64, results map[int]json.RawMessage) (acce
 
 // RequeueRemote returns leased tasks to their job's pending deque — the
 // recovery path for expired leases, abandoned (gracefully shut down)
-// workers, and undecodable reports. The tasks rejoin the back of the deque
-// (they came from the back: the cheapest remaining work) and the worker pool
-// is topped back up, so a requeue after the local pool drained still
-// finishes the job. Requeueing into a finished or halted run only fixes its
-// leased count.
+// workers, and undecodable reports. The tasks rejoin the back of the deque,
+// where they came from, and the worker pool is topped back up, so a requeue
+// after the local pool drained still finishes the job. Requeueing into a
+// finished or halted run only fixes its leased count.
 func (e *Engine) RequeueRemote(run uint64, tasks []int) {
 	e.mu.Lock()
 	r := e.runs[run]
@@ -245,7 +220,6 @@ func (e *Engine) RequeueRemote(run uint64, tasks []int) {
 	// doomed tasks while the halt hook runs.
 	if r.ctx.Err() == nil {
 		r.pending = append(r.pending, tasks...)
-		e.remoteRequeued += uint64(len(tasks))
 		e.topUpLocked(len(r.pending))
 	}
 	finished := e.finishIfIdleLocked(r)

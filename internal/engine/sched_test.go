@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -14,44 +15,26 @@ import (
 	"gameofcoins/internal/rng"
 )
 
-// costWrap overlays arbitrary per-task costs onto any Spec, so property
-// tests can skew the scheduling order of real sweeps without touching what
-// their tasks compute.
-type costWrap struct {
+// jitterWrap delays each task of any Spec by its own duration before running
+// it, so property tests can make real sweeps' tasks finish out of index
+// order without touching what they compute.
+type jitterWrap struct {
 	Spec
-	costs []float64
+	delays []time.Duration
 }
 
-func (c costWrap) TaskCost(i int) float64 { return c.costs[i] }
-
-// TestOrderTasksLPT pins the deque-building contract: Sizer costs sort the
-// indices longest-first, ties (and the no-Sizer case) keep index order.
-func TestOrderTasksLPT(t *testing.T) {
-	spec := Func{
-		Name: "sized",
-		N:    5,
-		Task: func(_ context.Context, i int, _ *rng.Rand) (any, error) { return i, nil },
-		Cost: func(i int) float64 { return []float64{1, 9, 3, 9, 2}[i] },
-	}
-	if got, want := orderTasks(spec, 5), []int{1, 3, 2, 4, 0}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("LPT order = %v, want %v", got, want)
-	}
-	uniform := Func{Name: "uniform", N: 4, Task: spec.Task}
-	if got, want := orderTasks(uniform, 4), []int{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("uniform order = %v, want %v (FIFO)", got, want)
-	}
-	type bare struct{ Spec } // hides Func's TaskCost: no Sizer at all
-	if got, want := orderTasks(bare{uniform}, 4), []int{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("unsized order = %v, want %v (FIFO)", got, want)
-	}
+func (w jitterWrap) RunTask(ctx context.Context, i int, r *rng.Rand) (any, error) {
+	time.Sleep(w.delays[i])
+	return w.Spec.RunTask(ctx, i, r)
 }
 
-// TestSchedulerDeterminismProperty is the tentpole's proof obligation: the
+// TestSchedulerDeterminismProperty is the dispatcher's proof obligation: the
 // same specs produce bit-identical results under randomized worker counts,
-// randomized cost skews (which randomize the LPT dispatch order), and
-// concurrent-job mixes sharing one engine. Determinism holds by
-// construction — results land by task index and rng streams fork per index —
-// and this test pins that no scheduler change can silently break it.
+// randomized task delays of 0–200 µs (which shuffle the order tasks finish
+// and publish in), and concurrent-job mixes sharing one engine. Determinism
+// holds by construction — results land by task index and rng streams fork
+// per index — and this test pins that no scheduler change can silently
+// break it.
 func TestSchedulerDeterminismProperty(t *testing.T) {
 	specs := []Spec{
 		LearnSweep{Gen: core.GenSpec{Miners: 5, Coins: 2}, Schedulers: []string{"random", "max-gain"}, Runs: 6},
@@ -63,7 +46,7 @@ func TestSchedulerDeterminismProperty(t *testing.T) {
 			Task: func(_ context.Context, i int, r *rng.Rand) (any, error) { return r.Uint64() ^ uint64(i), nil },
 		},
 	}
-	// Reference: every spec alone on a single worker, FIFO order.
+	// Reference: every spec alone on a single worker, in index order.
 	refs := make([]any, len(specs))
 	for i, spec := range specs {
 		res, err := New(1).Run(context.Background(), spec, 23, nil)
@@ -76,20 +59,20 @@ func TestSchedulerDeterminismProperty(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		workers := 1 + r.Intn(8)
 		eng := New(workers)
-		// Randomize each spec's dispatch order with random task costs, and
+		// Shuffle each spec's completion order with random task delays, and
 		// run all specs concurrently so takes interleave across jobs.
 		var wg sync.WaitGroup
 		got := make([]any, len(specs))
 		errs := make([]error, len(specs))
 		for i, spec := range specs {
-			costs := make([]float64, spec.Tasks())
-			for c := range costs {
-				costs[c] = r.Float64()
+			delays := make([]time.Duration, spec.Tasks())
+			for d := range delays {
+				delays[d] = time.Duration(r.Intn(201)) * time.Microsecond
 			}
 			wg.Add(1)
 			go func(i int, spec Spec) {
 				defer wg.Done()
-				got[i], errs[i] = eng.Run(context.Background(), costWrap{spec, costs}, 23, nil)
+				got[i], errs[i] = eng.Run(context.Background(), jitterWrap{spec, delays}, 23, nil)
 			}(i, spec)
 		}
 		wg.Wait()
@@ -107,9 +90,16 @@ func TestSchedulerDeterminismProperty(t *testing.T) {
 
 // TestFairShareNoStarvation: a long job submitted first must not block a
 // short job submitted later — the dispatcher splits the worker pool, so the
-// short job finishes while the long one is still mostly pending.
+// short job finishes while the long one is still mostly pending. On one
+// worker every take is a tie, which must alternate between the jobs.
 func TestFairShareNoStarvation(t *testing.T) {
-	eng := New(2)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { testFairShareNoStarvation(t, workers) })
+	}
+}
+
+func testFairShareNoStarvation(t *testing.T, workers int) {
+	eng := New(workers)
 	const longN = 40
 	var longDone atomic.Int64
 	longStarted := make(chan struct{}, 1)
@@ -143,10 +133,11 @@ func TestFairShareNoStarvation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The short job is done; the long one must still be far from it. The
-	// bound is deliberately loose (short needs ~2 slots of the pool, so well
-	// under half the long job can have completed) — the failure mode it
-	// guards against is FIFO feeding, where the short job would have waited
-	// for all 40 long tasks and this reads longN.
+	// bound is deliberately loose (short needs a few of the long job's
+	// tasks' time at most, so well under half the long job can have
+	// completed) — the failure mode it guards against is FIFO feeding, where
+	// the short job would have waited for all 40 long tasks and this reads
+	// longN.
 	if got := longDone.Load(); got > longN/2 {
 		t.Fatalf("long job completed %d/%d tasks before the short job finished — short job starved", got, longN)
 	}
@@ -339,42 +330,6 @@ func TestProgressSuppressedAfterFailure(t *testing.T) {
 	}
 	if last.State != StateFailed || !strings.Contains(last.Error, "boom") {
 		t.Fatalf("terminal status = %+v, want failed with the task error", last)
-	}
-}
-
-// TestSweepTaskCosts sanity-checks the built-in Sizer implementations:
-// costs are positive and ordered the way the priors claim.
-func TestSweepTaskCosts(t *testing.T) {
-	learn := LearnSweep{Gen: core.GenSpec{Miners: 6, Coins: 3}, Schedulers: []string{"random", "max-gain"}, Runs: 2}
-	if rnd, greedy := learn.TaskCost(0), learn.TaskCost(2); rnd <= greedy {
-		t.Fatalf("random-scheduler cost %v not above max-gain cost %v", rnd, greedy)
-	}
-	// The default sweep follows AllSchedulers, whose second scheduler is
-	// "random": its tasks (3..5 here) must carry the random prior.
-	defLearn := LearnSweep{Gen: core.GenSpec{Miners: 6, Coins: 3}, Runs: 3}
-	if names := defLearn.schedulerNames(); names[1] != "random" {
-		t.Fatalf("default sweep's second scheduler is %q, want random", names[1])
-	}
-	if rnd, rr := defLearn.TaskCost(3), defLearn.TaskCost(0); rnd <= rr {
-		t.Fatalf("default-list random cost %v not above round-robin cost %v", rnd, rr)
-	}
-	small := EquilibriumSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Games: 1}
-	big := EquilibriumSweep{Gen: core.GenSpec{Miners: 8, Coins: 3}, Games: 1}
-	if small.TaskCost(0) >= big.TaskCost(0) {
-		t.Fatal("equilibrium enumeration cost not increasing in game size")
-	}
-	design := DesignSweep{Gen: core.GenSpec{Miners: 4, Coins: 2}, Pairs: 1}
-	if design.TaskCost(0) <= big.TaskCost(0) {
-		t.Fatal("design cost (repeated enumeration) not above one enumeration of a moderate game")
-	}
-	replaySweep := ReplaySweep{Runs: 1}
-	if replaySweep.TaskCost(0) <= 0 {
-		t.Fatal("replay cost must be positive even for all-default params")
-	}
-	for _, s := range []Sizer{learn, small, design, replaySweep} {
-		if c := s.TaskCost(0); c <= 0 {
-			t.Fatalf("%T cost %v not positive", s, c)
-		}
 	}
 }
 

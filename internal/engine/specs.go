@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 
@@ -70,8 +69,9 @@ var defaultSchedulers = func() []string {
 }()
 
 // schedulerNames returns the swept scheduler names; callers must not
-// modify the slice.
-func (s LearnSweep) schedulerNames() []string {
+// modify the slice. It takes a pointer, as schedulerForTask does, so a
+// task's calls copy no spec.
+func (s *LearnSweep) schedulerNames() []string {
 	if len(s.Schedulers) > 0 {
 		return s.Schedulers
 	}
@@ -164,34 +164,12 @@ type learnTaskResult struct {
 
 // schedulerForTask returns task i's scheduler, fresh: schedulers are
 // stateful, so each run needs its own. A round-robin one is sc's, reset.
-func (s LearnSweep) schedulerForTask(i int, sc *learnScratch) (learning.Scheduler, error) {
+func (s *LearnSweep) schedulerForTask(i int, sc *learnScratch) (learning.Scheduler, error) {
 	if name := s.schedulerNames()[i/s.Runs]; name != sc.rr.Name() {
 		return learning.SchedulerByName(name)
 	}
 	sc.rr = learning.RoundRobin{}
 	return &sc.rr, nil
-}
-
-// TaskCost implements Sizer: a coarse relative prior — proportional to the
-// game's miner×coin dimensions, doubled for the blind "random" scheduler,
-// whose walks take more steps to converge than the gain-guided ones (the E8
-// series measures exactly this spread). Only the ordering matters: a wrong
-// estimate costs tail latency, never correctness.
-func (s LearnSweep) TaskCost(i int) float64 {
-	m, c := s.Gen.Miners, s.Gen.Coins
-	if s.Game != nil {
-		m, c = s.Game.NumMiners(), s.Game.NumCoins()
-	}
-	cost := float64(m * c)
-	if cost <= 0 {
-		cost = 1
-	}
-	if s.Runs > 0 {
-		if names := s.schedulerNames(); i/s.Runs < len(names) && names[i/s.Runs] == "random" {
-			cost *= 2
-		}
-	}
-	return cost
 }
 
 // learnScratch is what a LearnSweep task draws into: its random game, its
@@ -288,31 +266,6 @@ func (s DesignSweep) Kind() string { return "design_sweep" }
 
 // Tasks implements Spec.
 func (s DesignSweep) Tasks() int { return s.Pairs }
-
-// TaskCost implements Sizer. Each task repeatedly enumerates equilibria of
-// drawn games (up to MaxTries draws), and enumeration is exponential in game
-// size, so the estimate is draws × enumeration cost. Every task of one sweep
-// shares it — the true per-pair spread comes from random draws no prior can
-// see — so dispatch within a sweep stays in index order (the stable sort)
-// and the value is today a published size signal, not an ordering one: it
-// feeds the ROADMAP follow-ups (cost-weighted fair share, observed-latency
-// feedback) rather than changing current scheduling.
-func (s DesignSweep) TaskCost(int) float64 {
-	tries := s.MaxTries
-	if tries <= 0 {
-		tries = 500
-	}
-	return float64(tries) * enumCost(s.Gen)
-}
-
-// enumCost estimates the cost of enumerating one random game's equilibria:
-// the configuration space is coins^miners.
-func enumCost(gen core.GenSpec) float64 {
-	if gen.Miners <= 0 || gen.Coins <= 0 {
-		return 1
-	}
-	return math.Pow(float64(gen.Coins), float64(gen.Miners))
-}
 
 // Validate implements Validator.
 func (s DesignSweep) Validate() error {
@@ -455,17 +408,6 @@ func (s ReplaySweep) Kind() string { return "replay_sweep" }
 // Tasks implements Spec.
 func (s ReplaySweep) Tasks() int { return s.Runs }
 
-// TaskCost implements Sizer: every run replays the same scenario, so cost is
-// flat within a sweep — fleet size × simulated epochs, the knobs the replay
-// loop scales with. Like DesignSweep's, a size signal, not a reordering.
-func (s ReplaySweep) TaskCost(int) float64 {
-	cost := float64(s.Params.Miners) * float64(s.Params.Epochs)
-	if cost <= 0 {
-		return 1
-	}
-	return cost
-}
-
 // Validate implements Validator.
 func (s ReplaySweep) Validate() error {
 	if s.Runs <= 0 {
@@ -547,11 +489,6 @@ func (s EquilibriumSweep) Kind() string { return "equilibrium_sweep" }
 
 // Tasks implements Spec.
 func (s EquilibriumSweep) Tasks() int { return s.Games }
-
-// TaskCost implements Sizer: one enumeration per task, exponential in game
-// size (see enumCost). Flat within a sweep — a size signal for cross-job
-// policies, not a reordering (see DesignSweep.TaskCost).
-func (s EquilibriumSweep) TaskCost(int) float64 { return enumCost(s.Gen) }
 
 // Validate implements Validator.
 func (s EquilibriumSweep) Validate() error {
